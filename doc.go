@@ -110,8 +110,9 @@
 // watchdog (MachineConfig.Watchdog) sweeps periodically — allocation
 // free, like the rest of the event path — and reports starved runnable
 // tasks (threshold scaled by the policy's latency capability and the
-// run-queue depth), tasks lost from every queue, and online CPUs whose
-// timer chain died, each at its virtual timestamp. The scenario fuzzer
+// run-queue depth), tasks lost from every queue, online CPUs whose timer
+// chain died, and drift in the kick-delivery bookkeeping
+// (Machine.CheckDelivery), each at its virtual timestamp. The scenario fuzzer
 // arms it everywhere and injects hotplug storms; the machine-level
 // conformance matrix drives scripted storms over every policy on 8P and
 // 32P-NUMA shapes.

@@ -595,7 +595,7 @@ func auditCensus(m *kernel.Machine) error {
 // exposed the backlog to the whole machine — but the one kick those
 // wake-ups had piggybacked on was long consumed, so the idle CPUs
 // learned nothing and their polling ticks drained the queue one rescue
-// at a time. reschedule now sweeps for stranded backlog (kickIdleBacklog)
+// at a time. reschedule now kicks for stranded backlog (kickIdleBacklog)
 // after any decision that dispatched a task or bumped the epoch — the
 // two events that make previously undeliverable work deliverable.
 //
@@ -611,11 +611,11 @@ func auditCensus(m *kernel.Machine) error {
 // falling back to preemption.
 //
 // Seed -351 (4P/latency, heap, pin churn plus a hotplug cycle) caught
-// the transition-race variant of the kickIdleBacklog sweep itself: a
+// the transition-race variant of kickIdleBacklog itself: a
 // CPU dispatching a pinned task off a shared heap top exposed charged
 // backlog just as another CPU was descheduling to idle — not isIdle()
-// yet, so the sweep skipped it, and its switch completed into a parked
-// tick with work visible on the queue. The sweep now treats a CPU
+// yet, so the kick skipped it, and its switch completed into a parked
+// tick with work visible on the queue. It now treats a CPU
 // mid-transition to idle as almost-idle and flags needResched, the same
 // delivery rescheduleIdle uses for that window.
 var RegressionSeeds = []int64{

@@ -72,6 +72,10 @@ type CPU struct {
 	// context switches completed here (both feed MPStat).
 	idleAccum  uint64
 	dispatches uint64
+
+	// narrow counts the deliverable tasks that only some CPUs, this one
+	// among them, can take (see Machine.count).
+	narrow int
 }
 
 // ID returns the processor number.
@@ -91,24 +95,34 @@ func (c *CPU) isIdle() bool { return c.online && c.current == nil && !c.transiti
 // grabbed work in the interim must still re-run schedule(): dropping it
 // would drop every wake that piggybacked on it, leaving a woken task
 // queued behind whatever the CPU picked until its quantum runs out.
-func (c *CPU) kickIdle() {
-	if c.reschedSent {
-		return
-	}
-	c.reschedSent = true
-	c.ipiEv.Name = "kick-idle"
-	c.m.eng.ScheduleAfter(c.ipiEv, ipiLatency)
-}
+func (c *CPU) kickIdle() { c.sendIPI("kick-idle") }
 
 // sendResched delivers a preemption IPI: when it lands, the CPU stops its
 // current segment and calls schedule().
-func (c *CPU) sendResched() {
+func (c *CPU) sendResched() { c.sendIPI("resched-ipi") }
+
+// sendIPI arms the CPU's one reschedule IPI under the given trace name,
+// unless one is already in flight.
+func (c *CPU) sendIPI(name string) {
 	if c.reschedSent {
 		return
 	}
 	c.reschedSent = true
-	c.ipiEv.Name = "resched-ipi"
+	c.publish()
+	c.ipiEv.Name = name
 	c.m.eng.ScheduleAfter(c.ipiEv, ipiLatency)
+}
+
+// deliver makes an idle or almost-idle CPU run schedule(): a kick, or —
+// mid-switch to idle, where a kick would land before the CPU can take it
+// — a needResched flag that the switch's completion honors. A kick
+// already in flight flags it on landing.
+func (c *CPU) deliver() {
+	if !c.transitioning {
+		c.kickIdle()
+	} else if !c.reschedSent {
+		c.needResched = true
+	}
 }
 
 // ipiArrive is the landing of either reschedule IPI (kick-idle or
@@ -118,6 +132,7 @@ func (c *CPU) sendResched() {
 // the dispatch path re-checks it.
 func (c *CPU) ipiArrive(now sim.Time) {
 	c.reschedSent = false
+	c.publish()
 	if !c.online {
 		// The IPI raced an offline: the target is gone, but the wakes
 		// that piggybacked on it still name runnable queued tasks.
@@ -221,14 +236,11 @@ func (c *CPU) tick(now sim.Time) {
 		return
 	}
 	if c.current == nil && !c.transitioning {
-		// Fully idle at the tick. If a queued task is stranded here with
-		// no delivery in flight, that is a lost kick: every enqueue-to-
-		// idle path owes the CPU a real kick, and the old idle-loop
-		// need_resched poll that papered over missing ones is now an
-		// audited error path (IdleTickRescues, asserted zero by the
-		// conformance and fuzz census audits). The reschedule below is
-		// kept as a safety net so a rescue degrades gracefully rather
-		// than hanging the machine.
+		// Fully idle at the tick. A deliverable task stranded here with
+		// nothing in flight is a lost kick — an audited error path
+		// (IdleTickRescues, asserted zero by the conformance and fuzz
+		// census audits); the reschedule below is the safety net that
+		// makes it degrade gracefully rather than hang the machine.
 		rescue := m.tickRescueNeeded(c)
 		if !rescue && !m.cfg.TicklessOff {
 			// NO_HZ: park the chain. This firing happened and is charged;
@@ -524,6 +536,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 	}
 	c.current = nil
 	c.transitioning = true
+	c.publish()
 	if prev == nil {
 		// Leaving idle: account the idle stretch.
 		m.stats.IdleCycles += uint64(now - c.idleFrom)
@@ -559,6 +572,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 		}
 		prevTask.HasCPU = false
 		prev.workStamp = c.work
+		m.refile(prev)
 		if prevTask != res.Next && prevTask.Runnable() && m.sched.OnRunqueue(prevTask) {
 			if !prevTask.AllowedOn(c.id) {
 				// Affinity moved under the running task (SetAffinity,
@@ -571,12 +585,8 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 				// Still selectable but this CPU chose someone else (wake
 				// preemption, higher goodness): 2.4's __schedule_tail
 				// runs reschedule_idle(prev) here so another processor
-				// picks the loser up. Idle CPUs only — a task that just
-				// lost a goodness comparison has no claim on a busy CPU,
-				// and busy CPUs' armed ticks will age it in; but an idle
-				// CPU under NO_HZ has no tick left to notice queued
-				// work. Exhausted (zero-counter) tasks wait for the
-				// recalc, which delivers its own kicks.
+				// picks the loser up. Idle CPUs only; exhausted tasks
+				// wait for the recalc, which delivers its own kicks.
 				m.kickIdleAllowed(prevTask)
 			}
 		}
@@ -623,6 +633,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 		if m.noter != nil && next.OnRunqueue() {
 			m.noter.NoteRunning(next, true)
 		}
+		m.refile(nextProc)
 	}
 
 	if next != nil {
@@ -635,22 +646,16 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 		c.ensureTick(now)
 	}
 	c.dispatchNext = nextProc
+	c.publish()
 	m.eng.Schedule(c.dispatchEv, now+sim.Time(delay))
 
-	if next != nil || m.env.Epoch.N() != epoch0 {
-		// This decision changed what other CPUs can see: a recalculation
-		// made every exhausted task selectable at once, and a dispatch
-		// can uncover work that the chooser itself was hiding — popping a
-		// pinned task off a shared heap exposes the element beneath it to
-		// every CPU, and a kick that several wake-ups piggybacked on only
-		// dispatches one task, leaving the rest queued with nothing in
-		// flight. Either way schedule() takes a single task, so a CPU
-		// that idled earlier because it could not see (or use) the
-		// backlog is still idle — and under tickless idle its tick chain
-		// is parked, so no tick will come along to re-run schedule() for
-		// it. The always-on chain resolved this by polling every tick;
-		// that was seed behavior, not a guarantee. Deliver the kicks this
-		// decision owes.
+	recalculated := m.env.Epoch.N() != epoch0
+	if recalculated {
+		m.recount()
+	}
+	if next != nil || recalculated {
+		// This decision changed what other CPUs can see, and schedule()
+		// took at most one task: deliver the kicks it owes.
 		m.kickIdleBacklog()
 	}
 }
@@ -662,7 +667,7 @@ func (c *CPU) dispatchArrive(now sim.Time) {
 	p := c.dispatchNext
 	c.dispatchNext = nil
 	if !c.online {
-		c.m.offlineDispatch(c, p, now)
+		c.m.offlineDispatch(c, p)
 		return
 	}
 	c.m.dispatch(c, p, now)
@@ -673,43 +678,51 @@ func (c *CPU) dispatchArrive(now sim.Time) {
 // was made, so no other CPU could take it in flight; instead of starting
 // it here — an offline CPU must never run a task — it is released back to
 // the run queue and the surviving CPUs are nudged.
-func (m *Machine) offlineDispatch(c *CPU, p *Proc, now sim.Time) {
+func (m *Machine) offlineDispatch(c *CPU, p *Proc) {
 	c.transitioning = false
 	c.needResched = false
-	if p == nil {
-		return
+	c.publish()
+	if p != nil && m.release(c, p) {
+		m.rescheduleIdle(p)
 	}
+}
+
+// release takes a claimed or running task off a CPU that is going away
+// and, if it is still runnable, re-files it for the survivors, reporting
+// whether it did. Del-then-Add: under the global policies the claimed
+// task still carries the run-list marker even though Schedule pulled it
+// out of the structure (footnote 3), so a bare "re-add if not on queue"
+// would skip it and strand the task — marked queued, in no list,
+// invisible to every scheduler count (fuzzer seed -74). DelFromRunqueue
+// clears the illusion (or the real listing, for policies that keep
+// running tasks listed) and the re-add files it where survivors can
+// pick it.
+func (m *Machine) release(c *CPU, p *Proc) bool {
 	t := p.Task
 	if m.noter != nil && t.OnRunqueue() {
 		m.noter.NoteRunning(t, false)
 	}
 	t.HasCPU = false
 	p.workStamp = c.work
-	if t.Runnable() {
-		// Del-then-Add, like the OfflineCPU preempt path: under the global
-		// policies the claimed task still carries the run-list marker even
-		// though Schedule pulled it out of the structure (footnote 3), so a
-		// bare "re-add if not on queue" would skip it and strand the task —
-		// marked queued, in no list, invisible to every scheduler count
-		// (fuzzer seed -74). DelFromRunqueue clears the illusion (or the
-		// real listing, for policies that keep running tasks listed) and the
-		// re-add files it where survivors can pick it.
-		if m.sched.OnRunqueue(t) {
-			m.sched.DelFromRunqueue(t)
-		}
-		sched.ResetQueueState(t)
-		m.sched.AddToRunqueue(t)
-		m.rqLockOfTask(t).bump(now, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
-		m.rescheduleIdle(p)
+	if !t.Runnable() {
+		m.refile(p)
+		return false
 	}
+	if m.sched.OnRunqueue(t) {
+		m.sched.DelFromRunqueue(t)
+	}
+	sched.ResetQueueState(t)
+	m.enqueue(p, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
+	return true
 }
 
 // dispatch completes the context switch started by reschedule.
 func (m *Machine) dispatch(c *CPU, p *Proc, now sim.Time) {
 	c.transitioning = false
+	c.current = p
+	c.publish()
 	c.dispatches++
 	if p == nil {
-		c.current = nil
 		c.idleFrom = now
 		if c.needResched {
 			// A wake-up landed during the switch-to-idle window.
@@ -718,7 +731,6 @@ func (m *Machine) dispatch(c *CPU, p *Proc, now sim.Time) {
 		}
 		return
 	}
-	c.current = p
 	if p.remaining > 0 || p.onDone != nil || p.syscall != nil {
 		// Resume the interrupted segment or retry a blocked syscall.
 		if p.remaining == 0 && p.syscall != nil && p.onDone == nil {
@@ -737,7 +749,7 @@ func (m *Machine) dispatch(c *CPU, p *Proc, now sim.Time) {
 // cost the 15-point affinity bonus exists to avoid, and the price ELSC
 // pays for its extra cross-CPU placements (Figure 6).
 func (m *Machine) cachePenalty(c *CPU, p *Proc) uint64 {
-	cost := m.env.Cost
+	cost := &m.env.Cost
 	t := p.Task
 	if !t.EverRan {
 		return cost.CacheRefillMax / 2 // cold start

@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 
-	"elsc/internal/sched"
 	"elsc/internal/sim"
 )
 
@@ -57,6 +56,7 @@ func (m *Machine) OfflineCPU(id int) error {
 		c.ticklessAccum += uint64(now - c.ticklessFrom)
 	}
 	c.online = false
+	c.publish()
 	m.env.SetCPUOnline(id, false)
 	c.offlineFrom = now
 	c.offlines++
@@ -69,23 +69,10 @@ func (m *Machine) OfflineCPU(id int) error {
 
 	// Preempt and detach the victim's running task.
 	if p := c.current; p != nil {
-		t := p.Task
 		c.interrupt(now)
-		t.InvSwitches++
-		if m.noter != nil && t.OnRunqueue() {
-			m.noter.NoteRunning(t, false)
-		}
-		t.HasCPU = false
-		p.workStamp = c.work
+		p.Task.InvSwitches++
 		c.current = nil
-		if t.Runnable() {
-			if m.sched.OnRunqueue(t) {
-				m.sched.DelFromRunqueue(t)
-			}
-			sched.ResetQueueState(t)
-			m.sched.AddToRunqueue(t)
-			m.rqLockOfTask(t).bump(now, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
-		}
+		m.release(c, p)
 	}
 	// A dispatch in flight is left alone: dispatchArrive sees the offline
 	// CPU and releases its claimed task back to the queue. The pending
@@ -96,8 +83,7 @@ func (m *Machine) OfflineCPU(id int) error {
 	// policy's online-aware placement re-homes them onto survivors.
 	m.drainBuf = m.sched.DrainCPU(id, m.drainBuf[:0])
 	for i, t := range m.drainBuf {
-		m.sched.AddToRunqueue(t)
-		m.rqLockOfTask(t).bump(now, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
+		m.enqueue(m.procOf(t), m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
 		m.drainBuf[i] = nil
 	}
 
@@ -123,6 +109,7 @@ func (m *Machine) OnlineCPU(id int) error {
 	}
 	now := m.eng.Now()
 	c.online = true
+	c.publish()
 	c.wdStallFlagged = false
 	m.env.SetCPUOnline(id, true)
 	d := uint64(now - c.offlineFrom)
@@ -188,14 +175,7 @@ func (m *Machine) applyAffinityFallback() {
 		if p.savedAffinity == 0 {
 			p.savedAffinity = t.CPUsAllowed
 		}
-		queued := m.sched.OnRunqueue(t) && !t.HasCPU
-		if queued {
-			m.sched.DelFromRunqueue(t)
-		}
-		t.CPUsAllowed = 0
-		if queued {
-			m.sched.AddToRunqueue(t)
-		}
+		m.requeue(p, func() { t.CPUsAllowed = 0 })
 	}
 }
 
@@ -207,33 +187,8 @@ func (m *Machine) restoreAffinity() {
 		if p.exited || p.savedAffinity == 0 || p.savedAffinity&mask == 0 {
 			continue
 		}
-		t := p.Task
-		queued := m.sched.OnRunqueue(t) && !t.HasCPU
-		if queued {
-			m.sched.DelFromRunqueue(t)
-		}
-		t.CPUsAllowed = p.savedAffinity
-		p.savedAffinity = 0
-		if queued {
-			m.sched.AddToRunqueue(t)
+		if m.requeue(p, func() { p.Task.CPUsAllowed, p.savedAffinity = p.savedAffinity, 0 }) {
 			m.rescheduleIdle(p)
-		}
-	}
-}
-
-// nudgeOnline makes queued work visible to every online CPU that will not
-// otherwise run schedule(): idle ones are kicked, mid-switch ones flagged
-// to re-pick at dispatch. Used after bulk queue changes (hotplug drains,
-// policy switches) and to re-route IPIs that landed on an offline CPU.
-func (m *Machine) nudgeOnline() {
-	if m.sched.Runnable() == 0 {
-		return
-	}
-	for _, c := range m.cpus {
-		if c.isIdle() {
-			c.kickIdle()
-		} else if c.online && c.transitioning {
-			c.needResched = true
 		}
 	}
 }

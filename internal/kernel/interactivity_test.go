@@ -60,6 +60,10 @@ func TestWakeIdleTarget(t *testing.T) {
 	tk.EverRan = true
 	tk.Processor = 1
 	busy := &Proc{}
+	occupy := func(cpu int, p *Proc) {
+		m.cpus[cpu].current = p
+		m.cpus[cpu].publish()
+	}
 
 	m.wakerCPU = -1 // interrupt context: no waker, no placement
 	if got := m.wakeIdleTarget(tk); got != -1 {
@@ -69,21 +73,21 @@ func TestWakeIdleTarget(t *testing.T) {
 	if got := m.wakeIdleTarget(tk); got != -1 {
 		t.Fatalf("idle home CPU: target = %d, want -1 (the affinity fast path lands it)", got)
 	}
-	m.cpus[1].current = busy // home CPU busy: prefer an idle home-domain CPU
+	occupy(1, busy) // home CPU busy: prefer an idle home-domain CPU
 	if got := m.wakeIdleTarget(tk); got != 0 {
 		t.Fatalf("home-domain target = %d, want 0", got)
 	}
-	m.cpus[0].current = busy
-	m.cpus[2].current = busy // home domain full, waker executing: its idle neighbor
+	occupy(0, busy)
+	occupy(2, busy) // home domain full, waker executing: its idle neighbor
 	if got := m.wakeIdleTarget(tk); got != 3 {
 		t.Fatalf("waker-domain target = %d, want 3", got)
 	}
-	m.cpus[3].current = busy // machine full: no placement
+	occupy(3, busy) // machine full: no placement
 	if got := m.wakeIdleTarget(tk); got != -1 {
 		t.Fatalf("saturated target = %d, want -1", got)
 	}
 	tk.CPUsAllowed = 1 << 1 // pinned to its busy home: nothing to place
-	m.cpus[0].current = nil
+	occupy(0, nil)
 	if got := m.wakeIdleTarget(tk); got != -1 {
 		t.Fatalf("affinity-pinned target = %d, want -1", got)
 	}

@@ -10,10 +10,35 @@
 // cache-refill penalties consume virtual CPU time, so workload throughput
 // differences between schedulers emerge from the algorithms rather than
 // being asserted.
+//
+// Kick delivery. A task is deliverable to CPU c when it is queued,
+// runnable, unclaimed (!HasCPU), charged (real-time, or Counter > 0: an
+// exhausted task waits for the recalculation, not for a kick), allowed on
+// c, and visible to c — visibility being what the policy declares through
+// sched.Visibility: every CPU for the shared-queue policies, the QIndex
+// owner for the per-CPU ones (another CPU may steal, but a balancer may
+// rightly decline). The one delivery rule: every deliverable task has a
+// CPU that can take it and will run schedule() unaided — one running a
+// task (its tick is armed), switching to one, flagged needResched, or with
+// a reschedule IPI in flight. Under NO_HZ an idle CPU has no tick to
+// notice queued work, so whatever makes a task deliverable owes the kick:
+// a wake, spawn or re-file (rescheduleIdle, which may also preempt), a
+// schedule() that left its previous task queued (kickIdleAllowed), and a
+// schedule() that dispatched or recalculated (kickIdleBacklog: one kick
+// may have carried several wakes, a pop can uncover what it was hiding,
+// and a recalculation charges everyone at once). A CPU mid-switch to idle
+// is "almost idle": not kickable yet, so it is flagged needResched and
+// its completion re-runs schedule(). None of this scans. Machine keeps
+// four CPU-state masks (idle, kicked, switching, almostIdle), published
+// by CPU.publish at every flip of the fields they summarise, and per-CPU
+// deliverable counts that refile maintains by diffing each proc's cached
+// contribution wherever an input of the predicate changes. CheckDelivery
+// recomputes all of it by brute force; the watchdog runs it every period.
 package kernel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"elsc/internal/sched"
 	"elsc/internal/sim"
@@ -125,9 +150,18 @@ type Machine struct {
 	mmSeq   int
 
 	// rqLocks is the run-queue lock timing model: a single global lock
-	// for the stock and ELSC schedulers (as in 2.3.99), one per CPU for
-	// policies that advertise PerCPU queues.
-	rqLocks []spinlock
+	// for sched.VisibleAll policies (as in 2.3.99), one per CPU for
+	// sched.VisibleOwner ones. ownerOnly caches which.
+	rqLocks   []spinlock
+	ownerOnly bool
+
+	// Kick-delivery state (see the package doc): CPU-state masks, bit i
+	// for CPU i, and the deliverable counts — wide counts tasks every CPU
+	// can take, CPU.narrow the rest, and the narrow mask names the CPUs
+	// whose narrow count is non-zero.
+	allCPUs, idle, kicked, switching, almostIdle uint64
+	wide                                         int
+	narrow                                       uint64
 	// lockAcqBase/lockContBase carry lock totals from run-queue lock sets
 	// retired by SwitchPolicy (the lock regime can change mid-run).
 	lockAcqBase  uint64
@@ -178,12 +212,6 @@ type preemptComparer interface {
 	PreemptsCurr(t, curr *task.Task) bool
 }
 
-// perCPUQueues is implemented by policies with per-CPU run queues, which
-// the kernel rewards with split run-queue locks.
-type perCPUQueues interface {
-	PerCPU() bool
-}
-
 // runningNoter is implemented by policies (the stock scheduler) that keep
 // running tasks on the run queue and need to know when HasCPU flips.
 type runningNoter interface {
@@ -192,8 +220,8 @@ type runningNoter interface {
 
 // NewMachine builds and boots a machine: CPUs idle, ticks armed.
 func NewMachine(cfg Config) *Machine {
-	if cfg.CPUs < 1 {
-		panic("kernel: need at least one CPU")
+	if cfg.CPUs < 1 || cfg.CPUs > 64 {
+		panic("kernel: need 1 to 64 CPUs")
 	}
 	if cfg.NewScheduler == nil {
 		panic("kernel: config needs a scheduler factory")
@@ -214,6 +242,7 @@ func NewMachine(cfg Config) *Machine {
 		rng:      sim.NewRNG(cfg.Seed),
 		byTask:   make(map[*task.Task]*Proc),
 		wakerCPU: -1,
+		allCPUs:  ^uint64(0) >> uint(64-cfg.CPUs),
 	}
 	if m.eng == nil {
 		m.eng = new(sim.Engine)
@@ -228,16 +257,8 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Cost != nil {
 		m.env.Cost = *cfg.Cost
 	}
-	m.sched = cfg.NewScheduler(m.env)
-	m.noter, _ = m.sched.(runningNoter)
-	m.preempter, _ = m.sched.(preemptComparer)
-	m.ticker, _ = m.sched.(tickPreempter)
-	m.placer, _ = m.sched.(wakePlacer)
-	nlocks := 1
-	if pc, ok := m.sched.(perCPUQueues); ok && pc.PerCPU() {
-		nlocks = cfg.CPUs
-	}
-	m.rqLocks = make([]spinlock, nlocks)
+	m.env.Requeued = func(t *task.Task) { m.refile(m.procOf(t)) }
+	m.installPolicy(cfg.NewScheduler)
 
 	m.cpus = make([]*CPU, cfg.CPUs)
 	for i := range m.cpus {
@@ -254,6 +275,7 @@ func NewMachine(cfg Config) *Machine {
 		c.dispatchEv = m.eng.NewPeriodicEvent("dispatch", c.dispatchArrive)
 		c.runDoneFn = c.segmentDone
 		m.cpus[i] = c
+		c.publish()
 		// Stagger per-CPU timer interrupts slightly so four CPUs do
 		// not pile onto the run-queue lock at the exact same instant.
 		m.eng.Schedule(c.tickEv, sim.Time(cfg.TickCycles+uint64(i)*997))
@@ -262,6 +284,23 @@ func NewMachine(cfg Config) *Machine {
 		m.EnableWatchdog(*cfg.Watchdog)
 	}
 	return m
+}
+
+// installPolicy builds the policy and everything shaped by it: its
+// optional kernel hooks, its declared visibility, and the lock set.
+func (m *Machine) installPolicy(factory SchedulerFactory) {
+	m.cfg.NewScheduler = factory
+	m.sched = factory(m.env)
+	m.noter, _ = m.sched.(runningNoter)
+	m.preempter, _ = m.sched.(preemptComparer)
+	m.ticker, _ = m.sched.(tickPreempter)
+	m.placer, _ = m.sched.(wakePlacer)
+	m.ownerOnly = m.sched.Visibility() == sched.VisibleOwner
+	nlocks := 1
+	if m.ownerOnly {
+		nlocks = m.cfg.CPUs
+	}
+	m.rqLocks = make([]spinlock, nlocks)
 }
 
 // Engine exposes the event engine (workloads schedule helper events).
@@ -296,14 +335,9 @@ func (m *Machine) rqLockFor(cpu int) *spinlock {
 }
 
 // rqLockOfTask returns the lock guarding the queue a just-filed task landed
-// on. With a single global lock that is the global lock; with per-CPU
-// queues the scheduler records the home queue in the task's QIndex.
-func (m *Machine) rqLockOfTask(t *task.Task) *spinlock {
-	if len(m.rqLocks) == 1 {
-		return &m.rqLocks[0]
-	}
-	return &m.rqLocks[t.QIndex%len(m.rqLocks)]
-}
+// on: the global lock, or the lock of the owner the policy recorded in
+// QIndex.
+func (m *Machine) rqLockOfTask(t *task.Task) *spinlock { return m.rqLockFor(t.QIndex) }
 
 // Now returns current virtual time in cycles.
 func (m *Machine) Now() sim.Time { return m.eng.Now() }
@@ -365,10 +399,17 @@ func (m *Machine) spawn(t *task.Task, prog Program) *Proc {
 	// and earns its bonus from its own behavior within its first ticks.
 	t.CreditSleep(m.env.Cost.MaxSleepAvg/2, m.env.Cost.MaxSleepAvg)
 	p.runnableSince = m.eng.Now()
-	m.sched.AddToRunqueue(t)
-	m.rqLockOfTask(t).bump(m.eng.Now(), m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
+	m.enqueue(p, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
 	m.rescheduleIdle(p)
 	return p
+}
+
+// enqueue files p's runnable task on the policy's run queue — a critical
+// section of cost cycles on the lock of the queue it lands on.
+func (m *Machine) enqueue(p *Proc, cost uint64) {
+	m.sched.AddToRunqueue(p.Task)
+	m.rqLockOfTask(p.Task).bump(m.eng.Now(), cost)
+	m.refile(p)
 }
 
 // SetPriority changes a task's static priority, re-indexing it if queued
@@ -379,16 +420,12 @@ func (m *Machine) SetPriority(p *Proc, prio int) {
 		panic("kernel: priority out of range")
 	}
 	t := p.Task
-	// Re-index only tasks actually waiting in a queue; a running task is
-	// re-filed by its next schedule() anyway.
-	queued := m.sched.OnRunqueue(t) && !t.HasCPU
-	if queued {
-		m.sched.DelFromRunqueue(t)
-	}
-	t.Priority = prio
-	if c := t.Counter(m.env.Epoch); c > t.MaxCounter() {
-		t.SetCounter(m.env.Epoch, t.MaxCounter())
-	}
+	m.requeue(p, func() {
+		t.Priority = prio
+		if c := t.Counter(m.env.Epoch); c > t.MaxCounter() {
+			t.SetCounter(m.env.Epoch, t.MaxCounter())
+		}
+	})
 	// Restart the watchdog's starvation stopwatch: its threshold is scaled
 	// by the task's quantum, so a priority drop must not let wait time
 	// accrued under the old, larger quantum retroactively cross the new,
@@ -397,19 +434,33 @@ func (m *Machine) SetPriority(p *Proc, prio int) {
 	if t.Runnable() && !t.HasCPU {
 		p.runnableSince = m.eng.Now()
 	}
+}
+
+// requeue applies change to p's task with the task out of the policy's
+// structures, so whatever the policy indexes it by (priority, class,
+// affinity) can move. Only a task actually waiting in a queue is
+// re-filed — a running one is re-filed by its next schedule() anyway —
+// and requeue reports whether it was.
+func (m *Machine) requeue(p *Proc, change func()) bool {
+	t := p.Task
+	queued := m.sched.OnRunqueue(t) && !t.HasCPU
+	if queued {
+		m.sched.DelFromRunqueue(t)
+	}
+	change()
 	if queued {
 		m.sched.AddToRunqueue(t)
 	}
+	m.refile(p)
+	return queued
 }
 
 // Run drives the simulation until stop returns true, no events remain, or
 // the configured MaxCycles horizon passes. It kicks every CPU's first
 // schedule() at time zero and flushes idle accounting on return.
 func (m *Machine) Run(stop func() bool) {
-	for _, c := range m.cpus {
-		if c.isIdle() {
-			m.reschedule(c, m.eng.Now())
-		}
+	for w := m.idle; w != 0; w &= w - 1 {
+		m.reschedule(m.lowest(w), m.eng.Now())
 	}
 	m.eng.Run(stop)
 	for _, c := range m.cpus {
@@ -486,12 +537,12 @@ func (m *Machine) wake(p *Proc) {
 		if target := m.wakeIdleTarget(t); target >= 0 && m.placer.PlaceWake(t, target) {
 			m.stats.WakeIdlePlacements++
 			m.rqLockOfTask(t).bump(now, wakeCost)
+			m.refile(p)
 			m.cpus[target].kickIdle()
 			return
 		}
 	}
-	m.sched.AddToRunqueue(t)
-	m.rqLockOfTask(t).bump(now, wakeCost)
+	m.enqueue(p, wakeCost)
 	m.rescheduleIdle(p)
 }
 
@@ -523,103 +574,61 @@ func (m *Machine) wakeIdleTarget(t *task.Task) int {
 // idleIn returns the first idle CPU in domain dom that t may run on, -1
 // if the domain is fully busy.
 func (m *Machine) idleIn(dom int, t *task.Task) int {
-	for _, cpu := range m.env.Topo.DomainCPUs(dom) {
-		if t.AllowedOn(cpu) && m.cpus[cpu].isIdle() {
-			return cpu
-		}
+	if w := m.env.Topo.DomainMask(dom) & m.allowed(t) & m.idle; w != 0 {
+		return bits.TrailingZeros64(w)
 	}
 	return -1
 }
 
 // rescheduleIdle decides which CPU, if any, should run schedule() because
-// p became runnable — 2.3.99's reschedule_idle: prefer the task's last
-// CPU if idle, then any idle CPU, else preempt the CPU whose current task
-// has the worst goodness, if the woken task beats it.
+// p became runnable — 2.3.99's reschedule_idle, restricted to the CPUs
+// that can see the task: an idle (or almost idle) queue owner under
+// per-CPU queues, then the task's last CPU if idle, then any idle CPU,
+// then an almost-idle one, else preempt the CPU whose current task has
+// the worst goodness, if the woken task beats it.
 func (m *Machine) rescheduleIdle(p *Proc) {
 	t := p.Task
-	// Per-CPU queues: the task waits on one specific queue, and only that
-	// queue owner's schedule() is guaranteed to find it — a remote CPU may
-	// steal, but balancing thresholds can (rightly) decline. Deliver to
-	// the owner first. An owner mid-transition to idle is the treacherous
-	// case: it is not isIdle() yet, so the generic scan below would kick
-	// some other CPU whose steal may refuse, and once the owner's switch
-	// completes nothing will ever look at its queue again (with its tick
-	// parked, not even the old polling chain). Flagging needResched makes
-	// the completion re-run schedule(), exactly like a kick landing
-	// mid-transition. An owner busy running falls through to the steal
-	// and preemption paths.
-	if len(m.rqLocks) > 1 {
-		owner := m.cpus[t.QIndex%len(m.cpus)]
-		if owner.online && t.AllowedOn(owner.id) {
-			if owner.isIdle() {
-				owner.kickIdle()
-				return
-			}
-			if owner.transitioning && owner.dispatchNext == nil {
-				if !owner.reschedSent {
-					owner.needResched = true
-				}
-				return
-			}
-		}
+	allowed := m.allowed(t)
+	sees := allowed & m.visibleTo(t)
+	// Per-CPU queues: only the owner's schedule() is guaranteed to find
+	// the task, so an idle or almost-idle owner comes before everything.
+	// A busy owner falls through to the steal and preemption paths.
+	if m.ownerOnly && sees&(m.idle|m.almostIdle) != 0 {
+		m.lowest(sees).deliver()
+		return
 	}
 	// Last CPU first: the affinity-preserving fast path. A CPU with a
 	// kick already in flight needs no second one: its schedule() will
 	// see this task on the run queue too.
-	if t.EverRan && t.AllowedOn(t.Processor) {
-		if c := m.cpus[t.Processor]; c.isIdle() {
-			c.kickIdle()
-			return
-		}
-	}
-	anyKicked := false
-	for _, c := range m.cpus {
-		if !t.AllowedOn(c.id) {
-			continue
-		}
-		if c.isIdle() {
-			if !c.reschedSent {
-				c.kickIdle()
-				return
-			}
-			anyKicked = true
-		}
-	}
-	if anyKicked {
+	idle := allowed & m.idle
+	if t.EverRan && idle&cpuBit(t.Processor) != 0 {
+		m.cpus[t.Processor].kickIdle()
 		return
 	}
-	// No idle allowed CPU: consider preemption. With a global run queue
-	// any CPU can dispatch the woken task, so the weakest current task
-	// A global-queue CPU mid-transition to idle counts as almost-idle:
-	// its completion can re-run schedule() (needResched) and any CPU can
-	// dispatch from the shared queue, so deliver there before resorting
-	// to preemption. Without this, a wake racing the machine's last
-	// non-busy CPU into idleness strands the task until someone's
-	// quantum expires.
-	if len(m.rqLocks) == 1 {
-		for _, c := range m.cpus {
-			if c.online && c.transitioning && c.dispatchNext == nil && t.AllowedOn(c.id) {
-				if !c.reschedSent {
-					c.needResched = true
-				}
-				return
-			}
-		}
+	if free := idle &^ m.kicked; free != 0 {
+		m.lowest(free).kickIdle()
+		return
 	}
-	// machine-wide is the victim. With per-CPU queues only the queue
-	// owner's schedule() will find the task — preempting any other CPU
-	// just makes it re-pick its own backlog while the woken task waits
-	// out the owner's quantum — so the IPI goes to the owning CPU or
-	// nowhere, exactly 2.6's resched_task(rq->curr) after enqueueing.
-	candidates := m.cpus
-	if len(m.rqLocks) > 1 {
-		candidates = m.cpus[t.QIndex%len(m.cpus) : t.QIndex%len(m.cpus)+1]
+	if idle != 0 {
+		return
 	}
+	// No idle allowed CPU, but one that sees the task is about to be: a
+	// wake racing the machine's last non-busy CPU into idleness would
+	// otherwise strand the task until someone's quantum expires.
+	if almost := sees & m.almostIdle; almost != 0 {
+		m.lowest(almost).deliver()
+		return
+	}
+	// Consider preemption, among the CPUs that can see the task: machine-
+	// wide the weakest current task is the victim; with per-CPU queues the
+	// IPI goes to the owning CPU or nowhere, exactly 2.6's
+	// resched_task(rq->curr) after enqueueing.
 	var victim *CPU
 	worst := 0
-	for _, c := range candidates {
-		if c.transitioning || c.current == nil || c.reschedSent || !t.AllowedOn(c.id) {
-			continue // a decision is already in flight there
+	for w := sees &^ m.kicked; w != 0; w &= w - 1 {
+		c := m.lowest(w)
+		if c.current == nil {
+			continue // idle, offline, or a decision already in flight there
 		}
 		cur := c.current.Task
 		if cur.RealTime() && !t.RealTime() {
@@ -643,150 +652,11 @@ func (m *Machine) rescheduleIdle(p *Proc) {
 		victim.sendResched()
 		return
 	}
-	// No idle CPU and no preemption victim. If a candidate CPU is mid
-	// context-switch, flag it so its dispatch path re-runs schedule():
-	// otherwise a wake landing in a transition-to-idle window would be
-	// lost — the task would sit runnable on the queue with every CPU
-	// idle and nothing left to trigger a schedule. An offline CPU can be
-	// transitioning too (its last dispatch still in flight), but its
-	// dispatch path will not schedule, so it cannot carry the wake.
-	for _, c := range candidates {
-		if c.online && c.transitioning && t.AllowedOn(c.id) {
-			c.needResched = true
-			return
-		}
-	}
-}
-
-// tickRescueNeeded reports whether an idle CPU's timer tick found queued
-// work that nothing in flight is going to deliver — a lost kick. It must
-// stay false in every healthy state, so it rules out each benign way a
-// task can be queued while this CPU idles:
-//
-//   - a resched IPI is in flight somewhere (this CPU or another): the
-//     landing will run schedule() and the wakes that piggybacked on it
-//     name the queued tasks;
-//   - a CPU is mid context-switch: its dispatch path re-examines the
-//     queue (needResched) or the completed decision already claimed the
-//     task;
-//   - the task is affinity-barred from this CPU: not this CPU's to run;
-//   - under per-CPU queues, the task waits on another CPU's queue: its
-//     owner will reach it, and declining to steal it (e.g. a short
-//     remote-domain queue under the cross-domain steal threshold) is
-//     balancing policy, not a lost wake-up.
-//
-// What remains — an allowed, unclaimed task on a queue this CPU's
-// schedule() would pick from, with no delivery in flight anywhere — is a
-// bug in some enqueue-to-idle path. The tick rescues it (and the audited
-// IdleTickRescues counter records the bug) rather than hanging.
-func (m *Machine) tickRescueNeeded(c *CPU) bool {
-	if m.sched.Runnable() == 0 {
-		return false
-	}
-	for _, o := range m.cpus {
-		if o.reschedSent || (o.online && o.transitioning) {
-			return false
-		}
-	}
-	perCPU := len(m.rqLocks) > 1
-	for _, p := range m.procs {
-		if p.exited {
-			continue
-		}
-		t := p.Task
-		if !t.Runnable() || t.HasCPU || !t.AllowedOn(c.id) || !m.sched.OnRunqueue(t) {
-			continue
-		}
-		if perCPU && t.QIndex != c.id {
-			continue
-		}
-		if !t.RealTime() && t.Counter(m.env.Epoch) == 0 {
-			// Exhausted quantum: the task is waiting for the next global
-			// recalculation, not for a kick. The epoch policies park it in
-			// the zero-counter section and legitimately leave this CPU
-			// idle while any selectable task exists anywhere — schedule()
-			// here would return idle too, so a tick could not have
-			// rescued it. The recalc itself owes the kick when it
-			// finally runs (kickIdleBacklog). RT tasks are exempt:
-			// FIFO/RR selection ignores the counter.
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// kickIdleAllowed kicks one idle CPU the task may run on, preferring
-// the cache-warm last processor. Unlike the wake path (rescheduleIdle)
-// it never preempts. Used for a task that stayed runnable through a
-// schedule() that picked someone else.
-func (m *Machine) kickIdleAllowed(t *task.Task) {
-	if t.EverRan && t.AllowedOn(t.Processor) {
-		if c := m.cpus[t.Processor]; c.isIdle() && !c.reschedSent {
-			c.kickIdle()
-			return
-		}
-	}
-	for _, c := range m.cpus {
-		if t.AllowedOn(c.id) && c.isIdle() && !c.reschedSent {
-			c.kickIdle()
-			return
-		}
-	}
-}
-
-// kickIdleBacklog kicks every idle CPU that has allowed, charged, queued
-// work with no delivery in flight. Called after a schedule() decision
-// that dispatched a task or bumped the epoch — the two events that make
-// previously undeliverable work deliverable: a recalculation recharges
-// all queued tasks in bulk, and a dispatch both consumes the one kick
-// that several wake-ups may have piggybacked on and can uncover backlog
-// the chooser was hiding (popping a pinned task off a shared heap top
-// exposes the element beneath it to every CPU). Exactly one task leaves
-// with the deciding CPU; any other idle CPU with usable work is owed a
-// kick, or it sits stranded until its (possibly parked) tick polls.
-//
-// The filters mirror tickRescueNeeded: exhausted tasks wait for the next
-// recalculation, not a kick (RT selection ignores the counter), and under
-// per-CPU queues only the owning CPU's schedule() will find the task. A
-// kicked CPU whose policy still cannot see the work declines and goes
-// back to idle without re-arming anything, so the sweep cannot loop.
-//
-// A CPU mid-transition to idle is not isIdle() yet but will be the
-// moment its switch completes — and with its tick parked nothing will
-// look at the queue again. A decision racing that window (another CPU's
-// pop exposing backlog just as this one deschedules) must still deliver:
-// flagging needResched makes the to-idle completion re-run schedule(),
-// the same almost-idle handling rescheduleIdle uses.
-func (m *Machine) kickIdleBacklog() {
-	perCPU := len(m.rqLocks) > 1
-	for _, o := range m.cpus {
-		idle := o.isIdle()
-		almostIdle := o.online && o.transitioning && o.dispatchNext == nil
-		if (!idle && !almostIdle) || o.reschedSent {
-			continue
-		}
-		for _, p := range m.procs {
-			if p.exited {
-				continue
-			}
-			t := p.Task
-			if !t.Runnable() || t.HasCPU || !t.AllowedOn(o.id) || !m.sched.OnRunqueue(t) {
-				continue
-			}
-			if perCPU && t.QIndex != o.id {
-				continue
-			}
-			if !t.RealTime() && t.Counter(m.env.Epoch) == 0 {
-				continue
-			}
-			if idle {
-				o.kickIdle()
-			} else {
-				o.needResched = true
-			}
-			break
-		}
+	// No idle CPU and no preemption victim. A candidate mid context-switch
+	// (to a task: the almost-idle ones were handled above) re-runs
+	// schedule() at its dispatch, or the wake would be lost.
+	if busy := sees & m.switching; busy != 0 {
+		m.lowest(busy).needResched = true
 	}
 }
 
@@ -796,19 +666,15 @@ func (m *Machine) kickIdleBacklog() {
 // only offline CPUs, fallback applies to it immediately (the task runs
 // anywhere until one of its CPUs returns).
 func (m *Machine) SetAffinity(p *Proc, mask uint64) {
-	t := p.Task
-	queued := m.sched.OnRunqueue(t) && !t.HasCPU
+	queued := m.requeue(p, func() {
+		p.savedAffinity = 0
+		p.Task.CPUsAllowed = mask
+		if mask != 0 && mask&m.env.OnlineMask() == 0 {
+			p.savedAffinity = mask
+			p.Task.CPUsAllowed = 0
+		}
+	})
 	if queued {
-		m.sched.DelFromRunqueue(t)
-	}
-	p.savedAffinity = 0
-	t.CPUsAllowed = mask
-	if mask != 0 && mask&m.env.OnlineMask() == 0 {
-		p.savedAffinity = mask
-		t.CPUsAllowed = 0
-	}
-	if queued {
-		m.sched.AddToRunqueue(t)
 		m.rescheduleIdle(p)
 	}
 }
@@ -821,18 +687,10 @@ func (m *Machine) SetPolicy(p *Proc, policy task.Policy, rtprio int) {
 		panic("kernel: rt_priority out of range")
 	}
 	t := p.Task
-	queued := m.sched.OnRunqueue(t) && !t.HasCPU
-	if queued {
-		m.sched.DelFromRunqueue(t)
-	}
-	t.Policy = policy
 	if policy == task.Other {
-		t.RTPriority = 0
-	} else {
-		t.RTPriority = rtprio
+		rtprio = 0
 	}
-	if queued {
-		m.sched.AddToRunqueue(t)
+	if m.requeue(p, func() { t.Policy, t.RTPriority = policy, rtprio }) {
 		m.sched.MoveFirstRunqueue(t)
 		m.rescheduleIdle(p)
 	}
@@ -903,17 +761,7 @@ func (m *Machine) SwitchPolicy(factory SchedulerFactory) int {
 		m.lockAcqBase += m.rqLocks[i].acquisitions
 		m.lockContBase += m.rqLocks[i].contended
 	}
-	m.cfg.NewScheduler = factory
-	m.sched = factory(m.env)
-	m.noter, _ = m.sched.(runningNoter)
-	m.preempter, _ = m.sched.(preemptComparer)
-	m.ticker, _ = m.sched.(tickPreempter)
-	m.placer, _ = m.sched.(wakePlacer)
-	nlocks := 1
-	if pc, ok := m.sched.(perCPUQueues); ok && pc.PerCPU() {
-		nlocks = m.cfg.CPUs
-	}
-	m.rqLocks = make([]spinlock, nlocks)
+	m.installPolicy(factory)
 
 	// Import in export order, then hand running tasks to a successor that
 	// keeps them listed (the stock scheduler; AddToRunqueue sees HasCPU
@@ -936,6 +784,7 @@ func (m *Machine) SwitchPolicy(factory SchedulerFactory) int {
 	m.rqLocks[0].bump(now, m.env.Cost.LockOp+
 		uint64(len(exported)+len(running))*m.env.Cost.AddRunqueue)
 	m.stats.PolicySwitches++
+	m.recount()
 
 	// The imported backlog may be visible to CPUs that went idle under
 	// the old policy (or sit behind a transitioning CPU's dispatch);

@@ -76,7 +76,10 @@ type Proc struct {
 	// violation, not one per sweep.
 	runnableSince  sim.Time
 	lastDispatched sim.Time
-	wdFlagged      bool
+	// deliverable caches the CPUs this proc counts as deliverable to in
+	// the machine's kick-delivery counts (Machine.refile).
+	deliverable uint64
+	wdFlagged   bool
 
 	exited bool
 	// ExitCode is user-settable before Exit for workload bookkeeping.

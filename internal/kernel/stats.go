@@ -73,6 +73,9 @@ type Stats struct {
 	WatchdogStarvations uint64
 	WatchdogLostWakeups uint64
 	WatchdogCPUStalls   uint64
+	// WatchdogDeliveryFaults counts watchdog sweeps whose CheckDelivery
+	// audit failed.
+	WatchdogDeliveryFaults uint64
 
 	// Harness scale: engine events dispatched over the run — the unit the
 	// zero-allocation event engine is priced in. Deterministic for a seed
@@ -153,6 +156,7 @@ func (s *Stats) Registry() *stats.Registry {
 		set("watchdog_starvations", s.WatchdogStarvations)
 		set("watchdog_lost_wakeups", s.WatchdogLostWakeups)
 		set("watchdog_cpu_stalls", s.WatchdogCPUStalls)
+		set("watchdog_delivery_faults", s.WatchdogDeliveryFaults)
 	}
 	// Tickless counters follow the same conditional rule: a run where no
 	// chain ever parked (TicklessOff, or a machine never idle at a tick)

@@ -23,6 +23,10 @@ const (
 	// the next dispatch. A parked chain with no anchor died at an offline
 	// firing and only OnlineCPU can revive it.)
 	WatchdogCPUStall
+	// WatchdogDelivery: Machine.CheckDelivery failed — the kick-delivery
+	// bookkeeping drifted from the state it summarises, or a deliverable
+	// task has no CPU that will schedule it unaided.
+	WatchdogDelivery
 )
 
 // String names the violation kind for traces and test failures.
@@ -34,6 +38,8 @@ func (k WatchdogKind) String() string {
 		return "lost-wakeup"
 	case WatchdogCPUStall:
 		return "cpu-stall"
+	case WatchdogDelivery:
+		return "delivery"
 	}
 	return fmt.Sprintf("watchdog-kind-%d", int(k))
 }
@@ -50,6 +56,8 @@ type WatchdogViolation struct {
 	// Waited is how long the task has been runnable-but-unscheduled, in
 	// cycles (task violations only).
 	Waited uint64
+	// Err is what CheckDelivery reported (delivery violations only).
+	Err error
 }
 
 // String renders a violation as a one-line trace record.
@@ -57,6 +65,8 @@ func (v WatchdogViolation) String() string {
 	switch v.Kind {
 	case WatchdogCPUStall:
 		return fmt.Sprintf("watchdog: cpu-stall cpu=%d t=%d", v.CPU, v.Now)
+	case WatchdogDelivery:
+		return fmt.Sprintf("watchdog: %v t=%d", v.Err, v.Now)
 	default:
 		name, id := "?", 0
 		if v.P != nil {
@@ -120,12 +130,20 @@ func (m *Machine) EnableWatchdog(cfg WatchdogConfig) {
 // WatchdogEnabled reports whether the watchdog is armed.
 func (m *Machine) WatchdogEnabled() bool { return m.watchdog != nil }
 
-// sweep is one watchdog pass: re-arm, then check every online CPU's timer
-// chain and every live task's liveness. Allocation-free: it walks existing
-// slices and passes violations by value.
+// sweep is one watchdog pass: re-arm, then check the delivery invariant,
+// every online CPU's timer chain and every live task's liveness.
+// Allocation-free while healthy: it walks existing slices and passes
+// violations by value.
 func (wd *watchdog) sweep(now sim.Time) {
 	m := wd.m
 	m.eng.ScheduleAfter(wd.ev, wd.cfg.PeriodCycles)
+
+	if err := m.CheckDelivery(); err != nil {
+		m.stats.WatchdogDeliveryFaults++
+		if wd.cfg.OnViolation != nil {
+			wd.cfg.OnViolation(WatchdogViolation{Kind: WatchdogDelivery, Now: now, CPU: -1, Err: err})
+		}
+	}
 
 	for _, c := range m.cpus {
 		// A healthy online CPU either has a tick pending or is parked by

@@ -111,6 +111,7 @@ func TestWatchdogFlagsLostWakeup(t *testing.T) {
 		t.Fatal("no queued task to lose")
 	}
 	m.sched.DelFromRunqueue(lost.Task)
+	m.refile(lost) // keep the delivery audit out of it: the lost wake-up is the bug under test
 
 	m.Run(func() bool { return len(got) > 0 })
 	if len(got) == 0 || got[0].Kind != WatchdogLostWakeup {
@@ -127,6 +128,7 @@ func TestWatchdogFlagsLostWakeup(t *testing.T) {
 	// to completion once it is found again.
 	sched.ResetQueueState(lost.Task)
 	m.sched.AddToRunqueue(lost.Task)
+	m.refile(lost)
 	m.Run(func() bool { return m.Alive() == 0 })
 	if !lost.Exited() {
 		t.Fatal("repaired task never finished")
@@ -154,6 +156,7 @@ func TestWatchdogFlagsCPUStall(t *testing.T) {
 	// The bug under test: a CPU marked online whose tick chain is dead.
 	// OnlineCPU would re-arm it, so flip the bit directly.
 	m.cpus[1].online = true
+	m.cpus[1].publish()
 	m.env.SetCPUOnline(1, true)
 
 	m.Run(func() bool { return len(got) > 0 || m.Alive() == 0 })

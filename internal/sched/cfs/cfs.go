@@ -8,11 +8,11 @@
 // onto the CFS weight table: Priority 20 is nice 0 and weight 1024, and
 // each priority step multiplies the weight by ~1.25, so a task with
 // double the weight of another receives double the CPU time. Every
-// processor owns a private queue (the kernel detects the PerCPU marker
-// and splits the run-queue lock) holding an indexed binary min-heap of
-// SCHED_OTHER tasks ordered by virtual runtime — no container/heap
-// boxing, zero allocations in steady state — plus a small priority
-// array for real-time tasks, which always outrank fair ones.
+// processor owns a private queue (the kernel reads the VisibleOwner
+// declaration and splits the run-queue lock) holding an indexed binary
+// min-heap of SCHED_OTHER tasks ordered by virtual runtime — no
+// container/heap boxing, zero allocations in steady state — plus a small
+// priority array for real-time tasks, which always outrank fair ones.
 //
 // A task's vruntime advances by executed-cycles x 1024/weight whenever
 // it comes back through Schedule, so heavier tasks age slower and
@@ -316,8 +316,9 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 // Name implements sched.Scheduler.
 func (s *Sched) Name() string { return "cfs" }
 
-// PerCPU marks the policy as using per-CPU run-queue locks.
-func (s *Sched) PerCPU() bool { return true }
+// Visibility implements sched.Scheduler: a queued task waits on CPU
+// QIndex's private queue, under that queue's own lock.
+func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 
 // DomainSteals reports tasks the balancer moved within and across cache
 // domains, machine-wide — the numa experiment's per-policy columns.
@@ -982,6 +983,7 @@ func (s *Sched) pullFrom(victim, cpu, max int, res *sched.Result) {
 			s.renorm(t, vrq.minVR, &s.rqs[cpu])
 			s.enqueueFair(t, cpu, false)
 		}
+		s.env.Requeued(t)
 		res.Cycles += s.env.Cost.MoveRunqueue + s.logCost(cpu)
 		s.noteMove(cpu, victim)
 	}

@@ -147,12 +147,13 @@ func DefaultCostModel() CostModel {
 }
 
 // ExamineTotal is the cost of evaluating one candidate: walking to it plus
-// computing its goodness.
-func (c CostModel) ExamineTotal() uint64 { return c.ExamineCost + c.GoodnessCost }
+// computing its goodness. (Pointer receivers throughout: the model is 23
+// words, and the policies call these once per candidate in their scans.)
+func (c *CostModel) ExamineTotal() uint64 { return c.ExamineCost + c.GoodnessCost }
 
 // Touch is the cost of reaching one run-queue entry on a machine with ncpu
 // processors, including the coherence miss on a multiprocessor.
-func (c CostModel) Touch(ncpu int) uint64 {
+func (c *CostModel) Touch(ncpu int) uint64 {
 	t := c.ExamineCost
 	if ncpu > 1 {
 		t += c.CoherencePenalty
@@ -161,4 +162,4 @@ func (c CostModel) Touch(ncpu int) uint64 {
 }
 
 // Evaluate is Touch plus the goodness computation.
-func (c CostModel) Evaluate(ncpu int) uint64 { return c.Touch(ncpu) + c.GoodnessCost }
+func (c *CostModel) Evaluate(ncpu int) uint64 { return c.Touch(ncpu) + c.GoodnessCost }

@@ -112,6 +112,9 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 // Name implements sched.Scheduler.
 func (s *Sched) Name() string { return "elsc" }
 
+// Visibility implements sched.Scheduler: every CPU selects from the one table.
+func (s *Sched) Visibility() sched.Visibility { return sched.VisibleAll }
+
 // searchLimit is the per-list cap on examined tasks: "currently set to be
 // half the number of processors in the system plus five" (§5.2).
 func (s *Sched) searchLimit() int {

@@ -42,6 +42,10 @@ func New(env *sched.Env) *Sched {
 // Name implements sched.Scheduler.
 func (s *Sched) Name() string { return "heap" }
 
+// Visibility implements sched.Scheduler: every CPU selects from the
+// shared heaps.
+func (s *Sched) Visibility() sched.Visibility { return sched.VisibleAll }
+
 // key orders the heaps: real-time tasks above everything, exhausted tasks
 // at the bottom (they are not selectable until recalculation), and
 // everything else by static goodness.

@@ -3,12 +3,12 @@
 // beneficial to help the scheduler scale to multiple processors well."
 //
 // Each processor owns a private run queue protected by its own lock (the
-// kernel detects the PerCPU marker and splits the global run-queue lock),
-// eliminating the cross-CPU contention that melts the stock scheduler at
-// four processors. A woken task is filed on the queue of the CPU it last
-// ran on; a CPU whose queue is empty steals the best task from the longest
-// queue. This is the direction Linux ultimately took in the 2.5 O(1)
-// scheduler and everything after it.
+// kernel reads the VisibleOwner declaration and splits the global
+// run-queue lock), eliminating the cross-CPU contention that melts the
+// stock scheduler at four processors. A woken task is filed on the queue
+// of the CPU it last ran on; a CPU whose queue is empty steals the best
+// task from the longest queue. This is the direction Linux ultimately took
+// in the 2.5 O(1) scheduler and everything after it.
 package mq
 
 import (
@@ -56,8 +56,9 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 // Name implements sched.Scheduler.
 func (s *Sched) Name() string { return "mq" }
 
-// PerCPU marks the policy as using per-CPU run-queue locks.
-func (s *Sched) PerCPU() bool { return true }
+// Visibility implements sched.Scheduler: a queued task waits on CPU
+// QIndex's private queue, under that queue's own lock.
+func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 
 // homeOf picks the queue for t: its last CPU, or the least-loaded online
 // queue for a task that has never run. Offline CPUs' queues are drained at

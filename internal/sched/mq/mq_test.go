@@ -119,7 +119,7 @@ func TestExhaustedLocalRecalculates(t *testing.T) {
 }
 
 func TestPerCPUMarker(t *testing.T) {
-	if !New(newEnv(2, 0)).PerCPU() {
+	if New(newEnv(2, 0)).Visibility() != sched.VisibleOwner {
 		t.Fatal("mq must advertise per-CPU queues")
 	}
 }

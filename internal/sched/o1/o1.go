@@ -1,10 +1,10 @@
 // Package o1 implements the design the multi-queue scheduler (internal/
 // sched/mq) points toward as the historical endpoint of the paper's §8
 // future work: the Linux 2.5 O(1) scheduler. Every processor owns a
-// private run queue (the kernel detects the PerCPU marker and splits the
-// global run-queue lock), and each queue holds two priority arrays —
-// active and expired — with one list per priority level and a find-first-
-// set bitmap over the levels.
+// private run queue (the kernel reads the VisibleOwner declaration and
+// splits the global run-queue lock), and each queue holds two priority
+// arrays — active and expired — with one list per priority level and a
+// find-first-set bitmap over the levels.
 //
 // schedule() therefore never scans tasks: it reads the bitmap, takes the
 // head of the highest populated list, and runs it. No goodness() is
@@ -372,8 +372,9 @@ func (s *Sched) InteractiveRequeues() uint64 { return s.interactiveRequeues }
 // Name implements sched.Scheduler.
 func (s *Sched) Name() string { return "o1" }
 
-// PerCPU marks the policy as using per-CPU run-queue locks.
-func (s *Sched) PerCPU() bool { return true }
+// Visibility implements sched.Scheduler: a queued task waits on CPU
+// QIndex's private queue, under that queue's own lock.
+func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 
 // homeOf picks the queue for t: its last CPU when the affinity mask
 // allows it, otherwise the least-loaded allowed queue. Offline CPUs'
@@ -958,6 +959,7 @@ func (s *Sched) pullFrom(victim, cpu, max int, res *sched.Result) int {
 		// their cache footprint, so they should not jump local tasks of
 		// equal priority.
 		s.enqueue(t, cpu, rq.activeIdx, false)
+		s.env.Requeued(t)
 		res.Cycles += s.env.Cost.MoveRunqueue + s.env.Cost.BitmapOp
 		s.noteMove(cpu, victim)
 		moved++

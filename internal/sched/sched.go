@@ -82,12 +82,33 @@ type CPUSteals struct {
 	Cross uint64
 }
 
+// Visibility is the delivery half of the kernel↔policy contract: which
+// CPUs' Schedule can see a queued task. The kernel owes every queued,
+// charged, unclaimed task a schedule() on some CPU that can see it, and
+// derives its run-queue lock model from the same declaration.
+type Visibility int
+
+const (
+	// VisibleAll: every CPU's Schedule selects from all queued tasks (the
+	// stock list, ELSC's table, the shared heaps), under one global lock.
+	VisibleAll Visibility = iota
+	// VisibleOwner: only CPU t.QIndex's Schedule is guaranteed to find t.
+	// Other CPUs may steal it, but a balancer may rightly decline, so only
+	// the owner counts. Each queue has its own lock. A policy that moves a
+	// queued task to another owner outside AddToRunqueue and Schedule's
+	// own prev/Next must report it through Env.Requeued.
+	VisibleOwner
+)
+
 // Scheduler is a pluggable scheduling policy. Implementations are not
 // thread safe; the simulated global run-queue spinlock serializes access,
 // and the simulation itself is single-threaded.
 type Scheduler interface {
 	// Name identifies the policy in stats and tables ("reg", "elsc", ...).
 	Name() string
+
+	// Visibility declares which CPUs' Schedule can see a queued task.
+	Visibility() Visibility
 
 	// AddToRunqueue makes a runnable task eligible for selection.
 	// Mirrors add_to_runqueue: newly woken tasks go to the front of
@@ -179,6 +200,11 @@ type Env struct {
 	// no dispatch is ever cross-domain.
 	Topo *Topology
 	Cost CostModel
+	// Requeued is how a VisibleOwner policy tells the kernel that queued
+	// task t now waits on another CPU's queue (t.QIndex changed) by the
+	// policy's own doing — a balancer pull. Never nil: NewEnv installs a
+	// no-op, the kernel its delivery bookkeeping.
+	Requeued func(t *task.Task)
 
 	// online is the bitmask of online CPUs (bit i == CPU i is online),
 	// maintained by the kernel across hotplug events. NCPU is capped at
@@ -195,12 +221,13 @@ func NewEnv(ncpu int, smp bool, ntasks func() int) *Env {
 		ntasks = func() int { return 0 }
 	}
 	env := &Env{
-		Epoch:  &task.Epoch{},
-		NTasks: ntasks,
-		NCPU:   ncpu,
-		SMP:    smp,
-		Topo:   FlatTopology(ncpu),
-		Cost:   DefaultCostModel(),
+		Epoch:    &task.Epoch{},
+		NTasks:   ntasks,
+		NCPU:     ncpu,
+		SMP:      smp,
+		Topo:     FlatTopology(ncpu),
+		Cost:     DefaultCostModel(),
+		Requeued: func(*task.Task) {},
 	}
 	for i := 0; i < ncpu && i < 64; i++ {
 		env.online |= 1 << uint(i)

@@ -14,8 +14,9 @@ import "fmt"
 // A Topology is immutable after construction and safe to share between
 // machines.
 type Topology struct {
-	domainOf []int   // cpu -> domain index
-	domains  [][]int // domain index -> member CPUs
+	domainOf []int    // cpu -> domain index
+	domains  [][]int  // domain index -> member CPUs, ascending
+	masks    []uint64 // domain index -> member CPUs as a bitmask
 }
 
 // FlatTopology returns the degenerate layout: every CPU in one shared
@@ -40,6 +41,7 @@ func UniformTopology(ncpu, ndomains int) *Topology {
 	t := &Topology{
 		domainOf: make([]int, ncpu),
 		domains:  make([][]int, ndomains),
+		masks:    make([]uint64, ndomains),
 	}
 	base := ncpu / ndomains
 	extra := ncpu % ndomains
@@ -52,6 +54,7 @@ func UniformTopology(ncpu, ndomains int) *Topology {
 		for i := 0; i < size; i++ {
 			t.domainOf[cpu] = d
 			t.domains[d] = append(t.domains[d], cpu)
+			t.masks[d] |= 1 << uint(cpu)
 			cpu++
 		}
 	}
@@ -70,6 +73,11 @@ func (t *Topology) DomainOf(cpu int) int { return t.domainOf[cpu] }
 // DomainCPUs returns the CPUs in domain d. The slice is shared; callers
 // must not modify it.
 func (t *Topology) DomainCPUs(d int) []int { return t.domains[d] }
+
+// DomainMask returns the CPUs in domain d as a bitmask (bit i == CPU i),
+// for callers that intersect it with other CPU sets. CPUs past 63 do not
+// fit; the kernel caps machines at 64.
+func (t *Topology) DomainMask(d int) uint64 { return t.masks[d] }
 
 // SameDomain reports whether CPUs a and b share a cache domain.
 func (t *Topology) SameDomain(a, b int) bool { return t.domainOf[a] == t.domainOf[b] }

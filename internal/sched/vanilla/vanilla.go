@@ -50,6 +50,10 @@ func New(env *sched.Env) *Sched {
 // use for the regular scheduler.
 func (s *Sched) Name() string { return "reg" }
 
+// Visibility implements sched.Scheduler: every CPU selects from the one
+// run-queue list.
+func (s *Sched) Visibility() sched.Visibility { return sched.VisibleAll }
+
 // AddToRunqueue adds t at the front of the run queue, as add_to_runqueue
 // does for newly created or awakened tasks (paper §3.2).
 func (s *Sched) AddToRunqueue(t *task.Task) {

@@ -316,6 +316,13 @@ func (e *Engine) Reset() {
 	}
 	e.heap = e.heap[:0]
 	e.wheelReset()
+	// A popped event keeps its slot successor in wheelNext until it is next
+	// armed on the wheel. On the freelist that stale link can name a
+	// caller-owned event of the simulation that just ended, whose callback
+	// holds all of it.
+	for _, ev := range e.free {
+		ev.wheelNext = nil
+	}
 	e.now = 0
 	e.nexts = 0
 	e.firedWheel = 0

@@ -223,3 +223,34 @@ func TestSenderClosedLoop(t *testing.T) {
 		t.Fatalf("a closed-loop sender had %d messages queued", maxDepth)
 	}
 }
+
+// TestIdleSpinnerStepsAllocFree: the JVM housekeeping spinner hands out
+// pre-boxed constants and one re-armed *Sleep, so stepping it through
+// whole sleep/poll/yield windows never touches the allocator (it was one
+// boxed Sleep per window: 200-340 k mallocs per VolanoMark cell).
+func TestIdleSpinnerStepsAllocFree(t *testing.T) {
+	b := &Benchmark{m: newMachine(1, false, false, 42)}
+	sp := newIdleSpinner(b)
+	kinds := map[string]int{}
+	if avg := testing.AllocsPerRun(1000, func() {
+		switch a := sp.Step(nil).(type) {
+		case *kernel.Sleep:
+			if a.Cycles < 800_000 || a.Cycles >= 2_400_000 {
+				t.Fatalf("nap of %d cycles", a.Cycles)
+			}
+			kinds["sleep"]++
+		default:
+			kinds[actionKind(a)]++
+		}
+	}); avg != 0 {
+		t.Fatalf("%.2f allocs per spinner step, want 0", avg)
+	}
+	// 1001 steps of the 13-step window: 1 nap, 6 polls, 6 yields each.
+	if kinds["sleep"] != 77 || kinds["compute"] != 462 || kinds["yield"] != 462 {
+		t.Fatalf("step mix %v", kinds)
+	}
+	b.finished = true
+	if _, ok := sp.Step(nil).(kernel.Exit); !ok {
+		t.Fatal("a finished benchmark's spinner must exit")
+	}
+}

@@ -262,18 +262,23 @@ func newIdleSpinner(b *Benchmark) kernel.Program {
 	phase := 0
 	round := 0
 	rng := b.m.RNG().Fork()
+	// The nap is the one action whose operand varies per step: re-arm a
+	// spinner-owned Sleep and hand out its pointer (the kernel copies the
+	// duration out at once), so no step boxes a fresh value.
+	nap := new(kernel.Sleep)
 	return kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
 		if b.finished {
-			return kernel.Exit{}
+			return spinnerExit
 		}
 		switch phase {
 		case 0: // sleep between poll windows (2-6 ms)
 			phase = 1
 			round = 0
-			return kernel.Sleep{Cycles: rng.Range(800_000, 2_400_000)}
+			nap.Cycles = rng.Range(800_000, 2_400_000)
+			return nap
 		case 1: // poll for work
 			phase = 2
-			return kernel.Compute{Cycles: 1500}
+			return spinnerPoll
 		default: // nothing found: yield, maybe poll again
 			round++
 			if round >= pollRounds {
@@ -281,10 +286,17 @@ func newIdleSpinner(b *Benchmark) kernel.Program {
 			} else {
 				phase = 1
 			}
-			return kernel.Yield{}
+			return spinnerYield
 		}
 	})
 }
+
+// The spinner's fixed actions, boxed once.
+var (
+	spinnerPoll  kernel.Action = kernel.Compute{Cycles: 1500}
+	spinnerYield kernel.Action = kernel.Yield{}
+	spinnerExit  kernel.Action = kernel.Exit{}
+)
 
 func (b *Benchmark) spawn(name string, mm *task.MM, prog kernel.Program) {
 	if b.cfg.RampCycles > 1 {

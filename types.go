@@ -103,6 +103,9 @@ const (
 	WatchdogLostWakeup = kernel.WatchdogLostWakeup
 	// WatchdogCPUStall: an online CPU whose timer chain stopped firing.
 	WatchdogCPUStall = kernel.WatchdogCPUStall
+	// WatchdogDelivery: the kick-delivery audit failed — a deliverable
+	// task with no CPU about to schedule it, or stale delivery bookkeeping.
+	WatchdogDelivery = kernel.WatchdogDelivery
 )
 
 // Table renders aligned text tables for experiment output.
