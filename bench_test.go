@@ -311,40 +311,53 @@ func BenchmarkAblation_UPShortcut(b *testing.B) {
 	}
 }
 
+// microPolicy builds the policy a microbenchmark drives directly.
+func microPolicy(name string, env *sched.Env) sched.Scheduler {
+	switch name {
+	case "reg":
+		return vanilla.New(env)
+	case "elsc":
+		return elsc.New(env)
+	default:
+		return o1.New(env)
+	}
+}
+
 // BenchmarkMicro_Schedule measures one schedule() decision in isolation on
 // a prepopulated run queue — the pure O(n) scan versus the table lookup
 // versus the O(1) bitmap pick, in real nanoseconds and simulated cycles.
+//
+// Two queues. "tasksN" is the uniform one: nil MM, never-run, nobody
+// running, an idle prev on a UP machine — every goodness() input the same
+// from task to task, so whatever branches the scan takes are perfectly
+// predicted. "mixedN" (reg and elsc) is what a 4P chat load presents: two
+// address spaces, tasks last run on any of four CPUs, an eighth of the
+// counters spent, every CPU's current task HasCPU, a non-idle prev with an
+// MM, the calling CPU rotating and one task's affinity and MM re-drawn per
+// call. ns/visit is host time per examined task, the number to hold against
+// a benchmark cell's.
 func BenchmarkMicro_Schedule(b *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
 		for _, policy := range []string{"reg", "elsc", "o1"} {
 			b.Run(fmt.Sprintf("%s/tasks%d", policy, n), func(b *testing.B) {
 				env := sched.NewEnv(1, false, func() int { return n })
-				var s sched.Scheduler
-				switch policy {
-				case "reg":
-					s = vanilla.New(env)
-				case "elsc":
-					s = elsc.New(env)
-				default:
-					s = o1.New(env)
-				}
+				s := microPolicy(policy, env)
 				rng := sim.NewRNG(1)
-				tasks := make([]*task.Task, n)
-				for i := range tasks {
+				for i := 0; i < n; i++ {
 					t := task.New(i+1, "t", nil, env.Epoch)
 					t.Priority = 1 + rng.Intn(40)
 					t.SetCounter(env.Epoch, 1+rng.Intn(2*t.Priority))
-					tasks[i] = t
 					s.AddToRunqueue(t)
 				}
 				idle := task.New(-1, "idle", nil, nil)
 				idle.IsIdle = true
 
-				var cycles uint64
+				var cycles, examined uint64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res := s.Schedule(0, idle)
 					cycles += res.Cycles
+					examined += uint64(res.Examined)
 					if res.Next != nil {
 						// Put it back so the queue size is stable.
 						next := res.Next
@@ -352,9 +365,71 @@ func BenchmarkMicro_Schedule(b *testing.B) {
 						s.AddToRunqueue(next)
 					}
 				}
-				b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
+				reportSchedule(b, cycles, examined)
 			})
 		}
+		for _, policy := range []string{"reg", "elsc"} {
+			b.Run(fmt.Sprintf("%s/mixed%d", policy, n), func(b *testing.B) {
+				const ncpu = 4
+				env := sched.NewEnv(ncpu, true, func() int { return n })
+				s := microPolicy(policy, env)
+				rng := sim.NewRNG(1)
+				mms := []*task.MM{{ID: 1, Name: "client"}, {ID: 2, Name: "server"}}
+				tasks := make([]*task.Task, n)
+				for i := range tasks {
+					t := task.New(i+1, "t", mms[rng.Intn(2)], env.Epoch)
+					t.EverRan, t.Processor = true, rng.Intn(ncpu)
+					if i%8 != 0 {
+						t.SetCounter(env.Epoch, 1+rng.Intn(2*t.Priority))
+					} else {
+						t.SetCounter(env.Epoch, 0)
+					}
+					tasks[i] = t
+					s.AddToRunqueue(t)
+				}
+				// One running task per CPU: the prev its schedule() is
+				// entered with. The stock scheduler keeps them queued,
+				// where the other three are "running elsewhere"; ELSC
+				// keeps a running task outside its table.
+				prevs := make([]*task.Task, ncpu)
+				for cpu := range prevs {
+					t := task.New(n+cpu+1, "cur", mms[cpu%2], env.Epoch)
+					t.EverRan, t.Processor, t.HasCPU = true, cpu, true
+					prevs[cpu] = t
+					if policy == "reg" {
+						s.AddToRunqueue(t)
+					}
+				}
+
+				var cycles, examined uint64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cpu := i % ncpu
+					churn := tasks[rng.Intn(n)]
+					churn.Processor, churn.MM = rng.Intn(ncpu), mms[rng.Intn(2)]
+					res := s.Schedule(cpu, prevs[cpu])
+					cycles += res.Cycles
+					examined += uint64(res.Examined)
+					if next := res.Next; next != nil {
+						s.DelFromRunqueue(next)
+						s.AddToRunqueue(next)
+					}
+					if policy == "elsc" {
+						s.DelFromRunqueue(prevs[cpu])
+					}
+				}
+				reportSchedule(b, cycles, examined)
+			})
+		}
+	}
+}
+
+// reportSchedule adds simulated cycles per call and host ns per examined
+// task to a schedule() microbenchmark's result.
+func reportSchedule(b *testing.B, cycles, examined uint64) {
+	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
+	if examined > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(examined), "ns/visit")
 	}
 }
 
@@ -364,15 +439,7 @@ func BenchmarkMicro_RunqueueOps(b *testing.B) {
 	for _, policy := range []string{"reg", "elsc", "o1"} {
 		b.Run(policy, func(b *testing.B) {
 			env := sched.NewEnv(1, false, func() int { return 256 })
-			var s sched.Scheduler
-			switch policy {
-			case "reg":
-				s = vanilla.New(env)
-			case "elsc":
-				s = elsc.New(env)
-			default:
-				s = o1.New(env)
-			}
+			s := microPolicy(policy, env)
 			tasks := make([]*task.Task, 256)
 			for i := range tasks {
 				tasks[i] = task.New(i+1, "t", nil, env.Epoch)

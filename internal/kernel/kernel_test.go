@@ -675,3 +675,58 @@ func TestCrossDomainRefillCharged(t *testing.T) {
 		t.Fatalf("cross-domain refill (%d) not above intra-domain (%d)", domained, flat)
 	}
 }
+
+// TestProcOfRejectsForeignTasks: the task→proc mapping is an owner pointer
+// set at spawn; a task nobody spawned, and a task spawned on another
+// machine, must still panic rather than hand back a stranger's proc.
+func TestProcOfRejectsForeignTasks(t *testing.T) {
+	m := newMachine(t, 1, vanillaFactory)
+	other := newMachine(t, 1, vanillaFactory)
+	own := m.Spawn("own", nil, computeLoop(1, 1000))
+	if got := m.procOf(own.Task); got != own {
+		t.Fatalf("procOf(own task) = %v, want its proc", got)
+	}
+	for name, tk := range map[string]*task.Task{
+		"never spawned":   task.New(99, "stray", nil, nil),
+		"another machine": other.Spawn("theirs", nil, computeLoop(1, 1000)).Task,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("procOf(task of %s) did not panic", name)
+				}
+			}()
+			m.procOf(tk)
+		}()
+	}
+}
+
+// TestExitCursorMatchesFullWalk: the amortised stop predicate must agree
+// with re-walking every proc, at every event of a run in which procs exit
+// out of spawn order.
+func TestExitCursorMatchesFullWalk(t *testing.T) {
+	m := newMachine(t, 2, vanillaFactory)
+	var procs []*Proc
+	var cur ExitCursor
+	if !cur.AllExited(procs) {
+		t.Fatal("no procs: all have exited")
+	}
+	for _, n := range []int{9, 1, 5, 3, 7} {
+		procs = append(procs, m.Spawn("w", nil, computeLoop(n, 10000)))
+	}
+	events := 0
+	m.Run(func() bool {
+		events++
+		want := true
+		for _, p := range procs {
+			want = want && p.Exited()
+		}
+		if got := cur.AllExited(procs); got != want {
+			t.Fatalf("event %d: cursor says %v, full walk says %v", events, got, want)
+		}
+		return want
+	})
+	if !cur.AllExited(procs) || m.Alive() != 0 {
+		t.Fatalf("run ended with %d alive", m.Alive())
+	}
+}

@@ -144,7 +144,6 @@ type Machine struct {
 	cpus      []*CPU
 
 	procs   []*Proc
-	byTask  map[*task.Task]*Proc
 	alive   int
 	nextPID int
 	mmSeq   int
@@ -240,7 +239,6 @@ func NewMachine(cfg Config) *Machine {
 		cfg:      cfg,
 		eng:      cfg.Engine,
 		rng:      sim.NewRNG(cfg.Seed),
-		byTask:   make(map[*task.Task]*Proc),
 		wakerCPU: -1,
 		allCPUs:  ^uint64(0) >> uint(64-cfg.CPUs),
 	}
@@ -383,7 +381,7 @@ func (m *Machine) spawn(t *task.Task, prog Program) *Proc {
 	p.sleepWakeFn = p.sleepWake
 	p.WaitNode.Owner = p
 	m.procs = append(m.procs, p)
-	m.byTask[t] = p
+	t.Owner = p
 	m.alive++
 	if !m.cfg.UniformSpawnCounter && !t.RealTime() {
 		// Fork-time quantum inheritance: the child gets a share of the
@@ -793,11 +791,11 @@ func (m *Machine) SwitchPolicy(factory SchedulerFactory) int {
 	return len(exported) + len(running)
 }
 
-// procOf maps a task back to its proc.
+// procOf maps a task back to its proc through the owner pointer spawn set.
 func (m *Machine) procOf(t *task.Task) *Proc {
-	p := m.byTask[t]
-	if p == nil {
-		panic("kernel: task with no proc")
+	p, _ := t.Owner.(*Proc)
+	if p == nil || p.M != m {
+		panic("kernel: task with no proc on this machine")
 	}
 	return p
 }

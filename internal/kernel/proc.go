@@ -98,5 +98,19 @@ func (p *Proc) sleepWake(sim.Time) {
 // Exited reports whether the proc has terminated.
 func (p *Proc) Exited() bool { return p.exited }
 
+// ExitCursor answers a workload's "has every one of my procs exited?" stop
+// predicate, asked after every event, in amortised O(1): exit is permanent,
+// so the index of the first live proc only moves forward. The zero value
+// is ready; pass the same append-only slice each time.
+type ExitCursor struct{ live int }
+
+// AllExited reports whether every proc in procs has exited.
+func (c *ExitCursor) AllExited(procs []*Proc) bool {
+	for c.live < len(procs) && procs[c.live].exited {
+		c.live++
+	}
+	return c.live == len(procs)
+}
+
 // Blocked reports whether the proc is asleep on a wait queue or timer.
 func (p *Proc) Blocked() bool { return p.waitingOn != nil || p.sleepEv != nil }

@@ -769,3 +769,50 @@ func TestNoTaskLost(t *testing.T) {
 		}
 	}
 }
+
+// TestMixedListExactCharges pins one Schedule over a table whose searched
+// lists hold every kind of entry the search loops distinguish — a
+// real-time task pinned elsewhere, then in one SCHED_OTHER list the
+// yielded prev, a task running on another CPU, an affinity-excluded one,
+// two ordinary candidates and the parked zero-counter section — to its
+// exact Next, Examined and Cycles, summed by hand from the per-visit
+// definition (Touch for a skipped entry, Evaluate for a scored one).
+func TestMixedListExactCharges(t *testing.T) {
+	const cpu = 1
+	env := newEnv(4, 7)
+	s := New(env)
+	mm := &task.MM{ID: 1}
+
+	// Everything below shares list (20+20)/4 = 10: selectable tasks by
+	// static goodness 40..43, the exhausted one by its predicted counter.
+	spent := mkTask(env, 1, 20, 0)
+	plain := mkTask(env, 2, 20, 23) // 43
+	bonused := mkTask(env, 3, 20, 20)
+	bonused.MM, bonused.EverRan, bonused.Processor = mm, true, cpu // 40 + 1 + 15 = 56
+	pinned := mkTask(env, 4, 20, 22)
+	pinned.CPUsAllowed = 1 << 0
+	elsewhere := mkTask(env, 5, 20, 22)
+	dispatch(elsewhere, 2)
+	rt := task.NewRT(6, "rt", task.FIFO, 10, env.Epoch)
+	rt.CPUsAllowed = 1 << 0
+	for _, tk := range []*task.Task{spent, plain, bonused, pinned, elsewhere, rt} {
+		s.AddToRunqueue(tk)
+	}
+	prev := mkTask(env, 7, 20, 21)
+	prev.MM, prev.Yielded = mm, true
+	dispatch(prev, cpu) // running: outside the table until Schedule re-inserts it
+
+	const touch, evaluate = 70 + 250, 70 + 250 + 25 // DefaultCostModel on SMP
+	res := s.Schedule(cpu, prev)
+	// 600 base + 80+70 re-insert prev; RT list: rt touched and passed over;
+	// list 10 front to back: prev (deferred), elsewhere, pinned touched,
+	// bonused and plain scored, spent touched and ends the search; 60 to
+	// unlink the winner.
+	want := uint64(600 + 80 + 70 + touch + 3*touch + 2*evaluate + touch + 60)
+	if res.Next != bonused || res.Examined != 7 || res.Cycles != want || res.Recalcs != 0 {
+		t.Fatalf("next %v examined %d cycles %d recalcs %d, want %v 7 %d 0", res.Next, res.Examined, res.Cycles, res.Recalcs, bonused, want)
+	}
+	if prev.Yielded {
+		t.Fatal("yield bit must be cleared on the way out")
+	}
+}

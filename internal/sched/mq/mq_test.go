@@ -255,3 +255,49 @@ func TestStealRebalancesLoad(t *testing.T) {
 		t.Fatal("stolen tasks should now home on CPU 0")
 	}
 }
+
+// TestMixedQueueExactCharges pins one scan of a local queue holding every
+// kind of entry scanQueue distinguishes — the yielded prev, a task running
+// on another CPU, an affinity-excluded one, a real-time task, an exhausted
+// one and two ordinary candidates — to its exact Next, Examined and
+// Cycles, summed by hand from the per-visit definition (Touch for a
+// skipped entry, Evaluate for a scored one).
+func TestMixedQueueExactCharges(t *testing.T) {
+	const cpu = 1
+	env := newEnv(4, 7)
+	s := New(env)
+	mm := &task.MM{ID: 1}
+	home := func(tk *task.Task) *task.Task { // file on cpu's queue
+		tk.EverRan, tk.Processor = true, cpu
+		s.AddToRunqueue(tk)
+		return tk
+	}
+
+	elsewhere := home(mkTask(env, 1, 20, 30))
+	elsewhere.HasCPU, elsewhere.Processor = true, 2
+	pinned := home(mkTask(env, 2, 20, 30))
+	pinned.CPUsAllowed = 1 << 0
+	rt := home(task.NewRT(3, "rt", task.FIFO, 10, env.Epoch))
+	home(mkTask(env, 4, 20, 0))          // exhausted
+	home(mkTask(env, 5, 20, 20))         // 40 + 15 (affinity) = 55
+	home(mkTask(env, 6, 20, 10)).MM = mm // 30 + 15, + 1 after an mm peer
+	prev := mkTask(env, 7, 20, 25)
+	prev.MM, prev.EverRan, prev.Processor, prev.Yielded = mm, true, cpu, true
+
+	const touch, evaluate = 70 + 250, 70 + 250 + 25 // DefaultCostModel on SMP
+	res := s.Schedule(cpu, prev)
+	// 600 base + 80 re-file prev; prev, elsewhere, pinned skipped; rt,
+	// exhausted, plain, bonused scored; 60 to unlink the winner.
+	want := uint64(600 + 80 + 3*touch + 4*evaluate + 60)
+	if res.Next != rt || res.Examined != 7 || res.Cycles != want || res.Recalcs != 0 {
+		t.Fatalf("first scan: next %v examined %d cycles %d recalcs %d, want %v 7 %d 0", res.Next, res.Examined, res.Cycles, res.Recalcs, rt, want)
+	}
+
+	// The real-time task is gone (dispatched); prev is queued and no longer
+	// yielding, so it is scored too: 45 + 15 = 60 beats the plain 55.
+	res = s.Schedule(cpu, idlePrev())
+	want = uint64(600 + 2*touch + 4*evaluate + 60)
+	if res.Next != prev || res.Examined != 6 || res.Cycles != want {
+		t.Fatalf("second scan: next %v examined %d cycles %d, want %v 6 %d", res.Next, res.Examined, res.Cycles, prev, want)
+	}
+}

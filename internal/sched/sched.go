@@ -10,6 +10,20 @@
 // and the future-work alternatives are drop-in replacements for one
 // another, which is design goal 1 of the paper ("Keep changes local to the
 // scheduler. Do not change current interfaces").
+//
+// Two costs, kept apart. The simulated cost of a decision is what CostModel
+// charges to virtual CPU time — cycles per task examined, per recalculation,
+// per list operation; it is the paper's subject and part of every result.
+// The host cost is the wall-clock time the simulator itself spends in
+// Schedule; it is nobody's result, only this repo's running time, and it
+// may be lowered in any way that leaves every simulated decision, charge and
+// Examined count alone. Goodness is the case in point: on an SMP chat load
+// its inputs (same mm as prev? last ran here? quantum left?) are close to
+// coin flips from one queued task to the next, so the natural if-per-rule
+// form cost the host a mispredicted jump or two per visit — more than the
+// arithmetic. It is therefore written branch-free; the branching form is
+// the oracle it is tested against exhaustively (goodnessOracle in
+// sched_test.go). Do not "simplify" it back.
 package sched
 
 import (
@@ -35,24 +49,27 @@ const (
 // task's address space is prevMM — the full (static + dynamic) heuristic of
 // paper §3.3.1. It does not consult the SCHED_YIELD bit; per 2.3.99, only
 // the caller applies yield handling, and only for the previous task.
+//
+// The SCHED_OTHER path is branch-free (see the package doc for why): the
+// MM bonus, the affinity bonus and "time slice used up, return 0" are 0/1
+// values folded in arithmetically; the real-time test is the only jump.
 func Goodness(ep *task.Epoch, t *task.Task, cpu int, prevMM *task.MM) int {
 	if t.RealTime() {
 		return RTBase + t.RTPriority
 	}
 	c := t.Counter(ep)
-	if c == 0 {
-		// "This lets the scheduler know a runnable task was found but
-		// its time slice is used up."
-		return 0
+	mm := b2i(t.MM == prevMM) & b2i(prevMM != nil)
+	aff := b2i(t.EverRan) & b2i(t.Processor == cpu)
+	return (c + t.Priority + mm*MMBonus + aff*AffinityBonus) & -b2i(c != 0)
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag move,
+// not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	g := c + t.Priority
-	if t.MM != nil && t.MM == prevMM {
-		g += MMBonus
-	}
-	if t.EverRan && t.Processor == cpu {
-		g += AffinityBonus
-	}
-	return g
+	return 0
 }
 
 // Result reports what one Schedule invocation did, so the kernel can charge

@@ -164,3 +164,91 @@ func TestNewEnv(t *testing.T) {
 		t.Fatal("ntasks not wired")
 	}
 }
+
+// goodnessOracle is goodness() as paper §3.3.1 and 2.3.99-pre4 state it,
+// one branch per rule, for a task whose (already recalculated) counter is
+// counter. It is the reference Goodness is held to; Goodness itself is
+// written branch-free for the host's sake (see the package doc).
+func goodnessOracle(counter int, t *task.Task, cpu int, prevMM *task.MM) int {
+	if t.Policy == task.FIFO || t.Policy == task.RR {
+		return RTBase + t.RTPriority
+	}
+	if counter == 0 {
+		return 0
+	}
+	g := counter + t.Priority
+	if t.MM != nil && t.MM == prevMM {
+		g += MMBonus
+	}
+	if t.EverRan && t.Processor == cpu {
+		g += AffinityBonus
+	}
+	return g
+}
+
+// recalcOracle applies n global recalculations to counter the way the
+// kernel's loop does: counter = counter/2 + priority each time, capped at
+// twice the priority.
+func recalcOracle(counter, priority, n int) int {
+	for i := 0; i < n; i++ {
+		counter = counter/2 + priority
+	}
+	if n > 0 && counter > 2*priority {
+		counter = 2 * priority
+	}
+	return counter
+}
+
+// TestGoodnessMatchesOracleExhaustively walks the whole input space of
+// Goodness, including tasks whose counter is 1, 3 and 20 recalculations
+// behind the epoch (Counter's slow path) and current ones (its inlined
+// fast path), and requires the branch-free form to agree with the oracle
+// and to leave the task synced.
+func TestGoodnessMatchesOracleExhaustively(t *testing.T) {
+	const cpu, other = 2, 1
+	mmA, mmB := &task.MM{ID: 1}, &task.MM{ID: 2}
+	ep := &task.Epoch{}
+	tk := task.New(1, "t", nil, ep)
+	checked := 0
+	for _, stale := range []int{0, 1, 3, 20} {
+		for _, pol := range []task.Policy{task.Other, task.FIFO, task.RR} {
+			for _, rtprio := range []int{0, 50, 99} {
+				for prio := task.MinPriority; prio <= task.MaxPriority; prio++ {
+					for counter := 0; counter <= 80; counter++ {
+						want := recalcOracle(counter, prio, stale)
+						for _, mm := range []*task.MM{nil, mmA, mmB} {
+							for _, prevMM := range []*task.MM{nil, mmA} {
+								for _, everRan := range []bool{false, true} {
+									for _, proc := range []int{cpu, other} {
+										tk.Policy, tk.RTPriority, tk.Priority = pol, rtprio, prio
+										tk.MM, tk.EverRan, tk.Processor = mm, everRan, proc
+										tk.SetCounter(ep, counter)
+										for i := 0; i < stale; i++ {
+											ep.Bump()
+										}
+										got := Goodness(ep, tk, cpu, prevMM)
+										if exp := goodnessOracle(want, tk, cpu, prevMM); got != exp {
+											t.Fatalf("Goodness = %d, oracle %d (stale %d, %v rt %d, prio %d, counter %d→%d, mm %v prev %v, everRan %v proc %d)",
+												got, exp, stale, pol, rtprio, prio, counter, want, mm, prevMM, everRan, proc)
+										}
+										if pol == task.Other && tk.RawCounter() != want {
+											t.Fatalf("counter after Goodness = %d, want %d synced (stale %d, prio %d, counter %d)",
+												tk.RawCounter(), want, stale, prio, counter)
+										}
+										if again := Goodness(ep, tk, cpu, prevMM); again != got {
+											t.Fatalf("second Goodness = %d, first %d: not idempotent once synced", again, got)
+										}
+										checked++
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if want := 4 * 3 * 3 * 40 * 81 * 3 * 2 * 2 * 2; checked != want {
+		t.Fatalf("checked %d combinations, want %d", checked, want)
+	}
+}

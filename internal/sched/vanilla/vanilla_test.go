@@ -419,3 +419,50 @@ func TestMatchesBruteForceOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMixedQueueExactCharges pins one scan of a queue holding every kind
+// of entry the loop distinguishes — running elsewhere, affinity-excluded,
+// the yielded prev, real-time, exhausted, and ordinary tasks with and
+// without bonuses — to its exact Next, Examined and Cycles. The expected
+// cycles are the per-visit definition (a Touch for a skipped entry, an
+// Evaluate for a scored one) summed by hand, so a faster loop cannot
+// quietly charge differently.
+func TestMixedQueueExactCharges(t *testing.T) {
+	const cpu = 1
+	env := newEnv(4, 7)
+	s := New(env)
+	mm := &task.MM{ID: 1}
+
+	elsewhere := mkTask(env, 1, 20, 30)
+	elsewhere.HasCPU, elsewhere.EverRan, elsewhere.Processor = true, true, 2
+	pinned := mkTask(env, 2, 20, 30)
+	pinned.CPUsAllowed = 1 << 0
+	prev := mkTask(env, 3, 20, 1)
+	prev.MM, prev.HasCPU, prev.EverRan, prev.Processor, prev.Yielded = mm, true, true, cpu, true
+	rt := task.NewRT(4, "rt", task.FIFO, 10, env.Epoch)
+	spent := mkTask(env, 5, 20, 0)
+	bonused := mkTask(env, 6, 20, 10) // 30 + 1 (mm) + 15 (affinity) = 46
+	bonused.MM, bonused.EverRan, bonused.Processor = mm, true, cpu
+	plain := mkTask(env, 7, 20, 20) // 40: wins on static goodness alone
+	for _, tk := range []*task.Task{elsewhere, pinned, prev, rt, spent, bonused, plain} {
+		s.AddToRunqueue(tk)
+	}
+
+	const touch, evaluate = 70 + 250, 70 + 250 + 25 // DefaultCostModel on SMP
+	res := s.Schedule(cpu, prev)
+	// Skipped: elsewhere, pinned, yielded prev. Scored: rt, spent, bonused, plain.
+	if want := uint64(600 + 3*touch + 4*evaluate); res.Next != rt || res.Examined != 7 || res.Cycles != want || res.Recalcs != 0 {
+		t.Fatalf("first scan: next %v examined %d cycles %d recalcs %d, want %v 7 %d 0", res.Next, res.Examined, res.Cycles, res.Recalcs, rt, want)
+	}
+	if prev.Yielded {
+		t.Fatal("yield bit must be consumed by the scan")
+	}
+
+	// Without the real-time task, and prev scored normally (21 + 1 + 15 =
+	// 37): the bonuses must carry the 30-point task past the 40-point one.
+	s.DelFromRunqueue(rt)
+	res = s.Schedule(cpu, prev)
+	if want := uint64(600 + 2*touch + 4*evaluate); res.Next != bonused || res.Examined != 6 || res.Cycles != want {
+		t.Fatalf("second scan: next %v examined %d cycles %d, want %v 6 %d", res.Next, res.Examined, res.Cycles, bonused, want)
+	}
+}

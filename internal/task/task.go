@@ -150,12 +150,12 @@ type Task struct {
 
 	// HasCPU is 1 while the task executes on a processor (paper §3.1).
 	HasCPU bool
-	// Processor is the CPU the task is executing on, or last executed on
-	// (the scheduler's affinity bonus compares against it).
-	Processor int
 	// EverRan records whether the task has ever been dispatched, so the
 	// affinity bonus is not granted against the zero-value Processor.
 	EverRan bool
+	// Processor is the CPU the task is executing on, or last executed on
+	// (the scheduler's affinity bonus compares against it).
+	Processor int
 	// CPUsAllowed is the processor affinity mask (2.3.99's cpus_allowed,
 	// consulted by can_schedule). Zero means "all CPUs"; bit i allows
 	// CPU i.
@@ -169,10 +169,10 @@ type Task struct {
 
 	// Scheduler-private bookkeeping, the analogue of the policy-specific
 	// fields Linux keeps inside task_struct. ELSC uses these for its
-	// table list index, zero/nonzero section tag, and the epoch stamp
+	// zero/nonzero section tag, table list index, and the epoch stamp
 	// that validates the tag (see internal/sched/elsc).
-	QIndex int
 	QZero  bool
+	QIndex int
 	QStamp uint64
 
 	// VRuntime is the weighted virtual runtime maintained by the fair
@@ -182,6 +182,13 @@ type Task struct {
 	// policy's placement clamp bounds any staleness a task picks up
 	// while blocked or parked under another policy.
 	VRuntime uint64
+
+	// Owner is an opaque back-pointer for whoever created the task: the
+	// kernel points it at the task's proc, so mapping a scheduled task
+	// back to its program is a field load. Schedulers never read it.
+	// (HasCPU/EverRan and IsIdle/QZero sit in pairs to pay for these two
+	// words: Task stays in the allocator's 256-byte class.)
+	Owner any
 
 	// Accounting, maintained by the kernel.
 	UserCycles   uint64 // cycles spent in task (user) work
@@ -235,9 +242,13 @@ func (t *Task) Runnable() bool { return t.State == Running }
 func (t *Task) MaxCounter() int { return maxCounterFactor * t.Priority }
 
 // Counter returns the remaining quantum in ticks after syncing any pending
-// global recalculations from ep.
+// global recalculations from ep. The "epoch already current" case — every
+// visit of a run-queue scan but the first after a recalculation — is an
+// inlined compare; only a stale task calls into SyncCounter.
 func (t *Task) Counter(ep *Epoch) int {
-	t.SyncCounter(ep)
+	if ep != nil && t.counterEpoch != ep.n {
+		t.SyncCounter(ep)
+	}
 	return t.counter
 }
 

@@ -3,6 +3,7 @@ package task
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -247,5 +248,15 @@ func TestMaxCounter(t *testing.T) {
 	tk.Priority = 17
 	if tk.MaxCounter() != 34 {
 		t.Fatalf("MaxCounter = %d, want 34", tk.MaxCounter())
+	}
+}
+
+// TestTaskStaysInIts256ByteSizeClass: a machine holds one Task per thread
+// (800+ in a VolanoMark cell), and the allocator's next class up is 288
+// bytes, so a field added without room costs every task 32 bytes of host
+// memory. Grouping bools is how room is made.
+func TestTaskStaysInIts256ByteSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Task{}); sz > 256 {
+		t.Fatalf("sizeof(Task) = %d, want <= 256", sz)
 	}
 }

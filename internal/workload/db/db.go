@@ -130,6 +130,7 @@ type DB struct {
 	bufpool *kernel.SerialResource
 	wal     *kernel.SerialResource
 	clients []*kernel.Proc
+	exited  kernel.ExitCursor // over clients, for Done
 	// checkpointers run until finished is set; they are excluded from
 	// the completion check, like volano's housekeeping threads.
 	checkpointers []*kernel.Proc
@@ -310,14 +311,7 @@ func (d *DB) newCheckpointer() kernel.Program {
 }
 
 // Done reports whether every client has committed all its transactions.
-func (d *DB) Done() bool {
-	for _, p := range d.clients {
-		if !p.Exited() {
-			return false
-		}
-	}
-	return true
-}
+func (d *DB) Done() bool { return d.exited.AllExited(d.clients) }
 
 // Committed returns transactions committed so far.
 func (d *DB) Committed() uint64 { return d.committed }

@@ -64,6 +64,7 @@ type Storm struct {
 	m       *kernel.Machine
 	wq      *kernel.WaitQueue
 	waiters []*kernel.Proc
+	exited  kernel.ExitCursor // over waiters, for Done
 	hogs    []*kernel.Proc
 
 	gen     int      // storm sequence number; 0 = before the first storm
@@ -166,14 +167,7 @@ func (s *Storm) newHog() kernel.Program {
 }
 
 // Done reports whether every waiter has finished its storms.
-func (s *Storm) Done() bool {
-	for _, p := range s.waiters {
-		if !p.Exited() {
-			return false
-		}
-	}
-	return true
-}
+func (s *Storm) Done() bool { return s.exited.AllExited(s.waiters) }
 
 // StormResult is one wake-storm measurement.
 type StormResult struct {

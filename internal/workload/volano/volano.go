@@ -166,6 +166,7 @@ type Benchmark struct {
 	m       *kernel.Machine
 	rooms   []*room
 	threads []*kernel.Proc
+	exited  kernel.ExitCursor // over threads, for Done
 	// housekeeping holds the JVM idle-spinner threads; they run until
 	// finished is set and are excluded from completion checks.
 	housekeeping []*kernel.Proc
@@ -340,14 +341,7 @@ func (b *Benchmark) Deliveries() uint64 {
 }
 
 // Done reports whether every thread has exited.
-func (b *Benchmark) Done() bool {
-	for _, p := range b.threads {
-		if !p.Exited() {
-			return false
-		}
-	}
-	return true
-}
+func (b *Benchmark) Done() bool { return b.exited.AllExited(b.threads) }
 
 // LockSpins totals yield-lock contention spins across rooms.
 func (b *Benchmark) LockSpins() uint64 {
