@@ -135,14 +135,14 @@ func main() {
 		fmt.Printf("migrations: %d (%d cross-domain)\n", s.Migrations, s.CrossDomainMigrations)
 	}
 	// The steal and bonus sections render only for policies that track
-	// the counters: a policy without PerCPUSteals support (reg, elsc,
+	// the counters: a policy that is no sched.StealReporter (reg, elsc,
 	// heap, mq) gets no steals section rather than an empty table, and
 	// likewise for the interactivity estimator's bonus distribution.
-	if ps, ok := m.Scheduler().(perCPUStealer); ok && *cpus > 1 {
+	if ps, ok := m.Scheduler().(sched.StealReporter); ok && *cpus > 1 {
 		fmt.Println()
 		fmt.Print(stealTable(m.Scheduler().Name(), ps.PerCPUSteals(), m.Env().Topo).Render())
 	}
-	if bs, ok := m.Scheduler().(bonusStatser); ok {
+	if bs, ok := m.Scheduler().(experiments.BonusStatser); ok {
 		fmt.Println()
 		fmt.Print(bonusTable(bs).Render())
 	}
@@ -176,19 +176,6 @@ func main() {
 			fmt.Println("(-table requires -sched elsc)")
 		}
 	}
-}
-
-// perCPUStealer is implemented by policies whose balancer tracks per-CPU
-// steal counters (o1, cfs); policies without it get no steals section.
-type perCPUStealer interface {
-	PerCPUSteals() []sched.CPUSteals
-}
-
-// bonusStatser is implemented by policies with an interactivity
-// estimator whose observable counters schedtrace can render (o1).
-type bonusStatser interface {
-	BonusLevels() []uint64
-	InteractiveRequeues() uint64
 }
 
 // stealTable renders a domain-split balancer's per-CPU steal counters
@@ -254,7 +241,7 @@ func ticklessTable(perCPU []kernel.CPUStat) *stats.Table {
 // how many enqueues landed at each dynamic-priority bonus (-5 = a pure
 // hog, +5 = a task that sleeps most of the time), plus the active-array
 // requeues the interactive classification granted.
-func bonusTable(bs bonusStatser) *stats.Table {
+func bonusTable(bs experiments.BonusStatser) *stats.Table {
 	levels := bs.BonusLevels()
 	t := stats.NewTable("o1 interactivity: enqueues by sleep_avg bonus",
 		"bonus", "enqueues")

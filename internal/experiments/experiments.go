@@ -230,12 +230,6 @@ type VolanoRun struct {
 	HasSteals   bool
 }
 
-// domainStealer is implemented by policies whose balancer counts its own
-// intra- versus cross-domain moves (o1).
-type domainStealer interface {
-	DomainSteals() (intra, cross uint64)
-}
-
 // Key renders "elsc-4P@20" style identifiers.
 func (r VolanoRun) Key() string {
 	return fmt.Sprintf("%s-%s@%d", r.Policy, r.Spec.Label, r.Rooms)
@@ -264,7 +258,7 @@ func RunVolanoConfigOn(eng *sim.Engine, spec MachineSpec, policy string, vcfg vo
 func runVolanoOn(m *kernel.Machine, spec MachineSpec, policy string, vcfg volano.Config) VolanoRun {
 	res := volano.Build(m, vcfg).Run()
 	run := VolanoRun{Spec: spec, Policy: policy, Rooms: vcfg.Rooms, Result: res, Stats: *m.Stats()}
-	if ds, ok := m.Scheduler().(domainStealer); ok {
+	if ds, ok := m.Scheduler().(sched.StealReporter); ok {
 		run.IntraSteals, run.CrossSteals = ds.DomainSteals()
 		run.HasSteals = true
 	}

@@ -59,9 +59,10 @@ type WorkloadRun struct {
 	HasBonus            bool
 }
 
-// bonusStatser is implemented by policies whose interactivity estimator
-// exposes its observable counters (o1).
-type bonusStatser interface {
+// BonusStatser is implemented by policies whose interactivity estimator
+// exposes its observable counters (o1): the matrix harvests them into
+// WorkloadRun, schedtrace renders them.
+type BonusStatser interface {
 	BonusLevels() []uint64
 	InteractiveRequeues() uint64
 }
@@ -103,7 +104,7 @@ func RunWorkloadCellWith(spec MachineSpec, factory kernel.SchedulerFactory, poli
 func runWorkloadOn(m *kernel.Machine, spec MachineSpec, policy, load string, sc Scale) WorkloadRun {
 	res := workload.Build(load, m, WorkloadParams(spec, sc)).Run()
 	run := WorkloadRun{Spec: spec, Policy: policy, Load: load, Result: res, Stats: *m.Stats()}
-	if bs, ok := m.Scheduler().(bonusStatser); ok {
+	if bs, ok := m.Scheduler().(BonusStatser); ok {
 		run.BonusLevels = bs.BonusLevels()
 		run.InteractiveRequeues = bs.InteractiveRequeues()
 		run.HasBonus = true

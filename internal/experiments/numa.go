@@ -44,7 +44,7 @@ func numaVolanoConfig(rooms int, sc Scale) volano.Config {
 // Numa races every registered policy on a domained spec and reports how
 // each treats the interconnect: total and cross-domain migrations
 // (machine-observed), the balancer's own intra- versus cross-domain move
-// counts where the policy tracks them (o1), lock spin, and throughput.
+// counts where the policy tracks them (o1, cfs), lock spin, and throughput.
 func Numa(spec MachineSpec, rooms int, sc Scale) *stats.Table {
 	domains := max(spec.Domains, 1)
 	t := stats.NewTable(

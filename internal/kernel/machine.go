@@ -180,33 +180,34 @@ type Machine struct {
 	watchdog *watchdog
 }
 
-// wakePlacer is implemented by policies (o1) that accept an SD_WAKE_IDLE
-// placement hint: file the woken task on the given idle CPU's queue
-// instead of its home queue. PlaceWake returns false to decline (knob
-// disabled, affinity forbids, task already queued), in which case the
-// kernel falls back to the ordinary AddToRunqueue.
+// wakePlacer is implemented by policies (o1, cfs) that accept an
+// SD_WAKE_IDLE placement hint: file the woken task on the given idle
+// CPU's queue instead of its home queue. PlaceWake returns false to
+// decline (knob disabled, affinity forbids, task already queued), in
+// which case the kernel falls back to the ordinary AddToRunqueue.
 type wakePlacer interface {
 	PlaceWake(t *task.Task, cpu int) bool
 }
 
-// tickPreempter is implemented by policies (o1) with tick-time
+// tickPreempter is implemented by policies (o1, cfs) with tick-time
 // preemption rules: TickPreempt is consulted by the timer tick while the
 // running task still has quantum left. preempt true interrupts the task;
-// rotation distinguishes a TIMESLICE_GRANULARITY same-level round-robin
-// (the task goes to the tail of its level) from a plain better-level
-// preemption (the task keeps its spot), so the stats attribute each
-// mechanism correctly.
+// rotation distinguishes o1's TIMESLICE_GRANULARITY same-level
+// round-robin (the task goes to the tail of its level) from a plain
+// better-level or vruntime-lag preemption (the task keeps its spot), so
+// the stats attribute each mechanism correctly.
 type tickPreempter interface {
 	TickPreempt(cpu int, t *task.Task) (preempt, rotation bool)
 }
 
-// preemptComparer is implemented by policies (o1) whose dynamic priority
-// differs from goodness(): the wake path asks the policy whether the
-// woken task outranks a CPU's current one — 2.6's TASK_PREEMPTS_CURR,
-// which compares bonus-laden effective priorities — instead of the
-// 2.3.99 goodness delta. This is how the interactivity estimator reaches
-// wake-up preemption: a sleep-heavy task at the same static priority as
-// a hog preempts it on wake.
+// preemptComparer is implemented by policies (o1, cfs) whose dynamic
+// priority differs from goodness(): the wake path asks the policy whether
+// the woken task outranks a CPU's current one — 2.6's TASK_PREEMPTS_CURR,
+// which compares o1's bonus-laden effective priorities, or cfs's
+// vruntimes — instead of the 2.3.99 goodness delta. This is how the
+// interactivity estimator (or the sleeper clamp) reaches wake-up
+// preemption: a sleep-heavy task at the same static priority as a hog
+// preempts it on wake.
 type preemptComparer interface {
 	PreemptsCurr(t, curr *task.Task) bool
 }

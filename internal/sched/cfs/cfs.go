@@ -26,17 +26,17 @@
 // granularity, delivered through the task counter so the kernel's
 // ordinary quantum-expiry machinery ends the slice.
 //
-// Balancing reuses the topology-aware shape of the o1 policy: an idle
-// CPU steals the greatest-lag (minimum-vruntime) movable task, in-domain
-// victims first and cross-domain only from longer queues; a periodic
-// imbalance pull moves batches across domains. A migrating task's
-// vruntime is renormalized from the victim queue's min_vruntime to the
-// thief's, so cross-queue clock skew never turns into a fairness bug.
+// Balancing is the shared per-CPU-queue substrate's (sched.Balancer; see
+// the sched package doc), at its default thresholds. What is cfs's own is
+// which task a victim gives up — its best real-time task, then its
+// greatest-lag (minimum-vruntime) fair one: the task the victim owes the
+// most CPU, so moving it helps fairness machine-wide, not just throughput
+// — and that a migrating task's vruntime is renormalized from the victim
+// queue's min_vruntime to the thief's, so cross-queue clock skew never
+// turns into a fairness bug.
 package cfs
 
 import (
-	"math/bits"
-
 	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/task"
@@ -57,14 +57,6 @@ const (
 	// rtLevels reserves one level per rt_priority value (0..99), best
 	// (highest rt_priority) at index 0 as in the o1 arrays.
 	rtLevels = task.MaxRTPriority + 1
-	rtWords  = (rtLevels + 63) / 64
-
-	// balanceEvery / balanceImbalance / crossStealMin mirror the o1
-	// balancer: periodic pulls every 32 schedules past a 2-task gap, and
-	// no cross-domain idle steal from a single-task victim.
-	balanceEvery     = 32
-	balanceImbalance = 2
-	crossStealMin    = 2
 )
 
 // weightOf maps a static priority onto the CFS prio_to_weight table:
@@ -196,65 +188,21 @@ func (h *fheap) removeAt(i int) fentry {
 	return e
 }
 
-// rtArray is the real-time side of a queue: one FIFO list per
-// rt_priority level with a find-first-set bitmap, exactly the o1 idiom.
-// Level 0 is the best (rt_priority 99).
-type rtArray struct {
-	bitmap [rtWords]uint64
-	lists  [rtLevels]klist.Head
-	count  int
-}
-
-func (a *rtArray) init() {
-	for i := range a.lists {
-		a.lists[i].Init()
-	}
-}
-
-func (a *rtArray) firstSet() int {
-	for w := 0; w < rtWords; w++ {
-		if a.bitmap[w] != 0 {
-			return w*64 + bits.TrailingZeros64(a.bitmap[w])
-		}
-	}
-	return -1
-}
-
-func (a *rtArray) nextSet(from int) int {
-	if from >= rtLevels {
-		return -1
-	}
-	w := from / 64
-	word := a.bitmap[w] &^ (1<<uint(from%64) - 1)
-	for {
-		if word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= rtWords {
-			return -1
-		}
-		word = a.bitmap[w]
-	}
-}
-
-func (a *rtArray) setBit(lvl int)   { a.bitmap[lvl/64] |= 1 << uint(lvl%64) }
-func (a *rtArray) clearBit(lvl int) { a.bitmap[lvl/64] &^= 1 << uint(lvl%64) }
-
 func rtLevelOf(t *task.Task) int { return task.MaxRTPriority - t.RTPriority }
 
-// runqueue is one CPU's fair heap plus real-time array. minVR is the
+// runqueue is one CPU's fair heap plus real-time array — one FIFO list per
+// rt_priority level under a find-first-set bitmap, the o1 idiom. minVR is the
 // monotone virtual clock the sleeper clamp and migration renorm anchor
 // to; maxVR is the high-watermark a yielding task is sent behind;
 // weight sums the queued fair entries' weights for slice computation.
 type runqueue struct {
-	fair  fheap
-	rt    rtArray
-	minVR uint64
-	maxVR uint64
+	fair    fheap
+	rt      sched.LevelArray
+	rtLists [rtLevels]klist.Head
+	minVR   uint64
+	maxVR   uint64
 
-	weight       uint64
-	sinceBalance int
+	weight uint64
 
 	// order tie-break counters: MoveFirst hands out ever-smaller front
 	// orders, ordinary enqueues and MoveLast ever-larger back orders.
@@ -268,25 +216,19 @@ type runqueue struct {
 	currBase uint64
 }
 
-func (rq *runqueue) len() int { return rq.fair.len() + rq.rt.count }
-
-// CPUSteals is one CPU's balancer activity, split by cache domain —
-// the shared sched.CPUSteals shape schedtrace renders.
-type CPUSteals = sched.CPUSteals
-
 // Sched is the weighted-vruntime fair scheduler. Create with New.
 type Sched struct {
-	env   *sched.Env
-	cfg   Config
-	topo  *sched.Topology
-	rqs   []runqueue
-	total int
+	env *sched.Env
+	cfg Config
+	rqs []runqueue
+
+	// bal holds the queue lengths (the two enqueues and DelFromRunqueue
+	// bump them) and runs the idle steal and the periodic pull over them.
+	bal sched.Balancer
 
 	// vruntime-denominated tunables, derived from Config.TickCycles.
 	sleeperBonus uint64 // placement clamp: one latency period
 	wakeGran     uint64 // wakeup/tick preemption hysteresis: half a tick
-
-	steals []CPUSteals
 }
 
 // New returns a fair scheduler bound to env with the default config.
@@ -299,16 +241,12 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 		env:          env,
 		cfg:          cfg,
 		rqs:          make([]runqueue, env.NCPU),
-		steals:       make([]CPUSteals, env.NCPU),
 		sleeperBonus: periodTicks * cfg.TickCycles,
 		wakeGran:     cfg.TickCycles / 8,
 	}
-	s.topo = env.Topo
-	if s.topo == nil {
-		s.topo = sched.FlatTopology(env.NCPU)
-	}
+	s.bal = sched.NewBalancer(env, env.Topo, sched.DefaultCrossImbalance, sched.DefaultCrossBatch, s.stealCandidate, s.pulled)
 	for i := range s.rqs {
-		s.rqs[i].rt.init()
+		s.rqs[i].rt.Init(s.rqs[i].rtLists[:])
 	}
 	return s
 }
@@ -320,54 +258,16 @@ func (s *Sched) Name() string { return "cfs" }
 // QIndex's private queue, under that queue's own lock.
 func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 
-// DomainSteals reports tasks the balancer moved within and across cache
-// domains, machine-wide — the numa experiment's per-policy columns.
-func (s *Sched) DomainSteals() (intra, cross uint64) {
-	for i := range s.steals {
-		intra += s.steals[i].Intra
-		cross += s.steals[i].Cross
-	}
-	return intra, cross
-}
-
-// PerCPUSteals returns a copy of the per-CPU steal counters, indexed by
-// the stealing CPU — the breakdown schedtrace renders per domain.
-func (s *Sched) PerCPUSteals() []CPUSteals {
-	return append([]CPUSteals(nil), s.steals...)
-}
+// DomainSteals and PerCPUSteals implement sched.StealReporter with the
+// balancer's counters.
+func (s *Sched) DomainSteals() (intra, cross uint64) { return s.bal.DomainSteals() }
+func (s *Sched) PerCPUSteals() []sched.CPUSteals     { return s.bal.PerCPUSteals() }
 
 // MinVR exposes a queue's monotone min_vruntime, for tests.
 func (s *Sched) MinVR(cpu int) uint64 { return s.rqs[cpu].minVR }
 
 // QueueLen returns CPU q's queued tasks (fair + real-time), for tests.
-func (s *Sched) QueueLen(q int) int { return s.rqs[q].len() }
-
-// homeOf picks the queue for t: its last CPU when the affinity mask
-// allows it and the CPU is online, otherwise the least-loaded allowed
-// online queue, falling back to the first online queue.
-func (s *Sched) homeOf(t *task.Task) int {
-	if t.EverRan && t.Processor < len(s.rqs) && t.AllowedOn(t.Processor) && s.env.CPUOnline(t.Processor) {
-		return t.Processor
-	}
-	best := -1
-	for i := range s.rqs {
-		if !t.AllowedOn(i) || !s.env.CPUOnline(i) {
-			continue
-		}
-		if best < 0 || s.rqs[i].len() < s.rqs[best].len() {
-			best = i
-		}
-	}
-	if best < 0 {
-		for i := range s.rqs {
-			if s.env.CPUOnline(i) {
-				return i
-			}
-		}
-		best = 0
-	}
-	return best
-}
+func (s *Sched) QueueLen(q int) int { return s.bal.Len[q] }
 
 // placeClamp applies the new-task/wake placement rule: a task whose
 // virtual clock lags the queue (a long sleeper, a fresh fork, a survivor
@@ -406,28 +306,21 @@ func (s *Sched) enqueueFair(t *task.Task, cpu int, front bool) {
 	}
 	t.QIndex = cpu
 	t.QZero = true
-	s.total++
+	s.bal.Len[cpu]++
 }
 
 // enqueueRT files a real-time task at its rt_priority level on cpu.
 func (s *Sched) enqueueRT(t *task.Task, cpu int, front bool) {
-	rq := &s.rqs[cpu]
 	lvl := rtLevelOf(t)
-	if front {
-		rq.rt.lists[lvl].PushFront(&t.RunList)
-	} else {
-		rq.rt.lists[lvl].PushBack(&t.RunList)
-	}
-	rq.rt.setBit(lvl)
-	rq.rt.count++
+	s.rqs[cpu].rt.Push(t, lvl, front)
 	t.QIndex = cpu
 	t.QStamp = uint64(lvl)
 	t.QZero = true
-	s.total++
+	s.bal.Len[cpu]++
 }
 
 // AddToRunqueue files a newly runnable task on its home CPU's queue,
-// applying the sleeper clamp to fair tasks. A task homeOf re-homes away
+// applying the sleeper clamp to fair tasks. A task Home re-homes away
 // from its last CPU (offline, affinity change) is renormalized to the
 // new queue's clock first — placeClamp only bounds the lagging side, so
 // without the rebase a vruntime earned on a fast-clock queue would park
@@ -439,7 +332,7 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 	if t.QZero {
 		return
 	}
-	cpu := s.homeOf(t)
+	cpu := s.bal.Len.Home(s.env, t)
 	if t.RealTime() {
 		s.enqueueRT(t, cpu, true)
 		return
@@ -501,18 +394,13 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	}
 	rq := &s.rqs[t.QIndex]
 	if t.RunList.OnList() {
-		lvl := int(t.QStamp)
-		rq.rt.lists[lvl].Remove(&t.RunList)
-		rq.rt.count--
-		if rq.rt.lists[lvl].Empty() {
-			rq.rt.clearBit(lvl)
-		}
+		rq.rt.Remove(t, int(t.QStamp))
 	} else {
 		e := rq.fair.removeAt(int(t.QStamp))
 		rq.weight -= e.weight
 	}
 	t.QZero = false
-	s.total--
+	s.bal.Len[t.QIndex]--
 }
 
 // MoveFirstRunqueue re-keys t ahead of its exact-vruntime equals.
@@ -522,7 +410,7 @@ func (s *Sched) MoveFirstRunqueue(t *task.Task) {
 	}
 	cpu := t.QIndex
 	if t.RunList.OnList() {
-		s.rqs[cpu].rt.lists[int(t.QStamp)].MoveFront(&t.RunList)
+		s.rqs[cpu].rt.Level(int(t.QStamp)).MoveFront(&t.RunList)
 		return
 	}
 	s.DelFromRunqueue(t)
@@ -536,7 +424,7 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 	}
 	cpu := t.QIndex
 	if t.RunList.OnList() {
-		s.rqs[cpu].rt.lists[int(t.QStamp)].MoveBack(&t.RunList)
+		s.rqs[cpu].rt.Level(int(t.QStamp)).MoveBack(&t.RunList)
 		return
 	}
 	s.DelFromRunqueue(t)
@@ -545,7 +433,7 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 
 // Runnable returns the number of queued tasks; running tasks are
 // dequeued while they execute.
-func (s *Sched) Runnable() int { return s.total }
+func (s *Sched) Runnable() int { return s.bal.Len.Total() }
 
 // OnRunqueue reports whether the scheduler currently tracks t.
 func (s *Sched) OnRunqueue(t *task.Task) bool { return t.QZero }
@@ -607,7 +495,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			rrExpired = true
 		}
 		if prev.Runnable() && !prev.QZero {
-			home := s.homeOf(prev)
+			home := s.bal.Len.Home(env, prev)
 			hrq := &s.rqs[home]
 			switch {
 			case prev.RealTime():
@@ -636,20 +524,16 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 		}
 	}
 
-	if env.NCPU > 1 {
-		rq.sinceBalance++
-		if rq.sinceBalance >= balanceEvery {
-			rq.sinceBalance = 0
-			s.pullBalance(cpu, &res)
-		}
-	}
+	s.bal.Tick(cpu, &res)
 
-	best := s.pickLocal(cpu, &res)
+	best := s.pick(cpu, cpu, &res)
 	if best == nil {
-		best = s.steal(cpu, &res)
-	}
-	if best == nil {
-		return res
+		if best = s.bal.Steal(cpu, &res); best == nil {
+			return res
+		}
+		// Re-home the stolen task, ahead of its equals, so the
+		// post-dispatch bookkeeping (minVR, curr) lands on this queue.
+		res.Cycles += s.migrate(best, cpu, true)
 	}
 	s.DelFromRunqueue(best)
 	res.Cycles += env.Cost.DelRunqueue + s.logCost(cpu)
@@ -672,43 +556,18 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 	return res
 }
 
-// pickable mirrors the kernel's can_schedule: not running elsewhere and
-// allowed here.
-func pickable(t *task.Task, cpu int) bool {
-	return (!t.HasCPU || t.Processor == cpu) && t.AllowedOn(cpu)
-}
-
-// pickLocal selects from cpu's own queue: best real-time level first,
-// then the fair heap root. When the root is unpickable (running
-// elsewhere mid-claim, or an affinity straggler homeOf's fallback filed
-// here) the heap array is scanned for the minimum pickable entry.
-func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
-	if t := s.pickRT(&s.rqs[cpu], cpu, res); t != nil {
+// pick selects from queue q the task cpu should run: best real-time level
+// first, then the fair heap root. When the root is unpickable (running
+// elsewhere mid-claim, or an affinity straggler Home's fallback filed
+// there) the heap array is scanned for the minimum pickable entry. The
+// task is left queued. With q == cpu this is the local pick; the balancer
+// uses the same order on a victim's queue.
+func (s *Sched) pick(q, cpu int, res *sched.Result) *task.Task {
+	rq := &s.rqs[q]
+	if t := rq.rt.Pick(s.env, cpu, res); t != nil {
 		return t
 	}
-	return s.pickFair(&s.rqs[cpu], cpu, res)
-}
-
-func (s *Sched) pickRT(rq *runqueue, cpu int, res *sched.Result) *task.Task {
-	env := s.env
-	for lvl := rq.rt.firstSet(); lvl >= 0; lvl = rq.rt.nextSet(lvl + 1) {
-		res.Cycles += env.Cost.BitmapOp
-		var found *task.Task
-		rq.rt.lists[lvl].ForEach(func(n *klist.Node) bool {
-			t := task.FromNode(n)
-			res.Examined++
-			res.Cycles += env.Cost.Touch(env.NCPU)
-			if !pickable(t, cpu) {
-				return true
-			}
-			found = t
-			return false
-		})
-		if found != nil {
-			return found
-		}
-	}
-	return nil
+	return s.pickFair(rq, cpu, res)
 }
 
 func (s *Sched) pickFair(rq *runqueue, cpu int, res *sched.Result) *task.Task {
@@ -719,7 +578,7 @@ func (s *Sched) pickFair(rq *runqueue, cpu int, res *sched.Result) *task.Task {
 	root := rq.fair.es[0].t
 	res.Examined++
 	res.Cycles += env.Cost.Touch(env.NCPU)
-	if pickable(root, cpu) {
+	if sched.CanSchedule(root, cpu) {
 		return root
 	}
 	// Rare path: the O(1) root is unpickable; find the least-vruntime
@@ -730,7 +589,7 @@ func (s *Sched) pickFair(rq *runqueue, cpu int, res *sched.Result) *task.Task {
 		res.Examined++
 		res.Cycles += env.Cost.Touch(env.NCPU)
 		t := rq.fair.es[i].t
-		if !pickable(t, cpu) {
+		if !sched.CanSchedule(t, cpu) {
 			continue
 		}
 		if bi < 0 || rq.fair.less(i, bi) {
@@ -744,7 +603,7 @@ func (s *Sched) pickFair(rq *runqueue, cpu int, res *sched.Result) *task.Task {
 // per CPU the real-time levels in ascending level order (FIFO within),
 // then the fair heap popped in ascending vruntime order.
 func (s *Sched) ExportRunnable() []*task.Task {
-	out := make([]*task.Task, 0, s.total)
+	out := make([]*task.Task, 0, s.Runnable())
 	for cpu := range s.rqs {
 		out = s.DrainCPU(cpu, out)
 	}
@@ -755,16 +614,8 @@ func (s *Sched) ExportRunnable() []*task.Task {
 // structures so its tasks can be re-filed on surviving queues.
 func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task {
 	rq := &s.rqs[cpu]
-	for {
-		lvl := rq.rt.firstSet()
-		if lvl < 0 {
-			break
-		}
-		t := task.FromNode(rq.rt.lists[lvl].First())
-		s.DelFromRunqueue(t)
-		sched.ResetQueueState(t)
-		out = append(out, t)
-	}
+	s.bal.Len[cpu] -= rq.rt.Len() // Drain unlinks without DelFromRunqueue
+	out = rq.rt.Drain(out)
 	for rq.fair.len() > 0 {
 		t := rq.fair.es[0].t
 		s.DelFromRunqueue(t)
@@ -820,12 +671,10 @@ func (s *Sched) PreemptsCurr(t, curr *task.Task) bool {
 // same-level round-robin distinct from the vruntime order itself.
 func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	rq := &s.rqs[cpu]
-	if rq.rt.count > 0 {
-		if lvl := rq.rt.firstSet(); lvl >= 0 {
-			head := task.FromNode(rq.rt.lists[lvl].First())
-			if pickable(head, cpu) && (!t.RealTime() || lvl < rtLevelOf(t)) {
-				return true, false
-			}
+	if lvl := rq.rt.Next(0); lvl >= 0 {
+		head := task.FromNode(rq.rt.Level(lvl).First())
+		if sched.CanSchedule(head, cpu) && (!t.RealTime() || lvl < rtLevelOf(t)) {
+			return true, false
 		}
 	}
 	if t.RealTime() || rq.fair.len() == 0 {
@@ -833,158 +682,34 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	}
 	currVR := s.effectiveVR(t)
 	head := rq.fair.es[0].t
-	if pickable(head, cpu) && rq.fair.es[0].vr+s.wakeGran < currVR {
+	if sched.CanSchedule(head, cpu) && rq.fair.es[0].vr+s.wakeGran < currVR {
 		return true, false
 	}
 	return false, false
 }
 
-// steal takes the greatest-lag movable task from another queue — the
-// idle-balance path, hierarchical like o1's: victims inside the thief's
-// cache domain are exhausted before any cross-domain queue is touched,
-// and a cross-domain steal requires the victim to hold at least
-// crossStealMin tasks.
-func (s *Sched) steal(cpu int, res *sched.Result) *task.Task {
-	if t := s.stealTier(cpu, res, true); t != nil {
-		return t
-	}
-	if s.topo.NumDomains() == 1 {
-		return nil
-	}
-	return s.stealTier(cpu, res, false)
+// stealCandidate is the balancer's first hook: the task cpu should take
+// from victim's queue, left queued — its best pickable real-time task
+// first, then its minimum-vruntime (greatest-lag) fair task.
+func (s *Sched) stealCandidate(victim, cpu int) (res sched.Result) {
+	res.Next = s.pick(victim, cpu, &res)
+	return res
 }
 
-func (s *Sched) stealTier(cpu int, res *sched.Result, local bool) *task.Task {
-	minLen := 1
-	if !local {
-		minLen = crossStealMin
-	}
-	eligible := func(i int) bool {
-		return s.topo.SameDomain(i, cpu) == local && s.rqs[i].len() >= minLen
-	}
-	first := s.busiestWhere(cpu, 0, eligible)
-	if first < 0 {
-		return nil
-	}
-	if t := s.stealFrom(first, cpu, res); t != nil {
-		return t
-	}
-	for i := range s.rqs {
-		if i == cpu || i == first || !eligible(i) {
-			continue
-		}
-		if t := s.stealFrom(i, cpu, res); t != nil {
-			return t
-		}
-	}
-	return nil
-}
+// pulled is the balancer's second hook: move queued task t to cpu's
+// queue, behind its equals.
+func (s *Sched) pulled(t *task.Task, cpu int) uint64 { return s.migrate(t, cpu, false) }
 
-// stealFrom scans one victim queue for a movable task: its best pickable
-// real-time task first, then its minimum-vruntime (greatest-lag) fair
-// task — the one the victim owes the most CPU, so moving it helps
-// fairness machine-wide, not just throughput. The task is left queued on
-// the victim; Schedule dequeues it after the renorm.
-func (s *Sched) stealFrom(victim, cpu int, res *sched.Result) *task.Task {
-	res.Cycles += s.env.Cost.LockOp
-	vrq := &s.rqs[victim]
-	t := s.pickRT(vrq, cpu, res)
-	if t == nil {
-		t = s.pickFair(vrq, cpu, res)
-	}
-	if t == nil {
-		return nil
-	}
-	if !t.RealTime() {
-		s.renorm(t, vrq.minVR, &s.rqs[cpu])
-	}
-	s.noteMove(cpu, victim)
-	// Re-home the stolen task so the post-dispatch bookkeeping (minVR,
-	// curr) lands on the thief's queue: move it across now.
+// migrate moves queued task t from its queue to cpu's, rebasing a fair
+// task's virtual clock from the one to the other, and returns the cost.
+func (s *Sched) migrate(t *task.Task, cpu int, front bool) uint64 {
+	from := &s.rqs[t.QIndex]
 	s.DelFromRunqueue(t)
 	if t.RealTime() {
-		s.enqueueRT(t, cpu, true)
+		s.enqueueRT(t, cpu, front)
 	} else {
-		s.enqueueFair(t, cpu, true)
+		s.renorm(t, from.minVR, &s.rqs[cpu])
+		s.enqueueFair(t, cpu, front)
 	}
-	res.Cycles += s.env.Cost.MoveRunqueue + s.logCost(cpu)
-	return t
-}
-
-func (s *Sched) noteMove(cpu, victim int) {
-	if s.topo.SameDomain(cpu, victim) {
-		s.steals[cpu].Intra++
-	} else {
-		s.steals[cpu].Cross++
-	}
-}
-
-func (s *Sched) busiestWhere(cpu, floor int, ok func(i int) bool) int {
-	victim := -1
-	most := floor
-	for i := range s.rqs {
-		if i == cpu || !ok(i) {
-			continue
-		}
-		if n := s.rqs[i].len(); n > most {
-			most = n
-			victim = i
-		}
-	}
-	return victim
-}
-
-// pullBalance is the periodic balancer: an in-domain victim past the
-// balanceImbalance gap loses one task; with no in-domain imbalance a
-// cross-domain victim is considered past a doubled 2*balanceImbalance
-// gap and then a batch moves at once, amortizing the interconnect refill.
-func (s *Sched) pullBalance(cpu int, res *sched.Result) {
-	rq := &s.rqs[cpu]
-	inDomain := func(i int) bool { return s.topo.SameDomain(i, cpu) }
-	if victim := s.busiestWhere(cpu, rq.len()+balanceImbalance-1, inDomain); victim >= 0 {
-		s.pullFrom(victim, cpu, 1, res)
-		return
-	}
-	if s.topo.NumDomains() == 1 {
-		return
-	}
-	outDomain := func(i int) bool { return !s.topo.SameDomain(i, cpu) }
-	victim := s.busiestWhere(cpu, rq.len()+2*balanceImbalance-1, outDomain)
-	if victim < 0 {
-		return
-	}
-	batch := (s.rqs[victim].len() - rq.len()) / 2
-	if batch > 4 {
-		batch = 4
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	s.pullFrom(victim, cpu, batch, res)
-}
-
-// pullFrom moves up to max movable tasks from victim's queue to cpu,
-// greatest-lag first, renormalizing each one's virtual clock.
-func (s *Sched) pullFrom(victim, cpu, max int, res *sched.Result) {
-	res.Cycles += s.env.Cost.LockOp
-	vrq := &s.rqs[victim]
-	for moved := 0; moved < max; moved++ {
-		t := s.pickRT(vrq, cpu, res)
-		if t == nil {
-			t = s.pickFair(vrq, cpu, res)
-		}
-		if t == nil {
-			return
-		}
-		s.DelFromRunqueue(t)
-		if t.RealTime() {
-			s.enqueueRT(t, cpu, false)
-		} else {
-			s.renorm(t, vrq.minVR, &s.rqs[cpu])
-			s.enqueueFair(t, cpu, false)
-		}
-		s.env.Requeued(t)
-		res.Cycles += s.env.Cost.MoveRunqueue + s.logCost(cpu)
-		s.noteMove(cpu, victim)
-	}
+	return s.env.Cost.MoveRunqueue + s.logCost(cpu)
 }

@@ -296,7 +296,7 @@ func TestTickPreemptRTLevelComparison(t *testing.T) {
 	}
 }
 
-// TestAddToRunqueueRenormsOnRehome: a task homeOf re-homes away from its
+// TestAddToRunqueueRenormsOnRehome: a task Home re-homes away from its
 // last CPU (offlined here) carries a vruntime relative to that queue's
 // fast clock; AddToRunqueue must rebase it to the new queue's clock
 // preserving the lag, exactly as PlaceWake does — placeClamp alone only

@@ -33,7 +33,7 @@ type Sched struct {
 	env    *sched.Env
 	cfg    Config
 	queues []*klist.Head
-	counts []int
+	counts sched.QueueLens // per-queue lengths; placement is the shared Home rule
 }
 
 // New returns a multi-queue scheduler bound to env.
@@ -46,7 +46,7 @@ func New(env *sched.Env) *Sched {
 func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 	s := &Sched{env: env, cfg: cfg}
 	s.queues = make([]*klist.Head, env.NCPU)
-	s.counts = make([]int, env.NCPU)
+	s.counts = make(sched.QueueLens, env.NCPU)
 	for i := range s.queues {
 		s.queues[i] = klist.NewHead()
 	}
@@ -60,35 +60,6 @@ func (s *Sched) Name() string { return "mq" }
 // QIndex's private queue, under that queue's own lock.
 func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 
-// homeOf picks the queue for t: its last CPU, or the least-loaded online
-// queue for a task that has never run. Offline CPUs' queues are drained at
-// hotplug and must stay empty, so they are never a home.
-func (s *Sched) homeOf(t *task.Task) int {
-	if last := t.Processor % len(s.queues); t.EverRan && t.AllowedOn(last) && s.env.CPUOnline(last) {
-		return last
-	}
-	best := -1
-	for i, c := range s.counts {
-		if !t.AllowedOn(i) || !s.env.CPUOnline(i) {
-			continue
-		}
-		if best < 0 || c < s.counts[best] {
-			best = i
-		}
-	}
-	if best < 0 {
-		// Inconsistent mask (or it names only offline CPUs): fall back to
-		// the first online queue rather than lose the task.
-		for i := range s.counts {
-			if s.env.CPUOnline(i) {
-				return i
-			}
-		}
-		best = 0
-	}
-	return best
-}
-
 // AddToRunqueue files t at the front of its home queue.
 func (s *Sched) AddToRunqueue(t *task.Task) {
 	if t.IsIdle {
@@ -98,7 +69,7 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 		return
 	}
 	t.SyncCounter(s.env.Epoch)
-	home := s.homeOf(t)
+	home := s.counts.Home(s.env, t)
 	s.queues[home].PushFront(&t.RunList)
 	s.counts[home]++
 	t.QIndex = home
@@ -128,13 +99,7 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 }
 
 // Runnable returns the number of queued tasks.
-func (s *Sched) Runnable() int {
-	n := 0
-	for _, c := range s.counts {
-		n += c
-	}
-	return n
-}
+func (s *Sched) Runnable() int { return s.counts.Total() }
 
 // OnRunqueue reports whether t is filed in some queue.
 func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }
@@ -142,33 +107,20 @@ func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }
 // QueueLen returns queue q's length, for tests.
 func (s *Sched) QueueLen(q int) int { return s.counts[q] }
 
-// ExportRunnable implements sched.Scheduler. Drain order is per-CPU queue
-// 0..n-1, each front to back.
+// ExportRunnable implements sched.Scheduler: DrainCPU over every queue, 0
+// to n-1.
 func (s *Sched) ExportRunnable() []*task.Task {
 	out := make([]*task.Task, 0, s.Runnable())
 	for q := range s.queues {
-		for {
-			n := s.queues[q].First()
-			if n == nil {
-				break
-			}
-			t := task.FromNode(n)
-			s.DelFromRunqueue(t)
-			sched.ResetQueueState(t)
-			out = append(out, t)
-		}
+		out = s.DrainCPU(q, out)
 	}
 	return out
 }
 
 // DrainCPU implements sched.Scheduler: empty the offlined CPU's private
-// queue so its tasks can be re-filed on surviving queues.
+// queue, front to back, so its tasks can be re-filed on surviving queues.
 func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task {
-	for {
-		n := s.queues[cpu].First()
-		if n == nil {
-			break
-		}
+	for n := s.queues[cpu].First(); n != nil; n = s.queues[cpu].First() {
 		t := task.FromNode(n)
 		s.DelFromRunqueue(t)
 		sched.ResetQueueState(t)
@@ -267,7 +219,7 @@ func (s *Sched) scanQueue(q, cpu int, prev *task.Task, yielded bool, res *sched.
 	s.queues[q].ForEach(func(n *klist.Node) bool {
 		t := task.FromNode(n)
 		res.Examined++
-		if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
+		if !sched.CanSchedule(t, cpu) {
 			res.Cycles += env.Cost.Touch(env.NCPU)
 			return true
 		}

@@ -135,13 +135,14 @@ func (r *fuzzRig) checkInvariants() error {
 	total := 0
 	for q := range r.s.rqs {
 		rq := &r.s.rqs[q]
+		qTotal := 0
 		for ai := 0; ai < 2; ai++ {
 			arr := &rq.arrays[ai]
 			arrTotal := 0
 			for lvl := 0; lvl < numLevels; lvl++ {
 				n := 0
 				var walkErr error
-				arr.lists[lvl].ForEach(func(node *klist.Node) bool {
+				arr.Level(lvl).ForEach(func(node *klist.Node) bool {
 					tk := task.FromNode(node)
 					queued[tk]++
 					sa, sl := unstamp(tk.QStamp)
@@ -158,16 +159,20 @@ func (r *fuzzRig) checkInvariants() error {
 				if n > fuzzTasks {
 					return fmt.Errorf("q%d array %d level %d list has a cycle", q, ai, lvl)
 				}
-				bit := arr.bitmap[lvl/64]>>(uint(lvl)%64)&1 == 1
+				bit := arr.Next(lvl) == lvl
 				if (n > 0) != bit {
 					return fmt.Errorf("q%d array %d level %d: %d tasks but bit=%v", q, ai, lvl, n, bit)
 				}
 				arrTotal += n
 			}
-			if arrTotal != arr.count {
-				return fmt.Errorf("q%d array %d count=%d but lists hold %d", q, ai, arr.count, arrTotal)
+			if arrTotal != arr.Len() {
+				return fmt.Errorf("q%d array %d count=%d but lists hold %d", q, ai, arr.Len(), arrTotal)
 			}
+			qTotal += arrTotal
 			total += arrTotal
+		}
+		if got := r.s.QueueLen(q); got != qTotal {
+			return fmt.Errorf("q%d: balancer length %d but arrays hold %d", q, got, qTotal)
 		}
 	}
 	if got := r.s.Runnable(); got != total {

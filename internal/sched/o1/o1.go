@@ -21,22 +21,19 @@
 // below, so a real-time task always outranks a timesharing one and the
 // bitmap search honors rt_priority order for free.
 //
-// Balancing is pull-based, as in 2.5: a CPU whose queue empties steals
-// the best movable task from the longest queue, and every balanceEvery
-// schedule() invocations a CPU with at least two fewer queued tasks than
-// the busiest queue pulls one task across.
-//
-// On machines with cache domains (sched.Env.Topo) the balancer is
-// hierarchical, mirroring the 2.5→2.6 sched_domains evolution: steal and
-// pull prefer victims inside the stealing CPU's domain; a cross-domain
-// move requires a larger imbalance (an idle CPU will not drag a victim's
-// only queued task across the interconnect, and the periodic balancer
-// demands CrossImbalance rather than two), and when a cross-domain pull
-// does fire it moves a batch of tasks so the CrossDomainRefillMax each
-// will pay is amortized over a real rebalance rather than spent on
-// ping-pong. The TopologyBlind config knob disables all of this — the
-// scheduler then sees the machine as one flat domain — and exists so the
-// experiments can measure exactly what domain awareness buys.
+// Balancing is the shared per-CPU-queue substrate's (sched.Balancer; see
+// the sched package doc): an idle CPU steals, and every sched.BalanceEvery
+// schedule() calls a CPU pulls from the busiest queue, in-domain victims
+// first and cross-domain only past a larger imbalance, then in a batch.
+// What is o1's own is which task a victim gives up — its expired array
+// before its active one: those tasks wait longest and are the
+// cache-coldest, whereas the active head is exactly what the victim would
+// dispatch next — and that a pulled task enters the thief's active array
+// at the tail of its level, behind local tasks of equal priority. The
+// CrossImbalance and CrossBatch knobs tune the cross-domain pull; the
+// TopologyBlind knob hands the balancer a flat topology — the scheduler
+// then sees the machine as one domain — and exists so the experiments can
+// measure exactly what domain awareness buys.
 //
 // A starvation guard bounds expired-array wait: if the expired array has
 // been non-empty for StarvationLimit consecutive schedule() calls on its
@@ -75,8 +72,6 @@
 package o1
 
 import (
-	"math/bits"
-
 	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/task"
@@ -87,20 +82,6 @@ const (
 	rtLevels = task.MaxRTPriority + 1
 	// numLevels adds one level per SCHED_OTHER static priority (1..40).
 	numLevels = rtLevels + task.MaxPriority
-	// nWords is the bitmap size: one bit per level.
-	nWords = (numLevels + 63) / 64
-
-	// balanceEvery is the pull-balancing period in schedule() calls per
-	// CPU, and balanceImbalance the queue-length gap that triggers a
-	// pull — the 2.5 kernel's "25% imbalance" rule at small queue sizes.
-	balanceEvery     = 32
-	balanceImbalance = 2
-
-	// crossStealMin is the minimum victim queue length for an idle steal
-	// that leaves the thief's cache domain: dragging a victim's only
-	// queued task across the interconnect costs more than letting the
-	// victim run it next.
-	crossStealMin = 2
 
 	// maxBonus bounds the dynamic-priority bonus: sleep_avg maps onto
 	// [-maxBonus, +maxBonus] effective priority levels (2.5's MAX_BONUS).
@@ -154,10 +135,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.CrossImbalance == 0 {
-		c.CrossImbalance = 2 * balanceImbalance
+		c.CrossImbalance = sched.DefaultCrossImbalance
 	}
 	if c.CrossBatch == 0 {
-		c.CrossBatch = 4
+		c.CrossBatch = sched.DefaultCrossBatch
 	}
 	if c.StarvationLimit == 0 {
 		c.StarvationLimit = 128
@@ -180,62 +161,17 @@ func levelOf(t *task.Task) int {
 	return rtLevels + task.MaxPriority - t.Priority
 }
 
-// prioArray is one priority array: a bitmap over levels plus one FIFO
-// list per level, mirroring struct prio_array.
-type prioArray struct {
-	bitmap [nWords]uint64
-	lists  [numLevels]klist.Head
-	count  int
-}
-
-func (a *prioArray) init() {
-	for i := range a.lists {
-		a.lists[i].Init()
-	}
-}
-
-// firstSet returns the highest-priority populated level, or -1.
-func (a *prioArray) firstSet() int {
-	for w := 0; w < nWords; w++ {
-		if a.bitmap[w] != 0 {
-			return w*64 + bits.TrailingZeros64(a.bitmap[w])
-		}
-	}
-	return -1
-}
-
-// nextSet returns the first populated level >= from, or -1.
-func (a *prioArray) nextSet(from int) int {
-	if from >= numLevels {
-		return -1
-	}
-	w := from / 64
-	word := a.bitmap[w] &^ (1<<uint(from%64) - 1)
-	for {
-		if word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= nWords {
-			return -1
-		}
-		word = a.bitmap[w]
-	}
-}
-
-func (a *prioArray) setBit(lvl int)   { a.bitmap[lvl/64] |= 1 << uint(lvl%64) }
-func (a *prioArray) clearBit(lvl int) { a.bitmap[lvl/64] &^= 1 << uint(lvl%64) }
-
-// runqueue is one CPU's pair of arrays; activeIdx selects the active one
-// so the array swap is a single index flip, never a task walk. schedSeq
+// runqueue is one CPU's pair of priority arrays (sched.LevelArray over
+// lists, mirroring struct prio_array); activeIdx selects the active one so
+// the array swap is a single index flip, never a task walk. schedSeq
 // counts Schedule calls on this queue, and expiredSince records the
 // schedSeq at which the expired array last became (or stayed) non-empty —
 // the clock for the starvation guard, measured in scheduling decisions
 // because the policy has no view of virtual time.
 type runqueue struct {
-	arrays       [2]prioArray
+	arrays       [2]sched.LevelArray
+	lists        [2][numLevels]klist.Head
 	activeIdx    int
-	sinceBalance int
 	schedSeq     uint64
 	expiredSince uint64
 
@@ -245,28 +181,18 @@ type runqueue struct {
 	rotate *task.Task
 }
 
-func (rq *runqueue) active() *prioArray  { return &rq.arrays[rq.activeIdx] }
-func (rq *runqueue) expired() *prioArray { return &rq.arrays[1-rq.activeIdx] }
-func (rq *runqueue) len() int            { return rq.arrays[0].count + rq.arrays[1].count }
-
-// CPUSteals is one CPU's balancer activity: tasks its steal and pull
-// paths moved onto it from queues in the same cache domain (Intra) and
-// from queues across a domain boundary (Cross). The type lives in sched
-// so every domain-split balancer reports through the same shape.
-type CPUSteals = sched.CPUSteals
+func (rq *runqueue) active() *sched.LevelArray  { return &rq.arrays[rq.activeIdx] }
+func (rq *runqueue) expired() *sched.LevelArray { return &rq.arrays[1-rq.activeIdx] }
 
 // Sched is the O(1) scheduler. Create with New.
 type Sched struct {
-	env  *sched.Env
-	cfg  Config
-	topo *sched.Topology // flat when TopologyBlind, else env.Topo
-	rqs  []runqueue
+	env *sched.Env
+	cfg Config
+	rqs []runqueue
 
-	// steals counts tasks moved by the balancer (idle steal or periodic
-	// pull) within and across cache domains, per stealing CPU, as the
-	// scheduler sees them — the numa experiment's per-policy columns and
-	// schedtrace's per-domain steal table.
-	steals []CPUSteals
+	// bal holds the queue lengths (enqueue and DelFromRunqueue bump them)
+	// and runs the idle steal and the periodic pull over them.
+	bal sched.Balancer
 
 	// bonusLevels counts SCHED_OTHER enqueues by dynamic-priority bonus
 	// (index 0 = -maxBonus), the interactivity estimator's observable
@@ -282,40 +208,24 @@ func New(env *sched.Env) *Sched { return NewWithConfig(env, Config{}) }
 
 // NewWithConfig returns an O(1) scheduler with tuned balancing knobs.
 func NewWithConfig(env *sched.Env, cfg Config) *Sched {
-	s := &Sched{
-		env:    env,
-		cfg:    cfg.withDefaults(),
-		rqs:    make([]runqueue, env.NCPU),
-		steals: make([]CPUSteals, env.NCPU),
+	s := &Sched{env: env, cfg: cfg.withDefaults(), rqs: make([]runqueue, env.NCPU)}
+	topo := env.Topo
+	if s.cfg.TopologyBlind {
+		topo = nil // the balancer sees one flat domain
 	}
-	s.topo = env.Topo
-	if s.cfg.TopologyBlind || s.topo == nil {
-		s.topo = sched.FlatTopology(env.NCPU)
-	}
+	s.bal = sched.NewBalancer(env, topo, s.cfg.CrossImbalance, s.cfg.CrossBatch, s.stealCandidate, s.pulled)
 	for i := range s.rqs {
-		s.rqs[i].arrays[0].init()
-		s.rqs[i].arrays[1].init()
+		rq := &s.rqs[i]
+		rq.arrays[0].Init(rq.lists[0][:])
+		rq.arrays[1].Init(rq.lists[1][:])
 	}
 	return s
 }
 
-// DomainSteals reports tasks the balancer moved within and across cache
-// domains, machine-wide. A topology-blind scheduler sees one flat domain,
-// so its moves all count as intra-domain; the machine-level
-// CrossDomainMigrations stat records what they really cost.
-func (s *Sched) DomainSteals() (intra, cross uint64) {
-	for i := range s.steals {
-		intra += s.steals[i].Intra
-		cross += s.steals[i].Cross
-	}
-	return intra, cross
-}
-
-// PerCPUSteals returns a copy of the per-CPU steal counters, indexed by
-// the stealing CPU — the breakdown schedtrace renders per domain.
-func (s *Sched) PerCPUSteals() []CPUSteals {
-	return append([]CPUSteals(nil), s.steals...)
-}
+// DomainSteals and PerCPUSteals implement sched.StealReporter with the
+// balancer's counters.
+func (s *Sched) DomainSteals() (intra, cross uint64) { return s.bal.DomainSteals() }
+func (s *Sched) PerCPUSteals() []sched.CPUSteals     { return s.bal.PerCPUSteals() }
 
 // bonusOf maps a task's sleep_avg onto the dynamic-priority bonus: zero
 // credit is -maxBonus (a hog files below its static priority), a full
@@ -376,36 +286,6 @@ func (s *Sched) Name() string { return "o1" }
 // QIndex's private queue, under that queue's own lock.
 func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 
-// homeOf picks the queue for t: its last CPU when the affinity mask
-// allows it, otherwise the least-loaded allowed queue. Offline CPUs'
-// queues are drained at hotplug and must stay empty, so they are never a
-// home.
-func (s *Sched) homeOf(t *task.Task) int {
-	if t.EverRan && t.Processor < len(s.rqs) && t.AllowedOn(t.Processor) && s.env.CPUOnline(t.Processor) {
-		return t.Processor
-	}
-	best := -1
-	for i := range s.rqs {
-		if !t.AllowedOn(i) || !s.env.CPUOnline(i) {
-			continue
-		}
-		if best < 0 || s.rqs[i].len() < s.rqs[best].len() {
-			best = i
-		}
-	}
-	if best < 0 {
-		// Inconsistent mask (or it names only offline CPUs): fall back to
-		// the first online queue rather than lose the task.
-		for i := range s.rqs {
-			if s.env.CPUOnline(i) {
-				return i
-			}
-		}
-		best = 0
-	}
-	return best
-}
-
 // Task bookkeeping: QIndex holds the home CPU (the kernel maps it to the
 // per-CPU lock), QStamp packs the array index and level so removal never
 // searches, and QZero is unused.
@@ -423,14 +303,9 @@ func (s *Sched) enqueue(t *task.Task, cpu, arrayIdx int, front bool) {
 	if !t.RealTime() && !s.cfg.InteractivityOff {
 		s.bonusLevels[s.bonusOf(t)+maxBonus]++
 	}
-	if front {
-		arr.lists[lvl].PushFront(&t.RunList)
-	} else {
-		arr.lists[lvl].PushBack(&t.RunList)
-	}
-	arr.setBit(lvl)
-	arr.count++
-	if arrayIdx != rq.activeIdx && arr.count == 1 {
+	arr.Push(t, lvl, front)
+	s.bal.Len[cpu]++
+	if arrayIdx != rq.activeIdx && arr.Len() == 1 {
 		// The expired array just became non-empty: start (or restart)
 		// the starvation clock.
 		rq.expiredSince = rq.schedSeq
@@ -461,7 +336,7 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 		return
 	}
 	t.SyncCounter(s.env.Epoch)
-	s.addTo(t, s.homeOf(t), true)
+	s.addTo(t, s.bal.Len.Home(s.env, t), true)
 }
 
 // PlaceWake accepts the kernel's SD_WAKE_IDLE hint: file the woken task
@@ -509,7 +384,7 @@ func (s *Sched) addTo(t *task.Task, cpu int, front bool) {
 // tasks stop jumping the queue so the forced swap can restore fairness.
 func (s *Sched) reinsertBlocked(rq *runqueue) bool {
 	return s.cfg.StarvationLimit >= 0 &&
-		rq.expired().count > 0 &&
+		rq.expired().Len() > 0 &&
 		rq.schedSeq-rq.expiredSince >= uint64(s.cfg.StarvationLimit)
 }
 
@@ -519,12 +394,8 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 		return
 	}
 	arrayIdx, lvl := unstamp(t.QStamp)
-	arr := &s.rqs[t.QIndex].arrays[arrayIdx]
-	arr.lists[lvl].Remove(&t.RunList)
-	arr.count--
-	if arr.lists[lvl].Empty() {
-		arr.clearBit(lvl)
-	}
+	s.rqs[t.QIndex].arrays[arrayIdx].Remove(t, lvl)
+	s.bal.Len[t.QIndex]--
 }
 
 // MoveFirstRunqueue moves t to the head of its level list, so it wins
@@ -534,7 +405,7 @@ func (s *Sched) MoveFirstRunqueue(t *task.Task) {
 		return
 	}
 	arrayIdx, lvl := unstamp(t.QStamp)
-	s.rqs[t.QIndex].arrays[arrayIdx].lists[lvl].MoveFront(&t.RunList)
+	s.rqs[t.QIndex].arrays[arrayIdx].Level(lvl).MoveFront(&t.RunList)
 }
 
 // MoveLastRunqueue moves t to the tail of its level list, so it loses
@@ -544,70 +415,42 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 		return
 	}
 	arrayIdx, lvl := unstamp(t.QStamp)
-	s.rqs[t.QIndex].arrays[arrayIdx].lists[lvl].MoveBack(&t.RunList)
+	s.rqs[t.QIndex].arrays[arrayIdx].Level(lvl).MoveBack(&t.RunList)
 }
 
 // Runnable returns the number of queued tasks; running tasks are
 // dequeued while they execute, as in 2.5.
-func (s *Sched) Runnable() int {
-	n := 0
-	for i := range s.rqs {
-		n += s.rqs[i].len()
-	}
-	return n
-}
+func (s *Sched) Runnable() int { return s.bal.Len.Total() }
 
 // OnRunqueue reports whether the scheduler currently tracks t.
 func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }
 
 // QueueLen returns CPU q's total queued tasks (both arrays), for tests.
-func (s *Sched) QueueLen(q int) int { return s.rqs[q].len() }
+func (s *Sched) QueueLen(q int) int { return s.bal.Len[q] }
 
 // ActiveLen and ExpiredLen expose per-array occupancy, for tests.
-func (s *Sched) ActiveLen(q int) int  { return s.rqs[q].active().count }
-func (s *Sched) ExpiredLen(q int) int { return s.rqs[q].expired().count }
+func (s *Sched) ActiveLen(q int) int  { return s.rqs[q].active().Len() }
+func (s *Sched) ExpiredLen(q int) int { return s.rqs[q].expired().Len() }
 
-// ExportRunnable implements sched.Scheduler. Drain order is CPU 0..n-1;
-// per CPU the active array then the expired one, each in ascending level
-// order (best priority first), each level front to back.
+// ExportRunnable implements sched.Scheduler: DrainCPU over every CPU, 0
+// to n-1.
 func (s *Sched) ExportRunnable() []*task.Task {
 	out := make([]*task.Task, 0, s.Runnable())
 	for cpu := range s.rqs {
-		rq := &s.rqs[cpu]
-		for _, arr := range [2]*prioArray{rq.active(), rq.expired()} {
-			for {
-				lvl := arr.firstSet()
-				if lvl < 0 {
-					break
-				}
-				t := task.FromNode(arr.lists[lvl].First())
-				s.DelFromRunqueue(t)
-				sched.ResetQueueState(t)
-				out = append(out, t)
-			}
-		}
-		rq.rotate = nil
+		out = s.DrainCPU(cpu, out)
 	}
 	return out
 }
 
 // DrainCPU implements sched.Scheduler: empty the offlined CPU's private
-// arrays — active first, then expired, each in ascending level order —
-// so its tasks can be re-filed on surviving queues.
+// arrays — active first, then expired, each in ascending level order
+// (best priority first), each level front to back — so its tasks can be
+// re-filed on surviving queues.
 func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task {
 	rq := &s.rqs[cpu]
-	for _, arr := range [2]*prioArray{rq.active(), rq.expired()} {
-		for {
-			lvl := arr.firstSet()
-			if lvl < 0 {
-				break
-			}
-			t := task.FromNode(arr.lists[lvl].First())
-			s.DelFromRunqueue(t)
-			sched.ResetQueueState(t)
-			out = append(out, t)
-		}
-	}
+	out = rq.active().Drain(out)
+	out = rq.expired().Drain(out)
+	s.bal.Len[cpu] = 0
 	rq.rotate = nil
 	return out
 }
@@ -634,7 +477,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			rrExpired = true
 		}
 		if prev.Runnable() && !prev.OnRunqueue() {
-			home := s.homeOf(prev)
+			home := s.bal.Len.Home(env, prev)
 			switch {
 			case !prev.RealTime() && prev.Counter(env.Epoch) == 0:
 				// Quantum expiry: recharge. Interactive tasks re-enter
@@ -663,19 +506,14 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 		}
 	}
 
-	if env.NCPU > 1 {
-		rq.sinceBalance++
-		if rq.sinceBalance >= balanceEvery {
-			rq.sinceBalance = 0
-			s.pullBalance(cpu, &res)
-		}
-	}
+	s.bal.Tick(cpu, &res)
 
 	best := s.pickLocal(cpu, &res)
 	if best == nil {
-		best = s.steal(cpu, &res)
+		best = s.bal.Steal(cpu, &res)
 	}
 	if best != nil {
+		// A stolen task is dequeued where it waits, like a local one.
 		s.DelFromRunqueue(best)
 		res.Cycles += env.Cost.DelRunqueue + env.Cost.BitmapOp
 		res.Next = best
@@ -715,9 +553,8 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	}
 	rq := &s.rqs[cpu]
 	lvl := s.levelFor(t)
-	if best := rq.active().firstSet(); best >= 0 && best < lvl {
-		head := task.FromNode(rq.active().lists[best].First())
-		if (!head.HasCPU || head.Processor == cpu) && head.AllowedOn(cpu) {
+	if best := rq.active().Next(0); best >= 0 && best < lvl {
+		if sched.CanSchedule(task.FromNode(rq.active().Level(best).First()), cpu) {
 			return true, false // a better level waits: re-pick, t keeps its spot
 		}
 	}
@@ -728,7 +565,7 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	if c <= 0 || c%s.cfg.GranularityTicks != 0 {
 		return false, false
 	}
-	if rq.active().lists[lvl].Empty() {
+	if rq.active().Level(lvl).Empty() {
 		return false, false
 	}
 	rq.rotate = t
@@ -738,7 +575,7 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 // pickLocal selects from cpu's own queue, swapping in the expired array
 // when the active one yields nothing. The swap triggers on "no pickable
 // task", not "array empty": an unpickable straggler (an inconsistent
-// affinity mask filed here by homeOf's fallback) must not pin the
+// affinity mask filed here by Home's fallback) must not pin the
 // arrays and starve the expired tasks behind it.
 func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
 	rq := &s.rqs[cpu]
@@ -749,26 +586,23 @@ func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
 		// after the next natural swap.
 		s.swapArrays(rq, res)
 	}
-	if t := s.pickArray(rq.active(), cpu, res); t != nil {
+	if t := rq.active().Pick(s.env, cpu, res); t != nil {
 		return t
 	}
-	if rq.expired().count > 0 {
+	if rq.expired().Len() > 0 {
 		// O(1) array swap: the expired tasks were recharged when they
 		// were filed, so no walk happens here.
 		s.swapArrays(rq, res)
-		return s.pickArray(rq.active(), cpu, res)
+		return rq.active().Pick(s.env, cpu, res)
 	}
 	return nil
 }
 
-// rtWord1Mask covers the real-time levels that spill into the second
-// bitmap word (levels 64..rtLevels-1).
-const rtWord1Mask = 1<<(rtLevels-64) - 1
-
 // holdsRealTime reports whether any real-time level of the array is
-// populated — two word tests, O(1).
-func (a *prioArray) holdsRealTime() bool {
-	return a.bitmap[0] != 0 || a.bitmap[1]&rtWord1Mask != 0
+// populated: its best level is one — a bitmap read, O(1).
+func holdsRealTime(a *sched.LevelArray) bool {
+	best := a.Next(0)
+	return best >= 0 && best < rtLevels
 }
 
 // expiredStarving reports whether the starvation guard should fire: the
@@ -778,9 +612,9 @@ func (a *prioArray) holdsRealTime() bool {
 // starving OTHER is policy, not a bug.
 func (s *Sched) expiredStarving(rq *runqueue) bool {
 	return s.cfg.StarvationLimit >= 0 &&
-		rq.expired().count > 0 &&
+		rq.expired().Len() > 0 &&
 		rq.schedSeq-rq.expiredSince >= uint64(s.cfg.StarvationLimit) &&
-		!rq.active().holdsRealTime()
+		!holdsRealTime(rq.active())
 }
 
 // swapArrays flips active and expired in O(1) and restarts the
@@ -791,178 +625,25 @@ func (s *Sched) swapArrays(rq *runqueue, res *sched.Result) {
 	res.Cycles += s.env.Cost.BitmapOp
 }
 
-// pickArray walks the bitmap from the highest-priority populated level
-// down, returning the first head task runnable on cpu. Tasks pinned
-// elsewhere (the rare leftovers of an affinity change) are skipped.
-func (s *Sched) pickArray(arr *prioArray, cpu int, res *sched.Result) *task.Task {
-	env := s.env
-	for lvl := arr.firstSet(); lvl >= 0; lvl = arr.nextSet(lvl + 1) {
-		res.Cycles += env.Cost.BitmapOp
-		var found *task.Task
-		arr.lists[lvl].ForEach(func(n *klist.Node) bool {
-			t := task.FromNode(n)
-			res.Examined++
-			res.Cycles += env.Cost.Touch(env.NCPU)
-			if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
-				return true
-			}
-			found = t
-			return false
-		})
-		if found != nil {
-			return found
-		}
-	}
-	return nil
-}
-
-// steal takes the best movable task from another queue — the 2.5
-// idle-balance path, made hierarchical: victims inside the thief's cache
-// domain are exhausted before any cross-domain queue is touched, and a
-// cross-domain steal additionally requires the victim to hold at least
-// crossStealMin tasks (an imbalance of one does not justify paying the
-// interconnect refill). Within each tier the longest queue is tried
-// first, but a queue full of pinned tasks must not end the hunt while a
-// shorter queue holds stealable work, so the remaining queues are tried
-// in index order. Each victim queue's lock is charged.
-func (s *Sched) steal(cpu int, res *sched.Result) *task.Task {
-	if t := s.stealTier(cpu, res, true); t != nil {
-		return t
-	}
-	if s.topo.NumDomains() == 1 {
-		return nil // the local tier already covered every queue
-	}
-	return s.stealTier(cpu, res, false)
-}
-
-// stealTier hunts one tier of the hierarchy: the thief's own domain
-// (local=true) or the rest of the machine (local=false).
-func (s *Sched) stealTier(cpu int, res *sched.Result, local bool) *task.Task {
-	minLen := 1
-	if !local {
-		minLen = crossStealMin
-	}
-	eligible := func(i int) bool {
-		return s.topo.SameDomain(i, cpu) == local && s.rqs[i].len() >= minLen
-	}
-	first := s.busiestWhere(cpu, 0, eligible)
-	if first < 0 {
-		return nil
-	}
-	if t := s.stealFrom(first, cpu, res); t != nil {
-		s.noteMove(cpu, first)
-		return t
-	}
-	for i := range s.rqs {
-		if i == cpu || i == first || !eligible(i) {
-			continue
-		}
-		if t := s.stealFrom(i, cpu, res); t != nil {
-			s.noteMove(cpu, i)
-			return t
-		}
-	}
-	return nil
-}
-
-// noteMove classifies one balancer-driven migration for the stealing
-// CPU's counters.
-func (s *Sched) noteMove(cpu, victim int) {
-	if s.topo.SameDomain(cpu, victim) {
-		s.steals[cpu].Intra++
-	} else {
-		s.steals[cpu].Cross++
-	}
-}
-
-// stealFrom scans one victim queue, expired array first: those tasks
-// wait longest and are the coldest, so migrating them costs the least.
-func (s *Sched) stealFrom(victim, cpu int, res *sched.Result) *task.Task {
-	res.Cycles += s.env.Cost.LockOp
+// stealCandidate is the balancer's first hook: the task cpu should take
+// from victim's queue, left queued. The expired array goes first: those
+// tasks wait longest and are the cache-coldest, so migrating them costs
+// the least and the victim will not miss them soon, whereas its active
+// head is exactly what it would dispatch next.
+func (s *Sched) stealCandidate(victim, cpu int) (res sched.Result) {
 	vrq := &s.rqs[victim]
-	if t := s.pickArray(vrq.expired(), cpu, res); t != nil {
-		return t
+	if res.Next = vrq.expired().Pick(s.env, cpu, &res); res.Next == nil {
+		res.Next = vrq.active().Pick(s.env, cpu, &res)
 	}
-	return s.pickArray(vrq.active(), cpu, res)
+	return res
 }
 
-// busiestWhere returns the index of the longest queue other than cpu
-// satisfying the predicate, with strictly more than floor queued tasks,
-// or -1.
-func (s *Sched) busiestWhere(cpu, floor int, ok func(i int) bool) int {
-	victim := -1
-	most := floor
-	for i := range s.rqs {
-		if i == cpu || !ok(i) {
-			continue
-		}
-		if n := s.rqs[i].len(); n > most {
-			most = n
-			victim = i
-		}
-	}
-	return victim
-}
-
-// pullBalance is the periodic half of 2.5's load_balance, run through the
-// domain hierarchy: an in-domain victim at the balanceImbalance threshold
-// moves one task, exactly as before; with no in-domain imbalance, a
-// cross-domain victim is considered only past the larger CrossImbalance
-// gap, and then a batch of tasks moves at once — one decisive rebalance
-// amortizes the per-task interconnect refill that would otherwise recur
-// every balancing period.
-func (s *Sched) pullBalance(cpu int, res *sched.Result) {
-	rq := &s.rqs[cpu]
-	inDomain := func(i int) bool { return s.topo.SameDomain(i, cpu) }
-	if victim := s.busiestWhere(cpu, rq.len()+balanceImbalance-1, inDomain); victim >= 0 {
-		s.pullFrom(victim, cpu, 1, res)
-		return
-	}
-	if s.topo.NumDomains() == 1 {
-		return
-	}
-	outDomain := func(i int) bool { return !s.topo.SameDomain(i, cpu) }
-	victim := s.busiestWhere(cpu, rq.len()+s.cfg.CrossImbalance-1, outDomain)
-	if victim < 0 {
-		return
-	}
-	batch := (s.rqs[victim].len() - rq.len()) / 2
-	if batch > s.cfg.CrossBatch {
-		batch = s.cfg.CrossBatch
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	s.pullFrom(victim, cpu, batch, res)
-}
-
-// pullFrom moves up to max movable tasks from victim's queue to cpu,
-// expired-first as 2.5's load_balance: those tasks are the cache-coldest
-// and the victim will not miss them soon, whereas its active head is
-// exactly what it would dispatch next. The victim's lock is charged once
-// for the whole batch.
-func (s *Sched) pullFrom(victim, cpu, max int, res *sched.Result) int {
-	res.Cycles += s.env.Cost.LockOp
-	vrq := &s.rqs[victim]
-	rq := &s.rqs[cpu]
-	moved := 0
-	for moved < max {
-		t := s.pickArray(vrq.expired(), cpu, res)
-		if t == nil {
-			t = s.pickArray(vrq.active(), cpu, res)
-		}
-		if t == nil {
-			break
-		}
-		s.DelFromRunqueue(t)
-		// Migrated tasks enter at the tail of their level: they lost
-		// their cache footprint, so they should not jump local tasks of
-		// equal priority.
-		s.enqueue(t, cpu, rq.activeIdx, false)
-		s.env.Requeued(t)
-		res.Cycles += s.env.Cost.MoveRunqueue + s.env.Cost.BitmapOp
-		s.noteMove(cpu, victim)
-		moved++
-	}
-	return moved
+// pulled is the balancer's second hook: move queued task t to cpu's
+// active array. Migrated tasks enter at the tail of their level: they
+// lost their cache footprint, so they should not jump local tasks of
+// equal priority.
+func (s *Sched) pulled(t *task.Task, cpu int) uint64 {
+	s.DelFromRunqueue(t)
+	s.enqueue(t, cpu, s.rqs[cpu].activeIdx, false)
+	return s.env.Cost.MoveRunqueue + s.env.Cost.BitmapOp
 }

@@ -57,26 +57,31 @@ func TestLevelOrdering(t *testing.T) {
 	}
 }
 
+// TestBitmapFindFirstSet runs the shared level array at o1's 140 levels:
+// the bitmap must follow list occupancy across the word boundaries.
 func TestBitmapFindFirstSet(t *testing.T) {
-	var a prioArray
-	a.init()
-	if a.firstSet() != -1 {
+	env := newEnv(1, 2)
+	var rq runqueue
+	a := &rq.arrays[0]
+	a.Init(rq.lists[0][:])
+	if a.Next(0) != -1 {
 		t.Fatal("empty array must report no level")
 	}
-	a.setBit(7)
-	a.setBit(130)
-	if a.firstSet() != 7 {
-		t.Fatalf("firstSet = %d, want 7", a.firstSet())
+	hi, lo := mkTask(env, 1, 20, 10), mkTask(env, 2, 20, 10)
+	a.Push(hi, 7, true)
+	a.Push(lo, 130, true)
+	if a.Next(0) != 7 {
+		t.Fatalf("Next(0) = %d, want 7", a.Next(0))
 	}
-	if got := a.nextSet(8); got != 130 {
-		t.Fatalf("nextSet(8) = %d, want 130", got)
+	if got := a.Next(8); got != 130 {
+		t.Fatalf("Next(8) = %d, want 130", got)
 	}
-	if got := a.nextSet(131); got != -1 {
-		t.Fatalf("nextSet(131) = %d, want -1", got)
+	if got := a.Next(131); got != -1 {
+		t.Fatalf("Next(131) = %d, want -1", got)
 	}
-	a.clearBit(7)
-	if a.firstSet() != 130 {
-		t.Fatalf("firstSet after clear = %d, want 130", a.firstSet())
+	a.Remove(hi, 7)
+	if a.Next(0) != 130 {
+		t.Fatalf("Next(0) after remove = %d, want 130", a.Next(0))
 	}
 }
 
@@ -248,23 +253,42 @@ func TestStealFallsThroughPinnedBusiestQueue(t *testing.T) {
 	}
 }
 
+// runToPull drives cpu through one balancing period. The CPU keeps
+// re-running one local task of its own, so the idle-steal path never fires
+// and only the periodic pull can move work onto its queue; afterwards that
+// task is running (dequeued), so QueueLen(cpu) counts exactly what the
+// pull brought.
+func runToPull(t *testing.T, env *sched.Env, s *Sched, cpu int) {
+	t.Helper()
+	runner := homedTask(env, 1000+cpu, cpu)
+	s.AddToRunqueue(runner)
+	prev := idlePrev()
+	for i := 0; i < sched.BalanceEvery; i++ {
+		res := s.Schedule(cpu, prev)
+		if res.Next != runner {
+			t.Fatalf("schedule %d picked %v, want the CPU's own runner", i, res.Next)
+		}
+		if i < sched.BalanceEvery-1 && s.QueueLen(cpu) != 0 {
+			t.Fatalf("work arrived after %d schedules, before the pull was due", i+1)
+		}
+		prev = runner
+	}
+}
+
 func TestPullBalancePrefersExpiredTasks(t *testing.T) {
-	env := newEnv(2, 2)
+	env := newEnv(2, 4)
 	s := New(env)
-	hot := mkTask(env, 1, 30, 10)
-	hot.EverRan = true
-	hot.Processor = 1
-	s.AddToRunqueue(hot) // victim's active array: its next dispatch
-	cold := mkTask(env, 2, 20, 10)
-	cold.EverRan = true
-	cold.Processor = 1
+	// The victim's active array: its next dispatches.
+	hot := [2]*task.Task{homedTask(env, 1, 1), homedTask(env, 2, 1)}
+	s.AddToRunqueue(hot[0])
+	s.AddToRunqueue(hot[1])
+	cold := homedTask(env, 3, 1)
 	cold.SetCounter(env.Epoch, 0)
 	s.AddToRunqueue(cold) // exhausted: victim's expired array
-	var res sched.Result
-	s.pullBalance(0, &res)
+	runToPull(t, env, s, 0)
 	if s.QueueLen(0) != 1 || cold.QIndex != 0 {
-		t.Fatalf("pull took the wrong task: queue0=%d hot.QIndex=%d cold.QIndex=%d (want the expired, cache-cold task)",
-			s.QueueLen(0), hot.QIndex, cold.QIndex)
+		t.Fatalf("pull took the wrong task: queue0=%d hot.QIndex=%d,%d cold.QIndex=%d (want the expired, cache-cold task)",
+			s.QueueLen(0), hot[0].QIndex, hot[1].QIndex, cold.QIndex)
 	}
 }
 
@@ -284,7 +308,7 @@ func TestPullBalanceMovesWork(t *testing.T) {
 		s.AddToRunqueue(tk)
 	}
 	prev := idlePrev()
-	for i := 0; i < balanceEvery+2; i++ {
+	for i := 0; i < sched.BalanceEvery+2; i++ {
 		res := s.Schedule(0, prev)
 		if res.Next == nil {
 			t.Fatal("CPU 0 went idle with local work queued")
@@ -327,7 +351,7 @@ func TestExpiredNotStarvedByUnpickableStraggler(t *testing.T) {
 	env := newEnv(2, 2)
 	s := New(env)
 	// A task whose mask allows no present CPU lands on CPU 0 via the
-	// homeOf fallback; it can never be picked, but it must not pin the
+	// Home fallback; it can never be picked, but it must not pin the
 	// arrays and starve expired tasks behind it.
 	ghost := mkTask(env, 1, 20, 10)
 	ghost.CPUsAllowed = 1 << 5
@@ -536,13 +560,12 @@ func TestTopologyBlindStealsAnywhere(t *testing.T) {
 func TestCrossDomainPullBatches(t *testing.T) {
 	// No in-domain imbalance, a large foreign one: the periodic balancer
 	// must move a batch in one pull, amortizing the interconnect refill.
-	env := newNumaEnv(4, 2, 8)
+	env := newNumaEnv(4, 2, 10)
 	s := New(env)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 9; i++ {
 		s.AddToRunqueue(homedTask(env, i+1, 2))
 	}
-	var res sched.Result
-	s.pullBalance(0, &res)
+	runToPull(t, env, s, 0) // gap 9-1: half of it, capped at CrossBatch
 	if got := s.QueueLen(0); got != 4 {
 		t.Fatalf("cross-domain pull moved %d tasks, want a batch of 4", got)
 	}
@@ -555,24 +578,24 @@ func TestCrossDomainPullBatches(t *testing.T) {
 func TestCrossDomainPullNeedsLargerGap(t *testing.T) {
 	// An imbalance that would trigger an intra-domain pull (2) must NOT
 	// trigger a cross-domain one: the threshold doubles across domains.
-	env := newNumaEnv(4, 2, 2)
+	// (The puller's own runner is queued when the pull looks, so a victim
+	// of three is a gap of two.)
+	env := newNumaEnv(4, 2, 4)
 	s := New(env)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		s.AddToRunqueue(homedTask(env, i+1, 2))
 	}
-	var res sched.Result
-	s.pullBalance(0, &res)
+	runToPull(t, env, s, 0)
 	if got := s.QueueLen(0); got != 0 {
 		t.Fatalf("cross-domain pull fired at imbalance 2, moved %d tasks", got)
 	}
 	// Same gap inside the domain does move work.
-	env2 := newNumaEnv(4, 2, 2)
+	env2 := newNumaEnv(4, 2, 4)
 	s2 := New(env2)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		s2.AddToRunqueue(homedTask(env2, i+1, 1))
 	}
-	var res2 sched.Result
-	s2.pullBalance(0, &res2)
+	runToPull(t, env2, s2, 0)
 	if got := s2.QueueLen(0); got != 1 {
 		t.Fatalf("intra-domain pull at imbalance 2 moved %d tasks, want 1", got)
 	}
@@ -634,7 +657,7 @@ func TestPerCPUStealCountersAttributeToThief(t *testing.T) {
 		t.Fatalf("CPU 0 counters = %+v, want 1 intra / 1 cross", per[0])
 	}
 	for cpu := 1; cpu < 4; cpu++ {
-		if per[cpu] != (CPUSteals{}) {
+		if per[cpu] != (sched.CPUSteals{}) {
 			t.Fatalf("CPU %d counters = %+v, want zero (it stole nothing)", cpu, per[cpu])
 		}
 	}

@@ -1,0 +1,406 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+
+	"elsc/internal/klist"
+	"elsc/internal/task"
+)
+
+func queued(env *Env, id int) *task.Task { return mkTask(id, 20, 10, env.Epoch) }
+
+// TestLevelArrayAtBothSizes runs the array at cfs's 100 levels and o1's
+// 140: the bitmap must follow list occupancy across word boundaries and at
+// the top level, Pick must honour level then FIFO order and skip what the
+// CPU may not run, and Drain must leave nothing behind.
+func TestLevelArrayAtBothSizes(t *testing.T) {
+	for _, levels := range []int{100, 140} {
+		t.Run(fmt.Sprint(levels), func(t *testing.T) {
+			env := NewEnv(2, true, nil)
+			var a LevelArray
+			a.Init(make([]klist.Head, levels))
+			top := levels - 1
+			if a.Next(0) != -1 || a.Next(top) != -1 || a.Next(levels) != -1 {
+				t.Fatal("empty array must report no level")
+			}
+			low, mid, mid2, pinned := queued(env, 1), queued(env, 2), queued(env, 3), queued(env, 4)
+			pinned.CPUsAllowed = 1 << 1
+			a.Push(low, top, true)
+			a.Push(mid, 64, false)
+			a.Push(mid2, 64, false)
+			a.Push(pinned, 5, true)
+			if a.Len() != 4 {
+				t.Fatalf("Len = %d, want 4", a.Len())
+			}
+			for _, c := range []struct{ from, want int }{
+				{0, 5}, {5, 5}, {6, 64}, {64, 64}, {65, top}, {top, top}, {levels, -1},
+			} {
+				if got := a.Next(c.from); got != c.want {
+					t.Fatalf("Next(%d) = %d, want %d", c.from, got, c.want)
+				}
+			}
+			// CPU 0 may not run the level-5 task: two levels visited, two
+			// tasks touched, and the pick is the FIFO head of level 64.
+			var res Result
+			if got := a.Pick(env, 0, &res); got != mid {
+				t.Fatalf("Pick(cpu 0) = %v, want %v", got, mid)
+			}
+			if want := 2*env.Cost.BitmapOp + 2*env.Cost.Touch(2); res.Examined != 2 || res.Cycles != want {
+				t.Fatalf("Pick charged %d examined / %d cycles, want 2 / %d", res.Examined, res.Cycles, want)
+			}
+			if got := a.Pick(env, 1, &Result{}); got != pinned {
+				t.Fatalf("Pick(cpu 1) = %v, want the pinned task", got)
+			}
+			a.Remove(mid, 64)
+			if a.Next(6) != 64 {
+				t.Fatal("level 64 still holds a task: its bit must stay set")
+			}
+			a.Remove(mid2, 64)
+			if a.Next(6) != top {
+				t.Fatalf("Next(6) = %d after level 64 emptied, want %d", a.Next(6), top)
+			}
+			a.Push(mid, 64, true)
+			mid.QZero, mid.QStamp = true, 64
+			out := a.Drain(nil)
+			if len(out) != 3 || out[0] != pinned || out[1] != mid || out[2] != low {
+				t.Fatalf("Drain = %v, want ascending level order", out)
+			}
+			if a.Len() != 0 || a.Next(0) != -1 || mid.OnRunqueue() || mid.QZero || mid.QStamp != 0 {
+				t.Fatal("Drain must empty the array and detach every task")
+			}
+		})
+	}
+}
+
+// fakeQueues is the policy half of a Balancer under test: plain FIFO
+// slices, a candidate hook that takes the first task the thief may run at
+// scanCost cycles per task looked at, and a refile hook at moveCost.
+type fakeQueues struct {
+	bal      Balancer
+	q        [][]*task.Task
+	asked    []int // victims the candidate hook was called for, in order
+	hookCost uint64
+	examined int
+	requeued []*task.Task
+}
+
+const (
+	scanCost = 7
+	moveCost = 11
+)
+
+func newFakeQueues(ncpu int, topo *Topology, crossImbalance int) *fakeQueues {
+	f := &fakeQueues{q: make([][]*task.Task, ncpu)}
+	env := NewEnv(ncpu, true, nil)
+	env.Requeued = func(t *task.Task) { f.requeued = append(f.requeued, t) }
+	f.bal = NewBalancer(env, topo, crossImbalance, DefaultCrossBatch, f.candidate, f.refile)
+	return f
+}
+
+func (f *fakeQueues) add(cpu int, pinned bool) *task.Task {
+	t := queued(f.bal.env, 100*cpu+len(f.q[cpu]))
+	if pinned {
+		t.CPUsAllowed = 1 << uint(cpu)
+	}
+	t.QIndex = cpu
+	f.q[cpu] = append(f.q[cpu], t)
+	f.bal.Len[cpu]++
+	return t
+}
+
+func (f *fakeQueues) candidate(victim, cpu int) (res Result) {
+	f.asked = append(f.asked, victim)
+	for _, t := range f.q[victim] {
+		res.Examined++
+		res.Cycles += scanCost
+		if CanSchedule(t, cpu) {
+			res.Next = t
+			break
+		}
+	}
+	f.examined += res.Examined
+	f.hookCost += res.Cycles
+	return res
+}
+
+func (f *fakeQueues) refile(t *task.Task, cpu int) uint64 {
+	from := t.QIndex
+	for i, q := range f.q[from] {
+		if q == t {
+			f.q[from] = append(f.q[from][:i], f.q[from][i+1:]...)
+		}
+	}
+	f.bal.Len[from]--
+	t.QIndex = cpu
+	f.q[cpu] = append(f.q[cpu], t)
+	f.bal.Len[cpu]++
+	f.hookCost += moveCost
+	return moveCost
+}
+
+// balancerTopos are the two machines every balancer case runs on. The
+// thief is CPU 0; CPUs 3 and 5 share its domain on the NUMA machine, CPUs
+// 8 and 20 do not.
+var balancerTopos = []struct {
+	name string
+	topo *Topology
+	numa bool
+}{
+	{"flat", FlatTopology(32), false},
+	{"32cpu/4dom", UniformTopology(32, 4), true},
+}
+
+// load is one queue's contents at the start of a case.
+type load struct{ cpu, n, pinned int }
+
+// outcome is what one balancing operation must do: the victims asked in
+// order, the tasks that ended up the thief's, the victim locks charged and
+// the thief's counters.
+type outcome struct {
+	asked        []int
+	moved, locks int
+	intra, cross uint64
+}
+
+func (f *fakeQueues) check(t *testing.T, res Result, got int, want outcome) {
+	t.Helper()
+	if fmt.Sprint(f.asked) != fmt.Sprint(want.asked) {
+		t.Errorf("victims asked %v, want %v", f.asked, want.asked)
+	}
+	if got != want.moved {
+		t.Errorf("took %d tasks, want %d", got, want.moved)
+	}
+	lock := f.bal.env.Cost.LockOp
+	if locks := (res.Cycles - f.hookCost) / lock; int(locks) != want.locks || (res.Cycles-f.hookCost)%lock != 0 {
+		t.Errorf("charged %d cycles beyond the hooks' %d: %d LockOps, want %d",
+			res.Cycles-f.hookCost, f.hookCost, locks, want.locks)
+	}
+	if res.Examined != f.examined {
+		t.Errorf("Examined = %d, hooks reported %d", res.Examined, f.examined)
+	}
+	per := f.bal.PerCPUSteals()
+	if per[0] != (CPUSteals{Intra: want.intra, Cross: want.cross}) {
+		t.Errorf("thief's counters = %+v, want %d intra / %d cross", per[0], want.intra, want.cross)
+	}
+	for cpu := 1; cpu < len(per); cpu++ {
+		if per[cpu] != (CPUSteals{}) {
+			t.Errorf("CPU %d counters = %+v, want zero: it took nothing", cpu, per[cpu])
+		}
+	}
+	if intra, cross := f.bal.DomainSteals(); intra != want.intra || cross != want.cross {
+		t.Errorf("DomainSteals = %d/%d, want the per-CPU sum %d/%d", intra, cross, want.intra, want.cross)
+	}
+}
+
+func TestBalancerSteal(t *testing.T) {
+	cases := []struct {
+		name       string
+		loads      []load
+		flat, numa outcome
+	}{
+		{
+			name:  "in-domain victim before a longer cross-domain one",
+			loads: []load{{cpu: 3, n: 1}, {cpu: 8, n: 5}},
+			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
+			numa:  outcome{asked: []int{3}, moved: 1, locks: 1, intra: 1},
+		},
+		{
+			name:  "cross-domain steal refused from a one-task victim",
+			loads: []load{{cpu: 8, n: 1}},
+			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
+			numa:  outcome{},
+		},
+		{
+			name:  "cross-domain steal from a two-task victim",
+			loads: []load{{cpu: 8, n: 2}},
+			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
+			numa:  outcome{asked: []int{8}, moved: 1, locks: 1, cross: 1},
+		},
+		{
+			name:  "a busiest queue of pinned tasks does not end the hunt",
+			loads: []load{{cpu: 3, n: 3, pinned: 3}, {cpu: 5, n: 1}},
+			flat:  outcome{asked: []int{3, 5}, moved: 1, locks: 2, intra: 1},
+			numa:  outcome{asked: []int{3, 5}, moved: 1, locks: 2, intra: 1},
+		},
+		{
+			name:  "the rest of a tier is tried in index order, then the next tier",
+			loads: []load{{cpu: 5, n: 2, pinned: 2}, {cpu: 3, n: 1, pinned: 1}, {cpu: 20, n: 2}, {cpu: 8, n: 3, pinned: 3}},
+			flat:  outcome{asked: []int{8, 3, 5, 20}, moved: 1, locks: 4, intra: 1},
+			numa:  outcome{asked: []int{5, 3, 8, 20}, moved: 1, locks: 4, cross: 1},
+		},
+		{
+			name:  "a lone cross-domain task stays put even when nothing else can be stolen",
+			loads: []load{{cpu: 3, n: 2, pinned: 2}, {cpu: 8, n: 1}, {cpu: 20, n: 2, pinned: 2}},
+			flat:  outcome{asked: []int{3, 8}, moved: 1, locks: 2, intra: 1},
+			numa:  outcome{asked: []int{3, 20}, locks: 2},
+		},
+	}
+	for _, c := range cases {
+		for _, m := range balancerTopos {
+			t.Run(c.name+"/"+m.name, func(t *testing.T) {
+				f := newFakeQueues(32, m.topo, DefaultCrossImbalance)
+				for _, l := range c.loads {
+					for i := 0; i < l.n; i++ {
+						f.add(l.cpu, i < l.pinned)
+					}
+				}
+				want := c.flat
+				if m.numa {
+					want = c.numa
+				}
+				var res Result
+				got := 0
+				if tk := f.bal.Steal(0, &res); tk != nil {
+					got = 1
+					// The stolen task is the policy's to move: still queued
+					// on its victim, and not yet reported to the kernel.
+					if last := want.asked[len(want.asked)-1]; tk.QIndex != last || f.bal.Len[last] == 0 {
+						t.Errorf("stolen task filed on %d, want left on victim %d", tk.QIndex, last)
+					}
+				}
+				if len(f.requeued) != 0 {
+					t.Errorf("Steal reported %d requeues; the dispatch is the kernel's to see", len(f.requeued))
+				}
+				f.check(t, res, got, want)
+			})
+		}
+	}
+}
+
+func TestBalancerPull(t *testing.T) {
+	cases := []struct {
+		name           string
+		own            int
+		crossImbalance int
+		loads          []load
+		flat, numa     outcome
+	}{
+		{
+			name:  "a gap of one moves nothing",
+			own:   1,
+			loads: []load{{cpu: 3, n: 2}, {cpu: 8, n: 2}},
+		},
+		{
+			name:  "an in-domain gap of two moves one task",
+			own:   1,
+			loads: []load{{cpu: 3, n: 3}},
+			flat:  outcome{asked: []int{3}, moved: 1, locks: 1, intra: 1},
+			numa:  outcome{asked: []int{3}, moved: 1, locks: 1, intra: 1},
+		},
+		{
+			name:  "a cross-domain gap below CrossImbalance moves nothing",
+			loads: []load{{cpu: 8, n: 3}},
+			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
+		},
+		{
+			name:  "a cross-domain gap of CrossImbalance moves half of it in one batch",
+			loads: []load{{cpu: 8, n: 4}},
+			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
+			numa:  outcome{asked: []int{8, 8}, moved: 2, locks: 1, cross: 2},
+		},
+		{
+			name:  "the batch is capped at CrossBatch",
+			loads: []load{{cpu: 8, n: 12}},
+			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
+			numa:  outcome{asked: []int{8, 8, 8, 8}, moved: 4, locks: 1, cross: 4},
+		},
+		{
+			name:           "the batch is floored at one",
+			crossImbalance: 1,
+			loads:          []load{{cpu: 8, n: 1}},
+			numa:           outcome{asked: []int{8}, moved: 1, locks: 1, cross: 1},
+		},
+		{
+			name:  "the batch stops when the victim has nothing more the puller may run",
+			loads: []load{{cpu: 8, n: 8, pinned: 7}},
+			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
+			numa:  outcome{asked: []int{8, 8}, moved: 1, locks: 1, cross: 1},
+		},
+		{
+			name:  "an in-domain imbalance is settled before a larger cross-domain one",
+			loads: []load{{cpu: 3, n: 2}, {cpu: 8, n: 10}},
+			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
+			numa:  outcome{asked: []int{3}, moved: 1, locks: 1, intra: 1},
+		},
+	}
+	for _, c := range cases {
+		for _, m := range balancerTopos {
+			t.Run(c.name+"/"+m.name, func(t *testing.T) {
+				if c.crossImbalance == 0 {
+					c.crossImbalance = DefaultCrossImbalance
+				}
+				f := newFakeQueues(32, m.topo, c.crossImbalance)
+				for _, l := range append([]load{{cpu: 0, n: c.own}}, c.loads...) {
+					for i := 0; i < l.n; i++ {
+						f.add(l.cpu, i < l.pinned)
+					}
+				}
+				want := c.flat
+				if m.numa {
+					want = c.numa
+				}
+				var res Result
+				f.bal.pull(0, &res)
+				if len(f.requeued) != want.moved {
+					t.Errorf("reported %d requeues to the kernel, want one per move (%d)", len(f.requeued), want.moved)
+				}
+				for _, tk := range f.requeued {
+					if tk.QIndex != 0 {
+						t.Errorf("requeued task filed on %d, want the puller's queue", tk.QIndex)
+					}
+				}
+				f.check(t, res, f.bal.Len[0]-c.own, want)
+			})
+		}
+	}
+}
+
+// TestBalancerTickCadence: the pull runs on every BalanceEvery-th
+// schedule() of a CPU, counted per CPU; and a one-CPU machine, which has
+// nobody to pull from, is never charged for trying.
+func TestBalancerTickCadence(t *testing.T) {
+	f := newFakeQueues(4, FlatTopology(4), DefaultCrossImbalance)
+	for i := 0; i < 8; i++ {
+		f.add(1, false)
+	}
+	var res Result
+	for i := 1; i < BalanceEvery; i++ {
+		f.bal.Tick(0, &res)
+		f.bal.Tick(2, &res)
+	}
+	if len(f.asked) != 0 || res.Cycles != 0 {
+		t.Fatalf("pull ran %d schedules into the period", BalanceEvery-1)
+	}
+	f.bal.Tick(0, &res)
+	if f.bal.Len[0] != 1 || f.bal.Len[2] != 0 {
+		t.Fatalf("after CPU 0's %dth schedule: queues %v, want one task pulled to CPU 0 only", BalanceEvery, f.bal.Len)
+	}
+	f.bal.Tick(0, &res)
+	if f.bal.Len[0] != 1 {
+		t.Fatal("the period must restart after a pull")
+	}
+
+	up := newFakeQueues(1, nil, DefaultCrossImbalance)
+	up.add(0, false)
+	res = Result{}
+	for i := 0; i < 4*BalanceEvery; i++ {
+		up.bal.Tick(0, &res)
+	}
+	if up.bal.Steal(0, &res) != nil || len(up.asked) != 0 || res.Cycles != 0 {
+		t.Fatalf("one-CPU balancer asked %v and charged %d cycles, want nothing", up.asked, res.Cycles)
+	}
+}
+
+func TestPerCPUStealsReturnsCopy(t *testing.T) {
+	f := newFakeQueues(2, nil, DefaultCrossImbalance)
+	f.add(1, false)
+	if f.bal.Steal(0, &Result{}) == nil {
+		t.Fatal("steal failed")
+	}
+	per := f.bal.PerCPUSteals()
+	per[0].Intra = 99
+	if got := f.bal.PerCPUSteals()[0].Intra; got != 1 {
+		t.Fatalf("mutating the returned slice leaked into the balancer: %d", got)
+	}
+}

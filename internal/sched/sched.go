@@ -24,6 +24,54 @@
 // arithmetic. It is therefore written branch-free; the branching form is
 // the oracle it is tested against exhaustively (goodnessOracle in
 // sched_test.go). Do not "simplify" it back.
+//
+// # The per-CPU-queue substrate
+//
+// mq, o1 and cfs give every processor a private queue (VisibleOwner), and
+// what such a policy needs besides its own queue structure is the same
+// each time, so it is stated once, in percpu.go. A policy gets:
+//
+//   - QueueLens, the queued-task count per CPU, with Home — the one
+//     placement rule: last CPU if allowed and online, else the least-loaded
+//     allowed online queue, else the first online one — and Total;
+//   - LevelArray, the 2.5 prio_array (find-first-set bitmap, one FIFO list
+//     per level, count) with Push, Remove, Next, Pick — the first task a
+//     CPU may run, charging BitmapOp per level and Touch per task — and
+//     Drain; o1 runs two per queue at 140 levels, cfs one at 100 for its
+//     real-time side;
+//   - CanSchedule, the kernel's can_schedule filter;
+//   - Balancer: the idle steal (Steal), tiered by cache domain, the
+//     periodic pull (Tick, every BalanceEvery schedules), and the per-CPU
+//     intra/cross counters behind StealReporter.
+//
+// The policy supplies its queues and exactly two hooks to NewBalancer:
+// candidate, "the task on victim's queue this CPU should take first, left
+// queued" (o1: expired array before active; cfs: best real-time, then
+// minimum vruntime), and refile, "move it to the tail of this CPU's queue
+// and say what that cost" (o1: MoveRunqueue + BitmapOp; cfs: vruntime
+// renorm, MoveRunqueue + log n). It bumps Balancer.Len at its enqueue and
+// its dequeue. What becomes of a stolen task stays in the policy's
+// Schedule: o1 dequeues it where it waits, cfs re-homes it first. mq keeps
+// its own goodness-scan steal and uses QueueLens and CanSchedule only.
+//
+// Three shapes in there are host-cost decisions, each measured on the
+// repo benchmark when the substrate was extracted (parent → variant):
+//
+//   - (a) The hooks return their scan's Examined and Cycles by value, in a
+//     Result. A hook that takes the caller's *Result through a func value
+//     or an interface makes escape analysis send every Schedule's Result
+//     to the heap: alloc_mb 4.22 → 57.5 MB on volano_numa, 0.80 → 23.3 MB
+//     on hogs_segments, volano_numa run_s 1.89 → 2.11 s.
+//     conformance.TestBalancerPathsAllocFree fails on it.
+//   - (b) The queue lengths are plain state the policy bumps, not a method
+//     the balancer calls: asking the policy through an interface inside
+//     the idle-steal scan (~100 dynamic calls per idle schedule() on 32
+//     CPUs) cost matrix_quick run_s +4…6% in four of five comparisons.
+//   - (c) A LevelArray is sized by storage its caller owns. Giving cfs
+//     o1's 140 levels instead of its 100 cost alloc_mb +5.4% on
+//     matrix_quick and +7.3% on hogs_segments, and setup_s +11…13% on
+//     hogs_segments; a separately allocated list slice would add an
+//     allocation per queue.
 package sched
 
 import (
@@ -91,12 +139,19 @@ type Result struct {
 
 // CPUSteals is one CPU's balancer activity: tasks its steal and pull
 // paths moved onto it from queues in the same cache domain (Intra) and
-// from queues across a domain boundary (Cross). Policies with a
-// domain-split balancer (o1, cfs) expose `PerCPUSteals() []CPUSteals`,
-// which schedtrace renders as a per-domain table.
+// from queues across a domain boundary (Cross).
 type CPUSteals struct {
 	Intra uint64
 	Cross uint64
+}
+
+// StealReporter is the stats side interface of policies balanced by the
+// shared Balancer (o1, cfs), which satisfies it once for both: the
+// machine-wide totals are the numa experiment's per-policy columns, the
+// per-CPU breakdown is what schedtrace renders as a per-domain table.
+type StealReporter interface {
+	DomainSteals() (intra, cross uint64)
+	PerCPUSteals() []CPUSteals
 }
 
 // Visibility is the delivery half of the kernel↔policy contract: which
