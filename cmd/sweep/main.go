@@ -484,9 +484,10 @@ type sweepJSON struct {
 const wallclockPath = "BENCH_wallclock.json"
 
 // wallclockCell is one matrix cell's harness cost. events splits into
-// events_wheel (dispatched from the timer wheel's O(1) fast path) and
-// events_heap (the min-heap fallback), so the wheel's hit rate is
-// visible per workload across PRs. ticks_skipped counts idle tick
+// events_wheel (dispatched from a timer-wheel slot) and events_heap
+// (fired straight from the wheel's overflow list; the key predates the
+// list), so a deadline class the rings cannot express is visible per
+// workload across PRs. ticks_skipped counts idle tick
 // firings the NO_HZ parking elided — events the always-on chain would
 // have paid for.
 type wallclockCell struct {

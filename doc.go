@@ -122,19 +122,19 @@
 // Everything above runs on internal/sim, a discrete-event engine built
 // so the simulator's own hot path honors the paper's thesis about hot
 // paths: O(1) where it can be, allocation-free in steady state. The
-// pending set is a hand-rolled indexed 4-ary min-heap keyed on
-// (time, sequence) with the keys stored inline in the heap slots — no
-// interface boxing, no pointer chasing while sifting. Fired events are
-// recycled through a freelist, and the kernel layer arms its recurring
-// events (timer ticks, reschedule IPIs, context-switch completions) as
-// caller-owned objects re-armed in place with prebound callbacks, so a
-// steady-state schedule→dispatch cycle performs zero allocations
-// (asserted by testing.AllocsPerRun in the engine suite). Cancellation
-// is O(1) and lazy: a cancelled event is marked dead and skipped (then
-// recycled) when it reaches the heap root, instead of being dug out of
-// the middle of the array. Determinism is untouched — events fire in
-// exact (time, scheduling-order) sequence, so a seed still reproduces
-// every run byte-for-byte; only the wall-clock per event changed.
+// pending set is one hierarchical timer wheel (three levels of 2048
+// slots, doubly linked slot lists, occupancy bitmaps) with one arm path
+// and one fire path; the rare deadline the rings cannot express waits on
+// an overflow list. Fired events are recycled through a freelist, and the
+// kernel layer arms its recurring events (timer ticks, reschedule IPIs,
+// context-switch and segment completions) as caller-owned objects
+// re-armed in place with prebound callbacks, so a steady-state
+// schedule→dispatch cycle performs zero allocations (asserted by
+// testing.AllocsPerRun in the engine suite). Cancellation is an O(1)
+// unlink: the event leaves its slot at once and may be armed again.
+// Determinism is untouched — events fire in exact (time,
+// scheduling-order) sequence, so a seed still reproduces every run
+// byte-for-byte; only the wall-clock per event changed.
 //
 // Because every simulation is single-threaded and deterministic,
 // independent experiment cells (policy x workload x machine) run on a

@@ -79,7 +79,7 @@ func RunWorkloadCell(spec MachineSpec, policy, load string, sc Scale) WorkloadRu
 
 // RunWorkloadCellOn is RunWorkloadCell on a recycled event engine (nil
 // builds a fresh one): the matrix worker pool passes each worker's
-// engine so hundreds of cells share one heap array, wheel, and freelist
+// engine so hundreds of cells share one set of wheel rings and one freelist
 // instead of re-paying engine construction per cell.
 func RunWorkloadCellOn(eng *sim.Engine, spec MachineSpec, policy, load string, sc Scale) WorkloadRun {
 	start := time.Now()
@@ -217,8 +217,8 @@ func WakeStorm(spec MachineSpec, sc Scale) *stats.Table {
 // forEachIndexParallel runs n independent jobs on a pool of sc.Workers()
 // workers, with results written by index so table order stays
 // deterministic regardless of completion order. Each worker owns one
-// recycled event engine for its whole job stream (cells reuse the heap
-// array, wheel rings, and freelist instead of reallocating them) and is
+// recycled event engine for its whole job stream (cells reuse the wheel
+// rings and freelist instead of reallocating them) and is
 // tagged with a sweep_worker pprof label, so a CPU profile of a parallel
 // sweep can be sliced per worker.
 func forEachIndexParallel(n int, sc Scale, run func(i int, eng *sim.Engine)) {

@@ -49,21 +49,26 @@ type CPU struct {
 	ticklessFrom  sim.Time
 	ticklessAccum uint64
 
-	runDone  *sim.Event
 	segStart sim.Time
 	idleFrom sim.Time
 
 	// Preallocated event machinery, so the per-event hot paths never
-	// touch the allocator: the timer tick and the reschedule IPI are
-	// caller-owned events re-armed in place (at most one of each is ever
-	// in flight), the context-switch completion carries its chosen proc
-	// through dispatchNext instead of a fresh closure, and runDoneFn is
-	// the segment-completion callback bound once at boot.
-	tickEv       *sim.Event
-	ipiEv        *sim.Event
-	dispatchEv   *sim.Event
+	// touch the allocator: the timer tick, the reschedule IPI, the
+	// context-switch completion and the segment completion are
+	// caller-owned events held by value — the CPU and its events are one
+	// allocation — and re-armed in place (at most one of each is ever in
+	// flight; an interrupted segment's runEv is cancelled and armed again
+	// when the segment resumes), and the switch carries its chosen proc
+	// through dispatchNext instead of a fresh closure.
+	tickEv       sim.Event
+	ipiEv        sim.Event
+	dispatchEv   sim.Event
+	runEv        sim.Event
 	dispatchNext *Proc
-	runDoneFn    func(now sim.Time)
+
+	// dom is the CPU's cache domain, fixed at boot (Topology is
+	// immutable): the segment paths read it on every segment.
+	dom int
 
 	// work is the CPU's task-work clock: total cycles of user work
 	// executed here, the pollution clock for the cache model.
@@ -110,7 +115,7 @@ func (c *CPU) sendIPI(name string) {
 	c.reschedSent = true
 	c.publish()
 	c.ipiEv.Name = name
-	c.m.eng.ScheduleAfter(c.ipiEv, ipiLatency)
+	c.m.eng.ScheduleAfter(&c.ipiEv, ipiLatency)
 }
 
 // deliver makes an idle or almost-idle CPU run schedule(): a kick, or —
@@ -162,10 +167,7 @@ func (c *CPU) interrupt(now sim.Time) {
 	if p == nil {
 		return
 	}
-	if c.runDone != nil {
-		c.m.eng.Cancel(c.runDone)
-		c.runDone = nil
-	}
+	c.m.eng.Cancel(&c.runEv)
 	elapsed := uint64(now - c.segStart)
 	if elapsed > p.segWall {
 		elapsed = p.segWall
@@ -204,7 +206,7 @@ func (c *CPU) creditWork(p *Proc, cycles uint64) {
 		p.Task.UserCycles += cycles
 		c.m.stats.TaskCycles += cycles
 	}
-	if dom := c.m.env.Topo.DomainOf(c.id); p.memDomain >= 0 && dom != p.memDomain {
+	if dom := c.dom; p.memDomain >= 0 && dom != p.memDomain {
 		if dom != p.foreignDom {
 			p.foreignDom = dom
 			p.foreignWork = 0
@@ -252,7 +254,7 @@ func (c *CPU) tick(now sim.Time) {
 			c.ticklessFrom = now
 			return
 		}
-		m.eng.ScheduleAfter(c.tickEv, m.cfg.TickCycles)
+		m.eng.ScheduleAfter(&c.tickEv, m.cfg.TickCycles)
 		m.stats.TickCycles += m.env.Cost.TickCost
 		if rescue {
 			m.reschedule(c, now)
@@ -271,7 +273,7 @@ func (c *CPU) tick(now sim.Time) {
 		}
 		return
 	}
-	m.eng.ScheduleAfter(c.tickEv, m.cfg.TickCycles)
+	m.eng.ScheduleAfter(&c.tickEv, m.cfg.TickCycles)
 	m.stats.TickCycles += m.env.Cost.TickCost
 	if c.transitioning {
 		return
@@ -331,7 +333,7 @@ func (c *CPU) ensureTick(now sim.Time) {
 		m.stats.TicksSkipped += k
 		c.tickNext += sim.Time(k * m.cfg.TickCycles)
 	}
-	m.eng.Schedule(c.tickEv, c.tickNext)
+	m.eng.Schedule(&c.tickEv, c.tickNext)
 	c.tickParked = false
 	c.ticklessAccum += uint64(now - c.ticklessFrom)
 }
@@ -347,17 +349,16 @@ func (c *CPU) startSegment(now sim.Time) {
 	}
 	p.segWork = p.remaining
 	p.segWall = p.remaining
-	if p.memDomain >= 0 && c.m.env.Topo.DomainOf(c.id) != p.memDomain {
+	if p.memDomain >= 0 && c.dom != p.memDomain {
 		p.segWall += p.remaining * c.m.env.Cost.RemoteAccessPct / 100
 	}
 	c.segStart = now
-	c.runDone = c.m.eng.After(p.segWall, "rundone", c.runDoneFn)
+	c.m.eng.ScheduleAfter(&c.runEv, p.segWall)
 }
 
 // segmentDone fires when the current segment's cycles have elapsed.
 func (c *CPU) segmentDone(now sim.Time) {
 	p := c.current
-	c.runDone = nil
 	if p.segWall > p.segWork {
 		c.m.stats.RemoteCycles += p.segWall - p.segWork
 	}
@@ -621,7 +622,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 		if nextProc.memDomain < 0 {
 			// First-touch: the task's memory lands in the domain of its
 			// first dispatch.
-			nextProc.memDomain = m.env.Topo.DomainOf(c.id)
+			nextProc.memDomain = c.dom
 		}
 		// Claim the task immediately so no other CPU's decision can
 		// pick it during the switch window.
@@ -647,7 +648,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 	}
 	c.dispatchNext = nextProc
 	c.publish()
-	m.eng.Schedule(c.dispatchEv, now+sim.Time(delay))
+	m.eng.Schedule(&c.dispatchEv, now+sim.Time(delay))
 
 	recalculated := m.env.Epoch.N() != epoch0
 	if recalculated {

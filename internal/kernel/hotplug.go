@@ -21,11 +21,12 @@ var (
 // task is preempted and re-queued, the policy's per-CPU structures are
 // drained and their tasks re-homed, tasks affined solely to dead CPUs fall
 // back to running anywhere (cpuset semantics, undone when a CPU of theirs
-// returns), and the CPU's timer chain parks itself. The preallocated
-// tick/IPI/dispatch events are never cancelled — a cancelled event stays
-// queued until the heap prunes it and cannot be re-armed — they instead
-// no-op or re-route while the CPU is offline, so hotplug is O(queue
-// length) with zero allocation in steady state.
+// returns), and the CPU's timer chain parks itself. Only the running
+// segment's completion event is cancelled (interrupt). The tick, IPI and
+// dispatch events in flight are left to land: each no-ops or re-routes
+// while the CPU is offline, which keeps their bookkeeping (reschedSent,
+// the claimed dispatchNext, the tick grid) in the one place that owns it.
+// Hotplug is O(queue length) with zero allocation in steady state.
 //
 // Call from between-events contexts only (an engine event callback or
 // between Run calls), never from inside a syscall effect. The last online
@@ -123,7 +124,7 @@ func (m *Machine) OnlineCPU(id int) error {
 		// queued event would panic.)
 		if m.cfg.TicklessOff {
 			// Restart it one period out, as the pre-tickless kernel did.
-			m.eng.ScheduleAfter(c.tickEv, m.cfg.TickCycles)
+			m.eng.ScheduleAfter(&c.tickEv, m.cfg.TickCycles)
 			c.tickParked = false
 			c.tickNext = 0
 		} else {

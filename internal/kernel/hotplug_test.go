@@ -331,9 +331,7 @@ func TestSetAffinityToOfflineCPUFallsBackImmediately(t *testing.T) {
 
 // preboundHog is a CPU hog whose Compute action is boxed once at
 // construction: steady-state program steps then touch the allocator zero
-// times, which is what the AllocsPerRun tests below need. Segments are
-// short (2 ticks) so an event cancelled by a mid-segment preemption is
-// pruned from the engine heap — and recycled — promptly.
+// times, which is what the AllocsPerRun tests below need.
 func preboundHog(steps int, c uint64) Program {
 	n := 0
 	act := Action(Compute{Cycles: c})
@@ -347,8 +345,8 @@ func preboundHog(steps int, c uint64) Program {
 }
 
 // TestHotplugCycleAllocFree locks in the zero-allocation contract for the
-// hotplug path itself: once the machine, engine heap, and drain buffer
-// are warm, a full offline→online cycle (preempt, drain, re-file, re-arm)
+// hotplug path itself: once the machine, engine, and drain buffer are
+// warm, a full offline→online cycle (preempt, drain, re-file, re-arm)
 // under the per-CPU-array policy with a real DrainCPU, watchdog armed,
 // allocates nothing.
 func TestHotplugCycleAllocFree(t *testing.T) {
@@ -374,7 +372,7 @@ func TestHotplugCycleAllocFree(t *testing.T) {
 		target = m.Now() + sim.Time(10*DefaultTickCycles)
 		m.Run(stop)
 	}
-	cycle() // warm: drain buffer capacity, heap high-water mark
+	cycle() // warm: drain buffer capacity, freelist high-water mark
 	allocs := testing.AllocsPerRun(5, cycle)
 	if offErr != nil || onErr != nil {
 		t.Fatalf("cycle errors: offline %v, online %v", offErr, onErr)
@@ -387,5 +385,82 @@ func TestHotplugCycleAllocFree(t *testing.T) {
 	}
 	if s := m.Stats(); s.WatchdogStarvations+s.WatchdogLostWakeups+s.WatchdogCPUStalls != 0 {
 		t.Fatalf("watchdog flagged a healthy hotplug cycle: %+v", *s)
+	}
+}
+
+// TestInterruptedSegmentResumesOnSameEvent: a CPU's segment completion is
+// one caller-owned event, cancelled by whatever interrupts the segment —
+// a resched IPI, the tick's quantum expiry, OfflineCPU — and armed again
+// when a dispatch resumes it. After every event of a run that takes all
+// three paths, a CPU's rundone is pending exactly while it has a current
+// proc; and once warm the segment → interrupt → dispatch → resume cycle
+// allocates nothing.
+func TestInterruptedSegmentResumesOnSameEvent(t *testing.T) {
+	m := NewMachine(Config{
+		CPUs: 2, SMP: true, Seed: 42, NewScheduler: o1Factory,
+		MaxCycles: 60_000 * DefaultHz,
+	})
+	for i := 0; i < 3; i++ {
+		m.Spawn("hog", nil, preboundHog(1_000_000, 50*DefaultTickCycles))
+	}
+	audit := func() {
+		t.Helper()
+		for i, c := range m.cpus {
+			if c.runEv.Pending() != (c.current != nil) {
+				t.Fatalf("cpu%d at %d: rundone pending=%v with current=%v",
+					i, m.Now(), c.runEv.Pending(), c.current != nil)
+			}
+		}
+	}
+	var target sim.Time
+	run := func(ticks uint64) {
+		target = m.Now() + sim.Time(ticks*DefaultTickCycles)
+		m.Run(func() bool { audit(); return m.Now() >= target })
+	}
+	run(3)
+
+	// Resched IPI, step by step: the segment stops short, its event is
+	// free, and the dispatch that brings the proc back arms the same
+	// event for what is left.
+	c := m.cpus[0]
+	p := c.current
+	if p == nil || !c.runEv.Pending() {
+		t.Fatal("cpu0 is not mid-segment after warm-up")
+	}
+	before := p.remaining
+	c.sendResched()
+	m.Run(func() bool { audit(); return !c.reschedSent })
+	if c.runEv.Pending() || p.remaining == 0 || p.remaining >= before {
+		t.Fatalf("after the IPI: rundone pending=%v, remaining %d of %d", c.runEv.Pending(), p.remaining, before)
+	}
+	left := p.remaining
+	m.Run(func() bool { audit(); return p.Task.HasCPU && m.cpus[p.Task.Processor].current == p })
+	if on := m.cpus[p.Task.Processor]; !on.runEv.Pending() || on.runEv.At != m.Now()+sim.Time(p.segWall) || p.segWork != left {
+		t.Fatalf("resumed segment: rundone pending=%v at %d (now %d + wall %d), work %d, want %d",
+			on.runEv.Pending(), on.runEv.At, m.Now(), p.segWall, p.segWork, left)
+	}
+
+	cycle := func() {
+		m.cpus[0].sendResched()
+		run(2)
+		if err := m.OfflineCPU(1); err != nil {
+			t.Fatal(err)
+		}
+		run(2)
+		if err := m.OnlineCPU(1); err != nil {
+			t.Fatal(err)
+		}
+		run(30) // three hogs on two CPUs: quanta expire
+	}
+	s0 := *m.Stats()
+	cycle() // warm
+	if s := m.Stats(); s.QuantumExpiry == s0.QuantumExpiry || s.CPUOfflines == s0.CPUOfflines {
+		t.Fatalf("cycle took no quantum expiry (%d) or offline (%d)", s.QuantumExpiry, s.CPUOfflines)
+	}
+	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+		t.Fatalf("segment/interrupt/dispatch/resume cycle allocates %.1f objects, want 0", allocs)
+	}
+	if m.Alive() != 3 {
+		t.Fatal("a hog exited: the cycles outlived the workload they were to interrupt")
 	}
 }

@@ -111,7 +111,7 @@ type Config struct {
 	Watchdog *WatchdogConfig
 	// Engine, when non-nil, is a recycled event engine the machine boots
 	// on instead of allocating a fresh one. NewMachine resets it, so its
-	// heap array, wheel rings, and event freelist carry over from the
+	// wheel rings and event freelist carry over from the
 	// previous simulation — sweep workers run hundreds of cells without
 	// re-paying engine construction. The engine must not be shared by a
 	// live machine.
@@ -218,6 +218,15 @@ type runningNoter interface {
 	NoteRunning(t *task.Task, running bool)
 }
 
+// idleNames names the per-CPU idle tasks. Built once: a matrix cell boots
+// a machine per run, and formatting 32 names was a visible slice of it.
+var idleNames = func() (names [64]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("idle/%d", i)
+	}
+	return
+}()
+
 // NewMachine builds and boots a machine: CPUs idle, ticks armed.
 func NewMachine(cfg Config) *Machine {
 	if cfg.CPUs < 1 || cfg.CPUs > 64 {
@@ -261,23 +270,24 @@ func NewMachine(cfg Config) *Machine {
 
 	m.cpus = make([]*CPU, cfg.CPUs)
 	for i := range m.cpus {
-		c := &CPU{id: i, m: m, online: true}
-		c.idleTask = task.New(-(i + 1), fmt.Sprintf("idle/%d", i), nil, m.env.Epoch)
+		c := &CPU{id: i, m: m, online: true, dom: m.env.Topo.DomainOf(i)}
+		c.idleTask = task.New(-(i + 1), idleNames[i], nil, m.env.Epoch)
 		c.idleTask.IsIdle = true
 		c.idleTask.Processor = i
-		// The per-CPU event set is allocated once here; the hot paths
-		// re-arm these objects (tick, IPI) or draw from the engine's
-		// freelist (rundone, sleep), so steady-state execution never
+		// The per-CPU event set lives in the CPU itself; the hot paths
+		// re-arm these four objects in place, and only sleep timers and
+		// ipc deliveries (several can be in flight per queue) draw from
+		// the engine's freelist, so steady-state execution never
 		// allocates per event.
-		c.tickEv = m.eng.NewPeriodicEvent("tick", c.tick)
-		c.ipiEv = m.eng.NewPeriodicEvent("resched-ipi", c.ipiArrive)
-		c.dispatchEv = m.eng.NewPeriodicEvent("dispatch", c.dispatchArrive)
-		c.runDoneFn = c.segmentDone
+		c.tickEv = sim.Event{Name: "tick", Fn: c.tick}
+		c.ipiEv = sim.Event{Name: "resched-ipi", Fn: c.ipiArrive}
+		c.dispatchEv = sim.Event{Name: "dispatch", Fn: c.dispatchArrive}
+		c.runEv = sim.Event{Name: "rundone", Fn: c.segmentDone}
 		m.cpus[i] = c
 		c.publish()
 		// Stagger per-CPU timer interrupts slightly so four CPUs do
 		// not pile onto the run-queue lock at the exact same instant.
-		m.eng.Schedule(c.tickEv, sim.Time(cfg.TickCycles+uint64(i)*997))
+		m.eng.Schedule(&c.tickEv, sim.Time(cfg.TickCycles+uint64(i)*997))
 	}
 	if cfg.Watchdog != nil {
 		m.EnableWatchdog(*cfg.Watchdog)

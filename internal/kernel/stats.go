@@ -81,10 +81,10 @@ type Stats struct {
 	// zero-allocation event engine is priced in. Deterministic for a seed
 	// (it is pure virtual-time behavior); BENCH_wallclock.json divides
 	// host wall-clock by it to get ns/event. EventsWheel/EventsHeap split
-	// the total by which structure dispatched each event — the timer
-	// wheel's O(1) fast path versus the min-heap fallback — so a routing
-	// regression (periodic events spilling into the heap) is visible per
-	// cell.
+	// the total by where each event fired from — a timer-wheel slot, or
+	// straight from the wheel's overflow list (sim.Engine.FiredHeap; the
+	// name predates the list) — so a deadline class the rings cannot
+	// express is visible per cell. Zero in every committed cell.
 	EventsFired uint64
 	EventsWheel uint64
 	EventsHeap  uint64

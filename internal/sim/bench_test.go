@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkAfterStep is the engine's steady-state unit of work: schedule
-// one event, dispatch it. This is the cycle the freelist and the 4-ary
-// heap exist for; allocs/op must read 0.
+// one event, dispatch it. This is the cycle the freelist and the wheel's
+// level-0 arm exist for; allocs/op must read 0.
 func BenchmarkAfterStep(b *testing.B) {
 	var e Engine
 	fn := func(Time) {}
@@ -21,10 +21,11 @@ func BenchmarkAfterStep(b *testing.B) {
 	}
 }
 
-// BenchmarkHeapChurn measures a dispatch against a populated heap: n
-// events pending, each iteration fires the earliest and schedules a
-// replacement — the shape of a machine with n in-flight timers.
-func BenchmarkHeapChurn(b *testing.B) {
+// BenchmarkSlotChurn measures a dispatch against one populated level-0
+// slot: n events pending inside a 97-cycle span, each iteration schedules
+// a replacement somewhere among them — the slot's sorted insert, whose
+// walk grows with n — and fires the earliest.
+func BenchmarkSlotChurn(b *testing.B) {
 	for _, n := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("pending%d", n), func(b *testing.B) {
 			var e Engine
@@ -42,21 +43,26 @@ func BenchmarkHeapChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkCancel measures the lazy O(1) cancel against a populated heap
-// (the old heap.Remove was O(log n) and reshuffled the array).
+// BenchmarkCancel measures Cancel's unlink beside n pending events that
+// start in one slot: arm a victim, cancel it, arm and fire a live event.
+// The cost must not depend on n.
 func BenchmarkCancel(b *testing.B) {
-	var e Engine
-	fn := func(Time) {}
-	for i := 0; i < 256; i++ {
-		e.After(Cycles(1+i%97), "pend", fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := e.After(50, "victim", fn)
-		e.Cancel(ev)
-		e.After(10, "live", fn)
-		e.Step()
+	for _, n := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("pending%d", n), func(b *testing.B) {
+			var e Engine
+			fn := func(Time) {}
+			for i := 0; i < n; i++ {
+				e.After(Cycles(1+i%97), "pend", fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := e.After(50, "victim", fn)
+				e.Cancel(ev)
+				e.After(10, "live", fn)
+				e.Step()
+			}
+		})
 	}
 }
 
@@ -72,5 +78,33 @@ func BenchmarkRearmTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// BenchmarkCancelRearm is the kernel's interrupted-segment shape against a
+// dense slot: a caller-owned event is armed behind n pending events that
+// share its slot for the whole run, cancelled, armed again ahead of them,
+// and fired. Flat in n is what the doubly linked slots are for.
+func BenchmarkCancelRearm(b *testing.B) {
+	for _, n := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("pending%d", n), func(b *testing.B) {
+			var e Engine
+			fn := func(Time) {}
+			for i := 0; i < n; i++ {
+				e.At(300, "pend", fn)
+			}
+			ev := e.NewEvent("rundone", fn)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Schedule(ev, 400)
+				e.Cancel(ev)
+				e.Schedule(ev, 0)
+				e.Step()
+			}
+			if e.Pending() != n {
+				b.Fatalf("Pending = %d, want the %d untouched", e.Pending(), n)
+			}
+		})
 	}
 }

@@ -1,7 +1,10 @@
-// Engine core: the event, the min-heap long tail, the freelist, and the
-// dispatch loop. Package documentation — including how the pending set is
-// split between the timer wheel and this heap — lives in doc.go.
+// Engine core: the event, its ownership rules, the freelist, and the one
+// arm path and one fire path over the timer wheel. Package documentation —
+// the wheel's geometry, what the overflow list holds, and the measured
+// reasons for both — lives in doc.go.
 package sim
+
+import "math/bits"
 
 // Time is a point in virtual time, in CPU clock cycles.
 type Time uint64
@@ -12,12 +15,17 @@ type Cycles = uint64
 // Event is a scheduled callback. Events are single-shot; recurring behavior
 // is built by rescheduling from within the callback.
 //
-// Events returned by At and After are owned by the engine: once the
-// callback has fired, the object is recycled for a later At/After and the
-// old pointer must not be used again (drop or nil any reference to a fired
-// event before scheduling new work). Events built with NewEvent are owned
-// by the caller, are never recycled, and may be re-armed with Schedule —
-// the shape for recurring timers that must not touch the allocator.
+// Ownership is decided by who made the object. Events returned by At and
+// After are owned by the engine: once the callback has fired, or the event
+// has been cancelled, the object is recycled for a later At/After and the
+// old pointer must not be used again (drop or nil any reference at that
+// point). Every other Event — one built with NewEvent or NewPeriodicEvent,
+// or a caller's own Event value with Name and Fn set, which lets several
+// live in one allocation — is owned by the caller, is never recycled, and
+// may be armed with Schedule whenever it is not pending: after it fired
+// (a recurring timer re-arms itself from inside Fn) or after Cancel (a
+// preempted deadline is armed again at its new time). That is the shape
+// for timers that must not touch the allocator.
 type Event struct {
 	At   Time
 	Fn   func(now Time)
@@ -26,51 +34,31 @@ type Event struct {
 	seq       uint64
 	queued    bool
 	cancelled bool
-	owned     bool // caller-owned (NewEvent): never recycled
-	periodic  bool // NewPeriodicEvent hint: wheel-eligible out to the full horizon
-	inWheel   bool // resident in the wheel rather than the heap (set at arm)
+	pooled    bool  // engine-owned (At/After): recycled after firing or cancel
+	level     uint8 // wheel level the event is linked in; levelOver in the overflow
+	// Slot list links; both nil whenever the event is not queued, so a
+	// recycled or idle event pins nothing of the simulation it served.
 	wheelNext *Event
+	wheelPrev *Event
 }
 
-// Cancelled reports whether Cancel was called on the event.
+// Cancelled reports whether the event's last arming ended in Cancel.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-// Pending reports whether the event is still queued to fire.
-func (e *Event) Pending() bool { return e.queued && !e.cancelled }
-
-// entry is one heap slot. The ordering key is stored inline so the 4-way
-// child comparisons in sift-down stay within the slice instead of chasing
-// an Event pointer per candidate.
-type entry struct {
-	at  Time
-	seq uint64
-	ev  *Event
-}
-
-// before reports heap order: earlier time first, scheduling order within
-// the same instant.
-func (a entry) before(b entry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
+// Pending reports whether the event is queued to fire.
+func (e *Event) Pending() bool { return e.queued }
 
 // Engine owns the virtual clock and the pending event set.
 // The zero value is ready to use.
 type Engine struct {
 	now        Time
-	heap       []entry
-	wheel      *wheel // lazily allocated on the first wheel-eligible arm
+	wheel      *wheel // allocated on the first arm
 	free       []*Event
 	nexts      uint64
 	firedWheel uint64
-	firedHeap  uint64
-	live       int  // queued events not lazily cancelled
+	firedOver  uint64
+	pending    int
 	MaxDur     Time // optional hard stop measured from time zero; 0 = none
-
-	// noWheel forces every arm onto the min-heap. It exists for the
-	// wheel-vs-heap differential fuzzer, which drives a hybrid engine
-	// and a heap-only engine through the same operation stream and
-	// requires identical fire order; it is never set in production.
-	noWheel bool
 }
 
 // maxTime is the open-horizon dispatch limit.
@@ -80,18 +68,19 @@ const maxTime = Time(^uint64(0))
 func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the total number of events dispatched so far.
-func (e *Engine) Fired() uint64 { return e.firedWheel + e.firedHeap }
+func (e *Engine) Fired() uint64 { return e.firedWheel + e.firedOver }
 
-// FiredWheel returns how many dispatched events took the timer-wheel
-// fast path.
+// FiredWheel returns how many dispatched events fired from a wheel slot.
 func (e *Engine) FiredWheel() uint64 { return e.firedWheel }
 
-// FiredHeap returns how many dispatched events took the min-heap path.
-func (e *Engine) FiredHeap() uint64 { return e.firedHeap }
+// FiredHeap returns how many dispatched events fired straight from the
+// overflow list — deadlines the wheel could not express when they came
+// due (see doc.go). The name predates the list: the counter used to
+// report a min-heap, and digests and the benchmark read it by this name.
+func (e *Engine) FiredHeap() uint64 { return e.firedOver }
 
-// Pending returns the number of events currently queued to fire
-// (lazily-cancelled events still in the heap do not count).
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of events currently queued to fire.
+func (e *Engine) Pending() int { return e.pending }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: it would corrupt causality.
@@ -99,7 +88,14 @@ func (e *Engine) At(at Time, name string, fn func(now Time)) *Event {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	ev := e.alloc()
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{pooled: true}
+	}
 	ev.At = at
 	ev.Fn = fn
 	ev.Name = name
@@ -113,28 +109,24 @@ func (e *Engine) After(d Cycles, name string, fn func(now Time)) *Event {
 }
 
 // NewEvent returns an unscheduled caller-owned event bound to fn. Arm it
-// with Schedule/ScheduleAfter; it may be re-armed after each firing (a
-// recurring timer re-arms itself from inside fn) and is never recycled,
-// so a long-lived periodic event costs one allocation for the machine's
-// lifetime.
+// with Schedule/ScheduleAfter; it may be re-armed after each firing or
+// cancel and is never recycled, so a long-lived recurring event costs one
+// allocation for the machine's lifetime.
 func (e *Engine) NewEvent(name string, fn func(now Time)) *Event {
-	return &Event{Name: name, Fn: fn, owned: true}
+	return &Event{Name: name, Fn: fn}
 }
 
-// NewPeriodicEvent is NewEvent for strictly-periodic or frequently
-// re-armed timers (per-CPU ticks, IPI/dispatch latencies, watchdog
-// sweeps): the hint makes the event wheel-eligible for any deadline
-// inside the wheel horizon, not just near ones, so a long-period timer
-// still avoids the heap.
+// NewPeriodicEvent is NewEvent. It used to mark an event as worth the
+// wheel at any distance; every deadline inside the wheel's horizon now
+// rides the wheel, so the two constructors build the same thing.
 func (e *Engine) NewPeriodicEvent(name string, fn func(now Time)) *Event {
-	return &Event{Name: name, Fn: fn, owned: true, periodic: true}
+	return e.NewEvent(name, fn)
 }
 
 // Schedule arms a caller-owned event at absolute time at. The event must
-// not be currently queued (a cancelled event stays queued until the heap
-// skips past it) and must have been built with NewEvent.
+// not be pending: it has never been armed, has fired, or was cancelled.
 func (e *Engine) Schedule(ev *Event, at Time) {
-	if !ev.owned {
+	if ev.pooled {
 		panic("sim: Schedule of an engine-owned event (use At/After)")
 	}
 	if ev.queued {
@@ -144,7 +136,6 @@ func (e *Engine) Schedule(ev *Event, at Time) {
 		panic("sim: scheduling event in the past")
 	}
 	ev.At = at
-	ev.cancelled = false
 	e.arm(ev, at)
 }
 
@@ -153,107 +144,142 @@ func (e *Engine) ScheduleAfter(ev *Event, d Cycles) {
 	e.Schedule(ev, e.now+Time(d))
 }
 
-// arm assigns the next sequence number and queues the event, routing it
-// to the timer wheel when its deadline is in wheel range and to the heap
-// otherwise. Routing depends only on deterministic state (cursor, clock,
-// hint), so replays stay bit-identical.
+// arm issues the next sequence number — one per arm, in arm order, which
+// is what fixes same-instant firing order — and links the event in. The
+// first case is most traffic (doc.go has the shares): the wheel holds
+// something and the deadline lies in the level-0 ring, so the slot is an
+// index away and a fresh arm (it carries the highest seq yet issued)
+// belongs at its tail unless the slot already holds a later deadline.
+// Everything else — first arm, empty wheel, coarser levels, a mid-slot
+// insert, the overflow — is wheel.insert.
 func (e *Engine) arm(ev *Event, at Time) {
 	ev.seq = e.nexts
 	e.nexts++
 	ev.queued = true
-	e.live++
-	ev.inWheel = e.wheelInsert(ev, at)
-	if !ev.inWheel {
-		e.push(entry{at: at, seq: ev.seq, ev: ev})
-	}
-}
-
-// alloc takes an event from the freelist, or allocates when warm-up has
-// not yet populated it.
-func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.cancelled = false
-		return ev
-	}
-	return new(Event)
-}
-
-// release returns a fired or cancel-skipped event to the freelist.
-// Caller-owned events (which their owner may re-arm) are left alone.
-func (e *Engine) release(ev *Event) {
-	if ev.owned || ev.queued {
+	ev.cancelled = false
+	e.pending++
+	w := e.wheel
+	if w != nil && w.count != 0 && at-w.cur < wheelSpan0 {
+		idx := int(at>>wheelShift) & wheelMask
+		s := &w.slots[0][idx]
+		if t := s.tail; t == nil {
+			s.head = ev
+			w.bits[0][idx>>6] |= 1 << (idx & 63)
+		} else if t.At <= at {
+			t.wheelNext = ev
+			ev.wheelPrev = t
+		} else {
+			w.insert(ev)
+			return
+		}
+		s.tail = ev
+		ev.level = 0
+		w.count++
+		w.occ[0]++
+		if h := w.hit; h != nil && at < h.At {
+			// Strictly before the confirmed earliest, so the new
+			// confirmed earliest (an equal At keeps the incumbent: it
+			// carries the older seq).
+			w.hit = ev
+		}
 		return
 	}
-	ev.Fn = nil // do not pin the callback's captures until reuse
-	e.free = append(e.free, ev)
+	if w == nil {
+		w = new(wheel)
+		e.wheel = w
+	}
+	if w.count == 0 {
+		// Empty wheel: stand the cursor on the clock's slot so level
+		// selection sees true deltas (it may trail the clock after a
+		// stretch fired from the overflow, or lead it after a capped
+		// advance).
+		w.cur = e.now &^ (wheelGran0 - 1)
+	}
+	w.insert(ev)
 }
 
-// Cancel removes a pending event in O(1): the event is marked dead and
-// skipped (and recycled) when it surfaces at the heap root. Cancelling an
-// already-fired or already-cancelled event is a no-op — but note that a
-// fired engine-owned event may already back a later At/After, so callers
-// must drop their reference to an event once it has fired.
+// Cancel removes a pending event in O(1) whatever its slot holds: the
+// event is unlinked on the spot, so a caller-owned event may be armed
+// again at once, and an engine-owned one is recycled at once — drop the
+// reference, it may back a later At/After from here on. Cancelling nil or
+// an event that is not pending (never armed, fired, already cancelled) is
+// a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancelled {
+	if ev == nil || !ev.queued {
 		return
 	}
+	e.wheel.remove(ev)
+	ev.queued = false
 	ev.cancelled = true
-	if ev.queued {
-		e.live--
-	}
+	e.pending--
+	e.recycle(ev)
 }
 
-// next returns the live event with the smallest (At, seq) at or before
-// limit, across the heap and the wheel, or nil. The heap root caps how
-// far the wheel cursor may advance, so a heap event firing first can
-// never strand the cursor past deadlines armed afterwards.
-func (e *Engine) next(limit Time) *Event {
-	var hev *Event
-	for len(e.heap) > 0 {
-		top := e.heap[0].ev
-		if !top.cancelled {
-			hev = top
-			break
-		}
-		e.pop()
-		e.release(top)
+// recycle returns an engine-owned event that fired or was cancelled to the
+// freelist. Caller-owned events are left to their owners.
+func (e *Engine) recycle(ev *Event) {
+	if ev.pooled {
+		ev.Fn = nil // do not pin the callback's captures until reuse
+		e.free = append(e.free, ev)
 	}
-	wlimit := limit
-	if hev != nil && hev.At < wlimit {
-		wlimit = hev.At
-	}
-	if wev := e.wheelEarliest(wlimit); wev != nil {
-		if hev == nil || wev.At < hev.At || (wev.At == hev.At && wev.seq < hev.seq) {
-			return wev
-		}
-	}
-	if hev != nil && hev.At <= limit {
-		return hev
-	}
-	return nil
 }
 
 // dispatch fires the next event at or before limit, reporting whether
-// one fired.
+// one fired. With the overflow empty — every committed cell, see doc.go —
+// the wheel's confirmed earliest is the answer when there is one, and the
+// scan behind it runs only when there is not.
 func (e *Engine) dispatch(limit Time) bool {
-	ev := e.next(limit)
-	if ev == nil {
+	w := e.wheel
+	if w == nil {
 		return false
 	}
-	if ev.inWheel {
-		e.popWheel(ev)
-		e.firedWheel++
-	} else {
-		e.pop()
-		e.firedHeap++
+	ev := w.hit
+	if ev == nil || w.overMin != nil {
+		if ev = w.earliest(e.now, limit); ev == nil {
+			return false
+		}
+	} else if ev.At > limit {
+		return false
 	}
-	e.live--
+	if ev != w.hit {
+		w.remove(ev)
+		e.firedOver++
+	} else {
+		// ev heads the level-0 slot its deadline indexes. Its slot
+		// successor, if any, is the wheel's next earliest: level-0 lists
+		// are (At, seq)-sorted and every other resident lives at or past
+		// this slot's window.
+		idx := int(ev.At>>wheelShift) & wheelMask
+		s := &w.slots[0][idx]
+		next := ev.wheelNext
+		s.head = next
+		if next != nil {
+			next.wheelPrev = nil
+			ev.wheelNext = nil
+		} else {
+			s.tail = nil
+			w.bits[0][idx>>6] &^= 1 << (idx & 63)
+			// The slot drained: probe the rest of its bitmap word. Ring
+			// indices above this one hold only current-window deadlines
+			// (a next-lap arm lands strictly below the cursor's index),
+			// which fire before every level-1/2 resident and every
+			// wrapped slot, so the next occupied slot's head, if the
+			// word has one, is the next earliest and a burst spanning
+			// nearby slots never rescans.
+			if word := w.bits[0][idx>>6] >> (idx & 63); word != 0 {
+				next = w.slots[0][idx+bits.TrailingZeros64(word)].head
+			}
+		}
+		w.hit = next
+		w.count--
+		w.occ[0]--
+		e.firedWheel++
+	}
+	ev.queued = false
+	e.pending--
 	e.now = ev.At
 	ev.Fn(e.now)
-	e.release(ev)
+	e.recycle(ev)
 	return true
 }
 
@@ -302,83 +328,18 @@ func (e *Engine) RunFor(d Cycles) {
 }
 
 // Reset returns the engine to its zero state while keeping every
-// allocation — heap array, freelist, wheel rings — so one engine can run
-// many simulations back to back without re-paying construction. Pending
+// allocation — wheel rings and freelist — so one engine can run many
+// simulations back to back without re-paying construction. Pending
 // engine-owned events are recycled; caller-owned events are detached
 // (their owners die with the simulation that armed them).
 func (e *Engine) Reset() {
-	for i := range e.heap {
-		ev := e.heap[i].ev
-		e.heap[i] = entry{}
-		ev.queued = false
-		ev.cancelled = false
-		e.release(ev)
-	}
-	e.heap = e.heap[:0]
-	e.wheelReset()
-	// A popped event keeps its slot successor in wheelNext until it is next
-	// armed on the wheel. On the freelist that stale link can name a
-	// caller-owned event of the simulation that just ended, whose callback
-	// holds all of it.
-	for _, ev := range e.free {
-		ev.wheelNext = nil
+	if e.wheel != nil {
+		e.wheel.reset(e)
 	}
 	e.now = 0
 	e.nexts = 0
 	e.firedWheel = 0
-	e.firedHeap = 0
-	e.live = 0
+	e.firedOver = 0
+	e.pending = 0
 	e.MaxDur = 0
-}
-
-// push appends the entry and restores the heap property upward. The moved
-// entries are shifted as a hole rather than swapped pairwise.
-func (e *Engine) push(en entry) {
-	e.heap = append(e.heap, en)
-	i := len(e.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !en.before(e.heap[p]) {
-			break
-		}
-		e.heap[i] = e.heap[p]
-		i = p
-	}
-	e.heap[i] = en
-}
-
-// pop removes the root entry, restoring the heap property downward.
-func (e *Engine) pop() {
-	root := e.heap[0].ev
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap[n] = entry{}
-	e.heap = e.heap[:n]
-	root.queued = false
-	if n == 0 {
-		return
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.heap[c].before(e.heap[best]) {
-				best = c
-			}
-		}
-		if !e.heap[best].before(last) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		i = best
-	}
-	e.heap[i] = last
 }

@@ -170,7 +170,8 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
-// TestHeapOrderingQuick drives the engine with arbitrary offsets and checks
+// TestHeapOrderingQuick (named for the structure it was written against)
+// drives the engine with arbitrary offsets and checks
 // that observed firing times are monotonically non-decreasing.
 func TestHeapOrderingQuick(t *testing.T) {
 	f := func(offsets []uint16) bool {
@@ -217,9 +218,9 @@ func TestRunForClampsToMaxDurHorizon(t *testing.T) {
 	}
 }
 
-// TestRunForSkipsCancelledWithoutOvershoot: a lazily-cancelled event at
-// the heap root must not trick RunFor into dispatching the next live
-// event past the deadline.
+// TestRunForSkipsCancelledWithoutOvershoot: cancelling the earliest
+// event inside the window must not trick RunFor into dispatching the next
+// live event past the deadline.
 func TestRunForSkipsCancelledWithoutOvershoot(t *testing.T) {
 	var e Engine
 	ev := e.At(50, "victim", func(Time) {})
@@ -235,8 +236,8 @@ func TestRunForSkipsCancelledWithoutOvershoot(t *testing.T) {
 	}
 }
 
-// TestCancelledEventNotPending: lazy cancellation must be invisible in
-// the Pending count even while the dead event still sits in the heap.
+// TestCancelledEventNotPending: a cancelled event leaves the Pending
+// count, and its own Pending report, at once.
 func TestCancelledEventNotPending(t *testing.T) {
 	var e Engine
 	ev := e.At(10, "x", func(Time) {})
@@ -255,7 +256,7 @@ func TestCancelledEventNotPending(t *testing.T) {
 }
 
 // TestStepAllocs asserts the zero-allocation contract: once the freelist
-// and heap are warm, a steady-state After→Step cycle must not touch the
+// and wheel are warm, a steady-state After→Step cycle must not touch the
 // allocator at all.
 func TestStepAllocs(t *testing.T) {
 	var e Engine
@@ -316,7 +317,7 @@ func TestRearmFIFOWithFreshEvents(t *testing.T) {
 }
 
 // TestScheduleMisusePanics: arming an engine-owned event, or an event
-// still queued, must panic loudly rather than corrupt the heap.
+// still queued, must panic loudly rather than corrupt a slot list.
 func TestScheduleMisusePanics(t *testing.T) {
 	var e Engine
 	mustPanic := func(name string, f func()) {

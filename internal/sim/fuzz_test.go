@@ -5,239 +5,276 @@ import (
 	"testing"
 )
 
-// FuzzEventHeap drives the engine with an arbitrary interleaving of
-// schedule / cancel / step operations and checks the invariants the whole
-// simulator rests on:
+// FuzzEngineModel drives the engine and a reference model — a slice of
+// logical events popped by linear (At, seq) minimum — through one
+// operation stream and compares Now, Pending and the fire log after every
+// op. The model knows nothing of levels, cursors or the overflow, so any
+// divergence is an ordering, accounting or recycling bug in the wheel.
 //
-//   - events fire in strict (time, scheduling-order) order;
-//   - a cancelled event never fires, and cancel-skipping one never
-//     perturbs its neighbors;
-//   - freelist reuse never resurrects a fired event: every live logical
-//     event fires exactly once, even though the engine recycles Event
-//     objects underneath;
-//   - the Pending count matches the model at every step.
+// Each op consumes three bytes: an opcode (mod 8) and two arguments. The
+// delta encoding (a+1)<<(b%44) reaches every wheel level, the horizon and
+// the overflow beyond it.
 //
-// Each op consumes two bytes: an opcode and an argument.
-func FuzzEventHeap(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 10, 2, 0, 0, 5, 1, 0, 2, 0, 2, 0})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 3})
-	f.Add([]byte{0, 200, 1, 0, 0, 1, 2, 0, 0, 0, 1, 1, 0, 7, 2, 0, 2, 0, 2, 0})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		type logical struct {
-			at        Time
-			order     int // global scheduling order
-			ev        *Event
-			fired     bool
-			cancelled bool
+//	0  After(delta); with b's top bit set the callback arms a child
+//	   one-shot when it fires (an arm from inside a firing event)
+//	1  Schedule a free caller-owned event from a fixed pool
+//	2  Cancel a pending one-shot
+//	3  Step
+//	4  Cancel a pending caller-owned event and Schedule it again at once
+//	5  RunFor to a cap short of the next event, then arm before that event
+//	6  Reset mid-stream (a%8 == 0), else RunFor(delta)
+//	7  set MaxDur to now+delta (a even) or clear it (a odd)
+func FuzzEngineModel(f *testing.F) {
+	for _, seed := range wheelSeeds {
+		f.Add(seed)
+	}
+	// The three seeds of the retired two-byte-op schedule/cancel/step
+	// fuzzer, re-encoded.
+	f.Add([]byte{0, 9, 0, 0, 9, 0, 3, 0, 0, 0, 4, 0, 2, 0, 0, 3, 0, 0, 3, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 3, 0, 0, 0, 2, 0})
+	f.Add([]byte{0, 199, 0, 2, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 2, 1, 0, 0, 6, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0})
+	// Cancel and re-arm across levels and the overflow, a capped RunFor
+	// with an arm behind the next event, a MaxDur stop followed by an arm
+	// behind the cursor, a child chain, and a mid-stream Reset.
+	f.Add([]byte{1, 0, 5, 4, 0, 25, 4, 0, 35, 4, 0, 43, 4, 0, 2, 3, 0, 0})
+	f.Add([]byte{0, 100, 20, 5, 3, 9, 5, 7, 0, 3, 0, 0, 3, 0, 0})
+	f.Add([]byte{0, 3, 30, 7, 0, 10, 3, 0, 0, 0, 1, 4, 7, 1, 0, 3, 0, 0, 3, 0, 0})
+	f.Add([]byte{0, 5, 130, 0, 5, 140, 3, 0, 0, 3, 0, 0, 6, 0, 0, 0, 1, 1, 1, 2, 43, 3, 0, 0})
+	f.Fuzz(engineModel)
+}
+
+// wheelSeeds: a tick-like re-armed pattern, a multi-level burst, a
+// cancel-heavy stream, and a horizon hopper.
+var wheelSeeds = [][]byte{
+	{1, 3, 22, 3, 0, 0, 3, 0, 0, 1, 3, 22, 3, 0, 0},
+	{0, 10, 2, 0, 10, 12, 0, 10, 21, 0, 10, 32, 0, 10, 35, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0},
+	{0, 1, 4, 0, 2, 4, 0, 3, 4, 2, 1, 0, 2, 0, 0, 3, 0, 0, 3, 0, 0},
+	{1, 200, 33, 1, 100, 30, 3, 0, 0, 3, 0, 0, 1, 50, 35, 3, 0, 0},
+}
+
+// FuzzWheelHeapDiff replays, through the same model, the seeds and corpus
+// committed under this name when the reference was a heap-only engine. It
+// keeps the name so those regression inputs keep their test ids;
+// FuzzEngineModel carries converted copies and is the target to fuzz.
+func FuzzWheelHeapDiff(f *testing.F) {
+	for _, seed := range wheelSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(engineModel)
+}
+
+// mev is one logical event of the reference model.
+type mev struct {
+	at     Time
+	seq    int    // arm order
+	id     int    // fire-log identity
+	owned  int    // pool index of a caller-owned event, -1 for a one-shot
+	childD Cycles // when > 0 the one-shot arms a child this far out on firing
+	child  *mev
+	ev     *Event // the engine's handle for a pending one-shot
+}
+
+func engineModel(t *testing.T, ops []byte) {
+	const pool = 4
+	var (
+		e        Engine
+		now      Time
+		maxDur   Time
+		pending  []*mev
+		seq, ids int
+		got      []string
+		want     []string
+		ownedEv  [pool]*Event
+		ownedCur [pool]*mev // the pool event's pending arming, nil when it is free
+		ownedLog [pool]*mev // its latest arming, which is what its callback logs
+	)
+	logf := func(m *mev, at Time) string { return fmt.Sprintf("%d@%d", m.id, at) }
+	arm := func(at Time, owned int, childD Cycles) *mev {
+		m := &mev{at: at, seq: seq, id: ids, owned: owned, childD: childD}
+		seq++
+		ids++
+		pending = append(pending, m)
+		return m
+	}
+	drop := func(m *mev) {
+		for i, p := range pending {
+			if p == m {
+				pending = append(pending[:i], pending[i+1:]...)
+				return
+			}
 		}
-		var (
-			e       Engine
-			events  []*logical
-			fireLog []*logical
-			order   int
-		)
-		schedule := func(offset byte) {
-			l := &logical{at: e.Now() + Time(offset), order: order}
-			order++
-			l.ev = e.At(l.at, "fuzz", func(now Time) {
-				if l.fired {
-					t.Fatalf("event #%d fired twice (freelist resurrected it)", l.order)
-				}
-				if l.cancelled {
-					t.Fatalf("cancelled event #%d fired", l.order)
-				}
-				if now != l.at {
-					t.Fatalf("event #%d fired at %d, scheduled for %d", l.order, now, l.at)
-				}
-				l.fired = true
-				fireLog = append(fireLog, l)
-			})
-			events = append(events, l)
+		t.Fatalf("model lost event #%d", m.id)
+	}
+	// step fires the model's earliest event at or before limit.
+	step := func(limit Time) bool {
+		var min *mev
+		for _, p := range pending {
+			if min == nil || p.at < min.at || (p.at == min.at && p.seq < min.seq) {
+				min = p
+			}
 		}
-		cancel := func(pick byte) {
-			var cands []*logical
-			for _, l := range events {
-				if !l.fired && !l.cancelled {
-					cands = append(cands, l)
+		if min == nil || min.at > limit {
+			return false
+		}
+		drop(min)
+		now = min.at
+		want = append(want, logf(min, now))
+		if min.owned >= 0 {
+			ownedCur[min.owned] = nil
+		}
+		if min.childD > 0 {
+			min.child = arm(now+Time(min.childD), -1, 0)
+		}
+		return true
+	}
+	stepLimit := func() Time {
+		if maxDur != 0 {
+			return maxDur
+		}
+		return maxTime
+	}
+	runFor := func(d Cycles) {
+		deadline := now + Time(d)
+		limit := deadline
+		if maxDur != 0 && maxDur < limit {
+			limit = maxDur
+		}
+		for step(limit) {
+		}
+		if maxDur != 0 && deadline > maxDur {
+			deadline = maxDur
+		}
+		if now < deadline {
+			now = deadline
+		}
+		e.RunFor(d)
+	}
+	var fire func(m *mev) func(Time)
+	fire = func(m *mev) func(Time) {
+		return func(at Time) {
+			got = append(got, logf(m, at))
+			m.ev = nil
+			if m.childD > 0 {
+				if m.child == nil {
+					t.Fatalf("event #%d fired before the model fired it", m.id)
+				}
+				m.child.ev = e.After(m.childD, "child", fire(m.child))
+			}
+		}
+	}
+	oneShot := func(d Cycles, childD Cycles) {
+		m := arm(now+Time(d), -1, childD)
+		m.ev = e.After(d, "f", fire(m))
+	}
+	for k := range ownedEv {
+		k := k
+		ownedEv[k] = e.NewEvent("p", func(at Time) {
+			got = append(got, logf(ownedLog[k], at))
+		})
+	}
+	delta := func(a, b byte) Cycles { return (uint64(a) + 1) << (b % 44) }
+	check := func(i int, what string) {
+		if e.Now() != now {
+			t.Fatalf("op %d (%s): Now = %d, model %d", i, what, e.Now(), now)
+		}
+		if e.Pending() != len(pending) {
+			t.Fatalf("op %d (%s): Pending = %d, model %d", i, what, e.Pending(), len(pending))
+		}
+		for k, ev := range ownedEv {
+			if ev.Pending() != (ownedCur[k] != nil) {
+				t.Fatalf("op %d (%s): owned[%d].Pending = %v, model %v", i, what, k, ev.Pending(), ownedCur[k] != nil)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("op %d (%s): fired %d events, model %d\n got %v\nwant %v", i, what, len(got), len(want), got, want)
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("op %d (%s): fire %d is %s, model %s", i, what, j, got[j], want[j])
+			}
+		}
+		got, want = got[:0], want[:0]
+	}
+	for i := 0; i+2 < len(ops); i += 3 {
+		op, a, b := ops[i]%8, ops[i+1], ops[i+2]
+		switch op {
+		case 0:
+			var childD Cycles
+			if b >= 128 {
+				childD = (uint64(a) + 1) * 37
+			}
+			oneShot(delta(a, b), childD)
+		case 1:
+			k := int(a) % pool
+			if ownedCur[k] != nil {
+				continue
+			}
+			d := delta(a, b)
+			ownedCur[k] = arm(now+Time(d), k, 0)
+			ownedLog[k] = ownedCur[k]
+			e.ScheduleAfter(ownedEv[k], d)
+		case 2:
+			var cands []*mev
+			for _, p := range pending {
+				if p.owned < 0 {
+					cands = append(cands, p)
 				}
 			}
 			if len(cands) == 0 {
-				return
+				continue
 			}
-			l := cands[int(pick)%len(cands)]
-			e.Cancel(l.ev)
-			l.cancelled = true
-		}
-		modelPending := func() int {
-			n := 0
-			for _, l := range events {
-				if !l.fired && !l.cancelled {
-					n++
+			m := cands[int(a)%len(cands)]
+			drop(m)
+			e.Cancel(m.ev)
+			m.ev = nil
+		case 3:
+			if sm, se := step(stepLimit()), e.Step(); sm != se {
+				t.Fatalf("op %d: Step = %v, model %v", i/3, se, sm)
+			}
+		case 4:
+			k := int(a) % pool
+			if ownedCur[k] == nil {
+				continue
+			}
+			drop(ownedCur[k])
+			e.Cancel(ownedEv[k])
+			if !ownedEv[k].Cancelled() || ownedEv[k].Pending() {
+				t.Fatalf("op %d: cancelled owned[%d] reports Cancelled=%v Pending=%v",
+					i/3, k, ownedEv[k].Cancelled(), ownedEv[k].Pending())
+			}
+			d := delta(a, b)
+			ownedCur[k] = arm(now+Time(d), k, 0)
+			ownedLog[k] = ownedCur[k]
+			e.ScheduleAfter(ownedEv[k], d)
+		case 5:
+			var gap Time
+			for _, p := range pending {
+				if g := p.at - now; gap == 0 || g < gap {
+					gap = g
 				}
 			}
-			return n
-		}
-		for i := 0; i+1 < len(ops); i += 2 {
-			switch ops[i] % 3 {
-			case 0:
-				schedule(ops[i+1])
-			case 1:
-				cancel(ops[i+1])
-			case 2:
-				e.Step()
+			runFor(Cycles(gap) * Cycles(a%8) / 8)
+			oneShot(Cycles(b), 0)
+		case 6:
+			if a%8 != 0 {
+				runFor(delta(a, b))
+				break
 			}
-			if got, want := e.Pending(), modelPending(); got != want {
-				t.Fatalf("Pending = %d, model says %d", got, want)
+			e.Reset()
+			now, maxDur, pending = 0, 0, pending[:0]
+			ownedCur = [pool]*mev{}
+		case 7:
+			maxDur = 0
+			if a%2 == 0 {
+				maxDur = now + Time(delta(a, b))
 			}
+			e.MaxDur = maxDur
 		}
-		e.Run(nil)
-		if e.Pending() != 0 {
-			t.Fatalf("Pending = %d after drain, want 0", e.Pending())
-		}
-		for _, l := range events {
-			if l.cancelled && l.fired {
-				t.Fatalf("event #%d both cancelled and fired", l.order)
-			}
-			if !l.cancelled && !l.fired {
-				t.Fatalf("live event #%d never fired", l.order)
-			}
-		}
-		for i := 1; i < len(fireLog); i++ {
-			a, b := fireLog[i-1], fireLog[i]
-			if a.at > b.at || (a.at == b.at && a.order > b.order) {
-				t.Fatalf("fire order violated: #%d@%d before #%d@%d",
-					a.order, a.at, b.order, b.at)
-			}
-		}
-	})
-}
-
-// FuzzWheelHeapDiff is the wheel-vs-heap differential fuzzer: the same
-// operation stream drives two engines — a hybrid one routing eligible
-// events through the timer wheel, and one with the wheel disabled so
-// every event takes the min-heap path — and every observable must
-// match: fire order, fire times, Pending counts, and final drain. The
-// wheel is a pure fast path; any divergence is an ordering bug.
-//
-// Each op consumes three bytes: an opcode and two arguments. The delta
-// encoding (a+1)<<(b%36) reaches every wheel level, the unhinted
-// one-shot cutoff, the periodic horizon, and the heap fallback beyond
-// it. Periodic-hinted owned events are re-armed through a fixed pool,
-// exercising slot reuse and lap wrap; cancels exercise lazy-cancel
-// pruning in both structures.
-func FuzzWheelHeapDiff(f *testing.F) {
-	// A tick-like periodic pattern, a multi-level burst, a cancel-heavy
-	// stream, and a horizon hopper.
-	f.Add([]byte{1, 3, 22, 3, 0, 0, 3, 0, 0, 1, 3, 22, 3, 0, 0})
-	f.Add([]byte{0, 10, 2, 0, 10, 12, 0, 10, 21, 0, 10, 32, 0, 10, 35, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0})
-	f.Add([]byte{0, 1, 4, 0, 2, 4, 0, 3, 4, 2, 1, 0, 2, 0, 0, 3, 0, 0, 3, 0, 0})
-	f.Add([]byte{1, 200, 33, 1, 100, 30, 3, 0, 0, 3, 0, 0, 1, 50, 35, 3, 0, 0})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		const ownedPool = 4
-		type handle struct {
-			id        int
-			a, b      *Event // the two engines' events for this logical op
-			fired     bool   // hybrid-side logical state; used to gate cancels
-			cancelled bool   //   (the Event objects recycle after firing)
-		}
-		var (
-			hybrid, heapOnly Engine
-			nextID           int
-			fireA, fireB     []string
-			oneShots         []*handle
-		)
-		heapOnly.noWheel = true
-		// Owned periodic events: a fixed pool per engine, re-armed by
-		// ops. The per-slot id is updated at arm time; both engines see
-		// identical arm sequences, so matching logs mean matching order.
-		var ownedID [ownedPool]int
-		var ownedA, ownedB [ownedPool]*Event
-		for k := 0; k < ownedPool; k++ {
-			k := k
-			ownedA[k] = hybrid.NewPeriodicEvent("p", func(now Time) {
-				fireA = append(fireA, fmt.Sprintf("o%d@%d", ownedID[k], now))
-			})
-			ownedB[k] = heapOnly.NewPeriodicEvent("p", func(now Time) {
-				fireB = append(fireB, fmt.Sprintf("o%d@%d", ownedID[k], now))
-			})
-		}
-		delta := func(a, b byte) Time {
-			return Time(uint64(a)+1) << (b % 36)
-		}
-		for i := 0; i+2 < len(ops); i += 3 {
-			op, a, b := ops[i]%4, ops[i+1], ops[i+2]
-			switch op {
-			case 0: // one-shot at now+delta on both engines
-				h := &handle{id: nextID}
-				nextID++
-				at := hybrid.Now() + delta(a, b)
-				h.a = hybrid.At(at, "f", func(now Time) {
-					h.fired = true
-					fireA = append(fireA, fmt.Sprintf("s%d@%d", h.id, now))
-				})
-				h.b = heapOnly.At(at, "f", func(now Time) {
-					fireB = append(fireB, fmt.Sprintf("s%d@%d", h.id, now))
-				})
-				oneShots = append(oneShots, h)
-			case 1: // (re-)arm an owned periodic event if free
-				k := int(a) % ownedPool
-				if ownedA[k].queued != ownedB[k].queued {
-					t.Fatalf("owned[%d] queued state diverged: hybrid=%v heap=%v",
-						k, ownedA[k].queued, ownedB[k].queued)
-				}
-				if ownedA[k].queued {
-					continue
-				}
-				ownedID[k] = nextID
-				nextID++
-				d := Cycles(delta(a, b))
-				hybrid.ScheduleAfter(ownedA[k], d)
-				heapOnly.ScheduleAfter(ownedB[k], d)
-			case 2: // cancel a live one-shot (same one in both engines).
-				// Gate on the handle's logical state, not the Event's:
-				// a fired one-shot's Event recycles through the freelist
-				// and may already carry a different logical event.
-				var cands []*handle
-				for _, h := range oneShots {
-					if !h.fired && !h.cancelled {
-						cands = append(cands, h)
-					}
-				}
-				if len(cands) == 0 {
-					continue
-				}
-				h := cands[int(a)%len(cands)]
-				h.cancelled = true
-				hybrid.Cancel(h.a)
-				heapOnly.Cancel(h.b)
-			case 3: // step both
-				sa := hybrid.Step()
-				sb := heapOnly.Step()
-				if sa != sb {
-					t.Fatalf("Step diverged: hybrid=%v heap=%v", sa, sb)
-				}
-			}
-			if hybrid.Pending() != heapOnly.Pending() {
-				t.Fatalf("Pending diverged after op %d: hybrid=%d heap=%d",
-					i/3, hybrid.Pending(), heapOnly.Pending())
-			}
-			if hybrid.Now() != heapOnly.Now() {
-				t.Fatalf("Now diverged after op %d: hybrid=%d heap=%d",
-					i/3, hybrid.Now(), heapOnly.Now())
-			}
-		}
-		hybrid.Run(nil)
-		heapOnly.Run(nil)
-		if len(fireA) != len(fireB) {
-			t.Fatalf("fire counts diverged: hybrid=%d heap=%d", len(fireA), len(fireB))
-		}
-		for i := range fireA {
-			if fireA[i] != fireB[i] {
-				t.Fatalf("fire order diverged at %d: hybrid=%s heap=%s", i, fireA[i], fireB[i])
-			}
-		}
-		if hybrid.Pending() != 0 || heapOnly.Pending() != 0 {
-			t.Fatalf("undrained: hybrid=%d heap=%d", hybrid.Pending(), heapOnly.Pending())
-		}
-	})
+		check(i/3, fmt.Sprint("opcode ", op))
+	}
+	maxDur, e.MaxDur = 0, 0
+	for step(maxTime) {
+	}
+	e.Run(nil)
+	check(len(ops)/3, "drain")
 }

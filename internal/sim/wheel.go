@@ -2,12 +2,8 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timer wheel: a fast path in front of the min-heap for the
-// event classes that dominate a scheduler simulation — strictly-periodic
-// re-armed timers (per-CPU tick, watchdog sweep) and near-deadline
-// latencies (IPI, dispatch, short sleeps). Insert and cancel are O(1);
-// firing order is still exactly (At, seq) across both structures, so the
-// wheel is invisible to everything but the profiler.
+// Hierarchical timer wheel: the engine's one pending-set structure. Arm,
+// cancel and fire are O(1); firing order is exactly (At, seq).
 //
 // Geometry: wheelLevels levels of wheelSlots slots each. A level-0 slot
 // covers wheelGran0 cycles — coarse enough that the cursor crosses a
@@ -35,184 +31,211 @@ const (
 	wheelSpan0 = 1 << (wheelShift + wheelBits)
 	// wheelGran2 is the level-2 slot granularity — equivalently the span
 	// of the level-1 ring (~2.1G cycles, ~5.4s at the default clock).
-	// Unhinted one-shot events take the wheel only inside this span; the
-	// heap keeps the far-future long tail.
 	wheelGran2 = 1 << (wheelShift + 2*wheelBits)
 	// wheelHorizon is the span of the level-2 ring (~4.4T cycles): the
-	// furthest deadline the wheel can express at all. Periodic-hinted
-	// events ride the wheel anywhere inside it.
+	// furthest deadline, measured from the cursor, the wheel can express.
 	wheelHorizon = 1 << (wheelShift + 3*wheelBits)
+
+	// levelOver is Event.level for a resident of the overflow list.
+	levelOver = wheelLevels
 )
 
-// slot heads one intrusive singly-linked list of events (chained
-// through Event.wheelNext). Level-0 lists are kept sorted by (At, seq);
-// the tail pointer makes the common insert — a fresh arm whose deadline
-// lands at or past everything already parked — an O(1) append.
+// slot heads one intrusive doubly-linked list of events (chained through
+// Event.wheelNext/wheelPrev), so any resident unlinks in O(1). Level-0
+// lists are kept sorted by (At, seq); upper-level and overflow lists are
+// only ever drained whole, so their order is arrival order.
 type slot struct {
 	head, tail *Event
 }
 
-// wheel is the three-level ring. cur is the cursor: every resident event
-// satisfies At >= cur, and cur only advances as far as a caller-supplied
-// limit justifies, so later arms can still land ahead of it. Occupancy
-// bitmaps (one bit per slot) let scans skip 64 empty slots per word, and
-// per-level resident counts let them skip levels entirely.
+// pushBack appends ev, whose links are nil.
+func (s *slot) pushBack(ev *Event) {
+	if t := s.tail; t != nil {
+		t.wheelNext = ev
+		ev.wheelPrev = t
+	} else {
+		s.head = ev
+	}
+	s.tail = ev
+}
+
+// before reports firing order: earlier time first, arm order within the
+// same instant.
+func (a *Event) before(b *Event) bool {
+	return a.At < b.At || (a.At == b.At && a.seq < b.seq)
+}
+
+// wheel is the three-level ring plus its overflow. cur is the cursor,
+// always on a level-0 slot boundary: every ring resident satisfies
+// At >= cur, and cur only advances as far as a caller-supplied limit
+// justifies. Occupancy bitmaps (one bit per slot, exact: a set bit is a
+// non-empty slot) let scans skip 64 empty slots per word, and per-level
+// resident counts let them skip levels entirely.
 type wheel struct {
 	cur   Time
-	count int // resident events, including lazily-cancelled ones
+	count int // ring residents (the overflow is not counted)
 	occ   [wheelLevels]int
 
-	// One-entry scan cache: the engine asks for the wheel's earliest
-	// event once per dispatch, but the answer only changes when the
-	// wheel does. hit is a confirmed global earliest — the live head of
-	// the level-0 slot the cursor stands on — and stays valid until it
-	// is popped, cancelled, or beaten by an earlier arm; popping it
-	// promotes its slot successor, so a burst draining one slot never
-	// rescans. missTo (valid when missOK) records a confirmed "nothing
-	// at or before missTo", valid until an arm lands inside that range.
-	hit    *Event
-	missTo Time
-	missOK bool
+	// hit is the confirmed earliest ring resident — the head of a level-0
+	// slot — or nil when unknown. Dispatch asks once per event but the
+	// answer only changes when the wheel does: firing or cancelling it
+	// promotes its slot successor, an earlier arm replaces it.
+	hit *Event
+
+	// over holds what the rings cannot express at arm time: a deadline at
+	// or past cur+wheelHorizon, or one behind the cursor (the clock can
+	// trail it after a limit-capped advance). Unsorted; overMin is its
+	// earliest by (At, seq), nil exactly when the list is empty.
+	over    slot
+	overMin *Event
 
 	bits  [wheelLevels][wheelWords]uint64
 	slots [wheelLevels][wheelSlots]slot
 }
 
-// wheelInsert routes an armed event onto the wheel when its deadline is
-// in range, reporting whether it did. Deadlines behind the cursor (or
-// beyond the event's allowed span) fall back to the heap, which handles
-// any (At, seq) — the split is pure fast-path/slow-path.
-func (e *Engine) wheelInsert(ev *Event, at Time) bool {
-	if e.noWheel {
-		return false
-	}
-	w := e.wheel
-	if w == nil {
-		w = &wheel{cur: e.now}
-		e.wheel = w
-	} else if w.count == 0 && w.cur != e.now {
-		// Empty wheel: resynchronize the cursor so level selection sees
-		// true deltas (cur may trail now after a heap-only stretch, or
-		// sit past it after a capped advance).
-		w.cur = e.now
-	}
-	if at < w.cur {
-		return false
-	}
-	delta := at - w.cur
-	if ev.periodic {
-		if delta >= wheelHorizon {
-			return false
+// insert links a queued, unlinked event wherever its deadline belongs
+// relative to the cursor: the finest ring level that can express it, or
+// the overflow. It serves fresh arms, cascades and overflow re-filing
+// alike, so it assumes nothing about ev's seq.
+func (w *wheel) insert(ev *Event) {
+	at := ev.At
+	delta := at - w.cur // wraps past the horizon when at is behind the cursor
+	if delta >= wheelHorizon {
+		ev.level = levelOver
+		w.over.pushBack(ev)
+		if w.overMin == nil || ev.before(w.overMin) {
+			w.overMin = ev
 		}
-	} else if delta >= wheelGran2 {
-		return false
+		return
 	}
-	if w.hit != nil && at < w.hit.At {
-		// The new arrival fires strictly before the confirmed earliest,
-		// so it is the new confirmed earliest (an equal At keeps the
-		// incumbent: it carries the older seq).
-		w.hit = ev
-	}
-	if w.missOK && at <= w.missTo {
-		w.missOK = false
-	}
-	w.insert(ev, at)
-	return true
-}
-
-// insert links ev into the slot its deadline selects at the finest level
-// that can still express it.
-func (w *wheel) insert(ev *Event, at Time) {
-	delta := at - w.cur
 	l := 0
-	for l < wheelLevels-1 && delta>>(wheelShift+wheelBits*(l+1)) != 0 {
+	for delta>>(wheelShift+wheelBits*(l+1)) != 0 {
 		l++
 	}
-	// delta can reach the full horizon during a cascade of a lap-wrapped
-	// top-level slot (the event belongs to the slot's next window, one
-	// whole ring revolution out); re-parking it in the same slot is
-	// exactly right — it surfaces again when that window opens.
 	idx := int(at>>(wheelShift+wheelBits*l)) & wheelMask
 	s := &w.slots[l][idx]
+	ev.level = uint8(l)
 	w.count++
 	w.occ[l]++
-	if s.head == nil {
-		ev.wheelNext = nil
-		s.head, s.tail = ev, ev
-		w.bits[l][idx>>6] |= 1 << (idx & 63)
-		return
-	}
+	w.bits[l][idx>>6] |= 1 << (idx & 63)
 	if l > 0 {
-		// Upper-level slots are only ever drained whole by a cascade,
-		// which re-inserts each survivor individually — list order is
-		// irrelevant there, so push front.
-		ev.wheelNext = s.head
+		s.pushBack(ev)
+		return
+	}
+	if w.hit != nil && ev.before(w.hit) {
+		w.hit = ev
+	}
+	// A level-0 slot fires from the head, so it stays sorted. p is the
+	// resident ev goes behind: a fresh arm's is the tail, a new earliest
+	// has none, and cascaded or re-filed events and same-slot earlier
+	// deadlines walk back from the tail to theirs.
+	p := s.tail
+	if s.head != nil && ev.before(s.head) {
+		p = nil
+	}
+	for p != nil && ev.before(p) {
+		p = p.wheelPrev
+	}
+	if p == s.tail {
+		s.pushBack(ev)
+		return
+	}
+	n := s.head
+	if p != nil {
+		n = p.wheelNext
+		p.wheelNext = ev
+	} else {
 		s.head = ev
-		return
 	}
-	// A level-0 slot pops from the head, so it must stay sorted by
-	// (At, seq). A fresh arm usually lands at or past everything parked
-	// (it carries the highest seq yet issued) and appends at the tail;
-	// cascaded events and same-slot earlier deadlines walk to their spot.
-	t := s.tail
-	if t.At < ev.At || (t.At == ev.At && t.seq < ev.seq) {
-		ev.wheelNext = nil
-		t.wheelNext = ev
-		s.tail = ev
-		return
-	}
-	h := s.head
-	if ev.At < h.At || (ev.At == h.At && ev.seq < h.seq) {
-		ev.wheelNext = h
-		s.head = ev
-		return
-	}
-	p := h
-	for n := p.wheelNext; n.At < ev.At || (n.At == ev.At && n.seq < ev.seq); n = p.wheelNext {
-		p = n
-	}
-	// Not past the tail (that was the append case), so tail is unchanged.
-	ev.wheelNext = p.wheelNext
-	p.wheelNext = ev
+	ev.wheelPrev = p
+	ev.wheelNext = n
+	n.wheelPrev = ev
 }
 
-// cascade drains one upper-level slot whose window start the cursor has
-// reached, re-inserting each survivor at a finer level and recycling
-// lazily-cancelled corpses.
-func (e *Engine) cascade(l, idx int) {
-	w := e.wheel
-	s := &w.slots[l][idx]
+// remove unlinks a resident from its slot or from the overflow, leaving
+// its links nil and every summary — tail, bitmap, counts, hit, overMin —
+// exact.
+func (w *wheel) remove(ev *Event) {
+	next, prev := ev.wheelNext, ev.wheelPrev
+	ev.wheelNext, ev.wheelPrev = nil, nil
+	l := int(ev.level)
+	s := &w.over
+	idx := 0
+	if l < wheelLevels {
+		idx = int(ev.At>>(wheelShift+wheelBits*l)) & wheelMask
+		s = &w.slots[l][idx]
+	}
+	if prev != nil {
+		prev.wheelNext = next
+	} else {
+		s.head = next
+	}
+	if next != nil {
+		next.wheelPrev = prev
+	} else {
+		s.tail = prev
+	}
+	if l == levelOver {
+		if ev == w.overMin {
+			w.overMin = s.head
+			for o := s.head; o != nil; o = o.wheelNext {
+				if o.before(w.overMin) {
+					w.overMin = o
+				}
+			}
+		}
+		return
+	}
+	w.count--
+	w.occ[l]--
+	if s.head == nil {
+		w.bits[l][idx>>6] &^= 1 << (idx & 63)
+	}
+	if ev == w.hit {
+		// Its slot successor is the next earliest (see dispatch); with
+		// none, the next dispatch rescans.
+		w.hit = next
+	}
+}
+
+// drain empties a level-l slot (or, with l == levelOver, the overflow)
+// and re-inserts each resident relative to the cursor as it stands now.
+func (w *wheel) drain(s *slot, l int) {
 	ev := s.head
-	s.head, s.tail = nil, nil
-	w.bits[l][idx>>6] &^= 1 << (idx & 63)
+	*s = slot{}
 	for ev != nil {
 		next := ev.wheelNext
-		w.count--
-		w.occ[l]--
-		if ev.cancelled {
-			ev.queued = false
-			e.release(ev)
-		} else {
-			w.insert(ev, ev.At)
+		ev.wheelNext, ev.wheelPrev = nil, nil
+		if l < wheelLevels {
+			w.count--
+			w.occ[l]--
 		}
+		w.insert(ev)
 		ev = next
 	}
 }
 
-// wheelOpen stands at window boundary t (a multiple of wheelSpan0) and
+// cascade drains one upper-level slot whose window start the cursor has
+// reached, re-inserting each resident at a finer level.
+func (w *wheel) cascade(l, idx int) {
+	w.bits[l][idx>>6] &^= 1 << (idx & 63)
+	w.drain(&w.slots[l][idx], l)
+}
+
+// open stands at window boundary t (a multiple of wheelSpan0) and
 // cascades the level-1 — and, at coarser alignments, level-2 — slots
 // whose windows open there.
-func (e *Engine) wheelOpen(t Time) {
-	w := e.wheel
+func (w *wheel) open(t Time) {
+	w.cur = t
 	if t&(wheelGran2-1) == 0 {
 		idx := int(t>>(wheelShift+2*wheelBits)) & wheelMask
 		if w.bits[2][idx>>6]&(1<<(idx&63)) != 0 {
-			e.cascade(2, idx)
+			w.cascade(2, idx)
 		}
 	}
 	idx := int(t>>(wheelShift+wheelBits)) & wheelMask
 	if w.bits[1][idx>>6]&(1<<(idx&63)) != 0 {
-		e.cascade(1, idx)
+		w.cascade(1, idx)
 	}
 }
 
@@ -232,62 +255,34 @@ func (w *wheel) scan(l, from int) (int, bool) {
 	return 0, false
 }
 
-// wheelScanL0 searches level 0 from the cursor to the end of its current
-// window (exclusive boundary b), never surfacing an event past limit,
-// pruning lazily-cancelled slot heads as it goes. On a hit the cursor
-// stands on the event's slot; on a miss it stands where the scan
-// stopped, so the next scan resumes without rework.
-func (e *Engine) wheelScanL0(b, limit Time) *Event {
-	w := e.wheel
-	stop := b - 1
-	if limit < stop {
-		stop = limit
+// scanL0 searches level 0 from the cursor to the end of its current
+// window (exclusive boundary b), never surfacing an event past limit and
+// never moving the cursor past limit's slot. On a hit the cursor stands
+// on the event's slot; on a miss it stands where the scan stopped, so the
+// next scan resumes without rework.
+func (w *wheel) scanL0(b, limit Time) *Event {
+	if w.cur > limit {
+		return nil
 	}
-	for w.cur <= stop && w.occ[0] > 0 {
-		sidx := int(w.cur>>wheelShift) & wheelMask
-		word := w.bits[0][sidx>>6] >> (sidx & 63)
-		if word == 0 {
-			w.cur = (w.cur>>wheelShift + Time(64-sidx&63)) << wheelShift
-			continue
-		}
-		if skip := bits.TrailingZeros64(word); skip > 0 {
-			w.cur = (w.cur>>wheelShift + Time(skip)) << wheelShift
-			if w.cur > stop {
-				// The next occupied slot starts beyond the cap, so every
-				// deadline in it lies beyond the cap too; leave the
-				// cursor on it (cur never passes a resident event).
-				return nil
-			}
-			sidx = int(w.cur>>wheelShift) & wheelMask
-		}
-		s := &w.slots[0][sidx]
-		for s.head != nil && s.head.cancelled {
-			dead := s.head
-			s.head = dead.wheelNext
-			dead.queued = false
-			w.count--
-			w.occ[0]--
-			e.release(dead)
-		}
-		if s.head != nil {
-			if s.head.At > limit {
-				// The slot straddles the cap: its earliest live deadline
-				// is past limit. Hold the cursor at the slot.
-				return nil
-			}
-			return s.head
-		}
-		s.tail = nil
-		w.bits[0][sidx>>6] &^= 1 << (sidx & 63)
-		w.cur = (w.cur>>wheelShift + 1) << wheelShift
+	sidx := int(w.cur>>wheelShift) & wheelMask
+	// With nothing left in this window the cursor holds on its last
+	// slot: reaching b is the open path's job, which must cascade b's
+	// window before the cursor may stand on it.
+	to := b - wheelGran0
+	k, ok := w.scan(0, sidx)
+	if ok {
+		to = w.cur + Time(k-sidx)<<wheelShift
 	}
-	if w.cur >= b {
-		// A word-skip (or final prune) landed exactly on the window
-		// boundary. Hold the cursor inside the window — the last slot is
-		// verified empty, and reaching b is exclusively the open path's
-		// job: wheelEarliest must cascade b's window before the cursor
-		// may stand on it.
-		w.cur = b - 1
+	if capped := limit &^ (wheelGran0 - 1); to > capped {
+		w.cur = capped
+		return nil
+	}
+	w.cur = to
+	if ok {
+		if head := w.slots[0][k].head; head.At <= limit {
+			return head
+		}
+		// The slot straddles the cap: its earliest deadline is past it.
 	}
 	return nil
 }
@@ -313,10 +308,7 @@ func (w *wheel) nextWindow(b, limit Time) (Time, bool) {
 			if w.occ[1] == 0 {
 				if k, ok := w.scan(2, idx2); ok {
 					t := b + Time(k-idx2)<<(wheelShift+2*wheelBits)
-					if t > limit {
-						return 0, false
-					}
-					return t, true
+					return t, t <= limit
 				}
 				// Rest of the level-2 lap is empty: wrap to the next.
 				b = (b &^ Time(wheelHorizon-1)) + wheelHorizon
@@ -326,10 +318,7 @@ func (w *wheel) nextWindow(b, limit Time) (Time, bool) {
 		idx := int(b>>(wheelShift+wheelBits)) & wheelMask
 		if j, ok := w.scan(1, idx); ok {
 			t := b + Time(j-idx)<<(wheelShift+wheelBits)
-			if t > limit {
-				return 0, false
-			}
-			return t, true
+			return t, t <= limit
 		}
 		// Level 1 empty for the rest of this lap: cross into the next
 		// lap, where the level-2 slot check above takes over.
@@ -337,123 +326,108 @@ func (w *wheel) nextWindow(b, limit Time) (Time, bool) {
 	}
 }
 
-// wheelEarliest returns the earliest live wheel event at or before
-// limit, advancing the cursor — cascading windows open along the way —
-// but never opening a window that starts after limit. The cap keeps the
-// advance conservative: the engine passes the heap root's time (or the
-// run horizon) as limit, so events armed after a capped advance still
-// order correctly against everything resident.
-func (e *Engine) wheelEarliest(limit Time) *Event {
-	w := e.wheel
-	if w == nil {
-		return nil
-	}
-	if w.hit != nil && !w.hit.cancelled {
-		// Confirmed global earliest: answer without touching the rings.
+// earliestRing returns the earliest ring resident at or before limit,
+// leaving it in hit. It advances the cursor — cascading windows open
+// along the way — but never past limit's slot: RunFor leaves the clock on
+// its deadline, so no arm after it can fall behind the cursor, and only a
+// Step refused at the MaxDur horizon leaves the cursor ahead of the clock.
+func (w *wheel) earliestRing(limit Time) *Event {
+	if w.hit != nil {
 		if w.hit.At <= limit {
 			return w.hit
 		}
 		return nil
 	}
-	w.hit = nil
-	if w.missOK && limit <= w.missTo {
-		return nil
-	}
 	for w.count > 0 {
 		b := (w.cur &^ Time(wheelSpan0-1)) + wheelSpan0
 		if w.occ[0] > 0 {
-			if ev := e.wheelScanL0(b, limit); ev != nil {
+			if ev := w.scanL0(b, limit); ev != nil {
 				w.hit = ev
 				return ev
 			}
 			if b > limit {
 				break
 			}
-			w.cur = b
-			e.wheelOpen(b)
+			w.open(b)
 			continue
 		}
 		t, ok := w.nextWindow(b, limit)
 		if !ok {
 			break
 		}
-		w.cur = t
-		e.wheelOpen(t)
+		w.open(t)
 	}
-	w.missOK = true
-	w.missTo = limit
 	return nil
 }
 
-// popWheel unlinks ev — positioned by wheelEarliest as the live head of
-// the level-0 slot under the cursor — from the wheel. The slot successor
-// (if any) is promoted straight into the scan cache: level-0 lists are
-// (At, seq)-sorted and every other resident lives at or past this slot's
-// window, so the successor is provably the wheel's next earliest.
-func (e *Engine) popWheel(ev *Event) {
-	w := e.wheel
-	idx := int(ev.At>>wheelShift) & wheelMask
-	s := &w.slots[0][idx]
-	next := ev.wheelNext
-	s.head = next
-	if next == nil {
-		s.tail = nil
-		w.bits[0][idx>>6] &^= 1 << (idx & 63)
-		// The slot drained: probe the rest of its bitmap word. Slots at
-		// ring indices above the cursor's hold only current-window
-		// deadlines (next-lap inserts land strictly below the cursor
-		// index), which fire before every level-1/2 resident and every
-		// wrapped slot — so the next occupied slot's head, if the word
-		// has one, is provably the wheel's next earliest, and a burst
-		// spanning nearby slots keeps the cache warm across 64 slots at
-		// a time. (A cancelled head is fine: the cache rechecks.)
-		if word := w.bits[0][idx>>6] >> (idx & 63); word != 0 {
-			next = w.slots[0][idx+bits.TrailingZeros64(word)].head
+// earliest is the scan behind dispatch's remembered answer: the next event
+// to fire at or before limit, from the rings or the overflow, or nil. An
+// overflow whose earliest deadline has come into the rings' range is
+// re-filed first; what stays behind is either behind the cursor, hence
+// before every ring resident, or at least a horizon ahead of it, hence
+// after — and its earliest caps the cursor's advance, so the clock never
+// jumps to an overflow deadline with the cursor already past it.
+func (w *wheel) earliest(now, limit Time) *Event {
+	m := w.overMin
+	if m == nil {
+		return w.earliestRing(limit)
+	}
+	if w.count == 0 {
+		w.cur = now &^ (wheelGran0 - 1)
+	}
+	if m.At-w.cur < wheelHorizon {
+		w.overMin = nil
+		w.drain(&w.over, levelOver)
+		if m = w.overMin; m == nil {
+			return w.earliestRing(limit)
 		}
 	}
-	w.hit = next
-	ev.queued = false
-	w.count--
-	w.occ[0]--
+	ringLimit := limit
+	if m.At < ringLimit {
+		ringLimit = m.At
+	}
+	if ev := w.earliestRing(ringLimit); ev != nil && ev.before(m) {
+		return ev
+	}
+	if m.At <= limit {
+		return m
+	}
+	return nil
 }
 
-// wheelReset drops every resident event (recycling engine-owned ones via
-// release) and rewinds the cursor, walking only occupied slots via the
-// bitmaps so the cost scales with residency, not ring size.
-func (e *Engine) wheelReset() {
-	w := e.wheel
-	if w == nil {
-		return
-	}
-	if w.count > 0 {
-		for l := 0; l < wheelLevels; l++ {
-			if w.occ[l] == 0 {
-				continue
-			}
-			for wi := range w.bits[l] {
-				word := w.bits[l][wi]
-				w.bits[l][wi] = 0
-				for word != 0 {
-					bit := bits.TrailingZeros64(word)
-					word &^= 1 << bit
-					s := &w.slots[l][wi<<6+bit]
-					for ev := s.head; ev != nil; {
-						next := ev.wheelNext
-						ev.wheelNext = nil
-						ev.queued = false
-						ev.cancelled = false
-						e.release(ev)
-						ev = next
-					}
-					s.head, s.tail = nil, nil
-				}
-			}
-			w.occ[l] = 0
+// reset drops every resident — recycling engine-owned ones — and rewinds
+// the cursor, walking only occupied slots via the bitmaps so the cost
+// scales with residency, not ring size.
+func (w *wheel) reset(e *Engine) {
+	drop := func(s *slot) {
+		for ev := s.head; ev != nil; {
+			next := ev.wheelNext
+			ev.wheelNext, ev.wheelPrev = nil, nil
+			ev.queued = false
+			ev.cancelled = false
+			e.recycle(ev)
+			ev = next
 		}
-		w.count = 0
+		*s = slot{}
 	}
+	for l := 0; l < wheelLevels; l++ {
+		if w.occ[l] == 0 {
+			continue
+		}
+		for wi := range w.bits[l] {
+			word := w.bits[l][wi]
+			w.bits[l][wi] = 0
+			for word != 0 {
+				bit := bits.TrailingZeros64(word)
+				word &^= 1 << bit
+				drop(&w.slots[l][wi<<6+bit])
+			}
+		}
+		w.occ[l] = 0
+	}
+	drop(&w.over)
+	w.overMin = nil
+	w.count = 0
 	w.cur = 0
 	w.hit = nil
-	w.missOK = false
-	w.missTo = 0
 }
