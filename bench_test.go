@@ -455,6 +455,31 @@ func BenchmarkMicro_RunqueueOps(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_Boot measures kernel.NewMachine alone — CPUs, idle tasks,
+// stats, and the policy's queue set — per policy on the two specs the
+// quick matrix boots, on a recycled engine as every matrix cell does. ns,
+// B/op and allocs/op; TestBootAllocBudget in internal/experiments holds
+// the last two to a ceiling.
+func BenchmarkMicro_Boot(b *testing.B) {
+	sc := benchWorkloadScale()
+	for _, label := range []string{"8P", "32P-NUMA"} {
+		spec := experiments.SpecByLabel(label)
+		for _, policy := range experiments.Policies {
+			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
+				eng := new(sim.Engine)
+				experiments.NewMachineOn(eng, spec, policy, sc)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bootSink = experiments.NewMachineOn(eng, spec, policy, sc)
+				}
+			})
+		}
+	}
+}
+
+var bootSink *kernel.Machine
+
 // benchWorkloadScale sizes one registry-workload cell per iteration.
 func benchWorkloadScale() experiments.Scale {
 	return experiments.Scale{Messages: 10, Seed: 42, HorizonSeconds: 600, Quick: true}

@@ -75,12 +75,25 @@ type MachineSpec struct {
 	CPUs    int
 	SMP     bool
 	Domains int // cache domains; 0 or 1 means flat
+
+	// topo is the layout numaSpec built for a registered spec. A Topology
+	// is immutable, so every machine of the spec shares it.
+	topo *sched.Topology
+}
+
+// numaSpec returns an SMP spec of cpus processors in domains cache domains.
+func numaSpec(label string, cpus, domains int) MachineSpec {
+	return MachineSpec{Label: label, CPUs: cpus, SMP: true, Domains: domains,
+		topo: sched.UniformTopology(cpus, domains)}
 }
 
 // Topology returns the spec's cache-domain layout, nil for flat machines.
 func (s MachineSpec) Topology() *sched.Topology {
 	if s.Domains <= 1 {
 		return nil
+	}
+	if t := s.topo; t != nil && t.NumCPU() == s.CPUs && t.NumDomains() == s.Domains {
+		return t
 	}
 	return sched.UniformTopology(s.CPUs, s.Domains)
 }
@@ -102,8 +115,8 @@ var AllSpecs = append(append([]MachineSpec{}, PaperSpecs...),
 	MachineSpec{Label: "8P", CPUs: 8, SMP: true},
 	MachineSpec{Label: "16P", CPUs: 16, SMP: true},
 	MachineSpec{Label: "32P", CPUs: 32, SMP: true},
-	MachineSpec{Label: "32P-NUMA", CPUs: 32, SMP: true, Domains: 4},
-	MachineSpec{Label: "64P-NUMA", CPUs: 64, SMP: true, Domains: 8})
+	numaSpec("32P-NUMA", 32, 4),
+	numaSpec("64P-NUMA", 64, 8))
 
 // NUMASpecs are the cache-domain machines: the 4x8 spec the domain
 // experiments were built on, and the 64-processor, 8-domain spec that

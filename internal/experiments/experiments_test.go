@@ -192,3 +192,23 @@ func TestFindPanicsOnMissing(t *testing.T) {
 	}()
 	Find(nil, Reg, "UP", 5)
 }
+
+// TestSpecTopologyBuiltOnce: a registered NUMA spec hands every machine
+// the one immutable layout it was registered with; flat specs have none;
+// and a spec edited after the fact gets a layout that matches its fields.
+func TestSpecTopologyBuiltOnce(t *testing.T) {
+	numa := SpecByLabel("32P-NUMA")
+	if a, b := numa.Topology(), SpecByLabel("32P-NUMA").Topology(); a == nil || a != b {
+		t.Fatalf("32P-NUMA topologies %p and %p, want one shared layout", a, b)
+	}
+	if SpecByLabel("8P").Topology() != nil {
+		t.Fatal("a flat spec has no topology")
+	}
+	numa.CPUs, numa.Domains = 16, 2
+	if topo := numa.Topology(); topo.NumCPU() != 16 || topo.NumDomains() != 2 {
+		t.Fatalf("edited spec got layout %v, want 16cpu/2dom", topo)
+	}
+	if topo := (MachineSpec{Label: "x", CPUs: 4, SMP: true, Domains: 2}).Topology(); topo.String() != "4cpu/2dom" {
+		t.Fatalf("literal spec got layout %v", topo)
+	}
+}

@@ -81,3 +81,22 @@ func TestSteadyStateQueueOpsAllocFree(t *testing.T) {
 			ping.Delivered(), pong.Delivered(), mu.Acquisitions())
 	}
 }
+
+// TestNewQueueNamesOneAllocation: the six diagnostic names a queue carries
+// read as before, and building them costs the queue one string, not six —
+// the queue itself, its two wait queues, the names and the bound delivery
+// handler are all NewQueue allocates.
+func TestNewQueueNamesOneAllocation(t *testing.T) {
+	q := NewQueue("room3.u7.c2s", 0)
+	got := []string{q.readers.Name, q.writers.Name, q.deliverName, q.sendSC.Name, q.recvSC.Name, q.trySC.Name}
+	for i, suffix := range []string{".readers", ".writers", ".deliver", ".send", ".recv", ".tryrecv"} {
+		if got[i] != "room3.u7.c2s"+suffix {
+			t.Errorf("name %d = %q, want %q", i, got[i], "room3.u7.c2s"+suffix)
+		}
+	}
+	var sink *Queue
+	if allocs := testing.AllocsPerRun(100, func() { sink = NewQueue("room3.u7.c2s", 0) }); allocs > 5 {
+		t.Fatalf("NewQueue allocates %.0f objects, want at most 5", allocs)
+	}
+	_ = sink
+}

@@ -50,8 +50,8 @@ type Queue struct {
 	delivered uint64
 	sent      uint64
 
-	// Prebound, closure-free syscall machinery: op names are concatenated
-	// once here instead of per call, and each op re-arms its own scratch
+	// Prebound, closure-free syscall machinery: op names are built once
+	// in NewQueue instead of per call, and each op re-arms its own scratch
 	// Syscall — safe because the kernel copies the action into the proc
 	// the moment it is consumed, and a program hands its action straight
 	// back from Step. deliverName/deliverFn are the single prebound
@@ -67,16 +67,26 @@ type Queue struct {
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
 func NewQueue(name string, capacity int) *Queue {
+	// The six diagnostic names share one backing string: only ps, trace
+	// and watchdog output read them, and a concatenation each was 28% of
+	// a chat benchmark's build allocation.
+	all := name + ".readers" + name + ".writers" + name + ".deliver" +
+		name + ".send" + name + ".recv" + name + ".tryrecv"
+	cut := func(suffix string) string {
+		s := all[:len(name)+len(suffix)]
+		all = all[len(s):]
+		return s
+	}
 	q := &Queue{
 		Name:        name,
 		Cap:         capacity,
-		readers:     kernel.NewWaitQueue(name + ".readers"),
-		writers:     kernel.NewWaitQueue(name + ".writers"),
-		deliverName: name + ".deliver",
+		readers:     kernel.NewWaitQueue(cut(".readers")),
+		writers:     kernel.NewWaitQueue(cut(".writers")),
+		deliverName: cut(".deliver"),
 	}
-	q.sendSC = kernel.Syscall{Name: name + ".send", Exec: execSend, Obj: q}
-	q.recvSC = kernel.Syscall{Name: name + ".recv", Exec: execRecv, Obj: q}
-	q.trySC = kernel.Syscall{Name: name + ".tryrecv", Exec: execTryRecv, Obj: q}
+	q.sendSC = kernel.Syscall{Name: cut(".send"), Exec: execSend, Obj: q}
+	q.recvSC = kernel.Syscall{Name: cut(".recv"), Exec: execRecv, Obj: q}
+	q.trySC = kernel.Syscall{Name: cut(".tryrecv"), Exec: execTryRecv, Obj: q}
 	q.deliverFn = q.deliverOne
 	return q
 }

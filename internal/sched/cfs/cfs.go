@@ -37,7 +37,6 @@
 package cfs
 
 import (
-	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/task"
 )
@@ -53,10 +52,6 @@ const (
 	// degrades to round-robin at a sane quantum instead of thrashing.
 	periodTicks  = 20
 	minGranTicks = 2
-
-	// rtLevels reserves one level per rt_priority value (0..99), best
-	// (highest rt_priority) at index 0 as in the o1 arrays.
-	rtLevels = task.MaxRTPriority + 1
 )
 
 // weightOf maps a static priority onto the CFS prio_to_weight table:
@@ -191,16 +186,16 @@ func (h *fheap) removeAt(i int) fentry {
 func rtLevelOf(t *task.Task) int { return task.MaxRTPriority - t.RTPriority }
 
 // runqueue is one CPU's fair heap plus real-time array — one FIFO list per
-// rt_priority level under a find-first-set bitmap, the o1 idiom. minVR is the
+// rt_priority level under a find-first-set bitmap, the o1 idiom, its zero
+// value ready and without lists until a real-time task arrives. minVR is the
 // monotone virtual clock the sleeper clamp and migration renorm anchor
 // to; maxVR is the high-watermark a yielding task is sent behind;
 // weight sums the queued fair entries' weights for slice computation.
 type runqueue struct {
-	fair    fheap
-	rt      sched.LevelArray
-	rtLists [rtLevels]klist.Head
-	minVR   uint64
-	maxVR   uint64
+	fair  fheap
+	rt    sched.LevelArray
+	minVR uint64
+	maxVR uint64
 
 	weight uint64
 
@@ -245,9 +240,6 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 		wakeGran:     cfg.TickCycles / 8,
 	}
 	s.bal = sched.NewBalancer(env, env.Topo, sched.DefaultCrossImbalance, sched.DefaultCrossBatch, s.stealCandidate, s.pulled)
-	for i := range s.rqs {
-		s.rqs[i].rt.Init(s.rqs[i].rtLists[:])
-	}
 	return s
 }
 

@@ -64,6 +64,7 @@ type harness struct {
 	s       sched.Scheduler
 	idles   []*task.Task
 	current []*task.Task
+	last    sched.Result // what the latest schedule() reported
 }
 
 func newHarness(s sched.Scheduler, ncpu int) *harness {
@@ -84,6 +85,7 @@ func (h *harness) schedule(cpu int) *task.Task {
 	}
 	h.current[cpu] = nil
 	res := h.s.Schedule(cpu, prevTask)
+	h.last = res
 	noter, _ := h.s.(runningNoter)
 	if prev != nil {
 		if noter != nil && prev.OnRunqueue() {

@@ -12,11 +12,12 @@ import (
 // The priority-array property test: random sequences of kernel-shaped
 // operations — enqueue, dequeue, schedule (which expires, swaps, and
 // steals), move-first/move-last, bonus credit/drain, counter edits, tick
-// rotation — must keep the FFS bitmap exactly consistent with list
-// occupancy and never lose or duplicate a task. Every byte pair of the
-// fuzz input drives one operation, and the full invariant is checked
-// after each, so a shrunk counterexample points at the first corrupting
-// op rather than a downstream symptom.
+// rotation, scheduling-class changes (which bring the arrays' on-demand
+// real-time levels into being) — must keep the FFS bitmap exactly
+// consistent with list occupancy and never lose or duplicate a task. Every
+// byte pair of the fuzz input drives one operation, and the full invariant
+// is checked after each, so a shrunk counterexample points at the first
+// corrupting op rather than a downstream symptom.
 
 const (
 	fuzzCPUs  = 2
@@ -81,7 +82,7 @@ func (r *fuzzRig) step(op, arg byte) {
 	tk := r.tasks[int(arg)%len(r.tasks)]
 	cpu := int(arg) % fuzzCPUs
 	max := r.env.Cost.MaxSleepAvg
-	switch op % 11 {
+	switch op % 12 {
 	case 0:
 		tk.State = task.Running
 		if !tk.HasCPU {
@@ -124,6 +125,17 @@ func (r *fuzzRig) step(op, arg byte) {
 		if !tk.HasCPU {
 			r.s.PlaceWake(tk, cpu)
 		}
+	case 11: // sched_setscheduler: arg picks class and rt_priority (99 -> 99, 100 -> 0)
+		requeue := r.s.OnRunqueue(tk)
+		r.s.DelFromRunqueue(tk)
+		tk.Policy = []task.Policy{task.Other, task.FIFO, task.RR}[int(arg)/fuzzTasks%3]
+		tk.RTPriority = 0
+		if tk.RealTime() {
+			tk.RTPriority = int(arg) % (task.MaxRTPriority + 1)
+		}
+		if requeue {
+			r.s.AddToRunqueue(tk)
+		}
 	}
 }
 
@@ -139,7 +151,10 @@ func (r *fuzzRig) checkInvariants() error {
 		for ai := 0; ai < 2; ai++ {
 			arr := &rq.arrays[ai]
 			arrTotal := 0
-			for lvl := 0; lvl < numLevels; lvl++ {
+			// Only populated levels are walked — a real-time level may not
+			// exist yet. A task on a list whose bit is clear still shows:
+			// the array's count and its own OnRunqueue disagree with the walk.
+			for lvl := arr.Next(0); lvl >= 0; lvl = arr.Next(lvl + 1) {
 				n := 0
 				var walkErr error
 				arr.Level(lvl).ForEach(func(node *klist.Node) bool {
@@ -150,6 +165,9 @@ func (r *fuzzRig) checkInvariants() error {
 						walkErr = fmt.Errorf("task %v stamped q%d/a%d/l%d but found on q%d/a%d/l%d",
 							tk, tk.QIndex, sa, sl, q, ai, lvl)
 					}
+					if tk.RealTime() != (lvl < rtLevels) {
+						walkErr = fmt.Errorf("task %v (real-time %v) on q%d/a%d level %d", tk, tk.RealTime(), q, ai, lvl)
+					}
 					n++
 					return n <= fuzzTasks // bound the walk: a longer list is a cycle
 				})
@@ -159,9 +177,8 @@ func (r *fuzzRig) checkInvariants() error {
 				if n > fuzzTasks {
 					return fmt.Errorf("q%d array %d level %d list has a cycle", q, ai, lvl)
 				}
-				bit := arr.Next(lvl) == lvl
-				if (n > 0) != bit {
-					return fmt.Errorf("q%d array %d level %d: %d tasks but bit=%v", q, ai, lvl, n, bit)
+				if n == 0 {
+					return fmt.Errorf("q%d array %d level %d: bit set over an empty list", q, ai, lvl)
 				}
 				arrTotal += n
 			}
@@ -211,16 +228,32 @@ func runOps(data []byte) error {
 	return nil
 }
 
+// Real-time arrivals against the arrays' on-demand real-time levels, at
+// rt_priority 99 (arg 99: task 3, level 0) and 0 (arg 100: task 4, level
+// 99). rtFirst files them into fresh arrays before any SCHED_OTHER task,
+// moves them within their levels, runs them, has one yield and one block,
+// and turns one back into a SCHED_OTHER task while it runs. rtLast brings
+// them in after SCHED_OTHER traffic has expired, yielded and swapped CPU
+// 0's arrays, so the real-time levels that get built there are the second
+// array's only; it then moves, runs and dequeues them and re-classes one.
+var (
+	rtFirst = []byte{11, 99, 11, 100, 0, 3, 0, 4, 0, 0, 0, 1, 8, 3, 8, 4, 2, 0, 2, 1, 4, 0, 3, 1, 11, 3, 2, 0, 2, 1}
+	rtLast  = []byte{0, 0, 0, 1, 0, 2, 7, 0, 2, 0, 4, 0, 2, 0, 2, 1, 11, 99, 0, 3, 11, 100, 0, 4, 8, 4, 8, 3, 1, 3, 0, 3, 2, 0, 4, 0, 2, 1, 11, 3, 2, 1}
+)
+
 func FuzzPrioArrays(f *testing.F) {
 	// Seed corpus: each seed exercises a distinct hazardous path —
 	// expiry into the expired array, array swap, yield-to-expired,
 	// interactive requeue after bonus credit, steal across queues,
-	// move-first/move-last on both arrays, and placement hints.
+	// move-first/move-last on both arrays, placement hints, and real-time
+	// tasks arriving first and last.
 	f.Add([]byte{0, 0, 0, 1, 2, 0, 3, 0, 2, 1})             // add, add, run, block, run elsewhere
 	f.Add([]byte{0, 0, 7, 0, 2, 0, 4, 0, 2, 0})             // expire counter, yield into expired, swap
 	f.Add([]byte{0, 0, 5, 255, 7, 0, 0, 1, 2, 0, 9, 0})     // interactive credit + spent quantum + tick
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 2, 0, 2, 1, 8, 1}) // populate both queues, steal, move-last
 	f.Add([]byte{10, 1, 10, 3, 2, 1, 6, 255, 2, 0})         // wake-idle placement, drain, reschedule
+	f.Add(rtFirst)
+	f.Add(rtLast)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return // long inputs add time, not coverage: every op is O(1)
@@ -247,6 +280,8 @@ func TestPrioArrayOpSequenceRegression(t *testing.T) {
 		{10, 0, 10, 1, 10, 2, 6, 255, 8, 0, 8, 1, 8, 2, 2, 0, 3, 0, 2, 1, 3, 1},
 		// Del/re-add churn across a swap with the starvation clock hot.
 		{0, 0, 7, 0, 0, 1, 7, 1, 2, 0, 2, 0, 2, 0, 2, 0, 1, 0, 0, 0, 1, 1, 0, 1, 2, 1, 2, 1},
+		rtFirst,
+		rtLast,
 	}
 	for i, seq := range sequences {
 		if err := runOps(seq); err != nil {

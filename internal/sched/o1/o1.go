@@ -78,10 +78,9 @@ import (
 )
 
 const (
-	// rtLevels reserves one level per rt_priority value (0..99).
-	rtLevels = task.MaxRTPriority + 1
-	// numLevels adds one level per SCHED_OTHER static priority (1..40).
-	numLevels = rtLevels + task.MaxPriority
+	// rtLevels reserves one level per rt_priority value (0..99); one level
+	// per SCHED_OTHER static priority (1..40) follows.
+	rtLevels = sched.RTLevels
 
 	// maxBonus bounds the dynamic-priority bonus: sleep_avg maps onto
 	// [-maxBonus, +maxBonus] effective priority levels (2.5's MAX_BONUS).
@@ -161,8 +160,9 @@ func levelOf(t *task.Task) int {
 	return rtLevels + task.MaxPriority - t.Priority
 }
 
-// runqueue is one CPU's pair of priority arrays (sched.LevelArray over
-// lists, mirroring struct prio_array); activeIdx selects the active one so
+// runqueue is one CPU's pair of priority arrays (sched.LevelArray,
+// mirroring struct prio_array; lists is their SCHED_OTHER levels, the
+// real-time ones being the arrays' own); activeIdx selects the active one so
 // the array swap is a single index flip, never a task walk. schedSeq
 // counts Schedule calls on this queue, and expiredSince records the
 // schedSeq at which the expired array last became (or stayed) non-empty —
@@ -170,7 +170,7 @@ func levelOf(t *task.Task) int {
 // because the policy has no view of virtual time.
 type runqueue struct {
 	arrays       [2]sched.LevelArray
-	lists        [2][numLevels]klist.Head
+	lists        [2][task.MaxPriority]klist.Head
 	activeIdx    int
 	schedSeq     uint64
 	expiredSince uint64

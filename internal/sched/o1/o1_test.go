@@ -9,6 +9,10 @@ import (
 	"elsc/internal/workload/volano"
 )
 
+// numLevels is an array's level count: the real-time levels, then one per
+// SCHED_OTHER static priority.
+const numLevels = rtLevels + task.MaxPriority
+
 func newEnv(ncpu, ntasks int) *sched.Env {
 	return sched.NewEnv(ncpu, ncpu > 1, func() int { return ntasks })
 }

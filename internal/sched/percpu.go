@@ -42,38 +42,56 @@ func CanSchedule(t *task.Task, cpu int) bool {
 	return (!t.HasCPU || t.Processor == cpu) && t.AllowedOn(cpu)
 }
 
+// RTLevels is the number of real-time levels at the top of every
+// LevelArray: one per rt_priority value, rt_priority 99 at level 0.
+const RTLevels = task.MaxRTPriority + 1
+
 // LevelArray is a priority array in the shape of 2.5's struct prio_array:
 // one FIFO list per level, a find-first-set bitmap over the levels and a
-// task count. Level 0 is the best. The caller owns the list storage and
-// hands it to Init, so an array costs its queue no allocation and no more
-// levels than the policy uses (trap (c) in the package doc).
+// task count. Level 0 is the best. The lists are two segments (trap (c) in
+// the package doc): the SCHED_OTHER levels, RTLevels and up, are storage in
+// the policy's queue set, handed to Init — none for cfs, whose zero-value
+// array is ready; the real-time levels below are the array's own and exist
+// from the first push to one of them, which no registry cell makes.
 type LevelArray struct {
 	bitmap [levelWords]uint64
-	lists  []klist.Head
+	rt     []klist.Head // levels 0..RTLevels-1; nil until first pushed to
+	other  []klist.Head // levels RTLevels and up
 	count  int
 }
 
-// Init makes a an empty array over lists, one level per element.
-func (a *LevelArray) Init(lists []klist.Head) {
-	if len(lists) > levelWords*64 {
+// Init makes a an empty array of RTLevels real-time levels and one
+// SCHED_OTHER level per element of other.
+func (a *LevelArray) Init(other []klist.Head) {
+	if RTLevels+len(other) > levelWords*64 {
 		panic("sched: LevelArray over more lists than its bitmap has bits")
 	}
+	initLists(other)
+	*a = LevelArray{other: other}
+}
+
+func initLists(lists []klist.Head) {
 	for i := range lists {
 		lists[i].Init()
 	}
-	*a = LevelArray{lists: lists}
 }
 
 // Len returns the number of queued tasks.
 func (a *LevelArray) Len() int { return a.count }
 
-// Level returns level lvl's list, front (next to run) first.
-func (a *LevelArray) Level(lvl int) *klist.Head { return &a.lists[lvl] }
+// Level returns level lvl's list, front (next to run) first. A real-time
+// lvl must be one a task is or was filed at: read the bitmap or a stamp.
+func (a *LevelArray) Level(lvl int) *klist.Head {
+	if lvl >= RTLevels {
+		return &a.other[lvl-RTLevels]
+	}
+	return &a.rt[lvl]
+}
 
 // Next returns the best populated level >= from, or -1; Next(0) is the
 // array's best level.
 func (a *LevelArray) Next(from int) int {
-	if from >= len(a.lists) {
+	if from >= RTLevels+len(a.other) {
 		return -1
 	}
 	w := from / 64
@@ -89,10 +107,15 @@ func (a *LevelArray) Next(from int) int {
 
 // Push files t at the front or the tail of level lvl.
 func (a *LevelArray) Push(t *task.Task, lvl int, front bool) {
+	if lvl < RTLevels && a.rt == nil {
+		a.rt = make([]klist.Head, RTLevels)
+		initLists(a.rt)
+	}
+	l := a.Level(lvl)
 	if front {
-		a.lists[lvl].PushFront(&t.RunList)
+		l.PushFront(&t.RunList)
 	} else {
-		a.lists[lvl].PushBack(&t.RunList)
+		l.PushBack(&t.RunList)
 	}
 	a.bitmap[lvl/64] |= 1 << uint(lvl%64)
 	a.count++
@@ -100,8 +123,9 @@ func (a *LevelArray) Push(t *task.Task, lvl int, front bool) {
 
 // Remove unlinks t from level lvl, where it must be filed.
 func (a *LevelArray) Remove(t *task.Task, lvl int) {
-	a.lists[lvl].Remove(&t.RunList)
-	if a.lists[lvl].Empty() {
+	l := a.Level(lvl)
+	l.Remove(&t.RunList)
+	if l.Empty() {
 		a.bitmap[lvl/64] &^= 1 << uint(lvl%64)
 	}
 	a.count--
@@ -116,7 +140,7 @@ func (a *LevelArray) Pick(env *Env, cpu int, res *Result) *task.Task {
 	touch := env.Cost.Touch(env.NCPU)
 	for lvl := a.Next(0); lvl >= 0; lvl = a.Next(lvl + 1) {
 		res.Cycles += env.Cost.BitmapOp
-		for n := a.lists[lvl].First(); n != nil; n = n.Next() {
+		for n := a.Level(lvl).First(); n != nil; n = n.Next() {
 			t := task.FromNode(n)
 			res.Examined++
 			res.Cycles += touch
@@ -133,7 +157,7 @@ func (a *LevelArray) Pick(env *Env, cpu int, res *Result) *task.Task {
 // applied). The caller settles its queue-length count.
 func (a *LevelArray) Drain(out []*task.Task) []*task.Task {
 	for lvl := a.Next(0); lvl >= 0; lvl = a.Next(lvl) {
-		t := task.FromNode(a.lists[lvl].First())
+		t := task.FromNode(a.Level(lvl).First())
 		a.Remove(t, lvl)
 		ResetQueueState(t)
 		out = append(out, t)

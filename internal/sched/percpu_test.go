@@ -19,7 +19,7 @@ func TestLevelArrayAtBothSizes(t *testing.T) {
 		t.Run(fmt.Sprint(levels), func(t *testing.T) {
 			env := NewEnv(2, true, nil)
 			var a LevelArray
-			a.Init(make([]klist.Head, levels))
+			a.Init(make([]klist.Head, levels-RTLevels))
 			top := levels - 1
 			if a.Next(0) != -1 || a.Next(top) != -1 || a.Next(levels) != -1 {
 				t.Fatal("empty array must report no level")
@@ -70,6 +70,179 @@ func TestLevelArrayAtBothSizes(t *testing.T) {
 				t.Fatal("Drain must empty the array and detach every task")
 			}
 		})
+	}
+}
+
+// twinArrays drives the on-demand array and its oracle — the array as it
+// was when Init built every list, real-time levels included — through one
+// script. A task can wait on one list only, so each side has its own task
+// set and the two are compared by ID.
+type twinArrays struct {
+	t           *testing.T
+	env         *Env
+	levels      int
+	lazy, eager LevelArray
+	lt, et      map[int]*task.Task
+}
+
+func newTwinArrays(t *testing.T, otherLevels int) *twinArrays {
+	w := &twinArrays{t: t, env: NewEnv(2, true, nil), levels: RTLevels + otherLevels,
+		lt: map[int]*task.Task{}, et: map[int]*task.Task{}}
+	w.lazy.Init(make([]klist.Head, otherLevels))
+	w.eager.Init(make([]klist.Head, otherLevels))
+	w.eager.rt = make([]klist.Head, RTLevels)
+	initLists(w.eager.rt)
+	return w
+}
+
+// each runs op on both sides with the side's copy of task id.
+func (w *twinArrays) each(id int, op func(a *LevelArray, t *task.Task)) {
+	for _, side := range []struct {
+		a     *LevelArray
+		tasks map[int]*task.Task
+	}{{&w.lazy, w.lt}, {&w.eager, w.et}} {
+		if side.tasks[id] == nil {
+			side.tasks[id] = queued(w.env, id)
+		}
+		op(side.a, side.tasks[id])
+	}
+	w.same()
+}
+
+func (w *twinArrays) push(id, lvl int, front bool) {
+	w.each(id, func(a *LevelArray, t *task.Task) { a.Push(t, lvl, front) })
+}
+
+func (w *twinArrays) remove(id, lvl int) {
+	w.each(id, func(a *LevelArray, t *task.Task) { a.Remove(t, lvl) })
+}
+
+func idOf(t *task.Task) int {
+	if t == nil {
+		return 0
+	}
+	return t.ID
+}
+
+// same holds the two sides equal in everything a policy can see: count,
+// Next from every level, and Pick's task and charges for both CPUs.
+func (w *twinArrays) same() {
+	w.t.Helper()
+	if w.lazy.Len() != w.eager.Len() {
+		w.t.Fatalf("Len = %d, oracle %d", w.lazy.Len(), w.eager.Len())
+	}
+	for from := 0; from <= w.levels; from++ {
+		if got, want := w.lazy.Next(from), w.eager.Next(from); got != want {
+			w.t.Fatalf("Next(%d) = %d, oracle %d", from, got, want)
+		}
+	}
+	for cpu := 0; cpu < 2; cpu++ {
+		var lr, er Result
+		got, want := w.lazy.Pick(w.env, cpu, &lr), w.eager.Pick(w.env, cpu, &er)
+		if idOf(got) != idOf(want) || lr != er {
+			w.t.Fatalf("Pick(cpu %d) = task %d charged %+v, oracle task %d charged %+v", cpu, idOf(got), lr, idOf(want), er)
+		}
+	}
+}
+
+// TestLevelArrayRealTimeOnDemand is the path no registry cell reaches:
+// real-time tasks arriving after SCHED_OTHER traffic, at cfs's size (no
+// SCHED_OTHER levels) and o1's (40). The array must behave exactly as the
+// one that owned all its lists from Init, and build its real-time levels
+// on the first push below RTLevels — not before.
+func TestLevelArrayRealTimeOnDemand(t *testing.T) {
+	for _, otherLevels := range []int{0, task.MaxPriority} {
+		t.Run(fmt.Sprint(RTLevels+otherLevels), func(t *testing.T) {
+			w := newTwinArrays(t, otherLevels)
+			w.same()
+			if otherLevels > 0 {
+				top := w.levels - 1
+				w.push(1, RTLevels, false)
+				w.push(2, top, true)
+				w.push(3, RTLevels+20, false)
+				w.remove(1, RTLevels)
+				w.push(1, RTLevels+20, true)
+				if w.lazy.rt != nil {
+					t.Fatal("SCHED_OTHER traffic built the real-time levels")
+				}
+			}
+			// rt_priority 0 (the worst real-time level) first, then 99
+			// (level 0), then two at one level, one of them pinned away
+			// from CPU 0.
+			w.push(10, RTLevels-1, false)
+			if w.lazy.rt == nil {
+				t.Fatal("a real-time push must build the real-time levels")
+			}
+			w.push(11, 0, false)
+			w.push(12, 50, false)
+			w.push(13, 50, false)
+			w.each(12, func(_ *LevelArray, tk *task.Task) { tk.CPUsAllowed = 1 << 1 })
+			if got := w.lazy.Pick(w.env, 0, &Result{}); idOf(got) != 11 {
+				t.Fatalf("Pick = task %d, want the rt_priority 99 task", idOf(got))
+			}
+			w.remove(11, 0)
+			if got := w.lazy.Pick(w.env, 0, &Result{}); idOf(got) != 13 {
+				t.Fatalf("Pick = task %d, want the unpinned level-50 task", idOf(got))
+			}
+			// MoveLast / MoveFirst on a queued real-time task.
+			w.each(12, func(a *LevelArray, tk *task.Task) { a.Level(50).MoveBack(&tk.RunList) })
+			w.each(12, func(a *LevelArray, tk *task.Task) { a.Level(50).MoveFront(&tk.RunList) })
+			w.each(13, func(a *LevelArray, tk *task.Task) { a.Level(50).MoveFront(&tk.RunList) })
+			w.remove(12, 50)
+			w.push(11, 0, true)
+
+			lazy, eager := w.lazy.Drain(nil), w.eager.Drain(nil)
+			var got, want []int
+			for i := range eager {
+				got, want = append(got, idOf(lazy[i])), append(want, idOf(eager[i]))
+			}
+			wantIDs := []int{11, 13, 10}
+			if otherLevels > 0 {
+				wantIDs = append(wantIDs, 1, 3, 2)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(want) != fmt.Sprint(wantIDs) {
+				t.Fatalf("Drain = %v, oracle %v, want %v", got, want, wantIDs)
+			}
+			w.same()
+		})
+	}
+}
+
+// TestLevelArrayRealTimeAllocatesOnce: the first real-time push costs an
+// array exactly one allocation — its hundred lists in one slice — and
+// nothing after it allocates again, real-time or not.
+func TestLevelArrayRealTimeAllocatesOnce(t *testing.T) {
+	// One measured call, so the average is the count (AllocsPerRun
+	// truncates); it warms up with one extra call, on its own array.
+	const runs = 1
+	env := NewEnv(1, false, nil)
+	arrays := make([]LevelArray, runs+1)
+	tasks := make([]*task.Task, len(arrays))
+	for i := range arrays {
+		arrays[i].Init(make([]klist.Head, task.MaxPriority))
+		tasks[i] = queued(env, i+1)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		arrays[i].Push(tasks[i], RTLevels-1, false)
+		i++
+	}); allocs != 1 {
+		t.Fatalf("first real-time push allocates %.1f objects, want exactly 1", allocs)
+	}
+	a, rt, other := &arrays[0], tasks[0], queued(env, 100)
+	a.Push(other, RTLevels+3, false)
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.Remove(rt, RTLevels-1)
+		a.Push(rt, 0, true)
+		a.Remove(other, RTLevels+3)
+		a.Push(other, RTLevels+3, true)
+		if a.Pick(env, 0, &Result{}) != rt {
+			t.Fatal("Pick lost the real-time task")
+		}
+		a.Remove(rt, 0)
+		a.Push(rt, RTLevels-1, false)
+	}); allocs != 0 {
+		t.Fatalf("a built array allocates %.1f objects per round of pushes and removes, want 0", allocs)
 	}
 }
 

@@ -37,8 +37,8 @@
 //   - LevelArray, the 2.5 prio_array (find-first-set bitmap, one FIFO list
 //     per level, count) with Push, Remove, Next, Pick — the first task a
 //     CPU may run, charging BitmapOp per level and Touch per task — and
-//     Drain; o1 runs two per queue at 140 levels, cfs one at 100 for its
-//     real-time side;
+//     Drain; o1 runs two per queue at 140 levels (100 real-time, then 40
+//     SCHED_OTHER), cfs one at the 100 real-time levels alone;
 //   - CanSchedule, the kernel's can_schedule filter;
 //   - Balancer: the idle steal (Steal), tiered by cache domain, the
 //     periodic pull (Tick, every BalanceEvery schedules), and the per-CPU
@@ -55,7 +55,8 @@
 // its own goodness-scan steal and uses QueueLens and CanSchedule only.
 //
 // Three shapes in there are host-cost decisions, each measured on the
-// repo benchmark when the substrate was extracted (parent → variant):
+// repo benchmark — (a) and (b) when the substrate was extracted, (c) when
+// the real-time levels went on demand (parent → variant):
 //
 //   - (a) The hooks return their scan's Examined and Cycles by value, in a
 //     Result. A hook that takes the caller's *Result through a func value
@@ -67,11 +68,29 @@
 //     the balancer calls: asking the policy through an interface inside
 //     the idle-steal scan (~100 dynamic calls per idle schedule() on 32
 //     CPUs) cost matrix_quick run_s +4…6% in four of five comparisons.
-//   - (c) A LevelArray is sized by storage its caller owns. Giving cfs
-//     o1's 140 levels instead of its 100 cost alloc_mb +5.4% on
-//     matrix_quick and +7.3% on hogs_segments, and setup_s +11…13% on
-//     hogs_segments; a separately allocated list slice would add an
-//     allocation per queue.
+//   - (c) A LevelArray's lists are two segments with two owners. The
+//     SCHED_OTHER levels are storage inside the policy's queue set, handed
+//     to Init (o1: 40 heads per array, allocated with its run queues; cfs:
+//     none). The RTLevels real-time levels are the array's own, one slice
+//     made by the first push below RTLevels and kept; every reader reaches
+//     a level through the bitmap or a task's stamp, so none touches a
+//     segment that is not there, and the push path pays one compare. A
+//     census over the registry (AllSpecs x Policies x workload.Names(),
+//     324 cells) counted the real-time tasks ever filed on a LevelArray:
+//     0 of 1,965,051 events at QuickScale and 0 of 496,682,720 at
+//     DefaultScale (experiments.TestRegistrySpawnsNoRealTimeTask keeps it
+//     so) — yet with every list built at boot those levels were 100 of
+//     o1's 140 and all of cfs's 100, at 48 bytes a head: 472 → 160 KB per
+//     32-CPU o1 boot, 194 → 35 KB for cfs, and on matrix_quick setup_s
+//     0.065 → 0.038 s (10 of 10 pairs), alloc_mb 134 → 77, live_heap_mb
+//     0.64 → 0.33, run_s flat (experiments.TestBootAllocBudget holds the
+//     bytes).
+//     Two neighbours measured worse: a 16-byte sentinel-free klist.Head
+//     cut alloc_mb about as far (134 → 86) but cost every Del+Add 3-5 ns
+//     (reg 7.6 → 11.1, o1 21.5 → 26.8, elsc 13.2 → 16.5); slab-allocating
+//     CPUs, idle tasks and procs raised alloc_mb 77 → 91.5 and left
+//     setup_s where it was. Giving every array o1's 140 levels (caller
+//     storage, cfs included) had cost alloc_mb +5.4% on matrix_quick.
 package sched
 
 import (

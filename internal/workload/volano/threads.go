@@ -64,36 +64,46 @@ func (s *spinRecv) step(p *kernel.Proc) (kernel.Action, bool) {
 // the message's own broadcast echo before composing the next — VolanoMark
 // clients are closed-loop.
 type sender struct {
-	cfg   Config
-	cn    *conn
-	sent  int
-	phase int
-	gate  ipc.Msg
+	cn       *conn
+	messages int           // Config.MessagesPerUser
+	think    kernel.Action // the fixed compose step, boxed once
+	sendCost uint64
+	echoCost uint64
+	sent     int
+	phase    int
+	gate     ipc.Msg
 }
 
+// newSender copies out of cfg the four values a sender uses: it then holds
+// no Config of its own, which more than pays for the boxed think step.
 func newSender(cfg Config, cn *conn) kernel.Program {
-	return &sender{cfg: cfg, cn: cn}
+	return &sender{
+		cn:       cn,
+		messages: cfg.MessagesPerUser,
+		think:    kernel.Compute{Cycles: cfg.Costs.SenderThink},
+		sendCost: cfg.Costs.SenderSend,
+		echoCost: cfg.Costs.EchoSignalOp,
+	}
 }
 
 func (s *sender) Step(p *kernel.Proc) kernel.Action {
-	c := s.cfg.Costs
 	switch s.phase {
 	case 0: // think
-		if s.sent >= s.cfg.MessagesPerUser {
+		if s.sent >= s.messages {
 			return kernel.Exit{}
 		}
 		s.phase = 1
-		return kernel.Compute{Cycles: c.SenderThink}
+		return s.think
 	case 1: // write to the socket
 		s.phase = 2
 		s.sent++
-		return s.cn.sock.ClientToServer.Send(c.SenderSend, ipc.Msg{
+		return s.cn.sock.ClientToServer.Send(s.sendCost, ipc.Msg{
 			From: s.cn.user,
 			Seq:  s.sent,
 		})
 	default: // wait for own echo
 		s.phase = 0
-		return s.cn.echo.Recv(c.EchoSignalOp, &s.gate)
+		return s.cn.echo.Recv(s.echoCost, &s.gate)
 	}
 }
 

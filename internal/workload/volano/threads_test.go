@@ -254,3 +254,32 @@ func TestIdleSpinnerStepsAllocFree(t *testing.T) {
 		t.Fatal("a finished benchmark's spinner must exit")
 	}
 }
+
+// TestSenderStepsAllocFree: a sender's think step hands out the Compute
+// boxed once in newSender, its send and echo-wait re-arm the queues'
+// scratch syscalls, so a whole think/send/wait round never touches the
+// allocator (the think step was one boxed Compute per message: 37% of a
+// paper-regime cell's allocations).
+func TestSenderStepsAllocFree(t *testing.T) {
+	cfg := Config{MessagesPerUser: 1 << 30}
+	cfg = cfg.withDefaults()
+	cn := &conn{user: 3, sock: ipc.NewSockPair("u3", 0), echo: ipc.NewQueue("u3.echo", 0)}
+	s := newSender(cfg, cn)
+	kinds := map[string]int{}
+	// One run is a whole round: AllocsPerRun's average is an integer
+	// division, so a single allocation per three steps would read as zero.
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 3; i++ {
+			a := s.Step(nil)
+			if c, ok := a.(kernel.Compute); ok && c.Cycles != cfg.Costs.SenderThink {
+				t.Fatalf("think step of %d cycles, want %d", c.Cycles, cfg.Costs.SenderThink)
+			}
+			kinds[actionKind(a)]++
+		}
+	}); avg != 0 {
+		t.Fatalf("%.0f allocs per think/send/wait round, want 0", avg)
+	}
+	if kinds["compute"] != 101 || kinds["syscall"] != 202 {
+		t.Fatalf("step mix %v, want one think step and two syscalls per round", kinds)
+	}
+}
