@@ -36,27 +36,31 @@ func benchScale() experiments.Scale {
 // finish the build (lower is better; the paper's claim is near-equality).
 func BenchmarkTable2_KernelCompile(b *testing.B) {
 	cfg := kbuild.Config{Units: 48, MeanCompile: 40_000_000}
-	for _, label := range []string{"UP", "2P"} {
-		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
-			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				var secs float64
-				for i := 0; i < b.N; i++ {
-					r := experiments.RunKBuild(experiments.SpecByLabel(label), policy, cfg, benchScale())
-					secs = r.Result.Seconds
-				}
-				b.ReportMetric(secs, "virt-sec")
-			})
-		}
+	build := experiments.Custom(workload.KBuild, "48 units", workload.KBuildWith(cfg))
+	for _, c := range experiments.Table2(build).Cells {
+		b.Run(fmt.Sprintf("%s/%s", c.Policy, c.Spec.Label), func(b *testing.B) {
+			var secs float64
+			for i := 0; i < b.N; i++ {
+				secs = experiments.RunCell(nil, c, benchScale()).Result.Seconds
+			}
+			b.ReportMetric(secs, "virt-sec")
+		})
 	}
 }
 
 // benchVolano runs one VolanoMark cell per iteration and reports the
 // requested metrics.
-func benchVolano(b *testing.B, policy, label string, rooms int, report func(b *testing.B, r experiments.VolanoRun)) {
+func benchVolano(b *testing.B, policy, label string, rooms int, report func(b *testing.B, r experiments.WorkloadRun)) {
 	b.Helper()
-	var last experiments.VolanoRun
+	benchCell(b, experiments.Volano(rooms).On(experiments.SpecByLabel(label), policy), report)
+}
+
+// benchCell runs one cell per iteration and reports the last run.
+func benchCell(b *testing.B, c experiments.Cell, report func(b *testing.B, r experiments.WorkloadRun)) {
+	b.Helper()
+	var last experiments.WorkloadRun
 	for i := 0; i < b.N; i++ {
-		last = experiments.RunVolano(experiments.SpecByLabel(label), policy, rooms, benchScale())
+		last = experiments.RunCell(nil, c, benchScale())
 	}
 	report(b, last)
 }
@@ -67,7 +71,7 @@ func BenchmarkFig2_RecalcEntries(b *testing.B) {
 	for _, label := range []string{"UP", "4P"} {
 		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 5, func(b *testing.B, r experiments.VolanoRun) {
+				benchVolano(b, policy, label, 5, func(b *testing.B, r experiments.WorkloadRun) {
 					b.ReportMetric(float64(r.Stats.Recalcs), "recalcs")
 				})
 			})
@@ -82,7 +86,7 @@ func BenchmarkFig3_Throughput(b *testing.B) {
 		for _, rooms := range []int{5, 20} {
 			for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 				b.Run(fmt.Sprintf("%s/%s/rooms%d", policy, label, rooms), func(b *testing.B) {
-					benchVolano(b, policy, label, rooms, func(b *testing.B, r experiments.VolanoRun) {
+					benchVolano(b, policy, label, rooms, func(b *testing.B, r experiments.WorkloadRun) {
 						b.ReportMetric(r.Result.Throughput, "msgs/sec")
 					})
 				})
@@ -98,9 +102,10 @@ func BenchmarkFig4_ScalingFactor(b *testing.B) {
 		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
 				var factor float64
+				spec := experiments.SpecByLabel(label)
 				for i := 0; i < b.N; i++ {
-					lo := experiments.RunVolano(experiments.SpecByLabel(label), policy, 5, benchScale())
-					hi := experiments.RunVolano(experiments.SpecByLabel(label), policy, 20, benchScale())
+					lo := experiments.RunCell(nil, experiments.Volano(5).On(spec, policy), benchScale())
+					hi := experiments.RunCell(nil, experiments.Volano(20).On(spec, policy), benchScale())
 					factor = hi.Result.Throughput / lo.Result.Throughput
 				}
 				b.ReportMetric(factor, "scaling")
@@ -115,7 +120,7 @@ func BenchmarkFig5_ScheduleCost(b *testing.B) {
 	for _, label := range []string{"UP", "4P"} {
 		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.VolanoRun) {
+				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
 					b.ReportMetric(r.Stats.CyclesPerSchedule(), "cyc/sched")
 					b.ReportMetric(r.Stats.ExaminedPerSchedule(), "examined")
 				})
@@ -130,7 +135,7 @@ func BenchmarkFig6_CallsAndMigrations(b *testing.B) {
 	for _, label := range []string{"UP", "2P", "4P"} {
 		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.VolanoRun) {
+				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
 					b.ReportMetric(float64(r.Stats.SchedCalls), "sched-calls")
 					b.ReportMetric(float64(r.Stats.Migrations), "migrations")
 				})
@@ -144,7 +149,7 @@ func BenchmarkFig6_CallsAndMigrations(b *testing.B) {
 func BenchmarkProfile_SchedulerShare(b *testing.B) {
 	for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "UP", 20, func(b *testing.B, r experiments.VolanoRun) {
+			benchVolano(b, policy, "UP", 20, func(b *testing.B, r experiments.WorkloadRun) {
 				b.ReportMetric(100*r.Stats.SchedulerShareOfKernel(), "sched-%kernel")
 			})
 		})
@@ -156,7 +161,7 @@ func BenchmarkProfile_SchedulerShare(b *testing.B) {
 func BenchmarkAlt_FutureWorkSchedulers(b *testing.B) {
 	for _, policy := range experiments.Policies {
 		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "4P", 10, func(b *testing.B, r experiments.VolanoRun) {
+			benchVolano(b, policy, "4P", 10, func(b *testing.B, r experiments.WorkloadRun) {
 				b.ReportMetric(r.Result.Throughput, "msgs/sec")
 				b.ReportMetric(r.Stats.CyclesPerSchedule(), "cyc/sched")
 			})
@@ -171,7 +176,7 @@ func BenchmarkAlt_FutureWorkSchedulers(b *testing.B) {
 func BenchmarkLockWait_8CPU(b *testing.B) {
 	for _, policy := range experiments.Policies {
 		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "8P", 10, func(b *testing.B, r experiments.VolanoRun) {
+			benchVolano(b, policy, "8P", 10, func(b *testing.B, r experiments.WorkloadRun) {
 				spin := 0.0
 				if r.Stats.SchedCalls > 0 {
 					spin = float64(r.Stats.SpinCycles) / float64(r.Stats.SchedCalls)
@@ -190,7 +195,7 @@ func BenchmarkLockWait_Scale(b *testing.B) {
 	for _, label := range []string{"16P", "32P"} {
 		for _, policy := range experiments.Policies {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.VolanoRun) {
+				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
 					spin := 0.0
 					if r.Stats.SchedCalls > 0 {
 						spin = float64(r.Stats.SpinCycles) / float64(r.Stats.SchedCalls)
@@ -208,20 +213,14 @@ func BenchmarkLockWait_Scale(b *testing.B) {
 // regime where the steal path runs constantly. Metrics: throughput and
 // cross-domain migrations — the acceptance pair for the NUMA work.
 func BenchmarkNUMA_DomainAwareness(b *testing.B) {
-	spec := experiments.SpecByLabel("32P-NUMA")
-	for _, blind := range []bool{false, true} {
-		name := "domain-aware"
-		if blind {
-			name = "topology-blind"
-		}
+	arms := experiments.AblateTopology(experiments.SpecByLabel("32P-NUMA"), 3).Cells
+	for i, name := range []string{"domain-aware", "topology-blind"} {
 		b.Run(name, func(b *testing.B) {
-			var r experiments.VolanoRun
-			for i := 0; i < b.N; i++ {
-				r = experiments.RunO1Topology(spec, blind, 3, benchScale())
-			}
-			b.ReportMetric(r.Result.Throughput, "msgs/sec")
-			b.ReportMetric(float64(r.Stats.CrossDomainMigrations), "cross-dom")
-			b.ReportMetric(float64(r.Stats.RemoteCycles)/1e6, "remote-Mcyc")
+			benchCell(b, arms[i], func(b *testing.B, r experiments.WorkloadRun) {
+				b.ReportMetric(r.Result.Throughput, "msgs/sec")
+				b.ReportMetric(float64(r.Stats.CrossDomainMigrations), "cross-dom")
+				b.ReportMetric(float64(r.Stats.RemoteCycles)/1e6, "remote-Mcyc")
+			})
 		})
 	}
 }
@@ -230,18 +229,12 @@ func BenchmarkNUMA_DomainAwareness(b *testing.B) {
 // 32P-NUMA machine with the scalable network stack — the 32-processor
 // successor to the 8P lock-wait table.
 func BenchmarkNUMA_Policies(b *testing.B) {
-	spec := experiments.SpecByLabel("32P-NUMA")
-	for _, policy := range experiments.Policies {
-		b.Run(policy, func(b *testing.B) {
-			var r experiments.VolanoRun
-			for i := 0; i < b.N; i++ {
-				r = experiments.RunVolanoConfig(spec, policy, volano.Config{
-					Rooms: 10, MessagesPerUser: benchScale().Messages,
-					Costs: volano.ScalableStackCosts(),
-				}, benchScale())
-			}
-			b.ReportMetric(r.Result.Throughput, "msgs/sec")
-			b.ReportMetric(float64(r.Stats.CrossDomainMigrations), "cross-dom")
+	for _, c := range experiments.Numa(experiments.SpecByLabel("32P-NUMA"), 10).Cells {
+		b.Run(c.Policy, func(b *testing.B) {
+			benchCell(b, c, func(b *testing.B, r experiments.WorkloadRun) {
+				b.ReportMetric(r.Result.Throughput, "msgs/sec")
+				b.ReportMetric(float64(r.Stats.CrossDomainMigrations), "cross-dom")
+			})
 		})
 	}
 }
@@ -250,15 +243,16 @@ func BenchmarkNUMA_Policies(b *testing.B) {
 // throughput and latency under each scheduler.
 func BenchmarkFutureWork_Webserver(b *testing.B) {
 	cfg := webserver.Config{Workers: 32, Requests: 4000}
-	for _, policy := range []string{experiments.Reg, experiments.ELSC} {
-		b.Run(policy, func(b *testing.B) {
-			var r experiments.WebRun
-			for i := 0; i < b.N; i++ {
-				r = experiments.RunWeb(experiments.SpecByLabel("2P"), policy, cfg, benchScale())
-			}
-			b.ReportMetric(r.Result.Throughput, "req/sec")
-			b.ReportMetric(r.Result.MeanLatMS, "mean-lat-ms")
-			b.ReportMetric(r.Result.MaxLatMS, "max-lat-ms")
+	serve := experiments.Custom(workload.WebServer, "4000 requests", workload.WebserverWith(cfg))
+	for _, c := range experiments.Webserver(experiments.SpecByLabel("2P"), serve).Cells {
+		b.Run(c.Policy, func(b *testing.B) {
+			benchCell(b, c, func(b *testing.B, r experiments.WorkloadRun) {
+				meanLat, _ := r.Result.Extra("mean_lat_ms")
+				maxLat, _ := r.Result.Extra("max_lat_ms")
+				b.ReportMetric(r.Result.Throughput, "req/sec")
+				b.ReportMetric(meanLat, "mean-lat-ms")
+				b.ReportMetric(maxLat, "max-lat-ms")
+			})
 		})
 	}
 }
@@ -493,8 +487,7 @@ func BenchmarkWorkload_DB(b *testing.B) {
 		b.Run(policy, func(b *testing.B) {
 			var last experiments.WorkloadRun
 			for i := 0; i < b.N; i++ {
-				last = experiments.RunWorkloadCell(
-					experiments.SpecByLabel("8P"), policy, workload.DB, benchWorkloadScale())
+				last = experiments.RunCell(nil, experiments.Load(workload.DB).On(experiments.SpecByLabel("8P"), policy), benchWorkloadScale())
 			}
 			b.ReportMetric(last.Result.Throughput, "txns/s")
 			if p99, ok := last.Result.Extra("p99_txn_us"); ok {
@@ -512,8 +505,7 @@ func BenchmarkWorkload_WakeStorm(b *testing.B) {
 		b.Run(policy, func(b *testing.B) {
 			var last experiments.WorkloadRun
 			for i := 0; i < b.N; i++ {
-				last = experiments.RunWorkloadCell(
-					experiments.SpecByLabel("32P-NUMA"), policy, workload.WakeStorm, benchWorkloadScale())
+				last = experiments.RunCell(nil, experiments.Load(workload.WakeStorm).On(experiments.SpecByLabel("32P-NUMA"), policy), benchWorkloadScale())
 			}
 			if p99, ok := last.Result.Extra("p99_us"); ok {
 				b.ReportMetric(p99, "p99-us")

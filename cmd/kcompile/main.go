@@ -1,7 +1,7 @@
 // Command kcompile reproduces the paper's Table 2: the time to complete a
 // simulated kernel compile (make -j4) under the stock and ELSC schedulers
-// on UP and 2P machines. Unlike sweep's registry-driven Table 2, this tool
-// exposes the build's own knobs (tree size, -j parallelism).
+// on UP and 2P machines. It is sweep's Table 2 experiment over a compile
+// cell sized by this tool's own knobs (tree size, -j parallelism).
 package main
 
 import (
@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"elsc/internal/experiments"
+	"elsc/internal/workload"
 	"elsc/internal/workload/kbuild"
 )
 
@@ -23,7 +24,8 @@ func main() {
 	sc := experiments.DefaultScale()
 	sc.Seed = *seed
 	cfg := kbuild.Config{Units: *units, Jobs: *jobs}
-	tab := experiments.Table2With(sc, cfg)
+	tab := experiments.Table2(experiments.Custom(workload.KBuild,
+		fmt.Sprintf("%d units -j%d", *units, *jobs), workload.KBuildWith(cfg))).Run(sc)
 	fmt.Print(tab.Render())
 	fmt.Println("\nPaper's measurements: Current-UP 6:41.41, ELSC-UP 6:38.68, Current-2P 3:40.38, ELSC-2P 3:40.36.")
 	fmt.Println("The claim under test is equality within noise, with a slight ELSC edge on UP.")

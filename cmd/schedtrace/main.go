@@ -45,16 +45,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var topo *sched.Topology
-	if *domains > 1 {
-		topo = sched.UniformTopology(*cpus, *domains)
-	}
 	printed := 0
 	var m *kernel.Machine
 	cfg := kernel.Config{
 		CPUs:         *cpus,
 		SMP:          *cpus > 1,
-		Topology:     topo,
+		Topology:     experiments.MachineSpec{CPUs: *cpus, Domains: *domains}.Topology(),
 		Seed:         *seed,
 		NewScheduler: experiments.Factory(*schedName),
 		MaxCycles:    100 * kernel.DefaultHz,

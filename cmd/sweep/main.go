@@ -12,13 +12,15 @@
 //	sweep -exp matrix -specs 8P -loads db,volano -policies o1,elsc
 //	sweep -exp fuzz -seed 500 -fuzzn 32   # scenario fuzzer batch
 //
-// Experiments: table2, fig2, fig3, fig4, fig5, fig6, profile, alt, web,
-// latency, lock, numa, matrix, wakestorm, interactive, ablate, scaling,
-// fuzz, all. fuzz runs only when named: it prints one trace line per
-// scenario rather than a paper table. scaling re-runs the workload
-// matrix at worker-pool sizes 1/2/4/GOMAXPROCS, checks every rung's
-// simulated results are identical to the serial rung's, and reports
-// measured speedup and ns-per-event per rung.
+// `sweep -h` lists the experiments: the cell experiments of
+// experiments.Catalog, each a table rendered from the runs of the cells it
+// declares, plus scaling and fuzz. Every selected experiment's cells are
+// collected, each distinct cell once, and run on one worker pool before
+// any table renders. scaling re-runs the workload matrix at worker-pool
+// sizes 1/2/4/GOMAXPROCS, checks every rung's simulated results are
+// identical to the serial rung's, and reports measured speedup and
+// ns-per-event per rung. fuzz runs only when named: it prints one trace
+// line per scenario rather than a paper table.
 package main
 
 import (
@@ -28,8 +30,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"elsc/internal/experiments"
 	"elsc/internal/kernel"
@@ -44,9 +49,26 @@ func main() {
 	os.Exit(run())
 }
 
+// defaultMatrixSpecs are the machines the matrix experiment runs on
+// unless -specs names others.
+var defaultMatrixSpecs = []string{"8P", "32P-NUMA"}
+
+// experimentNames lists what -exp accepts: each catalog experiment once,
+// in output order, then the two that are not tables of cells, then all.
+func experimentNames() []string {
+	var names []string
+	for _, e := range experiments.Catalog(experiments.DefaultPolicies(), specList("", defaultMatrixSpecs), workload.Names()) {
+		if !slices.Contains(names, e.Name) {
+			names = append(names, e.Name)
+		}
+	}
+	return append(names, "scaling", "fuzz", "all")
+}
+
 func run() int {
+	names := experimentNames()
 	var (
-		exp        = flag.String("exp", "all", "experiment to run (table2 fig2 fig3 fig4 fig5 fig6 profile alt web latency lock numa matrix wakestorm interactive ablate scaling fuzz all)")
+		exp        = flag.String("exp", "all", "experiment to run ("+strings.Join(names, " ")+")")
 		fuzzN      = flag.Int("fuzzn", 16, "scenarios for -exp fuzz (seeds seed..seed+n-1)")
 		fuzzHot    = flag.Bool("fuzzhotplug", true, "keep hotplug storms in -exp fuzz scenarios (false strips them, for A/B isolation)")
 		wdTrace    = flag.Bool("wdtrace", false, "print each watchdog violation as it fires during -exp fuzz")
@@ -64,6 +86,10 @@ func run() int {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at sweep end to this file")
 	)
 	flag.Parse()
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", *exp, strings.Join(names, " "))
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -124,123 +150,45 @@ func run() int {
 	// naming one in -policies still runs it.
 	matrixPolicies := splitList(*policies, experiments.DefaultPolicies(), experiments.Policies)
 	matrixLoads := splitList(*loads, workload.Names(), workload.Names())
-	matrixSpecs := specList(*specs, []string{"8P", "32P-NUMA"})
+	matrixSpecs := specList(*specs, defaultMatrixSpecs)
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 	t0 := time.Now()
 
-	// The VolanoMark matrix feeds figures 2-6 and the profile table.
-	var runs []experiments.VolanoRun
-	needMatrix := want("fig2") || want("fig3") || want("fig4") || want("fig5") ||
-		want("fig6") || want("profile")
-	if needMatrix {
-		fmt.Fprintf(os.Stderr, "running VolanoMark matrix (%d messages/user, rooms %v)...\n",
-			sc.Messages, experiments.PaperRooms)
-		runs = experiments.RunVolanoMatrix(
-			[]string{experiments.Reg, experiments.ELSC},
-			experiments.PaperSpecs, experiments.PaperRooms, sc)
+	// Every selected experiment declares its cells; each distinct cell
+	// runs once, on one pool, and the tables render from the shared runs.
+	var selected, recorded []experiments.Experiment
+	for _, e := range experiments.Catalog(matrixPolicies, matrixSpecs, matrixLoads) {
+		if want(e.Name) {
+			selected = append(selected, e)
+			if e.Recorded {
+				recorded = append(recorded, e)
+			}
+		}
 	}
-
+	cells := experiments.DistinctCells(selected)
+	if len(cells) > 0 {
+		fmt.Fprintf(os.Stderr, "running %d cells for %d tables (%d messages/user)...\n",
+			len(cells), len(selected), sc.Messages)
+	}
+	runs := experiments.RunCells(cells, sc)
 	var tables []*stats.Table
-	var workloadRuns []experiments.WorkloadRun
-	section := func(t *stats.Table) {
+	for _, e := range selected {
+		t := e.Table(runs)
 		tables = append(tables, t)
 		fmt.Println(t.Render())
 	}
+	// The matrix family's cells are what the JSON files list per cell.
+	var workloadRuns []experiments.WorkloadRun
+	for _, c := range experiments.DistinctCells(recorded) {
+		workloadRuns = append(workloadRuns, experiments.FindRun(runs, c))
+	}
 
-	if want("table2") {
-		section(experiments.Table2(sc))
-	}
-	if want("fig2") {
-		section(experiments.Fig2(runs, 10))
-	}
-	if want("fig3") {
-		section(experiments.Fig3(runs, experiments.PaperRooms))
-	}
-	if want("fig4") {
-		section(experiments.Fig4(runs, 5, 20))
-	}
-	if want("fig5") {
-		section(experiments.Fig5(runs, 10))
-	}
-	if want("fig6") {
-		section(experiments.Fig6(runs, 10))
-	}
-	if want("profile") {
-		section(experiments.Profile(runs, experiments.PaperRooms))
-	}
-	if want("alt") {
-		section(experiments.AltSchedulers(experiments.SpecByLabel("4P"), 10, sc))
-	}
-	if want("web") {
-		section(experiments.Webserver(experiments.SpecByLabel("2P"), sc))
-	}
-	if want("lock") {
-		// The lock-wait headline, scaled past the paper's hardware: the
-		// global-lock policies collapse as CPUs double, the per-CPU-lock
-		// ones do not.
-		for _, label := range []string{"8P", "16P", "32P"} {
-			section(experiments.LockContention(experiments.SpecByLabel(label), 10, sc))
-		}
-	}
-	if want("numa") {
-		for _, spec := range experiments.NUMASpecs {
-			section(experiments.Numa(spec, 10, sc))
-		}
-		// Marginal load (3 rooms on 32 CPUs) keeps the steal path hot —
-		// the regime where domain awareness pays.
-		section(experiments.AblateTopology(experiments.SpecByLabel("32P-NUMA"), 3, sc))
-	}
-	if want("matrix") {
-		fmt.Fprintf(os.Stderr, "running workload matrix (%d policies x %d workloads x %v)...\n",
-			len(matrixPolicies), len(matrixLoads), labelsOf(matrixSpecs))
-		mruns := experiments.RunWorkloadMatrix(matrixPolicies, matrixSpecs, matrixLoads, sc)
-		workloadRuns = append(workloadRuns, mruns...)
-		for _, spec := range matrixSpecs {
-			section(experiments.MatrixTable(mruns, spec, matrixPolicies, matrixLoads))
-		}
-	}
-	if want("wakestorm") {
-		spec := experiments.SpecByLabel("32P-NUMA")
-		// Under -exp all the matrix block usually just ran these exact
-		// cells; reuse them rather than re-running and duplicating the
-		// JSON entries.
-		sruns := filterRuns(workloadRuns, spec.Label, workload.WakeStorm, matrixPolicies)
-		if len(sruns) != len(matrixPolicies) {
-			sruns = experiments.RunWorkloadMatrix(matrixPolicies, []experiments.MachineSpec{spec},
-				[]string{workload.WakeStorm}, sc)
-			workloadRuns = append(workloadRuns, sruns...)
-		}
-		section(experiments.WorkloadDetail(sruns, spec, matrixPolicies, workload.WakeStorm))
-	}
-	if want("interactive") {
-		// The interactivity ablation: the same o1 scheduler with and
-		// without the sleep_avg machinery and SD_WAKE_IDLE placement, on
-		// the spec where PR 3 exposed the latency collapse.
-		section(experiments.AblateInteractivity(experiments.SpecByLabel("32P-NUMA"), sc))
-	}
-	if want("latency") {
-		section(experiments.WakeLatency(experiments.SpecByLabel("UP"),
-			[]int{4, 16, 64, 256}, sc))
-	}
-	if want("ablate") {
-		section(experiments.AblateSearchLimit(experiments.SpecByLabel("4P"), 10,
-			[]int{1, 3, 7, 15, 40}, sc))
-		section(experiments.AblateTableSize(experiments.SpecByLabel("1P"), 10,
-			[]int{15, 30, 60}, sc))
-		section(experiments.AblateUPShortcut(10, sc))
-	}
 	var scalingLevels []experiments.ScalingLevel
 	if want("scaling") {
-		effectiveRungs := scalingRungs
-		if effectiveRungs == nil {
-			effectiveRungs = experiments.ScalingRungs()
-		} else {
-			effectiveRungs = experiments.NormalizeRungs(effectiveRungs)
-		}
-		fmt.Fprintf(os.Stderr, "running parallel-scaling sweep (rungs %v, %d cells/rung)...\n",
-			effectiveRungs, len(matrixPolicies)*len(matrixLoads)*len(matrixSpecs))
-		levels, sruns, err := experiments.RunScalingSweep(matrixPolicies, matrixSpecs, matrixLoads, sc, effectiveRungs)
+		fmt.Fprintf(os.Stderr, "running parallel-scaling sweep (%d cells/rung)...\n",
+			len(matrixPolicies)*len(matrixLoads)*len(matrixSpecs))
+		levels, sruns, err := experiments.RunScalingSweep(matrixPolicies, matrixSpecs, matrixLoads, sc, scalingRungs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -250,10 +198,10 @@ func run() int {
 		// host wall-clock, and BENCH_sweep.json must stay byte-identical
 		// for a seed. The machine-readable copy goes to
 		// BENCH_wallclock.json with the other host-dependent numbers.
-		fmt.Println(experiments.ScalingTable(levels, strings.Join(labelsOf(matrixSpecs), ",")).Render())
+		fmt.Println(experiments.ScalingTable(levels, strings.Join(experiments.Labels(matrixSpecs), ",")).Render())
 		// When scaling runs alone its serial rung doubles as the matrix
-		// cells for the JSON outputs; under -exp all the matrix block
-		// already recorded the identical cells.
+		// cells for the JSON outputs; under -exp all the matrix
+		// experiments already recorded the identical cells.
 		if len(workloadRuns) == 0 {
 			workloadRuns = append(workloadRuns, sruns...)
 		}
@@ -300,17 +248,6 @@ func run() int {
 		}
 	}
 
-	known := false
-	for _, name := range strings.Fields("table2 fig2 fig3 fig4 fig5 fig6 profile alt web latency lock numa matrix wakestorm interactive ablate scaling fuzz all") {
-		if *exp == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		return 2
-	}
 	if *jsonOut {
 		if err := writeJSON(jsonPath, *exp, *quick, sc, tables, workloadRuns); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", jsonPath, err)
@@ -327,31 +264,21 @@ func run() int {
 	return 0
 }
 
+// listItems splits a comma-separated flag value, dropping blanks.
+func listItems(flagVal string) []string {
+	return strings.FieldsFunc(flagVal, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+}
+
 // resolveList parses a comma-separated flag, defaulting to def and
 // validating each entry against the registered set (which may be wider
 // than the default — retired baselines are valid but not default). An
 // unknown entry returns an error naming the registered set.
 func resolveList(flagVal string, def, all []string) ([]string, error) {
-	if flagVal == "" {
-		return def, nil
-	}
-	var out []string
-	for _, name := range strings.Split(flagVal, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, known := range all {
-			if name == known {
-				found = true
-				break
-			}
-		}
-		if !found {
+	out := listItems(flagVal)
+	for _, name := range out {
+		if !slices.Contains(all, name) {
 			return nil, fmt.Errorf("unknown name %q (registered: %s)", name, strings.Join(all, " "))
 		}
-		out = append(out, name)
 	}
 	if len(out) == 0 {
 		return def, nil
@@ -374,64 +301,25 @@ func splitList(flagVal string, def, all []string) []string {
 // worker-pool widths, or nil when unset (the ScalingRungs default).
 // Normalization (serial baseline, sort, dedup) happens downstream.
 func parseRungs(flagVal string) ([]int, error) {
-	if flagVal == "" {
-		return nil, nil
-	}
 	var out []int
-	for _, s := range strings.Split(flagVal, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 1 {
+	for _, s := range listItems(flagVal) {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad -rungs width %q (want a positive integer)", s)
 		}
 		out = append(out, n)
 	}
-	if len(out) == 0 {
-		return nil, nil
-	}
 	return out, nil
-}
-
-// filterRuns returns the cells of runs matching one spec and workload,
-// covering exactly the given policies in order — or nil if any policy's
-// cell is missing.
-func filterRuns(runs []experiments.WorkloadRun, specLabel, load string, policies []string) []experiments.WorkloadRun {
-	var out []experiments.WorkloadRun
-	for _, p := range policies {
-		found := false
-		for _, r := range runs {
-			if r.Policy == p && r.Spec.Label == specLabel && r.Load == load {
-				out = append(out, r)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil
-		}
-	}
-	return out
 }
 
 // specList resolves a comma-separated machine-spec filter, validating
 // each label against the registered specs with the same diagnostic (and
 // exit status) as splitList — a typo must fail loudly, not panic.
 func specList(flagVal string, def []string) []experiments.MachineSpec {
-	labels := splitList(flagVal, def, experiments.SpecLabels())
+	labels := splitList(flagVal, def, experiments.Labels(experiments.AllSpecs))
 	var out []experiments.MachineSpec
 	for _, l := range labels {
 		out = append(out, experiments.SpecByLabel(l))
-	}
-	return out
-}
-
-func labelsOf(specs []experiments.MachineSpec) []string {
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Label
 	}
 	return out
 }
@@ -531,7 +419,7 @@ func writeWallclockJSON(path, exp string, quick bool, sc experiments.Scale, tota
 			TicksSkipped: r.Stats.TicksSkipped,
 		})
 	}
-	out, err := json.MarshalIndent(wallclockJSON{
+	return writeIndented(path, wallclockJSON{
 		Experiment:      exp,
 		Quick:           quick,
 		Seed:            sc.Seed,
@@ -541,11 +429,7 @@ func writeWallclockJSON(path, exp string, quick bool, sc experiments.Scale, tota
 		ParallelSpeedup: experiments.ParallelSpeedup(scaling),
 		Scaling:         scaling,
 		Cells:           cells,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	})
 }
 
 func writeJSON(path, exp string, quick bool, sc experiments.Scale, tables []*stats.Table, wruns []experiments.WorkloadRun) error {
@@ -561,13 +445,11 @@ func writeJSON(path, exp string, quick bool, sc experiments.Scale, tables []*sta
 			Seconds:    r.Result.Seconds,
 			Complete:   r.Result.Complete,
 
-			WakeIdlePlacements: r.Stats.WakeIdlePlacements,
-			TimesliceRotations: r.Stats.TimesliceRotations,
-			TickPreemptions:    r.Stats.TickPreemptions,
-		}
-		if r.HasBonus {
-			e.BonusLevels = r.BonusLevels
-			e.InteractiveRequeues = r.InteractiveRequeues
+			WakeIdlePlacements:  r.Stats.WakeIdlePlacements,
+			TimesliceRotations:  r.Stats.TimesliceRotations,
+			TickPreemptions:     r.Stats.TickPreemptions,
+			BonusLevels:         r.BonusLevels,
+			InteractiveRequeues: r.InteractiveRequeues,
 		}
 		if len(r.Result.Extras) > 0 {
 			e.Extras = make(map[string]float64, len(r.Result.Extras))
@@ -577,7 +459,7 @@ func writeJSON(path, exp string, quick bool, sc experiments.Scale, tables []*sta
 		}
 		entries = append(entries, e)
 	}
-	out, err := json.MarshalIndent(sweepJSON{
+	return writeIndented(path, sweepJSON{
 		Experiment: exp,
 		Quick:      quick,
 		Seed:       sc.Seed,
@@ -585,7 +467,12 @@ func writeJSON(path, exp string, quick bool, sc experiments.Scale, tables []*sta
 		Horizon:    sc.HorizonSeconds,
 		Tables:     tables,
 		Workloads:  entries,
-	}, "", "  ")
+	})
+}
+
+// writeIndented writes v to path as indented JSON with a final newline.
+func writeIndented(path string, v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -58,7 +58,7 @@ func TestSpecListTypoExits2(t *testing.T) {
 	if ee.ExitCode() != 2 {
 		t.Fatalf("child exited %d, want 2; output:\n%s", ee.ExitCode(), out)
 	}
-	want := `unknown name "typo" (registered: ` + strings.Join(experiments.SpecLabels(), " ") + `)`
+	want := `unknown name "typo" (registered: ` + strings.Join(experiments.Labels(experiments.AllSpecs), " ") + `)`
 	if !strings.Contains(string(out), want) {
 		t.Fatalf("child diagnostic missing %q; output:\n%s", want, out)
 	}
@@ -68,5 +68,36 @@ func TestSpecListResolvesLabels(t *testing.T) {
 	specs := specList("8P,32P-NUMA", nil)
 	if len(specs) != 2 || specs[0].Label != "8P" || specs[1].Label != "32P-NUMA" {
 		t.Fatalf("specList = %v, want the 8P and 32P-NUMA specs", specs)
+	}
+}
+
+// TestExperimentNamesFromCatalog pins the -exp vocabulary: the help text
+// and the unknown-name check both read it from the experiment catalog.
+func TestExperimentNamesFromCatalog(t *testing.T) {
+	want := strings.Fields("table2 fig2 fig3 fig4 fig5 fig6 profile alt web lock numa matrix " +
+		"wakestorm interactive latency ablate scaling fuzz all")
+	if got := experimentNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("experimentNames() = %v\nwant %v", got, want)
+	}
+}
+
+// TestUnknownExperimentExits2 pins `-exp typo`: exit 2 with the known
+// names on stderr, before a single cell runs. The test re-executes itself
+// so the exit lands in a child process.
+func TestUnknownExperimentExits2(t *testing.T) {
+	if os.Getenv("SWEEP_EXP_TYPO") == "1" {
+		os.Args = []string{"sweep", "-quick", "-exp", "typo"}
+		os.Exit(run())
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=TestUnknownExperimentExits2$")
+	cmd.Env = append(os.Environ(), "SWEEP_EXP_TYPO=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("child exit = %v, want status 2; output:\n%s", err, out)
+	}
+	want := `unknown experiment "typo" (known: ` + strings.Join(experimentNames(), " ") + ")\n"
+	if string(out) != want {
+		t.Fatalf("child output = %q, want only %q", out, want)
 	}
 }

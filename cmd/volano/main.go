@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"elsc/internal/experiments"
-	"elsc/internal/kernel"
 	"elsc/internal/workload/volano"
 )
 
@@ -33,13 +32,8 @@ func main() {
 	)
 	flag.Parse()
 
-	m := kernel.NewMachine(kernel.Config{
-		CPUs:         *cpus,
-		SMP:          *smp || *cpus > 1,
-		Seed:         *seed,
-		NewScheduler: experiments.Factory(*schedName),
-		MaxCycles:    *horizon * kernel.DefaultHz,
-	})
+	m := experiments.NewMachineOn(nil, experiments.MachineSpec{CPUs: *cpus, SMP: *smp || *cpus > 1},
+		*schedName, experiments.Scale{Seed: *seed, HorizonSeconds: *horizon})
 	b := volano.Build(m, volano.Config{
 		Rooms:           *rooms,
 		UsersPerRoom:    *users,

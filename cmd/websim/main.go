@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"elsc/internal/experiments"
+	"elsc/internal/workload"
 	"elsc/internal/workload/webserver"
 )
 
@@ -24,10 +25,8 @@ func main() {
 
 	sc := experiments.DefaultScale()
 	sc.Seed = *seed
-	tab := experiments.WebserverWith(experiments.SpecByLabel(*spec), webserver.Config{
-		Workers:       *workers,
-		Requests:      *requests,
-		ArrivalPeriod: *period,
-	}, sc)
+	cfg := webserver.Config{Workers: *workers, Requests: *requests, ArrivalPeriod: *period}
+	tab := experiments.Webserver(experiments.SpecByLabel(*spec),
+		experiments.Custom(workload.WebServer, "flags", workload.WebserverWith(cfg))).Run(sc)
 	fmt.Print(tab.Render())
 }

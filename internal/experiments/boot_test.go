@@ -20,8 +20,8 @@ func TestRegistrySpawnsNoRealTimeTask(t *testing.T) {
 	for _, spec := range AllSpecs {
 		for _, policy := range Policies {
 			for _, load := range workload.Names() {
-				m := NewMachine(spec, policy, sc)
-				run := runWorkloadOn(m, spec, policy, load, sc)
+				m := NewMachineOn(nil, spec, policy, sc)
+				workload.Build(load, m, WorkloadParams(spec, sc)).Run()
 				rt := 0
 				for _, p := range m.Procs() {
 					if p.Task.RealTime() {
@@ -31,7 +31,7 @@ func TestRegistrySpawnsNoRealTimeTask(t *testing.T) {
 				if rt != 0 {
 					t.Errorf("%s: %d real-time tasks. Registry cells now build LevelArray's real-time levels at run time: "+
 						"re-measure boot (TestBootAllocBudget, BenchmarkMicro_Boot, setup_s and alloc_mb on matrix_quick) "+
-						"and the sched package doc's trap (c) before accepting this", run.Key(), rt)
+						"and the sched package doc's trap (c) before accepting this", Load(load).On(spec, policy).Key(), rt)
 				}
 			}
 		}

@@ -77,7 +77,7 @@ func TestSeedChangesTrace(t *testing.T) {
 func workloadDigest(load, policy string, seed int64) string {
 	sc := Scale{Messages: 2, Seed: seed, HorizonSeconds: 600, Quick: true}
 	spec := MachineSpec{Label: "2P", CPUs: 2, SMP: true}
-	m := NewMachine(spec, policy, sc)
+	m := NewMachineOn(nil, spec, policy, sc)
 	res := workload.Build(load, m, WorkloadParams(spec, sc)).Run()
 	return fmt.Sprintf("%+v\n%s", res, m.Stats().Registry().Render())
 }
@@ -135,10 +135,10 @@ func TestDeterminismDigestCoversInteractivityCounters(t *testing.T) {
 func TestBonusCountersDeterministic(t *testing.T) {
 	run := func() WorkloadRun {
 		sc := Scale{Messages: 2, Seed: 7, HorizonSeconds: 600, Quick: true}
-		return RunWorkloadCell(SpecByLabel("2P"), O1, workload.Latency, sc)
+		return RunCell(nil, Load(workload.Latency).On(SpecByLabel("2P"), O1), sc)
 	}
 	a, b := run(), run()
-	if !a.HasBonus || !b.HasBonus {
+	if a.BonusLevels == nil || b.BonusLevels == nil {
 		t.Fatal("o1 runs did not expose bonus counters")
 	}
 	if fmt.Sprint(a.BonusLevels) != fmt.Sprint(b.BonusLevels) ||

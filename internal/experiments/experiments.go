@@ -1,12 +1,47 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (§6), plus the future-work comparisons (§8) and our ablation
-// studies. Each experiment builds fresh machines, runs the appropriate
-// workload per configuration, and renders the same rows/series the paper
-// reports. Independent runs execute in parallel on the host.
+// studies. The whole evaluation is one matrix — scheduler x machine x
+// workload — and the package has one path through it:
+//
+//	cell -> run -> table
+//
+// A Cell describes one simulation: a MachineSpec, a policy (a registry
+// name, or with Tuned an explicit factory for an ablation arm) and a
+// workload (a registry name sized from the Scale, or with Custom an
+// explicit config such as Volano(10)'s ten rooms). RunCell is the only
+// function that boots a machine for an experiment (through
+// machineConfig, the only place a spec and a Scale become a
+// kernel.Config), runs the workload and harvests a WorkloadRun: the
+// registry's common Result, the machine's Stats, wall-clock, and the
+// policy's steal and bonus counters. RunCells is the only worker pool:
+// independent cells on per-worker recycled event engines, results in
+// input order, so every table is byte-identical at any pool width.
+//
+// An Experiment is a table: the cells it needs, and a Table function
+// that renders them out of a run set with FindRun. Catalog lists the
+// experiments `sweep` runs; cells several experiments declare (figures
+// 2-6 and the profile share one VolanoMark set, the wakestorm detail
+// reads matrix cells) are collected by DistinctCells and run once.
+//
+// Adding an experiment:
+//
+//  1. Write a constructor returning an Experiment. Declare the cells —
+//     Load(name) or Custom(...) for the workload, .On(spec, policy) to
+//     place it, .Tuned(label, factory) for a scheduler variant — and
+//     close over them in Table, looking each run up with FindRun.
+//  2. Give it a Name (the `sweep -exp` selector; several tables may share
+//     one) and add it to Catalog where its table belongs in the output.
+//  3. That is all: sweep's -exp help and validation, the shared pool, the
+//     -json tables, and the catalog-wide tests (pool-width determinism,
+//     TicklessOff reaching every machine, shared cells running once)
+//     pick it up from the catalog.
+//
+// RunScalingSweep (timed matrix passes at several pool widths) and the
+// scenario fuzzer (fuzz.go) are the two things here that are not tables
+// of cells.
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 
 	"elsc/internal/kernel"
@@ -18,9 +53,6 @@ import (
 	"elsc/internal/sched/o1"
 	"elsc/internal/sched/vanilla"
 	"elsc/internal/sim"
-	"elsc/internal/workload/kbuild"
-	"elsc/internal/workload/volano"
-	"elsc/internal/workload/webserver"
 )
 
 // Policy names, as the paper's figures label them.
@@ -45,24 +77,22 @@ const (
 // (see the seed-586 pre-fix replay).
 var Policies = []string{Reg, ELSC, Heap, MQ, O1, CFS}
 
+// factories holds each registered policy's constructor.
+var factories = map[string]kernel.SchedulerFactory{
+	Reg:  func(env *sched.Env) sched.Scheduler { return vanilla.New(env) },
+	ELSC: func(env *sched.Env) sched.Scheduler { return elsc.New(env) },
+	Heap: func(env *sched.Env) sched.Scheduler { return heapsched.New(env) },
+	MQ:   func(env *sched.Env) sched.Scheduler { return mq.New(env) },
+	O1:   func(env *sched.Env) sched.Scheduler { return o1.New(env) },
+	CFS:  func(env *sched.Env) sched.Scheduler { return cfs.New(env) },
+}
+
 // Factory returns the scheduler factory for a policy name.
 func Factory(name string) kernel.SchedulerFactory {
-	switch name {
-	case Reg:
-		return func(env *sched.Env) sched.Scheduler { return vanilla.New(env) }
-	case ELSC:
-		return func(env *sched.Env) sched.Scheduler { return elsc.New(env) }
-	case Heap:
-		return func(env *sched.Env) sched.Scheduler { return heapsched.New(env) }
-	case MQ:
-		return func(env *sched.Env) sched.Scheduler { return mq.New(env) }
-	case O1:
-		return func(env *sched.Env) sched.Scheduler { return o1.New(env) }
-	case CFS:
-		return func(env *sched.Env) sched.Scheduler { return cfs.New(env) }
-	default:
-		panic("experiments: unknown scheduler " + name)
+	if f, ok := factories[name]; ok {
+		return f
 	}
+	panic("experiments: unknown scheduler " + name)
 }
 
 // MachineSpec is one hardware configuration from the paper: UP is a
@@ -134,11 +164,11 @@ func SpecByLabel(label string) MachineSpec {
 	panic("experiments: unknown machine spec " + label)
 }
 
-// SpecLabels returns every registered spec label, in AllSpecs order —
-// the validation list command-line spec filters check against.
-func SpecLabels() []string {
-	labels := make([]string, len(AllSpecs))
-	for i, s := range AllSpecs {
+// Labels returns the specs' labels, in order; of AllSpecs it is the
+// validation list command-line spec filters check against.
+func Labels(specs []MachineSpec) []string {
+	labels := make([]string, len(specs))
+	for i, s := range specs {
 		labels[i] = s.Label
 	}
 	return labels
@@ -187,36 +217,18 @@ func (s Scale) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// NewMachine builds a machine for a spec and policy.
-func NewMachine(spec MachineSpec, policy string, sc Scale) *kernel.Machine {
-	return NewMachineWith(spec, Factory(policy), sc)
-}
-
-// NewMachineOn builds a machine that boots on a recycled event engine
-// (nil allocates a fresh one; see kernel.Config.Engine).
+// NewMachineOn builds a machine for a spec and policy, booting on a
+// recycled event engine (nil allocates a fresh one; see
+// kernel.Config.Engine).
 func NewMachineOn(eng *sim.Engine, spec MachineSpec, policy string, sc Scale) *kernel.Machine {
-	cfg := machineConfig(spec, Factory(policy), sc)
-	cfg.Engine = eng
-	return kernel.NewMachine(cfg)
+	return kernel.NewMachine(machineConfig(eng, spec, Factory(policy), sc))
 }
 
-// NewMachineWith builds a machine for a spec with an explicit scheduler
-// factory — the entry for ablation variants that tune a policy's config.
-func NewMachineWith(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale) *kernel.Machine {
-	return kernel.NewMachine(machineConfig(spec, factory, sc))
-}
-
-// NewWatchedMachineWith builds a machine like NewMachineWith with the
-// starvation/lockup watchdog armed — what the scenario fuzzer runs on,
-// so liveness violations surface at their virtual timestamp instead of
-// end-of-run.
-func NewWatchedMachineWith(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale, wd kernel.WatchdogConfig) *kernel.Machine {
-	cfg := machineConfig(spec, factory, sc)
-	cfg.Watchdog = &wd
-	return kernel.NewMachine(cfg)
-}
-
-func machineConfig(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale) kernel.Config {
+// machineConfig is the one place a spec, a scheduler factory and a Scale
+// become a kernel.Config: every cell, test machine and fuzz scenario boots
+// from it, so a Scale knob or a spec's topology cannot be honoured by one
+// experiment and dropped by another.
+func machineConfig(eng *sim.Engine, spec MachineSpec, factory kernel.SchedulerFactory, sc Scale) kernel.Config {
 	return kernel.Config{
 		CPUs:         spec.CPUs,
 		SMP:          spec.SMP,
@@ -225,120 +237,6 @@ func machineConfig(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale) 
 		NewScheduler: factory,
 		MaxCycles:    sc.HorizonSeconds * kernel.DefaultHz,
 		TicklessOff:  sc.TicklessOff,
+		Engine:       eng,
 	}
-}
-
-// VolanoRun is one VolanoMark measurement.
-type VolanoRun struct {
-	Spec   MachineSpec
-	Policy string
-	Rooms  int
-	Result volano.Result
-	Stats  kernel.Stats
-
-	// IntraSteals and CrossSteals are the balancer's own same-domain and
-	// cross-domain move counts, for policies that track them (HasSteals).
-	IntraSteals uint64
-	CrossSteals uint64
-	HasSteals   bool
-}
-
-// Key renders "elsc-4P@20" style identifiers.
-func (r VolanoRun) Key() string {
-	return fmt.Sprintf("%s-%s@%d", r.Policy, r.Spec.Label, r.Rooms)
-}
-
-// RunVolano executes one VolanoMark configuration.
-func RunVolano(spec MachineSpec, policy string, rooms int, sc Scale) VolanoRun {
-	return RunVolanoConfig(spec, policy,
-		volano.Config{Rooms: rooms, MessagesPerUser: sc.Messages}, sc)
-}
-
-// RunVolanoConfig executes one VolanoMark run with a fully specified
-// workload config (the NUMA experiments run the scalable-stack variant).
-func RunVolanoConfig(spec MachineSpec, policy string, vcfg volano.Config, sc Scale) VolanoRun {
-	return RunVolanoConfigOn(nil, spec, policy, vcfg, sc)
-}
-
-// RunVolanoConfigOn is RunVolanoConfig on a recycled event engine (nil
-// builds a fresh one) — the matrix worker pool's entry.
-func RunVolanoConfigOn(eng *sim.Engine, spec MachineSpec, policy string, vcfg volano.Config, sc Scale) VolanoRun {
-	return runVolanoOn(NewMachineOn(eng, spec, policy, sc), spec, policy, vcfg)
-}
-
-// runVolanoOn runs the workload on a prepared machine and harvests the
-// result, stats, and the balancer's steal counters when tracked.
-func runVolanoOn(m *kernel.Machine, spec MachineSpec, policy string, vcfg volano.Config) VolanoRun {
-	res := volano.Build(m, vcfg).Run()
-	run := VolanoRun{Spec: spec, Policy: policy, Rooms: vcfg.Rooms, Result: res, Stats: *m.Stats()}
-	if ds, ok := m.Scheduler().(sched.StealReporter); ok {
-		run.IntraSteals, run.CrossSteals = ds.DomainSteals()
-		run.HasSteals = true
-	}
-	return run
-}
-
-// matrixJob identifies one cell of a sweep.
-type matrixJob struct {
-	spec   MachineSpec
-	policy string
-	rooms  int
-}
-
-// RunVolanoMatrix sweeps policies × specs × rooms, running cells in
-// parallel, and returns results in deterministic (input) order.
-func RunVolanoMatrix(policies []string, specs []MachineSpec, rooms []int, sc Scale) []VolanoRun {
-	var jobs []matrixJob
-	for _, p := range policies {
-		for _, spec := range specs {
-			for _, r := range rooms {
-				jobs = append(jobs, matrixJob{spec: spec, policy: p, rooms: r})
-			}
-		}
-	}
-	return forEachParallel(len(jobs), sc, func(i int, eng *sim.Engine) VolanoRun {
-		j := jobs[i]
-		return RunVolanoConfigOn(eng, j.spec, j.policy,
-			volano.Config{Rooms: j.rooms, MessagesPerUser: sc.Messages}, sc)
-	})
-}
-
-// Find returns the run matching the key parameters, or panics; matrices
-// are small and a missing cell is a harness bug.
-func Find(runs []VolanoRun, policy, label string, rooms int) VolanoRun {
-	for _, r := range runs {
-		if r.Policy == policy && r.Spec.Label == label && r.Rooms == rooms {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("experiments: no run %s-%s@%d", policy, label, rooms))
-}
-
-// KBuildRun is one Table 2 measurement.
-type KBuildRun struct {
-	Spec   MachineSpec
-	Policy string
-	Result kbuild.Result
-}
-
-// RunKBuild executes one kernel-compile configuration.
-func RunKBuild(spec MachineSpec, policy string, cfg kbuild.Config, sc Scale) KBuildRun {
-	m := NewMachine(spec, policy, sc)
-	b := kbuild.New(m, cfg)
-	return KBuildRun{Spec: spec, Policy: policy, Result: b.Run()}
-}
-
-// WebRun is one future-work webserver measurement.
-type WebRun struct {
-	Spec   MachineSpec
-	Policy string
-	Result webserver.Result
-	Stats  kernel.Stats
-}
-
-// RunWeb executes one webserver configuration.
-func RunWeb(spec MachineSpec, policy string, cfg webserver.Config, sc Scale) WebRun {
-	m := NewMachine(spec, policy, sc)
-	s := webserver.New(m, cfg)
-	return WebRun{Spec: spec, Policy: policy, Result: s.Run(), Stats: *m.Stats()}
 }

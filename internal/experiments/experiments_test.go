@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"elsc/internal/workload"
 	"elsc/internal/workload/kbuild"
 	"elsc/internal/workload/webserver"
 )
@@ -16,9 +17,15 @@ func tinyScale() Scale {
 // tinyRooms shrinks the room sweep.
 var tinyRooms = []int{1, 2}
 
-func tinyMatrix(t *testing.T) []VolanoRun {
+// tinyFigures is the paper's VolanoMark run set at the tiny rooms: the
+// union of what figures 2-6 and the profile declare.
+func tinyFigures() []Experiment {
+	return []Experiment{Fig2(2), Fig3(tinyRooms), Fig4(1, 2), Fig5(2), Fig6(2), Profile(tinyRooms)}
+}
+
+func tinyMatrix(t *testing.T) []WorkloadRun {
 	t.Helper()
-	return RunVolanoMatrix([]string{Reg, ELSC}, PaperSpecs, tinyRooms, tinyScale())
+	return RunCells(DistinctCells(tinyFigures()), tinyScale())
 }
 
 func TestMatrixCoversAllCells(t *testing.T) {
@@ -29,8 +36,8 @@ func TestMatrixCoversAllCells(t *testing.T) {
 	for _, policy := range []string{Reg, ELSC} {
 		for _, spec := range PaperSpecs {
 			for _, r := range tinyRooms {
-				run := Find(runs, policy, spec.Label, r)
-				if run.Result.Deliveries == 0 {
+				run := FindRun(runs, Volano(r).On(spec, policy))
+				if run.Result.Ops == 0 {
 					t.Fatalf("%s produced no deliveries", run.Key())
 				}
 			}
@@ -43,8 +50,9 @@ func TestMatrixDeterministicAcrossParallelism(t *testing.T) {
 	sc1.Parallel = 1
 	sc4 := tinyScale()
 	sc4.Parallel = 4
-	a := RunVolanoMatrix([]string{ELSC}, PaperSpecs[:2], tinyRooms, sc1)
-	b := RunVolanoMatrix([]string{ELSC}, PaperSpecs[:2], tinyRooms, sc4)
+	cells := Fig3(tinyRooms).Cells
+	a := RunCells(cells, sc1)
+	b := RunCells(cells, sc4)
 	for i := range a {
 		if a[i].Result.Cycles != b[i].Result.Cycles {
 			t.Fatalf("run %s differs across parallelism: %d vs %d",
@@ -57,16 +65,12 @@ func TestFig3ShapeELSCFlatRegDecays(t *testing.T) {
 	// The paper's headline: reg throughput falls as rooms grow; ELSC
 	// stays roughly flat. Use a wider spread for signal.
 	sc := Scale{Messages: 8, Seed: 42, HorizonSeconds: 900}
-	rooms := []int{2, 8}
-	runs := RunVolanoMatrix([]string{Reg, ELSC}, []MachineSpec{SpecByLabel("UP")}, rooms, sc)
-
-	regLo := Find(runs, Reg, "UP", 2).Result.Throughput
-	regHi := Find(runs, Reg, "UP", 8).Result.Throughput
-	elscLo := Find(runs, ELSC, "UP", 2).Result.Throughput
-	elscHi := Find(runs, ELSC, "UP", 8).Result.Throughput
-
-	regScale := regHi / regLo
-	elscScale := elscHi / elscLo
+	up := SpecByLabel("UP")
+	thr := func(policy string, rooms int) float64 {
+		return RunCell(nil, Volano(rooms).On(up, policy), sc).Result.Throughput
+	}
+	regScale := thr(Reg, 8) / thr(Reg, 2)
+	elscScale := thr(ELSC, 8) / thr(ELSC, 2)
 	if elscScale <= regScale {
 		t.Fatalf("scaling: elsc %.2f should beat reg %.2f", elscScale, regScale)
 	}
@@ -78,8 +82,8 @@ func TestFig3ShapeELSCFlatRegDecays(t *testing.T) {
 func TestFig5ShapeELSCCheaper(t *testing.T) {
 	runs := tinyMatrix(t)
 	for _, spec := range PaperSpecs {
-		e := Find(runs, ELSC, spec.Label, 2).Stats
-		r := Find(runs, Reg, spec.Label, 2).Stats
+		e := FindRun(runs, Volano(2).On(spec, ELSC)).Stats
+		r := FindRun(runs, Volano(2).On(spec, Reg)).Stats
 		if e.CyclesPerSchedule() >= r.CyclesPerSchedule() {
 			t.Errorf("%s: elsc cyc/sched %.0f not below reg %.0f",
 				spec.Label, e.CyclesPerSchedule(), r.CyclesPerSchedule())
@@ -93,23 +97,15 @@ func TestFig5ShapeELSCCheaper(t *testing.T) {
 
 func TestFigureTablesRender(t *testing.T) {
 	runs := tinyMatrix(t)
-	cases := map[string]string{
-		"fig2": Fig2(runs, 2).Render(),
-		"fig3": Fig3(runs, tinyRooms).Render(),
-		"fig4": Fig4(runs, 1, 2).Render(),
-		"fig5": Fig5(runs, 2).Render(),
-		"fig6": Fig6(runs, 2).Render(),
-		"prof": Profile(runs, tinyRooms).Render(),
-	}
-	for name, out := range cases {
-		if len(strings.Split(out, "\n")) < 4 {
-			t.Errorf("%s table too small:\n%s", name, out)
+	for _, e := range tinyFigures() {
+		if out := e.Table(runs).Render(); len(strings.Split(out, "\n")) < 4 {
+			t.Errorf("%s table too small:\n%s", e.Name, out)
 		}
 	}
 }
 
 func TestTable2Renders(t *testing.T) {
-	tab := Table2(tinyScale())
+	tab := Table2(Load(workload.KBuild)).Run(tinyScale())
 	out := tab.Render()
 	for _, want := range []string{"Current - UP", "ELSC - UP", "Current - 2P", "ELSC - 2P"} {
 		if !strings.Contains(out, want) {
@@ -118,15 +114,18 @@ func TestTable2Renders(t *testing.T) {
 	}
 }
 
+// TestTable2WithRenders: Table 2 over an explicit compile config, as
+// cmd/kcompile declares it.
 func TestTable2WithRenders(t *testing.T) {
-	tab := Table2With(tinyScale(), kbuild.Config{Units: 16, MeanCompile: 3_000_000, MeanIO: 50_000})
+	cfg := kbuild.Config{Units: 16, MeanCompile: 3_000_000, MeanIO: 50_000}
+	tab := Table2(Custom(workload.KBuild, "16 units", workload.KBuildWith(cfg))).Run(tinyScale())
 	if tab.NumRows() != 4 {
 		t.Fatalf("Table 2 (explicit config) rows = %d, want 4", tab.NumRows())
 	}
 }
 
 func TestAltSchedulersTable(t *testing.T) {
-	tab := AltSchedulers(SpecByLabel("2P"), 1, tinyScale())
+	tab := AltSchedulers(SpecByLabel("2P"), 1).Run(tinyScale())
 	out := tab.Render()
 	for _, want := range Policies {
 		if !strings.Contains(out, want) {
@@ -136,7 +135,7 @@ func TestAltSchedulersTable(t *testing.T) {
 }
 
 func TestLockContentionTable(t *testing.T) {
-	tab := LockContention(SpecByLabel("2P"), 1, tinyScale())
+	tab := LockContention(SpecByLabel("2P"), 1).Run(tinyScale())
 	out := tab.Render()
 	for _, want := range Policies {
 		if !strings.Contains(out, want) {
@@ -149,14 +148,17 @@ func TestLockContentionTable(t *testing.T) {
 }
 
 func TestWebserverTable(t *testing.T) {
-	tab := Webserver(SpecByLabel("2P"), tinyScale())
+	tab := Webserver(SpecByLabel("2P"), Load(workload.WebServer)).Run(tinyScale())
 	if tab.NumRows() != 2 {
 		t.Fatalf("webserver table rows = %d, want 2", tab.NumRows())
 	}
 }
 
+// TestWebserverWithTable: the web experiment over an explicit offered
+// load, as cmd/websim declares it.
 func TestWebserverWithTable(t *testing.T) {
-	tab := WebserverWith(SpecByLabel("2P"), webserver.Config{Workers: 8, Requests: 200}, tinyScale())
+	cfg := webserver.Config{Workers: 8, Requests: 200}
+	tab := Webserver(SpecByLabel("2P"), Custom(workload.WebServer, "200 requests", workload.WebserverWith(cfg))).Run(tinyScale())
 	if tab.NumRows() != 2 {
 		t.Fatalf("webserver table rows = %d, want 2", tab.NumRows())
 	}
@@ -164,20 +166,20 @@ func TestWebserverWithTable(t *testing.T) {
 
 func TestAblationTables(t *testing.T) {
 	sc := tinyScale()
-	if got := AblateSearchLimit(SpecByLabel("1P"), 1, []int{1, 5}, sc); got.NumRows() != 2 {
+	if got := AblateSearchLimit(SpecByLabel("1P"), 1, []int{1, 5}).Run(sc); got.NumRows() != 2 {
 		t.Fatal("search-limit ablation rows")
 	}
-	if got := AblateTableSize(SpecByLabel("1P"), 1, []int{15, 30}, sc); got.NumRows() != 2 {
+	if got := AblateTableSize(SpecByLabel("1P"), 1, []int{15, 30}).Run(sc); got.NumRows() != 2 {
 		t.Fatal("table-size ablation rows")
 	}
-	if got := AblateUPShortcut(1, sc); got.NumRows() != 2 {
+	if got := AblateUPShortcut(1).Run(sc); got.NumRows() != 2 {
 		t.Fatal("up-shortcut ablation rows")
 	}
 }
 
 func TestFactoryNames(t *testing.T) {
 	for _, name := range Policies {
-		m := NewMachine(SpecByLabel("1P"), name, tinyScale())
+		m := NewMachineOn(nil, SpecByLabel("1P"), name, tinyScale())
 		if m.Scheduler().Name() != name {
 			t.Fatalf("factory %q built scheduler %q", name, m.Scheduler().Name())
 		}
@@ -187,10 +189,10 @@ func TestFactoryNames(t *testing.T) {
 func TestFindPanicsOnMissing(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Find on empty runs should panic")
+			t.Fatal("FindRun on empty runs should panic")
 		}
 	}()
-	Find(nil, Reg, "UP", 5)
+	FindRun(nil, Volano(5).On(SpecByLabel("UP"), Reg))
 }
 
 // TestSpecTopologyBuiltOnce: a registered NUMA spec hands every machine

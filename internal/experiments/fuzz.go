@@ -239,7 +239,9 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 	// liveness bug (or a watchdog false positive) on a clean run.
 	bwd := FuzzWatchdogConfig()
 	bwd.OnViolation = func(v kernel.WatchdogViolation) { fail("baseline %s", v) }
-	bm := NewWatchedMachineWith(spec, factoryFor(s.Policy), sc, bwd)
+	bcfg := machineConfig(nil, spec, factoryFor(s.Policy), sc)
+	bcfg.Watchdog = &bwd
+	bm := kernel.NewMachine(bcfg)
 	bres := workload.Build(s.Load, bm, WorkloadParams(spec, sc)).Run()
 	if violation != nil {
 		return rep, violation
@@ -256,7 +258,7 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 			opts.OnViolation(v)
 		}
 	}
-	mcfg := machineConfig(spec, factoryFor(s.Policy), sc)
+	mcfg := machineConfig(nil, spec, factoryFor(s.Policy), sc)
 	mcfg.Watchdog = &wd
 	mcfg.Trace = opts.Trace
 	m := kernel.NewMachine(mcfg)

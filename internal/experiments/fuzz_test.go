@@ -96,7 +96,9 @@ func TestFuzzZeroInjectionMatchesPlainDigest(t *testing.T) {
 			}
 			spec := SpecByLabel(s.Spec)
 			sc := fuzzScale(seed)
-			m := NewWatchedMachineWith(spec, Factory(policy), sc, FuzzWatchdogConfig())
+			cfg, wd := machineConfig(nil, spec, Factory(policy), sc), FuzzWatchdogConfig()
+			cfg.Watchdog = &wd
+			m := kernel.NewMachine(cfg)
 			res := workload.Build(s.Load, m, WorkloadParams(spec, sc)).Run()
 			plain := fmt.Sprintf("%+v\n%s", res, m.Stats().Registry().Render())
 			if rep.Digest != plain {

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"elsc/internal/sched"
 	"elsc/internal/sched/o1"
-	"elsc/internal/sim"
 	"elsc/internal/stats"
 	"elsc/internal/workload"
 )
@@ -17,21 +15,11 @@ import (
 // PR 3 exposed as o1's fidelity gap, where quantum-expired probes parked
 // behind a full hog quantum in the expired array.
 
-// o1InteractivityConfig returns the o1 config for one ablation arm: the
-// full machinery, or both halves disabled (the pre-interactivity
-// scheduler, kept as the baseline).
-func o1InteractivityConfig(off bool) o1.Config {
-	return o1.Config{InteractivityOff: off, WakeIdleOff: off}
-}
-
-// RunO1Interactivity runs one registry workload under o1 with the
-// interactivity machinery on or off — the benchmark and acceptance-test
-// entry point for the ablation.
-func RunO1Interactivity(spec MachineSpec, load string, off bool, sc Scale) WorkloadRun {
-	cfg := o1InteractivityConfig(off)
-	return RunWorkloadCellWith(spec, func(env *sched.Env) sched.Scheduler {
-		return o1.NewWithConfig(env, cfg)
-	}, O1, load, sc)
+// interactivityArms are o1 with the full machinery, and with both halves
+// disabled (the pre-interactivity scheduler, kept as the baseline).
+var interactivityArms = []o1Arm{
+	{"interactive", o1.Config{}},
+	{"interactivity-off", o1.Config{InteractivityOff: true, WakeIdleOff: true}},
 }
 
 // AblateInteractivity isolates the interactivity machinery on one spec:
@@ -41,44 +29,38 @@ func RunO1Interactivity(spec MachineSpec, load string, off bool, sc Scale) Workl
 // priority waits out hog quanta; with it on, the sleep_avg bonus
 // preempts within microseconds — and the estimator columns show the
 // mechanism at work (bonus spread, active-array requeues, wake-idle
-// placements).
-func AblateInteractivity(spec MachineSpec, sc Scale) *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Ablation: o1 interactivity (%s)", spec.Label),
-		"o1 variant", "lat p99 us", "lat max us", "storm p99 us",
-		"+bonus enq", "-bonus enq", "requeues", "wake-idle", "tick-preempt", "rotations")
-	type arm struct {
-		label string
-		off   bool
+// placements). Cells are each arm's latency cell, then its wakestorm one.
+func AblateInteractivity(spec MachineSpec) Experiment {
+	latency, storm := Load(workload.Latency), Load(workload.WakeStorm)
+	var cells []Cell
+	for _, arm := range interactivityArms {
+		cells = append(cells, arm.on(latency, spec), arm.on(storm, spec))
 	}
-	arms := []arm{{"interactive", false}, {"interactivity-off", true}}
-	type armRuns struct{ lat, storm WorkloadRun }
-	runs := make([]armRuns, len(arms))
-	forEachIndexParallel(len(arms), sc, func(i int, _ *sim.Engine) {
-		runs[i] = armRuns{
-			lat:   RunO1Interactivity(spec, workload.Latency, arms[i].off, sc),
-			storm: RunO1Interactivity(spec, workload.WakeStorm, arms[i].off, sc),
-		}
-	})
-	for i, a := range arms {
-		lat, storm := runs[i].lat, runs[i].storm
-		latP99, _ := lat.Result.Extra("p99_us")
-		latMax, _ := lat.Result.Extra("max_us")
-		stormP99, _ := storm.Result.Extra("p99_us")
-		var plus, minus uint64
-		for b, n := range lat.BonusLevels {
-			if b > o1.BonusSpan/2 {
-				plus += n
-			} else if b < o1.BonusSpan/2 {
-				minus += n
+	return Experiment{Name: "interactive", Cells: cells, Table: func(runs []WorkloadRun) *stats.Table {
+		t := stats.NewTable(
+			fmt.Sprintf("Ablation: o1 interactivity (%s)", spec.Label),
+			"o1 variant", "lat p99 us", "lat max us", "storm p99 us",
+			"+bonus enq", "-bonus enq", "requeues", "wake-idle", "tick-preempt", "rotations")
+		for _, arm := range interactivityArms {
+			lat, storm := FindRun(runs, arm.on(latency, spec)), FindRun(runs, arm.on(storm, spec))
+			latP99, _ := lat.Result.Extra("p99_us")
+			latMax, _ := lat.Result.Extra("max_us")
+			stormP99, _ := storm.Result.Extra("p99_us")
+			var plus, minus uint64
+			for b, n := range lat.BonusLevels {
+				if b > o1.BonusSpan/2 {
+					plus += n
+				} else if b < o1.BonusSpan/2 {
+					minus += n
+				}
 			}
+			t.AddRow(arm.label,
+				int(latP99), int(latMax), int(stormP99),
+				plus, minus, lat.InteractiveRequeues,
+				lat.Stats.WakeIdlePlacements+storm.Stats.WakeIdlePlacements,
+				lat.Stats.TickPreemptions+storm.Stats.TickPreemptions,
+				lat.Stats.TimesliceRotations+storm.Stats.TimesliceRotations)
 		}
-		t.AddRow(a.label,
-			int(latP99), int(latMax), int(stormP99),
-			plus, minus, lat.InteractiveRequeues,
-			lat.Stats.WakeIdlePlacements+storm.Stats.WakeIdlePlacements,
-			lat.Stats.TickPreemptions+storm.Stats.TickPreemptions,
-			lat.Stats.TimesliceRotations+storm.Stats.TimesliceRotations)
-	}
-	return t
+		return t
+	}}
 }

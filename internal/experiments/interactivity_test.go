@@ -21,9 +21,9 @@ func TestInteractivityFixesLatencyCollapse(t *testing.T) {
 	spec := SpecByLabel("32P-NUMA")
 	sc := Scale{Messages: 10, Seed: 42, HorizonSeconds: 600, Quick: true}
 
-	on := RunO1Interactivity(spec, workload.Latency, false, sc)
-	off := RunO1Interactivity(spec, workload.Latency, true, sc)
-	reg := RunWorkloadCell(spec, Reg, workload.Latency, sc)
+	on := RunCell(nil, interactivityArms[0].on(Load(workload.Latency), spec), sc)
+	off := RunCell(nil, interactivityArms[1].on(Load(workload.Latency), spec), sc)
+	reg := RunCell(nil, Load(workload.Latency).On(spec, Reg), sc)
 	for _, r := range []WorkloadRun{on, off, reg} {
 		if !r.Result.Complete || r.Result.Ops == 0 {
 			t.Fatalf("%s run incomplete", r.Key())
@@ -44,7 +44,7 @@ func TestInteractivityFixesLatencyCollapse(t *testing.T) {
 	}
 	// The mechanism must be visible, not incidental: the interactive arm
 	// granted active-array requeues or higher-bonus enqueues.
-	if !on.HasBonus || len(on.BonusLevels) == 0 {
+	if len(on.BonusLevels) == 0 {
 		t.Fatal("o1 run did not expose its bonus counters")
 	}
 	var plus uint64
@@ -62,7 +62,7 @@ func TestInteractivityFixesLatencyCollapse(t *testing.T) {
 // arms, the estimator columns present, and the interactive arm strictly
 // better on the latency tail.
 func TestAblateInteractivityRenders(t *testing.T) {
-	tab := AblateInteractivity(SpecByLabel("32P-NUMA"),
+	tab := AblateInteractivity(SpecByLabel("32P-NUMA")).Run(
 		Scale{Messages: 10, Seed: 42, HorizonSeconds: 600, Quick: true})
 	out := tab.Render()
 	if tab.NumRows() != 2 {

@@ -24,7 +24,7 @@ func TestWorkloadMatrixCoversAllCells(t *testing.T) {
 	}
 	for _, p := range policies {
 		for _, l := range loads {
-			r := FindWorkload(runs, p, "2P", l)
+			r := FindRun(runs, Load(l).On(SpecByLabel("2P"), p))
 			if r.Result.Ops == 0 {
 				t.Fatalf("%s produced no operations", r.Key())
 			}
@@ -74,8 +74,7 @@ func TestMatrixTableShape(t *testing.T) {
 	policies := []string{Reg, ELSC}
 	spec := SpecByLabel("2P")
 	loads := []string{workload.Volano, workload.KBuild, workload.DB}
-	runs := RunWorkloadMatrix(policies, []MachineSpec{spec}, loads, matrixScale())
-	tab := MatrixTable(runs, spec, policies, loads)
+	tab := MatrixTable(spec, policies, loads).Run(matrixScale())
 	out := tab.Render()
 	if tab.NumRows() != len(policies) {
 		t.Fatalf("matrix table rows = %d, want %d", tab.NumRows(), len(policies))
@@ -90,8 +89,7 @@ func TestMatrixTableShape(t *testing.T) {
 func TestWorkloadDetailIncludesExtras(t *testing.T) {
 	policies := []string{Reg, O1}
 	spec := SpecByLabel("2P")
-	runs := RunWorkloadMatrix(policies, []MachineSpec{spec}, []string{workload.WakeStorm}, matrixScale())
-	tab := WorkloadDetail(runs, spec, policies, workload.WakeStorm)
+	tab := WorkloadDetail(spec, policies, workload.WakeStorm).Run(matrixScale())
 	out := tab.Render()
 	for _, want := range []string{"p50_us", "p99_us", "max_us"} {
 		if !strings.Contains(out, want) {
@@ -109,9 +107,9 @@ func TestWorkloadDetailIncludesExtras(t *testing.T) {
 // the default sweep per the capability table, but remain runnable by
 // name. The scale is tiny; the sweep runs it big.
 func TestWakeStormTableAllPolicies(t *testing.T) {
-	tab := WakeStorm(SpecByLabel("32P-NUMA"), matrixScale())
-	out := tab.Render()
 	def := DefaultPolicies()
+	tab := WorkloadDetail(SpecByLabel("32P-NUMA"), def, workload.WakeStorm).Run(matrixScale())
+	out := tab.Render()
 	if tab.NumRows() != len(def) {
 		t.Fatalf("wakestorm table rows = %d, want %d", tab.NumRows(), len(def))
 	}
@@ -170,11 +168,20 @@ func TestWorkloadParamsScalableStackPastPaperHardware(t *testing.T) {
 	}
 }
 
+// TestFindWorkloadPanicsOnMissing: a run set that holds the registry cell
+// does not answer for its neighbours — another policy, or an
+// explicit-config variant of the same workload.
 func TestFindWorkloadPanicsOnMissing(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FindWorkload on empty runs should panic")
-		}
-	}()
-	FindWorkload(nil, Reg, "UP", workload.Volano)
+	up := SpecByLabel("UP")
+	runs := []WorkloadRun{{CellID: Load(workload.Volano).On(up, Reg).CellID}}
+	for _, missing := range []Cell{Load(workload.Volano).On(up, ELSC), Volano(5).On(up, Reg)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("FindRun(%s) on a run set without it should panic", missing.Key())
+				}
+			}()
+			FindRun(runs, missing)
+		}()
+	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"elsc/internal/sched/o1"
 )
 
 // numaTinyScale keeps the 32-processor table tests fast.
@@ -13,7 +11,7 @@ func numaTinyScale() Scale {
 }
 
 func TestNumaTableListsAllPolicies(t *testing.T) {
-	tab := Numa(SpecByLabel("32P-NUMA"), 2, numaTinyScale())
+	tab := Numa(SpecByLabel("32P-NUMA"), 2).Run(numaTinyScale())
 	out := tab.Render()
 	for _, want := range Policies {
 		if !strings.Contains(out, want) {
@@ -39,15 +37,15 @@ func TestNumaTableListsAllPolicies(t *testing.T) {
 // same scale must render byte-identical tables, like every other figure.
 func TestNumaTableDeterminism(t *testing.T) {
 	spec := SpecByLabel("32P-NUMA")
-	a := Numa(spec, 2, numaTinyScale()).Render()
-	b := Numa(spec, 2, numaTinyScale()).Render()
+	a := Numa(spec, 2).Run(numaTinyScale()).Render()
+	b := Numa(spec, 2).Run(numaTinyScale()).Render()
 	if a != b {
 		t.Fatalf("numa table not deterministic:\n%s\nvs\n%s", a, b)
 	}
 }
 
 func TestAblateTopologyRenders(t *testing.T) {
-	tab := AblateTopology(SpecByLabel("32P-NUMA"), 2, numaTinyScale())
+	tab := AblateTopology(SpecByLabel("32P-NUMA"), 2).Run(numaTinyScale())
 	out := tab.Render()
 	if tab.NumRows() != 2 {
 		t.Fatalf("topology ablation rows = %d, want 2", tab.NumRows())
@@ -77,8 +75,8 @@ func TestDomainAwareO1BeatsBlind(t *testing.T) {
 	var awareSum, blindSum float64
 	for _, seed := range []int64{42, 7, 101} {
 		sc := Scale{Messages: 30, Seed: seed, HorizonSeconds: 600}
-		aware := runO1Variant(spec, o1.Config{}, rooms, sc)
-		blind := runO1Variant(spec, o1.Config{TopologyBlind: true}, rooms, sc)
+		arms := RunCells(AblateTopology(spec, rooms).Cells, sc)
+		aware, blind := arms[0], arms[1]
 		if aware.Stats.CrossDomainMigrations*2 >= blind.Stats.CrossDomainMigrations {
 			t.Fatalf("seed %d: domain awareness did not curb cross-domain migrations: aware %d vs blind %d",
 				seed, aware.Stats.CrossDomainMigrations, blind.Stats.CrossDomainMigrations)

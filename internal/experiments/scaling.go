@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"time"
 
 	"elsc/internal/stats"
@@ -49,33 +50,11 @@ func ScalingRungs() []int {
 // bad width reaching here is a harness bug.
 func NormalizeRungs(rungs []int) []int {
 	out := append([]int{1}, rungs...)
-	for _, r := range out {
-		if r < 1 {
-			panic(fmt.Sprintf("experiments: scaling rung %d out of range", r))
-		}
+	slices.Sort(out)
+	if out[0] < 1 {
+		panic(fmt.Sprintf("experiments: scaling rung %d out of range", out[0]))
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	dedup := out[:1]
-	for _, r := range out[1:] {
-		if r != dedup[len(dedup)-1] {
-			dedup = append(dedup, r)
-		}
-	}
-	return dedup
-}
-
-// stripHostTime zeroes the one host-dependent field so rungs can be
-// deep-compared.
-func stripHostTime(runs []WorkloadRun) []WorkloadRun {
-	out := append([]WorkloadRun(nil), runs...)
-	for i := range out {
-		out[i].WallNS = 0
-	}
-	return out
+	return slices.Compact(out)
 }
 
 // RunScalingSweep runs the policies x specs x loads matrix once per
@@ -89,9 +68,8 @@ func stripHostTime(runs []WorkloadRun) []WorkloadRun {
 func RunScalingSweep(policies []string, specs []MachineSpec, loads []string, sc Scale, rungs []int) ([]ScalingLevel, []WorkloadRun, error) {
 	if rungs == nil {
 		rungs = ScalingRungs()
-	} else {
-		rungs = NormalizeRungs(rungs)
 	}
+	rungs = NormalizeRungs(rungs)
 	var (
 		levels    []ScalingLevel
 		reference []WorkloadRun // serial runs, WallNS stripped
@@ -108,7 +86,10 @@ func RunScalingSweep(policies []string, specs []MachineSpec, loads []string, sc 
 		for _, r := range runs {
 			events += r.Stats.EventsFired
 		}
-		stripped := stripHostTime(runs)
+		stripped := slices.Clone(runs) // without the one host-dependent field
+		for i := range stripped {
+			stripped[i].WallNS = 0
+		}
 		if reference == nil {
 			reference = stripped
 			serialRef = runs
@@ -116,23 +97,13 @@ func RunScalingSweep(policies []string, specs []MachineSpec, loads []string, sc 
 			return nil, nil, fmt.Errorf(
 				"experiments: parallel=%d matrix diverged from serial reference (determinism violation)", rung)
 		}
-		lvl := ScalingLevel{Parallel: rung, Seconds: secs, Events: events}
-		if secs > 0 {
-			lvl.Speedup = levels0Seconds(levels, secs)
+		levels = append(levels, ScalingLevel{Parallel: rung, Seconds: secs, Events: events})
+		if lvl := &levels[len(levels)-1]; secs > 0 {
+			lvl.Speedup = levels[0].Seconds / secs // the serial rung is its own baseline: 1.0
 			lvl.NsPerEvent = secs * 1e9 / float64(events)
 		}
-		levels = append(levels, lvl)
 	}
 	return levels, serialRef, nil
-}
-
-// levels0Seconds computes the speedup of a rung that took secs against
-// the first (serial) rung; the serial rung itself reports 1.0.
-func levels0Seconds(levels []ScalingLevel, secs float64) float64 {
-	if len(levels) == 0 {
-		return 1.0
-	}
-	return levels[0].Seconds / secs
 }
 
 // ParallelSpeedup returns the speedup of the highest rung, or 0 when

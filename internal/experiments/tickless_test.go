@@ -25,8 +25,8 @@ func TestTicklessResultEquivalenceFullRegistry(t *testing.T) {
 	for _, spec := range AllSpecs {
 		for _, policy := range Policies {
 			for _, load := range workload.Names() {
-				ron := RunWorkloadCell(spec, policy, load, on)
-				roff := RunWorkloadCell(spec, policy, load, off)
+				ron := RunCell(nil, Load(load).On(spec, policy), on)
+				roff := RunCell(nil, Load(load).On(spec, policy), off)
 				if !reflect.DeepEqual(ron.Result, roff.Result) {
 					t.Errorf("%s: results diverge:\n  on:  %+v\n  off: %+v",
 						ron.Key(), ron.Result, roff.Result)
@@ -81,8 +81,8 @@ func TestTicklessEventReductionAtScale(t *testing.T) {
 	spec := SpecByLabel("32P-NUMA")
 	const tickCost = 500 // sched.DefaultCost().TickCost
 	for _, load := range []string{workload.WakeStorm, workload.WebServer, workload.DB} {
-		ron := RunWorkloadCell(spec, O1, load, on)
-		roff := RunWorkloadCell(spec, O1, load, off)
+		ron := RunCell(nil, Load(load).On(spec, O1), on)
+		roff := RunCell(nil, Load(load).On(spec, O1), off)
 		if !reflect.DeepEqual(ron.Result, roff.Result) {
 			t.Errorf("%s: results diverge across tickless modes", ron.Key())
 		}

@@ -327,15 +327,24 @@ func (c *CPU) ensureTick(now sim.Time) {
 	if c.tickNext == 0 {
 		return
 	}
-	m := c.m
-	if c.tickNext <= now {
-		k := uint64(now-c.tickNext)/m.cfg.TickCycles + 1
-		m.stats.TicksSkipped += k
-		c.tickNext += sim.Time(k * m.cfg.TickCycles)
-	}
-	m.eng.Schedule(&c.tickEv, c.tickNext)
+	c.skipTicksThrough(now)
+	c.m.eng.Schedule(&c.tickEv, c.tickNext)
 	c.tickParked = false
 	c.ticklessAccum += uint64(now - c.ticklessFrom)
+}
+
+// skipTicksThrough brings a parked chain's grid anchor forward to the
+// first conceptual firing strictly after t, counting every instant it
+// passes (those at exactly t included) as a skipped tick. A chain with no
+// anchor, or one already past t, is left alone — so the same instants are
+// never counted twice.
+func (c *CPU) skipTicksThrough(t sim.Time) {
+	if c.tickNext == 0 || c.tickNext > t {
+		return
+	}
+	k := uint64(t-c.tickNext)/c.m.cfg.TickCycles + 1
+	c.m.stats.TicksSkipped += k
+	c.tickNext += sim.Time(k * c.m.cfg.TickCycles)
 }
 
 // startSegment begins (or resumes) the proc's current work segment. A

@@ -18,7 +18,7 @@ func TestCheckDeliveryEveryEvent(t *testing.T) {
 			label, policy := label, policy
 			t.Run(label+"/"+policy, func(t *testing.T) {
 				spec := experiments.SpecByLabel(label)
-				m := experiments.NewMachine(spec, policy, sc)
+				m := experiments.NewMachineOn(nil, spec, policy, sc)
 				inst := workload.Build(workload.Volano, m, experiments.WorkloadParams(spec, sc))
 				events := 0
 				m.Run(func() bool {

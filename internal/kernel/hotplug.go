@@ -140,11 +140,7 @@ func (m *Machine) OnlineCPU(id int) error {
 			//     anchor the offline stretch outran, re-anchors at
 			//     now+period — exactly what the always-on chain's
 			//     online re-arm would have made it.
-			if c.tickNext != 0 && c.tickNext <= c.offlineFrom {
-				k := uint64(c.offlineFrom-c.tickNext)/m.cfg.TickCycles + 1
-				m.stats.TicksSkipped += k
-				c.tickNext += sim.Time(k * m.cfg.TickCycles)
-			}
+			c.skipTicksThrough(c.offlineFrom)
 			if c.tickNext == 0 || now >= c.tickNext {
 				c.tickNext = now + sim.Time(m.cfg.TickCycles)
 			}

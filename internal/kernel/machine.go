@@ -481,12 +481,9 @@ func (m *Machine) Run(stop func() bool) {
 		}
 		// Flush skipped-tick accounting for chains still parked at the
 		// stop instant, advancing the grid anchor so a later Run (or
-		// ensureTick) never counts the same instants twice. Same ≤-now
-		// convention as ensureTick.
-		if c.online && c.tickParked && c.tickNext != 0 && c.tickNext <= m.eng.Now() {
-			k := uint64(m.eng.Now()-c.tickNext)/m.cfg.TickCycles + 1
-			m.stats.TicksSkipped += k
-			c.tickNext += sim.Time(k * m.cfg.TickCycles)
+		// ensureTick) never counts the same instants twice.
+		if c.online && c.tickParked {
+			c.skipTicksThrough(m.eng.Now())
 		}
 	}
 }

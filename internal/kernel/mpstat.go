@@ -64,45 +64,38 @@ func (m *Machine) MPStat() string {
 	stats := m.CPUStats()
 	hotplug, tickless := false, false
 	for _, s := range stats {
-		if s.Offlines > 0 {
-			hotplug = true
-		}
-		if s.TicklessCycles > 0 {
-			tickless = true
-		}
+		hotplug = hotplug || s.Offlines > 0
+		tickless = tickless || s.TicklessCycles > 0
+	}
+	columns := []struct {
+		show       bool
+		name       string
+		head, cell string // header and per-CPU cell formats
+		value      func(s CPUStat) any
+	}{
+		{true, "CPU", "%4s", "%4d", func(s CPUStat) any { return s.CPU }},
+		{true, "WORK", " %14s", " %14d", func(s CPUStat) any { return s.WorkCycles }},
+		{true, "IDLE", " %14s", " %14d", func(s CPUStat) any { return s.IdleCycles }},
+		{true, "DISPATCH", " %10s", " %10d", func(s CPUStat) any { return s.Dispatches }},
+		{true, "UTIL", " %7s", " %6.1f%%", func(s CPUStat) any { return 100 * s.Utilization(elapsed) }},
+		{hotplug, "STATE", " %6s", " %6s", func(s CPUStat) any { return onOff(s.Online) }},
+		{hotplug, "OFFLINE", " %14s", " %14d", func(s CPUStat) any { return s.OfflineCycles }},
+		{tickless, "TICKLESS", " %14s", " %14d", func(s CPUStat) any { return s.TicklessCycles }},
 	}
 	var b strings.Builder
-	switch {
-	case hotplug && tickless:
-		fmt.Fprintf(&b, "%4s %14s %14s %10s %7s %6s %14s %14s\n",
-			"CPU", "WORK", "IDLE", "DISPATCH", "UTIL", "STATE", "OFFLINE", "TICKLESS")
-		for _, s := range stats {
-			fmt.Fprintf(&b, "%4d %14d %14d %10d %6.1f%% %6s %14d %14d\n",
-				s.CPU, s.WorkCycles, s.IdleCycles, s.Dispatches,
-				100*s.Utilization(elapsed), onOff(s.Online), s.OfflineCycles, s.TicklessCycles)
+	for _, c := range columns {
+		if c.show {
+			fmt.Fprintf(&b, c.head, c.name)
 		}
-	case hotplug:
-		fmt.Fprintf(&b, "%4s %14s %14s %10s %7s %6s %14s\n",
-			"CPU", "WORK", "IDLE", "DISPATCH", "UTIL", "STATE", "OFFLINE")
-		for _, s := range stats {
-			fmt.Fprintf(&b, "%4d %14d %14d %10d %6.1f%% %6s %14d\n",
-				s.CPU, s.WorkCycles, s.IdleCycles, s.Dispatches,
-				100*s.Utilization(elapsed), onOff(s.Online), s.OfflineCycles)
+	}
+	b.WriteByte('\n')
+	for _, s := range stats {
+		for _, c := range columns {
+			if c.show {
+				fmt.Fprintf(&b, c.cell, c.value(s))
+			}
 		}
-	case tickless:
-		fmt.Fprintf(&b, "%4s %14s %14s %10s %7s %14s\n",
-			"CPU", "WORK", "IDLE", "DISPATCH", "UTIL", "TICKLESS")
-		for _, s := range stats {
-			fmt.Fprintf(&b, "%4d %14d %14d %10d %6.1f%% %14d\n",
-				s.CPU, s.WorkCycles, s.IdleCycles, s.Dispatches,
-				100*s.Utilization(elapsed), s.TicklessCycles)
-		}
-	default:
-		fmt.Fprintf(&b, "%4s %14s %14s %10s %7s\n", "CPU", "WORK", "IDLE", "DISPATCH", "UTIL")
-		for _, s := range stats {
-			fmt.Fprintf(&b, "%4d %14d %14d %10d %6.1f%%\n",
-				s.CPU, s.WorkCycles, s.IdleCycles, s.Dispatches, 100*s.Utilization(elapsed))
-		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

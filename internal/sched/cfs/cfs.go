@@ -52,6 +52,13 @@ const (
 	// degrades to round-robin at a sane quantum instead of thrashing.
 	periodTicks  = 20
 	minGranTicks = 2
+
+	// tickCycles is one timer tick in simulated cycles: 10ms at the
+	// 400 MHz machine every spec runs. It scales the two vruntime-
+	// denominated constants.
+	tickCycles   = 4_000_000
+	sleeperBonus = periodTicks * tickCycles // placement clamp: one latency period
+	wakeGran     = tickCycles / 8           // wakeup/tick preemption hysteresis
 )
 
 // weightOf maps a static priority onto the CFS prio_to_weight table:
@@ -80,22 +87,6 @@ func Weight(prio int) uint64 {
 		idx = len(prioToWeight) - 1
 	}
 	return prioToWeight[idx]
-}
-
-// Config tunes the fair scheduler. The zero value selects the defaults.
-type Config struct {
-	// TickCycles is one timer tick in simulated cycles (default 4M: 10ms
-	// at the 400 MHz machine every spec runs). It scales the vruntime-
-	// denominated constants — the sleeper clamp bonus and the wakeup
-	// preemption granularity.
-	TickCycles uint64
-}
-
-func (c Config) withDefaults() Config {
-	if c.TickCycles == 0 {
-		c.TickCycles = 4_000_000
-	}
-	return c
 }
 
 // fentry is one fair-heap element. The enqueue-time key is copied into
@@ -214,32 +205,17 @@ type runqueue struct {
 // Sched is the weighted-vruntime fair scheduler. Create with New.
 type Sched struct {
 	env *sched.Env
-	cfg Config
 	rqs []runqueue
 
 	// bal holds the queue lengths (the two enqueues and DelFromRunqueue
 	// bump them) and runs the idle steal and the periodic pull over them.
 	bal sched.Balancer
-
-	// vruntime-denominated tunables, derived from Config.TickCycles.
-	sleeperBonus uint64 // placement clamp: one latency period
-	wakeGran     uint64 // wakeup/tick preemption hysteresis: half a tick
 }
 
-// New returns a fair scheduler bound to env with the default config.
-func New(env *sched.Env) *Sched { return NewWithConfig(env, Config{}) }
-
-// NewWithConfig returns a fair scheduler with tuned knobs.
-func NewWithConfig(env *sched.Env, cfg Config) *Sched {
-	cfg = cfg.withDefaults()
-	s := &Sched{
-		env:          env,
-		cfg:          cfg,
-		rqs:          make([]runqueue, env.NCPU),
-		sleeperBonus: periodTicks * cfg.TickCycles,
-		wakeGran:     cfg.TickCycles / 8,
-	}
-	s.bal = sched.NewBalancer(env, env.Topo, sched.DefaultCrossImbalance, sched.DefaultCrossBatch, s.stealCandidate, s.pulled)
+// New returns a fair scheduler bound to env.
+func New(env *sched.Env) *Sched {
+	s := &Sched{env: env, rqs: make([]runqueue, env.NCPU)}
+	s.bal = sched.NewBalancer(env, env.Topo, sched.DefaultCrossImbalance, s.stealCandidate, s.pulled)
 	return s
 }
 
@@ -269,8 +245,8 @@ func (s *Sched) QueueLen(q int) int { return s.bal.Len[q] }
 // clock and waits its turn.
 func (s *Sched) placeClamp(t *task.Task, rq *runqueue) {
 	floor := uint64(0)
-	if rq.minVR > s.sleeperBonus {
-		floor = rq.minVR - s.sleeperBonus
+	if rq.minVR > sleeperBonus {
+		floor = rq.minVR - sleeperBonus
 	}
 	if t.VRuntime < floor {
 		t.VRuntime = floor
@@ -647,7 +623,7 @@ func (s *Sched) PreemptsCurr(t, curr *task.Task) bool {
 	if curr.RealTime() {
 		return false
 	}
-	return t.VRuntime+s.wakeGran < s.effectiveVR(curr)
+	return t.VRuntime+wakeGran < s.effectiveVR(curr)
 }
 
 // TickPreempt implements the kernel's tick-time preemption hook, called
@@ -674,7 +650,7 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	}
 	currVR := s.effectiveVR(t)
 	head := rq.fair.es[0].t
-	if sched.CanSchedule(head, cpu) && rq.fair.es[0].vr+s.wakeGran < currVR {
+	if sched.CanSchedule(head, cpu) && rq.fair.es[0].vr+wakeGran < currVR {
 		return true, false
 	}
 	return false, false

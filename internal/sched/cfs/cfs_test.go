@@ -217,14 +217,14 @@ func TestSleeperClampBound(t *testing.T) {
 		cur = schedule(s, 0, idle, cur)
 	}
 	minVR := s.MinVR(0)
-	if minVR <= s.sleeperBonus {
-		t.Fatalf("hogs advanced min_vruntime only to %d, not past the sleeper bonus %d", minVR, s.sleeperBonus)
+	if minVR <= sleeperBonus {
+		t.Fatalf("hogs advanced min_vruntime only to %d, not past the sleeper bonus %d", minVR, sleeperBonus)
 	}
 
 	// A long sleeper (vruntime 0) is pulled up to the floor, not beyond.
 	sleeper := mkTask(env, 3, 20, 4)
 	s.AddToRunqueue(sleeper)
-	if want := minVR - s.sleeperBonus; sleeper.VRuntime != want {
+	if want := minVR - sleeperBonus; sleeper.VRuntime != want {
 		t.Fatalf("sleeper clamped to %d, want min_vruntime-bonus = %d", sleeper.VRuntime, want)
 	}
 
@@ -305,8 +305,8 @@ func TestTickPreemptRTLevelComparison(t *testing.T) {
 func TestAddToRunqueueRenormsOnRehome(t *testing.T) {
 	env := sched.NewEnv(2, true, func() int { return 4 })
 	s := New(env)
-	s.rqs[1].minVR = 50 * s.sleeperBonus // queue 1's clock ran far ahead
-	s.rqs[0].minVR = 3 * s.sleeperBonus
+	s.rqs[1].minVR = 50 * sleeperBonus // queue 1's clock ran far ahead
+	s.rqs[0].minVR = 3 * sleeperBonus
 
 	tk := mkTask(env, 1, 20, 4)
 	tk.EverRan = true
@@ -331,9 +331,9 @@ func TestAddToRunqueueRenormsOnRehome(t *testing.T) {
 func TestYieldRehomeRenormsBeforeWatermark(t *testing.T) {
 	env := sched.NewEnv(2, true, func() int { return 4 })
 	s := New(env)
-	s.rqs[0].minVR = 40 * s.sleeperBonus // fast clock where the task ran
-	s.rqs[1].minVR = 2 * s.sleeperBonus
-	s.rqs[1].maxVR = 2*s.sleeperBonus + 500
+	s.rqs[0].minVR = 40 * sleeperBonus // fast clock where the task ran
+	s.rqs[1].minVR = 2 * sleeperBonus
+	s.rqs[1].maxVR = 2*sleeperBonus + 500
 
 	prev := mkTask(env, 1, 20, 4)
 	prev.EverRan = true
@@ -350,8 +350,8 @@ func TestYieldRehomeRenormsBeforeWatermark(t *testing.T) {
 	// The renormed clock (min_vruntime+100) loses to the watermark park:
 	// the task lands at maxVR in queue-1 units, behind every queued task,
 	// not at its raw queue-0 clock far past it.
-	if prev.VRuntime != 2*s.sleeperBonus+500 {
-		t.Fatalf("yielded vruntime = %d, want the home queue watermark %d", prev.VRuntime, 2*s.sleeperBonus+500)
+	if prev.VRuntime != 2*sleeperBonus+500 {
+		t.Fatalf("yielded vruntime = %d, want the home queue watermark %d", prev.VRuntime, 2*sleeperBonus+500)
 	}
 }
 

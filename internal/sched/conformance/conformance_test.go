@@ -475,7 +475,7 @@ func TestNUMAMachineSpecAllPolicies(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", spec.Label, name), func(t *testing.T) {
 				t.Parallel()
 				sc := experiments.Scale{Messages: messages, Seed: 5, HorizonSeconds: 600, TicklessOff: ticklessOff()}
-				m := experiments.NewMachine(spec, name, sc)
+				m := experiments.NewMachineOn(nil, spec, name, sc)
 				res := volano.Build(m, volano.Config{
 					Rooms: rooms, UsersPerRoom: users, MessagesPerUser: messages,
 				}).Run()
@@ -505,7 +505,7 @@ func TestNUMAMachineSpecRegistryWorkloads(t *testing.T) {
 			load, name := load, name
 			t.Run(fmt.Sprintf("%s/%s", load, name), func(t *testing.T) {
 				t.Parallel()
-				r := experiments.RunWorkloadCell(spec, name, load, sc)
+				r := experiments.RunCell(nil, experiments.Load(load).On(spec, name), sc)
 				if !r.Result.Complete {
 					t.Fatalf("%s did not complete on the 64P/8-domain machine", r.Key())
 				}

@@ -56,8 +56,7 @@ func TestLatencyInvariantProbeBeatsHogQuanta(t *testing.T) {
 			label, policy := label, policy
 			t.Run(fmt.Sprintf("%s/%s", label, policy), func(t *testing.T) {
 				t.Parallel()
-				r := experiments.RunWorkloadCell(
-					experiments.SpecByLabel(label), policy, workload.Latency, latencyScale())
+				r := experiments.RunCell(nil, experiments.Load(workload.Latency).On(experiments.SpecByLabel(label), policy), latencyScale())
 				if !r.Result.Complete || r.Result.Ops == 0 {
 					t.Fatalf("latency run incomplete (ops=%d)", r.Result.Ops)
 				}
@@ -86,8 +85,7 @@ func TestLatencyInvariantWakeStormTail(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", label, policy), func(t *testing.T) {
 				t.Parallel()
 				sc := latencyScale()
-				r := experiments.RunWorkloadCell(
-					experiments.SpecByLabel(label), policy, workload.WakeStorm, sc)
+				r := experiments.RunCell(nil, experiments.Load(workload.WakeStorm).On(experiments.SpecByLabel(label), policy), sc)
 				if !r.Result.Complete {
 					t.Fatal("wake storm did not complete")
 				}

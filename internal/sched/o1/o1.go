@@ -30,10 +30,10 @@
 // cache-coldest, whereas the active head is exactly what the victim would
 // dispatch next — and that a pulled task enters the thief's active array
 // at the tail of its level, behind local tasks of equal priority. The
-// CrossImbalance and CrossBatch knobs tune the cross-domain pull; the
-// TopologyBlind knob hands the balancer a flat topology — the scheduler
-// then sees the machine as one domain — and exists so the experiments can
-// measure exactly what domain awareness buys.
+// CrossImbalance knob tunes the cross-domain pull; the TopologyBlind knob
+// hands the balancer a flat topology — the scheduler then sees the machine
+// as one domain — and exists so the experiments can measure exactly what
+// domain awareness buys.
 //
 // A starvation guard bounds expired-array wait: if the expired array has
 // been non-empty for StarvationLimit consecutive schedule() calls on its
@@ -102,10 +102,6 @@ type Config struct {
 	// periodic balancer pulls across a domain boundary (default 4,
 	// twice the intra-domain threshold).
 	CrossImbalance int
-	// CrossBatch caps the tasks moved per cross-domain pull (default 4).
-	// Batching amortizes the cross-domain cache-refill penalty: one
-	// decisive rebalance instead of a penalty per balancing period.
-	CrossBatch int
 	// StarvationLimit is how many schedule() calls the expired array may
 	// sit non-empty before a forced array swap (default 128; <0
 	// disables the guard). The same clock bounds interactive re-insertion
@@ -135,9 +131,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CrossImbalance == 0 {
 		c.CrossImbalance = sched.DefaultCrossImbalance
-	}
-	if c.CrossBatch == 0 {
-		c.CrossBatch = sched.DefaultCrossBatch
 	}
 	if c.StarvationLimit == 0 {
 		c.StarvationLimit = 128
@@ -213,7 +206,7 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 	if s.cfg.TopologyBlind {
 		topo = nil // the balancer sees one flat domain
 	}
-	s.bal = sched.NewBalancer(env, topo, s.cfg.CrossImbalance, s.cfg.CrossBatch, s.stealCandidate, s.pulled)
+	s.bal = sched.NewBalancer(env, topo, s.cfg.CrossImbalance, s.stealCandidate, s.pulled)
 	for i := range s.rqs {
 		rq := &s.rqs[i]
 		rq.arrays[0].Init(rq.lists[0][:])

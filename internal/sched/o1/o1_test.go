@@ -569,7 +569,7 @@ func TestCrossDomainPullBatches(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		s.AddToRunqueue(homedTask(env, i+1, 2))
 	}
-	runToPull(t, env, s, 0) // gap 9-1: half of it, capped at CrossBatch
+	runToPull(t, env, s, 0) // gap 9-1: half of it, capped at the balancer's batch of 4
 	if got := s.QueueLen(0); got != 4 {
 		t.Fatalf("cross-domain pull moved %d tasks, want a batch of 4", got)
 	}

@@ -31,9 +31,13 @@ const (
 
 	// DefaultCrossImbalance is the queue-length gap the periodic balancer
 	// needs before it pulls across a domain boundary (twice the in-domain
-	// gap), DefaultCrossBatch the cap on tasks one such pull moves.
+	// gap).
 	DefaultCrossImbalance = 2 * balanceImbalance
-	DefaultCrossBatch     = 4
+
+	// crossBatch caps the tasks one cross-domain pull moves. Batching
+	// amortizes the cross-domain cache-refill penalty: one decisive
+	// rebalance instead of a penalty per balancing period.
+	crossBatch = 4
 )
 
 // CanSchedule mirrors the kernel's can_schedule: t is not running on
@@ -221,7 +225,6 @@ type Balancer struct {
 	env            *Env
 	topo           *Topology
 	crossImbalance int
-	crossBatch     int
 	candidate      func(victim, cpu int) Result
 	refile         func(t *task.Task, cpu int) uint64
 
@@ -230,8 +233,8 @@ type Balancer struct {
 }
 
 // NewBalancer returns a balancer for env's CPUs over topo (nil or a
-// FlatTopology makes it domain-blind). crossImbalance and crossBatch tune
-// the cross-domain pull. The hooks are the policy's half:
+// FlatTopology makes it domain-blind). crossImbalance tunes the
+// cross-domain pull. The hooks are the policy's half:
 //
 //   - candidate(victim, cpu) scans victim's queue for the task cpu should
 //     take first and returns it in Result.Next, left queued, with the
@@ -242,7 +245,7 @@ type Balancer struct {
 // Both report by value: a hook handed a *Result through a func value
 // would force every Schedule's Result to the heap (trap (a) in the
 // package doc).
-func NewBalancer(env *Env, topo *Topology, crossImbalance, crossBatch int,
+func NewBalancer(env *Env, topo *Topology, crossImbalance int,
 	candidate func(victim, cpu int) Result, refile func(t *task.Task, cpu int) uint64) Balancer {
 	if topo == nil {
 		topo = FlatTopology(env.NCPU)
@@ -252,7 +255,6 @@ func NewBalancer(env *Env, topo *Topology, crossImbalance, crossBatch int,
 		env:            env,
 		topo:           topo,
 		crossImbalance: crossImbalance,
-		crossBatch:     crossBatch,
 		candidate:      candidate,
 		refile:         refile,
 		since:          make([]int, env.NCPU),
@@ -379,8 +381,8 @@ func (b *Balancer) pull(cpu int, res *Result) {
 			return
 		}
 		batch = (b.Len[victim] - n) / 2
-		if batch > b.crossBatch {
-			batch = b.crossBatch
+		if batch > crossBatch {
+			batch = crossBatch
 		}
 		if batch < 1 {
 			batch = 1

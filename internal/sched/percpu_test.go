@@ -267,7 +267,7 @@ func newFakeQueues(ncpu int, topo *Topology, crossImbalance int) *fakeQueues {
 	f := &fakeQueues{q: make([][]*task.Task, ncpu)}
 	env := NewEnv(ncpu, true, nil)
 	env.Requeued = func(t *task.Task) { f.requeued = append(f.requeued, t) }
-	f.bal = NewBalancer(env, topo, crossImbalance, DefaultCrossBatch, f.candidate, f.refile)
+	f.bal = NewBalancer(env, topo, crossImbalance, f.candidate, f.refile)
 	return f
 }
 

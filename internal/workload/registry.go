@@ -96,23 +96,33 @@ func buildVolano(m *kernel.Machine, p Params) Instance {
 	if p.ScalableStack {
 		cfg.Costs = volano.ScalableStackCosts()
 	}
-	b := volano.Build(m, cfg)
-	return instance{done: b.Done, run: func() Result {
-		r := b.Run()
-		return Result{
-			Workload:   Volano,
-			Seconds:    r.Seconds,
-			Cycles:     r.Cycles,
-			Ops:        r.Deliveries,
-			Throughput: r.Throughput,
-			Unit:       "msgs/s",
-			Complete:   b.Done(),
-			Extras: metricsOf(map[string]float64{
-				"threads":    float64(r.Threads),
-				"lock_spins": float64(r.LockSpins),
-			}),
-		}
-	}}
+	return VolanoWith(cfg)(m, p)
+}
+
+// VolanoWith is the chat benchmark's explicit-config entry: a Builder
+// that runs cfg as given, ignoring Params. The figure cells that size the
+// rooms themselves get the same Instance and Result the registry name
+// does.
+func VolanoWith(cfg volano.Config) Builder {
+	return func(m *kernel.Machine, _ Params) Instance {
+		b := volano.Build(m, cfg)
+		return instance{done: b.Done, run: func() Result {
+			r := b.Run()
+			return Result{
+				Workload:   Volano,
+				Seconds:    r.Seconds,
+				Cycles:     r.Cycles,
+				Ops:        r.Deliveries,
+				Throughput: r.Throughput,
+				Unit:       "msgs/s",
+				Complete:   b.Done(),
+				Extras: metricsOf(map[string]float64{
+					"threads":    float64(r.Threads),
+					"lock_spins": float64(r.LockSpins),
+				}),
+			}
+		}}
+	}
 }
 
 // buildKBuild maps Params onto the compile: the build's size is the
@@ -123,23 +133,31 @@ func buildKBuild(m *kernel.Machine, p Params) Instance {
 	if p.Quick {
 		cfg = kbuild.Config{Units: 32, MeanCompile: 20_000_000, MeanIO: 200_000}
 	}
-	b := kbuild.New(m, cfg)
-	return instance{done: b.Done, run: func() Result {
-		r := b.Run()
-		return Result{
-			Workload:   KBuild,
-			Seconds:    r.Seconds,
-			Cycles:     r.Cycles,
-			Ops:        uint64(r.Units),
-			Throughput: throughput(uint64(r.Units), r.Seconds),
-			Unit:       "units/s",
-			Complete:   b.Done(),
-			Extras: metricsOf(map[string]float64{
-				"jobs":          float64(r.Jobs),
-				"build_seconds": r.Seconds,
-			}),
-		}
-	}}
+	return KBuildWith(cfg)(m, p)
+}
+
+// KBuildWith is the compile's explicit-config entry (cmd/kcompile's tree
+// size and -j flags).
+func KBuildWith(cfg kbuild.Config) Builder {
+	return func(m *kernel.Machine, _ Params) Instance {
+		b := kbuild.New(m, cfg)
+		return instance{done: b.Done, run: func() Result {
+			r := b.Run()
+			return Result{
+				Workload:   KBuild,
+				Seconds:    r.Seconds,
+				Cycles:     r.Cycles,
+				Ops:        uint64(r.Units),
+				Throughput: throughput(uint64(r.Units), r.Seconds),
+				Unit:       "units/s",
+				Complete:   b.Done(),
+				Extras: metricsOf(map[string]float64{
+					"jobs":          float64(r.Jobs),
+					"build_seconds": r.Seconds,
+				}),
+			}
+		}}
+	}
 }
 
 // buildWebserver maps Params onto the open-loop web workload: Quick
@@ -150,24 +168,32 @@ func buildWebserver(m *kernel.Machine, p Params) Instance {
 	if p.Quick {
 		cfg = webserver.Config{Requests: 2000}
 	}
-	s := webserver.New(m, cfg)
-	return instance{done: s.Done, run: func() Result {
-		r := s.Run()
-		return Result{
-			Workload:   WebServer,
-			Seconds:    r.Seconds,
-			Cycles:     uint64(r.Seconds * float64(m.Hz())),
-			Ops:        uint64(r.Served),
-			Throughput: r.Throughput,
-			Unit:       "req/s",
-			Complete:   s.Done(),
-			Extras: metricsOf(map[string]float64{
-				"dropped":     float64(r.Dropped),
-				"mean_lat_ms": r.MeanLatMS,
-				"max_lat_ms":  r.MaxLatMS,
-			}),
-		}
-	}}
+	return WebserverWith(cfg)(m, p)
+}
+
+// WebserverWith is the web workload's explicit-config entry (cmd/websim's
+// offered-load flags).
+func WebserverWith(cfg webserver.Config) Builder {
+	return func(m *kernel.Machine, _ Params) Instance {
+		s := webserver.New(m, cfg)
+		return instance{done: s.Done, run: func() Result {
+			r := s.Run()
+			return Result{
+				Workload:   WebServer,
+				Seconds:    r.Seconds,
+				Cycles:     uint64(r.Seconds * float64(m.Hz())),
+				Ops:        uint64(r.Served),
+				Throughput: r.Throughput,
+				Unit:       "req/s",
+				Complete:   s.Done(),
+				Extras: metricsOf(map[string]float64{
+					"dropped":     float64(r.Dropped),
+					"mean_lat_ms": r.MeanLatMS,
+					"max_lat_ms":  r.MaxLatMS,
+				}),
+			}
+		}}
+	}
 }
 
 // buildLatency maps Params onto the steady-state probe workload: Work is
@@ -182,28 +208,37 @@ func buildLatency(m *kernel.Machine, p Params) Instance {
 	if p.Quick && p.Work == 0 {
 		cfg.WakesPerProbe = 50
 	}
-	pr := latency.New(m, cfg)
-	return instance{done: pr.Done, run: func() Result {
-		start := m.Now()
-		r := pr.Run()
-		elapsed := uint64(m.Now() - start)
-		secs := float64(elapsed) / float64(m.Hz())
-		return Result{
-			Workload:   Latency,
-			Seconds:    secs,
-			Cycles:     elapsed,
-			Ops:        r.Samples,
-			Throughput: throughput(r.Samples, secs),
-			Unit:       "wakes/s",
-			Complete:   pr.Done(),
-			Extras: metricsOf(map[string]float64{
-				"hogs":    float64(r.Hogs),
-				"mean_us": r.MeanUS,
-				"p99_us":  r.P99US,
-				"max_us":  r.MaxUS,
-			}),
-		}
-	}}
+	return LatencyWith(cfg)(m, p)
+}
+
+// LatencyWith is the probe workload's explicit-config entry (the
+// wake-latency extension's hog sweep, at the package's max-priority
+// probes).
+func LatencyWith(cfg latency.Config) Builder {
+	return func(m *kernel.Machine, _ Params) Instance {
+		pr := latency.New(m, cfg)
+		return instance{done: pr.Done, run: func() Result {
+			start := m.Now()
+			r := pr.Run()
+			elapsed := uint64(m.Now() - start)
+			secs := float64(elapsed) / float64(m.Hz())
+			return Result{
+				Workload:   Latency,
+				Seconds:    secs,
+				Cycles:     elapsed,
+				Ops:        r.Samples,
+				Throughput: throughput(r.Samples, secs),
+				Unit:       "wakes/s",
+				Complete:   pr.Done(),
+				Extras: metricsOf(map[string]float64{
+					"hogs":    float64(r.Hogs),
+					"mean_us": r.MeanUS,
+					"p99_us":  r.P99US,
+					"max_us":  r.MaxUS,
+				}),
+			}
+		}}
+	}
 }
 
 // buildDB maps Params onto the OLTP workload: Work is transactions per

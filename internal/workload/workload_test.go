@@ -90,24 +90,27 @@ func TestEveryWorkloadRunsAndCompletes(t *testing.T) {
 	}
 }
 
-// TestExtrasOrderedAndQueryable: extras must come back in a fixed order
-// (determinism digests depend on it) and be reachable by name.
+// TestExtrasOrderedAndQueryable: every workload's extras come back in
+// name order (the adapters list them that way by hand; tables and
+// determinism digests depend on the order being fixed) and are reachable
+// by name.
 func TestExtrasOrderedAndQueryable(t *testing.T) {
-	m := testMachine(2, 11)
-	res := Build(WakeStorm, m, tinyParams()).Run()
-	if len(res.Extras) == 0 {
-		t.Fatal("wakestorm should report extra metrics")
-	}
-	for i := 1; i < len(res.Extras); i++ {
-		if res.Extras[i-1].Name >= res.Extras[i].Name {
-			t.Fatalf("extras not sorted: %q before %q", res.Extras[i-1].Name, res.Extras[i].Name)
+	for _, w := range Registry {
+		res := w.Build(testMachine(2, 11), tinyParams()).Run()
+		if len(res.Extras) == 0 {
+			t.Fatalf("%s should report extra metrics", w.Name)
 		}
-	}
-	if _, ok := res.Extra("p99_us"); !ok {
-		t.Fatal("wakestorm result missing p99_us extra")
-	}
-	if _, ok := res.Extra("nonexistent"); ok {
-		t.Fatal("Extra returned a metric that was never reported")
+		for i := 1; i < len(res.Extras); i++ {
+			if res.Extras[i-1].Name >= res.Extras[i].Name {
+				t.Fatalf("%s extras not sorted: %q before %q", w.Name, res.Extras[i-1].Name, res.Extras[i].Name)
+			}
+		}
+		if v, ok := res.Extra(res.Extras[0].Name); !ok || v != res.Extras[0].Value {
+			t.Fatalf("%s: Extra(%q) = %v, %v", w.Name, res.Extras[0].Name, v, ok)
+		}
+		if _, ok := res.Extra("nonexistent"); ok {
+			t.Fatal("Extra returned a metric that was never reported")
+		}
 	}
 }
 
