@@ -1,10 +1,11 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§6), plus the §8 future-work comparisons, the ablations,
-// and pure-algorithm microbenchmarks of schedule() itself.
+// Benchmarks: one macro benchmark over every cell of the experiment
+// catalog — the paper's evaluation (§6), the §8 future-work comparisons,
+// the ablations and the workload matrix — plus pure-algorithm
+// microbenchmarks of schedule(), run-queue churn and machine boot.
 //
-// Macro benchmarks run a scaled-down simulation per iteration and report
-// the paper's metric through b.ReportMetric; cmd/sweep runs the same
-// experiments at full paper scale. Shapes — who wins, by how much, where
+// BenchmarkCatalog runs a scaled-down simulation per iteration and reports
+// the cell's throughput through b.ReportMetric; cmd/sweep renders the same
+// cells' tables at full paper scale. Shapes — who wins, by how much, where
 // the crossover falls — are the reproduction target, not absolute numbers.
 package elsc_test
 
@@ -21,287 +22,32 @@ import (
 	"elsc/internal/sim"
 	"elsc/internal/task"
 	"elsc/internal/workload"
-	"elsc/internal/workload/kbuild"
-	"elsc/internal/workload/volano"
-	"elsc/internal/workload/webserver"
 )
 
-// benchScale is the per-iteration workload size for macro benchmarks.
-func benchScale() experiments.Scale {
-	return experiments.Scale{Messages: 10, Seed: 42, HorizonSeconds: 600}
-}
-
-// BenchmarkTable2_KernelCompile regenerates Table 2: light-load compile
-// times under each scheduler on UP and 2P. Metric: virtual seconds to
-// finish the build (lower is better; the paper's claim is near-equality).
-func BenchmarkTable2_KernelCompile(b *testing.B) {
-	cfg := kbuild.Config{Units: 48, MeanCompile: 40_000_000}
-	build := experiments.Custom(workload.KBuild, "48 units", workload.KBuildWith(cfg))
-	for _, c := range experiments.Table2(build).Cells {
-		b.Run(fmt.Sprintf("%s/%s", c.Policy, c.Spec.Label), func(b *testing.B) {
-			var secs float64
-			for i := 0; i < b.N; i++ {
-				secs = experiments.RunCell(nil, c, benchScale()).Result.Seconds
+// BenchmarkCatalog runs every distinct cell of experiments.Catalog — what
+// `sweep -exp all` runs, at its default matrix selection — one cell per
+// iteration at QuickScale, named by the first experiment that declares it.
+// Metrics: throughput in the cell's own unit, and simulated cycles per
+// schedule() call.
+func BenchmarkCatalog(b *testing.B) {
+	sc := experiments.QuickScale()
+	specs := []experiments.MachineSpec{experiments.SpecByLabel("8P"), experiments.SpecByLabel("32P-NUMA")}
+	seen := map[experiments.CellID]bool{}
+	for _, e := range experiments.Catalog(experiments.DefaultPolicies(), specs, workload.Names()) {
+		for _, c := range e.Cells {
+			if seen[c.CellID] {
+				continue
 			}
-			b.ReportMetric(secs, "virt-sec")
-		})
-	}
-}
-
-// benchVolano runs one VolanoMark cell per iteration and reports the
-// requested metrics.
-func benchVolano(b *testing.B, policy, label string, rooms int, report func(b *testing.B, r experiments.WorkloadRun)) {
-	b.Helper()
-	benchCell(b, experiments.Volano(rooms).On(experiments.SpecByLabel(label), policy), report)
-}
-
-// benchCell runs one cell per iteration and reports the last run.
-func benchCell(b *testing.B, c experiments.Cell, report func(b *testing.B, r experiments.WorkloadRun)) {
-	b.Helper()
-	var last experiments.WorkloadRun
-	for i := 0; i < b.N; i++ {
-		last = experiments.RunCell(nil, c, benchScale())
-	}
-	report(b, last)
-}
-
-// BenchmarkFig2_RecalcEntries regenerates Figure 2: recalculation-loop
-// entries per run (log-scale contrast between schedulers).
-func BenchmarkFig2_RecalcEntries(b *testing.B) {
-	for _, label := range []string{"UP", "4P"} {
-		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
-			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 5, func(b *testing.B, r experiments.WorkloadRun) {
-					b.ReportMetric(float64(r.Stats.Recalcs), "recalcs")
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig3_Throughput regenerates Figure 3: message throughput by
-// room count. The reg series should fall with rooms; elsc should not.
-func BenchmarkFig3_Throughput(b *testing.B) {
-	for _, label := range []string{"UP", "1P", "4P"} {
-		for _, rooms := range []int{5, 20} {
-			for _, policy := range []string{experiments.Reg, experiments.ELSC} {
-				b.Run(fmt.Sprintf("%s/%s/rooms%d", policy, label, rooms), func(b *testing.B) {
-					benchVolano(b, policy, label, rooms, func(b *testing.B, r experiments.WorkloadRun) {
-						b.ReportMetric(r.Result.Throughput, "msgs/sec")
-					})
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig4_ScalingFactor regenerates Figure 4: 20-room/5-room
-// throughput ratio (1.0 = perfect scaling with thread count).
-func BenchmarkFig4_ScalingFactor(b *testing.B) {
-	for _, label := range []string{"UP", "4P"} {
-		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
-			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				var factor float64
-				spec := experiments.SpecByLabel(label)
+			seen[c.CellID] = true
+			b.Run(e.Name+"/"+c.Key(), func(b *testing.B) {
+				var last experiments.WorkloadRun
 				for i := 0; i < b.N; i++ {
-					lo := experiments.RunCell(nil, experiments.Volano(5).On(spec, policy), benchScale())
-					hi := experiments.RunCell(nil, experiments.Volano(20).On(spec, policy), benchScale())
-					factor = hi.Result.Throughput / lo.Result.Throughput
+					last = experiments.RunCell(nil, c, sc)
 				}
-				b.ReportMetric(factor, "scaling")
+				b.ReportMetric(last.Result.Throughput, last.Result.Unit)
+				b.ReportMetric(last.Stats.CyclesPerSchedule(), "cyc/sched")
 			})
 		}
-	}
-}
-
-// BenchmarkFig5_ScheduleCost regenerates Figure 5: cycles per schedule()
-// and tasks examined per call.
-func BenchmarkFig5_ScheduleCost(b *testing.B) {
-	for _, label := range []string{"UP", "4P"} {
-		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
-			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
-					b.ReportMetric(r.Stats.CyclesPerSchedule(), "cyc/sched")
-					b.ReportMetric(r.Stats.ExaminedPerSchedule(), "examined")
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig6_CallsAndMigrations regenerates Figure 6: schedule() call
-// totals and tasks dispatched on a new processor (10-room runs).
-func BenchmarkFig6_CallsAndMigrations(b *testing.B) {
-	for _, label := range []string{"UP", "2P", "4P"} {
-		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
-			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
-					b.ReportMetric(float64(r.Stats.SchedCalls), "sched-calls")
-					b.ReportMetric(float64(r.Stats.Migrations), "migrations")
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkProfile_SchedulerShare regenerates the §4 kernel-profile claim:
-// the stock scheduler burns 37-55% of kernel time under VolanoMark.
-func BenchmarkProfile_SchedulerShare(b *testing.B) {
-	for _, policy := range []string{experiments.Reg, experiments.ELSC} {
-		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "UP", 20, func(b *testing.B, r experiments.WorkloadRun) {
-				b.ReportMetric(100*r.Stats.SchedulerShareOfKernel(), "sched-%kernel")
-			})
-		})
-	}
-}
-
-// BenchmarkAlt_FutureWorkSchedulers compares the §8 alternative designs
-// on the 4P stress configuration.
-func BenchmarkAlt_FutureWorkSchedulers(b *testing.B) {
-	for _, policy := range experiments.Policies {
-		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "4P", 10, func(b *testing.B, r experiments.WorkloadRun) {
-				b.ReportMetric(r.Result.Throughput, "msgs/sec")
-				b.ReportMetric(r.Stats.CyclesPerSchedule(), "cyc/sched")
-			})
-		})
-	}
-}
-
-// BenchmarkLockWait_8CPU measures run-queue lock spin per schedule() on an
-// eight-processor VolanoMark run — the scaling question past the paper's
-// hardware. The per-CPU-lock policies (mq, o1) should sit an order of
-// magnitude below the global-lock ones.
-func BenchmarkLockWait_8CPU(b *testing.B) {
-	for _, policy := range experiments.Policies {
-		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "8P", 10, func(b *testing.B, r experiments.WorkloadRun) {
-				spin := 0.0
-				if r.Stats.SchedCalls > 0 {
-					spin = float64(r.Stats.SpinCycles) / float64(r.Stats.SchedCalls)
-				}
-				b.ReportMetric(spin, "spin-cyc/sched")
-				b.ReportMetric(r.Result.Throughput, "msgs/sec")
-			})
-		})
-	}
-}
-
-// BenchmarkLockWait_Scale extends the lock-wait headline to 16 and 32
-// processors: the global-lock policies' spin grows with every doubling,
-// while the per-CPU-lock policies stay near zero.
-func BenchmarkLockWait_Scale(b *testing.B) {
-	for _, label := range []string{"16P", "32P"} {
-		for _, policy := range experiments.Policies {
-			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
-					spin := 0.0
-					if r.Stats.SchedCalls > 0 {
-						spin = float64(r.Stats.SpinCycles) / float64(r.Stats.SchedCalls)
-					}
-					b.ReportMetric(spin, "spin-cyc/sched")
-					b.ReportMetric(r.Result.Throughput, "msgs/sec")
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkNUMA_DomainAwareness races domain-aware o1 against its
-// topology-blind ablation on the 32P-NUMA spec at marginal load, the
-// regime where the steal path runs constantly. Metrics: throughput and
-// cross-domain migrations — the acceptance pair for the NUMA work.
-func BenchmarkNUMA_DomainAwareness(b *testing.B) {
-	arms := experiments.AblateTopology(experiments.SpecByLabel("32P-NUMA"), 3).Cells
-	for i, name := range []string{"domain-aware", "topology-blind"} {
-		b.Run(name, func(b *testing.B) {
-			benchCell(b, arms[i], func(b *testing.B, r experiments.WorkloadRun) {
-				b.ReportMetric(r.Result.Throughput, "msgs/sec")
-				b.ReportMetric(float64(r.Stats.CrossDomainMigrations), "cross-dom")
-				b.ReportMetric(float64(r.Stats.RemoteCycles)/1e6, "remote-Mcyc")
-			})
-		})
-	}
-}
-
-// BenchmarkNUMA_Policies reports every policy's throughput on the
-// 32P-NUMA machine with the scalable network stack — the 32-processor
-// successor to the 8P lock-wait table.
-func BenchmarkNUMA_Policies(b *testing.B) {
-	for _, c := range experiments.Numa(experiments.SpecByLabel("32P-NUMA"), 10).Cells {
-		b.Run(c.Policy, func(b *testing.B) {
-			benchCell(b, c, func(b *testing.B, r experiments.WorkloadRun) {
-				b.ReportMetric(r.Result.Throughput, "msgs/sec")
-				b.ReportMetric(float64(r.Stats.CrossDomainMigrations), "cross-dom")
-			})
-		})
-	}
-}
-
-// BenchmarkFutureWork_Webserver regenerates the §8 Apache question:
-// throughput and latency under each scheduler.
-func BenchmarkFutureWork_Webserver(b *testing.B) {
-	cfg := webserver.Config{Workers: 32, Requests: 4000}
-	serve := experiments.Custom(workload.WebServer, "4000 requests", workload.WebserverWith(cfg))
-	for _, c := range experiments.Webserver(experiments.SpecByLabel("2P"), serve).Cells {
-		b.Run(c.Policy, func(b *testing.B) {
-			benchCell(b, c, func(b *testing.B, r experiments.WorkloadRun) {
-				meanLat, _ := r.Result.Extra("mean_lat_ms")
-				maxLat, _ := r.Result.Extra("max_lat_ms")
-				b.ReportMetric(r.Result.Throughput, "req/sec")
-				b.ReportMetric(meanLat, "mean-lat-ms")
-				b.ReportMetric(maxLat, "max-lat-ms")
-			})
-		})
-	}
-}
-
-// BenchmarkAblation_SearchLimit sweeps ELSC's per-list examination cap
-// around the paper's ncpu/2+5 choice.
-func BenchmarkAblation_SearchLimit(b *testing.B) {
-	for _, limit := range []int{1, 7, 40} {
-		b.Run(fmt.Sprintf("limit%d", limit), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				m := kernel.NewMachine(kernel.Config{
-					CPUs: 4, SMP: true, Seed: 42,
-					NewScheduler: func(env *sched.Env) sched.Scheduler {
-						return elsc.NewWithConfig(env, elsc.Config{SearchLimit: limit})
-					},
-					MaxCycles: 600 * kernel.DefaultHz,
-				})
-				res := volano.Build(m, volano.Config{Rooms: 10, MessagesPerUser: 10}).Run()
-				thr = res.Throughput
-			}
-			b.ReportMetric(thr, "msgs/sec")
-		})
-	}
-}
-
-// BenchmarkAblation_UPShortcut measures the uniprocessor mm-match early
-// exit (§5.2), the mechanism behind ELSC's Table 2 edge on UP.
-func BenchmarkAblation_UPShortcut(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "on"
-		if disable {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				m := kernel.NewMachine(kernel.Config{
-					CPUs: 1, SMP: false, Seed: 42,
-					NewScheduler: func(env *sched.Env) sched.Scheduler {
-						return elsc.NewWithConfig(env, elsc.Config{DisableUPShortcut: disable})
-					},
-					MaxCycles: 600 * kernel.DefaultHz,
-				})
-				res := volano.Build(m, volano.Config{Rooms: 5, MessagesPerUser: 10}).Run()
-				thr = res.Throughput
-			}
-			b.ReportMetric(thr, "msgs/sec")
-		})
 	}
 }
 
@@ -455,7 +201,7 @@ func BenchmarkMicro_RunqueueOps(b *testing.B) {
 // B/op and allocs/op; TestBootAllocBudget in internal/experiments holds
 // the last two to a ceiling.
 func BenchmarkMicro_Boot(b *testing.B) {
-	sc := benchWorkloadScale()
+	sc := experiments.QuickScale()
 	for _, label := range []string{"8P", "32P-NUMA"} {
 		spec := experiments.SpecByLabel(label)
 		for _, policy := range experiments.Policies {
@@ -473,44 +219,3 @@ func BenchmarkMicro_Boot(b *testing.B) {
 }
 
 var bootSink *kernel.Machine
-
-// benchWorkloadScale sizes one registry-workload cell per iteration.
-func benchWorkloadScale() experiments.Scale {
-	return experiments.Scale{Messages: 10, Seed: 42, HorizonSeconds: 600, Quick: true}
-}
-
-// BenchmarkWorkload_DB races every policy on the syscall-heavy OLTP
-// workload at 8 CPUs. Metrics: transaction throughput and p99 commit
-// latency — the regime where wake/dispatch cost, not compute, decides.
-func BenchmarkWorkload_DB(b *testing.B) {
-	for _, policy := range experiments.Policies {
-		b.Run(policy, func(b *testing.B) {
-			var last experiments.WorkloadRun
-			for i := 0; i < b.N; i++ {
-				last = experiments.RunCell(nil, experiments.Load(workload.DB).On(experiments.SpecByLabel("8P"), policy), benchWorkloadScale())
-			}
-			b.ReportMetric(last.Result.Throughput, "txns/s")
-			if p99, ok := last.Result.Extra("p99_txn_us"); ok {
-				b.ReportMetric(p99, "p99-us")
-			}
-		})
-	}
-}
-
-// BenchmarkWorkload_WakeStorm races every policy on the mass-wakeup
-// workload on the 32P-NUMA spec. Metric: p99 wakeup-to-run latency — the
-// tail the last herd member pays.
-func BenchmarkWorkload_WakeStorm(b *testing.B) {
-	for _, policy := range experiments.Policies {
-		b.Run(policy, func(b *testing.B) {
-			var last experiments.WorkloadRun
-			for i := 0; i < b.N; i++ {
-				last = experiments.RunCell(nil, experiments.Load(workload.WakeStorm).On(experiments.SpecByLabel("32P-NUMA"), policy), benchWorkloadScale())
-			}
-			if p99, ok := last.Result.Extra("p99_us"); ok {
-				b.ReportMetric(p99, "p99-us")
-			}
-			b.ReportMetric(last.Result.Throughput, "wakes/s")
-		})
-	}
-}

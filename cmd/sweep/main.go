@@ -14,13 +14,13 @@
 //
 // `sweep -h` lists the experiments: the cell experiments of
 // experiments.Catalog, each a table rendered from the runs of the cells it
-// declares, plus scaling and fuzz. Every selected experiment's cells are
-// collected, each distinct cell once, and run on one worker pool before
-// any table renders. scaling re-runs the workload matrix at worker-pool
-// sizes 1/2/4/GOMAXPROCS, checks every rung's simulated results are
-// identical to the serial rung's, and reports measured speedup and
-// ns-per-event per rung. fuzz runs only when named: it prints one trace
-// line per scenario rather than a paper table.
+// declares, plus fuzz. Every selected experiment's cells are collected,
+// each distinct cell once, and run on one worker pool before any table
+// renders. fuzz runs only when named: it prints one trace line per
+// scenario rather than a paper table. Everything sweep prints or writes is
+// virtual time, identical for a seed at any -parallel; what the harness
+// costs on the host is measured by `bash benchmark/run.sh`, and the
+// closing `done in N s` on stderr times one invocation.
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 	"unicode"
@@ -54,7 +53,7 @@ func main() {
 var defaultMatrixSpecs = []string{"8P", "32P-NUMA"}
 
 // experimentNames lists what -exp accepts: each catalog experiment once,
-// in output order, then the two that are not tables of cells, then all.
+// in output order, then the fuzzer (not a table of cells), then all.
 func experimentNames() []string {
 	var names []string
 	for _, e := range experiments.Catalog(experiments.DefaultPolicies(), specList("", defaultMatrixSpecs), workload.Names()) {
@@ -62,7 +61,7 @@ func experimentNames() []string {
 			names = append(names, e.Name)
 		}
 	}
-	return append(names, "scaling", "fuzz", "all")
+	return append(names, "fuzz", "all")
 }
 
 func run() int {
@@ -81,7 +80,6 @@ func run() int {
 		loads      = flag.String("loads", "", "comma-separated workload filter for the matrix experiments (default all registered)")
 		specs      = flag.String("specs", "", "comma-separated machine specs for the matrix experiment (default 8P,32P-NUMA)")
 		tickless   = flag.String("tickless", "on", "tickless idle mode: on (NO_HZ, the default) or off (re-arm every idle tick; ablation)")
-		rungs      = flag.String("rungs", "", "comma-separated worker-pool widths for -exp scaling, e.g. 1,2,4 (default 1,2,4,GOMAXPROCS)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at sweep end to this file")
 	)
@@ -140,11 +138,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "unknown -tickless mode %q (want on or off)\n", *tickless)
 		return 2
 	}
-	scalingRungs, err := parseRungs(*rungs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 
 	// The default matrix set excludes retired baselines (experiments.Caps);
 	// naming one in -policies still runs it.
@@ -152,14 +145,13 @@ func run() int {
 	matrixLoads := splitList(*loads, workload.Names(), workload.Names())
 	matrixSpecs := specList(*specs, defaultMatrixSpecs)
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
 	t0 := time.Now()
 
 	// Every selected experiment declares its cells; each distinct cell
 	// runs once, on one pool, and the tables render from the shared runs.
 	var selected, recorded []experiments.Experiment
 	for _, e := range experiments.Catalog(matrixPolicies, matrixSpecs, matrixLoads) {
-		if want(e.Name) {
+		if *exp == "all" || *exp == e.Name {
 			selected = append(selected, e)
 			if e.Recorded {
 				recorded = append(recorded, e)
@@ -178,33 +170,10 @@ func run() int {
 		tables = append(tables, t)
 		fmt.Println(t.Render())
 	}
-	// The matrix family's cells are what the JSON files list per cell.
+	// The matrix family's cells are what the JSON file lists per cell.
 	var workloadRuns []experiments.WorkloadRun
 	for _, c := range experiments.DistinctCells(recorded) {
 		workloadRuns = append(workloadRuns, experiments.FindRun(runs, c))
-	}
-
-	var scalingLevels []experiments.ScalingLevel
-	if want("scaling") {
-		fmt.Fprintf(os.Stderr, "running parallel-scaling sweep (%d cells/rung)...\n",
-			len(matrixPolicies)*len(matrixLoads)*len(matrixSpecs))
-		levels, sruns, err := experiments.RunScalingSweep(matrixPolicies, matrixSpecs, matrixLoads, sc, scalingRungs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		scalingLevels = levels
-		// Rendered but kept out of the JSON tables: the rung timings are
-		// host wall-clock, and BENCH_sweep.json must stay byte-identical
-		// for a seed. The machine-readable copy goes to
-		// BENCH_wallclock.json with the other host-dependent numbers.
-		fmt.Println(experiments.ScalingTable(levels, strings.Join(experiments.Labels(matrixSpecs), ",")).Render())
-		// When scaling runs alone its serial rung doubles as the matrix
-		// cells for the JSON outputs; under -exp all the matrix
-		// experiments already recorded the identical cells.
-		if len(workloadRuns) == 0 {
-			workloadRuns = append(workloadRuns, sruns...)
-		}
 	}
 
 	if *exp == "fuzz" {
@@ -253,20 +222,11 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", jsonPath, err)
 			return 1
 		}
-		if err := writeWallclockJSON(wallclockPath, *exp, *quick, sc, time.Since(t0), workloadRuns, scalingLevels); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", wallclockPath, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d tables and %d workload entries to %s (+wall-clock to %s)\n",
-			len(tables), len(workloadRuns), jsonPath, wallclockPath)
+		fmt.Fprintf(os.Stderr, "wrote %d tables and %d workload entries to %s\n",
+			len(tables), len(workloadRuns), jsonPath)
 	}
 	fmt.Fprintf(os.Stderr, "done in %.1fs\n", time.Since(t0).Seconds())
 	return 0
-}
-
-// listItems splits a comma-separated flag value, dropping blanks.
-func listItems(flagVal string) []string {
-	return strings.FieldsFunc(flagVal, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 }
 
 // resolveList parses a comma-separated flag, defaulting to def and
@@ -274,7 +234,7 @@ func listItems(flagVal string) []string {
 // than the default — retired baselines are valid but not default). An
 // unknown entry returns an error naming the registered set.
 func resolveList(flagVal string, def, all []string) ([]string, error) {
-	out := listItems(flagVal)
+	out := strings.FieldsFunc(flagVal, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	for _, name := range out {
 		if !slices.Contains(all, name) {
 			return nil, fmt.Errorf("unknown name %q (registered: %s)", name, strings.Join(all, " "))
@@ -295,21 +255,6 @@ func splitList(flagVal string, def, all []string) []string {
 		os.Exit(2)
 	}
 	return out
-}
-
-// parseRungs parses the -rungs flag: a comma-separated list of positive
-// worker-pool widths, or nil when unset (the ScalingRungs default).
-// Normalization (serial baseline, sort, dedup) happens downstream.
-func parseRungs(flagVal string) ([]int, error) {
-	var out []int
-	for _, s := range listItems(flagVal) {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -rungs width %q (want a positive integer)", s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // specList resolves a comma-separated machine-spec filter, validating
@@ -364,74 +309,6 @@ type sweepJSON struct {
 	Workloads  []workloadEntry `json:"workloads,omitempty"`
 }
 
-// wallclockPath is where -json drops the harness-speed numbers. Unlike
-// BENCH_sweep.json — virtual-time results, byte-identical for a seed —
-// this file records host wall-clock per matrix cell, so engine-speed
-// regressions become visible across PRs (numbers vary with the host; the
-// committed file tracks the CI-class container the repo is grown on).
-const wallclockPath = "BENCH_wallclock.json"
-
-// wallclockCell is one matrix cell's harness cost. events splits into
-// events_wheel (dispatched from a timer-wheel slot) and events_heap
-// (fired straight from the wheel's overflow list; the key predates the
-// list), so a deadline class the rings cannot express is visible per
-// workload across PRs. ticks_skipped counts idle tick
-// firings the NO_HZ parking elided — events the always-on chain would
-// have paid for.
-type wallclockCell struct {
-	Workload     string  `json:"workload"`
-	Policy       string  `json:"policy"`
-	Spec         string  `json:"spec"`
-	WallMS       float64 `json:"wall_ms"`
-	Events       uint64  `json:"events"` // engine events dispatched in the cell
-	EventsWheel  uint64  `json:"events_wheel"`
-	EventsHeap   uint64  `json:"events_heap"`
-	TicksSkipped uint64  `json:"ticks_skipped"`
-}
-
-// wallclockJSON is the BENCH_wallclock.json schema. Scaling and
-// ParallelSpeedup are filled when the scaling experiment ran (-exp
-// scaling or all): one entry per worker-pool rung, and the top rung's
-// measured speedup over serial.
-type wallclockJSON struct {
-	Experiment      string                     `json:"experiment"`
-	Quick           bool                       `json:"quick"`
-	Seed            int64                      `json:"seed"`
-	Parallel        int                        `json:"parallel"`
-	GoMaxProcs      int                        `json:"gomaxprocs"`
-	TotalSeconds    float64                    `json:"total_seconds"`
-	ParallelSpeedup float64                    `json:"parallel_speedup,omitempty"`
-	Scaling         []experiments.ScalingLevel `json:"scaling,omitempty"`
-	Cells           []wallclockCell            `json:"cells"`
-}
-
-func writeWallclockJSON(path, exp string, quick bool, sc experiments.Scale, total time.Duration, wruns []experiments.WorkloadRun, scaling []experiments.ScalingLevel) error {
-	cells := make([]wallclockCell, 0, len(wruns))
-	for _, r := range wruns {
-		cells = append(cells, wallclockCell{
-			Workload:     r.Load,
-			Policy:       r.Policy,
-			Spec:         r.Spec.Label,
-			WallMS:       float64(r.WallNS) / 1e6,
-			Events:       r.Stats.EventsFired,
-			EventsWheel:  r.Stats.EventsWheel,
-			EventsHeap:   r.Stats.EventsHeap,
-			TicksSkipped: r.Stats.TicksSkipped,
-		})
-	}
-	return writeIndented(path, wallclockJSON{
-		Experiment:      exp,
-		Quick:           quick,
-		Seed:            sc.Seed,
-		Parallel:        sc.Workers(),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		TotalSeconds:    total.Seconds(),
-		ParallelSpeedup: experiments.ParallelSpeedup(scaling),
-		Scaling:         scaling,
-		Cells:           cells,
-	})
-}
-
 func writeJSON(path, exp string, quick bool, sc experiments.Scale, tables []*stats.Table, wruns []experiments.WorkloadRun) error {
 	entries := make([]workloadEntry, 0, len(wruns))
 	for _, r := range wruns {
@@ -459,7 +336,7 @@ func writeJSON(path, exp string, quick bool, sc experiments.Scale, tables []*sta
 		}
 		entries = append(entries, e)
 	}
-	return writeIndented(path, sweepJSON{
+	out, err := json.MarshalIndent(sweepJSON{
 		Experiment: exp,
 		Quick:      quick,
 		Seed:       sc.Seed,
@@ -467,12 +344,7 @@ func writeJSON(path, exp string, quick bool, sc experiments.Scale, tables []*sta
 		Horizon:    sc.HorizonSeconds,
 		Tables:     tables,
 		Workloads:  entries,
-	})
-}
-
-// writeIndented writes v to path as indented JSON with a final newline.
-func writeIndented(path string, v any) error {
-	out, err := json.MarshalIndent(v, "", "  ")
+	}, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -75,7 +75,7 @@ func TestSpecListResolvesLabels(t *testing.T) {
 // and the unknown-name check both read it from the experiment catalog.
 func TestExperimentNamesFromCatalog(t *testing.T) {
 	want := strings.Fields("table2 fig2 fig3 fig4 fig5 fig6 profile alt web lock numa matrix " +
-		"wakestorm interactive latency ablate scaling fuzz all")
+		"wakestorm interactive latency ablate fuzz all")
 	if got := experimentNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("experimentNames() = %v\nwant %v", got, want)
 	}

@@ -92,9 +92,9 @@
 // and round-robins same-level interactive tasks every GranularityTicks.
 // The kernel wake path adds SD_WAKE_IDLE placement: a syscall-context
 // wake prefers an idle CPU in the task's own cache domain, then the
-// waker's. O1Config exposes InteractivityOff, InteractiveDelta,
-// GranularityTicks, and WakeIdleOff; Stats counts WakeIdlePlacements and
-// TimesliceRotations, and the cross-policy latency invariant suite in
+// waker's. O1Config exposes InteractivityOff, GranularityTicks, and
+// WakeIdleOff; Stats counts WakeIdlePlacements and TimesliceRotations,
+// and the cross-policy latency invariant suite in
 // internal/sched/conformance holds every policy to a bounded
 // wakeup-to-run worst case.
 //
@@ -139,10 +139,10 @@
 // Because every simulation is single-threaded and deterministic,
 // independent experiment cells (policy x workload x machine) run on a
 // worker pool: cmd/sweep's -parallel N flag (default GOMAXPROCS) fans
-// the matrix out and reassembles results in input order. Host wall-clock
-// per cell is recorded in BENCH_wallclock.json alongside the
-// virtual-time results in BENCH_sweep.json, so harness-speed regressions
-// are tracked across PRs the same way scheduler regressions are.
+// the matrix out and reassembles results in input order, so the
+// virtual-time results in BENCH_sweep.json are byte-identical at any
+// pool width. What the harness costs in host time is measured in one
+// place, `bash benchmark/run.sh` (benchmark/README.md lists its metrics).
 //
 // # Quick start
 //

@@ -54,11 +54,9 @@ func DefaultCostModel() CostModel { return sched.DefaultCostModel() }
 type ELSCConfig = elsc.Config
 
 // O1Config re-exports the O(1) scheduler's knobs for ablation studies:
-// the balancing set (topology blindness, cross-domain imbalance
-// threshold and batch size, expired starvation limit) and the
-// interactivity set (InteractivityOff, InteractiveDelta,
-// GranularityTicks, WakeIdleOff — the sleep_avg bonus machinery and
-// SD_WAKE_IDLE wake placement).
+// the balancing set (TopologyBlind, StarvationLimit) and the
+// interactivity set (InteractivityOff, GranularityTicks, WakeIdleOff —
+// the sleep_avg bonus machinery and SD_WAKE_IDLE wake placement).
 type O1Config = o1.Config
 
 // Topology re-exports the cache-domain layout type.

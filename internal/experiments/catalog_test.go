@@ -1,8 +1,16 @@
 package experiments
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
+	"time"
 
 	"elsc/internal/sched/elsc"
 	"elsc/internal/workload"
@@ -115,5 +123,64 @@ func TestCatalogSharedCellsRunOnce(t *testing.T) {
 	}
 	if got, want := len(DistinctCells(figures)), 2*len(PaperSpecs)*len(PaperRooms); got != want {
 		t.Errorf("figures 2-6 and the profile need %d distinct cells, want the %d of one VolanoMark matrix", got, want)
+	}
+}
+
+// TestWorkersDefaultsToGOMAXPROCS pins the -parallel 0 contract the
+// sweep flag documents: an unset Parallel resolves to GOMAXPROCS, an
+// explicit value wins.
+func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
+	if got, want := (Scale{}).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Scale{Parallel: 0}.Workers() = %d, want GOMAXPROCS = %d", got, want)
+	}
+	if got := (Scale{Parallel: 3}).Workers(); got != 3 {
+		t.Fatalf("Scale{Parallel: 3}.Workers() = %d, want 3", got)
+	}
+}
+
+// TestParallelSweepCPUProfileUsable captures a CPU profile around a
+// -parallel 2 matrix and checks the result is a valid gzipped protobuf
+// that carries the per-worker sweep_worker pprof label — the property
+// that makes a parallel sweep's profile sliceable by worker.
+func TestParallelSweepCPUProfileUsable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		t.Fatal(err)
+	}
+	sc := QuickScale()
+	sc.Parallel = 2
+	// Repeat the matrix until enough wall time has passed that the
+	// 100 Hz sampler has landed samples inside worker goroutines.
+	for start := time.Now(); time.Since(start) < 700*time.Millisecond; {
+		RunWorkloadMatrix([]string{O1, ELSC}, []MachineSpec{SpecByLabel("4P")},
+			[]string{workload.DB, workload.WebServer}, sc)
+	}
+	pprof.StopCPUProfile()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("profile is not gzip-framed: %v", err)
+	}
+	proto, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("profile does not decompress: %v", err)
+	}
+	if len(proto) == 0 {
+		t.Fatal("profile is empty")
+	}
+	// The label key lands in the profile's string table verbatim.
+	if !bytes.Contains(proto, []byte("sweep_worker")) {
+		t.Fatal("profile carries no sweep_worker label; per-worker slicing would be impossible")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
-	"time"
 
 	"elsc/internal/kernel"
 	"elsc/internal/sched"
@@ -98,18 +97,14 @@ func cellsOn(load Cell, spec MachineSpec, policies []string) []Cell {
 	return cells
 }
 
-// WorkloadRun is one cell's run record — the only one: every table, JSON
-// writer, benchmark and determinism check reads its numbers from here.
+// WorkloadRun is one cell's run record — the only one: every table, the
+// JSON writer and every determinism check reads its numbers from here.
+// All of it is virtual-time: two runs of one cell at one seed are
+// deep-equal on any host and at any pool width.
 type WorkloadRun struct {
 	CellID
 	Result workload.Result
 	Stats  kernel.Stats
-
-	// WallNS is the host wall-clock the cell took to build and run, in
-	// nanoseconds. It is the one host-dependent number a run carries —
-	// recorded in BENCH_wallclock.json so harness-speed regressions show
-	// up across PRs — and is excluded from every determinism digest.
-	WallNS int64
 
 	// IntraSteals and CrossSteals are the balancer's own same-domain and
 	// cross-domain move counts, for policies that track them (HasSteals).
@@ -138,7 +133,6 @@ type BonusStatser interface {
 // harvest the result, the machine's stats and the policy's own counters.
 // Every simulation the harness runs goes through here.
 func RunCell(eng *sim.Engine, c Cell, sc Scale) WorkloadRun {
-	start := time.Now()
 	factory := c.Factory
 	if factory == nil {
 		factory = Factory(c.Policy)
@@ -157,7 +151,6 @@ func RunCell(eng *sim.Engine, c Cell, sc Scale) WorkloadRun {
 		run.BonusLevels = bs.BonusLevels()
 		run.InteractiveRequeues = bs.InteractiveRequeues()
 	}
-	run.WallNS = time.Since(start).Nanoseconds()
 	return run
 }
 
@@ -214,7 +207,7 @@ type Experiment struct {
 	// cells — typically the whole sweep's.
 	Table func(runs []WorkloadRun) *stats.Table
 	// Recorded marks the matrix family, whose cells sweep also writes to
-	// the JSON files' per-cell sections.
+	// BENCH_sweep.json's per-cell section.
 	Recorded bool
 }
 

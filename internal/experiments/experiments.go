@@ -12,8 +12,9 @@
 // function that boots a machine for an experiment (through
 // machineConfig, the only place a spec and a Scale become a
 // kernel.Config), runs the workload and harvests a WorkloadRun: the
-// registry's common Result, the machine's Stats, wall-clock, and the
-// policy's steal and bonus counters. RunCells is the only worker pool:
+// registry's common Result, the machine's Stats, and the policy's steal
+// and bonus counters — virtual time only, so two runs of a cell are
+// deep-equal. RunCells is the only worker pool:
 // independent cells on per-worker recycled event engines, results in
 // input order, so every table is byte-identical at any pool width.
 //
@@ -32,13 +33,13 @@
 //  2. Give it a Name (the `sweep -exp` selector; several tables may share
 //     one) and add it to Catalog where its table belongs in the output.
 //  3. That is all: sweep's -exp help and validation, the shared pool, the
-//     -json tables, and the catalog-wide tests (pool-width determinism,
-//     TicklessOff reaching every machine, shared cells running once)
-//     pick it up from the catalog.
+//     -json tables, the root BenchmarkCatalog and the catalog-wide tests
+//     (pool-width determinism, TicklessOff reaching every machine, shared
+//     cells running once) pick it up from the catalog.
 //
-// RunScalingSweep (timed matrix passes at several pool widths) and the
-// scenario fuzzer (fuzz.go) are the two things here that are not tables
-// of cells.
+// The scenario fuzzer (fuzz.go) is the one thing here that is not a table
+// of cells. Nothing here reads the host clock: what a cell, the pool or
+// the sweep CLI costs in host time is measured by benchmark/.
 package experiments
 
 import (

@@ -40,10 +40,9 @@ func TestWorkloadMatrixCoversAllCells(t *testing.T) {
 
 // TestWorkloadMatrixDeterministicAcrossParallelism runs the same matrix
 // serially and with a 4-wide worker pool and requires every cell to be
-// identical in full — workload result, machine stats, estimator counters,
-// and cell order. Host wall-clock (WallNS) is the one field allowed to
-// differ. Run under -race this is also the data-race check on the
-// parallel sweep path.
+// identical in full — the whole run record: workload result, machine
+// stats, estimator counters — and in cell order. Run under -race this is
+// also the data-race check on the parallel sweep path.
 func TestWorkloadMatrixDeterministicAcrossParallelism(t *testing.T) {
 	sc1 := matrixScale()
 	sc1.Parallel = 1
@@ -61,11 +60,9 @@ func TestWorkloadMatrixDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatalf("cell order differs across parallelism at %d: %s vs %s",
 				i, a[i].Key(), b[i].Key())
 		}
-		x, y := a[i], b[i]
-		x.WallNS, y.WallNS = 0, 0
-		if !reflect.DeepEqual(x, y) {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("cell %s differs across parallelism:\n--- serial\n%+v\n--- parallel\n%+v",
-				a[i].Key(), x, y)
+				a[i].Key(), a[i], b[i])
 		}
 	}
 }

@@ -79,8 +79,8 @@ type Stats struct {
 
 	// Harness scale: engine events dispatched over the run — the unit the
 	// zero-allocation event engine is priced in. Deterministic for a seed
-	// (it is pure virtual-time behavior); BENCH_wallclock.json divides
-	// host wall-clock by it to get ns/event. EventsWheel/EventsHeap split
+	// (it is pure virtual-time behavior); benchmark/ divides host
+	// wall-clock by it to get ns/event. EventsWheel/EventsHeap split
 	// the total by where each event fired from — a timer-wheel slot, or
 	// straight from the wheel's overflow list (sim.Engine.FiredHeap; the
 	// name predates the list) — so a deadline class the rings cannot

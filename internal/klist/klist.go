@@ -156,27 +156,8 @@ func (h *Head) ForEachSafe(fn func(*Node) bool) {
 	}
 }
 
-// Owners returns the Owner of every node, front to back. Intended for
-// tests and diagnostics.
-func (h *Head) Owners() []any {
-	out := make([]any, 0, h.len)
-	h.ForEach(func(n *Node) bool {
-		out = append(out, n.Owner)
-		return true
-	})
-	return out
-}
-
 // OnList reports whether n is currently linked on some list.
 func (n *Node) OnList() bool { return n.next != nil }
-
-// List returns the Head n is linked under, or nil.
-func (n *Node) List() *Head {
-	if !n.OnList() {
-		return nil
-	}
-	return n.head
-}
 
 // Next returns the node after n on its list, or nil if n is last or off
 // list.

@@ -215,7 +215,7 @@ type Sched struct {
 // New returns a fair scheduler bound to env.
 func New(env *sched.Env) *Sched {
 	s := &Sched{env: env, rqs: make([]runqueue, env.NCPU)}
-	s.bal = sched.NewBalancer(env, env.Topo, sched.DefaultCrossImbalance, s.stealCandidate, s.pulled)
+	s.bal = sched.NewBalancer(env, env.Topo, s.stealCandidate, s.pulled)
 	return s
 }
 

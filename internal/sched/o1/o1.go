@@ -30,10 +30,9 @@
 // cache-coldest, whereas the active head is exactly what the victim would
 // dispatch next — and that a pulled task enters the thief's active array
 // at the tail of its level, behind local tasks of equal priority. The
-// CrossImbalance knob tunes the cross-domain pull; the TopologyBlind knob
-// hands the balancer a flat topology — the scheduler then sees the machine
-// as one domain — and exists so the experiments can measure exactly what
-// domain awareness buys.
+// TopologyBlind knob hands the balancer a flat topology — the scheduler
+// then sees the machine as one domain — and exists so the experiments can
+// measure exactly what domain awareness buys.
 //
 // A starvation guard bounds expired-array wait: if the expired array has
 // been non-empty for StarvationLimit consecutive schedule() calls on its
@@ -50,7 +49,7 @@
 // this policy maps the ratio onto a dynamic-priority bonus of ±5 levels
 // in the bitmap arrays, so a task that sleeps most of the time files five
 // levels above its static priority and a pure hog five below. Tasks whose
-// bonus clears InteractiveDelta are interactive: on quantum expiry they
+// bonus clears interactiveDelta are interactive: on quantum expiry they
 // are recharged and requeued at the tail of the active array instead of
 // parking in expired — the fix for latency probes waiting out a full hog
 // quantum behind an array swap — and a waking interactive task with a
@@ -85,6 +84,10 @@ const (
 	// maxBonus bounds the dynamic-priority bonus: sleep_avg maps onto
 	// [-maxBonus, +maxBonus] effective priority levels (2.5's MAX_BONUS).
 	maxBonus = 5
+
+	// interactiveDelta is the bonus a task needs to count as interactive
+	// and earn active-array re-insertion.
+	interactiveDelta = 2
 )
 
 // BonusSpan is the number of distinct bonus values (-maxBonus..+maxBonus);
@@ -98,10 +101,6 @@ type Config struct {
 	// the machine as one flat domain — the pre-sched_domains behavior,
 	// kept as the ablation baseline for the NUMA experiments.
 	TopologyBlind bool
-	// CrossImbalance is the queue-length gap required before the
-	// periodic balancer pulls across a domain boundary (default 4,
-	// twice the intra-domain threshold).
-	CrossImbalance int
 	// StarvationLimit is how many schedule() calls the expired array may
 	// sit non-empty before a forced array swap (default 128; <0
 	// disables the guard). The same clock bounds interactive re-insertion
@@ -114,9 +113,6 @@ type Config struct {
 	// experiments: with it set, a quantum-expired probe parks behind a
 	// full hog quantum in the expired array.
 	InteractivityOff bool
-	// InteractiveDelta is the bonus a task needs to count as interactive
-	// and earn active-array re-insertion (default 2, range 1..maxBonus).
-	InteractiveDelta int
 	// GranularityTicks is the TIMESLICE_GRANULARITY chunk in quantum
 	// ticks: every multiple, a running interactive task with a same-level
 	// queued peer on its CPU is rotated to the tail of its level
@@ -129,14 +125,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CrossImbalance == 0 {
-		c.CrossImbalance = sched.DefaultCrossImbalance
-	}
 	if c.StarvationLimit == 0 {
 		c.StarvationLimit = 128
-	}
-	if c.InteractiveDelta == 0 {
-		c.InteractiveDelta = 2
 	}
 	if c.GranularityTicks == 0 {
 		c.GranularityTicks = 2
@@ -206,7 +196,7 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 	if s.cfg.TopologyBlind {
 		topo = nil // the balancer sees one flat domain
 	}
-	s.bal = sched.NewBalancer(env, topo, s.cfg.CrossImbalance, s.stealCandidate, s.pulled)
+	s.bal = sched.NewBalancer(env, topo, s.stealCandidate, s.pulled)
 	for i := range s.rqs {
 		rq := &s.rqs[i]
 		rq.arrays[0].Init(rq.lists[0][:])
@@ -241,7 +231,7 @@ func (s *Sched) interactive(t *task.Task) bool {
 	if s.cfg.InteractivityOff || t.RealTime() {
 		return false
 	}
-	return s.bonusOf(t) >= s.cfg.InteractiveDelta
+	return s.bonusOf(t) >= interactiveDelta
 }
 
 // levelFor is the effective priority level a task files at: its static

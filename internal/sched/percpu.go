@@ -29,10 +29,9 @@ const (
 	// victim run it next.
 	crossStealMin = 2
 
-	// DefaultCrossImbalance is the queue-length gap the periodic balancer
-	// needs before it pulls across a domain boundary (twice the in-domain
-	// gap).
-	DefaultCrossImbalance = 2 * balanceImbalance
+	// crossImbalance is the queue-length gap the periodic balancer needs
+	// before it pulls across a domain boundary (twice the in-domain gap).
+	crossImbalance = 2 * balanceImbalance
 
 	// crossBatch caps the tasks one cross-domain pull moves. Batching
 	// amortizes the cross-domain cache-refill penalty: one decisive
@@ -222,19 +221,17 @@ type Balancer struct {
 	// dequeue bump it.
 	Len QueueLens
 
-	env            *Env
-	topo           *Topology
-	crossImbalance int
-	candidate      func(victim, cpu int) Result
-	refile         func(t *task.Task, cpu int) uint64
+	env       *Env
+	topo      *Topology
+	candidate func(victim, cpu int) Result
+	refile    func(t *task.Task, cpu int) uint64
 
 	since  []int       // schedule() calls per CPU since its last pull
 	steals []CPUSteals // tasks moved, by the CPU that took them
 }
 
 // NewBalancer returns a balancer for env's CPUs over topo (nil or a
-// FlatTopology makes it domain-blind). crossImbalance tunes the
-// cross-domain pull. The hooks are the policy's half:
+// FlatTopology makes it domain-blind). The hooks are the policy's half:
 //
 //   - candidate(victim, cpu) scans victim's queue for the task cpu should
 //     take first and returns it in Result.Next, left queued, with the
@@ -245,20 +242,19 @@ type Balancer struct {
 // Both report by value: a hook handed a *Result through a func value
 // would force every Schedule's Result to the heap (trap (a) in the
 // package doc).
-func NewBalancer(env *Env, topo *Topology, crossImbalance int,
+func NewBalancer(env *Env, topo *Topology,
 	candidate func(victim, cpu int) Result, refile func(t *task.Task, cpu int) uint64) Balancer {
 	if topo == nil {
 		topo = FlatTopology(env.NCPU)
 	}
 	return Balancer{
-		Len:            make(QueueLens, env.NCPU),
-		env:            env,
-		topo:           topo,
-		crossImbalance: crossImbalance,
-		candidate:      candidate,
-		refile:         refile,
-		since:          make([]int, env.NCPU),
-		steals:         make([]CPUSteals, env.NCPU),
+		Len:       make(QueueLens, env.NCPU),
+		env:       env,
+		topo:      topo,
+		candidate: candidate,
+		refile:    refile,
+		since:     make([]int, env.NCPU),
+		steals:    make([]CPUSteals, env.NCPU),
 	}
 }
 
@@ -377,16 +373,11 @@ func (b *Balancer) pull(cpu int, res *Result) {
 		if b.topo.NumDomains() == 1 {
 			return
 		}
-		if victim = b.busiest(cpu, n+b.crossImbalance-1, false); victim < 0 {
+		if victim = b.busiest(cpu, n+crossImbalance-1, false); victim < 0 {
 			return
 		}
-		batch = (b.Len[victim] - n) / 2
-		if batch > crossBatch {
-			batch = crossBatch
-		}
-		if batch < 1 {
-			batch = 1
-		}
+		// The gap is crossImbalance or more, so half of it is never below 2.
+		batch = min((b.Len[victim]-n)/2, crossBatch)
 	}
 	res.Cycles += b.env.Cost.LockOp
 	for ; batch > 0; batch-- {

@@ -263,11 +263,11 @@ const (
 	moveCost = 11
 )
 
-func newFakeQueues(ncpu int, topo *Topology, crossImbalance int) *fakeQueues {
+func newFakeQueues(ncpu int, topo *Topology) *fakeQueues {
 	f := &fakeQueues{q: make([][]*task.Task, ncpu)}
 	env := NewEnv(ncpu, true, nil)
 	env.Requeued = func(t *task.Task) { f.requeued = append(f.requeued, t) }
-	f.bal = NewBalancer(env, topo, crossImbalance, f.candidate, f.refile)
+	f.bal = NewBalancer(env, topo, f.candidate, f.refile)
 	return f
 }
 
@@ -412,7 +412,7 @@ func TestBalancerSteal(t *testing.T) {
 	for _, c := range cases {
 		for _, m := range balancerTopos {
 			t.Run(c.name+"/"+m.name, func(t *testing.T) {
-				f := newFakeQueues(32, m.topo, DefaultCrossImbalance)
+				f := newFakeQueues(32, m.topo)
 				for _, l := range c.loads {
 					for i := 0; i < l.n; i++ {
 						f.add(l.cpu, i < l.pinned)
@@ -443,11 +443,10 @@ func TestBalancerSteal(t *testing.T) {
 
 func TestBalancerPull(t *testing.T) {
 	cases := []struct {
-		name           string
-		own            int
-		crossImbalance int
-		loads          []load
-		flat, numa     outcome
+		name       string
+		own        int
+		loads      []load
+		flat, numa outcome
 	}{
 		{
 			name:  "a gap of one moves nothing",
@@ -479,12 +478,6 @@ func TestBalancerPull(t *testing.T) {
 			numa:  outcome{asked: []int{8, 8, 8, 8}, moved: 4, locks: 1, cross: 4},
 		},
 		{
-			name:           "the batch is floored at one",
-			crossImbalance: 1,
-			loads:          []load{{cpu: 8, n: 1}},
-			numa:           outcome{asked: []int{8}, moved: 1, locks: 1, cross: 1},
-		},
-		{
 			name:  "the batch stops when the victim has nothing more the puller may run",
 			loads: []load{{cpu: 8, n: 8, pinned: 7}},
 			flat:  outcome{asked: []int{8}, moved: 1, locks: 1, intra: 1},
@@ -500,10 +493,7 @@ func TestBalancerPull(t *testing.T) {
 	for _, c := range cases {
 		for _, m := range balancerTopos {
 			t.Run(c.name+"/"+m.name, func(t *testing.T) {
-				if c.crossImbalance == 0 {
-					c.crossImbalance = DefaultCrossImbalance
-				}
-				f := newFakeQueues(32, m.topo, c.crossImbalance)
+				f := newFakeQueues(32, m.topo)
 				for _, l := range append([]load{{cpu: 0, n: c.own}}, c.loads...) {
 					for i := 0; i < l.n; i++ {
 						f.add(l.cpu, i < l.pinned)
@@ -533,7 +523,7 @@ func TestBalancerPull(t *testing.T) {
 // schedule() of a CPU, counted per CPU; and a one-CPU machine, which has
 // nobody to pull from, is never charged for trying.
 func TestBalancerTickCadence(t *testing.T) {
-	f := newFakeQueues(4, FlatTopology(4), DefaultCrossImbalance)
+	f := newFakeQueues(4, FlatTopology(4))
 	for i := 0; i < 8; i++ {
 		f.add(1, false)
 	}
@@ -554,7 +544,7 @@ func TestBalancerTickCadence(t *testing.T) {
 		t.Fatal("the period must restart after a pull")
 	}
 
-	up := newFakeQueues(1, nil, DefaultCrossImbalance)
+	up := newFakeQueues(1, nil)
 	up.add(0, false)
 	res = Result{}
 	for i := 0; i < 4*BalanceEvery; i++ {
@@ -566,7 +556,7 @@ func TestBalancerTickCadence(t *testing.T) {
 }
 
 func TestPerCPUStealsReturnsCopy(t *testing.T) {
-	f := newFakeQueues(2, nil, DefaultCrossImbalance)
+	f := newFakeQueues(2, nil)
 	f.add(1, false)
 	if f.bal.Steal(0, &Result{}) == nil {
 		t.Fatal("steal failed")

@@ -313,9 +313,6 @@ func (d *DB) newCheckpointer() kernel.Program {
 // Done reports whether every client has committed all its transactions.
 func (d *DB) Done() bool { return d.exited.AllExited(d.clients) }
 
-// Committed returns transactions committed so far.
-func (d *DB) Committed() uint64 { return d.committed }
-
 // LockSpins totals failed spin attempts across the lock stripes.
 func (d *DB) LockSpins() uint64 {
 	var n uint64
