@@ -22,6 +22,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 
 	"elsc/internal/experiments"
 	"elsc/internal/kernel"
@@ -33,7 +35,7 @@ import (
 
 func main() {
 	var (
-		schedName = flag.String("sched", "elsc", "scheduler: reg, elsc, heap, mq, o1, cfs")
+		schedName = flag.String("sched", "elsc", "scheduler: "+strings.Join(experiments.Policies, ", "))
 		cpus      = flag.Int("cpus", 1, "number of processors")
 		domains   = flag.Int("domains", 1, "cache domains (NUMA-style topology when > 1)")
 		tasks     = flag.Int("tasks", 6, "interactive tasks to simulate")
@@ -44,6 +46,10 @@ func main() {
 		watchdog  = flag.Bool("watchdog", false, "arm the starvation/lockup watchdog; violations print inline")
 	)
 	flag.Parse()
+	if err := experiments.CheckName(*schedName, experiments.Policies); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	printed := 0
 	var m *kernel.Machine

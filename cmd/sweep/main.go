@@ -236,8 +236,8 @@ func run() int {
 func resolveList(flagVal string, def, all []string) ([]string, error) {
 	out := strings.FieldsFunc(flagVal, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	for _, name := range out {
-		if !slices.Contains(all, name) {
-			return nil, fmt.Errorf("unknown name %q (registered: %s)", name, strings.Join(all, " "))
+		if err := experiments.CheckName(name, all); err != nil {
+			return nil, err
 		}
 	}
 	if len(out) == 0 {

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	var (
-		schedName = flag.String("sched", "elsc", "scheduler: reg, elsc, heap, mq")
+		schedName = flag.String("sched", "elsc", "scheduler: "+strings.Join(experiments.Policies, ", "))
 		cpus      = flag.Int("cpus", 1, "number of processors")
 		smp       = flag.Bool("smp", false, "SMP kernel build (1 CPU without this is the paper's UP)")
 		rooms     = flag.Int("rooms", 10, "chat rooms (paper sweeps 5,10,15,20)")
@@ -31,6 +31,10 @@ func main() {
 		showPS    = flag.Bool("ps", false, "dump a ps-style table of the top tasks")
 	)
 	flag.Parse()
+	if err := experiments.CheckName(*schedName, experiments.Policies); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	m := experiments.NewMachineOn(nil, experiments.MachineSpec{CPUs: *cpus, SMP: *smp || *cpus > 1},
 		*schedName, experiments.Scale{Seed: *seed, HorizonSeconds: *horizon})

@@ -7,6 +7,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 
 	"elsc/internal/experiments"
 	"elsc/internal/workload"
@@ -15,13 +17,17 @@ import (
 
 func main() {
 	var (
-		spec     = flag.String("machine", "2P", "machine spec: UP, 1P, 2P, 4P")
+		spec     = flag.String("machine", "2P", "machine spec: "+strings.Join(experiments.Labels(experiments.AllSpecs), ", "))
 		workers  = flag.Int("workers", 64, "httpd worker processes")
 		requests = flag.Int("requests", 20000, "requests to serve")
 		period   = flag.Uint64("arrival", 40_000, "mean cycles between arrivals")
 		seed     = flag.Int64("seed", 42, "simulation seed")
 	)
 	flag.Parse()
+	if err := experiments.CheckName(*spec, experiments.Labels(experiments.AllSpecs)); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	sc := experiments.DefaultScale()
 	sc.Seed = *seed

@@ -102,7 +102,8 @@
 //
 // Processors hot-unplug and re-plug mid-run (Machine.OfflineCPU /
 // OnlineCPU): the dying CPU's running task is preempted and re-queued,
-// its private queues drain through the Scheduler.DrainCPU hook, its
+// its private queue drains through the same Scheduler.Drain a hot policy
+// swap uses (the shared-queue policies have nothing to drain), its
 // preallocated tick/dispatch events park, in-flight IPIs re-route to a
 // survivor, and tasks affined solely to it widen to run anywhere (Linux
 // cpuset fallback) until their CPU returns and the saved mask re-pins.

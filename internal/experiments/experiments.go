@@ -43,7 +43,10 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 
 	"elsc/internal/kernel"
 	"elsc/internal/sched"
@@ -86,6 +89,18 @@ var factories = map[string]kernel.SchedulerFactory{
 	MQ:   func(env *sched.Env) sched.Scheduler { return mq.New(env) },
 	O1:   func(env *sched.Env) sched.Scheduler { return o1.New(env) },
 	CFS:  func(env *sched.Env) sched.Scheduler { return cfs.New(env) },
+}
+
+// CheckName returns nil when name is one of registered, and otherwise the
+// diagnostic every command-line tool prints before exiting 2. Factory and
+// SpecByLabel panic on an unknown name — in code that is a bug — so a name
+// that arrives on a command line is checked here first, against Policies
+// or Labels(AllSpecs).
+func CheckName(name string, registered []string) error {
+	if slices.Contains(registered, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown name %q (registered: %s)", name, strings.Join(registered, " "))
 }
 
 // Factory returns the scheduler factory for a policy name.

@@ -297,7 +297,7 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 				return
 			}
 			for _, t := range queued {
-				if !m.Scheduler().OnRunqueue(t) {
+				if !t.OnRunqueue() {
 					fail("swap to %s dropped queued task %s", to, t.Name)
 					return
 				}
@@ -377,7 +377,7 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 				return
 			}
 			for _, t := range queued {
-				if !m.Scheduler().OnRunqueue(t) && !t.HasCPU {
+				if !t.OnRunqueue() && !t.HasCPU {
 					fail("offlining cpu%d dropped queued task %s", cpu, t.Name)
 					return
 				}
@@ -450,7 +450,7 @@ func queuedTasks(m *kernel.Machine) []*task.Task {
 			continue
 		}
 		t := p.Task
-		if t.Runnable() && !t.HasCPU && m.Scheduler().OnRunqueue(t) {
+		if t.Runnable() && !t.HasCPU && t.OnRunqueue() {
 			out = append(out, t)
 		}
 	}
@@ -487,7 +487,7 @@ func auditCensus(m *kernel.Machine) error {
 		if !t.Runnable() {
 			continue
 		}
-		tracked := m.Scheduler().OnRunqueue(t)
+		tracked := t.OnRunqueue()
 		switch {
 		case t.HasCPU:
 			// Running; some policies also keep it listed. Fine either way.
@@ -502,7 +502,7 @@ func auditCensus(m *kernel.Machine) error {
 		var names []string
 		for _, p := range m.Procs() {
 			t := p.Task
-			if !p.Exited() && t.Runnable() && !t.HasCPU && m.Scheduler().OnRunqueue(t) {
+			if !p.Exited() && t.Runnable() && !t.HasCPU && t.OnRunqueue() {
 				names = append(names, fmt.Sprintf("%s(id=%d,cpu=%d)", t.Name, t.ID, t.Processor))
 			}
 		}

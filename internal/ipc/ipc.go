@@ -152,24 +152,12 @@ func (q *Queue) Send(cost uint64, m Msg) kernel.Action {
 	sc := &q.sendSC
 	sc.Cost = cost
 	sc.Args = [3]int64{int64(m.From), int64(m.Seq), m.Payload}
-	sc.Ptr = nil
 	sc.Reserved = false
 	return sc
 }
 
-// SendFunc is like Send but computes the message at completion time, for
-// messages whose content depends on state mutated by earlier actions.
-func (q *Queue) SendFunc(cost uint64, f func() Msg) kernel.Action {
-	sc := &q.sendSC
-	sc.Cost = cost
-	sc.Ptr = f
-	sc.Reserved = false
-	return sc
-}
-
-// execSend is the static effect behind Send and SendFunc: Ptr carries a
-// deferred message constructor when set, Args the literal message fields
-// otherwise.
+// execSend is the static effect behind Send; Args carries the message
+// fields.
 func execSend(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 	q := sc.Obj.(*Queue)
 	if out, wait := q.serialGate(now, &sc.Reserved); wait {
@@ -179,11 +167,7 @@ func execSend(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 		return kernel.BlockOn(q.writers)
 	}
 	q.sent++
-	if sc.Ptr != nil {
-		q.deposit(p, sc.Ptr.(func() Msg)())
-	} else {
-		q.deposit(p, Msg{From: int(sc.Args[0]), Seq: int(sc.Args[1]), Payload: sc.Args[2]})
-	}
+	q.deposit(p, Msg{From: int(sc.Args[0]), Seq: int(sc.Args[1]), Payload: sc.Args[2]})
 	return kernel.Done()
 }
 

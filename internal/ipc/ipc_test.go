@@ -314,27 +314,3 @@ func TestUnlockByNonOwnerPanics(t *testing.T) {
 	}))
 	m.Run(func() bool { return p.Exited() })
 }
-
-func TestSendFuncDefersPayload(t *testing.T) {
-	m := newMachine(1, true)
-	q := NewQueue("q", 0)
-	val := int64(0)
-	step := 0
-	var got Msg
-	p := m.Spawn("p", nil, kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
-		step++
-		switch step {
-		case 1:
-			a := q.SendFunc(100, func() Msg { return Msg{Payload: val} })
-			val = 42 // mutated before the syscall completes
-			return a
-		case 2:
-			return q.Recv(100, &got)
-		}
-		return nil
-	}))
-	m.Run(func() bool { return p.Exited() })
-	if got.Payload != 42 {
-		t.Fatalf("payload = %d, want 42 (computed at completion)", got.Payload)
-	}
-}

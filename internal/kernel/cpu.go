@@ -3,7 +3,6 @@ package kernel
 import (
 	"math/bits"
 
-	"elsc/internal/sched"
 	"elsc/internal/sim"
 	"elsc/internal/task"
 )
@@ -25,7 +24,7 @@ type CPU struct {
 	// online is false while the CPU is hot-unplugged: it runs nothing,
 	// its timer chain parks itself, and IPIs landing here are re-routed.
 	// offlineFrom stamps the current offline stretch; offlineAccum and
-	// offlines total completed stretches for MPStat.
+	// offlines total completed stretches for CPUStats.
 	online       bool
 	offlineFrom  sim.Time
 	offlineAccum uint64
@@ -43,7 +42,7 @@ type CPU struct {
 	// offline (OnlineCPU re-anchors it at online+period, matching what a
 	// non-tickless online would arm); ticklessFrom stamps the current
 	// parked stretch and ticklessAccum totals completed stretches for
-	// MPStat's tickless residency column.
+	// CPUStats' tickless residency column.
 	tickParked    bool
 	tickNext      sim.Time
 	ticklessFrom  sim.Time
@@ -74,7 +73,7 @@ type CPU struct {
 	// executed here, the pollution clock for the cache model.
 	work uint64
 	// idleAccum totals completed idle stretches; dispatches counts
-	// context switches completed here (both feed MPStat).
+	// context switches completed here (both feed CPUStats).
 	idleAccum  uint64
 	dispatches uint64
 
@@ -250,11 +249,11 @@ func (c *CPU) tick(now sim.Time) {
 			// would have found the CPU idle with nothing to do.
 			m.stats.TickCycles += m.env.Cost.TickCost
 			c.tickParked = true
-			c.tickNext = now + sim.Time(m.cfg.TickCycles)
+			c.tickNext = now + sim.Time(DefaultTickCycles)
 			c.ticklessFrom = now
 			return
 		}
-		m.eng.ScheduleAfter(&c.tickEv, m.cfg.TickCycles)
+		m.eng.ScheduleAfter(&c.tickEv, DefaultTickCycles)
 		m.stats.TickCycles += m.env.Cost.TickCost
 		if rescue {
 			m.reschedule(c, now)
@@ -273,7 +272,7 @@ func (c *CPU) tick(now sim.Time) {
 		}
 		return
 	}
-	m.eng.ScheduleAfter(&c.tickEv, m.cfg.TickCycles)
+	m.eng.ScheduleAfter(&c.tickEv, DefaultTickCycles)
 	m.stats.TickCycles += m.env.Cost.TickCost
 	if c.transitioning {
 		return
@@ -295,8 +294,8 @@ func (c *CPU) tick(now sim.Time) {
 	// round-robin against same-level peers, so one interactive task
 	// cannot sit on a CPU for its whole (recharged) quantum while
 	// equally interactive tasks wait.
-	if m.ticker != nil {
-		if preempt, rotation := m.ticker.TickPreempt(c.id, t); preempt {
+	if m.dyn != nil {
+		if preempt, rotation := m.dyn.TickPreempt(c.id, t); preempt {
 			if rotation {
 				m.stats.TimesliceRotations++
 			} else {
@@ -342,9 +341,9 @@ func (c *CPU) skipTicksThrough(t sim.Time) {
 	if c.tickNext == 0 || c.tickNext > t {
 		return
 	}
-	k := uint64(t-c.tickNext)/c.m.cfg.TickCycles + 1
+	k := uint64(t-c.tickNext)/DefaultTickCycles + 1
 	c.m.stats.TicksSkipped += k
-	c.tickNext += sim.Time(k * c.m.cfg.TickCycles)
+	c.tickNext += sim.Time(k * DefaultTickCycles)
 }
 
 // startSegment begins (or resumes) the proc's current work segment. A
@@ -583,7 +582,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 		prevTask.HasCPU = false
 		prev.workStamp = c.work
 		m.refile(prev)
-		if prevTask != res.Next && prevTask.Runnable() && m.sched.OnRunqueue(prevTask) {
+		if prevTask != res.Next && prevTask.Runnable() && prevTask.OnRunqueue() {
 			if !prevTask.AllowedOn(c.id) {
 				// Affinity moved under the running task (SetAffinity,
 				// cpuset restore at online): this CPU may never pick it
@@ -718,10 +717,7 @@ func (m *Machine) release(c *CPU, p *Proc) bool {
 		m.refile(p)
 		return false
 	}
-	if m.sched.OnRunqueue(t) {
-		m.sched.DelFromRunqueue(t)
-	}
-	sched.ResetQueueState(t)
+	m.sched.DelFromRunqueue(t)
 	m.enqueue(p, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
 	return true
 }

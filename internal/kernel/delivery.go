@@ -66,7 +66,7 @@ func (m *Machine) visibleTo(t *task.Task) uint64 {
 // CPUs whose schedule() could pick t right now, zero if t is not queued,
 // already claimed, or exhausted.
 func (m *Machine) deliverableTo(t *task.Task) uint64 {
-	if !t.Runnable() || t.HasCPU || !m.sched.OnRunqueue(t) {
+	if !t.Runnable() || t.HasCPU || !t.OnRunqueue() {
 		return 0
 	}
 	if !t.RealTime() && t.Counter(m.env.Epoch) == 0 {

@@ -80,12 +80,16 @@ func (m *Machine) OfflineCPU(id int) error {
 	// needResched it might have carried dies with the schedulable state.
 	c.needResched = false
 
-	// Drain the policy's per-CPU structures and re-file each task; the
-	// policy's online-aware placement re-homes them onto survivors.
-	m.drainBuf = m.sched.DrainCPU(id, m.drainBuf[:0])
-	for i, t := range m.drainBuf {
-		m.enqueue(m.procOf(t), m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
-		m.drainBuf[i] = nil
+	// Drain the dead CPU's own queue, if the policy gives it one, and
+	// re-file each task; the policy's online-aware placement re-homes them
+	// onto survivors. A shared queue stays where it is: the survivors
+	// reach all of it.
+	if m.ownerOnly {
+		m.drainBuf = m.sched.Drain(id, m.drainBuf[:0])
+		for i, t := range m.drainBuf {
+			m.enqueue(m.procOf(t), m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
+			m.drainBuf[i] = nil
+		}
 	}
 
 	// Anything that moved is invisible to CPUs already idle or mid-switch;
@@ -124,7 +128,7 @@ func (m *Machine) OnlineCPU(id int) error {
 		// queued event would panic.)
 		if m.cfg.TicklessOff {
 			// Restart it one period out, as the pre-tickless kernel did.
-			m.eng.ScheduleAfter(&c.tickEv, m.cfg.TickCycles)
+			m.eng.ScheduleAfter(&c.tickEv, DefaultTickCycles)
 			c.tickParked = false
 			c.tickNext = 0
 		} else {
@@ -142,7 +146,7 @@ func (m *Machine) OnlineCPU(id int) error {
 			//     online re-arm would have made it.
 			c.skipTicksThrough(c.offlineFrom)
 			if c.tickNext == 0 || now >= c.tickNext {
-				c.tickNext = now + sim.Time(m.cfg.TickCycles)
+				c.tickNext = now + sim.Time(DefaultTickCycles)
 			}
 			c.tickParked = true
 			c.ticklessFrom = now

@@ -53,7 +53,7 @@ func TestOfflineRehomesRunningTask(t *testing.T) {
 		if victim.Task.HasCPU {
 			t.Fatal("victim still marked running after its CPU went offline")
 		}
-		if !m.sched.OnRunqueue(victim.Task) {
+		if !victim.Task.OnRunqueue() {
 			t.Fatal("preempted victim not re-queued")
 		}
 		m.Run(func() bool { return m.Alive() == 0 })
@@ -347,7 +347,7 @@ func preboundHog(steps int, c uint64) Program {
 // TestHotplugCycleAllocFree locks in the zero-allocation contract for the
 // hotplug path itself: once the machine, engine, and drain buffer are
 // warm, a full offline→online cycle (preempt, drain, re-file, re-arm)
-// under the per-CPU-array policy with a real DrainCPU, watchdog armed,
+// under the per-CPU-array policy with a real per-CPU Drain, watchdog armed,
 // allocates nothing.
 func TestHotplugCycleAllocFree(t *testing.T) {
 	m := NewMachine(Config{

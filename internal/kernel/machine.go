@@ -14,10 +14,13 @@
 // Kick delivery. A task is deliverable to CPU c when it is queued,
 // runnable, unclaimed (!HasCPU), charged (real-time, or Counter > 0: an
 // exhausted task waits for the recalculation, not for a kick), allowed on
-// c, and visible to c — visibility being what the policy declares through
+// c, and visible to c. Queued is the task's own run_list.next != NULL
+// (task.OnRunqueue), the same word under every policy, so the kernel never
+// asks the policy; visibility is what the policy declares through
 // sched.Visibility: every CPU for the shared-queue policies, the QIndex
 // owner for the per-CPU ones (another CPU may steal, but a balancer may
-// rightly decline). The one delivery rule: every deliverable task has a
+// rightly decline) — the only policy-written tag the kernel reads, and only
+// under that declaration. The one delivery rule: every deliverable task has a
 // CPU that can take it and will run schedule() unaided — one running a
 // task (its tick is armed), switching to one, flagged needResched, or with
 // a reschedule IPI in flight. Under NO_HZ an idle CPU has no tick to
@@ -45,13 +48,15 @@ import (
 	"elsc/internal/task"
 )
 
-// Default machine parameters: a 400 MHz Pentium II-class SMP (the paper's
-// IBM Netfinity testbeds) with HZ=100.
+// Machine parameters: a 400 MHz Pentium II-class SMP (the paper's IBM
+// Netfinity testbeds) with HZ=100. The clock is sched's declaration — the
+// cost model and the policies' tick-denominated constants are calibrated
+// against it — so it is a constant, not a Config field.
 const (
 	// DefaultHz is the simulated CPU clock rate in cycles per second.
-	DefaultHz = 400_000_000
+	DefaultHz = sched.Hz
 	// DefaultTickCycles is the timer interrupt period: 10 ms at 400 MHz.
-	DefaultTickCycles = DefaultHz / 100
+	DefaultTickCycles = sched.TickCycles
 	// ipiLatency is the delay before a cross-CPU reschedule interrupt
 	// lands.
 	ipiLatency = 1200
@@ -77,10 +82,6 @@ type Config struct {
 	// exactly CPUs processors; dispatches that cross a domain boundary
 	// pay Cost.CrossDomainRefillMax instead of CacheRefillMax.
 	Topology *sched.Topology
-	// Hz is the CPU clock in cycles/second (default 400 MHz).
-	Hz uint64
-	// TickCycles is the timer period (default Hz/100 = 10 ms).
-	TickCycles uint64
 	// Seed drives all randomness in the machine and its workloads.
 	Seed int64
 	// NewScheduler builds the policy; nil panics.
@@ -132,16 +133,14 @@ type TraceEvent struct {
 
 // Machine is a simulated multiprocessor running one scheduler.
 type Machine struct {
-	cfg       Config
-	eng       *sim.Engine
-	rng       *sim.RNG
-	env       *sched.Env
-	sched     sched.Scheduler
-	noter     runningNoter    // non-nil when the policy tracks HasCPU flips
-	preempter preemptComparer // non-nil when the policy ranks preemption itself
-	ticker    tickPreempter   // non-nil when the policy preempts at the tick
-	placer    wakePlacer      // non-nil when the policy takes SD_WAKE_IDLE hints
-	cpus      []*CPU
+	cfg   Config
+	eng   *sim.Engine
+	rng   *sim.RNG
+	env   *sched.Env
+	sched sched.Scheduler
+	noter runningNoter          // non-nil when the policy tracks HasCPU flips
+	dyn   sched.DynamicPriority // non-nil when the policy ranks tasks itself
+	cpus  []*CPU
 
 	procs   []*Proc
 	alive   int
@@ -173,43 +172,11 @@ type Machine struct {
 	// from CPU c prefers an idle CPU in c's cache domain.
 	wakerCPU int
 
-	// drainBuf is the reusable buffer DrainCPU fills at each offline, so
+	// drainBuf is the reusable buffer Drain fills at each offline, so
 	// steady-state hotplug never allocates.
 	drainBuf []*task.Task
 	// watchdog is the optional starvation/lockup detector.
 	watchdog *watchdog
-}
-
-// wakePlacer is implemented by policies (o1, cfs) that accept an
-// SD_WAKE_IDLE placement hint: file the woken task on the given idle
-// CPU's queue instead of its home queue. PlaceWake returns false to
-// decline (knob disabled, affinity forbids, task already queued), in
-// which case the kernel falls back to the ordinary AddToRunqueue.
-type wakePlacer interface {
-	PlaceWake(t *task.Task, cpu int) bool
-}
-
-// tickPreempter is implemented by policies (o1, cfs) with tick-time
-// preemption rules: TickPreempt is consulted by the timer tick while the
-// running task still has quantum left. preempt true interrupts the task;
-// rotation distinguishes o1's TIMESLICE_GRANULARITY same-level
-// round-robin (the task goes to the tail of its level) from a plain
-// better-level or vruntime-lag preemption (the task keeps its spot), so
-// the stats attribute each mechanism correctly.
-type tickPreempter interface {
-	TickPreempt(cpu int, t *task.Task) (preempt, rotation bool)
-}
-
-// preemptComparer is implemented by policies (o1, cfs) whose dynamic
-// priority differs from goodness(): the wake path asks the policy whether
-// the woken task outranks a CPU's current one — 2.6's TASK_PREEMPTS_CURR,
-// which compares o1's bonus-laden effective priorities, or cfs's
-// vruntimes — instead of the 2.3.99 goodness delta. This is how the
-// interactivity estimator (or the sleeper clamp) reaches wake-up
-// preemption: a sleep-heavy task at the same static priority as a hog
-// preempts it on wake.
-type preemptComparer interface {
-	PreemptsCurr(t, curr *task.Task) bool
 }
 
 // runningNoter is implemented by policies (the stock scheduler) that keep
@@ -238,12 +205,6 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Topology != nil && cfg.Topology.NumCPU() != cfg.CPUs {
 		panic(fmt.Sprintf("kernel: topology covers %d CPUs, machine has %d",
 			cfg.Topology.NumCPU(), cfg.CPUs))
-	}
-	if cfg.Hz == 0 {
-		cfg.Hz = DefaultHz
-	}
-	if cfg.TickCycles == 0 {
-		cfg.TickCycles = cfg.Hz / 100
 	}
 	m := &Machine{
 		cfg:      cfg,
@@ -287,7 +248,7 @@ func NewMachine(cfg Config) *Machine {
 		c.publish()
 		// Stagger per-CPU timer interrupts slightly so four CPUs do
 		// not pile onto the run-queue lock at the exact same instant.
-		m.eng.Schedule(&c.tickEv, sim.Time(cfg.TickCycles+uint64(i)*997))
+		m.eng.Schedule(&c.tickEv, sim.Time(DefaultTickCycles+uint64(i)*997))
 	}
 	if cfg.Watchdog != nil {
 		m.EnableWatchdog(*cfg.Watchdog)
@@ -301,9 +262,7 @@ func (m *Machine) installPolicy(factory SchedulerFactory) {
 	m.cfg.NewScheduler = factory
 	m.sched = factory(m.env)
 	m.noter, _ = m.sched.(runningNoter)
-	m.preempter, _ = m.sched.(preemptComparer)
-	m.ticker, _ = m.sched.(tickPreempter)
-	m.placer, _ = m.sched.(wakePlacer)
+	m.dyn, _ = m.sched.(sched.DynamicPriority)
 	m.ownerOnly = m.sched.Visibility() == sched.VisibleOwner
 	nlocks := 1
 	if m.ownerOnly {
@@ -345,18 +304,24 @@ func (m *Machine) rqLockFor(cpu int) *spinlock {
 
 // rqLockOfTask returns the lock guarding the queue a just-filed task landed
 // on: the global lock, or the lock of the owner the policy recorded in
-// QIndex.
-func (m *Machine) rqLockOfTask(t *task.Task) *spinlock { return m.rqLockFor(t.QIndex) }
+// QIndex — which is the policy's own business unless it declared
+// VisibleOwner.
+func (m *Machine) rqLockOfTask(t *task.Task) *spinlock {
+	if !m.ownerOnly {
+		return &m.rqLocks[0]
+	}
+	return &m.rqLocks[t.QIndex]
+}
 
 // Now returns current virtual time in cycles.
 func (m *Machine) Now() sim.Time { return m.eng.Now() }
 
-// Hz returns the configured clock rate.
-func (m *Machine) Hz() uint64 { return m.cfg.Hz }
+// Hz returns the clock rate.
+func (m *Machine) Hz() uint64 { return DefaultHz }
 
 // Seconds converts the current virtual time to seconds.
 func (m *Machine) Seconds() float64 {
-	return float64(m.eng.Now()) / float64(m.cfg.Hz)
+	return float64(m.eng.Now()) / DefaultHz
 }
 
 // Alive returns the number of live (non-exited) tasks.
@@ -452,7 +417,7 @@ func (m *Machine) SetPriority(p *Proc, prio int) {
 // and requeue reports whether it was.
 func (m *Machine) requeue(p *Proc, change func()) bool {
 	t := p.Task
-	queued := m.sched.OnRunqueue(t) && !t.HasCPU
+	queued := t.OnRunqueue() && !t.HasCPU
 	if queued {
 		m.sched.DelFromRunqueue(t)
 	}
@@ -516,7 +481,7 @@ func (m *Machine) WakeAll(wq *WaitQueue) int {
 // sleep_avg, mark runnable, insert into the run queue (a short critical
 // section on the run-queue lock), then look for a CPU to preempt. When
 // the wake was issued from a CPU whose cache domain holds an idle
-// processor, a policy implementing wakePlacer is offered that CPU first
+// processor, a sched.DynamicPriority policy is offered that CPU first
 // (SD_WAKE_IDLE): the woken task starts immediately, near the waker's
 // warm data, instead of queueing behind its home CPU's backlog.
 func (m *Machine) wake(p *Proc) {
@@ -528,7 +493,7 @@ func (m *Machine) wake(p *Proc) {
 		m.eng.Cancel(p.sleepEv)
 		p.sleepEv = nil
 	}
-	if t.Runnable() && (m.sched.OnRunqueue(t) || t.HasCPU) {
+	if t.Runnable() && (t.OnRunqueue() || t.HasCPU) {
 		return // already awake
 	}
 	m.stats.WakeCalls++
@@ -539,8 +504,8 @@ func (m *Machine) wake(p *Proc) {
 	t.State = task.Running
 	p.runnableSince = now
 	wakeCost := m.env.Cost.AddRunqueue + m.env.Cost.WakeupCost/4 + m.env.Cost.LockOp + m.env.Cost.SleepAvgOp
-	if m.placer != nil {
-		if target := m.wakeIdleTarget(t); target >= 0 && m.placer.PlaceWake(t, target) {
+	if m.dyn != nil {
+		if target := m.wakeIdleTarget(t); target >= 0 && m.dyn.PlaceWake(t, target) {
 			m.stats.WakeIdlePlacements++
 			m.rqLockOfTask(t).bump(now, wakeCost)
 			m.refile(p)
@@ -640,8 +605,8 @@ func (m *Machine) rescheduleIdle(p *Proc) {
 		if cur.RealTime() && !t.RealTime() {
 			continue
 		}
-		if m.preempter != nil {
-			if victim == nil && m.preempter.PreemptsCurr(t, cur) {
+		if m.dyn != nil {
+			if victim == nil && m.dyn.PreemptsCurr(t, cur) {
 				victim = c
 			}
 			continue
@@ -708,18 +673,17 @@ func (m *Machine) SetPolicy(p *Proc, policy task.Policy, rtprio int) {
 // events, so no CPU ever observes a half-populated queue). Returns the
 // number of tasks handed over, queued plus running.
 //
-// The handoff has three hazards this function is careful about:
+// Nothing on a task needs translating between policies: a drained task is
+// simply off the run queue, and the successor writes its own tags when it
+// files it (see task.Task) — blocked tasks included, at their next
+// wake-up. The handoff has two hazards left:
 //
-//  1. Bookkeeping conventions differ per policy (ELSC leaves zero-section
-//     tags stale after removal, heapsched encodes membership in QZero), so
-//     every live task — including ones currently blocked, whose stale tags
-//     would otherwise resurface at their next wake-up — is normalized with
-//     sched.ResetQueueState before the successor sees it.
-//  2. Running tasks: most policies dequeue a dispatched task, but the
-//     stock scheduler keeps it listed and counts it via NoteRunning. The
-//     old policy is told to forget running tasks before the drain, and a
-//     runningNoter successor is handed them back after the import.
-//  3. The lock regime can change (global lock <-> per-CPU locks), so the
+//  1. Running tasks: most policies dequeue a dispatched task, but the
+//     stock scheduler keeps it listed and counts it via NoteRunning, and
+//     ELSC leaves it marked queued. The old policy is told to forget
+//     running tasks before the drain, and a runningNoter successor is
+//     handed them back after the import.
+//  2. The lock regime can change (global lock <-> per-CPU locks), so the
 //     retired lock set's totals are folded into base accumulators and a
 //     fresh set is built to the successor's shape.
 //
@@ -744,21 +708,16 @@ func (m *Machine) SwitchPolicy(factory SchedulerFactory) int {
 		old.DelFromRunqueue(t)
 	}
 
-	// Drain the queued set and verify nothing was lost on the way out.
+	// Drain the queued set — one queue per lock — and verify nothing was
+	// lost on the way out.
 	want := old.Runnable()
-	exported := old.ExportRunnable()
+	var exported []*task.Task
+	for q := range m.rqLocks {
+		exported = old.Drain(q, exported)
+	}
 	if len(exported) != want || old.Runnable() != 0 {
 		panic(fmt.Sprintf("kernel: %s exported %d tasks, had %d queued, %d left",
 			old.Name(), len(exported), want, old.Runnable()))
-	}
-
-	// Normalize every live task. Exported ones already are; this catches
-	// running and blocked tasks whose scheduler-private fields still
-	// carry the old policy's conventions.
-	for _, p := range m.procs {
-		if !p.exited {
-			sched.ResetQueueState(p.Task)
-		}
 	}
 
 	// Retire the old lock set, keeping its totals, and rebuild everything

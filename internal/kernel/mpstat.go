@@ -1,10 +1,5 @@
 package kernel
 
-import (
-	"fmt"
-	"strings"
-)
-
 // CPUStat is one processor's time breakdown, mpstat-style.
 type CPUStat struct {
 	CPU            int
@@ -54,56 +49,4 @@ func (m *Machine) CPUStats() []CPUStat {
 		}
 	}
 	return out
-}
-
-// MPStat renders the per-CPU table. The hotplug and tickless columns
-// appear only on runs that exercised them (some CPU went offline, some
-// chain parked), so prior output is unchanged.
-func (m *Machine) MPStat() string {
-	elapsed := uint64(m.eng.Now())
-	stats := m.CPUStats()
-	hotplug, tickless := false, false
-	for _, s := range stats {
-		hotplug = hotplug || s.Offlines > 0
-		tickless = tickless || s.TicklessCycles > 0
-	}
-	columns := []struct {
-		show       bool
-		name       string
-		head, cell string // header and per-CPU cell formats
-		value      func(s CPUStat) any
-	}{
-		{true, "CPU", "%4s", "%4d", func(s CPUStat) any { return s.CPU }},
-		{true, "WORK", " %14s", " %14d", func(s CPUStat) any { return s.WorkCycles }},
-		{true, "IDLE", " %14s", " %14d", func(s CPUStat) any { return s.IdleCycles }},
-		{true, "DISPATCH", " %10s", " %10d", func(s CPUStat) any { return s.Dispatches }},
-		{true, "UTIL", " %7s", " %6.1f%%", func(s CPUStat) any { return 100 * s.Utilization(elapsed) }},
-		{hotplug, "STATE", " %6s", " %6s", func(s CPUStat) any { return onOff(s.Online) }},
-		{hotplug, "OFFLINE", " %14s", " %14d", func(s CPUStat) any { return s.OfflineCycles }},
-		{tickless, "TICKLESS", " %14s", " %14d", func(s CPUStat) any { return s.TicklessCycles }},
-	}
-	var b strings.Builder
-	for _, c := range columns {
-		if c.show {
-			fmt.Fprintf(&b, c.head, c.name)
-		}
-	}
-	b.WriteByte('\n')
-	for _, s := range stats {
-		for _, c := range columns {
-			if c.show {
-				fmt.Fprintf(&b, c.cell, c.value(s))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// onOff renders a CPU's hotplug state.
-func onOff(online bool) string {
-	if online {
-		return "on"
-	}
-	return "off"
 }

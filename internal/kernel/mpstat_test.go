@@ -1,36 +1,32 @@
 package kernel
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// TestMPStatGolden pins the rendered table in all four shapes: the
-// STATE/OFFLINE and TICKLESS columns appear only on runs that unplugged a
-// CPU or parked a tick chain.
+// TestMPStatGolden pins the per-CPU breakdown CPUStats reports — every
+// column of an mpstat table — in all four shapes: with and without a CPU
+// unplugged before the run, with and without tick chains parking.
 func TestMPStatGolden(t *testing.T) {
-	const (
-		head = " CPU           WORK           IDLE   DISPATCH    UTIL"
-		cpu0 = "   0       12000700              0          2  100.0%"
-	)
+	cpu0 := CPUStat{CPU: 0, WorkCycles: 12000700, Dispatches: 2, Online: true}
 	for _, tc := range []struct {
 		name                string
 		ticklessOff, unplug bool
-		want                string
+		want                [3]CPUStat
 	}{
-		{"plain", true, false, head + "\n" +
-			cpu0 + "\n" +
-			"   1              0       12004595          1    0.0%\n" +
-			"   2              0       12003935          1    0.0%\n"},
-		{"hotplug", true, true, head + "  STATE        OFFLINE\n" +
-			cpu0 + "     on              0\n" +
-			"   1              0       12003935          2    0.0%     on              0\n" +
-			"   2              0              0          0    0.0%    off       12006400\n"},
-		{"tickless", false, false, head + "       TICKLESS\n" +
-			cpu0 + "              0\n" +
-			"   1              0       12004595          1    0.0%        8005403\n" +
-			"   2              0       12003935          1    0.0%        8004406\n"},
-		{"hotplug+tickless", false, true, head + "  STATE        OFFLINE       TICKLESS\n" +
-			cpu0 + "     on              0              0\n" +
-			"   1              0       12003935          2    0.0%     on              0        8005403\n" +
-			"   2              0              0          0    0.0%    off       12006400              0\n"},
+		{"plain", true, false, [3]CPUStat{cpu0,
+			{CPU: 1, IdleCycles: 12004595, Dispatches: 1, Online: true},
+			{CPU: 2, IdleCycles: 12003935, Dispatches: 1, Online: true}}},
+		{"hotplug", true, true, [3]CPUStat{cpu0,
+			{CPU: 1, IdleCycles: 12003935, Dispatches: 2, Online: true},
+			{CPU: 2, Offlines: 1, OfflineCycles: 12006400}}},
+		{"tickless", false, false, [3]CPUStat{cpu0,
+			{CPU: 1, IdleCycles: 12004595, Dispatches: 1, Online: true, TicklessCycles: 8005403},
+			{CPU: 2, IdleCycles: 12003935, Dispatches: 1, Online: true, TicklessCycles: 8004406}}},
+		{"hotplug+tickless", false, true, [3]CPUStat{cpu0,
+			{CPU: 1, IdleCycles: 12003935, Dispatches: 2, Online: true, TicklessCycles: 8005403},
+			{CPU: 2, Offlines: 1, OfflineCycles: 12006400}}},
 	} {
 		m := NewMachine(Config{CPUs: 3, SMP: true, Seed: 42, NewScheduler: elscFactory,
 			MaxCycles: 50 * DefaultHz, TicklessOff: tc.ticklessOff})
@@ -41,8 +37,17 @@ func TestMPStatGolden(t *testing.T) {
 			}
 		}
 		m.Run(func() bool { return p.Exited() })
-		if got := m.MPStat(); got != tc.want {
-			t.Errorf("%s:\n got:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		for i, got := range m.CPUStats() {
+			if got != tc.want[i] {
+				t.Errorf("%s cpu%d:\n got %+v\nwant %+v", tc.name, i, got, tc.want[i])
+			}
+			util, want := fmt.Sprintf("%.1f%%", 100*got.Utilization(uint64(m.Now()))), "0.0%"
+			if i == 0 {
+				want = "100.0%"
+			}
+			if util != want {
+				t.Errorf("%s cpu%d: utilization %s, want %s", tc.name, i, util, want)
+			}
 		}
 	}
 }

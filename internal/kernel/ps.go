@@ -51,16 +51,3 @@ func clip(s string, n int) string {
 	}
 	return s[:n-1] + "~"
 }
-
-// TopConsumers returns the n tasks with the most CPU time, descending.
-func (m *Machine) TopConsumers(n int) []*Proc {
-	procs := append([]*Proc(nil), m.procs...)
-	sort.Slice(procs, func(i, j int) bool {
-		return procs[i].Task.UserCycles+procs[i].Task.SystemCycles >
-			procs[j].Task.UserCycles+procs[j].Task.SystemCycles
-	})
-	if n > len(procs) {
-		n = len(procs)
-	}
-	return procs[:n]
-}

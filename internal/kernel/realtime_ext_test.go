@@ -33,10 +33,10 @@ func burst(n int, c uint64) kernel.Program {
 // refill the level-array policies' queues: six SpawnRT tasks arrive on a
 // 4-CPU o1 (and cfs) machine that has so far run SCHED_OTHER hogs only, at
 // rt_priority 0, 50 and 99, more of them than CPUs so some wait queued; a
-// CPU goes offline under them and comes back (DrainCPU with real-time
-// tasks queued), the policy is switched to the other one and back with a
-// second CPU offline (ExportRunnable, then real-time enqueues on a fresh
-// policy's untouched queues). The delivery audit runs after every event.
+// CPU goes offline under them and comes back (its queue drained with
+// real-time tasks on it), the policy is switched to the other one and back
+// with a second CPU offline (every queue drained, then real-time enqueues
+// on a fresh policy's untouched queues). The delivery audit runs after every event.
 // The hogs hold several times the CPU time the sleeping real-time tasks
 // leave free, so a hog finishing before the last real-time task means
 // real-time tasks sat behind SCHED_OTHER ones; and everything must finish.

@@ -94,9 +94,9 @@ type WatchdogConfig struct {
 	OnViolation func(WatchdogViolation)
 }
 
-func (c WatchdogConfig) withDefaults(tickCycles uint64) WatchdogConfig {
+func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.PeriodCycles == 0 {
-		c.PeriodCycles = 10 * tickCycles
+		c.PeriodCycles = 10 * DefaultTickCycles
 	}
 	if c.StarveQuanta == 0 {
 		c.StarveQuanta = 8
@@ -120,7 +120,7 @@ func (m *Machine) EnableWatchdog(cfg WatchdogConfig) {
 	if m.watchdog != nil {
 		return
 	}
-	wd := &watchdog{m: m, cfg: cfg.withDefaults(m.cfg.TickCycles)}
+	wd := &watchdog{m: m, cfg: cfg.withDefaults()}
 	wd.ev = m.eng.NewPeriodicEvent("watchdog", wd.sweep)
 	m.watchdog = wd
 	m.stats.WatchdogEnabled = true
@@ -196,7 +196,7 @@ func (wd *watchdog) sweep(now sim.Time) {
 		if !t.Runnable() || t.HasCPU {
 			continue
 		}
-		if !m.sched.OnRunqueue(t) {
+		if !t.OnRunqueue() {
 			p.wdFlagged = true
 			m.stats.WatchdogLostWakeups++
 			if wd.cfg.OnViolation != nil {
@@ -244,7 +244,7 @@ func (wd *watchdog) waited(p *Proc, now sim.Time) uint64 {
 // machine is (with k runnable tasks per online CPU, waiting k quanta is
 // fair-share behavior, not starvation).
 func (wd *watchdog) threshold(yardTicks, runnable, online int) float64 {
-	quantum := float64(uint64(yardTicks) * wd.m.cfg.TickCycles)
+	quantum := float64(uint64(yardTicks) * DefaultTickCycles)
 	load := 1.0
 	if online > 0 {
 		load += float64(runnable) / float64(online)

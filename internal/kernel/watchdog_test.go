@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"elsc/internal/sched"
 	"elsc/internal/sim"
 )
 
@@ -102,7 +101,7 @@ func TestWatchdogFlagsLostWakeup(t *testing.T) {
 
 	var lost *Proc
 	for _, p := range m.procs {
-		if !p.exited && p.Task.Runnable() && !p.Task.HasCPU && m.sched.OnRunqueue(p.Task) {
+		if !p.exited && p.Task.Runnable() && !p.Task.HasCPU && p.Task.OnRunqueue() {
 			lost = p
 			break
 		}
@@ -126,7 +125,6 @@ func TestWatchdogFlagsLostWakeup(t *testing.T) {
 
 	// Repair and finish: the machine must still be able to run the task
 	// to completion once it is found again.
-	sched.ResetQueueState(lost.Task)
 	m.sched.AddToRunqueue(lost.Task)
 	m.refile(lost)
 	m.Run(func() bool { return m.Alive() == 0 })

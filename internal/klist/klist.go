@@ -8,7 +8,9 @@
 // the kernel convention the paper relies on: a task's run_list next pointer
 // is nil exactly when the task is not on the run queue, and the ELSC
 // scheduler additionally nils only Prev to mark "on the run queue but not in
-// any table list" (paper §5.1, footnote 3).
+// any table list" (paper §5.1, footnote 3). A policy that holds a task
+// outside any list (an array heap) puts it in that same state with
+// MarkQueued, so Next != nil is the one membership test for every policy.
 //
 // The zero value of Head is not ready to use; call Init (or NewHead).
 package klist
@@ -205,13 +207,23 @@ func (n *Node) UnlinkKeepNext() *Head {
 	return h
 }
 
+// MarkQueued puts an off-list node in the footnote-3 state directly: it
+// reads as queued (OnList) while linked in no list, for a task its policy
+// holds in a structure that is not a list. ResetDangling undoes it.
+func (n *Node) MarkQueued() {
+	if n.OnList() {
+		panic("klist: MarkQueued on node that is already on a list")
+	}
+	n.next = n
+}
+
 // InListProper reports whether the node is linked AND has both pointers,
 // i.e. it is physically present in a list (not merely marked logically
-// queued via UnlinkKeepNext).
+// queued via UnlinkKeepNext or MarkQueued).
 func (n *Node) InListProper() bool { return n.next != nil && n.prev != nil }
 
-// ResetDangling clears a node left dangling by UnlinkKeepNext so it can be
-// inserted again. Panics if the node is physically on a list.
+// ResetDangling clears a node left dangling by UnlinkKeepNext or MarkQueued
+// so it can be inserted again. Panics if the node is physically on a list.
 func (n *Node) ResetDangling() {
 	if n.InListProper() {
 		panic("klist: ResetDangling on node still in a list")

@@ -214,6 +214,43 @@ func TestUnlinkKeepNextELSCConvention(t *testing.T) {
 	wantIDs(t, h, 2, 1, 3)
 }
 
+// TestMarkQueuedIsTheDanglingState: a node marked queued reads as on a
+// list while in none, refuses to be inserted or marked again until
+// ResetDangling clears it, and is then an ordinary off-list node.
+func TestMarkQueuedIsTheDanglingState(t *testing.T) {
+	h := NewHead()
+	a, b := newItem(1), newItem(2)
+	h.PushBack(&a.node)
+
+	b.node.MarkQueued()
+	if !b.node.OnList() || b.node.InListProper() {
+		t.Fatalf("marked node: OnList=%v InListProper=%v, want true/false", b.node.OnList(), b.node.InListProper())
+	}
+	wantIDs(t, h, 1)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s on a marked node should panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("PushFront", func() { h.PushFront(&b.node) })
+	mustPanic("InsertAfter", func() { h.InsertAfter(&b.node, &a.node) })
+	mustPanic("MarkQueued", func() { b.node.MarkQueued() })
+	mustPanic("Remove", func() { h.Remove(&b.node) })
+	wantIDs(t, h, 1)
+
+	b.node.ResetDangling()
+	if b.node.OnList() {
+		t.Fatal("after ResetDangling a marked node must be fully off list")
+	}
+	h.PushFront(&b.node)
+	wantIDs(t, h, 2, 1)
+	mustPanic("MarkQueued of a linked node", func() { a.node.MarkQueued() })
+}
+
 func TestResetDanglingOnListPanics(t *testing.T) {
 	h := NewHead()
 	a := newItem(1)

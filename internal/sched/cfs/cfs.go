@@ -53,10 +53,9 @@ const (
 	periodTicks  = 20
 	minGranTicks = 2
 
-	// tickCycles is one timer tick in simulated cycles: 10ms at the
-	// 400 MHz machine every spec runs. It scales the two vruntime-
-	// denominated constants.
-	tickCycles   = 4_000_000
+	// tickCycles is one timer tick in simulated cycles, the kernel's own
+	// period. It scales the two vruntime-denominated constants.
+	tickCycles   = sched.TickCycles
 	sleeperBonus = periodTicks * tickCycles // placement clamp: one latency period
 	wakeGran     = tickCycles / 8           // wakeup/tick preemption hysteresis
 )
@@ -102,7 +101,10 @@ type fentry struct {
 
 // fheap is an indexed binary min-heap of fair tasks ordered by
 // (vruntime asc, order asc). The held task's QStamp stores its position;
-// swaps update it in place, so removal never searches.
+// swaps update it in place, so removal never searches. A heap is not a
+// list, so a held task is marked queued the way ELSC marks a running one
+// (footnote 3: run_list.next set, linked nowhere), which is also what
+// tells it from a real-time task, linked in its level's list.
 type fheap struct {
 	es []fentry
 }
@@ -272,8 +274,8 @@ func (s *Sched) enqueueFair(t *task.Task, cpu int, front bool) {
 	if t.VRuntime > rq.maxVR {
 		rq.maxVR = t.VRuntime
 	}
+	t.RunList.MarkQueued()
 	t.QIndex = cpu
-	t.QZero = true
 	s.bal.Len[cpu]++
 }
 
@@ -283,7 +285,6 @@ func (s *Sched) enqueueRT(t *task.Task, cpu int, front bool) {
 	s.rqs[cpu].rt.Push(t, lvl, front)
 	t.QIndex = cpu
 	t.QStamp = uint64(lvl)
-	t.QZero = true
 	s.bal.Len[cpu]++
 }
 
@@ -297,7 +298,7 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 	if t.IsIdle {
 		panic("cfs: idle task on run queue")
 	}
-	if t.QZero {
+	if t.OnRunqueue() {
 		return
 	}
 	cpu := s.bal.Len.Home(s.env, t)
@@ -319,7 +320,7 @@ func (s *Sched) PlaceWake(t *task.Task, cpu int) bool {
 	if t.IsIdle || cpu < 0 || cpu >= len(s.rqs) || !t.AllowedOn(cpu) || !s.env.CPUOnline(cpu) {
 		return false
 	}
-	if t.QZero {
+	if t.OnRunqueue() {
 		return false
 	}
 	if t.RealTime() {
@@ -357,27 +358,27 @@ func (s *Sched) renorm(t *task.Task, fromMin uint64, to *runqueue) {
 // an rt list is physically linked (RunList); a fair task lives in the
 // heap at index QStamp.
 func (s *Sched) DelFromRunqueue(t *task.Task) {
-	if !t.QZero {
+	if !t.OnRunqueue() {
 		return
 	}
 	rq := &s.rqs[t.QIndex]
-	if t.RunList.OnList() {
+	if t.RunList.InListProper() {
 		rq.rt.Remove(t, int(t.QStamp))
 	} else {
 		e := rq.fair.removeAt(int(t.QStamp))
 		rq.weight -= e.weight
+		t.RunList.ResetDangling()
 	}
-	t.QZero = false
 	s.bal.Len[t.QIndex]--
 }
 
 // MoveFirstRunqueue re-keys t ahead of its exact-vruntime equals.
 func (s *Sched) MoveFirstRunqueue(t *task.Task) {
-	if !t.QZero {
+	if !t.OnRunqueue() {
 		return
 	}
 	cpu := t.QIndex
-	if t.RunList.OnList() {
+	if t.RunList.InListProper() {
 		s.rqs[cpu].rt.Level(int(t.QStamp)).MoveFront(&t.RunList)
 		return
 	}
@@ -387,11 +388,11 @@ func (s *Sched) MoveFirstRunqueue(t *task.Task) {
 
 // MoveLastRunqueue re-keys t behind its exact-vruntime equals.
 func (s *Sched) MoveLastRunqueue(t *task.Task) {
-	if !t.QZero {
+	if !t.OnRunqueue() {
 		return
 	}
 	cpu := t.QIndex
-	if t.RunList.OnList() {
+	if t.RunList.InListProper() {
 		s.rqs[cpu].rt.Level(int(t.QStamp)).MoveBack(&t.RunList)
 		return
 	}
@@ -402,9 +403,6 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 // Runnable returns the number of queued tasks; running tasks are
 // dequeued while they execute.
 func (s *Sched) Runnable() int { return s.bal.Len.Total() }
-
-// OnRunqueue reports whether the scheduler currently tracks t.
-func (s *Sched) OnRunqueue(t *task.Task) bool { return t.QZero }
 
 // sliceFor computes the dispatched task's timeslice in ticks: its weight
 // share of the latency period against the tasks still queued on rq,
@@ -462,7 +460,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			prev.SetCounter(env.Epoch, prev.Priority)
 			rrExpired = true
 		}
-		if prev.Runnable() && !prev.QZero {
+		if prev.Runnable() && !prev.OnRunqueue() {
 			home := s.bal.Len.Home(env, prev)
 			hrq := &s.rqs[home]
 			switch {
@@ -567,27 +565,16 @@ func (s *Sched) pickFair(rq *runqueue, cpu int, res *sched.Result) *task.Task {
 	return best
 }
 
-// ExportRunnable implements sched.Scheduler. Drain order is CPU 0..n-1;
-// per CPU the real-time levels in ascending level order (FIFO within),
-// then the fair heap popped in ascending vruntime order.
-func (s *Sched) ExportRunnable() []*task.Task {
-	out := make([]*task.Task, 0, s.Runnable())
-	for cpu := range s.rqs {
-		out = s.DrainCPU(cpu, out)
-	}
-	return out
-}
-
-// DrainCPU implements sched.Scheduler: empty the offlined CPU's private
-// structures so its tasks can be re-filed on surviving queues.
-func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task {
-	rq := &s.rqs[cpu]
-	s.bal.Len[cpu] -= rq.rt.Len() // Drain unlinks without DelFromRunqueue
+// Drain implements sched.Scheduler: empty CPU q's private structures, the
+// real-time levels in ascending level order (FIFO within), then the fair
+// heap popped in ascending vruntime order.
+func (s *Sched) Drain(q int, out []*task.Task) []*task.Task {
+	rq := &s.rqs[q]
+	s.bal.Len[q] -= rq.rt.Len() // LevelArray.Drain unlinks without DelFromRunqueue
 	out = rq.rt.Drain(out)
 	for rq.fair.len() > 0 {
 		t := rq.fair.es[0].t
 		s.DelFromRunqueue(t)
-		sched.ResetQueueState(t)
 		out = append(out, t)
 	}
 	rq.weight = 0

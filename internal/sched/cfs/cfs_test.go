@@ -344,8 +344,9 @@ func TestYieldRehomeRenormsBeforeWatermark(t *testing.T) {
 	prev.CPUsAllowed = 1 << 1 // narrowed mid-run: home is now CPU 1
 
 	s.Schedule(0, prev)
-	if !prev.QZero || prev.QIndex != 1 {
-		t.Fatalf("yielding task filed on queue %d (queued=%v), want queue 1", prev.QIndex, prev.QZero)
+	if !prev.OnRunqueue() || prev.RunList.InListProper() || prev.QIndex != 1 {
+		t.Fatalf("yielding task filed on queue %d (queued=%v, in a list=%v), want queue 1's heap",
+			prev.QIndex, prev.OnRunqueue(), prev.RunList.InListProper())
 	}
 	// The renormed clock (min_vruntime+100) loses to the watermark park:
 	// the task lands at maxVR in queue-1 units, behind every queued task,

@@ -52,6 +52,91 @@ func mkIdle(cpu int) *task.Task {
 	return t
 }
 
+// drainAll empties s the way Machine.SwitchPolicy does: every queue the
+// kernel keeps a lock for, one under VisibleAll and ncpu under
+// VisibleOwner, in order.
+func drainAll(s sched.Scheduler, ncpu int) []*task.Task {
+	nq := 1
+	if s.Visibility() == sched.VisibleOwner {
+		nq = ncpu
+	}
+	var out []*task.Task
+	for q := 0; q < nq; q++ {
+		out = s.Drain(q, out)
+	}
+	return out
+}
+
+// scribble poisons the policy-private tags of a task no policy holds: a
+// policy that reads one before writing it indexes out of range (QIndex),
+// or, if it is ELSC, takes the task for a parked one (QZero stamped with
+// the current epoch). It stands where a reset of the tags used to: a
+// running, blocked or drained task crosses a policy swap or a hotplug
+// re-file carrying whatever its last policy left, and nobody may look.
+func scribble(env *sched.Env, tk *task.Task) {
+	if !unfiled(tk) {
+		panic(fmt.Sprintf("scribbling on queued task %v", tk))
+	}
+	tk.QIndex, tk.QZero, tk.QStamp = -1-tk.ID, true, env.Epoch.N()
+}
+
+// unfiled reports whether no policy structure holds tk: it is off the run
+// queue, or it is the running task ELSC keeps marked queued outside its
+// table (footnote 3; heap and cfs dequeue what they dispatch).
+func unfiled(tk *task.Task) bool {
+	return !tk.OnRunqueue() || tk.HasCPU && !tk.RunList.InListProper()
+}
+
+// release takes cpu's running task away from it the way the kernel does
+// when the CPU goes offline (kernel.Machine.release): Del-then-Add, with
+// the tags poisoned in between. It returns the task, nil if cpu was idle.
+func (h *harness) release(env *sched.Env, cpu int) *task.Task {
+	tk := h.current[cpu]
+	if tk == nil {
+		return nil
+	}
+	h.current[cpu] = nil
+	if noter, ok := h.s.(runningNoter); ok && tk.OnRunqueue() {
+		noter.NoteRunning(tk, false)
+	}
+	tk.HasCPU = false
+	h.s.DelFromRunqueue(tk)
+	scribble(env, tk)
+	h.s.AddToRunqueue(tk)
+	return tk
+}
+
+// pickAll drives every CPU but dead (-1: none) until every task has been
+// picked at least once (picked carries those already seen), blocking each
+// pick and re-waking it so nothing is starved out of the census. It
+// returns the index of a task never scheduled, -1 if all were.
+func (h *harness) pickAll(dead int, tasks []*task.Task, picked map[*task.Task]bool) int {
+	for left := 0; left < 20*len(tasks) && len(picked) < len(tasks); left++ {
+		for cpu := range h.current {
+			if cpu == dead {
+				continue
+			}
+			if next := h.schedule(cpu); next != nil {
+				picked[next] = true
+				h.block(cpu)
+				h.schedule(cpu)
+			}
+		}
+		for _, tk := range tasks {
+			if !tk.Runnable() && !picked[tk] {
+				tk.State = task.Running
+				h.s.AddToRunqueue(tk)
+			}
+		}
+	}
+	for i, tk := range tasks {
+		if !picked[tk] {
+			return i
+		}
+	}
+	return -1
+}
+
 // runningNoter mirrors the kernel's interface for policies that keep
 // running tasks on the run queue.
 type runningNoter interface {
@@ -120,7 +205,7 @@ func TestAddDelNoLossNoDuplication(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = mkTask(env, i+1, 1+(i*3)%40, 5+i)
 			s.AddToRunqueue(tasks[i])
-			if !s.OnRunqueue(tasks[i]) {
+			if !tasks[i].OnRunqueue() {
 				t.Fatalf("task %d not on run queue after add", i)
 			}
 		}
@@ -137,7 +222,7 @@ func TestAddDelNoLossNoDuplication(t *testing.T) {
 		// Delete half, re-add, delete all: nothing lost, nothing left.
 		for i := 0; i < n; i += 2 {
 			s.DelFromRunqueue(tasks[i])
-			if s.OnRunqueue(tasks[i]) {
+			if tasks[i].OnRunqueue() {
 				t.Fatalf("task %d still on run queue after del", i)
 			}
 		}
@@ -202,7 +287,7 @@ func TestBlockedTaskLeavesQueue(t *testing.T) {
 		if second == first || second == nil {
 			t.Fatalf("after blocking, picked %v", second)
 		}
-		if s.OnRunqueue(first) {
+		if first.OnRunqueue() {
 			t.Fatal("blocked task still on the run queue")
 		}
 	})
@@ -308,7 +393,7 @@ func TestMoveOnUnqueuedTaskIsNoop(t *testing.T) {
 		a := mkTask(env, 1, 20, 10)
 		s.MoveFirstRunqueue(a)
 		s.MoveLastRunqueue(a)
-		if s.Runnable() != 0 || s.OnRunqueue(a) {
+		if s.Runnable() != 0 || a.OnRunqueue() {
 			t.Fatal("move on an unqueued task must not enqueue it")
 		}
 	})
@@ -336,7 +421,7 @@ func TestYieldBitConsumed(t *testing.T) {
 		// Neither task may be lost across the yield.
 		queued := 0
 		for _, tk := range []*task.Task{a, b} {
-			if s.OnRunqueue(tk) || tk == next {
+			if tk.OnRunqueue() || tk == next {
 				queued++
 			}
 		}
@@ -394,7 +479,7 @@ func TestMultiCPUNoDoubleRun(t *testing.T) {
 			// Account for every task: queued or running, never both,
 			// never neither.
 			for i, tk := range tasks {
-				queued := s.OnRunqueue(tk) && !tk.HasCPU
+				queued := tk.OnRunqueue() && !tk.HasCPU
 				running := tk.HasCPU
 				if !queued && !running {
 					// ELSC's manual dequeue keeps OnRunqueue true for

@@ -15,7 +15,11 @@ package conformance
 //   - the workload completes, and the armed watchdog stays silent;
 //   - a task pinned solely to a dying CPU widens per cpuset-fallback
 //     semantics, makes progress while its CPU is down, and finishes on
-//     its own CPU after the re-pin.
+//     its own CPU after the re-pin;
+//   - no policy reads a scheduler-private tag it did not write: every
+//     transition finds QIndex/QZero/QStamp poisoned (scribble) on every
+//     task no policy holds, and TestOfflineDrainRefilesPoisonedTasks does
+//     the drain-and-re-file by hand to poison the drained tasks too.
 
 import (
 	"fmt"
@@ -23,7 +27,9 @@ import (
 
 	"elsc/internal/experiments"
 	"elsc/internal/kernel"
+	"elsc/internal/sched"
 	"elsc/internal/sim"
+	"elsc/internal/task"
 )
 
 // hotplugSpecs mirrors swapSpecs: the flat 8P machine and the 32P
@@ -104,10 +110,20 @@ func TestHotplugCycleConformance(t *testing.T) {
 						t.Errorf("census after %s: %v", when, err)
 					}
 				}
+				// Running and blocked tasks meet every transition, and their
+				// next re-file, with poisoned tags.
+				poison := func() {
+					for _, p := range m.Procs() {
+						if unfiled(p.Task) {
+							scribble(m.Env(), p.Task)
+						}
+					}
+				}
 				for i, cpu := range cycled {
 					cpu := cpu
 					m.Engine().At(sim.Time(5_000_000+uint64(i)*1_000_000), "conf-offline",
 						func(now sim.Time) {
+							poison()
 							if err := m.OfflineCPU(cpu); err != nil {
 								t.Errorf("offline cpu%d: %v", cpu, err)
 							}
@@ -115,6 +131,7 @@ func TestHotplugCycleConformance(t *testing.T) {
 						})
 					m.Engine().At(sim.Time(20_000_000+uint64(i)*1_000_000), "conf-online",
 						func(now sim.Time) {
+							poison()
 							if err := m.OnlineCPU(cpu); err != nil {
 								t.Errorf("online cpu%d: %v", cpu, err)
 							}
@@ -140,6 +157,65 @@ func TestHotplugCycleConformance(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestOfflineDrainRefilesPoisonedTasks is the policy-layer half of
+// Machine.OfflineCPU on every policy, by hand so the tasks in flight can
+// be reached: out of a churned 8-CPU state one CPU goes offline, its
+// running task is released and — where the policy gives CPUs their own
+// queues — its queue drained, and each of those tasks is re-filed with
+// its tags poisoned. Nothing is lost, nothing lands on the dead CPU's
+// queue, and the survivors schedule every task.
+func TestOfflineDrainRefilesPoisonedTasks(t *testing.T) {
+	const ncpu, dead = 8, 3
+	n := 3 * ncpu
+	forEach(t, ncpu, n, func(t *testing.T, s sched.Scheduler, env *sched.Env) {
+		tasks := make([]*task.Task, n)
+		for i := range tasks {
+			tasks[i] = mkTask(env, i+1, 1+(i*3)%40, 2+i%12)
+			s.AddToRunqueue(tasks[i])
+		}
+		h := newHarness(s, ncpu)
+		var blocked []*task.Task
+		churn(h, ncpu, 6, &blocked)
+
+		want := s.Runnable()
+		env.SetCPUOnline(dead, false)
+		if tk := h.release(env, dead); tk != nil && tk.Runnable() {
+			want++
+		}
+		if s.Visibility() == sched.VisibleOwner {
+			for _, tk := range s.Drain(dead, nil) {
+				if tk.OnRunqueue() {
+					t.Fatalf("drained task %v still on the run queue", tk)
+				}
+				scribble(env, tk)
+				s.AddToRunqueue(tk)
+				if !tk.OnRunqueue() || tk.QIndex == dead {
+					t.Fatalf("drained task %v re-filed on queue %d (queued=%v), want a survivor's",
+						tk, tk.QIndex, tk.OnRunqueue())
+				}
+			}
+		}
+		if got := s.Runnable(); got != want {
+			t.Fatalf("Runnable = %d after the drain and re-file, want %d", got, want)
+		}
+		for _, tk := range blocked {
+			if unfiled(tk) { // one blocked in churn's last round is still current
+				scribble(env, tk)
+			}
+		}
+
+		picked := map[*task.Task]bool{}
+		for _, cur := range h.current {
+			if cur != nil {
+				picked[cur] = true
+			}
+		}
+		if i := h.pickAll(dead, tasks, picked); i >= 0 {
+			t.Fatalf("task %d never scheduled by the survivors", i)
+		}
+	})
 }
 
 // TestHotplugPinnedFallbackConformance: on every policy, a task affined

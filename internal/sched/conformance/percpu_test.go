@@ -55,7 +55,7 @@ func TestHomePlacement(t *testing.T) {
 			if tk.QIndex != c.want {
 				t.Errorf("%s, %s: filed on queue %d, want %d", name, c.name, tk.QIndex, c.want)
 			}
-			s.ExportRunnable()
+			drainAll(s, env.NCPU)
 			for _, cpu := range c.offline {
 				env.SetCPUOnline(cpu, true)
 			}
@@ -258,10 +258,10 @@ func realTimeScript(w *rtWorld) (ranRT, exported, drained []int) {
 		w.tasks[id].State = task.Running
 		s.AddToRunqueue(w.tasks[id])
 	}
-	exported = w.logIDs("export", s.ExportRunnable())
+	exported = w.logIDs("export", drainAll(s, w.env.NCPU))
 	for _, tk := range w.tasks {
-		if tk.OnRunqueue() || tk.QZero {
-			panic(fmt.Sprintf("task %d still queued after ExportRunnable", tk.ID))
+		if tk.OnRunqueue() {
+			panic(fmt.Sprintf("task %d still queued after every queue was drained", tk.ID))
 		}
 	}
 	for id := 1; id <= 13; id++ {
@@ -269,7 +269,7 @@ func realTimeScript(w *rtWorld) (ranRT, exported, drained []int) {
 			s.AddToRunqueue(tk)
 		}
 	}
-	drained = w.logIDs("drain cpu0", s.DrainCPU(0, nil))
+	drained = w.logIDs("drain cpu0", s.Drain(0, nil))
 	for _, id := range drained {
 		s.AddToRunqueue(w.tasks[id])
 	}
@@ -322,7 +322,7 @@ func TestRealTimeArrivesAfterTimesharing(t *testing.T) {
 			}
 			// Both drains hand back real-time tasks first, best level
 			// first; re-filed at the front, 13 leads 12 by then.
-			for what, ids := range map[string][]int{"ExportRunnable": exported, "DrainCPU": drained} {
+			for what, ids := range map[string][]int{"drainAll": exported, "Drain(0)": drained} {
 				if want := []int{11, 13, 12, 10}; len(ids) < 4 || fmt.Sprint(ids[:4]) != fmt.Sprint(want) {
 					t.Errorf("%s = %v, want it to start %v", what, ids, want)
 				}

@@ -11,7 +11,9 @@ package conformance
 //   - the queued-task multiset is preserved across the swap — no task
 //     lost, none duplicated;
 //   - the predecessor is empty afterwards;
-//   - blocked tasks whose scheduler-private state was normalized still
+//   - no policy reads a scheduler-private tag it did not write: every
+//     running, blocked and exported task crosses the swap with its
+//     QIndex/QZero/QStamp poisoned (scribble), and blocked ones still
 //     integrate when they wake under the successor;
 //   - every surviving task is eventually scheduled by the successor.
 
@@ -37,10 +39,11 @@ var swapSpecs = []swapSpec{
 }
 
 // kernelSwap performs the policy-layer half of Machine.SwitchPolicy: it
-// detaches the running tasks from old, drains it, normalizes every live
-// task, imports into a fresh successor, and hands running tasks back to a
-// NoteRunning successor. It returns the exported set in drain order.
-func kernelSwap(t *testing.T, h *harness, succ sched.Scheduler, blocked []*task.Task) []*task.Task {
+// detaches the running tasks from old, drains it, imports into a fresh
+// successor, and hands running tasks back to a NoteRunning successor —
+// with the tags of every task the successor has not filed yet poisoned on
+// the way. It returns the exported set in drain order.
+func kernelSwap(t *testing.T, h *harness, env *sched.Env, succ sched.Scheduler, blocked []*task.Task) []*task.Task {
 	t.Helper()
 	old := h.s
 	var running []*task.Task
@@ -53,23 +56,20 @@ func kernelSwap(t *testing.T, h *harness, succ sched.Scheduler, blocked []*task.
 		old.DelFromRunqueue(tk)
 	}
 	want := old.Runnable()
-	exported := old.ExportRunnable()
+	exported := drainAll(old, env.NCPU)
 	if len(exported) != want {
 		t.Fatalf("%s exported %d tasks, Runnable said %d", old.Name(), len(exported), want)
 	}
 	if old.Runnable() != 0 {
 		t.Fatalf("%s still reports %d runnable after export", old.Name(), old.Runnable())
 	}
-	for _, tk := range exported {
-		if old.OnRunqueue(tk) && !tk.HasCPU {
-			t.Fatalf("%s still tracks exported task %v", old.Name(), tk)
+	for _, set := range [][]*task.Task{exported, running, blocked} {
+		for _, tk := range set {
+			if tk.OnRunqueue() {
+				t.Fatalf("%s still tracks %v after the drain", old.Name(), tk)
+			}
+			scribble(env, tk)
 		}
-	}
-	for _, tk := range running {
-		sched.ResetQueueState(tk)
-	}
-	for _, tk := range blocked {
-		sched.ResetQueueState(tk)
 	}
 	for _, tk := range exported {
 		succ.AddToRunqueue(tk)
@@ -83,7 +83,7 @@ func kernelSwap(t *testing.T, h *harness, succ sched.Scheduler, blocked []*task.
 		t.Fatalf("%s imported %d runnable, want %d", succ.Name(), got, len(exported))
 	}
 	for _, tk := range exported {
-		if !succ.OnRunqueue(tk) {
+		if !tk.OnRunqueue() {
 			t.Fatalf("%s dropped imported task %v", succ.Name(), tk)
 		}
 	}
@@ -129,10 +129,11 @@ func churn(h *harness, ncpu, rounds int, blocked *[]*task.Task) {
 // vruntime policy (the heapsched silent-drop class from the policy-switch
 // work): a task that blocks under cfs keeps a heap-index QStamp and a
 // home-CPU QIndex that mean nothing to any successor, plus a VRuntime
-// denominated in its old queue's virtual clock. The swap path must
-// normalize the queue tags (sched.ResetQueueState) so the wake under
-// every successor — including cfs itself, whose placement clamp bounds
-// the stale virtual clock — files and eventually schedules the task.
+// denominated in its old queue's virtual clock. Nothing normalizes the
+// tags — kernelSwap poisons them instead — so the wake under every
+// successor — including cfs itself, whose placement clamp bounds the
+// stale virtual clock — must file and eventually schedule the task
+// without reading them.
 func TestBlockedUnderCFSWakesCleanAfterSwap(t *testing.T) {
 	for _, to := range experiments.Policies {
 		to := to
@@ -180,16 +181,12 @@ func TestBlockedUnderCFSWakesCleanAfterSwap(t *testing.T) {
 			}
 
 			succ := experiments.Factory(to)(env)
-			kernelSwap(t, h, succ, blocked)
+			kernelSwap(t, h, env, succ, blocked)
 
 			for _, tk := range blocked {
-				if tk.QIndex != 0 || tk.QZero || tk.QStamp != 0 {
-					t.Fatalf("blocked task %v carries stale queue tags across the swap: QIndex=%d QZero=%v QStamp=%d",
-						tk, tk.QIndex, tk.QZero, tk.QStamp)
-				}
 				tk.State = task.Running
 				succ.AddToRunqueue(tk)
-				if !succ.OnRunqueue(tk) {
+				if !tk.OnRunqueue() {
 					t.Fatalf("%s dropped task %v woken from a cfs-era block", to, tk)
 				}
 			}
@@ -267,13 +264,13 @@ func TestSwapPreservesQueuedMultisetAllPairs(t *testing.T) {
 					// runnable, tracked, and not holding a CPU.
 					expected := map[*task.Task]bool{}
 					for _, tk := range tasks {
-						if tk.Runnable() && !tk.HasCPU && s.OnRunqueue(tk) {
+						if tk.Runnable() && !tk.HasCPU && tk.OnRunqueue() {
 							expected[tk] = true
 						}
 					}
 
 					succ := experiments.Factory(to)(env)
-					exported := kernelSwap(t, h, succ, blocked)
+					exported := kernelSwap(t, h, env, succ, blocked)
 
 					seen := map[*task.Task]bool{}
 					for _, tk := range exported {
@@ -289,12 +286,12 @@ func TestSwapPreservesQueuedMultisetAllPairs(t *testing.T) {
 						t.Fatalf("exported %d tasks, %d were queued", len(seen), len(expected))
 					}
 
-					// Wake everything that was blocked: normalized state
-					// must integrate cleanly into the successor.
+					// Wake everything that was blocked: poisoned tags and
+					// all, it must integrate cleanly into the successor.
 					for _, tk := range blocked {
 						tk.State = task.Running
 						succ.AddToRunqueue(tk)
-						if !succ.OnRunqueue(tk) {
+						if !tk.OnRunqueue() {
 							t.Fatalf("%s dropped woken task %v after swap", to, tk)
 						}
 					}
@@ -306,27 +303,8 @@ func TestSwapPreservesQueuedMultisetAllPairs(t *testing.T) {
 							picked[cur] = true
 						}
 					}
-					for left := 0; left < 20*n && len(picked) < len(tasks); left++ {
-						for cpu := 0; cpu < spec.ncpu; cpu++ {
-							if next := h.schedule(cpu); next != nil {
-								picked[next] = true
-								h.block(cpu)
-								h.schedule(cpu)
-							}
-						}
-						// Re-wake what we just blocked so nothing is starved
-						// out of the census.
-						for _, tk := range tasks {
-							if !tk.Runnable() && !picked[tk] {
-								tk.State = task.Running
-								succ.AddToRunqueue(tk)
-							}
-						}
-					}
-					for i, tk := range tasks {
-						if !picked[tk] {
-							t.Fatalf("task %d never scheduled by %s after swap", i, to)
-						}
+					if i := h.pickAll(-1, tasks, picked); i >= 0 {
+						t.Fatalf("task %d never scheduled by %s after swap", i, to)
 					}
 				})
 			}

@@ -1,5 +1,15 @@
 package sched
 
+// The one simulated clock: every machine is the paper's 400 MHz testbed
+// with HZ=100. The cost model below and the policies' tick-denominated
+// constants are calibrated against these two, so they are not knobs.
+const (
+	// Hz is the simulated CPU clock rate in cycles per second.
+	Hz = 400_000_000
+	// TickCycles is the timer interrupt period: 10 ms.
+	TickCycles = Hz / 100
+)
+
 // CostModel assigns simulated cycle costs to scheduler operations. The
 // simulated machine is a 400 MHz Pentium II-class SMP (the paper's IBM
 // Netfinity 5500/7000), where a load that misses both caches costs on the

@@ -310,9 +310,6 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 // tasks are not in the table, so no adjustment is needed.
 func (s *Sched) Runnable() int { return s.total }
 
-// OnRunqueue reports whether the kernel should consider t queued.
-func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }
-
 // Top returns the current top list index (-1 if none). For tests.
 func (s *Sched) Top() int { return s.top }
 
@@ -322,31 +319,19 @@ func (s *Sched) NextTop() int { return s.nextTop }
 // ListLen returns the number of tasks in table list idx. For tests.
 func (s *Sched) ListLen(idx int) int { return s.lists[idx].Len() }
 
-// ExportRunnable implements sched.Scheduler. Drain order is table list
-// 0..size-1, each front to back (selectable section first, then the
-// parked zero section). DelFromRunqueue repairs nz/z/top/nextTop as it
-// goes; ResetQueueState clears the QZero/QStamp tags ELSC deliberately
-// leaves stale on removed tasks.
-func (s *Sched) ExportRunnable() []*task.Task {
-	out := make([]*task.Task, 0, s.total)
+// Drain implements sched.Scheduler: the whole table, list 0..size-1, each
+// front to back (selectable section first, then the parked zero section).
+// DelFromRunqueue repairs nz/z/top/nextTop as it goes.
+func (s *Sched) Drain(_ int, out []*task.Task) []*task.Task {
 	for i := range s.lists {
-		for {
-			n := s.lists[i].First()
-			if n == nil {
-				break
-			}
+		for n := s.lists[i].First(); n != nil; n = s.lists[i].First() {
 			t := task.FromNode(n)
 			s.DelFromRunqueue(t)
-			sched.ResetQueueState(t)
 			out = append(out, t)
 		}
 	}
 	return out
 }
-
-// DrainCPU implements sched.Scheduler. ELSC's 30-list table is global —
-// every CPU's Schedule scans it — so an offlined CPU leaves nothing behind.
-func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task { return out }
 
 // checkInvariants panics if the table bookkeeping is inconsistent. Called
 // from tests.

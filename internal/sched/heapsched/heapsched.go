@@ -68,14 +68,17 @@ func (s *Sched) heapOf(t *task.Task) int {
 	return t.Processor
 }
 
-// AddToRunqueue files t into its processor's heap.
+// AddToRunqueue files t into its processor's heap. A heap is not a list,
+// so the task is marked queued the way ELSC marks a running one (footnote
+// 3): run_list.next set, linked nowhere.
 func (s *Sched) AddToRunqueue(t *task.Task) {
 	if t.IsIdle {
 		panic("heapsched: idle task on run queue")
 	}
-	if t.QIndex >= 0 && t.QZero {
-		return // already queued
+	if t.OnRunqueue() {
+		return
 	}
+	t.RunList.MarkQueued()
 	h := s.heapOf(t)
 	s.seq++
 	s.heaps[h].push(entry{t: t, key: key(s.env.Epoch, t), seq: s.seq}, h)
@@ -84,12 +87,11 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 
 // DelFromRunqueue removes t from whichever heap holds it.
 func (s *Sched) DelFromRunqueue(t *task.Task) {
-	if !t.QZero {
+	if !t.OnRunqueue() {
 		return
 	}
 	s.heaps[t.QStamp].removeAt(t.QIndex)
-	t.QZero = false
-	t.QIndex = -1
+	t.RunList.ResetDangling()
 	s.total--
 }
 
@@ -97,7 +99,7 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 // sequence bias; heaps break key ties by preferring lower seq, so reusing
 // an early sequence number moves it ahead of equals.
 func (s *Sched) MoveFirstRunqueue(t *task.Task) {
-	if !t.QZero {
+	if !t.OnRunqueue() {
 		return
 	}
 	h := t.QStamp
@@ -107,7 +109,7 @@ func (s *Sched) MoveFirstRunqueue(t *task.Task) {
 
 // MoveLastRunqueue pushes t behind its equals.
 func (s *Sched) MoveLastRunqueue(t *task.Task) {
-	if !t.QZero {
+	if !t.OnRunqueue() {
 		return
 	}
 	h := t.QStamp
@@ -119,14 +121,12 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 // Runnable returns the number of queued tasks.
 func (s *Sched) Runnable() int { return s.total }
 
-// OnRunqueue reports whether the scheduler holds t.
-func (s *Sched) OnRunqueue(t *task.Task) bool { return t.QZero }
-
-// ExportRunnable implements sched.Scheduler. Drain order is heap 0..NCPU
-// (per-CPU affinity heaps then the never-ran heap), each popped root
-// first — i.e. per heap in (key desc, seq asc) priority order.
-func (s *Sched) ExportRunnable() []*task.Task {
-	out := make([]*task.Task, 0, s.total)
+// Drain implements sched.Scheduler: heap 0..NCPU (per-CPU affinity heaps
+// then the never-ran heap), each popped root first — i.e. per heap in
+// (key desc, seq asc) priority order. The heaps are one queue: Schedule
+// scans every top from any CPU, so tasks keyed to an offlined CPU's heap
+// stay reachable.
+func (s *Sched) Drain(_ int, out []*task.Task) []*task.Task {
 	for h := range s.heaps {
 		for {
 			e, ok := s.heaps[h].peek()
@@ -134,17 +134,11 @@ func (s *Sched) ExportRunnable() []*task.Task {
 				break
 			}
 			s.DelFromRunqueue(e.t)
-			sched.ResetQueueState(e.t)
 			out = append(out, e.t)
 		}
 	}
 	return out
 }
-
-// DrainCPU implements sched.Scheduler. The per-last-run-CPU heaps are all
-// globally visible — Schedule scans every heap top from any CPU — so tasks
-// keyed to an offlined CPU's heap remain reachable and nothing is drained.
-func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task { return out }
 
 // Schedule picks the best of the heap tops.
 func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
@@ -158,7 +152,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 		if prev.Policy == task.RR && prev.Counter(env.Epoch) == 0 {
 			prev.SetCounter(env.Epoch, prev.Priority)
 		}
-		if prev.Runnable() && !s.OnRunqueue(prev) {
+		if prev.Runnable() && !prev.OnRunqueue() {
 			s.AddToRunqueue(prev)
 			res.Cycles += env.Cost.AddRunqueue + s.logCost()
 		}
@@ -205,7 +199,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			res.Cycles += uint64(env.NTasks())*env.Cost.RecalcPerTask + s.reheapify()
 			continue
 		}
-		if best == nil && yielded && prev.Runnable() && s.OnRunqueue(prev) {
+		if best == nil && yielded && prev.Runnable() && prev.OnRunqueue() {
 			best = prev
 		}
 		if best != nil {
@@ -250,8 +244,7 @@ type entry struct {
 }
 
 // heap is a max-heap of entries ordered by (key desc, seq asc). The held
-// task's QIndex stores its position, QStamp the heap id, and QZero marks
-// membership.
+// task's QIndex stores its position and QStamp the heap id.
 type heap struct {
 	es []entry
 }
@@ -302,7 +295,6 @@ func (h *heap) down(i int) {
 func (h *heap) push(e entry, id int) {
 	e.t.QIndex = len(h.es)
 	e.t.QStamp = uint64(id)
-	e.t.QZero = true
 	h.es = append(h.es, e)
 	h.up(len(h.es) - 1)
 }
@@ -320,7 +312,6 @@ func (h *heap) removeAt(i int) {
 		panic("heapsched: removeAt out of range")
 	}
 	h.swap(i, n)
-	h.es[n].t.QIndex = -1
 	h.es = h.es[:n]
 	if i < n {
 		h.down(i)

@@ -19,7 +19,6 @@ func mkTask(env *sched.Env, id, prio, counter int) *task.Task {
 	t := task.New(id, "t", nil, env.Epoch)
 	t.Priority = prio
 	t.SetCounter(env.Epoch, counter)
-	t.QIndex = -1
 	return t
 }
 
@@ -57,7 +56,7 @@ func TestChosenLeavesHeap(t *testing.T) {
 	if res.Next != a {
 		t.Fatal("should pick the only task")
 	}
-	if s.OnRunqueue(a) || s.Runnable() != 0 {
+	if a.OnRunqueue() || s.Runnable() != 0 {
 		t.Fatal("chosen task must leave the heap")
 	}
 }
@@ -142,7 +141,6 @@ func TestRTBeatsRegular(t *testing.T) {
 	s := New(env)
 	reg := mkTask(env, 1, 40, 80)
 	rt := task.NewRT(2, "rt", task.FIFO, 0, env.Epoch)
-	rt.QIndex = -1
 	s.AddToRunqueue(reg)
 	s.AddToRunqueue(rt)
 	res := s.Schedule(0, idlePrev())
@@ -159,7 +157,7 @@ func checkHeapInvariants(t *testing.T, s *Sched) {
 		h := &s.heaps[id]
 		for i := range h.es {
 			e := h.es[i]
-			if e.t.QIndex != i || e.t.QStamp != uint64(id) || !e.t.QZero {
+			if e.t.QIndex != i || e.t.QStamp != uint64(id) || !e.t.OnRunqueue() || e.t.RunList.InListProper() {
 				t.Fatalf("heap %d slot %d: stale back-pointers on %v", id, i, e.t)
 			}
 			for _, child := range []int{2*i + 1, 2*i + 2} {
@@ -188,19 +186,19 @@ func TestHeapInvariantsUnderRandomOps(t *testing.T) {
 			tk := pool[int(op)%len(pool)]
 			switch int(op) % 5 {
 			case 0:
-				if !s.OnRunqueue(tk) && !tk.HasCPU {
+				if !tk.OnRunqueue() && !tk.HasCPU {
 					s.AddToRunqueue(tk)
 				}
 			case 1:
-				if s.OnRunqueue(tk) {
+				if tk.OnRunqueue() {
 					s.DelFromRunqueue(tk)
 				}
 			case 2:
-				if s.OnRunqueue(tk) {
+				if tk.OnRunqueue() {
 					s.MoveFirstRunqueue(tk)
 				}
 			case 3:
-				if s.OnRunqueue(tk) {
+				if tk.OnRunqueue() {
 					s.MoveLastRunqueue(tk)
 				}
 			case 4:

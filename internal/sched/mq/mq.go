@@ -101,29 +101,15 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 // Runnable returns the number of queued tasks.
 func (s *Sched) Runnable() int { return s.counts.Total() }
 
-// OnRunqueue reports whether t is filed in some queue.
-func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }
-
 // QueueLen returns queue q's length, for tests.
 func (s *Sched) QueueLen(q int) int { return s.counts[q] }
 
-// ExportRunnable implements sched.Scheduler: DrainCPU over every queue, 0
-// to n-1.
-func (s *Sched) ExportRunnable() []*task.Task {
-	out := make([]*task.Task, 0, s.Runnable())
-	for q := range s.queues {
-		out = s.DrainCPU(q, out)
-	}
-	return out
-}
-
-// DrainCPU implements sched.Scheduler: empty the offlined CPU's private
-// queue, front to back, so its tasks can be re-filed on surviving queues.
-func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task {
-	for n := s.queues[cpu].First(); n != nil; n = s.queues[cpu].First() {
+// Drain implements sched.Scheduler: empty CPU q's private queue, front to
+// back.
+func (s *Sched) Drain(q int, out []*task.Task) []*task.Task {
+	for n := s.queues[q].First(); n != nil; n = s.queues[q].First() {
 		t := task.FromNode(n)
 		s.DelFromRunqueue(t)
-		sched.ResetQueueState(t)
 		out = append(out, t)
 	}
 	return out

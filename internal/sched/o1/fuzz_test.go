@@ -126,7 +126,7 @@ func (r *fuzzRig) step(op, arg byte) {
 			r.s.PlaceWake(tk, cpu)
 		}
 	case 11: // sched_setscheduler: arg picks class and rt_priority (99 -> 99, 100 -> 0)
-		requeue := r.s.OnRunqueue(tk)
+		requeue := tk.OnRunqueue()
 		r.s.DelFromRunqueue(tk)
 		tk.Policy = []task.Policy{task.Other, task.FIFO, task.RR}[int(arg)/fuzzTasks%3]
 		tk.RTPriority = 0
@@ -200,8 +200,8 @@ func (r *fuzzRig) checkInvariants() error {
 		if n > 1 {
 			return fmt.Errorf("task %v on %d lists", tk, n)
 		}
-		if (n == 1) != r.s.OnRunqueue(tk) {
-			return fmt.Errorf("task %v: on %d lists but OnRunqueue=%v", tk, n, r.s.OnRunqueue(tk))
+		if (n == 1) != tk.OnRunqueue() {
+			return fmt.Errorf("task %v: on %d lists but OnRunqueue=%v", tk, n, tk.OnRunqueue())
 		}
 		if n == 1 && tk.HasCPU {
 			return fmt.Errorf("task %v both queued and running", tk)

@@ -173,7 +173,7 @@ func TestTickPreemptGranularityRoundRobin(t *testing.T) {
 	if res.Next != b {
 		t.Fatalf("picked %v after rotation, want the waiting peer", res.Next)
 	}
-	if !s.OnRunqueue(a) {
+	if !a.OnRunqueue() {
 		t.Fatal("rotated task fell off the queue")
 	}
 	// With an odd counter (not a granularity boundary) nothing rotates.
@@ -206,7 +206,7 @@ func TestPlaceWakeDeclines(t *testing.T) {
 		if s.PlaceWake(tk, 3) {
 			t.Fatalf("PlaceWake accepted under %+v, want declined", cfg)
 		}
-		if s.OnRunqueue(tk) {
+		if tk.OnRunqueue() {
 			t.Fatal("declined PlaceWake must not enqueue")
 		}
 	}

@@ -270,8 +270,8 @@ func (s *Sched) Name() string { return "o1" }
 func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 
 // Task bookkeeping: QIndex holds the home CPU (the kernel maps it to the
-// per-CPU lock), QStamp packs the array index and level so removal never
-// searches, and QZero is unused.
+// per-CPU lock) and QStamp packs the array index and level so removal
+// never searches.
 func stampOf(arrayIdx, lvl int) uint64 { return uint64(arrayIdx)<<8 | uint64(lvl) }
 
 func unstamp(st uint64) (arrayIdx, lvl int) { return int(st >> 8 & 1), int(st & 0xff) }
@@ -405,9 +405,6 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 // dequeued while they execute, as in 2.5.
 func (s *Sched) Runnable() int { return s.bal.Len.Total() }
 
-// OnRunqueue reports whether the scheduler currently tracks t.
-func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }
-
 // QueueLen returns CPU q's total queued tasks (both arrays), for tests.
 func (s *Sched) QueueLen(q int) int { return s.bal.Len[q] }
 
@@ -415,25 +412,14 @@ func (s *Sched) QueueLen(q int) int { return s.bal.Len[q] }
 func (s *Sched) ActiveLen(q int) int  { return s.rqs[q].active().Len() }
 func (s *Sched) ExpiredLen(q int) int { return s.rqs[q].expired().Len() }
 
-// ExportRunnable implements sched.Scheduler: DrainCPU over every CPU, 0
-// to n-1.
-func (s *Sched) ExportRunnable() []*task.Task {
-	out := make([]*task.Task, 0, s.Runnable())
-	for cpu := range s.rqs {
-		out = s.DrainCPU(cpu, out)
-	}
-	return out
-}
-
-// DrainCPU implements sched.Scheduler: empty the offlined CPU's private
-// arrays — active first, then expired, each in ascending level order
-// (best priority first), each level front to back — so its tasks can be
-// re-filed on surviving queues.
-func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task {
-	rq := &s.rqs[cpu]
+// Drain implements sched.Scheduler: empty CPU q's private arrays — active
+// first, then expired, each in ascending level order (best priority
+// first), each level front to back.
+func (s *Sched) Drain(q int, out []*task.Task) []*task.Task {
+	rq := &s.rqs[q]
 	out = rq.active().Drain(out)
 	out = rq.expired().Drain(out)
-	s.bal.Len[cpu] = 0
+	s.bal.Len[q] = 0
 	rq.rotate = nil
 	return out
 }

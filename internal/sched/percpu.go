@@ -156,13 +156,12 @@ func (a *LevelArray) Pick(env *Env, cpu int, res *Result) *task.Task {
 }
 
 // Drain empties the array in ascending level order, each level front to
-// back, appending every task to out fully detached (ResetQueueState
-// applied). The caller settles its queue-length count.
+// back, appending every task to out unlinked. The caller settles its
+// queue-length count.
 func (a *LevelArray) Drain(out []*task.Task) []*task.Task {
 	for lvl := a.Next(0); lvl >= 0; lvl = a.Next(lvl) {
 		t := task.FromNode(a.Level(lvl).First())
 		a.Remove(t, lvl)
-		ResetQueueState(t)
 		out = append(out, t)
 	}
 	return out

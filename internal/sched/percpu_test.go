@@ -61,13 +61,12 @@ func TestLevelArrayAtBothSizes(t *testing.T) {
 				t.Fatalf("Next(6) = %d after level 64 emptied, want %d", a.Next(6), top)
 			}
 			a.Push(mid, 64, true)
-			mid.QZero, mid.QStamp = true, 64
 			out := a.Drain(nil)
 			if len(out) != 3 || out[0] != pinned || out[1] != mid || out[2] != low {
 				t.Fatalf("Drain = %v, want ascending level order", out)
 			}
-			if a.Len() != 0 || a.Next(0) != -1 || mid.OnRunqueue() || mid.QZero || mid.QStamp != 0 {
-				t.Fatal("Drain must empty the array and detach every task")
+			if a.Len() != 0 || a.Next(0) != -1 || pinned.OnRunqueue() || mid.OnRunqueue() || low.OnRunqueue() {
+				t.Fatal("Drain must empty the array and unlink every task")
 			}
 		})
 	}

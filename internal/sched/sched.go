@@ -11,6 +11,23 @@
 // another, which is design goal 1 of the paper ("Keep changes local to the
 // scheduler. Do not change current interfaces").
 //
+// The whole contract is the nine methods of Scheduler and one field test.
+// "Is it queued?" is never asked of the policy: a task is on the run queue
+// exactly when run_list.next != NULL (task.OnRunqueue, the paper's
+// footnote 3), under every policy. One that files a task in a list gets
+// that from the link; ELSC keeps it set on the running task it pulled out
+// of its table; heap and cfs set it on a task they hold in an array heap
+// (klist.Node.MarkQueued). The policy's "already queued" guards and the
+// kernel's delivery rule read the same word. The three policy tags on the
+// task (task.Task lists them) are then private scratch that every policy
+// writes at enqueue before it reads them, so a task crosses a hot policy
+// swap or a hotplug re-file carrying whatever its last policy left there
+// and nobody looks — with the one declared exception that under
+// VisibleOwner QIndex names the owning CPU. What a policy wants beyond the nine is one optional
+// interface, DynamicPriority, the kernel asserts once at install; the two
+// remaining side interfaces are stats readers (StealReporter here,
+// experiments.BonusStatser) and reg's NoteRunning.
+//
 // Two costs, kept apart. The simulated cost of a decision is what CostModel
 // charges to virtual CPU time — cycles per task examined, per recalculation,
 // per list operation; it is the paper's subject and part of every result.
@@ -181,11 +198,13 @@ type Visibility int
 
 const (
 	// VisibleAll: every CPU's Schedule selects from all queued tasks (the
-	// stock list, ELSC's table, the shared heaps), under one global lock.
+	// stock list, ELSC's table, the shared heaps), under one global lock;
+	// there is one queue, 0.
 	VisibleAll Visibility = iota
 	// VisibleOwner: only CPU t.QIndex's Schedule is guaranteed to find t.
 	// Other CPUs may steal it, but a balancer may rightly decline, so only
-	// the owner counts. Each queue has its own lock. A policy that moves a
+	// the owner counts. There is one queue per CPU, each with its own lock,
+	// and QIndex is part of the contract. A policy that moves a
 	// queued task to another owner outside AddToRunqueue and Schedule's
 	// own prev/Next must report it through Env.Requeued.
 	VisibleOwner
@@ -230,46 +249,46 @@ type Scheduler interface {
 	// (on the run queue and not executing).
 	Runnable() int
 
-	// OnRunqueue reports whether the scheduler currently tracks t.
-	OnRunqueue(t *task.Task) bool
-
-	// ExportRunnable drains every queued task from the policy's
-	// structures, in a deterministic policy-defined order, and returns
-	// them fully detached: RunList unlinked and the scheduler-private
-	// QIndex/QZero/QStamp bookkeeping reset via ResetQueueState, so a
-	// freshly constructed successor policy can import the set with plain
-	// AddToRunqueue calls without inheriting the predecessor's
-	// conventions. The policy must be empty afterwards (Runnable() == 0).
-	// Running (HasCPU) tasks are out of scope: the kernel detaches them
-	// itself before exporting. This is the state-handoff half of hot
-	// policy switching (Machine.SwitchPolicy).
-	ExportRunnable() []*task.Task
-
-	// DrainCPU removes every task filed on cpu's private structures and
-	// appends them to out, fully detached (RunList unlinked,
-	// ResetQueueState applied), returning the extended slice. The kernel
-	// calls it when cpu goes offline, then re-files the tasks through
-	// AddToRunqueue so the policy's (by then online-mask-aware) placement
-	// re-homes them. Policies with only globally visible structures — a
-	// shared queue or heaps every CPU's Schedule scans — return out
-	// unchanged: their tasks remain reachable from the surviving CPUs.
-	// Implementations must not allocate when out has capacity; the kernel
-	// reuses one buffer across hotplug events.
-	DrainCPU(cpu int, out []*task.Task) []*task.Task
+	// Drain removes every task filed on queue q and appends them to out
+	// in a deterministic policy-defined order, each off the run queue
+	// (OnRunqueue false) so a plain AddToRunqueue — on this policy or a
+	// freshly built successor — files it again. The queues are the ones
+	// the kernel keeps a lock for: q is 0 and means everything under
+	// VisibleAll, and is a CPU under VisibleOwner. The kernel drains every
+	// queue to hand the set to a successor (Machine.SwitchPolicy, which
+	// detaches the running tasks itself first) and an offlined CPU's queue
+	// to re-home its tasks; under VisibleAll an offlined CPU leaves nothing
+	// behind that the survivors cannot reach. Implementations must not
+	// allocate when out has capacity; the kernel reuses one buffer across
+	// hotplug events.
+	Drain(q int, out []*task.Task) []*task.Task
 }
 
-// ResetQueueState clears a task's scheduler-private bookkeeping
-// (QIndex/QZero/QStamp) to the never-queued zero values every policy
-// accepts at AddToRunqueue. Policies leave these fields stale in ways that
-// are internally consistent but mutually incompatible — ELSC keeps a
-// parked task's zero tag after removal, heapsched encodes membership in
-// QZero — so every task crossing a policy boundary must pass through here
-// or risk being silently dropped by the successor's "already queued"
-// guards.
-func ResetQueueState(t *task.Task) {
-	t.QIndex = 0
-	t.QZero = false
-	t.QStamp = 0
+// DynamicPriority is the one optional capability: policies (o1, cfs) whose
+// dynamic priority is not goodness() take the three decisions the kernel
+// otherwise makes with it. The kernel asserts it once per installed policy.
+type DynamicPriority interface {
+	// PlaceWake accepts an SD_WAKE_IDLE placement hint: file the woken
+	// task on the given idle CPU's queue instead of its home queue. False
+	// declines (knob disabled, affinity forbids, task already queued), and
+	// the kernel falls back to the ordinary AddToRunqueue.
+	PlaceWake(t *task.Task, cpu int) bool
+
+	// TickPreempt is consulted by the timer tick while the running task
+	// still has quantum left. preempt true interrupts it; rotation
+	// distinguishes o1's TIMESLICE_GRANULARITY same-level round-robin (the
+	// task goes to the tail of its level) from a plain better-level or
+	// vruntime-lag preemption (the task keeps its spot), so the stats
+	// attribute each mechanism correctly.
+	TickPreempt(cpu int, t *task.Task) (preempt, rotation bool)
+
+	// PreemptsCurr is 2.6's TASK_PREEMPTS_CURR: whether woken task t
+	// outranks a CPU's current one, by o1's bonus-laden effective
+	// priorities or cfs's vruntimes instead of the 2.3.99 goodness delta.
+	// This is how the interactivity estimator (or the sleeper clamp)
+	// reaches wake-up preemption: a sleep-heavy task at the same static
+	// priority as a hog preempts it on wake.
+	PreemptsCurr(t, curr *task.Task) bool
 }
 
 // Env is what every scheduler needs from the kernel: the recalculation

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,30 @@ func mkTask(id int, prio, counter int, ep *task.Epoch) *task.Task {
 	t.Priority = prio
 	t.SetCounter(ep, counter)
 	return t
+}
+
+// TestSchedulerContract pins the kernel↔policy contract by name: the nine
+// methods of Scheduler and the three of the one optional capability.
+// Growing either is a deliberate edit here, with a reason in the package
+// doc — "is it queued?" in particular is task.OnRunqueue, not a method.
+func TestSchedulerContract(t *testing.T) {
+	for _, c := range []struct {
+		iface any
+		want  []string // sorted: reflect lists an interface's methods by name
+	}{
+		{(*Scheduler)(nil), []string{"AddToRunqueue", "DelFromRunqueue", "Drain", "MoveFirstRunqueue",
+			"MoveLastRunqueue", "Name", "Runnable", "Schedule", "Visibility"}},
+		{(*DynamicPriority)(nil), []string{"PlaceWake", "PreemptsCurr", "TickPreempt"}},
+	} {
+		typ := reflect.TypeOf(c.iface).Elem()
+		var got []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			got = append(got, typ.Method(i).Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s has methods %v, want exactly %v", typ.Name(), got, c.want)
+		}
+	}
 }
 
 func TestGoodnessZeroCounter(t *testing.T) {

@@ -98,31 +98,18 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 // Runnable returns the number of queued tasks not currently executing.
 func (s *Sched) Runnable() int { return s.rq.Len() - s.running }
 
-// OnRunqueue reports whether the scheduler tracks t.
-func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }
-
-// ExportRunnable implements sched.Scheduler. Drain order is queue order,
-// front to back. The kernel detaches HasCPU tasks before calling this
-// (the stock scheduler is the one policy that keeps them queued), so
-// everything left is selectable.
-func (s *Sched) ExportRunnable() []*task.Task {
-	out := make([]*task.Task, 0, s.rq.Len())
-	for {
-		n := s.rq.First()
-		if n == nil {
-			break
-		}
+// Drain implements sched.Scheduler: the one queue, front to back. The
+// kernel detaches HasCPU tasks before it drains for a successor (the stock
+// scheduler is the one policy that keeps them queued), so everything left
+// is selectable.
+func (s *Sched) Drain(_ int, out []*task.Task) []*task.Task {
+	for n := s.rq.First(); n != nil; n = s.rq.First() {
 		t := task.FromNode(n)
 		s.DelFromRunqueue(t)
-		sched.ResetQueueState(t)
 		out = append(out, t)
 	}
 	return out
 }
-
-// DrainCPU implements sched.Scheduler. The stock scheduler has a single
-// global queue every CPU scans, so an offlined CPU leaves nothing behind.
-func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task { return out }
 
 // NoteRunning must be called by the kernel when it flips t.HasCPU while t
 // is on the run queue, so Runnable stays O(1). The stock scheduler keeps

@@ -168,9 +168,16 @@ type Task struct {
 	IsIdle bool
 
 	// Scheduler-private bookkeeping, the analogue of the policy-specific
-	// fields Linux keeps inside task_struct. ELSC uses these for its
-	// zero/nonzero section tag, table list index, and the epoch stamp
-	// that validates the tag (see internal/sched/elsc).
+	// fields Linux keeps inside task_struct. None of the three says whether
+	// the task is queued — that is RunList (OnRunqueue) under every policy —
+	// and each policy writes what it uses when it files the task, before it
+	// reads it, so values left by a previous policy are never seen. QIndex
+	// is contract under sched.VisibleOwner: the CPU whose queue holds the
+	// queued task, which the kernel reads for delivery and locking.
+	// Otherwise it is the policy's own (ELSC's table list, heap's position),
+	// as QStamp always is (ELSC's tag epoch, heap's heap id, o1's array and
+	// level, cfs's level or heap position). QZero is ELSC's zero-section
+	// tag and nothing else.
 	QZero  bool
 	QIndex int
 	QStamp uint64
@@ -178,9 +185,8 @@ type Task struct {
 	// VRuntime is the weighted virtual runtime maintained by the fair
 	// (cfs) policy: executed cycles scaled by 1024/weight, so heavier
 	// tasks age slower. Like sleepAvg it is time accounting, not queue
-	// state — sched.ResetQueueState leaves it alone, and the fair
-	// policy's placement clamp bounds any staleness a task picks up
-	// while blocked or parked under another policy.
+	// state, and the fair policy's placement clamp bounds any staleness a
+	// task picks up while blocked or parked under another policy.
 	VRuntime uint64
 
 	// Owner is an opaque back-pointer for whoever created the task: the
@@ -366,7 +372,9 @@ func (t *Task) StaticGoodness(ep *Epoch) int {
 // OnRunqueue reports whether the kernel considers the task on the run
 // queue. Following the kernel convention the paper describes, this is
 // "run_list.next != NULL" — which remains true for a task ELSC has manually
-// pulled out of its table list while it runs (footnote 3).
+// pulled out of its table list while it runs (footnote 3), and is how the
+// heap-holding policies (heap, cfs) mark a task they file in no list. It is
+// the only membership test: policies guard on it, the kernel reads it.
 func (t *Task) OnRunqueue() bool { return t.RunList.OnList() }
 
 // AllowedOn reports whether the affinity mask permits running on cpu.
