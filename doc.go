@@ -19,8 +19,10 @@
 //
 // All five are held to a shared contract by the conformance suite in
 // internal/sched/conformance: no task lost or duplicated, affinity masks
-// respected, real-time tasks always preempt SCHED_OTHER, and the
-// move_first/move_last tie-break semantics.
+// respected, real-time tasks always preempt SCHED_OTHER, equal SCHED_RR
+// tasks take turns, and a task re-filed after a class change leads its
+// equals (2.3.99's move_last / move_first, which each policy delivers where
+// it files a task rather than through a method of the interface).
 //
 // The package exposes three layers:
 //

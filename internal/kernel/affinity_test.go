@@ -64,25 +64,6 @@ func TestZeroMaskAllowsAll(t *testing.T) {
 	}
 }
 
-func TestSetPolicyPromotesToRealTime(t *testing.T) {
-	bothSchedulers(t, func(t *testing.T, f SchedulerFactory) {
-		m := newMachine(t, 1, f)
-		hog := m.Spawn("hog", nil, computeLoop(1, 80*DefaultTickCycles))
-		victim := m.Spawn("victim", nil, computeLoop(1, 10*DefaultTickCycles))
-		_ = hog
-		// Promote the victim to SCHED_FIFO mid-run: it must finish while
-		// the hog still has most of its work left.
-		m.SetPolicy(victim, task.FIFO, 60)
-		m.Run(func() bool { return victim.Exited() })
-		if hog.Task.UserCycles > 30*DefaultTickCycles {
-			t.Fatalf("hog got %d cycles while an RT task was runnable", hog.Task.UserCycles)
-		}
-		if !victim.Task.RealTime() {
-			t.Fatal("victim not real-time after SetPolicy")
-		}
-	})
-}
-
 func TestSetPolicyDemotesToOther(t *testing.T) {
 	m := newMachine(t, 1, elscFactory)
 	p := m.SpawnRT("rt", task.RR, 40, computeLoop(3, 50_000))

@@ -377,39 +377,6 @@ func TestIdleAccounting(t *testing.T) {
 	})
 }
 
-func TestRealTimeFIFORunsUntilBlock(t *testing.T) {
-	bothSchedulers(t, func(t *testing.T, f SchedulerFactory) {
-		m := newMachine(t, 1, f)
-		reg := m.Spawn("reg", nil, computeLoop(1, 30*DefaultTickCycles))
-		rt := m.SpawnRT("rt", task.FIFO, 50, computeLoop(1, 30*DefaultTickCycles))
-		m.Run(func() bool { return rt.Exited() })
-		// The FIFO task must finish its entire burst before the regular
-		// task gets any significant CPU.
-		if reg.Task.UserCycles > 2*DefaultTickCycles {
-			t.Fatalf("regular task got %d cycles while RT was runnable", reg.Task.UserCycles)
-		}
-	})
-}
-
-func TestRealTimeRRRoundRobin(t *testing.T) {
-	bothSchedulers(t, func(t *testing.T, f SchedulerFactory) {
-		m := newMachine(t, 1, f)
-		a := m.SpawnRT("rr-a", task.RR, 50, computeLoop(1, 60*DefaultTickCycles))
-		b := m.SpawnRT("rr-b", task.RR, 50, computeLoop(1, 60*DefaultTickCycles))
-		m.Run(func() bool { return a.Exited() || b.Exited() })
-		// Equal-priority RR tasks must interleave: when one finishes,
-		// the other should have comparable CPU time.
-		ua, ub := a.Task.UserCycles, b.Task.UserCycles
-		lo, hi := ua, ub
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if float64(lo) < 0.6*float64(hi) {
-			t.Fatalf("RR tasks did not round-robin: %d vs %d", ua, ub)
-		}
-	})
-}
-
 func TestStatsRegistryRenders(t *testing.T) {
 	m := newMachine(t, 1, elscFactory)
 	p := m.Spawn("w", nil, computeLoop(3, 1000))

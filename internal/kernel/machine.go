@@ -651,8 +651,13 @@ func (m *Machine) SetAffinity(p *Proc, mask uint64) {
 }
 
 // SetPolicy is sched_setscheduler: change a task's scheduling class and
-// real-time priority at run time. Following 2.3.99, the task is moved to
-// the front of its queue and the scheduler is given a chance to preempt.
+// real-time priority at run time. Following 2.3.99, a queued task is moved
+// to the front of its queue and the scheduler is given a chance to
+// preempt. The re-file is that move: AddToRunqueue puts the task at the
+// head of its new list under reg, elsc, mq, o1 and cfs's real-time levels,
+// so it runs before an equal that was already waiting. Under heap, and
+// among cfs's fair tasks, it queues behind its equals — arrival order and
+// vruntime order are those structures' own tie rules.
 func (m *Machine) SetPolicy(p *Proc, policy task.Policy, rtprio int) {
 	if policy != task.Other && (rtprio < task.MinRTPriority || rtprio > task.MaxRTPriority) {
 		panic("kernel: rt_priority out of range")
@@ -662,7 +667,6 @@ func (m *Machine) SetPolicy(p *Proc, policy task.Policy, rtprio int) {
 		rtprio = 0
 	}
 	if m.requeue(p, func() { t.Policy, t.RTPriority = policy, rtprio }) {
-		m.sched.MoveFirstRunqueue(t)
 		m.rescheduleIdle(p)
 	}
 }

@@ -127,3 +127,96 @@ func TestRealTimeThroughHotplugAndPolicySwitch(t *testing.T) {
 		})
 	}
 }
+
+// everyPolicy runs fn on a fresh one-CPU machine under each registered
+// policy. What the real-time classes promise is promised by all six, and
+// what delivers it — where AddToRunqueue files a task among its equals,
+// what Schedule does with an expired round-robin prev — is each policy's
+// own, so every test below holds each of them to it through the kernel.
+func everyPolicy(t *testing.T, fn func(t *testing.T, policy string, m *kernel.Machine)) {
+	for _, policy := range experiments.Policies {
+		t.Run(policy, func(t *testing.T) {
+			fn(t, policy, kernel.NewMachine(kernel.Config{
+				CPUs: 1, Seed: 42,
+				NewScheduler: experiments.Factory(policy),
+				MaxCycles:    50 * kernel.DefaultHz,
+			}))
+		})
+	}
+}
+
+// compute returns a program of one compute burst of the given ticks.
+func compute(ticks uint64) kernel.Program { return burst(1, ticks*kernel.DefaultTickCycles) }
+
+func TestRealTimeFIFORunsUntilBlock(t *testing.T) {
+	everyPolicy(t, func(t *testing.T, _ string, m *kernel.Machine) {
+		reg := m.Spawn("reg", nil, compute(30))
+		rt := m.SpawnRT("rt", task.FIFO, 50, compute(30))
+		m.Run(func() bool { return rt.Exited() })
+		// The FIFO task must finish its entire burst before the regular
+		// task gets any significant CPU.
+		if reg.Task.UserCycles > 2*kernel.DefaultTickCycles {
+			t.Fatalf("regular task got %d cycles while RT was runnable", reg.Task.UserCycles)
+		}
+	})
+}
+
+// TestRealTimeRRRoundRobin: equal-priority SCHED_RR tasks interleave — when
+// one finishes, the other has had comparable CPU time. No kernel code
+// rotates them: each policy's Schedule sends the prev whose quantum
+// expired behind its equals (heap and mq once re-filed it where it won the
+// tie again, and one task ran to completion while the other starved).
+func TestRealTimeRRRoundRobin(t *testing.T) {
+	everyPolicy(t, func(t *testing.T, _ string, m *kernel.Machine) {
+		a := m.SpawnRT("rr-a", task.RR, 50, compute(60))
+		b := m.SpawnRT("rr-b", task.RR, 50, compute(60))
+		m.Run(func() bool { return a.Exited() || b.Exited() })
+		lo, hi := a.Task.UserCycles, b.Task.UserCycles
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if float64(lo) < 0.6*float64(hi) {
+			t.Fatalf("RR tasks did not round-robin: %d vs %d cycles in %d context switches",
+				a.Task.UserCycles, b.Task.UserCycles, m.Stats().CtxSwitches)
+		}
+	})
+}
+
+func TestSetPolicyPromotesToRealTime(t *testing.T) {
+	everyPolicy(t, func(t *testing.T, _ string, m *kernel.Machine) {
+		hog := m.Spawn("hog", nil, compute(80))
+		victim := m.Spawn("victim", nil, compute(10))
+		// Promote the victim to SCHED_FIFO: it must finish while the hog
+		// still has most of its work left.
+		m.SetPolicy(victim, task.FIFO, 60)
+		m.Run(func() bool { return victim.Exited() })
+		if hog.Task.UserCycles > 30*kernel.DefaultTickCycles {
+			t.Fatalf("hog got %d cycles while an RT task was runnable", hog.Task.UserCycles)
+		}
+		if !victim.Task.RealTime() {
+			t.Fatal("victim not real-time after SetPolicy")
+		}
+	})
+}
+
+// TestSetPolicyRefilesAheadOfQueuedPeer: sched_setscheduler on a queued
+// task moves it to the front of its queue, and the move is nothing but the
+// re-file — the task joins an equal-rt_priority FIFO peer that was queued
+// before it and runs first, to completion. heap keeps equal keys in
+// arrival order, its own tie rule, so there the waiting peer runs first.
+func TestSetPolicyRefilesAheadOfQueuedPeer(t *testing.T) {
+	everyPolicy(t, func(t *testing.T, policy string, m *kernel.Machine) {
+		late := m.Spawn("late", nil, compute(20))
+		peer := m.SpawnRT("peer", task.FIFO, 50, compute(20))
+		m.SetPolicy(late, task.FIFO, 50)
+		m.Run(func() bool { return late.Exited() || peer.Exited() })
+		first, second := late, peer
+		if policy == experiments.Heap {
+			first, second = peer, late
+		}
+		if !first.Exited() || second.Task.UserCycles != 0 {
+			t.Fatalf("%s exited=%v; %s ran %d cycles: want %s to run first and, being FIFO, to the end",
+				first.Task.Name, first.Exited(), second.Task.Name, second.Task.UserCycles, first.Task.Name)
+		}
+	})
+}

@@ -66,14 +66,6 @@ func (h *Head) First() *Node {
 	return h.root.next
 }
 
-// Last returns the last node on the list, or nil if the list is empty.
-func (h *Head) Last() *Node {
-	if h.Empty() {
-		return nil
-	}
-	return h.root.prev
-}
-
 // insert links n between prev and next.
 func (h *Head) insert(n, prev, next *Node) {
 	if n.OnList() {
@@ -95,22 +87,6 @@ func (h *Head) PushFront(n *Node) { h.insert(n, &h.root, h.root.next) }
 // scheduler appends predicted-counter (exhausted) tasks here.
 func (h *Head) PushBack(n *Node) { h.insert(n, h.root.prev, &h.root) }
 
-// InsertBefore links n immediately before at, which must be on this list.
-func (h *Head) InsertBefore(n, at *Node) {
-	if at.head != h {
-		panic("klist: InsertBefore anchor not on this list")
-	}
-	h.insert(n, at.prev, at)
-}
-
-// InsertAfter links n immediately after at, which must be on this list.
-func (h *Head) InsertAfter(n, at *Node) {
-	if at.head != h {
-		panic("klist: InsertAfter anchor not on this list")
-	}
-	h.insert(n, at, at.next)
-}
-
 // Remove unlinks n from the list (list_del). The node is fully detached:
 // both link pointers become nil, like the run-queue convention where
 // next == nil means "not on the run queue".
@@ -126,32 +102,18 @@ func (h *Head) Remove(n *Node) {
 	h.len--
 }
 
-// MoveFront unlinks n and re-adds it at the front of this same list.
-func (h *Head) MoveFront(n *Node) {
-	h.Remove(n)
-	h.PushFront(n)
-}
-
-// MoveBack unlinks n and re-adds it at the back of this same list.
+// MoveBack unlinks n and re-adds it at the back of this same list
+// (move_last_runqueue): the SCHED_RR rotation of the list-scanning
+// policies.
 func (h *Head) MoveBack(n *Node) {
 	h.Remove(n)
 	h.PushBack(n)
 }
 
 // ForEach calls fn for each node from front to back. fn must not modify
-// the list; use ForEachSafe if it might remove the visited node.
+// the list.
 func (h *Head) ForEach(fn func(*Node) bool) {
 	for n := h.root.next; n != &h.root; n = n.next {
-		if !fn(n) {
-			return
-		}
-	}
-}
-
-// ForEachSafe iterates front to back, tolerating removal of the visited
-// node by fn (list_for_each_safe).
-func (h *Head) ForEachSafe(fn func(*Node) bool) {
-	for n, next := h.root.next, h.root.next.next; n != &h.root; n, next = next, next.next {
 		if !fn(n) {
 			return
 		}
@@ -170,29 +132,12 @@ func (n *Node) Next() *Node {
 	return n.next
 }
 
-// Prev returns the node before n on its list, or nil if n is first or off
-// list.
-func (n *Node) Prev() *Node {
-	if n.prev == nil || n.prev == &n.head.root {
-		return nil
-	}
-	return n.prev
-}
-
-// DetachPrevOnly clears only the Prev pointer, leaving Next intact. This
-// mirrors the ELSC trick (paper §5.1): after the scheduler manually pulls a
-// running task out of its table list, the rest of the kernel must still
-// believe the task is "on the run queue" (next != nil) while the table knows
-// it is in no list (prev == nil). The node must first be unlinked from its
-// neighbors with UnlinkKeepNext.
-func (n *Node) DetachPrevOnly() {
-	n.prev = nil
-	n.head = nil
-}
-
 // UnlinkKeepNext splices n out of its list but leaves n.next pointing at
-// its former successor, as the ELSC manual dequeue does before
-// DetachPrevOnly. Returns the Head it was removed from.
+// its former successor. This mirrors the ELSC trick (paper §5.1): after the
+// scheduler manually pulls a running task out of its table list, the rest
+// of the kernel must still believe the task is "on the run queue"
+// (next != nil) while the table knows it is in no list (prev == nil).
+// Returns the Head it was removed from.
 func (n *Node) UnlinkKeepNext() *Head {
 	h := n.head
 	if h == nil || !n.OnList() {
@@ -201,9 +146,9 @@ func (n *Node) UnlinkKeepNext() *Head {
 	n.prev.next = n.next
 	n.next.prev = n.prev
 	h.len--
-	// Keep n.next as a dangling marker of "still logically queued"; drop
-	// prev and head via DetachPrevOnly.
-	n.DetachPrevOnly()
+	// Keep n.next as a dangling marker of "still logically queued".
+	n.prev = nil
+	n.head = nil
 	return h
 }
 

@@ -50,8 +50,8 @@ func TestEmptyList(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", h.Len())
 	}
-	if h.First() != nil || h.Last() != nil {
-		t.Fatal("First/Last on empty list should be nil")
+	if h.First() != nil {
+		t.Fatal("First on empty list should be nil")
 	}
 }
 
@@ -94,18 +94,21 @@ func TestRemoveAllBothEnds(t *testing.T) {
 		items[i] = newItem(i)
 		h.PushBack(&items[i].node)
 	}
-	for !h.Empty() {
-		h.Remove(h.First())
-		if h.Empty() {
-			break
-		}
-		h.Remove(h.Last())
+	for lo, hi := 0, len(items)-1; lo < hi; lo, hi = lo+1, hi-1 {
+		h.Remove(&items[lo].node)
+		h.Remove(&items[hi].node)
+	}
+	if !h.Empty() {
+		t.Fatal("list not empty after removing every node")
 	}
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d after draining", h.Len())
 	}
 }
 
+// TestMoveFrontBack: the round-robin rotation moves the front of the list
+// (the task that just ran) to the back, as MoveBack does a node from the
+// middle; moving the back node is a no-op.
 func TestMoveFrontBack(t *testing.T) {
 	h := NewHead()
 	items := make([]*item, 4)
@@ -113,27 +116,17 @@ func TestMoveFrontBack(t *testing.T) {
 		items[i] = newItem(i)
 		h.PushBack(&items[i].node)
 	}
-	h.MoveFront(&items[2].node)
-	wantIDs(t, h, 2, 0, 1, 3)
 	h.MoveBack(&items[0].node)
-	wantIDs(t, h, 2, 1, 3, 0)
+	wantIDs(t, h, 1, 2, 3, 0)
+	h.MoveBack(&items[2].node)
+	wantIDs(t, h, 1, 3, 0, 2)
+	h.MoveBack(&items[2].node)
+	wantIDs(t, h, 1, 3, 0, 2)
 }
 
-func TestInsertBeforeAfter(t *testing.T) {
+func TestNextNavigation(t *testing.T) {
 	h := NewHead()
 	a, b, c := newItem(1), newItem(2), newItem(3)
-	h.PushBack(&a.node)
-	h.PushBack(&c.node)
-	h.InsertBefore(&b.node, &c.node)
-	wantIDs(t, h, 1, 2, 3)
-	d := newItem(4)
-	h.InsertAfter(&d.node, &b.node)
-	wantIDs(t, h, 1, 2, 4, 3)
-}
-
-func TestNextPrevNavigation(t *testing.T) {
-	h := NewHead()
-	a, b := newItem(1), newItem(2)
 	h.PushBack(&a.node)
 	h.PushBack(&b.node)
 	if a.node.Next() != &b.node {
@@ -142,11 +135,8 @@ func TestNextPrevNavigation(t *testing.T) {
 	if b.node.Next() != nil {
 		t.Fatal("b.Next should be nil (last)")
 	}
-	if b.node.Prev() != &a.node {
-		t.Fatal("b.Prev should be a")
-	}
-	if a.node.Prev() != nil {
-		t.Fatal("a.Prev should be nil (first)")
+	if c.node.Next() != nil {
+		t.Fatal("c.Next should be nil (off list)")
 	}
 }
 
@@ -237,7 +227,7 @@ func TestMarkQueuedIsTheDanglingState(t *testing.T) {
 		fn()
 	}
 	mustPanic("PushFront", func() { h.PushFront(&b.node) })
-	mustPanic("InsertAfter", func() { h.InsertAfter(&b.node, &a.node) })
+	mustPanic("PushBack", func() { h.PushBack(&b.node) })
 	mustPanic("MarkQueued", func() { b.node.MarkQueued() })
 	mustPanic("Remove", func() { h.Remove(&b.node) })
 	wantIDs(t, h, 1)
@@ -276,22 +266,6 @@ func TestForEachEarlyStop(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("visited %d nodes, want 3", count)
 	}
-}
-
-func TestForEachSafeRemoval(t *testing.T) {
-	h := NewHead()
-	items := make([]*item, 6)
-	for i := range items {
-		items[i] = newItem(i)
-		h.PushBack(&items[i].node)
-	}
-	h.ForEachSafe(func(n *Node) bool {
-		if n.Owner.(*item).id%2 == 0 {
-			h.Remove(n)
-		}
-		return true
-	})
-	wantIDs(t, h, 1, 3, 5)
 }
 
 func TestInitResets(t *testing.T) {
@@ -336,7 +310,7 @@ func TestQuickAgainstSliceModel(t *testing.T) {
 		onList := make(map[int]bool)
 
 		for _, op := range opsRaw {
-			switch op % 6 {
+			switch op % 5 {
 			case 0: // push front
 				it := pool[rng.Intn(len(pool))]
 				if onList[it.id] {
@@ -362,16 +336,7 @@ func TestQuickAgainstSliceModel(t *testing.T) {
 				h.Remove(&it.node)
 				model = append(model[:i], model[i+1:]...)
 				onList[it.id] = false
-			case 3: // move front
-				if len(model) == 0 {
-					continue
-				}
-				i := rng.Intn(len(model))
-				it := model[i]
-				h.MoveFront(&it.node)
-				model = append(model[:i], model[i+1:]...)
-				model = append([]*item{it}, model...)
-			case 4: // move back
+			case 3: // move back
 				if len(model) == 0 {
 					continue
 				}
@@ -380,7 +345,7 @@ func TestQuickAgainstSliceModel(t *testing.T) {
 				h.MoveBack(&it.node)
 				model = append(model[:i], model[i+1:]...)
 				model = append(model, it)
-			case 5: // check first/last
+			case 4: // check first
 				if len(model) == 0 {
 					if h.First() != nil {
 						return false
@@ -388,9 +353,6 @@ func TestQuickAgainstSliceModel(t *testing.T) {
 					continue
 				}
 				if h.First().Owner.(*item) != model[0] {
-					return false
-				}
-				if h.Last().Owner.(*item) != model[len(model)-1] {
 					return false
 				}
 			}

@@ -192,8 +192,9 @@ type runqueue struct {
 
 	weight uint64
 
-	// order tie-break counters: MoveFirst hands out ever-smaller front
-	// orders, ordinary enqueues and MoveLast ever-larger back orders.
+	// order tie-break counters: a stolen task about to be dispatched gets
+	// an ever-smaller front order, every other enqueue an ever-larger
+	// back order.
 	frontSeq int64
 	backSeq  int64
 
@@ -233,12 +234,6 @@ func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 func (s *Sched) DomainSteals() (intra, cross uint64) { return s.bal.DomainSteals() }
 func (s *Sched) PerCPUSteals() []sched.CPUSteals     { return s.bal.PerCPUSteals() }
 
-// MinVR exposes a queue's monotone min_vruntime, for tests.
-func (s *Sched) MinVR(cpu int) uint64 { return s.rqs[cpu].minVR }
-
-// QueueLen returns CPU q's queued tasks (fair + real-time), for tests.
-func (s *Sched) QueueLen(q int) int { return s.bal.Len[q] }
-
 // placeClamp applies the new-task/wake placement rule: a task whose
 // virtual clock lags the queue (a long sleeper, a fresh fork, a survivor
 // of a policy swap whose vruntime era is stale) is pulled up to
@@ -256,8 +251,8 @@ func (s *Sched) placeClamp(t *task.Task, rq *runqueue) {
 }
 
 // enqueueFair files a fair task on cpu's queue. front biases the order
-// tie-break ahead of every queued equal (MoveFirst semantics); ordinary
-// enqueues go behind their equals, preserving FIFO among exact ties.
+// tie-break ahead of every queued equal; ordinary enqueues go behind their
+// equals, preserving FIFO among exact ties.
 func (s *Sched) enqueueFair(t *task.Task, cpu int, front bool) {
 	rq := &s.rqs[cpu]
 	var order int64
@@ -370,34 +365,6 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 		t.RunList.ResetDangling()
 	}
 	s.bal.Len[t.QIndex]--
-}
-
-// MoveFirstRunqueue re-keys t ahead of its exact-vruntime equals.
-func (s *Sched) MoveFirstRunqueue(t *task.Task) {
-	if !t.OnRunqueue() {
-		return
-	}
-	cpu := t.QIndex
-	if t.RunList.InListProper() {
-		s.rqs[cpu].rt.Level(int(t.QStamp)).MoveFront(&t.RunList)
-		return
-	}
-	s.DelFromRunqueue(t)
-	s.enqueueFair(t, cpu, true)
-}
-
-// MoveLastRunqueue re-keys t behind its exact-vruntime equals.
-func (s *Sched) MoveLastRunqueue(t *task.Task) {
-	if !t.OnRunqueue() {
-		return
-	}
-	cpu := t.QIndex
-	if t.RunList.InListProper() {
-		s.rqs[cpu].rt.Level(int(t.QStamp)).MoveBack(&t.RunList)
-		return
-	}
-	s.DelFromRunqueue(t)
-	s.enqueueFair(t, cpu, false)
 }
 
 // Runnable returns the number of queued tasks; running tasks are

@@ -155,7 +155,7 @@ func TestMinVruntimeMonotone(t *testing.T) {
 		s.AddToRunqueue(tk)
 	}
 
-	last := []uint64{s.MinVR(0), s.MinVR(1)}
+	last := []uint64{s.rqs[0].minVR, s.rqs[1].minVR}
 	var blocked []*task.Task
 	nextID := 100
 	for step := 0; step < 400; step++ {
@@ -173,7 +173,7 @@ func TestMinVruntimeMonotone(t *testing.T) {
 		}
 		current[cpu] = schedule(s, cpu, idles[cpu], current[cpu])
 		for q := 0; q < ncpu; q++ {
-			if vr := s.MinVR(q); vr < last[q] {
+			if vr := s.rqs[q].minVR; vr < last[q] {
 				t.Fatalf("step %d: min_vruntime on cpu %d went backwards: %d -> %d", step, q, last[q], vr)
 			} else {
 				last[q] = vr
@@ -216,7 +216,7 @@ func TestSleeperClampBound(t *testing.T) {
 		}
 		cur = schedule(s, 0, idle, cur)
 	}
-	minVR := s.MinVR(0)
+	minVR := s.rqs[0].minVR
 	if minVR <= sleeperBonus {
 		t.Fatalf("hogs advanced min_vruntime only to %d, not past the sleeper bonus %d", minVR, sleeperBonus)
 	}
@@ -315,8 +315,8 @@ func TestAddToRunqueueRenormsOnRehome(t *testing.T) {
 
 	env.SetCPUOnline(1, false) // re-home: the task's last CPU is gone
 	s.AddToRunqueue(tk)
-	if s.QueueLen(0) != 1 {
-		t.Fatalf("re-homed task not filed on queue 0 (len %d)", s.QueueLen(0))
+	if s.bal.Len[0] != 1 {
+		t.Fatalf("re-homed task not filed on queue 0 (len %d)", s.bal.Len[0])
 	}
 	if want := s.rqs[0].minVR + 1000; tk.VRuntime != want {
 		t.Fatalf("re-homed vruntime = %d, want lag-preserving rebase to %d", tk.VRuntime, want)

@@ -360,41 +360,117 @@ func TestHigherRTPriorityWins(t *testing.T) {
 	})
 }
 
+// TestMoveFirstWinsTie: 2.3.99's move_first_runqueue — sched_setscheduler
+// moves the task to the front of its queue — is delivered by the re-file
+// the kernel does around any change to what a task is indexed by
+// (DelFromRunqueue, change, AddToRunqueue; Machine.requeue). Under the
+// policies that keep equals in a list the re-filed task leads the equal
+// that was already waiting, SCHED_OTHER or real-time; heap orders equal
+// keys by arrival and cfs's fair class by enqueue order at equal vruntime,
+// so there the waiting task keeps the tie.
 func TestMoveFirstWinsTie(t *testing.T) {
-	forEach(t, 1, 2, func(t *testing.T, s sched.Scheduler, env *sched.Env) {
-		a := mkTask(env, 1, 20, 10)
-		b := mkTask(env, 2, 20, 10)
-		s.AddToRunqueue(a)
-		s.AddToRunqueue(b) // added last: b currently leads the tie
-		s.MoveFirstRunqueue(a)
+	forEach(t, 1, 4, func(t *testing.T, s sched.Scheduler, env *sched.Env) {
+		rt := []*task.Task{task.NewRT(1, "fifo-a", task.FIFO, 50, env.Epoch), task.NewRT(2, "fifo-b", task.FIFO, 50, env.Epoch)}
+		other := []*task.Task{mkTask(env, 3, 20, 10), mkTask(env, 4, 20, 10)}
+		for _, pair := range [][]*task.Task{rt, other} {
+			s.AddToRunqueue(pair[0])
+			s.AddToRunqueue(pair[1])
+			s.DelFromRunqueue(pair[0])
+			s.AddToRunqueue(pair[0])
+		}
+		want := []*task.Task{rt[0], rt[1], other[0], other[1]}
+		switch s.Name() {
+		case experiments.Heap:
+			want = []*task.Task{rt[1], rt[0], other[1], other[0]}
+		case experiments.CFS:
+			want[2], want[3] = other[1], other[0]
+		}
 		h := newHarness(s, 1)
-		if got := h.schedule(0); got != a {
-			t.Fatalf("scheduled %v, want the MoveFirst task to win the tie", got)
+		for i := range want {
+			if got := h.schedule(0); got != want[i] {
+				t.Fatalf("pick %d is %v, want %v (the first of each pair was re-filed)", i, got, want[i])
+			}
+			h.block(0)
 		}
 	})
 }
 
+// TestMoveLastLosesTie: 2.3.99's move_last_runqueue is what a policy's
+// Schedule does to a SCHED_RR prev whose quantum expired: recharge it and
+// file it behind its rt_priority equals. Three equal round-robin tasks on
+// one CPU must take turns — any three consecutive quanta go to three
+// different tasks, one that has never run included — while a lower
+// rt_priority and the best SCHED_OTHER task wait; and an expiry is not a
+// yield: the last of the three left runnable is picked again over the
+// lower level.
 func TestMoveLastLosesTie(t *testing.T) {
-	forEach(t, 1, 2, func(t *testing.T, s sched.Scheduler, env *sched.Env) {
-		a := mkTask(env, 1, 20, 10)
-		b := mkTask(env, 2, 20, 10)
-		s.AddToRunqueue(a)
-		s.AddToRunqueue(b) // b leads the tie...
-		s.MoveLastRunqueue(b)
+	forEach(t, 1, 5, func(t *testing.T, s sched.Scheduler, env *sched.Env) {
+		other := mkTask(env, 1, task.MaxPriority, 2*task.MaxPriority)
+		lower := task.NewRT(2, "rr40", task.RR, 40, env.Epoch)
+		s.AddToRunqueue(other)
+		s.AddToRunqueue(lower)
+		rrs := map[*task.Task]bool{}
+		for id := 3; id <= 5; id++ {
+			rr := task.NewRT(id, fmt.Sprintf("rr50-%d", id), task.RR, 50, env.Epoch)
+			rrs[rr] = true
+			s.AddToRunqueue(rr)
+		}
 		h := newHarness(s, 1)
-		if got := h.schedule(0); got != a {
-			t.Fatalf("scheduled %v, want the MoveLast task to lose the tie", got)
+		var ran []*task.Task
+		for q := 0; q < 7; q++ {
+			next := h.schedule(0)
+			if !rrs[next] {
+				t.Fatalf("quantum %d went to %v with three rt_priority 50 tasks runnable", q, next)
+			}
+			if next.Counter(env.Epoch) == 0 {
+				t.Fatalf("quantum %d: %v dispatched with an empty quantum", q, next)
+			}
+			for _, before := range ran[max(0, len(ran)-2):] {
+				if next == before {
+					t.Fatalf("quantum %d went to %v again, after %v: round-robin equals must rotate", q, next, ran)
+				}
+			}
+			ran = append(ran, next)
+			next.SetCounter(env.Epoch, 0) // the tick runs the quantum out
+		}
+		// Two of the three block; the one left expires with only the
+		// lower levels queued, and keeps the CPU.
+		last := h.current[0]
+		for rr := range rrs {
+			if rr != last {
+				s.DelFromRunqueue(rr)
+			}
+		}
+		if got := h.schedule(0); got != last {
+			t.Fatalf("scheduled %v, want the expired %v again: it still beats rt_priority 40", got, last)
 		}
 	})
 }
 
+// TestMoveOnUnqueuedTaskIsNoop: the rotation must not enqueue a task that
+// is leaving the queue — a SCHED_RR prev whose quantum ran out as it
+// blocked is off the run queue after schedule(), and an ordinary wake-up
+// files it again.
 func TestMoveOnUnqueuedTaskIsNoop(t *testing.T) {
 	forEach(t, 1, 1, func(t *testing.T, s sched.Scheduler, env *sched.Env) {
-		a := mkTask(env, 1, 20, 10)
-		s.MoveFirstRunqueue(a)
-		s.MoveLastRunqueue(a)
+		a := task.NewRT(1, "rr", task.RR, 50, env.Epoch)
+		s.AddToRunqueue(a)
+		h := newHarness(s, 1)
+		if got := h.schedule(0); got != a {
+			t.Fatalf("scheduled %v, want %v", got, a)
+		}
+		a.SetCounter(env.Epoch, 0)
+		h.block(0)
+		if got := h.schedule(0); got != nil {
+			t.Fatalf("scheduled %v, want idle: the only task blocked", got)
+		}
 		if s.Runnable() != 0 || a.OnRunqueue() {
-			t.Fatal("move on an unqueued task must not enqueue it")
+			t.Fatal("the rotation of an expired, blocked task must not enqueue it")
+		}
+		a.State = task.Running
+		s.AddToRunqueue(a)
+		if got := h.schedule(0); got != a {
+			t.Fatalf("scheduled %v after the wake-up, want %v", got, a)
 		}
 	})
 }

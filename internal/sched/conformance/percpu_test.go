@@ -244,9 +244,8 @@ func realTimeScript(w *rtWorld) (ranRT, exported, drained []int) {
 	s.AddToRunqueue(w.rt(11, task.FIFO, task.MaxRTPriority))
 	s.AddToRunqueue(w.rt(12, task.RR, 50))
 	s.AddToRunqueue(w.rt(13, task.RR, 50)) // filed at the front: leads 12
-	s.MoveLastRunqueue(w.tasks[13])        // 12 leads
-	s.MoveFirstRunqueue(w.tasks[13])       // 13 leads again
-	s.MoveLastRunqueue(w.tasks[13])        // 12 leads
+	s.DelFromRunqueue(w.tasks[12])         // the kernel's re-file...
+	s.AddToRunqueue(w.tasks[12])           // ...12 leads
 	for i := 0; i < 4; i++ {
 		ranRT = append(ranRT, w.run(0))
 		w.h.block(0)
@@ -315,7 +314,7 @@ func TestRealTimeArrivesAfterTimesharing(t *testing.T) {
 					t.Fatalf("step %d: %q, oracle %q", i, lazy.log[i], eager.log[i])
 				}
 			}
-			// rt_priority 99, then level 50 in the order the moves left
+			// rt_priority 99, then level 50 in the order the re-file left
 			// it, then rt_priority 0.
 			if want := []int{11, 12, 13, 10}; fmt.Sprint(ranRT) != fmt.Sprint(want) {
 				t.Errorf("CPU 0 ran real-time tasks %v, want %v", ranRT, want)
@@ -396,7 +395,6 @@ func TestRealTimeLevelsAllocateOncePerArray(t *testing.T) {
 				}
 				w.s.AddToRunqueue(w.spent)
 				w.s.AddToRunqueue(w.rt)
-				w.s.MoveLastRunqueue(w.rt)
 				w.s.DelFromRunqueue(w.rt)
 				w.s.AddToRunqueue(w.rt)
 			})

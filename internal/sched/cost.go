@@ -156,13 +156,10 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// ExamineTotal is the cost of evaluating one candidate: walking to it plus
-// computing its goodness. (Pointer receivers throughout: the model is 23
-// words, and the policies call these once per candidate in their scans.)
-func (c *CostModel) ExamineTotal() uint64 { return c.ExamineCost + c.GoodnessCost }
-
 // Touch is the cost of reaching one run-queue entry on a machine with ncpu
-// processors, including the coherence miss on a multiprocessor.
+// processors, including the coherence miss on a multiprocessor. (Pointer
+// receivers: the model is 23 words, and the policies call these once per
+// candidate in their scans.)
 func (c *CostModel) Touch(ncpu int) uint64 {
 	t := c.ExamineCost
 	if ncpu > 1 {

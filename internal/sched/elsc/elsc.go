@@ -201,23 +201,6 @@ func (s *Sched) insertFront(t *task.Task, idx int) {
 	s.total++
 }
 
-// zeroBoundary returns the first parked (zero-section) node of list idx,
-// or nil if the list has no parked tasks.
-func (s *Sched) zeroBoundary(idx int) *klist.Node {
-	if s.z[idx] == 0 {
-		return nil
-	}
-	var found *klist.Node
-	s.lists[idx].ForEach(func(n *klist.Node) bool {
-		if s.inZeroSection(task.FromNode(n)) {
-			found = n
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // DelFromRunqueue removes t. It handles both a task physically in a list
 // and a running task that ELSC already pulled out manually (which the rest
 // of the kernel still sees as queued).
@@ -264,60 +247,9 @@ func (s *Sched) scanDown(counts []int, from int) int {
 	return -1
 }
 
-// MoveFirstRunqueue moves t to the front of its section within its current
-// list; the bias only needs to beat goodness ties, and ties can only occur
-// within a list (paper §5.1: "we need only to move tasks within their
-// current lists").
-func (s *Sched) MoveFirstRunqueue(t *task.Task) {
-	if !t.OnRunqueue() || !t.RunList.InListProper() {
-		return
-	}
-	idx := t.QIndex
-	zero := s.inZeroSection(t)
-	s.lists[idx].Remove(&t.RunList)
-	if zero {
-		if zb := s.zeroBoundary(idx); zb != nil {
-			s.lists[idx].InsertBefore(&t.RunList, zb)
-		} else {
-			s.lists[idx].PushBack(&t.RunList)
-		}
-	} else {
-		s.lists[idx].PushFront(&t.RunList)
-	}
-}
-
-// MoveLastRunqueue moves t to the back of its section within its current
-// list.
-func (s *Sched) MoveLastRunqueue(t *task.Task) {
-	if !t.OnRunqueue() || !t.RunList.InListProper() {
-		return
-	}
-	idx := t.QIndex
-	zero := s.inZeroSection(t)
-	s.lists[idx].Remove(&t.RunList)
-	if zero {
-		s.lists[idx].PushBack(&t.RunList)
-	} else {
-		if zb := s.zeroBoundary(idx); zb != nil {
-			s.lists[idx].InsertBefore(&t.RunList, zb)
-		} else {
-			s.lists[idx].PushBack(&t.RunList)
-		}
-	}
-}
-
 // Runnable returns the number of selectable tasks in the table. Running
 // tasks are not in the table, so no adjustment is needed.
 func (s *Sched) Runnable() int { return s.total }
-
-// Top returns the current top list index (-1 if none). For tests.
-func (s *Sched) Top() int { return s.top }
-
-// NextTop returns the current next_top list index (-1 if none). For tests.
-func (s *Sched) NextTop() int { return s.nextTop }
-
-// ListLen returns the number of tasks in table list idx. For tests.
-func (s *Sched) ListLen(idx int) int { return s.lists[idx].Len() }
 
 // Drain implements sched.Scheduler: the whole table, list 0..size-1, each
 // front to back (selectable section first, then the parked zero section).

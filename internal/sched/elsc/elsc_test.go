@@ -60,15 +60,15 @@ func TestIndexForDefaultGeometry(t *testing.T) {
 func TestAddSetsTop(t *testing.T) {
 	env := newEnv(1, 0)
 	s := New(env)
-	if s.Top() != -1 || s.NextTop() != -1 {
+	if s.top != -1 || s.nextTop != -1 {
 		t.Fatal("fresh table should have no top/next_top")
 	}
 	a := mkTask(env, 1, 20, 10)
 	s.AddToRunqueue(a)
-	if s.Top() != (10+20)/4 {
-		t.Fatalf("top = %d, want %d", s.Top(), (10+20)/4)
+	if s.top != (10+20)/4 {
+		t.Fatalf("top = %d, want %d", s.top, (10+20)/4)
 	}
-	if s.NextTop() != -1 {
+	if s.nextTop != -1 {
 		t.Fatal("next_top should be unset for selectable tasks")
 	}
 }
@@ -79,13 +79,13 @@ func TestZeroCounterParksAtPredictedIndex(t *testing.T) {
 	a := mkTask(env, 1, 20, 0)
 	s.AddToRunqueue(a)
 	// Predicted counter = 0/2 + 20 = 20, so index (20+20)/4 = 10.
-	if s.Top() != -1 {
+	if s.top != -1 {
 		t.Fatal("exhausted task must not set top")
 	}
-	if s.NextTop() != 10 {
-		t.Fatalf("next_top = %d, want 10", s.NextTop())
+	if s.nextTop != 10 {
+		t.Fatalf("next_top = %d, want 10", s.nextTop)
 	}
-	if s.ListLen(10) != 1 {
+	if s.lists[10].Len() != 1 {
 		t.Fatal("task not in predicted list")
 	}
 	s.checkInvariants()
@@ -100,7 +100,7 @@ func TestParkedTasksSitBehindSelectable(t *testing.T) {
 	s.AddToRunqueue(parked)
 	live := mkTask(env, 2, 20, 21) // (21+20)/4 = 10
 	s.AddToRunqueue(live)
-	if s.ListLen(10) != 2 {
+	if s.lists[10].Len() != 2 {
 		t.Fatalf("expected both tasks on list 10")
 	}
 	s.checkInvariants() // would panic if parked sat in front
@@ -286,7 +286,7 @@ func TestExhaustionRecalculatesAndMerges(t *testing.T) {
 	b := mkTask(env, 2, 10, 0)
 	s.AddToRunqueue(a)
 	s.AddToRunqueue(b)
-	if s.Top() != -1 {
+	if s.top != -1 {
 		t.Fatal("setup: no selectable tasks expected")
 	}
 
@@ -299,7 +299,7 @@ func TestExhaustionRecalculatesAndMerges(t *testing.T) {
 	if res.Next != a {
 		t.Fatalf("picked %v, want %v", res.Next, a)
 	}
-	if s.NextTop() != -1 {
+	if s.nextTop != -1 {
 		t.Fatal("next_top must clear after the merge")
 	}
 	s.checkInvariants()
@@ -531,6 +531,20 @@ func TestSchedulerCostIndependentOfQueueDepth(t *testing.T) {
 	}
 }
 
+// listOrder returns table list idx front to back.
+func listOrder(s *Sched, idx int) []*task.Task {
+	var out []*task.Task
+	for n := s.lists[idx].First(); n != nil; n = n.Next() {
+		out = append(out, task.FromNode(n))
+	}
+	return out
+}
+
+// TestMoveFirstLastWithinList: a task's place among the equals of its list
+// is decided where it is filed. The kernel's re-file around a class or
+// priority change (Del, change, Add) lands at the front, which is the
+// paper's move_first_runqueue; Schedule sends a round-robin prev whose
+// quantum expired to the back, which is its move_last_runqueue.
 func TestMoveFirstLastWithinList(t *testing.T) {
 	env := newEnv(1, 0)
 	s := New(env)
@@ -538,32 +552,61 @@ func TestMoveFirstLastWithinList(t *testing.T) {
 	b := mkTask(env, 2, 20, 10)
 	s.AddToRunqueue(a)
 	s.AddToRunqueue(b) // front: b
-	s.MoveFirstRunqueue(a)
+	s.DelFromRunqueue(a)
+	s.AddToRunqueue(a)
 	res := s.Schedule(0, idlePrev())
 	if res.Next != a {
-		t.Fatalf("picked %v, want %v after MoveFirst", res.Next, a)
+		t.Fatalf("picked %v, want the re-filed %v", res.Next, a)
+	}
+	s.checkInvariants()
+
+	rrs := make([]*task.Task, 3)
+	for i := range rrs {
+		rrs[i] = task.NewRT(10+i, "rr", task.RR, 15, env.Epoch)
+		s.AddToRunqueue(rrs[i])
+	} // list 21: [rr2, rr1, rr0]
+	first := s.Schedule(0, idlePrev()).Next
+	if first != rrs[2] {
+		t.Fatalf("picked %v, want the front task %v", first, rrs[2])
+	}
+	dispatch(first, 0)
+	first.SetCounter(env.Epoch, 0)
+	if next := s.Schedule(0, first).Next; next != rrs[1] {
+		t.Fatalf("picked %v after the expiry, want %v", next, rrs[1])
+	}
+	if got := listOrder(s, first.QIndex); len(got) != 2 || got[0] != rrs[0] || got[1] != first {
+		t.Fatalf("list after the expiry = %v, want [%v %v]: the expired task behind every equal", got, rrs[0], first)
 	}
 	s.checkInvariants()
 }
 
+// TestMoveLastStaysAheadOfParked: the round-robin rotation is a plain move
+// to the back of the list, with no search for where a parked zero-counter
+// section begins, because a real-time list has none — a real-time task is
+// filed selectable whatever its counter, exhausted ones included.
 func TestMoveLastStaysAheadOfParked(t *testing.T) {
-	// Moving a selectable task "last" must keep it ahead of the parked
-	// zero-counter section ("These functions behave appropriately when
-	// faced with mixed-counter lists").
 	env := newEnv(1, 0)
 	s := New(env)
-	parked := mkTask(env, 1, 20, 0) // predicted -> list 10
-	s.AddToRunqueue(parked)
-	live1 := mkTask(env, 2, 20, 20) // (20+20)/4 = 10
-	live2 := mkTask(env, 3, 20, 20) // same goodness: a true tie
-	s.AddToRunqueue(live1)
-	s.AddToRunqueue(live2)
-	s.MoveLastRunqueue(live2)
-	s.checkInvariants() // live2 must not be behind parked
-	res := s.Schedule(0, idlePrev())
-	if res.Next != live1 {
-		t.Fatalf("picked %v, want %v (live2 moved last)", res.Next, live1)
+	spent := task.NewRT(1, "spent", task.RR, 10, env.Epoch)
+	spent.SetCounter(env.Epoch, 0)
+	peer := task.NewRT(2, "peer", task.RR, 10, env.Epoch)
+	s.AddToRunqueue(peer)
+	s.AddToRunqueue(spent) // front: spent
+	idx := spent.QIndex
+	if s.z[idx] != 0 || s.nz[idx] != 2 || s.nextTop != -1 {
+		t.Fatalf("list %d: nz=%d z=%d next_top=%d, want an exhausted real-time task filed selectable", idx, s.nz[idx], s.z[idx], s.nextTop)
 	}
+	if next := s.Schedule(0, idlePrev()).Next; next != spent {
+		t.Fatalf("picked %v, want %v", next, spent)
+	}
+	dispatch(spent, 0)
+	if next := s.Schedule(0, spent).Next; next != peer {
+		t.Fatalf("picked %v, want %v (spent rotated behind it)", next, peer)
+	}
+	if s.z[idx] != 0 {
+		t.Fatalf("z[%d] = %d after the rotation, want no parked task on a real-time list", idx, s.z[idx])
+	}
+	s.checkInvariants()
 }
 
 func TestDelFromRunqueueParked(t *testing.T) {
@@ -572,7 +615,7 @@ func TestDelFromRunqueueParked(t *testing.T) {
 	parked := mkTask(env, 1, 20, 0)
 	s.AddToRunqueue(parked)
 	s.DelFromRunqueue(parked)
-	if s.NextTop() != -1 {
+	if s.nextTop != -1 {
 		t.Fatal("next_top must clear when the last parked task leaves")
 	}
 	if parked.OnRunqueue() {
@@ -623,6 +666,10 @@ func TestRandomOpsInvariants(t *testing.T) {
 			tk := mkTask(env, i, 1+rng.Intn(40), 0)
 			tk.SetCounter(env.Epoch, rng.Intn(2*tk.Priority+1))
 			tk.MM = mms[rng.Intn(3)]
+			if i%8 == 7 {
+				// Round-robin tasks, so case 4 rotates expired ones.
+				tk.Policy, tk.RTPriority = task.RR, 10*rng.Intn(3)
+			}
 			pool[i] = tk
 		}
 		var running []*task.Task // dispatched tasks per fake CPU
@@ -640,12 +687,13 @@ func TestRandomOpsInvariants(t *testing.T) {
 					s.DelFromRunqueue(tk)
 				}
 			case 2:
+				// The kernel's re-file around a priority change.
 				if tk.OnRunqueue() && tk.RunList.InListProper() {
-					if op%2 == 0 {
-						s.MoveFirstRunqueue(tk)
-					} else {
-						s.MoveLastRunqueue(tk)
+					s.DelFromRunqueue(tk)
+					if !tk.RealTime() {
+						tk.Priority = 1 + rng.Intn(40)
 					}
+					s.AddToRunqueue(tk)
 				}
 			case 3: // schedule on a random CPU
 				cpu := rng.Intn(env.NCPU)

@@ -22,7 +22,7 @@ func TestRTNeverParked(t *testing.T) {
 	rr := task.NewRT(1, "rr", task.RR, 30, env.Epoch)
 	rr.SetCounter(env.Epoch, 0)
 	s.AddToRunqueue(rr)
-	if s.Top() < 0 {
+	if s.top < 0 {
 		t.Fatal("RT task did not set top")
 	}
 	res := s.Schedule(0, idlePrev())
@@ -63,15 +63,23 @@ func TestWakeOfDanglingTaskIsIgnored(t *testing.T) {
 	s.checkInvariants()
 }
 
+// TestMoveOpsOnDanglingAreNoops: the rotation of a lone round-robin task.
+// Schedule puts the dangling prev back in its list and moves it to the
+// back of a list it is alone on; it is picked again with a fresh quantum.
 func TestMoveOpsOnDanglingAreNoops(t *testing.T) {
 	env := newEnv(1, 1)
 	s := New(env)
-	a := mkTask(env, 1, 20, 10)
+	a := task.NewRT(1, "rr", task.RR, 10, env.Epoch)
 	s.AddToRunqueue(a)
 	res := s.Schedule(0, idlePrev())
 	dispatch(res.Next, 0)
-	s.MoveFirstRunqueue(a)
-	s.MoveLastRunqueue(a)
+	a.SetCounter(env.Epoch, 0)
+	if next := s.Schedule(0, a).Next; next != a {
+		t.Fatalf("picked %v, want the lone round-robin task again", next)
+	}
+	if a.Counter(env.Epoch) != a.Priority || a.RunList.InListProper() {
+		t.Fatalf("counter %d, in list %v: want a recharged task pulled out of its list", a.Counter(env.Epoch), a.RunList.InListProper())
+	}
 	s.checkInvariants()
 }
 
@@ -119,17 +127,16 @@ func TestBusyTasksConsumeSearchLimit(t *testing.T) {
 	env := sched.NewEnv(8, true, func() int { return 16 })
 	s := New(env)
 	limit := env.NCPU/2 + 5 // 9
-	// Fill the top list with busy tasks beyond the limit, plus one
+	// Fill the top list with busy tasks up to the limit, in front of one
 	// free task at the back.
+	free := mkTask(env, 99, 20, 10)
+	s.AddToRunqueue(free)
 	for i := 0; i < limit; i++ {
 		busy := mkTask(env, i, 20, 10)
-		s.AddToRunqueue(busy)
+		s.AddToRunqueue(busy) // in front of free
 		busy.HasCPU = true
 		busy.Processor = 1
 	}
-	free := mkTask(env, 99, 20, 10)
-	s.AddToRunqueue(free)
-	s.MoveLastRunqueue(free)
 
 	res := s.Schedule(0, idlePrev())
 	// All nine examinations go to busy tasks; the free task at position
@@ -182,7 +189,7 @@ func TestZeroCounterWakeGoesToPredictedList(t *testing.T) {
 	s := New(env)
 	a := mkTask(env, 1, 20, 0)
 	s.AddToRunqueue(a)
-	if s.NextTop() < 0 {
+	if s.nextTop < 0 {
 		t.Fatal("zero-counter wake not parked")
 	}
 	// A selectable task must still win without recalculation.

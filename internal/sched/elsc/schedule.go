@@ -35,10 +35,12 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			}
 			// Exhausted round-robin tasks get a fresh quantum and
 			// lose position. Their list index depends only on
-			// rt_priority, so a move within the list suffices.
+			// rt_priority, so a move within the list suffices, and a
+			// real-time list never holds a parked task, so its back
+			// is the back of the selectable section.
 			if prev.Policy == task.RR && prev.Counter(env.Epoch) == 0 {
 				prev.SetCounter(env.Epoch, prev.Priority)
-				s.MoveLastRunqueue(prev)
+				s.lists[prev.QIndex].MoveBack(&prev.RunList)
 				res.Cycles += env.Cost.MoveRunqueue
 			}
 		} else if prev.OnRunqueue() {

@@ -78,10 +78,15 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 	if t.OnRunqueue() {
 		return
 	}
+	s.seq++
+	s.push(t, s.seq)
+}
+
+// push files t under arrival number seq; equal keys pop in seq order.
+func (s *Sched) push(t *task.Task, seq uint64) {
 	t.RunList.MarkQueued()
 	h := s.heapOf(t)
-	s.seq++
-	s.heaps[h].push(entry{t: t, key: key(s.env.Epoch, t), seq: s.seq}, h)
+	s.heaps[h].push(entry{t: t, key: key(s.env.Epoch, t), seq: seq}, h)
 	s.total++
 }
 
@@ -93,29 +98,6 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	s.heaps[t.QStamp].removeAt(t.QIndex)
 	t.RunList.ResetDangling()
 	s.total--
-}
-
-// MoveFirstRunqueue re-keys t to win ties by giving it the freshest
-// sequence bias; heaps break key ties by preferring lower seq, so reusing
-// an early sequence number moves it ahead of equals.
-func (s *Sched) MoveFirstRunqueue(t *task.Task) {
-	if !t.OnRunqueue() {
-		return
-	}
-	h := t.QStamp
-	s.heaps[h].removeAt(t.QIndex)
-	s.heaps[h].push(entry{t: t, key: key(s.env.Epoch, t), seq: 0}, int(h))
-}
-
-// MoveLastRunqueue pushes t behind its equals.
-func (s *Sched) MoveLastRunqueue(t *task.Task) {
-	if !t.OnRunqueue() {
-		return
-	}
-	h := t.QStamp
-	s.seq++
-	s.heaps[h].removeAt(t.QIndex)
-	s.heaps[h].push(entry{t: t, key: key(s.env.Epoch, t), seq: s.seq}, int(h))
 }
 
 // Runnable returns the number of queued tasks.
@@ -149,18 +131,28 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 	if !prev.IsIdle {
 		yielded = prev.Yielded
 		prev.Yielded = false
-		if prev.Policy == task.RR && prev.Counter(env.Epoch) == 0 {
+		rrExpired := prev.Policy == task.RR && prev.Counter(env.Epoch) == 0
+		if rrExpired {
 			prev.SetCounter(env.Epoch, prev.Priority)
 		}
 		if prev.Runnable() && !prev.OnRunqueue() {
-			s.AddToRunqueue(prev)
+			// A real-time prev still in its quantum has not arrived
+			// again: it stays ahead of its equals (FIFO runs until it
+			// blocks). One whose round-robin quantum expired is the
+			// latest arrival, like any SCHED_OTHER prev.
+			seq := uint64(0)
+			if !prev.RealTime() || rrExpired {
+				s.seq++
+				seq = s.seq
+			}
+			s.push(prev, seq)
 			res.Cycles += env.Cost.AddRunqueue + s.logCost()
 		}
 	}
 
 	for attempt := 0; ; attempt++ {
 		best := (*task.Task)(nil)
-		bestG := -1
+		bestG, bestSeq := -1, uint64(0)
 		allExhausted := s.total > 0
 		sawBusy := false
 		for h := range s.heaps {
@@ -187,8 +179,12 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			if t == prev && yielded {
 				continue // offer the yielder only as a last resort
 			}
-			if g > bestG {
-				bestG = g
+			// Real-time tops tie whenever their rt_priority does (no
+			// bonus applies to them). The earlier arrival wins, in
+			// whichever heap it waits, so a round-robin task re-filed
+			// on expiry — the latest arrival — is behind its equals.
+			if g > bestG || g == bestG && t.RealTime() && e.seq < bestSeq {
+				bestG, bestSeq = g, e.seq
 				best = t
 			}
 		}

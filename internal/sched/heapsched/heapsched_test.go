@@ -193,13 +193,20 @@ func TestHeapInvariantsUnderRandomOps(t *testing.T) {
 				if tk.OnRunqueue() {
 					s.DelFromRunqueue(tk)
 				}
-			case 2:
+			case 2: // the kernel's re-file around a priority change
 				if tk.OnRunqueue() {
-					s.MoveFirstRunqueue(tk)
+					s.DelFromRunqueue(tk)
+					tk.Priority = 1 + rng.Intn(40)
+					s.AddToRunqueue(tk)
 				}
-			case 3:
+			case 3: // ...and around a class change
 				if tk.OnRunqueue() {
-					s.MoveLastRunqueue(tk)
+					s.DelFromRunqueue(tk)
+					tk.Policy, tk.RTPriority = task.RR, rng.Intn(100)
+					if rng.Intn(2) == 0 {
+						tk.Policy, tk.RTPriority = task.Other, 0
+					}
+					s.AddToRunqueue(tk)
 				}
 			case 4:
 				cpu := rng.Intn(env.NCPU)

@@ -84,25 +84,8 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	s.counts[t.QIndex]--
 }
 
-// MoveFirstRunqueue moves t to its queue's front.
-func (s *Sched) MoveFirstRunqueue(t *task.Task) {
-	if t.OnRunqueue() {
-		s.queues[t.QIndex].MoveFront(&t.RunList)
-	}
-}
-
-// MoveLastRunqueue moves t to its queue's back.
-func (s *Sched) MoveLastRunqueue(t *task.Task) {
-	if t.OnRunqueue() {
-		s.queues[t.QIndex].MoveBack(&t.RunList)
-	}
-}
-
 // Runnable returns the number of queued tasks.
 func (s *Sched) Runnable() int { return s.counts.Total() }
-
-// QueueLen returns queue q's length, for tests.
-func (s *Sched) QueueLen(q int) int { return s.counts[q] }
 
 // Drain implements sched.Scheduler: empty CPU q's private queue, front to
 // back.
@@ -125,11 +108,18 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 	if !prev.IsIdle {
 		yielded = prev.Yielded
 		prev.Yielded = false
-		if prev.Policy == task.RR && prev.Counter(env.Epoch) == 0 {
+		rrExpired := prev.Policy == task.RR && prev.Counter(env.Epoch) == 0
+		if rrExpired {
 			prev.SetCounter(env.Epoch, prev.Priority)
 		}
 		if prev.Runnable() && !prev.OnRunqueue() {
 			s.AddToRunqueue(prev)
+			if rrExpired {
+				// Round-robin rotation: behind its rt_priority equals,
+				// which the scan's strict > then prefers. Its goodness
+				// still beats every lower level.
+				s.queues[prev.QIndex].MoveBack(&prev.RunList)
+			}
 			res.Cycles += env.Cost.AddRunqueue
 		}
 	}

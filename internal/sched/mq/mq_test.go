@@ -35,8 +35,8 @@ func TestNewTasksBalanceAcrossQueues(t *testing.T) {
 		s.AddToRunqueue(mkTask(env, i, 20, 10))
 	}
 	for q := 0; q < 4; q++ {
-		if s.QueueLen(q) != 2 {
-			t.Fatalf("queue %d has %d tasks, want balanced 2", q, s.QueueLen(q))
+		if s.counts[q] != 2 {
+			t.Fatalf("queue %d has %d tasks, want balanced 2", q, s.counts[q])
 		}
 	}
 }
@@ -48,7 +48,7 @@ func TestWokenTaskGoesHome(t *testing.T) {
 	a.EverRan = true
 	a.Processor = 1
 	s.AddToRunqueue(a)
-	if s.QueueLen(1) != 1 || s.QueueLen(0) != 0 {
+	if s.counts[1] != 1 || s.counts[0] != 0 {
 		t.Fatal("woken task must be filed on its last CPU's queue")
 	}
 }
@@ -190,12 +190,11 @@ func TestRandomOpsKeepCountsConsistent(t *testing.T) {
 					s.DelFromRunqueue(tk)
 				}
 			case 2:
+				// The kernel's re-file around a priority change.
 				if tk.OnRunqueue() {
-					if op%2 == 0 {
-						s.MoveFirstRunqueue(tk)
-					} else {
-						s.MoveLastRunqueue(tk)
-					}
+					s.DelFromRunqueue(tk)
+					tk.Priority = 1 + rng.Intn(40)
+					s.AddToRunqueue(tk)
 				}
 			case 3:
 				cpu := rng.Intn(env.NCPU)
@@ -251,7 +250,7 @@ func TestStealRebalancesLoad(t *testing.T) {
 		s.AddToRunqueue(res.Next)
 		s.checkInvariants(t)
 	}
-	if s.QueueLen(0) == 0 {
+	if s.counts[0] == 0 {
 		t.Fatal("stolen tasks should now home on CPU 0")
 	}
 }

@@ -108,11 +108,10 @@ func (r *fuzzRig) step(op, arg byte) {
 		tk.DrainRun(uint64(arg) * max / 64)
 	case 7:
 		tk.SetCounter(r.env.Epoch, int(arg)%tk.MaxCounter())
-	case 8:
-		if arg%2 == 0 {
-			r.s.MoveFirstRunqueue(tk)
-		} else {
-			r.s.MoveLastRunqueue(tk)
+	case 8: // the kernel's re-file of a queued task: Del, Add
+		if tk.OnRunqueue() {
+			r.s.DelFromRunqueue(tk)
+			r.s.AddToRunqueue(tk)
 		}
 	case 9: // tick: granularity rotation / better-level preemption
 		if cur := r.current[cpu]; cur != nil {
@@ -188,7 +187,7 @@ func (r *fuzzRig) checkInvariants() error {
 			qTotal += arrTotal
 			total += arrTotal
 		}
-		if got := r.s.QueueLen(q); got != qTotal {
+		if got := r.s.bal.Len[q]; got != qTotal {
 			return fmt.Errorf("q%d: balancer length %d but arrays hold %d", q, got, qTotal)
 		}
 	}

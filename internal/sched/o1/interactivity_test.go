@@ -62,9 +62,9 @@ func TestInteractiveWakeWithSpentQuantumEntersActive(t *testing.T) {
 	s := New(env)
 	inter := sleeper(env, 1, 20, 0, 11)
 	s.AddToRunqueue(inter)
-	if s.ActiveLen(0) != 1 || s.ExpiredLen(0) != 0 {
+	if s.rqs[0].active().Len() != 1 || s.rqs[0].expired().Len() != 0 {
 		t.Fatalf("interactive spent-quantum wake: active=%d expired=%d, want 1/0",
-			s.ActiveLen(0), s.ExpiredLen(0))
+			s.rqs[0].active().Len(), s.rqs[0].expired().Len())
 	}
 	if got := inter.Counter(env.Epoch); got != inter.Priority {
 		t.Fatalf("recharged counter = %d, want %d", got, inter.Priority)
@@ -74,8 +74,8 @@ func TestInteractiveWakeWithSpentQuantumEntersActive(t *testing.T) {
 	}
 	hog := mkTask(env, 2, 20, 0)
 	s.AddToRunqueue(hog)
-	if s.ExpiredLen(0) != 1 {
-		t.Fatalf("hog spent-quantum wake: expired=%d, want 1", s.ExpiredLen(0))
+	if s.rqs[0].expired().Len() != 1 {
+		t.Fatalf("hog spent-quantum wake: expired=%d, want 1", s.rqs[0].expired().Len())
 	}
 }
 
@@ -111,21 +111,21 @@ func TestReinsertBoundedByStarvationClock(t *testing.T) {
 	s := NewWithConfig(env, Config{StarvationLimit: 10})
 	starved := mkTask(env, 1, 20, 0)
 	s.AddToRunqueue(starved) // hog profile: parks in expired
-	if s.ExpiredLen(0) != 1 {
-		t.Fatalf("setup: expired=%d, want 1", s.ExpiredLen(0))
+	if s.rqs[0].expired().Len() != 1 {
+		t.Fatalf("setup: expired=%d, want 1", s.rqs[0].expired().Len())
 	}
 	s.rqs[0].schedSeq = s.rqs[0].expiredSince + 10 // clock at the limit
 	inter := sleeper(env, 2, 20, 0, 11)
 	s.AddToRunqueue(inter)
-	if s.ExpiredLen(0) != 2 {
+	if s.rqs[0].expired().Len() != 2 {
 		t.Fatalf("starving expired array: interactive wake filed active (expired=%d), want bounded to expired",
-			s.ExpiredLen(0))
+			s.rqs[0].expired().Len())
 	}
 	s.rqs[0].schedSeq = s.rqs[0].expiredSince // fresh clock: bound lifted
 	inter2 := sleeper(env, 3, 20, 0, 11)
 	s.AddToRunqueue(inter2)
-	if s.ActiveLen(0) != 1 {
-		t.Fatalf("fresh clock: active=%d, want the interactive re-insertion", s.ActiveLen(0))
+	if s.rqs[0].active().Len() != 1 {
+		t.Fatalf("fresh clock: active=%d, want the interactive re-insertion", s.rqs[0].active().Len())
 	}
 }
 
@@ -190,7 +190,7 @@ func TestPlaceWakeFilesOnGivenCPU(t *testing.T) {
 	if !s.PlaceWake(tk, 3) {
 		t.Fatal("PlaceWake declined a valid idle-CPU hint")
 	}
-	if s.QueueLen(3) != 1 || s.QueueLen(0) != 0 {
+	if s.bal.Len[3] != 1 || s.bal.Len[0] != 0 {
 		t.Fatalf("task filed on queue %d, want 3", tk.QIndex)
 	}
 	if s.PlaceWake(tk, 2) {

@@ -381,36 +381,9 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	s.bal.Len[t.QIndex]--
 }
 
-// MoveFirstRunqueue moves t to the head of its level list, so it wins
-// the FIFO tie-break against equal-priority tasks.
-func (s *Sched) MoveFirstRunqueue(t *task.Task) {
-	if !t.OnRunqueue() {
-		return
-	}
-	arrayIdx, lvl := unstamp(t.QStamp)
-	s.rqs[t.QIndex].arrays[arrayIdx].Level(lvl).MoveFront(&t.RunList)
-}
-
-// MoveLastRunqueue moves t to the tail of its level list, so it loses
-// the tie-break (SCHED_RR rotation).
-func (s *Sched) MoveLastRunqueue(t *task.Task) {
-	if !t.OnRunqueue() {
-		return
-	}
-	arrayIdx, lvl := unstamp(t.QStamp)
-	s.rqs[t.QIndex].arrays[arrayIdx].Level(lvl).MoveBack(&t.RunList)
-}
-
 // Runnable returns the number of queued tasks; running tasks are
 // dequeued while they execute, as in 2.5.
 func (s *Sched) Runnable() int { return s.bal.Len.Total() }
-
-// QueueLen returns CPU q's total queued tasks (both arrays), for tests.
-func (s *Sched) QueueLen(q int) int { return s.bal.Len[q] }
-
-// ActiveLen and ExpiredLen expose per-array occupancy, for tests.
-func (s *Sched) ActiveLen(q int) int  { return s.rqs[q].active().Len() }
-func (s *Sched) ExpiredLen(q int) int { return s.rqs[q].expired().Len() }
 
 // Drain implements sched.Scheduler: empty CPU q's private arrays — active
 // first, then expired, each in ascending level order (best priority

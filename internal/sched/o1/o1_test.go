@@ -137,8 +137,8 @@ func TestExpiredArrayAndSwap(t *testing.T) {
 	if res.Next == first {
 		t.Fatal("expired task re-picked while a fresh task waits")
 	}
-	if s.ExpiredLen(0) != 1 {
-		t.Fatalf("expired array holds %d, want the exhausted task", s.ExpiredLen(0))
+	if s.rqs[0].expired().Len() != 1 {
+		t.Fatalf("expired array holds %d, want the exhausted task", s.rqs[0].expired().Len())
 	}
 	if first.RawCounter() == 0 {
 		t.Fatal("exhausted task must be recharged when filed into expired")
@@ -209,8 +209,8 @@ func TestStealWhenLocalEmpty(t *testing.T) {
 	b.Processor = 1
 	s.AddToRunqueue(a)
 	s.AddToRunqueue(b)
-	if s.QueueLen(0) != 0 || s.QueueLen(1) != 2 {
-		t.Fatalf("queues = %d/%d, want 0/2", s.QueueLen(0), s.QueueLen(1))
+	if s.bal.Len[0] != 0 || s.bal.Len[1] != 2 {
+		t.Fatalf("queues = %d/%d, want 0/2", s.bal.Len[0], s.bal.Len[1])
 	}
 	res := s.Schedule(0, idlePrev())
 	if res.Next == nil {
@@ -224,7 +224,7 @@ func TestStealRespectsAffinity(t *testing.T) {
 	pinned := mkTask(env, 1, 20, 10)
 	pinned.CPUsAllowed = 1 << 1
 	s.AddToRunqueue(pinned)
-	if s.QueueLen(1) != 1 {
+	if s.bal.Len[1] != 1 {
 		t.Fatal("pinned task must be homed on CPU 1")
 	}
 	res := s.Schedule(0, idlePrev())
@@ -260,7 +260,7 @@ func TestStealFallsThroughPinnedBusiestQueue(t *testing.T) {
 // runToPull drives cpu through one balancing period. The CPU keeps
 // re-running one local task of its own, so the idle-steal path never fires
 // and only the periodic pull can move work onto its queue; afterwards that
-// task is running (dequeued), so QueueLen(cpu) counts exactly what the
+// task is running (dequeued), so bal.Len[cpu] counts exactly what the
 // pull brought.
 func runToPull(t *testing.T, env *sched.Env, s *Sched, cpu int) {
 	t.Helper()
@@ -272,7 +272,7 @@ func runToPull(t *testing.T, env *sched.Env, s *Sched, cpu int) {
 		if res.Next != runner {
 			t.Fatalf("schedule %d picked %v, want the CPU's own runner", i, res.Next)
 		}
-		if i < sched.BalanceEvery-1 && s.QueueLen(cpu) != 0 {
+		if i < sched.BalanceEvery-1 && s.bal.Len[cpu] != 0 {
 			t.Fatalf("work arrived after %d schedules, before the pull was due", i+1)
 		}
 		prev = runner
@@ -290,9 +290,9 @@ func TestPullBalancePrefersExpiredTasks(t *testing.T) {
 	cold.SetCounter(env.Epoch, 0)
 	s.AddToRunqueue(cold) // exhausted: victim's expired array
 	runToPull(t, env, s, 0)
-	if s.QueueLen(0) != 1 || cold.QIndex != 0 {
+	if s.bal.Len[0] != 1 || cold.QIndex != 0 {
 		t.Fatalf("pull took the wrong task: queue0=%d hot.QIndex=%d,%d cold.QIndex=%d (want the expired, cache-cold task)",
-			s.QueueLen(0), hot[0].QIndex, hot[1].QIndex, cold.QIndex)
+			s.bal.Len[0], hot[0].QIndex, hot[1].QIndex, cold.QIndex)
 	}
 }
 
@@ -319,7 +319,7 @@ func TestPullBalanceMovesWork(t *testing.T) {
 		}
 		prev = res.Next
 	}
-	if s.QueueLen(1) == 8 {
+	if s.bal.Len[1] == 8 {
 		t.Fatal("pull balancing never moved work off the overloaded queue")
 	}
 }
@@ -360,7 +360,7 @@ func TestExpiredNotStarvedByUnpickableStraggler(t *testing.T) {
 	ghost := mkTask(env, 1, 20, 10)
 	ghost.CPUsAllowed = 1 << 5
 	s.AddToRunqueue(ghost)
-	if s.QueueLen(0) != 1 {
+	if s.bal.Len[0] != 1 {
 		t.Fatal("setup: inconsistent-mask task must fall back to CPU 0")
 	}
 	starved := mkTask(env, 2, 20, 10)
@@ -379,7 +379,7 @@ func TestDelFromExpired(t *testing.T) {
 	a := mkTask(env, 1, 20, 10)
 	a.SetCounter(env.Epoch, 0)
 	s.AddToRunqueue(a)
-	if s.ExpiredLen(0) != 1 {
+	if s.rqs[0].expired().Len() != 1 {
 		t.Fatal("exhausted task must land in expired")
 	}
 	s.DelFromRunqueue(a)
@@ -388,23 +388,40 @@ func TestDelFromExpired(t *testing.T) {
 	}
 }
 
+// TestMoveFirstLastWithinLevel: a task's place within its level is decided
+// where it is filed. The kernel's re-file around a class or priority change
+// (Del, change, Add) lands at the head and wins the FIFO tie; Schedule
+// files a round-robin prev whose quantum expired at the tail, behind every
+// equal, and a preempted one with quantum left back at the head.
 func TestMoveFirstLastWithinLevel(t *testing.T) {
-	env := newEnv(1, 2)
+	env := newEnv(1, 3)
 	s := New(env)
-	a := mkTask(env, 1, 20, 10)
-	b := mkTask(env, 2, 20, 10)
-	s.AddToRunqueue(a)
-	s.AddToRunqueue(b) // front: b before a
-	s.MoveFirstRunqueue(a)
-	res := s.Schedule(0, idlePrev())
-	if res.Next != a {
-		t.Fatalf("after MoveFirst picked %v, want a", res.Next)
+	rrs := make([]*task.Task, 3)
+	for i := range rrs {
+		rrs[i] = task.NewRT(i+1, "rr", task.RR, 50, env.Epoch)
+		s.AddToRunqueue(rrs[i])
+	} // head first: rr2, rr1, rr0
+	s.DelFromRunqueue(rrs[0])
+	s.AddToRunqueue(rrs[0]) // rr0, rr2, rr1
+	var got []*task.Task
+	prev := idlePrev()
+	for i := 0; i < 4; i++ {
+		if i == 2 {
+			// Preempted with quantum left: keeps the head, runs again.
+			prev.SetCounter(env.Epoch, 3)
+		}
+		next := s.Schedule(0, prev).Next
+		prev.HasCPU = false
+		next.HasCPU, next.Processor = true, 0
+		got = append(got, next)
+		next.SetCounter(env.Epoch, 0) // ...and its quantum expires
+		prev = next
 	}
-	s.MoveLastRunqueue(b)
-	// a is running (dequeued); b is alone, still picked.
-	res = s.Schedule(0, rtDone(a))
-	if res.Next != b {
-		t.Fatalf("picked %v, want b", res.Next)
+	want := []*task.Task{rrs[0], rrs[2], rrs[2], rrs[1]}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pick order %v, want %v", got, want)
+		}
 	}
 }
 
@@ -570,7 +587,7 @@ func TestCrossDomainPullBatches(t *testing.T) {
 		s.AddToRunqueue(homedTask(env, i+1, 2))
 	}
 	runToPull(t, env, s, 0) // gap 9-1: half of it, capped at the balancer's batch of 4
-	if got := s.QueueLen(0); got != 4 {
+	if got := s.bal.Len[0]; got != 4 {
 		t.Fatalf("cross-domain pull moved %d tasks, want a batch of 4", got)
 	}
 	intra, cross := s.DomainSteals()
@@ -590,7 +607,7 @@ func TestCrossDomainPullNeedsLargerGap(t *testing.T) {
 		s.AddToRunqueue(homedTask(env, i+1, 2))
 	}
 	runToPull(t, env, s, 0)
-	if got := s.QueueLen(0); got != 0 {
+	if got := s.bal.Len[0]; got != 0 {
 		t.Fatalf("cross-domain pull fired at imbalance 2, moved %d tasks", got)
 	}
 	// Same gap inside the domain does move work.
@@ -600,7 +617,7 @@ func TestCrossDomainPullNeedsLargerGap(t *testing.T) {
 		s2.AddToRunqueue(homedTask(env2, i+1, 1))
 	}
 	runToPull(t, env2, s2, 0)
-	if got := s2.QueueLen(0); got != 1 {
+	if got := s2.bal.Len[0]; got != 1 {
 		t.Fatalf("intra-domain pull at imbalance 2 moved %d tasks, want 1", got)
 	}
 }

@@ -183,10 +183,15 @@ func TestLevelArrayRealTimeOnDemand(t *testing.T) {
 			if got := w.lazy.Pick(w.env, 0, &Result{}); idOf(got) != 13 {
 				t.Fatalf("Pick = task %d, want the unpinned level-50 task", idOf(got))
 			}
-			// MoveLast / MoveFirst on a queued real-time task.
-			w.each(12, func(a *LevelArray, tk *task.Task) { a.Level(50).MoveBack(&tk.RunList) })
-			w.each(12, func(a *LevelArray, tk *task.Task) { a.Level(50).MoveFront(&tk.RunList) })
-			w.each(13, func(a *LevelArray, tk *task.Task) { a.Level(50).MoveFront(&tk.RunList) })
+			// A round-robin rotation (tail) and a class-change re-file
+			// (head) of a queued real-time task.
+			w.remove(12, 50)
+			w.push(12, 50, false)
+			w.remove(13, 50)
+			w.push(13, 50, true)
+			if got := w.lazy.Pick(w.env, 0, &Result{}); idOf(got) != 13 {
+				t.Fatalf("Pick = task %d, want the re-filed head of level 50", idOf(got))
+			}
 			w.remove(12, 50)
 			w.push(11, 0, true)
 

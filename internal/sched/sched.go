@@ -3,15 +3,23 @@
 // 2.3.99-pre4, and the cycle-cost model used to charge scheduler work to
 // virtual CPU time.
 //
-// The interface exposes exactly the run-queue manipulation functions the
-// paper names in §5.1 — add_to_runqueue, del_from_runqueue,
-// move_first_runqueue, move_last_runqueue — plus Schedule itself. Keeping
-// this surface identical to the kernel's means the stock scheduler, ELSC,
-// and the future-work alternatives are drop-in replacements for one
-// another, which is design goal 1 of the paper ("Keep changes local to the
-// scheduler. Do not change current interfaces").
+// The interface is the kernel's side of the paper's §5.1 surface:
+// add_to_runqueue, del_from_runqueue and Schedule itself, under the kernel's
+// own names. Keeping it identical to the kernel's means the stock
+// scheduler, ELSC, and the future-work alternatives are drop-in
+// replacements for one another, which is design goal 1 of the paper ("Keep
+// changes local to the scheduler. Do not change current interfaces"). The
+// other two functions §5.1 names, move_first_runqueue and
+// move_last_runqueue, were static inline helpers inside kernel/sched.c —
+// scheduler-internal already — and are no part of the contract here: where
+// a task sits among its equals is decided where it is filed. AddToRunqueue
+// files a wake-up (and the re-file that follows a class or priority change)
+// ahead of its equals under the list policies; each policy's Schedule files
+// the prev it was handed, and sends a SCHED_RR prev whose quantum just
+// expired behind its rt_priority equals (reg, elsc and mq by one MoveBack on
+// the list, o1 and cfs by a tail push, heap by a fresh arrival number).
 //
-// The whole contract is the nine methods of Scheduler and one field test.
+// The whole contract is the seven methods of Scheduler and one field test.
 // "Is it queued?" is never asked of the policy: a task is on the run queue
 // exactly when run_list.next != NULL (task.OnRunqueue, the paper's
 // footnote 3), under every policy. One that files a task in a list gets
@@ -23,7 +31,7 @@
 // writes at enqueue before it reads them, so a task crosses a hot policy
 // swap or a hotplug re-file carrying whatever its last policy left there
 // and nobody looks — with the one declared exception that under
-// VisibleOwner QIndex names the owning CPU. What a policy wants beyond the nine is one optional
+// VisibleOwner QIndex names the owning CPU. What a policy wants beyond the seven is one optional
 // interface, DynamicPriority, the kernel asserts once at install; the two
 // remaining side interfaces are stats readers (StealReporter here,
 // experiments.BonusStatser) and reg's NoteRunning.
@@ -222,27 +230,26 @@ type Scheduler interface {
 
 	// AddToRunqueue makes a runnable task eligible for selection.
 	// Mirrors add_to_runqueue: newly woken tasks go to the front of
-	// their list.
+	// their list. It is also where a queued task lands after the kernel
+	// changed what it is indexed by (DelFromRunqueue, change,
+	// AddToRunqueue), so under the list policies a re-filed task leads
+	// its new equals; heap orders equal keys by arrival.
 	AddToRunqueue(t *task.Task)
 
 	// DelFromRunqueue removes a task (it blocked, exited, or is being
 	// re-indexed).
 	DelFromRunqueue(t *task.Task)
 
-	// MoveFirstRunqueue biases the task to win goodness() ties.
-	MoveFirstRunqueue(t *task.Task)
-
-	// MoveLastRunqueue biases the task to lose goodness() ties (used on
-	// SCHED_RR quantum expiry).
-	MoveLastRunqueue(t *task.Task)
-
 	// Schedule picks the next task for cpu. prev is the task that was
 	// running (never nil; the kernel passes the per-CPU idle task's
 	// placeholder as a prev with State != Running when waking from
 	// idle). Schedule must handle prev's yield bit, de-queue prev if it
-	// is no longer runnable, and trigger counter recalculation per its
-	// policy. The returned task is marked by the scheduler as dequeued
-	// or in-list according to its own conventions.
+	// is no longer runnable, trigger counter recalculation per its
+	// policy, and recharge a SCHED_RR prev whose quantum expired and
+	// file it behind its rt_priority equals (still ahead of every lower
+	// level: an expiry is not a yield). The returned task is marked by
+	// the scheduler as dequeued or in-list according to its own
+	// conventions.
 	Schedule(cpu int, prev *task.Task) Result
 
 	// Runnable returns the number of tasks currently selectable

@@ -81,20 +81,6 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	}
 }
 
-// MoveFirstRunqueue moves t to the front so it wins goodness ties.
-func (s *Sched) MoveFirstRunqueue(t *task.Task) {
-	if t.OnRunqueue() {
-		s.rq.MoveFront(&t.RunList)
-	}
-}
-
-// MoveLastRunqueue moves t to the back so it loses goodness ties.
-func (s *Sched) MoveLastRunqueue(t *task.Task) {
-	if t.OnRunqueue() {
-		s.rq.MoveBack(&t.RunList)
-	}
-}
-
 // Runnable returns the number of queued tasks not currently executing.
 func (s *Sched) Runnable() int { return s.rq.Len() - s.running }
 
@@ -142,10 +128,13 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 
 	if !prev.IsIdle {
 		// Round-robin expiry: reset the quantum and send the task to
-		// the back of the queue before scanning.
+		// the back of the queue (move_last_runqueue), where it loses
+		// goodness ties, before scanning.
 		if prev.Policy == task.RR && prev.Counter(env.Epoch) == 0 {
 			prev.SetCounter(env.Epoch, prev.Priority)
-			s.MoveLastRunqueue(prev)
+			if prev.OnRunqueue() {
+				s.rq.MoveBack(&prev.RunList)
+			}
 			res.Cycles += env.Cost.MoveRunqueue
 		}
 		// A task that is no longer runnable (blocked, exited) leaves

@@ -79,20 +79,42 @@ func TestFrontOfQueueWinsTies(t *testing.T) {
 	}
 }
 
+// TestMoveLastLosesTie: move_last_runqueue is what Schedule does to a
+// SCHED_RR prev whose quantum expired. The task starts at the front of the
+// queue, where it would win every tie; after the expiry it is behind its
+// rt_priority equal, and still ahead of the lower level by goodness.
 func TestMoveLastLosesTie(t *testing.T) {
-	env := newEnv(1, 2)
+	env := newEnv(1, 3)
 	s := New(env)
-	a := mkTask(env, 1, 20, 10)
-	b := mkTask(env, 2, 20, 10)
-	s.AddToRunqueue(a)
-	s.AddToRunqueue(b) // front: b
-	s.MoveLastRunqueue(b)
-	res := s.Schedule(0, idlePrev())
-	if res.Next != a {
-		t.Fatalf("picked %v, want %v after MoveLast(b)", res.Next, a)
+	lower := task.NewRT(3, "lower", task.RR, 9, env.Epoch)
+	b := task.NewRT(2, "b", task.RR, 10, env.Epoch)
+	a := task.NewRT(1, "a", task.RR, 10, env.Epoch)
+	s.AddToRunqueue(lower)
+	s.AddToRunqueue(b)
+	s.AddToRunqueue(a) // queue: [a, b, lower]
+	if res := s.Schedule(0, idlePrev()); res.Next != a {
+		t.Fatalf("picked %v, want the front task %v", res.Next, a)
+	}
+	a.HasCPU, a.Processor = true, 0
+	s.NoteRunning(a, true)
+	a.SetCounter(env.Epoch, 0)
+	if res := s.Schedule(0, a); res.Next != b {
+		t.Fatalf("picked %v after a's quantum expired, want its equal %v", res.Next, b)
+	}
+	if got := task.FromNode(s.rq.First()); got != b {
+		t.Fatalf("front of the queue is %v, want %v: the expired task moves behind its equals", got, b)
+	}
+	s.NoteRunning(a, false)
+	a.HasCPU = false
+	s.DelFromRunqueue(b)
+	if res := s.Schedule(0, idlePrev()); res.Next != a {
+		t.Fatalf("picked %v, want %v: an expiry is not a yield, a still beats rt_priority 9", res.Next, a)
 	}
 }
 
+// TestMoveFirstWinsTie: move_first_runqueue is the re-file the kernel does
+// around a class or priority change (del_from_runqueue, change,
+// add_to_runqueue) — the task lands at the front and wins the tie.
 func TestMoveFirstWinsTie(t *testing.T) {
 	env := newEnv(1, 2)
 	s := New(env)
@@ -100,10 +122,11 @@ func TestMoveFirstWinsTie(t *testing.T) {
 	b := mkTask(env, 2, 20, 10)
 	s.AddToRunqueue(b)
 	s.AddToRunqueue(a) // front: a
-	s.MoveFirstRunqueue(b)
+	s.DelFromRunqueue(b)
+	s.AddToRunqueue(b)
 	res := s.Schedule(0, idlePrev())
 	if res.Next != b {
-		t.Fatalf("picked %v, want %v after MoveFirst(b)", res.Next, b)
+		t.Fatalf("picked %v, want the re-filed %v", res.Next, b)
 	}
 }
 

@@ -29,11 +29,8 @@ func (c *Counter) Add(d uint64) { c.n += d }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Dist accumulates a distribution of integer samples with O(1) updates:
-// count, sum, min, max, and power-of-two buckets for a coarse histogram.
+// count, sum, min, max, and power-of-two buckets for percentile estimates.
 type Dist struct {
 	count   uint64
 	sum     uint64
@@ -58,9 +55,6 @@ func (d *Dist) Observe(v uint64) {
 // Count returns the number of samples.
 func (d *Dist) Count() uint64 { return d.count }
 
-// Sum returns the sum of all samples.
-func (d *Dist) Sum() uint64 { return d.sum }
-
 // Min returns the smallest sample, or 0 if empty.
 func (d *Dist) Min() uint64 { return d.min }
 
@@ -73,31 +67,6 @@ func (d *Dist) Mean() float64 {
 		return 0
 	}
 	return float64(d.sum) / float64(d.count)
-}
-
-// Reset clears the distribution.
-func (d *Dist) Reset() { *d = Dist{} }
-
-// Histogram returns non-empty (bucketLow, count) pairs, ascending.
-func (d *Dist) Histogram() []BucketCount {
-	var out []BucketCount
-	for i, c := range d.buckets {
-		if c == 0 {
-			continue
-		}
-		lo := uint64(0)
-		if i > 0 {
-			lo = 1 << (i - 1)
-		}
-		out = append(out, BucketCount{Low: lo, Count: c})
-	}
-	return out
-}
-
-// BucketCount is one histogram bucket: samples in [Low, 2*Low).
-type BucketCount struct {
-	Low   uint64
-	Count uint64
 }
 
 // ApproxPercentile estimates the q-quantile (0 < q <= 1) from the

@@ -18,10 +18,6 @@ func TestCounterBasics(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("Value = %d, want 5", c.Value())
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset should zero")
-	}
 }
 
 func TestDistBasics(t *testing.T) {
@@ -29,8 +25,8 @@ func TestDistBasics(t *testing.T) {
 	for _, v := range []uint64{4, 2, 6} {
 		d.Observe(v)
 	}
-	if d.Count() != 3 || d.Sum() != 12 {
-		t.Fatalf("count/sum = %d/%d, want 3/12", d.Count(), d.Sum())
+	if d.Count() != 3 {
+		t.Fatalf("count = %d, want 3", d.Count())
 	}
 	if d.Min() != 2 || d.Max() != 6 {
 		t.Fatalf("min/max = %d/%d, want 2/6", d.Min(), d.Max())
@@ -53,22 +49,6 @@ func TestDistZeroSample(t *testing.T) {
 	d.Observe(0)
 	if d.Min() != 0 {
 		t.Fatalf("min = %d, want 0", d.Min())
-	}
-}
-
-func TestDistHistogramBuckets(t *testing.T) {
-	var d Dist
-	d.Observe(0) // bucket low 0
-	d.Observe(1) // low 1
-	d.Observe(2) // low 2
-	d.Observe(3) // low 2
-	d.Observe(4) // low 4
-	h := d.Histogram()
-	if len(h) != 4 {
-		t.Fatalf("histogram %v, want 4 buckets", h)
-	}
-	if h[2].Low != 2 || h[2].Count != 2 {
-		t.Fatalf("bucket[2] = %+v, want {2 2}", h[2])
 	}
 }
 
