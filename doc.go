@@ -78,8 +78,8 @@
 // lone queued task, the periodic balancer demands a doubled imbalance
 // threshold across domains and then pulls a batch to amortize the
 // interconnect refill, and a starvation guard force-swaps the arrays
-// when the expired array has waited too long. O1Config exposes the knobs
-// (TopologyBlind is the ablation baseline); the experiments package
+// when the expired array has waited too long. O1Config.TopologyBlind is
+// the ablation baseline; the experiments package
 // regenerates the numa table and the domain-awareness ablation.
 //
 // # Interactivity
@@ -90,12 +90,13 @@
 // onto a ±5-level dynamic-priority bonus in its bitmap arrays, uses it
 // for wake-up preemption (TASK_PREEMPTS_CURR), requeues interactive
 // tasks into the active array on quantum expiry (bounded by the
-// starvation clock), tick-preempts when a strictly better level waits,
-// and round-robins same-level interactive tasks every GranularityTicks.
-// The kernel wake path adds SD_WAKE_IDLE placement: a syscall-context
-// wake prefers an idle CPU in the task's own cache domain, then the
-// waker's. O1Config exposes InteractivityOff, GranularityTicks, and
-// WakeIdleOff; Stats counts WakeIdlePlacements and TimesliceRotations,
+// starvation clock, 128 schedule() calls), tick-preempts when a strictly
+// better level waits, and round-robins same-level interactive tasks every
+// two ticks (TIMESLICE_GRANULARITY). The kernel wake path adds
+// SD_WAKE_IDLE placement: a syscall-context wake prefers an idle CPU in
+// the task's own cache domain, then the waker's. O1Config's
+// InteractivityOff and WakeIdleOff switch each half off for ablation;
+// Stats counts WakeIdlePlacements and TimesliceRotations,
 // and the cross-policy latency invariant suite in
 // internal/sched/conformance holds every policy to a bounded
 // wakeup-to-run worst case.
@@ -110,9 +111,9 @@
 // survivor, and tasks affined solely to it widen to run anywhere (Linux
 // cpuset fallback) until their CPU returns and the saved mask re-pins.
 // The last online CPU refuses to go down. An opt-in starvation/lockup
-// watchdog (MachineConfig.Watchdog) sweeps periodically — allocation
+// watchdog (MachineConfig.Watchdog) sweeps every 10 ticks — allocation
 // free, like the rest of the event path — and reports starved runnable
-// tasks (threshold scaled by the policy's latency capability and the
+// tasks (waiting 8 of the largest runnable quantum, scaled by the
 // run-queue depth), tasks lost from every queue, online CPUs whose timer
 // chain died, and drift in the kick-delivery bookkeeping
 // (Machine.CheckDelivery), each at its virtual timestamp. The scenario fuzzer

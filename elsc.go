@@ -43,20 +43,13 @@ const (
 	CFS SchedulerKind = "cfs"
 )
 
-// CostModel re-exports the simulator's cycle-cost model for tuning.
-type CostModel = sched.CostModel
-
-// DefaultCostModel returns the calibrated 400 MHz Pentium II-class model.
-func DefaultCostModel() CostModel { return sched.DefaultCostModel() }
-
 // ELSCConfig re-exports the ELSC knobs (table size, search limit, UP
 // shortcut) for ablation studies.
 type ELSCConfig = elsc.Config
 
-// O1Config re-exports the O(1) scheduler's knobs for ablation studies:
-// the balancing set (TopologyBlind, StarvationLimit) and the
-// interactivity set (InteractivityOff, GranularityTicks, WakeIdleOff —
-// the sleep_avg bonus machinery and SD_WAKE_IDLE wake placement).
+// O1Config re-exports the O(1) scheduler's ablation arms: TopologyBlind
+// (balancing that ignores cache domains), InteractivityOff (no sleep_avg
+// bonus machinery) and WakeIdleOff (no SD_WAKE_IDLE wake placement).
 type O1Config = o1.Config
 
 // Topology re-exports the cache-domain layout type.
@@ -86,15 +79,10 @@ type MachineConfig struct {
 	Seed int64
 	// MaxSeconds bounds virtual run time (default 3000 virtual seconds).
 	MaxSeconds uint64
-	// Cost overrides the default cost model.
-	Cost *CostModel
-	// UniformSpawnCounter disables fork-style quantum inheritance; see
-	// the kernel documentation. Tests use it; realistic runs should not.
-	UniformSpawnCounter bool
 	// Watchdog, when non-nil, arms the starvation/lockup watchdog: a
 	// periodic sweep that reports runnable tasks starved past a
 	// threshold, tasks lost from every run queue, and online CPUs whose
-	// timer chain died. Zero-value thresholds select the defaults.
+	// timer chain died.
 	Watchdog *WatchdogConfig
 }
 
@@ -126,15 +114,13 @@ func NewMachine(cfg MachineConfig) *Machine {
 		topo = sched.UniformTopology(cfg.CPUs, cfg.CacheDomains)
 	}
 	m := kernel.NewMachine(kernel.Config{
-		CPUs:                cfg.CPUs,
-		SMP:                 cfg.SMP,
-		Topology:            topo,
-		Seed:                cfg.Seed,
-		NewScheduler:        factory,
-		Cost:                cfg.Cost,
-		MaxCycles:           cfg.MaxSeconds * kernel.DefaultHz,
-		UniformSpawnCounter: cfg.UniformSpawnCounter,
-		Watchdog:            cfg.Watchdog,
+		CPUs:         cfg.CPUs,
+		SMP:          cfg.SMP,
+		Topology:     topo,
+		Seed:         cfg.Seed,
+		NewScheduler: factory,
+		MaxCycles:    cfg.MaxSeconds * kernel.DefaultHz,
+		Watchdog:     cfg.Watchdog,
 	})
 	return &Machine{m: m}
 }

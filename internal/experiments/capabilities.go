@@ -49,38 +49,6 @@ func LatencyBudget(policy string) float64 {
 	return BaseLatencyBudgetQuanta
 }
 
-// baseStarveQuanta is the watchdog starvation bar for latency-tight
-// policies, in multiples of the starved task's own quantum (further scaled
-// by the machine's runnable-per-CPU load inside the kernel watchdog). A
-// policy that promises sub-quantum wake latency has no business leaving a
-// runnable task unscheduled for four of its quanta at fair share.
-const baseStarveQuanta = 4.0
-
-// WatchdogStarveQuanta derives a policy's watchdog starvation threshold
-// from its capability row: policies held only to the base (two-quanta)
-// latency budget get twice the bar of the tight ones, so the watchdog
-// stays false-positive-free on behavior their capability explicitly
-// permits.
-func WatchdogStarveQuanta(policy string) float64 {
-	if LatencyBudget(policy) >= BaseLatencyBudgetQuanta {
-		return 2 * baseStarveQuanta
-	}
-	return baseStarveQuanta
-}
-
-// MaxWatchdogStarveQuanta returns the laxest threshold across every
-// registered policy — what a run that can hot-swap to any policy
-// (the scenario fuzzer) must be judged by.
-func MaxWatchdogStarveQuanta() float64 {
-	max := baseStarveQuanta
-	for _, p := range Policies {
-		if q := WatchdogStarveQuanta(p); q > max {
-			max = q
-		}
-	}
-	return max
-}
-
 // DefaultPolicies returns the registered policies minus retired baselines,
 // in registry order — the set the default matrix/wakestorm sweeps run.
 func DefaultPolicies() []string {

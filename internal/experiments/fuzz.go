@@ -183,26 +183,11 @@ func fuzzDigest(res workload.Result, m *kernel.Machine) string {
 	return fmt.Sprintf("%+v\n%s", res, m.Stats().Registry().Render())
 }
 
-// FuzzWatchdogConfig is the watchdog arming every fuzz machine runs
-// with: the laxest policy-derived starvation bar, since scenarios can
-// hot-swap to any registered policy mid-run.
-func FuzzWatchdogConfig() kernel.WatchdogConfig {
-	return kernel.WatchdogConfig{StarveQuanta: MaxWatchdogStarveQuanta()}
-}
-
 // ScenarioOpts tunes RunScenarioOpts for harness tests.
 type ScenarioOpts struct {
-	// FactoryFor overrides the policy-name-to-factory mapping for the
-	// starting policy and every swap target (nil: the registry's
-	// Factory). The seed-586 regression test uses it to replay the
-	// scenario against the pre-fix mq recalc semantics.
-	FactoryFor func(name string) kernel.SchedulerFactory
 	// OnViolation observes every watchdog violation on the injected
 	// machine, in addition to the run failing on the first one.
 	OnViolation func(kernel.WatchdogViolation)
-	// Trace, when non-nil, is installed on the injected machine — the
-	// schedule()-decision firehose, for digging into a failing seed.
-	Trace func(kernel.TraceEvent)
 	// TicklessOff replays the scenario with NO_HZ idle disabled — the
 	// ablation arm of the tickless regression replays.
 	TicklessOff bool
@@ -220,10 +205,6 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 	spec := SpecByLabel(s.Spec)
 	sc := fuzzScale(s.Seed)
 	sc.TicklessOff = opts.TicklessOff
-	factoryFor := opts.FactoryFor
-	if factoryFor == nil {
-		factoryFor = Factory
-	}
 
 	var violation error
 	fail := func(format string, args ...any) {
@@ -237,10 +218,10 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 	// and the reference digest for zero-injection scenarios. It runs
 	// watchdog-armed like the injected machine — a violation here is a
 	// liveness bug (or a watchdog false positive) on a clean run.
-	bwd := FuzzWatchdogConfig()
-	bwd.OnViolation = func(v kernel.WatchdogViolation) { fail("baseline %s", v) }
-	bcfg := machineConfig(nil, spec, factoryFor(s.Policy), sc)
-	bcfg.Watchdog = &bwd
+	bcfg := machineConfig(nil, spec, Factory(s.Policy), sc)
+	bcfg.Watchdog = &kernel.WatchdogConfig{
+		OnViolation: func(v kernel.WatchdogViolation) { fail("baseline %s", v) },
+	}
 	bm := kernel.NewMachine(bcfg)
 	bres := workload.Build(s.Load, bm, WorkloadParams(spec, sc)).Run()
 	if violation != nil {
@@ -251,16 +232,15 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 	}
 	span := uint64(bm.Now())
 
-	wd := FuzzWatchdogConfig()
-	wd.OnViolation = func(v kernel.WatchdogViolation) {
-		fail("%s", v)
-		if opts.OnViolation != nil {
-			opts.OnViolation(v)
-		}
+	mcfg := machineConfig(nil, spec, Factory(s.Policy), sc)
+	mcfg.Watchdog = &kernel.WatchdogConfig{
+		OnViolation: func(v kernel.WatchdogViolation) {
+			fail("%s", v)
+			if opts.OnViolation != nil {
+				opts.OnViolation(v)
+			}
+		},
 	}
-	mcfg := machineConfig(nil, spec, factoryFor(s.Policy), sc)
-	mcfg.Watchdog = &wd
-	mcfg.Trace = opts.Trace
 	m := kernel.NewMachine(mcfg)
 	inst := workload.Build(s.Load, m, WorkloadParams(spec, sc))
 
@@ -285,7 +265,7 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 			}
 			queued := queuedTasks(m)
 			running := runningCount(m)
-			migrated := m.SwitchPolicy(factoryFor(to))
+			migrated := m.SwitchPolicy(Factory(to))
 			rep.Migrated += migrated
 			if migrated != len(queued)+running {
 				fail("swap to %s migrated %d tasks, machine held %d queued + %d running",
@@ -528,11 +508,10 @@ func auditCensus(m *kernel.Machine) error {
 // counters whenever one private queue was exhausted, endlessly recharging
 // the hogs sharing the probe's queue past its capped counter. Fixed by
 // restoring the stock recalc condition (no quantum left anywhere) with a
-// steal of the best remote task that still has quantum. The pre-fix
-// semantics survive behind mq.Config.RecalcOnLocalExhaustion, and
-// TestWatchdogCatchesSeed586PreFix replays this seed against them to
-// prove the watchdog would have flagged the starvation at its first
-// threshold crossing instead of end-of-run.
+// steal of the best remote task that still has quantum. Growing the
+// policy registry re-rolled the draw, so TestSeed586ScenarioRunsClean
+// replays the original composition, frozen as a literal, against the
+// shipped mq.
 //
 // Seeds 7700 and 31337 pin hotplug-storm compositions: offline→online
 // cycles racing swaps and churn across the mid-size and NUMA specs.

@@ -33,28 +33,22 @@ type Compute struct {
 func (Compute) isAction() {}
 
 // Syscall crosses into the kernel: Cost cycles of system time, then the
-// effect (Exec or Fn) runs at the completion instant. The effect may
-// complete the call (return Done) or block the task on a wait queue, in
-// which case the kernel re-runs it after each wake-up — the
-// condition-recheck loop of a Linux wait queue, tolerant of spurious
-// wakeups.
+// effect Exec runs at the completion instant. The effect may complete the
+// call (return Done) or block the task on a wait queue, in which case the
+// kernel re-runs it after each wake-up — the condition-recheck loop of a
+// Linux wait queue, tolerant of spurious wakeups.
 //
-// The closure form (Fn) is the convenient one for workloads. The prebound
-// form (Exec plus the operand fields) is the allocation-free one for hot
-// IPC paths: a static effect function receives the in-flight syscall value
-// itself, so per-call operands ride in the Syscall instead of a captured
-// environment, and returning the action as a *Syscall pointer avoids the
-// interface boxing a Syscall value pays. The kernel copies the Syscall
-// into the proc's own storage the moment the action is consumed, so a
-// shared scratch Syscall may be re-armed for the next call, and operand
-// mutations across block/retry cycles (Reserved) stay private to the
-// calling task.
+// Exec receives the in-flight syscall itself, so a static effect function
+// reads its per-call operands from the Syscall's fields instead of a
+// captured environment (a closure works too), and a hot path that returns
+// the action as a *Syscall pointer avoids the interface boxing a Syscall
+// value pays. The kernel copies the Syscall into the proc's own storage
+// the moment the action is consumed, so a shared scratch Syscall may be
+// re-armed for the next call, and operand mutations across block/retry
+// cycles (Reserved) stay private to the calling task.
 type Syscall struct {
 	Name string
 	Cost uint64
-	Fn   func(p *Proc, now sim.Time) Outcome
-
-	// Exec, when non-nil, runs instead of Fn.
 	Exec SyscallExec
 	// Obj is the operation's target (an IPC queue, a mutex, ...).
 	Obj any
@@ -71,8 +65,8 @@ type Syscall struct {
 	Reserved bool
 }
 
-// SyscallExec is the closure-free form of a syscall effect. sc is the
-// proc-private copy of the in-flight syscall, valid across retries.
+// SyscallExec is a syscall effect. sc is the proc-private copy of the
+// in-flight syscall, valid across retries.
 type SyscallExec func(sc *Syscall, p *Proc, now sim.Time) Outcome
 
 func (Syscall) isAction() {}
@@ -95,13 +89,13 @@ type Exit struct{}
 
 func (Exit) isAction() {}
 
-// Outcome is the result of a Syscall's Fn.
+// Outcome is the result of a Syscall's Exec.
 type Outcome struct {
 	// Wait, when non-nil, blocks the task on that wait queue; the
 	// syscall is retried on wake-up.
 	Wait *WaitQueue
 	// Delay, when non-zero, keeps the caller executing in-kernel for
-	// that many more cycles and then re-runs Fn — used to model spinning
+	// that many more cycles and then re-runs Exec — used to model spinning
 	// on serialized kernel resources (e.g. the big kernel lock around
 	// the 2.3.x network stack).
 	Delay uint64
@@ -113,5 +107,5 @@ func Done() Outcome { return Outcome{} }
 // BlockOn suspends the caller on wq until woken.
 func BlockOn(wq *WaitQueue) Outcome { return Outcome{Wait: wq} }
 
-// DelayFor re-runs the syscall's Fn after d more cycles of kernel time.
+// DelayFor re-runs the syscall's Exec after d more cycles of kernel time.
 func DelayFor(d uint64) Outcome { return Outcome{Delay: d} }

@@ -19,13 +19,12 @@ type CPU struct {
 	idleTask      *task.Task
 	transitioning bool
 	needResched   bool
-	reschedSent   bool
 
-	// online is false while the CPU is hot-unplugged: it runs nothing,
-	// its timer chain parks itself, and IPIs landing here are re-routed.
-	// offlineFrom stamps the current offline stretch; offlineAccum and
-	// offlines total completed stretches for CPUStats.
-	online       bool
+	// While the CPU is hot-unplugged (its bit is clear in the Env online
+	// mask) it runs nothing, its timer chain parks itself, and IPIs
+	// landing here are re-routed. offlineFrom stamps the current offline
+	// stretch; offlineAccum and offlines total completed stretches for
+	// CPUStats.
 	offlineFrom  sim.Time
 	offlineAccum uint64
 	offlines     uint64
@@ -36,14 +35,15 @@ type CPU struct {
 	// Tickless idle (NO_HZ): a fully idle CPU stops re-arming its timer
 	// chain at the next firing — parked lazily, exactly like hotplug parks
 	// the chain of an offline CPU — and the first reschedule that puts
-	// work here re-arms it on the original grid (ensureTick). tickParked
-	// marks the parked state; tickNext is the next instant the conceptual
+	// work here re-arms it on the original grid (ensureTick). Outside the
+	// tick callback the chain is parked exactly when tickEv is not
+	// pending: every tick path that calls reschedule re-arms first, and
+	// nothing cancels tickEv. tickNext is the next instant the conceptual
 	// always-on chain would fire at, with 0 meaning the chain also died
 	// offline (OnlineCPU re-anchors it at online+period, matching what a
 	// non-tickless online would arm); ticklessFrom stamps the current
 	// parked stretch and ticklessAccum totals completed stretches for
 	// CPUStats' tickless residency column.
-	tickParked    bool
 	tickNext      sim.Time
 	ticklessFrom  sim.Time
 	ticklessAccum uint64
@@ -82,19 +82,17 @@ type CPU struct {
 	narrow int
 }
 
-// ID returns the processor number.
-func (c *CPU) ID() int { return c.id }
-
-// Online reports whether the CPU is hot-plugged in.
-func (c *CPU) Online() bool { return c.online }
+// online reports whether the CPU is hot-plugged in: its bit in the Env
+// online mask, which OfflineCPU / OnlineCPU flip and the policies read.
+func (c *CPU) online() bool { return c.m.env.OnlineMask()&cpuBit(c.id) != 0 }
 
 // isIdle reports whether the CPU has nothing running and no dispatch in
 // flight. Offline CPUs are never idle in the schedulable sense: they must
 // not be kicked, offered wakes, or counted as placement targets.
-func (c *CPU) isIdle() bool { return c.online && c.current == nil && !c.transitioning }
+func (c *CPU) isIdle() bool { return c.online() && c.current == nil && !c.transitioning }
 
 // kickIdle asks an idle CPU to run schedule() after the wake-up IPI
-// latency. Duplicate kicks collapse via reschedSent — later wake-ups
+// latency. Duplicate kicks collapse via the kicked mask — later wake-ups
 // lean on the in-flight kick — so a kick that lands on a CPU that
 // grabbed work in the interim must still re-run schedule(): dropping it
 // would drop every wake that piggybacked on it, leaving a woken task
@@ -106,15 +104,16 @@ func (c *CPU) kickIdle() { c.sendIPI("kick-idle") }
 func (c *CPU) sendResched() { c.sendIPI("resched-ipi") }
 
 // sendIPI arms the CPU's one reschedule IPI under the given trace name,
-// unless one is already in flight.
+// unless one is already in flight. The CPU's kicked bit is set exactly
+// while the IPI is pending.
 func (c *CPU) sendIPI(name string) {
-	if c.reschedSent {
+	m, bit := c.m, cpuBit(c.id)
+	if m.kicked&bit != 0 {
 		return
 	}
-	c.reschedSent = true
-	c.publish()
+	m.kicked |= bit
 	c.ipiEv.Name = name
-	c.m.eng.ScheduleAfter(&c.ipiEv, ipiLatency)
+	m.eng.ScheduleAfter(&c.ipiEv, ipiLatency)
 }
 
 // deliver makes an idle or almost-idle CPU run schedule(): a kick, or —
@@ -124,20 +123,19 @@ func (c *CPU) sendIPI(name string) {
 func (c *CPU) deliver() {
 	if !c.transitioning {
 		c.kickIdle()
-	} else if !c.reschedSent {
+	} else if c.m.kicked&cpuBit(c.id) == 0 {
 		c.needResched = true
 	}
 }
 
 // ipiArrive is the landing of either reschedule IPI (kick-idle or
-// preemption): both re-run schedule() here. reschedSent collapses
+// preemption): both re-run schedule() here. The kicked bit collapses
 // duplicates while one is in flight, so the single per-CPU event is never
 // double-armed. A kick that lands mid-transition only flags needResched:
 // the dispatch path re-checks it.
 func (c *CPU) ipiArrive(now sim.Time) {
-	c.reschedSent = false
-	c.publish()
-	if !c.online {
+	c.m.kicked &^= cpuBit(c.id)
+	if !c.online() {
 		// The IPI raced an offline: the target is gone, but the wakes
 		// that piggybacked on it still name runnable queued tasks.
 		// Re-route the nudge to the surviving CPUs instead of dropping
@@ -226,13 +224,12 @@ func (c *CPU) creditWork(p *Proc, cycles uint64) {
 // instead of re-arming; ensureTick restarts it when work returns.
 func (c *CPU) tick(now sim.Time) {
 	m := c.m
-	if !c.online {
+	if !c.online() {
 		// Hot-unplugged: park the timer chain by not re-arming it.
 		// OnlineCPU restarts the chain (or, if the CPU returns within
 		// one period, this firing never sees the offline state at all).
 		// tickNext 0 marks that the chain died offline, so OnlineCPU
 		// re-anchors the grid at online+period rather than resuming it.
-		c.tickParked = true
 		c.tickNext = 0
 		return
 	}
@@ -248,7 +245,6 @@ func (c *CPU) tick(now sim.Time) {
 			// the instants the chain now skips are exactly firings that
 			// would have found the CPU idle with nothing to do.
 			m.stats.TickCycles += m.env.Cost.TickCost
-			c.tickParked = true
 			c.tickNext = now + sim.Time(DefaultTickCycles)
 			c.ticklessFrom = now
 			return
@@ -316,7 +312,7 @@ func (c *CPU) tick(now sim.Time) {
 // the always-on chain's tick there was armed a full period earlier, so
 // it fired before whatever event woke this CPU and was an idle no-op.
 func (c *CPU) ensureTick(now sim.Time) {
-	if !c.tickParked {
+	if c.tickEv.Pending() {
 		return
 	}
 	// No grid anchor: the chain died at an offline firing, and only
@@ -328,7 +324,6 @@ func (c *CPU) ensureTick(now sim.Time) {
 	}
 	c.skipTicksThrough(now)
 	c.m.eng.Schedule(&c.tickEv, c.tickNext)
-	c.tickParked = false
 	c.ticklessAccum += uint64(now - c.ticklessFrom)
 }
 
@@ -464,12 +459,7 @@ func runSyscall(c *CPU, now sim.Time) {
 	p := c.current
 	m := c.m
 	m.wakerCPU = c.id
-	var out Outcome
-	if p.syscall.Exec != nil {
-		out = p.syscall.Exec(p.syscall, p, now)
-	} else {
-		out = p.syscall.Fn(p, now)
-	}
+	out := p.syscall.Exec(p.syscall, p, now)
 	m.wakerCPU = -1
 	if out.Delay > 0 {
 		// Spinning on a serialized kernel resource: burn the cycles,
@@ -535,7 +525,7 @@ func doExit(c *CPU, now sim.Time) {
 // run-queue lock, account the cost, and complete the context switch after
 // the decision's virtual duration.
 func (m *Machine) reschedule(c *CPU, now sim.Time) {
-	if !c.online {
+	if !c.online() {
 		panic("kernel: schedule() on an offline CPU")
 	}
 	prev := c.current
@@ -675,7 +665,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 func (c *CPU) dispatchArrive(now sim.Time) {
 	p := c.dispatchNext
 	c.dispatchNext = nil
-	if !c.online {
+	if !c.online() {
 		c.m.offlineDispatch(c, p)
 		return
 	}

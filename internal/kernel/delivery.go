@@ -11,14 +11,11 @@ import (
 func cpuBit(id int) uint64 { return 1 << uint(id) }
 
 // stateBits derives, from the CPU's own fields, its bit in each of the
-// machine's state masks (zero where the CPU is not in that state).
-func (c *CPU) stateBits() (idle, kicked, switching, almostIdle uint64) {
+// published state masks (zero where the CPU is not in that state).
+func (c *CPU) stateBits() (idle, switching, almostIdle uint64) {
 	bit := cpuBit(c.id)
-	if c.reschedSent {
-		kicked = bit
-	}
 	switch {
-	case !c.online:
+	case !c.online():
 	case c.transitioning:
 		switching = bit
 		if c.dispatchNext == nil {
@@ -30,14 +27,14 @@ func (c *CPU) stateBits() (idle, kicked, switching, almostIdle uint64) {
 	return
 }
 
-// publish brings the machine's state masks in step with this CPU. Every
-// site that flips online, current, transitioning, dispatchNext or
-// reschedSent calls it before anything can read the masks.
+// publish brings the machine's published state masks in step with this
+// CPU. Every site that flips online, current, transitioning or
+// dispatchNext calls it before anything can read the masks. (The kicked
+// mask needs no publishing: sendIPI and ipiArrive write it directly.)
 func (c *CPU) publish() {
 	m, clear := c.m, ^cpuBit(c.id)
-	idle, kicked, switching, almostIdle := c.stateBits()
+	idle, switching, almostIdle := c.stateBits()
 	m.idle = m.idle&clear | idle
-	m.kicked = m.kicked&clear | kicked
 	m.switching = m.switching&clear | switching
 	m.almostIdle = m.almostIdle&clear | almostIdle
 }
@@ -179,26 +176,30 @@ func (m *Machine) nudgeOnline() {
 
 // CheckDelivery audits the delivery bookkeeping and the delivery rule
 // from scratch, at an event boundary: every state-mask bit against the
-// CPU fields it summarises, every proc's cached contribution and the
-// per-CPU counts against a brute-force recomputation, and the rule itself
-// — each deliverable task has an online CPU that can take it and will
-// run schedule() unaided. This scan is the reference the incremental
-// counts replaced; it allocates only to describe a failure.
+// CPU state it summarises (the kicked mask against the IPI events in
+// flight), every proc's cached contribution and the per-CPU counts
+// against a brute-force recomputation, and the rule itself — each
+// deliverable task has an online CPU that can take it and will run
+// schedule() unaided. This scan is the reference the incremental counts
+// replaced; it allocates only to describe a failure.
 func (m *Machine) CheckDelivery() error {
 	var idle, kicked, switching, almostIdle, attentive uint64
 	for _, c := range m.cpus {
-		i, k, s, a := c.stateBits()
-		idle, kicked, switching, almostIdle = idle|i, kicked|k, switching|s, almostIdle|a
+		i, s, a := c.stateBits()
+		idle, switching, almostIdle = idle|i, switching|s, almostIdle|a
+		if c.ipiEv.Pending() {
+			kicked |= cpuBit(c.id)
+		}
 		// A CPU attends to its queue unaided when an IPI is on its way
 		// (an offline target re-routes it), or it is online and runs a
 		// task, is switching to one, is flagged needResched, or still
 		// has a tick armed (an idle tick polls tickRescueNeeded).
-		if c.reschedSent || c.online && (c.current != nil || c.dispatchNext != nil || c.needResched || c.tickEv.Pending()) {
+		if c.ipiEv.Pending() || c.online() && (c.current != nil || c.dispatchNext != nil || c.needResched || c.tickEv.Pending()) {
 			attentive |= cpuBit(c.id)
 		}
 	}
 	if idle != m.idle || kicked != m.kicked || switching != m.switching || almostIdle != m.almostIdle {
-		return fmt.Errorf("delivery: state masks idle=%#x kicked=%#x switching=%#x almostIdle=%#x, CPU fields say %#x %#x %#x %#x",
+		return fmt.Errorf("delivery: state masks idle=%#x kicked=%#x switching=%#x almostIdle=%#x, CPU state says %#x %#x %#x %#x",
 			m.idle, m.kicked, m.switching, m.almostIdle, idle, kicked, switching, almostIdle)
 	}
 	online := m.env.OnlineMask()

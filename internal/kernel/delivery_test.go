@@ -24,7 +24,7 @@ func TestCheckDeliveryCatchesDrift(t *testing.T) {
 				return Exit{}
 			}
 			blocked = true
-			return Syscall{Fn: func(*Proc, sim.Time) Outcome { return BlockOn(wq) }}
+			return Syscall{Exec: func(*Syscall, *Proc, sim.Time) Outcome { return BlockOn(wq) }}
 		}))
 		// Run until the sleeper blocks and both CPUs' idle ticks parked.
 		m.Run(func() bool { return m.Now() > sim.Time(3*DefaultTickCycles) })
@@ -44,7 +44,7 @@ func TestCheckDeliveryCatchesDrift(t *testing.T) {
 	}
 
 	m, _ := boot()
-	m.cpus[1].reschedSent = true // no publish
+	m.kicked |= cpuBit(1) // no IPI armed
 	expect(m, "state masks")
 
 	// A wake-up that files the task but forgets everything after it.

@@ -24,8 +24,9 @@ var (
 // returns), and the CPU's timer chain parks itself. Only the running
 // segment's completion event is cancelled (interrupt). The tick, IPI and
 // dispatch events in flight are left to land: each no-ops or re-routes
-// while the CPU is offline, which keeps their bookkeeping (reschedSent,
-// the claimed dispatchNext, the tick grid) in the one place that owns it.
+// while the CPU is offline, which keeps their bookkeeping (the kicked
+// bit, the claimed dispatchNext, the tick grid) in the one place that
+// owns it.
 // Hotplug is O(queue length) with zero allocation in steady state.
 //
 // Call from between-events contexts only (an engine event callback or
@@ -36,7 +37,7 @@ func (m *Machine) OfflineCPU(id int) error {
 		panic("kernel: OfflineCPU out of range")
 	}
 	c := m.cpus[id]
-	if !c.online {
+	if !c.online() {
 		return ErrCPUOffline
 	}
 	if m.env.OnlineCount() == 1 {
@@ -49,16 +50,15 @@ func (m *Machine) OfflineCPU(id int) error {
 		m.stats.IdleCycles += d
 		c.idleAccum += d
 	}
-	if c.tickParked {
-		// Likewise the tickless residency stretch: offline time is
-		// accounted separately. tickNext keeps its grid anchor so
-		// OnlineCPU can tell an idle-parked chain from one that died
-		// offline.
+	if !c.tickEv.Pending() {
+		// Likewise the tickless residency stretch of an idle-parked
+		// chain: offline time is accounted separately. tickNext keeps its
+		// grid anchor so OnlineCPU can tell an idle-parked chain from one
+		// that died offline.
 		c.ticklessAccum += uint64(now - c.ticklessFrom)
 	}
-	c.online = false
-	c.publish()
 	m.env.SetCPUOnline(id, false)
+	c.publish()
 	c.offlineFrom = now
 	c.offlines++
 	m.stats.CPUOfflines++
@@ -109,14 +109,13 @@ func (m *Machine) OnlineCPU(id int) error {
 		panic("kernel: OnlineCPU out of range")
 	}
 	c := m.cpus[id]
-	if c.online {
+	if c.online() {
 		return ErrCPUOnline
 	}
 	now := m.eng.Now()
-	c.online = true
+	m.env.SetCPUOnline(id, true)
 	c.publish()
 	c.wdStallFlagged = false
-	m.env.SetCPUOnline(id, true)
 	d := uint64(now - c.offlineFrom)
 	c.offlineAccum += d
 	m.stats.CPUOnlines++
@@ -129,7 +128,6 @@ func (m *Machine) OnlineCPU(id int) error {
 		if m.cfg.TicklessOff {
 			// Restart it one period out, as the pre-tickless kernel did.
 			m.eng.ScheduleAfter(&c.tickEv, DefaultTickCycles)
-			c.tickParked = false
 			c.tickNext = 0
 		} else {
 			// Tickless: the CPU comes back idle, so the chain stays
@@ -148,7 +146,6 @@ func (m *Machine) OnlineCPU(id int) error {
 			if c.tickNext == 0 || now >= c.tickNext {
 				c.tickNext = now + sim.Time(DefaultTickCycles)
 			}
-			c.tickParked = true
 			c.ticklessFrom = now
 		}
 	}
@@ -195,7 +192,7 @@ func (m *Machine) restoreAffinity() {
 }
 
 // CPUIsOnline reports whether processor id is online.
-func (m *Machine) CPUIsOnline(id int) bool { return m.cpus[id].online }
+func (m *Machine) CPUIsOnline(id int) bool { return m.cpus[id].online() }
 
 // OnlineCount returns the number of online processors.
 func (m *Machine) OnlineCount() int { return m.env.OnlineCount() }

@@ -133,9 +133,8 @@ func TestOfflineParksTickAndOnlineRearms(t *testing.T) {
 	if c.tickEv.Pending() {
 		t.Fatal("tick chain still armed three periods after offline")
 	}
-	if !c.tickParked || c.tickNext != 0 {
-		t.Fatalf("offline chain parked=%v anchor=%d, want parked with no anchor",
-			c.tickParked, c.tickNext)
+	if c.tickNext != 0 {
+		t.Fatalf("offline chain anchor=%d, want parked with no anchor", c.tickNext)
 	}
 	if err := m.OnlineCPU(1); err != nil {
 		t.Fatal(err)
@@ -147,9 +146,9 @@ func TestOfflineParksTickAndOnlineRearms(t *testing.T) {
 	if c.tickEv.Pending() {
 		t.Fatal("tick chain armed at online with no work pending")
 	}
-	if !c.tickParked || c.tickNext != onlineAt+sim.Time(DefaultTickCycles) {
-		t.Fatalf("online idle chain parked=%v anchor=%d, want parked at online+period=%d",
-			c.tickParked, c.tickNext, onlineAt+sim.Time(DefaultTickCycles))
+	if c.tickNext != onlineAt+sim.Time(DefaultTickCycles) {
+		t.Fatalf("online idle chain anchor=%d, want parked at online+period=%d",
+			c.tickNext, onlineAt+sim.Time(DefaultTickCycles))
 	}
 	m.Run(func() bool { return hog.Exited() })
 	if !hog.Exited() {
@@ -190,7 +189,7 @@ func TestOfflineIdleParkedCPU(t *testing.T) {
 	hog := m.Spawn("hog", nil, computeLoop(2000, 100_000))
 	c := m.cpus[1]
 	// Let cpu1 idle long enough for its first tick to fire and park.
-	m.Run(func() bool { return c.tickParked })
+	m.Run(func() bool { return !c.tickEv.Pending() })
 	if c.tickNext == 0 {
 		t.Fatal("idle park lost its grid anchor")
 	}
@@ -210,8 +209,8 @@ func TestOfflineIdleParkedCPU(t *testing.T) {
 	if c.tickEv.Pending() {
 		t.Fatal("tick chain armed at online with the only task running elsewhere")
 	}
-	if !c.tickParked || c.tickNext == 0 {
-		t.Fatalf("online chain parked=%v anchor=%d, want a healthy park", c.tickParked, c.tickNext)
+	if c.tickNext == 0 {
+		t.Fatal("online chain parked with no anchor, want a healthy park")
 	}
 	// New work wakes the machine; the returning CPU must be usable.
 	side := m.Spawn("side", nil, computeLoop(10, 100_000))
@@ -246,15 +245,12 @@ func TestOnlineIntoPendingWorkRearmsOnce(t *testing.T) {
 	if c.tickEv.Pending() {
 		t.Fatal("tick chain armed at online; must wait for the dispatch")
 	}
-	if !c.ipiEv.Pending() && !c.reschedSent {
+	if !c.ipiEv.Pending() {
 		t.Fatal("online into pending work sent no kick")
 	}
 	m.Run(func() bool { return c.current != nil })
 	if !c.tickEv.Pending() {
 		t.Fatal("tick chain not re-armed by the post-online dispatch")
-	}
-	if c.tickParked {
-		t.Fatal("chain marked parked while armed")
 	}
 	for _, h := range hogs {
 		m.Run(func() bool { return h.Exited() })
@@ -353,7 +349,7 @@ func TestHotplugCycleAllocFree(t *testing.T) {
 	m := NewMachine(Config{
 		CPUs: 4, SMP: true, Seed: 42, NewScheduler: o1Factory,
 		MaxCycles: 60_000 * DefaultHz,
-		Watchdog:  &WatchdogConfig{PeriodCycles: DefaultTickCycles},
+		Watchdog:  &WatchdogConfig{},
 	})
 	for i := 0; i < 8; i++ {
 		m.Spawn("hog", nil, preboundHog(1_000_000, 2*DefaultTickCycles))
@@ -429,7 +425,7 @@ func TestInterruptedSegmentResumesOnSameEvent(t *testing.T) {
 	}
 	before := p.remaining
 	c.sendResched()
-	m.Run(func() bool { audit(); return !c.reschedSent })
+	m.Run(func() bool { audit(); return !c.ipiEv.Pending() })
 	if c.runEv.Pending() || p.remaining == 0 || p.remaining >= before {
 		t.Fatalf("after the IPI: rundone pending=%v, remaining %d of %d", c.runEv.Pending(), p.remaining, before)
 	}

@@ -175,7 +175,7 @@ func TestBlockingSyscallAndWake(t *testing.T) {
 			if consumed >= 3 {
 				return Exit{}
 			}
-			return Syscall{Name: "recv", Cost: 500, Fn: func(p *Proc, now sim.Time) Outcome {
+			return Syscall{Name: "recv", Cost: 500, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 				if !full {
 					return BlockOn(wq)
 				}
@@ -190,7 +190,7 @@ func TestBlockingSyscallAndWake(t *testing.T) {
 			if sent >= 3 {
 				return Exit{}
 			}
-			return Syscall{Name: "send", Cost: 500, Fn: func(p *Proc, now sim.Time) Outcome {
+			return Syscall{Name: "send", Cost: 500, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 				if full {
 					return BlockOn(wq)
 				}

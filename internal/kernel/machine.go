@@ -32,9 +32,11 @@
 // and a recalculation charges everyone at once). A CPU mid-switch to idle
 // is "almost idle": not kickable yet, so it is flagged needResched and
 // its completion re-runs schedule(). None of this scans. Machine keeps
-// four CPU-state masks (idle, kicked, switching, almostIdle), published
-// by CPU.publish at every flip of the fields they summarise, and per-CPU
-// deliverable counts that refile maintains by diffing each proc's cached
+// four CPU-state masks: kicked is itself the store of "an IPI is in
+// flight" (sendIPI sets the bit as it arms the CPU's one IPI event,
+// ipiArrive clears it), and idle, switching and almostIdle are published
+// by CPU.publish at every flip of the fields they summarise. Per-CPU
+// deliverable counts are maintained by refile, diffing each proc's cached
 // contribution wherever an input of the predicate changes. CheckDelivery
 // recomputes all of it by brute force; the watchdog runs it every period.
 package kernel
@@ -86,17 +88,8 @@ type Config struct {
 	Seed int64
 	// NewScheduler builds the policy; nil panics.
 	NewScheduler SchedulerFactory
-	// Cost overrides the default cost model when non-nil.
-	Cost *sched.CostModel
 	// MaxCycles stops the simulation at this virtual time (0 = none).
 	MaxCycles uint64
-	// UniformSpawnCounter starts every task with a full quantum instead
-	// of modeling fork's counter inheritance (the parent's quantum is
-	// split with the child, so a process that forks many threads seeds
-	// them with varied counters). Uniform counters make goodness
-	// comparisons tie everywhere — convenient for unit tests, but not a
-	// regime a real machine ever runs in.
-	UniformSpawnCounter bool
 	// Trace, when non-nil, is invoked at every schedule() decision.
 	Trace func(ev TraceEvent)
 	// TicklessOff disables NO_HZ tickless idle: every CPU re-arms its
@@ -223,15 +216,12 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Topology != nil {
 		m.env.Topo = cfg.Topology
 	}
-	if cfg.Cost != nil {
-		m.env.Cost = *cfg.Cost
-	}
 	m.env.Requeued = func(t *task.Task) { m.refile(m.procOf(t)) }
 	m.installPolicy(cfg.NewScheduler)
 
 	m.cpus = make([]*CPU, cfg.CPUs)
 	for i := range m.cpus {
-		c := &CPU{id: i, m: m, online: true, dom: m.env.Topo.DomainOf(i)}
+		c := &CPU{id: i, m: m, dom: m.env.Topo.DomainOf(i)}
 		c.idleTask = task.New(-(i + 1), idleNames[i], nil, m.env.Epoch)
 		c.idleTask.IsIdle = true
 		c.idleTask.Processor = i
@@ -359,10 +349,11 @@ func (m *Machine) spawn(t *task.Task, prog Program) *Proc {
 	m.procs = append(m.procs, p)
 	t.Owner = p
 	m.alive++
-	if !m.cfg.UniformSpawnCounter && !t.RealTime() {
+	if !t.RealTime() {
 		// Fork-time quantum inheritance: the child gets a share of the
 		// forking parent's remaining quantum, which varies with how
-		// recently the parent was recharged.
+		// recently the parent was recharged, so a process that forks many
+		// threads seeds them with varied counters.
 		lo := uint64(t.Priority/4) + 1
 		hi := uint64(t.MaxCounter())
 		t.SetCounter(m.env.Epoch, int(m.rng.Range(lo, hi)))
@@ -447,7 +438,7 @@ func (m *Machine) Run(stop func() bool) {
 		// Flush skipped-tick accounting for chains still parked at the
 		// stop instant, advancing the grid anchor so a later Run (or
 		// ensureTick) never counts the same instants twice.
-		if c.online && c.tickParked {
+		if c.online() && !c.tickEv.Pending() {
 			c.skipTicksThrough(m.eng.Now())
 		}
 	}

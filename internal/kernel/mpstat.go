@@ -29,12 +29,13 @@ func (m *Machine) CPUStats() []CPUStat {
 		if c.isIdle() {
 			idle += uint64(m.eng.Now() - c.idleFrom)
 		}
+		online := c.online()
 		offline := c.offlineAccum
-		if !c.online {
+		if !online {
 			offline += uint64(m.eng.Now() - c.offlineFrom)
 		}
 		tickless := c.ticklessAccum
-		if c.online && c.tickParked {
+		if online && !c.tickEv.Pending() {
 			tickless += uint64(m.eng.Now() - c.ticklessFrom)
 		}
 		out[i] = CPUStat{
@@ -42,7 +43,7 @@ func (m *Machine) CPUStats() []CPUStat {
 			WorkCycles:     c.work,
 			IdleCycles:     idle,
 			Dispatches:     c.dispatches,
-			Online:         c.online,
+			Online:         online,
 			Offlines:       c.offlines,
 			OfflineCycles:  offline,
 			TicklessCycles: tickless,

@@ -119,7 +119,7 @@ func TestEarlyWakeCancelsSleepTimer(t *testing.T) {
 		phase++
 		switch phase {
 		case 1:
-			return Syscall{Name: "wait", Cost: 100, Fn: func(p *Proc, now sim.Time) Outcome {
+			return Syscall{Name: "wait", Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 				if !released {
 					return BlockOn(wq)
 				}
@@ -136,7 +136,7 @@ func TestEarlyWakeCancelsSleepTimer(t *testing.T) {
 			return Exit{}
 		}
 		woken = true
-		return Syscall{Name: "wake", Cost: 100, Fn: func(p *Proc, now sim.Time) Outcome {
+		return Syscall{Name: "wake", Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 			released = true
 			p.M.WakeAll(wq)
 			return Done()
@@ -175,7 +175,7 @@ func TestWakeDuringTransitionToIdleNotLost(t *testing.T) {
 			if ready {
 				return Exit{}
 			}
-			return Syscall{Name: "wait", Cost: 100, Fn: func(p *Proc, now sim.Time) Outcome {
+			return Syscall{Name: "wait", Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 				if !ready {
 					return BlockOn(q)
 				}

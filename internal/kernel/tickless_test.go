@@ -26,10 +26,7 @@ func TestIdleTickParksChain(t *testing.T) {
 	m := ticklessMachine(t, 2, false)
 	m.Spawn("hog", nil, computeLoop(2000, 100_000))
 	c := m.cpus[1]
-	m.Run(func() bool { return c.tickParked })
-	if c.tickEv.Pending() {
-		t.Fatal("parked chain still has a pending tick")
-	}
+	m.Run(func() bool { return !c.tickEv.Pending() })
 	parkAt := m.Now()
 	if c.tickNext != parkAt+sim.Time(DefaultTickCycles) {
 		t.Fatalf("grid anchor = %d, want park+period = %d",
@@ -38,7 +35,7 @@ func TestIdleTickParksChain(t *testing.T) {
 	// Residency accrues while parked, visible through CPUStats.
 	target := m.Now() + sim.Time(5*DefaultTickCycles)
 	m.Run(func() bool { return m.Now() >= target })
-	if !c.tickParked {
+	if c.tickEv.Pending() {
 		t.Fatal("idle CPU un-parked with no work arriving")
 	}
 	if got := m.CPUStats()[1].TicklessCycles; got < uint64(5*DefaultTickCycles) {
@@ -62,7 +59,7 @@ func TestEnsureTickResumesGridAndCountsSkips(t *testing.T) {
 	m := ticklessMachine(t, 2, false)
 	hog := m.Spawn("hog", nil, computeLoop(2000, 100_000))
 	c := m.cpus[1]
-	m.Run(func() bool { return c.tickParked })
+	m.Run(func() bool { return !c.tickEv.Pending() })
 	anchor := c.tickNext
 	skipsBefore := m.Stats().TicksSkipped
 
@@ -71,7 +68,7 @@ func TestEnsureTickResumesGridAndCountsSkips(t *testing.T) {
 	m.Run(func() bool { return m.Now() >= target })
 	side := m.Spawn("side", nil, computeLoop(50, 100_000))
 	m.Run(func() bool { return c.current != nil })
-	if !c.tickEv.Pending() || c.tickParked {
+	if !c.tickEv.Pending() {
 		t.Fatal("dispatch did not re-arm the parked chain")
 	}
 	// The resumed tickNext must sit on the original anchor's grid,
@@ -95,9 +92,8 @@ func TestTicklessOffKeepsAlwaysOnChain(t *testing.T) {
 	target := sim.Time(10 * DefaultTickCycles)
 	m.Run(func() bool { return m.Now() >= target })
 	c := m.cpus[1]
-	if c.tickParked || !c.tickEv.Pending() {
-		t.Fatalf("tickless-off chain parked=%v pending=%v, want always-on",
-			c.tickParked, c.tickEv.Pending())
+	if !c.tickEv.Pending() {
+		t.Fatal("tickless-off chain parked, want always-on")
 	}
 	if s := m.Stats(); s.TicksSkipped != 0 {
 		t.Fatalf("ticks_skipped = %d with tickless off, want 0", s.TicksSkipped)
@@ -152,7 +148,7 @@ func TestAffinityMoveOffRunningCPUGetsKick(t *testing.T) {
 	from := mover.Task.Processor
 	to := 1 - from
 	// Park the destination CPU's chain first.
-	m.Run(func() bool { return m.cpus[to].tickParked })
+	m.Run(func() bool { return !m.cpus[to].tickEv.Pending() })
 	m.SetAffinity(mover, 1<<uint(to))
 	m.Run(func() bool { return mover.Exited() })
 	if !mover.Exited() {

@@ -11,7 +11,7 @@ type WatchdogKind int
 
 const (
 	// WatchdogStarvation: a runnable, queued task has waited longer than
-	// its policy-derived threshold without being scheduled.
+	// the load-scaled threshold without being scheduled.
 	WatchdogStarvation WatchdogKind = iota
 	// WatchdogLostWakeup: a task is runnable but neither queued nor on a
 	// CPU — nothing will ever schedule it.
@@ -77,31 +77,23 @@ func (v WatchdogViolation) String() string {
 	}
 }
 
-// WatchdogConfig tunes the starvation/lockup watchdog. The zero value of
-// each field selects its default.
+const (
+	// watchdogPeriod is the sweep interval: 10 tick periods, i.e. 100 ms
+	// of virtual time.
+	watchdogPeriod = 10 * DefaultTickCycles
+	// starveQuanta is the starvation threshold in multiples of the
+	// rotation's largest quantum, further scaled by the
+	// runnable-per-online-CPU load factor (see threshold). One bar serves
+	// every policy: none leaves a runnable task waiting that long at fair
+	// share, and the fuzzer hot-swaps among all of them mid-run.
+	starveQuanta = 8
+)
+
+// WatchdogConfig arms the starvation/lockup watchdog.
 type WatchdogConfig struct {
-	// PeriodCycles is the sweep interval (default 10 tick periods, i.e.
-	// 100 ms of virtual time).
-	PeriodCycles uint64
-	// StarveQuanta is the starvation threshold in multiples of the
-	// waiting task's full quantum, scaled by the runnable-per-online-CPU
-	// load factor (default 8). Derive it from the policy's latency
-	// capability: a policy allowed sloppier latency needs a laxer
-	// watchdog to stay false-positive-free.
-	StarveQuanta float64
 	// OnViolation, when non-nil, fires synchronously at each detection.
 	// Counters in Stats accumulate regardless.
 	OnViolation func(WatchdogViolation)
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.PeriodCycles == 0 {
-		c.PeriodCycles = 10 * DefaultTickCycles
-	}
-	if c.StarveQuanta == 0 {
-		c.StarveQuanta = 8
-	}
-	return c
 }
 
 // watchdog is the periodic detector: one preallocated engine event,
@@ -120,11 +112,11 @@ func (m *Machine) EnableWatchdog(cfg WatchdogConfig) {
 	if m.watchdog != nil {
 		return
 	}
-	wd := &watchdog{m: m, cfg: cfg.withDefaults()}
+	wd := &watchdog{m: m, cfg: cfg}
 	wd.ev = m.eng.NewPeriodicEvent("watchdog", wd.sweep)
 	m.watchdog = wd
 	m.stats.WatchdogEnabled = true
-	m.eng.ScheduleAfter(wd.ev, wd.cfg.PeriodCycles)
+	m.eng.ScheduleAfter(wd.ev, watchdogPeriod)
 }
 
 // WatchdogEnabled reports whether the watchdog is armed.
@@ -136,7 +128,7 @@ func (m *Machine) WatchdogEnabled() bool { return m.watchdog != nil }
 // violations by value.
 func (wd *watchdog) sweep(now sim.Time) {
 	m := wd.m
-	m.eng.ScheduleAfter(wd.ev, wd.cfg.PeriodCycles)
+	m.eng.ScheduleAfter(wd.ev, watchdogPeriod)
 
 	if err := m.CheckDelivery(); err != nil {
 		m.stats.WatchdogDeliveryFaults++
@@ -151,8 +143,8 @@ func (wd *watchdog) sweep(now sim.Time) {
 		// resume from. A chain that died at an offline firing (tickNext ==
 		// 0) on a CPU marked online means someone resurrected the CPU
 		// behind OnlineCPU's back — quantum expiry never fires there again.
-		dead := !c.tickEv.Pending() && (!c.tickParked || c.tickNext == 0)
-		if c.online && dead && !c.wdStallFlagged {
+		dead := !c.tickEv.Pending() && c.tickNext == 0
+		if c.online() && dead && !c.wdStallFlagged {
 			c.wdStallFlagged = true
 			m.stats.WatchdogCPUStalls++
 			if wd.cfg.OnViolation != nil {
@@ -238,7 +230,7 @@ func (wd *watchdog) waited(p *Proc, now sim.Time) uint64 {
 	return uint64(now - since)
 }
 
-// threshold is the starvation bound in cycles: StarveQuanta full quanta of
+// threshold is the starvation bound in cycles: starveQuanta full quanta of
 // the largest runnable task's size (yardTicks — what one turn of the
 // rotation actually waits behind), scaled by how oversubscribed the
 // machine is (with k runnable tasks per online CPU, waiting k quanta is
@@ -249,5 +241,5 @@ func (wd *watchdog) threshold(yardTicks, runnable, online int) float64 {
 	if online > 0 {
 		load += float64(runnable) / float64(online)
 	}
-	return wd.cfg.StarveQuanta * quantum * load
+	return starveQuanta * quantum * load
 }

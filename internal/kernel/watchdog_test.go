@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"elsc/internal/sim"
+	"elsc/internal/task"
 )
 
-func watchedMachine(t *testing.T, cpus int, f SchedulerFactory, wd WatchdogConfig, sink *[]WatchdogViolation) *Machine {
+func watchedMachine(t *testing.T, cpus int, f SchedulerFactory, sink *[]WatchdogViolation) *Machine {
 	t.Helper()
-	wd.OnViolation = func(v WatchdogViolation) { *sink = append(*sink, v) }
 	return NewMachine(Config{
 		CPUs: cpus, SMP: cpus > 1, Seed: 42, NewScheduler: f,
 		MaxCycles: 600 * DefaultHz,
-		Watchdog:  &wd,
+		Watchdog: &WatchdogConfig{
+			OnViolation: func(v WatchdogViolation) { *sink = append(*sink, v) },
+		},
 	})
 }
 
@@ -22,8 +24,7 @@ func watchedMachine(t *testing.T, cpus int, f SchedulerFactory, wd WatchdogConfi
 // counters render (as zeros) in the stats registry.
 func TestWatchdogCleanRunIsQuiet(t *testing.T) {
 	var got []WatchdogViolation
-	m := watchedMachine(t, 2, elscFactory,
-		WatchdogConfig{PeriodCycles: DefaultTickCycles}, &got)
+	m := watchedMachine(t, 2, elscFactory, &got)
 	for i := 0; i < 6; i++ {
 		m.Spawn("w", nil, computeLoop(100, 400_000))
 	}
@@ -56,31 +57,39 @@ func TestWatchdogUnarmedRendersNothing(t *testing.T) {
 	}
 }
 
-// TestWatchdogFlagsStarvation: with a microscopic threshold, a queued
-// task waiting out another's full quantum crosses the bar at the first
-// sweep — the violation carries the task and its measured wait.
+// TestWatchdogFlagsStarvation: on one CPU a SCHED_FIFO hog at
+// rt_priority 50 never yields to a SCHED_FIFO waiter at rt_priority 10.
+// Real-time waits are measured against no SCHED_OTHER rotation at all, so
+// the shipped bar flags the waiter at the first sweep — the violation
+// carries the task and its measured wait.
 func TestWatchdogFlagsStarvation(t *testing.T) {
-	var got []WatchdogViolation
-	m := watchedMachine(t, 1, vanillaFactory,
-		WatchdogConfig{PeriodCycles: DefaultTickCycles, StarveQuanta: 0.001}, &got)
-	m.Spawn("hog", nil, computeLoop(100, DefaultTickCycles))
-	m.Spawn("waiter", nil, computeLoop(100, DefaultTickCycles))
-	m.Run(func() bool { return len(got) > 0 || m.Alive() == 0 })
-	if len(got) == 0 {
-		t.Fatal("no starvation flagged under a microscopic threshold")
-	}
-	v := got[0]
-	if v.Kind != WatchdogStarvation {
-		t.Fatalf("first violation: %s, want starvation", v)
-	}
-	if v.P == nil || v.Waited == 0 {
-		t.Fatalf("violation missing task or wait: %s", v)
-	}
-	if m.Stats().WatchdogStarvations == 0 {
-		t.Fatal("starvation counter not bumped")
-	}
-	if !strings.Contains(v.String(), "starvation") {
-		t.Fatalf("violation renders as %q", v.String())
+	for _, f := range []struct {
+		name    string
+		factory SchedulerFactory
+	}{{"reg", vanillaFactory}, {"elsc", elscFactory}, {"o1", o1Factory}} {
+		t.Run(f.name, func(t *testing.T) {
+			var got []WatchdogViolation
+			m := watchedMachine(t, 1, f.factory, &got)
+			m.SpawnRT("hog", task.FIFO, 50, computeLoop(100, DefaultTickCycles))
+			waiter := m.SpawnRT("waiter", task.FIFO, 10, computeLoop(100, DefaultTickCycles))
+			m.Run(func() bool { return len(got) > 0 || m.Alive() == 0 })
+			if len(got) == 0 {
+				t.Fatal("no starvation flagged")
+			}
+			v := got[0]
+			if v.Kind != WatchdogStarvation || v.P != waiter || v.Now != watchdogPeriod {
+				t.Fatalf("first violation: %s, want the waiter's starvation at the first sweep (t=%d)", v, watchdogPeriod)
+			}
+			if v.Waited == 0 {
+				t.Fatalf("violation missing its wait: %s", v)
+			}
+			if m.Stats().WatchdogStarvations == 0 {
+				t.Fatal("starvation counter not bumped")
+			}
+			if !strings.Contains(v.String(), "starvation") {
+				t.Fatalf("violation renders as %q", v.String())
+			}
+		})
 	}
 }
 
@@ -89,8 +98,7 @@ func TestWatchdogFlagsStarvation(t *testing.T) {
 // kernel's back) is flagged at the next sweep.
 func TestWatchdogFlagsLostWakeup(t *testing.T) {
 	var got []WatchdogViolation
-	m := watchedMachine(t, 2, elscFactory,
-		WatchdogConfig{PeriodCycles: DefaultTickCycles}, &got)
+	m := watchedMachine(t, 2, elscFactory, &got)
 	for i := 0; i < 5; i++ {
 		m.Spawn("w", nil, computeLoop(200, 400_000))
 	}
@@ -138,8 +146,7 @@ func TestWatchdogFlagsLostWakeup(t *testing.T) {
 // reported as stalled, once.
 func TestWatchdogFlagsCPUStall(t *testing.T) {
 	var got []WatchdogViolation
-	m := watchedMachine(t, 2, elscFactory,
-		WatchdogConfig{PeriodCycles: DefaultTickCycles}, &got)
+	m := watchedMachine(t, 2, elscFactory, &got)
 	m.Spawn("hog", nil, computeLoop(400, 100_000))
 	if err := m.OfflineCPU(1); err != nil {
 		t.Fatal(err)
@@ -153,9 +160,8 @@ func TestWatchdogFlagsCPUStall(t *testing.T) {
 	}
 	// The bug under test: a CPU marked online whose tick chain is dead.
 	// OnlineCPU would re-arm it, so flip the bit directly.
-	m.cpus[1].online = true
-	m.cpus[1].publish()
 	m.env.SetCPUOnline(1, true)
+	m.cpus[1].publish()
 
 	m.Run(func() bool { return len(got) > 0 || m.Alive() == 0 })
 	if len(got) == 0 || got[0].Kind != WatchdogCPUStall {
@@ -171,12 +177,11 @@ func TestWatchdogFlagsCPUStall(t *testing.T) {
 }
 
 // TestWatchdogSweepAllocFree: the periodic sweep over a loaded machine
-// is part of the zero-allocation event path — whole swept tick periods
-// touch the allocator zero times.
+// is part of the zero-allocation event path — whole sweep periods touch
+// the allocator zero times.
 func TestWatchdogSweepAllocFree(t *testing.T) {
 	var got []WatchdogViolation
-	m := watchedMachine(t, 2, elscFactory,
-		WatchdogConfig{PeriodCycles: DefaultTickCycles}, &got)
+	m := watchedMachine(t, 2, elscFactory, &got)
 	for i := 0; i < 8; i++ {
 		m.Spawn("hog", nil, preboundHog(1_000_000, 2*DefaultTickCycles))
 	}
@@ -186,12 +191,12 @@ func TestWatchdogSweepAllocFree(t *testing.T) {
 	m.Run(stop)
 
 	runPeriod := func() {
-		target = m.Now() + sim.Time(DefaultTickCycles)
+		target = m.Now() + sim.Time(watchdogPeriod)
 		m.Run(stop)
 	}
 	allocs := testing.AllocsPerRun(10, runPeriod)
 	if allocs != 0 {
-		t.Fatalf("swept tick period allocates %.1f objects, want 0", allocs)
+		t.Fatalf("swept watchdog period allocates %.1f objects, want 0", allocs)
 	}
 	if m.Alive() == 0 {
 		t.Fatal("workload drained mid-measurement; sweeps ran over an empty machine")

@@ -94,7 +94,6 @@ func TestHotplugCycleConformance(t *testing.T) {
 						lastDispatch[ev.CPU] = ev.Now
 					},
 					Watchdog: &kernel.WatchdogConfig{
-						StarveQuanta: experiments.MaxWatchdogStarveQuanta(),
 						OnViolation: func(v kernel.WatchdogViolation) {
 							t.Errorf("watchdog fired on a healthy hotplug run: %s", v)
 						},

@@ -17,34 +17,16 @@ import (
 	"elsc/internal/task"
 )
 
-// Config selects mq variants for ablation studies.
-type Config struct {
-	// RecalcOnLocalExhaustion restores the pre-fix behaviour that the
-	// scenario fuzzer caught at seed 586: recalculate counters as soon as
-	// the local queue holds only exhausted tasks, without first stealing
-	// a remote task that still has quantum. Under it a never-run task can
-	// starve forever behind freshly recharged affinity-bonused
-	// neighbours. Kept so the watchdog tests can replay the bug.
-	RecalcOnLocalExhaustion bool
-}
-
 // Sched is the per-CPU multi-queue scheduler. Create with New.
 type Sched struct {
 	env    *sched.Env
-	cfg    Config
 	queues []*klist.Head
 	counts sched.QueueLens // per-queue lengths; placement is the shared Home rule
 }
 
 // New returns a multi-queue scheduler bound to env.
 func New(env *sched.Env) *Sched {
-	return NewWithConfig(env, Config{})
-}
-
-// NewWithConfig returns a multi-queue scheduler with explicit variant
-// selection.
-func NewWithConfig(env *sched.Env, cfg Config) *Sched {
-	s := &Sched{env: env, cfg: cfg}
+	s := &Sched{env: env}
 	s.queues = make([]*klist.Head, env.NCPU)
 	s.counts = make(sched.QueueLens, env.NCPU)
 	for i := range s.queues {
@@ -153,18 +135,14 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			// affinity-bonused neighbours forever (scenario fuzzer,
 			// seed 586). Steal the best remote task that still has
 			// quantum; recalculate only if there is none anywhere.
-			// (Config.RecalcOnLocalExhaustion skips the steal sweep to
-			// replay the bug for the watchdog tests.)
-			if !s.cfg.RecalcOnLocalExhaustion {
-				for q := range s.queues {
-					if q == cpu || s.counts[q] == 0 {
-						continue
-					}
-					res.Cycles += env.Cost.LockOp // remote queue's lock
-					b, g, _ := s.scanQueue(q, cpu, prev, yielded, &res)
-					if b != nil && g > bestG {
-						best, bestG = b, g
-					}
+			for q := range s.queues {
+				if q == cpu || s.counts[q] == 0 {
+					continue
+				}
+				res.Cycles += env.Cost.LockOp // remote queue's lock
+				b, g, _ := s.scanQueue(q, cpu, prev, yielded, &res)
+				if b != nil && g > bestG {
+					best, bestG = b, g
 				}
 			}
 			if best == nil {

@@ -39,7 +39,7 @@ func newFuzzRig() *fuzzRig {
 	env := sched.NewEnv(fuzzCPUs, true, func() int { return fuzzTasks })
 	r := &fuzzRig{
 		env:     env,
-		s:       NewWithConfig(env, Config{StarvationLimit: 8, GranularityTicks: 2}),
+		s:       New(env),
 		current: make([]*task.Task, fuzzCPUs),
 	}
 	for i := 0; i < fuzzTasks; i++ {
@@ -57,6 +57,12 @@ func newFuzzRig() *fuzzRig {
 	return r
 }
 
+// clockStride is how far each rig schedule() moves its queue's starvation
+// clock: Schedule's own tick plus a poke, so the guard fires after eight
+// schedules — within reach of a short fuzz input — exactly where a limit
+// of 8 would.
+const clockStride = starvationLimit / 8
+
 // schedule mirrors kernel.reschedule's calling convention.
 func (r *fuzzRig) schedule(cpu int) {
 	prev := r.current[cpu]
@@ -65,6 +71,7 @@ func (r *fuzzRig) schedule(cpu int) {
 		prevTask = prev
 	}
 	r.current[cpu] = nil
+	r.s.rqs[cpu].schedSeq += clockStride - 1
 	res := r.s.Schedule(cpu, prevTask)
 	if prev != nil {
 		prev.HasCPU = false

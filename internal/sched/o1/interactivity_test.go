@@ -104,17 +104,17 @@ func TestExpiryRequeuesInteractiveIntoActive(t *testing.T) {
 }
 
 // TestReinsertBoundedByStarvationClock: once the expired array has
-// starved past StarvationLimit, interactive tasks expire normally so the
+// starved past starvationLimit, interactive tasks expire normally so the
 // forced swap can restore fairness — hogs always make progress.
 func TestReinsertBoundedByStarvationClock(t *testing.T) {
 	env := newEnv(1, 3)
-	s := NewWithConfig(env, Config{StarvationLimit: 10})
+	s := New(env)
 	starved := mkTask(env, 1, 20, 0)
 	s.AddToRunqueue(starved) // hog profile: parks in expired
 	if s.rqs[0].expired().Len() != 1 {
 		t.Fatalf("setup: expired=%d, want 1", s.rqs[0].expired().Len())
 	}
-	s.rqs[0].schedSeq = s.rqs[0].expiredSince + 10 // clock at the limit
+	s.rqs[0].schedSeq = s.rqs[0].expiredSince + starvationLimit // clock at the limit
 	inter := sleeper(env, 2, 20, 0, 11)
 	s.AddToRunqueue(inter)
 	if s.rqs[0].expired().Len() != 2 {
@@ -158,11 +158,11 @@ func TestTickPreemptBetterLevel(t *testing.T) {
 }
 
 // TestTickPreemptGranularityRoundRobin: equal-level interactive tasks
-// round-robin every GranularityTicks — the rotated task goes to the tail
+// round-robin every granularityTicks — the rotated task goes to the tail
 // of its level and the waiting peer is picked next.
 func TestTickPreemptGranularityRoundRobin(t *testing.T) {
 	env := newEnv(1, 2)
-	s := NewWithConfig(env, Config{GranularityTicks: 2})
+	s := New(env)
 	a := sleeper(env, 1, 20, 4, 11)
 	b := sleeper(env, 2, 20, 4, 11)
 	s.AddToRunqueue(b) // b waits at a's level

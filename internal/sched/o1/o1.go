@@ -35,7 +35,7 @@
 // measure exactly what domain awareness buys.
 //
 // A starvation guard bounds expired-array wait: if the expired array has
-// been non-empty for StarvationLimit consecutive schedule() calls on its
+// been non-empty for starvationLimit (128) consecutive schedule() calls on its
 // CPU without a swap, the arrays are force-swapped even though the active
 // array still holds runnable tasks (the check 2.6 performs with
 // EXPIRED_STARVING). Without it, a steady stream of fresh wakers could
@@ -54,12 +54,12 @@
 // parking in expired — the fix for latency probes waiting out a full hog
 // quantum behind an array swap — and a waking interactive task with a
 // spent quantum is recharged into the active array for the same reason.
-// Both re-insertions are bounded by the StarvationLimit clock: once the
+// Both re-insertions are bounded by the starvationLimit clock: once the
 // expired array has waited that long, interactive tasks expire normally
 // and the forced swap proceeds, so hogs always make progress.
 //
 // Two more 2.5-era pieces ride along. TIMESLICE_GRANULARITY chunking:
-// every GranularityTicks of a running interactive task's quantum, if
+// every granularityTicks (2 ticks) of a running interactive task's quantum, if
 // another task waits at its level on this CPU, the tick preempts it and
 // Schedule files it at the tail of its level, so same-level interactive
 // tasks round-robin inside a quantum instead of serializing. And
@@ -88,50 +88,42 @@ const (
 	// interactiveDelta is the bonus a task needs to count as interactive
 	// and earn active-array re-insertion.
 	interactiveDelta = 2
+
+	// starvationLimit is how many schedule() calls the expired array may
+	// sit non-empty before a forced array swap. The same clock bounds
+	// interactive re-insertion into the active array: once the expired
+	// array has starved that long, interactive tasks expire normally
+	// until the swap happens.
+	starvationLimit = 128
+
+	// granularityTicks is the TIMESLICE_GRANULARITY chunk in quantum
+	// ticks (20 ms): every multiple, a running interactive task with a
+	// same-level queued peer on its CPU is rotated to the tail of its
+	// level.
+	granularityTicks = 2
 )
 
 // BonusSpan is the number of distinct bonus values (-maxBonus..+maxBonus);
 // BonusLevels returns one counter per value, index 0 = -maxBonus.
 const BonusSpan = 2*maxBonus + 1
 
-// Config tunes the o1 scheduler's domain-aware balancing. The zero value
-// gives the default, domain-aware behavior.
+// Config selects the o1 scheduler's ablation arms. The zero value gives
+// the default: domain-aware, interactivity-aware, SD_WAKE_IDLE placing.
 type Config struct {
 	// TopologyBlind makes the balancer ignore cache domains, treating
 	// the machine as one flat domain — the pre-sched_domains behavior,
 	// kept as the ablation baseline for the NUMA experiments.
 	TopologyBlind bool
-	// StarvationLimit is how many schedule() calls the expired array may
-	// sit non-empty before a forced array swap (default 128; <0
-	// disables the guard). The same clock bounds interactive re-insertion
-	// into the active array: once the expired array has starved that
-	// long, interactive tasks expire normally until the swap happens.
-	StarvationLimit int
 	// InteractivityOff disables the sleep_avg machinery — no dynamic-
 	// priority bonus, no active-array requeue on expiry, no timeslice
 	// granularity chunking. The ablation baseline for the latency
 	// experiments: with it set, a quantum-expired probe parks behind a
 	// full hog quantum in the expired array.
 	InteractivityOff bool
-	// GranularityTicks is the TIMESLICE_GRANULARITY chunk in quantum
-	// ticks: every multiple, a running interactive task with a same-level
-	// queued peer on its CPU is rotated to the tail of its level
-	// (default 2 ticks = 20 ms; <0 disables chunking).
-	GranularityTicks int
 	// WakeIdleOff makes the policy decline the kernel's SD_WAKE_IDLE
 	// placement hints: woken tasks always file on their home CPU's queue,
 	// the pre-sched_domains wake path. Ablation knob.
 	WakeIdleOff bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.StarvationLimit == 0 {
-		c.StarvationLimit = 128
-	}
-	if c.GranularityTicks == 0 {
-		c.GranularityTicks = 2
-	}
-	return c
 }
 
 // levelOf maps a task to its static priority level; lower level = higher
@@ -191,7 +183,7 @@ func New(env *sched.Env) *Sched { return NewWithConfig(env, Config{}) }
 
 // NewWithConfig returns an O(1) scheduler with tuned balancing knobs.
 func NewWithConfig(env *sched.Env, cfg Config) *Sched {
-	s := &Sched{env: env, cfg: cfg.withDefaults(), rqs: make([]runqueue, env.NCPU)}
+	s := &Sched{env: env, cfg: cfg, rqs: make([]runqueue, env.NCPU)}
 	topo := env.Topo
 	if s.cfg.TopologyBlind {
 		topo = nil // the balancer sees one flat domain
@@ -350,7 +342,7 @@ func (s *Sched) PlaceWake(t *task.Task, cpu int) bool {
 func (s *Sched) addTo(t *task.Task, cpu int, front bool) {
 	rq := &s.rqs[cpu]
 	if !t.RealTime() && t.Counter(s.env.Epoch) == 0 {
-		if s.interactive(t) && !s.reinsertBlocked(rq) {
+		if s.interactive(t) && !rq.starved() {
 			t.SetCounter(s.env.Epoch, t.Priority)
 			s.interactiveRequeues++
 			s.enqueue(t, cpu, rq.activeIdx, front)
@@ -362,13 +354,12 @@ func (s *Sched) addTo(t *task.Task, cpu int, front bool) {
 	s.enqueue(t, cpu, rq.activeIdx, front)
 }
 
-// reinsertBlocked bounds interactive active-array re-insertion: once the
-// expired array has waited StarvationLimit schedule() calls, interactive
-// tasks stop jumping the queue so the forced swap can restore fairness.
-func (s *Sched) reinsertBlocked(rq *runqueue) bool {
-	return s.cfg.StarvationLimit >= 0 &&
-		rq.expired().Len() > 0 &&
-		rq.schedSeq-rq.expiredSince >= uint64(s.cfg.StarvationLimit)
+// starved reports whether the expired array has been non-empty for
+// starvationLimit schedule() calls. It bounds interactive active-array
+// re-insertion — from then on interactive tasks stop jumping the queue so
+// the forced swap can restore fairness — and arms that swap.
+func (rq *runqueue) starved() bool {
+	return rq.expired().Len() > 0 && rq.schedSeq-rq.expiredSince >= starvationLimit
 }
 
 // DelFromRunqueue unlinks t from whichever array list holds it.
@@ -484,7 +475,7 @@ func (s *Sched) PreemptsCurr(t, curr *task.Task) bool {
 // and the head of the better list must itself be pickable here so an
 // unpickable affinity straggler cannot buy a spurious interrupt every
 // tick. Second, TIMESLICE_GRANULARITY chunking (both true): every
-// GranularityTicks of consumed quantum, if another task waits at t's
+// granularityTicks of consumed quantum, if another task waits at t's
 // own effective level on this CPU, t is marked for rotation and
 // preempted; the next Schedule files it at the tail of its level, so
 // same-level interactive tasks round-robin inside a quantum instead of
@@ -500,11 +491,11 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 			return true, false // a better level waits: re-pick, t keeps its spot
 		}
 	}
-	if s.cfg.GranularityTicks < 0 || !s.interactive(t) {
+	if !s.interactive(t) {
 		return false, false
 	}
 	c := t.Counter(s.env.Epoch)
-	if c <= 0 || c%s.cfg.GranularityTicks != 0 {
+	if c <= 0 || c%granularityTicks != 0 {
 		return false, false
 	}
 	if rq.active().Level(lvl).Empty() {
@@ -521,11 +512,14 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 // arrays and starve the expired tasks behind it.
 func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
 	rq := &s.rqs[cpu]
-	if s.expiredStarving(rq) {
+	if rq.starved() && !holdsRealTime(rq.active()) {
 		// Starvation guard: the expired array has waited too long
 		// behind a never-draining active array. Force the swap; the
 		// former active tasks keep their quantum and will win again
-		// after the next natural swap.
+		// after the next natural swap. A queued real-time task vetoes
+		// it — demoting it into the expired array would let SCHED_OTHER
+		// tasks run ahead of it, and RT starving OTHER is policy, not a
+		// bug.
 		s.swapArrays(rq, res)
 	}
 	if t := rq.active().Pick(s.env, cpu, res); t != nil {
@@ -545,18 +539,6 @@ func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
 func holdsRealTime(a *sched.LevelArray) bool {
 	best := a.Next(0)
 	return best >= 0 && best < rtLevels
-}
-
-// expiredStarving reports whether the starvation guard should fire: the
-// expired array has been non-empty for StarvationLimit schedule() calls.
-// A queued real-time task vetoes the forced swap — demoting it into the
-// expired array would let SCHED_OTHER tasks run ahead of it, and RT
-// starving OTHER is policy, not a bug.
-func (s *Sched) expiredStarving(rq *runqueue) bool {
-	return s.cfg.StarvationLimit >= 0 &&
-		rq.expired().Len() > 0 &&
-		rq.schedSeq-rq.expiredSince >= uint64(s.cfg.StarvationLimit) &&
-		!holdsRealTime(rq.active())
 }
 
 // swapArrays flips active and expired in O(1) and restarts the

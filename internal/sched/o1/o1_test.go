@@ -477,9 +477,8 @@ func TestFullMachineVolano(t *testing.T) {
 }
 
 func TestStarvationGuardForcesSwap(t *testing.T) {
-	const limit = 8
 	env := newEnv(1, 2)
-	s := NewWithConfig(env, Config{StarvationLimit: limit})
+	s := New(env)
 	starved := mkTask(env, 1, 20, 10)
 	starved.SetCounter(env.Epoch, 0) // exhausted: filed into expired
 	hog := mkTask(env, 2, 30, 10)
@@ -492,33 +491,16 @@ func TestStarvationGuardForcesSwap(t *testing.T) {
 	}
 	// The hog never exhausts its quantum: each Schedule re-files it into
 	// the active array, which would starve the expired task forever.
-	for i := 0; i < limit+2; i++ {
+	for i := 0; i < starvationLimit+2; i++ {
 		res = s.Schedule(0, res.Next)
 		if res.Next == starved {
-			if i < limit-2 {
-				t.Fatalf("guard fired after only %d schedules (limit %d)", i+1, limit)
+			if i < starvationLimit-2 {
+				t.Fatalf("guard fired after only %d schedules (limit %d)", i+1, starvationLimit)
 			}
 			return
 		}
 	}
-	t.Fatalf("expired task never ran within %d schedules (limit %d)", limit+2, limit)
-}
-
-func TestStarvationGuardDisabled(t *testing.T) {
-	env := newEnv(1, 2)
-	s := NewWithConfig(env, Config{StarvationLimit: -1})
-	starved := mkTask(env, 1, 20, 10)
-	starved.SetCounter(env.Epoch, 0)
-	hog := mkTask(env, 2, 30, 10)
-	s.AddToRunqueue(starved)
-	s.AddToRunqueue(hog)
-	res := s.Schedule(0, idlePrev())
-	for i := 0; i < 300; i++ {
-		res = s.Schedule(0, res.Next)
-		if res.Next == starved {
-			t.Fatalf("disabled guard still swapped at schedule %d", i+1)
-		}
-	}
+	t.Fatalf("expired task never ran within %d schedules (limit %d)", starvationLimit+2, starvationLimit)
 }
 
 func TestStealPrefersLocalDomainVictim(t *testing.T) {
@@ -625,9 +607,8 @@ func TestCrossDomainPullNeedsLargerGap(t *testing.T) {
 func TestStarvationGuardNeverDemotesRealTime(t *testing.T) {
 	// A queued real-time task must veto the forced swap: demoting it
 	// into the expired array would let SCHED_OTHER run ahead of it.
-	const limit = 8
 	env := newEnv(1, 3)
-	s := NewWithConfig(env, Config{StarvationLimit: limit})
+	s := New(env)
 	starved := mkTask(env, 1, 20, 10)
 	starved.SetCounter(env.Epoch, 0)
 	s.AddToRunqueue(starved)
@@ -637,7 +618,7 @@ func TestStarvationGuardNeverDemotesRealTime(t *testing.T) {
 	s.AddToRunqueue(rtB)
 
 	res := s.Schedule(0, idlePrev())
-	for i := 0; i < 4*limit; i++ {
+	for i := 0; i < 4*starvationLimit; i++ {
 		if res.Next == starved {
 			t.Fatalf("schedule %d demoted queued RT work behind a SCHED_OTHER task", i)
 		}

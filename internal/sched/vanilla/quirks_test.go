@@ -92,21 +92,6 @@ func TestRunnableCountTracksNoteRunning(t *testing.T) {
 	}
 }
 
-func TestDiagCountsYieldEntries(t *testing.T) {
-	env := newEnv(1, 1)
-	s := New(env)
-	a := mkTask(env, 1, 20, 10)
-	s.AddToRunqueue(a)
-	a.HasCPU = true
-	a.Processor = 0
-	s.NoteRunning(a, true)
-	a.Yielded = true
-	s.Schedule(0, a)
-	if s.Diag.YieldEntries != 1 || s.Diag.LoneYields != 1 {
-		t.Fatalf("diag = %+v, want one lone yield", s.Diag)
-	}
-}
-
 func TestScanAlwaysFindsRunnableQuick(t *testing.T) {
 	// Liveness: with at least one selectable task, Schedule never
 	// returns idle.

@@ -30,15 +30,6 @@ type Sched struct {
 	// running counts tasks on the queue currently marked HasCPU, so
 	// Runnable can exclude them without a scan.
 	running int
-
-	// Diag mirrors the instrumentation the paper exposed through proc:
-	// what schedule() saw at entry.
-	Diag struct {
-		YieldEntries uint64 // entries with the previous task yielding
-		LoneYields   uint64 // ...where it was also the only queued task
-		QueueLenSum  uint64 // run-queue length summed over entries
-		Entries      uint64
-	}
 }
 
 // New returns a stock scheduler bound to env.
@@ -116,15 +107,6 @@ func (s *Sched) NoteRunning(t *task.Task, running bool) {
 func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 	env := s.env
 	res := sched.Result{Cycles: env.Cost.ScheduleBase}
-
-	s.Diag.Entries++
-	s.Diag.QueueLenSum += uint64(s.rq.Len())
-	if !prev.IsIdle && prev.Yielded {
-		s.Diag.YieldEntries++
-		if s.rq.Len() <= 1 {
-			s.Diag.LoneYields++
-		}
-	}
 
 	if !prev.IsIdle {
 		// Round-robin expiry: reset the quantum and send the task to

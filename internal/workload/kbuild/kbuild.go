@@ -133,7 +133,7 @@ func (b *Build) newWorker() kernel.Program {
 				return kernel.Syscall{
 					Name: "write-obj",
 					Cost: 30_000,
-					Fn: func(p *kernel.Proc, now sim.Time) kernel.Outcome {
+					Exec: func(_ *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 						b.compiled++
 						if b.compiled == len(b.queue) {
 							p.M.WakeAll(b.linkReady)
@@ -156,7 +156,7 @@ func (b *Build) newLinker(serial uint64) kernel.Program {
 			return kernel.Syscall{
 				Name: "wait-objs",
 				Cost: 5_000,
-				Fn: func(p *kernel.Proc, now sim.Time) kernel.Outcome {
+				Exec: func(_ *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 					if b.compiled < len(b.queue) {
 						return kernel.BlockOn(b.linkReady)
 					}

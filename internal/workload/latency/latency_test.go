@@ -20,12 +20,6 @@ func newMachine(cpus int, useELSC bool) *kernel.Machine {
 		Seed:         13,
 		NewScheduler: factory,
 		MaxCycles:    300 * kernel.DefaultHz,
-		// Uniform quanta put every probe in ELSC's top list from the
-		// start, isolating steady-state wake cost from the cold-start
-		// starvation window that fork-inherited low quanta produce
-		// (that pathology is measured separately by the WakeLatency
-		// experiment and discussed in EXPERIMENTS.md).
-		UniformSpawnCounter: true,
 	})
 }
 

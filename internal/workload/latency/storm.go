@@ -118,7 +118,7 @@ func (s *Storm) newWaiter() kernel.Program {
 	wait := &kernel.Syscall{
 		Name: "storm.wait",
 		Cost: 4_000,
-		Fn: func(p *kernel.Proc, now sim.Time) kernel.Outcome {
+		Exec: func(_ *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 			if seen == s.gen {
 				if !parked {
 					parked = true

@@ -18,8 +18,7 @@ func stormMachine(cpus int, useO1 bool, seed int64) *kernel.Machine {
 			NewScheduler: func(env *sched.Env) sched.Scheduler {
 				return o1.New(env)
 			},
-			MaxCycles:           300 * kernel.DefaultHz,
-			UniformSpawnCounter: true,
+			MaxCycles: 300 * kernel.DefaultHz,
 		})
 	}
 	return m

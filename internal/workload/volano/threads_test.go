@@ -25,8 +25,8 @@ func actionKind(a kernel.Action) string {
 	}
 }
 
-// asSyscall unwraps either syscall form (the closure value or the prebound
-// pointer the IPC fast paths return).
+// asSyscall unwraps a syscall action, returned by value or as the prebound
+// pointer the IPC fast paths use.
 func asSyscall(t *testing.T, a kernel.Action) *kernel.Syscall {
 	t.Helper()
 	switch sc := a.(type) {
@@ -44,10 +44,7 @@ func asSyscall(t *testing.T, a kernel.Action) *kernel.Syscall {
 func execSyscall(t *testing.T, a kernel.Action) kernel.Outcome {
 	t.Helper()
 	sc := asSyscall(t, a)
-	if sc.Exec != nil {
-		return sc.Exec(sc, nil, 0)
-	}
-	return sc.Fn(nil, 0)
+	return sc.Exec(sc, nil, 0)
 }
 
 func TestSpinRecvPollsYieldsThenBlocks(t *testing.T) {

@@ -95,7 +95,7 @@ type WatchdogKind = kernel.WatchdogKind
 
 // The watchdog's violation kinds.
 const (
-	// WatchdogStarvation: a runnable task queued past its policy-scaled
+	// WatchdogStarvation: a runnable task queued past the load-scaled
 	// wait threshold without being dispatched.
 	WatchdogStarvation = kernel.WatchdogStarvation
 	// WatchdogLostWakeup: a runnable task that is neither queued nor on a
