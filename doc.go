@@ -134,7 +134,10 @@
 // context-switch and segment completions) as caller-owned objects
 // re-armed in place with prebound callbacks, so a steady-state
 // schedule→dispatch cycle performs zero allocations (asserted by
-// testing.AllocsPerRun in the engine suite). Cancellation is an O(1)
+// testing.AllocsPerRun in the engine suite). A program issues a syscall
+// with Proc.Call, which writes it into the proc's own slot — the one
+// copy the kernel runs — so no workload keeps a scratch Syscall of its
+// own. Cancellation is an O(1)
 // unlink: the event leaves its slot at once and may be armed again.
 // Determinism is untouched — events fire in exact (time,
 // scheduling-order) sequence, so a seed still reproduces every run

@@ -68,7 +68,7 @@ func TestCustomIPCWorkload(t *testing.T) {
 			return elsc.Exit{}
 		}
 		sent++
-		return q.Send(500, elsc.Msg{Seq: sent})
+		return q.Send(p, 500, elsc.Msg{Seq: sent})
 	}))
 	recvd := 0
 	m.Spawn("consumer", nil, elsc.ProgramFunc(func(p *elsc.Proc) elsc.Action {
@@ -77,7 +77,7 @@ func TestCustomIPCWorkload(t *testing.T) {
 			return elsc.Exit{}
 		}
 		recvd++
-		return q.Recv(500, &got)
+		return q.Recv(p, 500, &got)
 	}))
 	m.Run(func() bool { return prodDone && consDone })
 	if got.Seq != 5 {

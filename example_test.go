@@ -70,7 +70,7 @@ func ExampleNewQueue() {
 			return elsc.Exit{}
 		}
 		sent++
-		return q.Send(500, elsc.Msg{Seq: sent})
+		return q.Send(p, 500, elsc.Msg{Seq: sent})
 	}))
 
 	var got elsc.Msg
@@ -82,7 +82,7 @@ func ExampleNewQueue() {
 			return elsc.Exit{}
 		}
 		recvd++
-		return q.Recv(500, &got)
+		return q.Recv(p, 500, &got)
 	}))
 	m.RunUntilAllExit()
 	fmt.Printf("sum of received seqs: %d\n", sum)

@@ -51,10 +51,10 @@ func run(kind elsc.SchedulerKind) {
 				}
 				sent++
 				phase = 1
-				return dispatch.Send(2_000, elsc.Msg{From: i, Seq: sent})
+				return dispatch.Send(p, 2_000, elsc.Msg{From: i, Seq: sent})
 			default:
 				phase = 0
-				return acks[i].Recv(1_000, &ack)
+				return acks[i].Recv(p, 1_000, &ack)
 			}
 		}))
 	}
@@ -74,16 +74,16 @@ func run(kind elsc.SchedulerKind) {
 						return elsc.Exit{}
 					}
 					phase = 1
-					return dispatch.Recv(2_000, &req)
+					return dispatch.Recv(p, 2_000, &req)
 				case 1: // lock with bounded yield-spinning
 					if tries >= 3 {
 						phase = 3
-						return mu.LockBlocking()
+						return mu.LockBlocking(p)
 					}
 					tries++
 					phase = 2
 					got = false
-					return mu.TryLock(&got)
+					return mu.TryLock(p, &got)
 				case 2:
 					if !got {
 						phase = 1
@@ -96,7 +96,7 @@ func run(kind elsc.SchedulerKind) {
 					return elsc.Compute{Cycles: userLockHoldCost}
 				case 4: // unlock, then the real work
 					phase = 5
-					return mu.Unlock()
+					return mu.Unlock(p)
 				case 5:
 					phase = 6
 					return elsc.Compute{Cycles: handleCost}
@@ -104,7 +104,7 @@ func run(kind elsc.SchedulerKind) {
 					handled++
 					tries = 0
 					phase = 0
-					return acks[req.From].Send(1_000, elsc.Msg{})
+					return acks[req.From].Send(p, 1_000, elsc.Msg{})
 				}
 			}
 		}))

@@ -92,3 +92,32 @@ func TestBootAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestVolanoBuildHeapBudget holds one built volano-reg-4P cell at
+// DefaultScale — 10 rooms x 20 users, ~800 ipc queues — to a heap budget:
+// the bytes still live after boot+build and a forced collection, on a
+// fresh engine, as benchmark/run.sh reports live_heap_mb. The ceiling is
+// about 10% over the measured 1.18 MB (go1.24; 1.48 MB while every queue
+// carried three scratch syscalls). A per-queue or per-connection field
+// that grows the chat build shows up here before it shows up as
+// volano_paper live_heap_mb.
+func TestVolanoBuildHeapBudget(t *testing.T) {
+	const budget = 1_300_000
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	spec, sc := SpecByLabel("4P"), DefaultScale()
+	before := live()
+	m := NewMachineOn(nil, spec, Reg, sc)
+	inst := workload.Build(workload.Volano, m, WorkloadParams(spec, sc))
+	after := live()
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(inst)
+	if after > before && after-before > budget {
+		t.Fatalf("a built volano-reg-4P cell holds %d bytes, budget %d", after-before, budget)
+	}
+	t.Logf("a built volano-reg-4P cell holds %d bytes", after-before)
+}

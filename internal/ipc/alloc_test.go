@@ -2,13 +2,15 @@ package ipc
 
 import (
 	"testing"
+	"unsafe"
 
 	"elsc/internal/kernel"
 	"elsc/internal/sim"
 )
 
-// TestSteadyStateQueueOpsAllocFree asserts the prebound-syscall contract:
-// once the machine, queues, and buffers are warm, a steady-state IPC
+// TestSteadyStateQueueOpsAllocFree asserts the Proc.Call contract: every
+// op arms a static effect in the caller's own syscall slot, so once the
+// machine, queues, and buffers are warm, a steady-state IPC
 // workload — blocking sends and receives (one direction with delivery
 // latency), TryRecv polling with yields, and a yield-mutex cycle — runs
 // entire tick periods without touching the allocator. This is the ~90% of
@@ -26,18 +28,18 @@ func TestSteadyStateQueueOpsAllocFree(t *testing.T) {
 	m.Spawn("client", nil, kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
 		step++
 		if step%2 == 1 {
-			return ping.Send(400, Msg{From: 1, Seq: step})
+			return ping.Send(p, 400, Msg{From: 1, Seq: step})
 		}
-		return pong.Recv(400, &echo)
+		return pong.Recv(p, 400, &echo)
 	}))
 	sstep := 0
 	var req Msg
 	m.Spawn("server", nil, kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
 		sstep++
 		if sstep%2 == 1 {
-			return ping.Recv(400, &req)
+			return ping.Recv(p, 400, &req)
 		}
-		return pong.Send(400, Msg{From: 2, Seq: req.Seq})
+		return pong.Send(p, 400, Msg{From: 2, Seq: req.Seq})
 	}))
 	loop := NewQueue("loop", 0)
 	lstep := 0
@@ -48,21 +50,20 @@ func TestSteadyStateQueueOpsAllocFree(t *testing.T) {
 		lstep++
 		switch lstep % 4 {
 		case 1:
-			return mu.TryLock(&got)
+			return mu.TryLock(p, &got)
 		case 2:
 			if !got {
 				return kernel.Yield{}
 			}
-			return mu.Unlock()
+			return mu.Unlock(p)
 		case 3:
-			return loop.Send(200, Msg{From: 3, Seq: lstep})
+			return loop.Send(p, 200, Msg{From: 3, Seq: lstep})
 		default:
-			return loop.TryRecv(200, &polled, &pollHit)
+			return loop.TryRecv(p, 200, &polled, &pollHit)
 		}
 	}))
 
-	// Warm: buffers reach steady capacity, the engine freelist fills, and
-	// every scratch Syscall has been armed at least once.
+	// Warm: buffers reach steady capacity and the engine freelist fills.
 	var target sim.Time
 	stop := func() bool { return m.Now() >= target }
 	target = m.Now() + sim.Time(50*kernel.DefaultTickCycles)
@@ -82,14 +83,14 @@ func TestSteadyStateQueueOpsAllocFree(t *testing.T) {
 	}
 }
 
-// TestNewQueueNamesOneAllocation: the six diagnostic names a queue carries
-// read as before, and building them costs the queue one string, not six —
-// the queue itself, its two wait queues, the names and the bound delivery
-// handler are all NewQueue allocates.
+// TestNewQueueNamesOneAllocation: the three diagnostic names a queue
+// carries read as before, and building them costs the queue one string,
+// not three — the queue itself, its two wait queues, the names and the
+// bound delivery handler are all NewQueue allocates.
 func TestNewQueueNamesOneAllocation(t *testing.T) {
 	q := NewQueue("room3.u7.c2s", 0)
-	got := []string{q.readers.Name, q.writers.Name, q.deliverName, q.sendSC.Name, q.recvSC.Name, q.trySC.Name}
-	for i, suffix := range []string{".readers", ".writers", ".deliver", ".send", ".recv", ".tryrecv"} {
+	got := []string{q.readers.Name, q.writers.Name, q.deliverName}
+	for i, suffix := range []string{".readers", ".writers", ".deliver"} {
 		if got[i] != "room3.u7.c2s"+suffix {
 			t.Errorf("name %d = %q, want %q", i, got[i], "room3.u7.c2s"+suffix)
 		}
@@ -99,4 +100,13 @@ func TestNewQueueNamesOneAllocation(t *testing.T) {
 		t.Fatalf("NewQueue allocates %.0f objects, want at most 5", allocs)
 	}
 	_ = sink
+}
+
+// TestQueueSize: a queue holds no per-op syscall state, so the ~800
+// queues of a VolanoMark cell stay in a small size class (three scratch
+// Syscalls once put each one in the 480-byte class).
+func TestQueueSize(t *testing.T) {
+	if size := unsafe.Sizeof(Queue{}); size > 176 {
+		t.Fatalf("ipc.Queue is %d bytes, want at most 176", size)
+	}
 }

@@ -50,28 +50,21 @@ type Queue struct {
 	delivered uint64
 	sent      uint64
 
-	// Prebound, closure-free syscall machinery: op names are built once
-	// in NewQueue instead of per call, and each op re-arms its own scratch
-	// Syscall — safe because the kernel copies the action into the proc
-	// the moment it is consumed, and a program hands its action straight
-	// back from Step. deliverName/deliverFn are the single prebound
-	// delivery handler replacing a per-message closure; mach is the
-	// machine it wakes on, captured at first deposit.
+	// deliverName/deliverFn are the single prebound delivery handler
+	// replacing a per-message closure; mach is the machine it wakes on,
+	// captured at first deposit. The ops themselves need no per-queue
+	// state: each arms a static effect in the caller's own syscall slot.
 	deliverName string
 	deliverFn   func(sim.Time)
 	mach        *kernel.Machine
-	sendSC      kernel.Syscall
-	recvSC      kernel.Syscall
-	trySC       kernel.Syscall
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
 func NewQueue(name string, capacity int) *Queue {
-	// The six diagnostic names share one backing string: only ps, trace
+	// The three diagnostic names share one backing string: only ps, trace
 	// and watchdog output read them, and a concatenation each was 28% of
 	// a chat benchmark's build allocation.
-	all := name + ".readers" + name + ".writers" + name + ".deliver" +
-		name + ".send" + name + ".recv" + name + ".tryrecv"
+	all := name + ".readers" + name + ".writers" + name + ".deliver"
 	cut := func(suffix string) string {
 		s := all[:len(name)+len(suffix)]
 		all = all[len(s):]
@@ -84,9 +77,6 @@ func NewQueue(name string, capacity int) *Queue {
 		writers:     kernel.NewWaitQueue(cut(".writers")),
 		deliverName: cut(".deliver"),
 	}
-	q.sendSC = kernel.Syscall{Name: cut(".send"), Exec: execSend, Obj: q}
-	q.recvSC = kernel.Syscall{Name: cut(".recv"), Exec: execRecv, Obj: q}
-	q.trySC = kernel.Syscall{Name: cut(".tryrecv"), Exec: execTryRecv, Obj: q}
 	q.deliverFn = q.deliverOne
 	return q
 }
@@ -143,17 +133,17 @@ func (q *Queue) serialGate(now sim.Time, reserved *bool) (kernel.Outcome, bool) 
 	return kernel.Outcome{}, false
 }
 
-// Send returns a syscall action that enqueues m, blocking while the queue
-// is full. cost is the simulated in-kernel work of the write path
-// (socket buffer copy, protocol processing). The action re-arms the
-// queue's scratch Syscall, so it must be returned from the program's Step
-// directly (which every workload does), not stashed across calls.
-func (q *Queue) Send(cost uint64, m Msg) kernel.Action {
-	sc := &q.sendSC
-	sc.Cost = cost
-	sc.Args = [3]int64{int64(m.From), int64(m.Seq), m.Payload}
-	sc.Reserved = false
-	return sc
+// Send returns p's syscall action that enqueues m, blocking while the
+// queue is full. cost is the simulated in-kernel work of the write path
+// (socket buffer copy, protocol processing). Like every Proc.Call action,
+// it must be returned from p's Step directly, not stashed across calls.
+func (q *Queue) Send(p *kernel.Proc, cost uint64, m Msg) kernel.Action {
+	return p.Call(kernel.Syscall{
+		Cost: cost,
+		Exec: execSend,
+		Obj:  q,
+		Args: [3]int64{int64(m.From), int64(m.Seq), m.Payload},
+	})
 }
 
 // execSend is the static effect behind Send; Args carries the message
@@ -171,14 +161,10 @@ func execSend(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 	return kernel.Done()
 }
 
-// Recv returns a syscall action that dequeues the oldest message into out,
-// blocking while the queue is empty.
-func (q *Queue) Recv(cost uint64, out *Msg) kernel.Action {
-	sc := &q.recvSC
-	sc.Cost = cost
-	sc.Ptr = out
-	sc.Reserved = false
-	return sc
+// Recv returns p's syscall action that dequeues the oldest message into
+// out, blocking while the queue is empty.
+func (q *Queue) Recv(p *kernel.Proc, cost uint64, out *Msg) kernel.Action {
+	return p.Call(kernel.Syscall{Cost: cost, Exec: execRecv, Obj: q, Ptr: out})
 }
 
 // execRecv is the static effect behind Recv; Ptr is the destination.
@@ -200,18 +186,13 @@ func execRecv(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 	return kernel.Done()
 }
 
-// TryRecv returns a syscall action that polls the queue without blocking:
+// TryRecv returns p's syscall action that polls the queue without blocking:
 // *got reports whether a message was dequeued into out. Combined with
 // Yield, this models the adaptive spin-then-block receive of a 1999-era
 // JVM thread library, whose lonely yields are what drive the stock
 // scheduler's recalculation storm (paper Figure 2).
-func (q *Queue) TryRecv(cost uint64, out *Msg, got *bool) kernel.Action {
-	sc := &q.trySC
-	sc.Cost = cost
-	sc.Ptr = out
-	sc.Flag = got
-	sc.Reserved = false
-	return sc
+func (q *Queue) TryRecv(p *kernel.Proc, cost uint64, out *Msg, got *bool) kernel.Action {
+	return p.Call(kernel.Syscall{Cost: cost, Exec: execTryRecv, Obj: q, Ptr: out, Flag: got})
 }
 
 // execTryRecv is the static effect behind TryRecv; Ptr is the destination
@@ -283,13 +264,7 @@ type YieldMutex struct {
 	spins   uint64
 	acqs    uint64
 	blocked uint64
-	tryFee  uint64
-
-	// Scratch Syscalls, prebound like the Queue ops: the cost of every
-	// mutex op is fixed at construction, so only output pointers re-arm.
-	trySC    kernel.Syscall
-	lockSC   kernel.Syscall
-	unlockSC kernel.Syscall
+	tryFee  uint64 // cost of a lock attempt; an unlock costs half
 }
 
 // NewYieldMutex returns an unlocked mutex. tryCost is the simulated cost
@@ -298,15 +273,11 @@ func NewYieldMutex(name string, tryCost uint64) *YieldMutex {
 	if tryCost == 0 {
 		tryCost = 120
 	}
-	mu := &YieldMutex{
+	return &YieldMutex{
 		Name:    name,
 		tryFee:  tryCost,
 		waiters: kernel.NewWaitQueue(name + ".waiters"),
 	}
-	mu.trySC = kernel.Syscall{Name: name + ".trylock", Cost: tryCost, Exec: execTryLock, Obj: mu}
-	mu.lockSC = kernel.Syscall{Name: name + ".lock", Cost: tryCost, Exec: execLock, Obj: mu}
-	mu.unlockSC = kernel.Syscall{Name: name + ".unlock", Cost: tryCost / 2, Exec: execUnlock, Obj: mu}
-	return mu
 }
 
 // Locked reports whether the mutex is held.
@@ -319,11 +290,9 @@ func (mu *YieldMutex) Spins() uint64 { return mu.spins }
 // Acquisitions returns the number of successful lock acquisitions.
 func (mu *YieldMutex) Acquisitions() uint64 { return mu.acqs }
 
-// TryLock attempts the lock once; *got reports success.
-func (mu *YieldMutex) TryLock(got *bool) kernel.Action {
-	sc := &mu.trySC
-	sc.Flag = got
-	return sc
+// TryLock attempts the lock once for p; *got reports success.
+func (mu *YieldMutex) TryLock(p *kernel.Proc, got *bool) kernel.Action {
+	return p.Call(kernel.Syscall{Cost: mu.tryFee, Exec: execTryLock, Obj: mu, Flag: got})
 }
 
 func execTryLock(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
@@ -339,11 +308,11 @@ func execTryLock(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcom
 	return kernel.Done()
 }
 
-// LockBlocking acquires the lock, suspending the caller until it is
+// LockBlocking acquires the lock for p, suspending the caller until it is
 // available — the JVM monitor's post-spin fallback. The kernel's syscall
 // retry loop re-checks the condition after every wake.
-func (mu *YieldMutex) LockBlocking() kernel.Action {
-	return &mu.lockSC
+func (mu *YieldMutex) LockBlocking(p *kernel.Proc) kernel.Action {
+	return p.Call(kernel.Syscall{Cost: mu.tryFee, Exec: execLock, Obj: mu})
 }
 
 func execLock(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
@@ -360,11 +329,11 @@ func execLock(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 // BlockedAcquires returns how many acquisitions had to suspend.
 func (mu *YieldMutex) BlockedAcquires() uint64 { return mu.blocked }
 
-// Unlock releases the lock and wakes one suspended waiter. It panics if
-// the caller does not hold it, which in a deterministic simulation
+// Unlock releases p's hold on the lock and wakes one suspended waiter.
+// It panics if p does not hold it, which in a deterministic simulation
 // indicates a workload bug.
-func (mu *YieldMutex) Unlock() kernel.Action {
-	return &mu.unlockSC
+func (mu *YieldMutex) Unlock(p *kernel.Proc) kernel.Action {
+	return p.Call(kernel.Syscall{Cost: mu.tryFee / 2, Exec: execUnlock, Obj: mu})
 }
 
 func execUnlock(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {

@@ -35,7 +35,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 			return kernel.Exit{}
 		}
 		i++
-		return q.Send(500, Msg{From: 1, Seq: i})
+		return q.Send(p, 500, Msg{From: 1, Seq: i})
 	}))
 	var cur Msg
 	recvd := 0
@@ -47,7 +47,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 			return kernel.Exit{}
 		}
 		recvd++
-		return q.Recv(500, &cur)
+		return q.Recv(p, 500, &cur)
 	}))
 	m.Run(func() bool { return producer.Exited() && consumer.Exited() })
 
@@ -76,7 +76,7 @@ func TestBoundedQueueBlocksSender(t *testing.T) {
 			return kernel.Exit{}
 		}
 		sent++
-		return q.Send(500, Msg{Seq: sent})
+		return q.Send(p, 500, Msg{Seq: sent})
 	}))
 	step := 0
 	consumer := m.Spawn("cons", nil, kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
@@ -89,7 +89,7 @@ func TestBoundedQueueBlocksSender(t *testing.T) {
 			return kernel.Exit{}
 		}
 		slowRecvd++
-		return q.Recv(500, &cur)
+		return q.Recv(p, 500, &cur)
 	}))
 	m.Run(func() bool { return producer.Exited() && consumer.Exited() })
 	if q.Len() != 0 {
@@ -113,7 +113,7 @@ func TestQueueCapacityNeverExceeded(t *testing.T) {
 			return kernel.Exit{}
 		}
 		sent++
-		return q.Send(300, Msg{Seq: sent})
+		return q.Send(p, 300, Msg{Seq: sent})
 	}))
 	var cur Msg
 	recvd := 0
@@ -125,7 +125,7 @@ func TestQueueCapacityNeverExceeded(t *testing.T) {
 			return kernel.Exit{}
 		}
 		recvd++
-		return q.Recv(300, &cur)
+		return q.Recv(p, 300, &cur)
 	}))
 	m.Run(func() bool { return producer.Exited() && consumer.Exited() })
 	if maxSeen > 3 {
@@ -146,7 +146,7 @@ func TestManyProducersOneConsumer(t *testing.T) {
 				return kernel.Exit{}
 			}
 			n++
-			return q.Send(400, Msg{From: pid, Seq: n})
+			return q.Send(p, 400, Msg{From: pid, Seq: n})
 		}))
 	}
 	var cur Msg
@@ -164,7 +164,7 @@ func TestManyProducersOneConsumer(t *testing.T) {
 			return kernel.Exit{}
 		}
 		recvd++
-		return q.Recv(400, &cur)
+		return q.Recv(p, 400, &cur)
 	}))
 	m.Run(func() bool { return consumer.Exited() })
 	if recvd != producers*per {
@@ -181,9 +181,9 @@ func TestSockPairDirections(t *testing.T) {
 		step++
 		switch step {
 		case 1:
-			return sp.ClientToServer.Send(500, Msg{Payload: 111})
+			return sp.ClientToServer.Send(p, 500, Msg{Payload: 111})
 		case 2:
-			return sp.ServerToClient.Recv(500, &fromServer)
+			return sp.ServerToClient.Recv(p, 500, &fromServer)
 		}
 		return nil
 	}))
@@ -192,9 +192,9 @@ func TestSockPairDirections(t *testing.T) {
 		sstep++
 		switch sstep {
 		case 1:
-			return sp.ClientToServer.Recv(500, &fromClient)
+			return sp.ClientToServer.Recv(p, 500, &fromClient)
 		case 2:
-			return sp.ServerToClient.Send(500, Msg{Payload: fromClient.Payload * 2})
+			return sp.ServerToClient.Send(p, 500, Msg{Payload: fromClient.Payload * 2})
 		}
 		return nil
 	}))
@@ -227,7 +227,7 @@ func TestYieldMutexMutualExclusion(t *testing.T) {
 					}
 					state = 1
 					got = false
-					return mu.TryLock(&got)
+					return mu.TryLock(p, &got)
 				case 1:
 					if !got {
 						state = 0
@@ -243,7 +243,7 @@ func TestYieldMutexMutualExclusion(t *testing.T) {
 					inside--
 					n++
 					state = 0
-					return mu.Unlock()
+					return mu.Unlock(p)
 				}
 			}
 		}))
@@ -275,7 +275,7 @@ func TestYieldMutexContentionYields(t *testing.T) {
 					}
 					state = 1
 					got = false
-					return mu.TryLock(&got)
+					return mu.TryLock(p, &got)
 				case 1:
 					if !got {
 						state = 0
@@ -287,7 +287,7 @@ func TestYieldMutexContentionYields(t *testing.T) {
 				case 2:
 					n++
 					state = 0
-					return mu.Unlock()
+					return mu.Unlock(p)
 				}
 			}
 		}))
@@ -310,7 +310,7 @@ func TestUnlockByNonOwnerPanics(t *testing.T) {
 		}
 	}()
 	p := m.Spawn("bad", nil, kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
-		return mu.Unlock()
+		return mu.Unlock(p)
 	}))
 	m.Run(func() bool { return p.Exited() })
 }

@@ -19,11 +19,11 @@ func TestDeliverLatencyDelaysVisibility(t *testing.T) {
 		step++
 		switch step {
 		case 1:
-			a := q.Send(100, Msg{Seq: 1})
+			a := q.Send(p, 100, Msg{Seq: 1})
 			return a
 		case 2:
 			sentAt = p.M.Now()
-			return q.Recv(100, &msg)
+			return q.Recv(p, 100, &msg)
 		case 3:
 			gotAt = p.M.Now()
 			return kernel.Exit{}
@@ -51,7 +51,7 @@ func TestDeliverLatencyCountsAgainstCapacity(t *testing.T) {
 			return kernel.Exit{}
 		}
 		sent++
-		a := q.Send(100, Msg{Seq: sent})
+		a := q.Send(p, 100, Msg{Seq: sent})
 		return a
 	}))
 	// A late consumer drains the queue; until then the third send must
@@ -68,7 +68,7 @@ func TestDeliverLatencyCountsAgainstCapacity(t *testing.T) {
 			return kernel.Exit{}
 		}
 		recvd++
-		return q.Recv(100, &cur)
+		return q.Recv(p, 100, &cur)
 	}))
 	m.Engine().After(500_000, "check", func(sim.Time) {
 		blockedAtThird = p.Blocked() && sent == 3
@@ -93,7 +93,7 @@ func TestDeliverLatencyPreservesFIFO(t *testing.T) {
 			return kernel.Exit{}
 		}
 		sent++
-		return q.Send(100, Msg{Seq: sent})
+		return q.Send(p, 100, Msg{Seq: sent})
 	}))
 	var got []int
 	var cur Msg
@@ -106,7 +106,7 @@ func TestDeliverLatencyPreservesFIFO(t *testing.T) {
 			return kernel.Exit{}
 		}
 		recvd++
-		return q.Recv(100, &cur)
+		return q.Recv(p, 100, &cur)
 	}))
 	m.Run(func() bool { return producer.Exited() && consumer.Exited() })
 	for i, seq := range got {
@@ -134,7 +134,7 @@ func TestSerialGateDelaysContendedOps(t *testing.T) {
 				return kernel.Exit{}
 			}
 			n++
-			return q.Send(100, Msg{Seq: n})
+			return q.Send(p, 100, Msg{Seq: n})
 		})
 	}
 	m.Spawn("s1", nil, mk(q1))
@@ -158,7 +158,7 @@ func TestInjectDeliversWithoutTask(t *testing.T) {
 			return kernel.Exit{}
 		}
 		recvd = true
-		return q.Recv(100, &got)
+		return q.Recv(p, 100, &got)
 	}))
 	m.Engine().After(50_000, "inject", func(sim.Time) {
 		q.Inject(m, Msg{Payload: 77})

@@ -40,7 +40,7 @@ func TestQueueAgainstFIFOModel(t *testing.T) {
 					return kernel.Exit{}
 				}
 				n++
-				return q.Send(300, Msg{From: pid, Seq: n})
+				return q.Send(p, 300, Msg{From: pid, Seq: n})
 			}))
 		}
 		total := producers * per
@@ -56,7 +56,7 @@ func TestQueueAgainstFIFOModel(t *testing.T) {
 			}
 			recvd++
 			consumed = true
-			return q.Recv(300, &cur)
+			return q.Recv(p, 300, &cur)
 		}))
 		m.Run(func() bool { return m.Alive() == 0 })
 
@@ -108,7 +108,7 @@ func TestYieldMutexNeverDoubleOwns(t *testing.T) {
 						}
 						state = 1
 						got = false
-						return mu.TryLock(&got)
+						return mu.TryLock(p, &got)
 					case 1:
 						if !got {
 							state = 5
@@ -124,10 +124,10 @@ func TestYieldMutexNeverDoubleOwns(t *testing.T) {
 						inside--
 						n++
 						state = 0
-						return mu.Unlock()
+						return mu.Unlock(p)
 					case 5: // after a failed spin, suspend
 						state = 6
-						return mu.LockBlocking()
+						return mu.LockBlocking(p)
 					case 6:
 						inside++
 						if inside > 1 {

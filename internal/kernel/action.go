@@ -38,16 +38,15 @@ func (Compute) isAction() {}
 // kernel re-runs it after each wake-up — the condition-recheck loop of a
 // Linux wait queue, tolerant of spurious wakeups.
 //
-// Exec receives the in-flight syscall itself, so a static effect function
+// A program issues one with Proc.Call, which writes it into the proc's
+// own syscall slot and returns that slot as the action: a syscall is
+// written once, where the kernel reads it, and costs no interface
+// boxing. Exec receives the slot itself, so a static effect function
 // reads its per-call operands from the Syscall's fields instead of a
-// captured environment (a closure works too), and a hot path that returns
-// the action as a *Syscall pointer avoids the interface boxing a Syscall
-// value pays. The kernel copies the Syscall into the proc's own storage
-// the moment the action is consumed, so a shared scratch Syscall may be
-// re-armed for the next call, and operand mutations across block/retry
-// cycles (Reserved) stay private to the calling task.
+// captured environment, and operand mutations across block/retry cycles
+// (Reserved) stay private to the calling task. Only *Syscall is an
+// Action, and only the proc's own slot is accepted.
 type Syscall struct {
-	Name string
 	Cost uint64
 	Exec SyscallExec
 	// Obj is the operation's target (an IPC queue, a mutex, ...).
@@ -61,15 +60,15 @@ type Syscall struct {
 	Args [3]int64
 	// Reserved marks a once-per-instance gate as already passed; it
 	// survives block/retry cycles because it lives in the proc's own
-	// copy of the syscall.
+	// syscall slot.
 	Reserved bool
 }
 
-// SyscallExec is a syscall effect. sc is the proc-private copy of the
-// in-flight syscall, valid across retries.
+// SyscallExec is a syscall effect. sc is the calling proc's syscall slot,
+// valid across retries.
 type SyscallExec func(sc *Syscall, p *Proc, now sim.Time) Outcome
 
-func (Syscall) isAction() {}
+func (*Syscall) isAction() {}
 
 // Yield is sys_sched_yield: sets the SCHED_YIELD bit and calls schedule().
 type Yield struct{}

@@ -414,18 +414,13 @@ func (c *CPU) nextAction(now sim.Time) {
 		p.remaining = a.Cycles
 		p.onDone = nil
 		c.startSegment(now)
-	case Syscall:
-		p.syscallBuf = a
-		p.syscall = &p.syscallBuf
-		p.remaining = a.Cost + m.env.Cost.SyscallBase
-		p.onDone = runSyscall
-		c.startSegment(now)
 	case *Syscall:
-		// Prebound form: copy out of the (possibly shared, re-armed)
-		// scratch Syscall immediately, so the action's operands are
-		// proc-private from here on.
-		p.syscallBuf = *a
-		p.syscall = &p.syscallBuf
+		// Proc.Call armed it in the proc's own slot: nothing to copy,
+		// and operand mutations across retries (Reserved) stay private.
+		if a != &p.syscallBuf {
+			panic("kernel: a *Syscall action must be the proc's own slot, armed with Proc.Call")
+		}
+		p.syscall = a
 		p.remaining = a.Cost + m.env.Cost.SyscallBase
 		p.onDone = runSyscall
 		c.startSegment(now)

@@ -19,12 +19,12 @@ func TestCheckDeliveryCatchesDrift(t *testing.T) {
 	boot := func() (*Machine, *Proc) {
 		m := newMachine(t, 2, elscFactory)
 		blocked := false
-		sleeper := m.Spawn("sleeper", nil, ProgramFunc(func(*Proc) Action {
+		sleeper := m.Spawn("sleeper", nil, ProgramFunc(func(p *Proc) Action {
 			if blocked {
 				return Exit{}
 			}
 			blocked = true
-			return Syscall{Exec: func(*Syscall, *Proc, sim.Time) Outcome { return BlockOn(wq) }}
+			return p.Call(Syscall{Exec: func(*Syscall, *Proc, sim.Time) Outcome { return BlockOn(wq) }})
 		}))
 		// Run until the sleeper blocks and both CPUs' idle ticks parked.
 		m.Run(func() bool { return m.Now() > sim.Time(3*DefaultTickCycles) })

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"elsc/internal/sched"
@@ -175,7 +177,7 @@ func TestBlockingSyscallAndWake(t *testing.T) {
 			if consumed >= 3 {
 				return Exit{}
 			}
-			return Syscall{Name: "recv", Cost: 500, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
+			return p.Call(Syscall{Cost: 500, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 				if !full {
 					return BlockOn(wq)
 				}
@@ -183,14 +185,14 @@ func TestBlockingSyscallAndWake(t *testing.T) {
 				consumed++
 				p.M.WakeAll(wq) // release a producer blocked on a full box
 				return Done()
-			}}
+			}})
 		}))
 		sent := 0
 		producer := m.Spawn("producer", nil, ProgramFunc(func(p *Proc) Action {
 			if sent >= 3 {
 				return Exit{}
 			}
-			return Syscall{Name: "send", Cost: 500, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
+			return p.Call(Syscall{Cost: 500, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 				if full {
 					return BlockOn(wq)
 				}
@@ -198,7 +200,7 @@ func TestBlockingSyscallAndWake(t *testing.T) {
 				sent++
 				p.M.WakeAll(wq)
 				return Done()
-			}}
+			}})
 		}))
 		m.Run(func() bool { return consumer.Exited() && producer.Exited() })
 		if consumed != 3 || sent != 3 {
@@ -208,6 +210,31 @@ func TestBlockingSyscallAndWake(t *testing.T) {
 			t.Fatal("no wake calls recorded")
 		}
 	})
+}
+
+// TestSyscallNotArmedByCallPanics: the kernel runs a *Syscall in place, so
+// one that is not the stepping proc's own slot — a program-owned value, or
+// another proc's slot — is rejected at the step that returns it.
+func TestSyscallNotArmedByCallPanics(t *testing.T) {
+	done := func(*Syscall, *Proc, sim.Time) Outcome { return Done() }
+	other := newMachine(t, 1, vanillaFactory).Spawn("other", nil, computeLoop(1, 1))
+	for name, act := range map[string]func(p *Proc) Action{
+		"program-owned": func(*Proc) Action { return &Syscall{Exec: done} },
+		"another proc's slot": func(*Proc) Action {
+			return other.Call(Syscall{Exec: done})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := newMachine(t, 1, vanillaFactory)
+			m.Spawn("bad", nil, ProgramFunc(act))
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Proc.Call") {
+					t.Fatalf("recovered %v, want a panic naming Proc.Call", r)
+				}
+			}()
+			m.Run(func() bool { return m.Now() > sim.Time(DefaultTickCycles) })
+		})
+	}
 }
 
 func TestWakePreemptsWeakerTask(t *testing.T) {

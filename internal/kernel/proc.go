@@ -22,8 +22,8 @@ type Proc struct {
 	// for the next action.
 	onDone func(c *CPU, now sim.Time)
 	// syscall is the in-flight blocking syscall to (re)run; it points at
-	// syscallBuf, the proc's own storage, so arming a syscall does not
-	// allocate.
+	// syscallBuf, the proc's own slot that Call arms, so issuing a
+	// syscall does not allocate.
 	syscall    *Syscall
 	syscallBuf Syscall
 	// sleepDur carries a Sleep action's duration to its completion
@@ -93,6 +93,15 @@ type Proc struct {
 func (p *Proc) sleepWake(sim.Time) {
 	p.sleepEv = nil
 	p.M.wake(p)
+}
+
+// Call arms sc in the proc's own syscall slot and returns the slot as the
+// action for Step to hand back. Step only runs while no syscall is in
+// flight, so the slot is free to overwrite; the kernel rejects any other
+// *Syscall.
+func (p *Proc) Call(sc Syscall) Action {
+	p.syscallBuf = sc
+	return &p.syscallBuf
 }
 
 // Exited reports whether the proc has terminated.

@@ -119,12 +119,12 @@ func TestEarlyWakeCancelsSleepTimer(t *testing.T) {
 		phase++
 		switch phase {
 		case 1:
-			return Syscall{Name: "wait", Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
+			return p.Call(Syscall{Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 				if !released {
 					return BlockOn(wq)
 				}
 				return Done()
-			}}
+			}})
 		default:
 			wokeAt = p.M.Now()
 			return Exit{}
@@ -136,11 +136,11 @@ func TestEarlyWakeCancelsSleepTimer(t *testing.T) {
 			return Exit{}
 		}
 		woken = true
-		return Syscall{Name: "wake", Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
+		return p.Call(Syscall{Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 			released = true
 			p.M.WakeAll(wq)
 			return Done()
-		}}
+		}})
 	}))
 	m.Run(func() bool { return sleeper.Exited() })
 	if wokeAt == 0 {
@@ -175,12 +175,12 @@ func TestWakeDuringTransitionToIdleNotLost(t *testing.T) {
 			if ready {
 				return Exit{}
 			}
-			return Syscall{Name: "wait", Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
+			return p.Call(Syscall{Cost: 100, Exec: func(_ *Syscall, p *Proc, now sim.Time) Outcome {
 				if !ready {
 					return BlockOn(q)
 				}
 				return Done()
-			}}
+			}})
 		}))
 		// The waker wakes the waiter from an engine event timed to land
 		// inside the waker's own exit transition window; sweep a range

@@ -177,16 +177,10 @@ func serialExec(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome
 	return kernel.Done()
 }
 
-// armSerial re-arms a program-owned scratch syscall for one serialized
-// call and returns it; the kernel copies it out on consumption, so the
-// same scratch serves every call the program makes.
-func armSerial(sc *kernel.Syscall, name string, cost uint64, res *kernel.SerialResource, hold uint64) kernel.Action {
-	sc.Name = name
-	sc.Cost = cost
-	sc.Obj = res
-	sc.Args[0] = int64(hold)
-	sc.Reserved = false
-	return sc
+// serialCall returns p's syscall action for one call of cost cycles that
+// holds res for hold serialized cycles.
+func serialCall(p *kernel.Proc, cost uint64, res *kernel.SerialResource, hold uint64) kernel.Action {
+	return p.Call(kernel.Syscall{Cost: cost, Exec: serialExec, Obj: res, Args: [3]int64{int64(hold)}})
 }
 
 // newClient builds one connection worker: a state machine over the
@@ -211,7 +205,6 @@ func (d *DB) newClient() kernel.Program {
 	var gotLock, justTried bool
 	var stripe *ipc.YieldMutex
 	var txnStart sim.Time
-	serial := &kernel.Syscall{Exec: serialExec}
 	disk := &kernel.Sleep{}
 	var parse kernel.Action = kernel.Compute{Cycles: cfg.Costs.Parse}
 	var apply kernel.Action = kernel.Compute{Cycles: cfg.Costs.Apply}
@@ -243,12 +236,12 @@ func (d *DB) newClient() kernel.Program {
 				if spins < cfg.LockSpins {
 					spins++
 					justTried = true
-					return stripe.TryLock(&gotLock)
+					return stripe.TryLock(p, &gotLock)
 				}
 				// Spins exhausted: suspend until the holder releases.
 				gotLock = true
 				phase = phRead
-				return stripe.LockBlocking()
+				return stripe.LockBlocking(p)
 			case phRead:
 				if page >= cfg.PagesPerTxn {
 					phase = phApply
@@ -261,16 +254,16 @@ func (d *DB) newClient() kernel.Program {
 					disk.Cycles = rng.Range(cfg.DiskLatency/2, cfg.DiskLatency*2)
 					return disk
 				}
-				return armSerial(serial, "buf.read", cfg.Costs.PageRead, d.bufpool, cfg.Costs.BufSerialHold)
+				return serialCall(p, cfg.Costs.PageRead, d.bufpool, cfg.Costs.BufSerialHold)
 			case phApply:
 				phase = phCommit
 				return apply
 			case phCommit:
 				phase = phUnlock
-				return armSerial(serial, "wal.append", cfg.Costs.WALWrite, d.wal, cfg.Costs.WALSerialHold)
+				return serialCall(p, cfg.Costs.WALWrite, d.wal, cfg.Costs.WALSerialHold)
 			case phUnlock:
 				phase = phDone
-				return stripe.Unlock()
+				return stripe.Unlock(p)
 			default: // phDone: account the commit, next transaction
 				gotLock = false
 				txns++
@@ -288,7 +281,6 @@ func (d *DB) newCheckpointer() kernel.Program {
 	cfg := d.cfg
 	rng := d.m.RNG().Fork()
 	phase := 0
-	serial := &kernel.Syscall{Exec: serialExec}
 	sleep := &kernel.Sleep{}
 	var scan kernel.Action = kernel.Compute{Cycles: cfg.Costs.CheckpointCPU}
 	return kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
@@ -305,7 +297,7 @@ func (d *DB) newCheckpointer() kernel.Program {
 			return scan
 		default: // flush through the WAL
 			phase = 0
-			return armSerial(serial, "wal.ckpt", cfg.Costs.WALWrite, d.wal, cfg.Costs.CheckpointWAL)
+			return serialCall(p, cfg.Costs.WALWrite, d.wal, cfg.Costs.CheckpointWAL)
 		}
 	})
 }

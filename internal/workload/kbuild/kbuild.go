@@ -130,17 +130,7 @@ func (b *Build) newWorker() kernel.Program {
 				return kernel.Compute{Cycles: cur.compile}
 			case 3: // write the object, account completion
 				phase = 0
-				return kernel.Syscall{
-					Name: "write-obj",
-					Cost: 30_000,
-					Exec: func(_ *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
-						b.compiled++
-						if b.compiled == len(b.queue) {
-							p.M.WakeAll(b.linkReady)
-						}
-						return kernel.Done()
-					},
-				}
+				return p.Call(kernel.Syscall{Cost: 30_000, Exec: execWriteObj, Obj: b})
 			}
 		}
 	})
@@ -153,16 +143,7 @@ func (b *Build) newLinker(serial uint64) kernel.Program {
 		switch phase {
 		case 0: // wait for all objects
 			phase = 1
-			return kernel.Syscall{
-				Name: "wait-objs",
-				Cost: 5_000,
-				Exec: func(_ *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
-					if b.compiled < len(b.queue) {
-						return kernel.BlockOn(b.linkReady)
-					}
-					return kernel.Done()
-				},
-			}
+			return p.Call(kernel.Syscall{Cost: 5_000, Exec: execWaitObjs, Obj: b})
 		case 1:
 			phase = 2
 			return kernel.Compute{Cycles: serial}
@@ -170,6 +151,27 @@ func (b *Build) newLinker(serial uint64) kernel.Program {
 			return kernel.Exit{}
 		}
 	})
+}
+
+// execWriteObj accounts one finished unit and releases the linker after
+// the last; Obj is the build.
+func execWriteObj(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
+	b := sc.Obj.(*Build)
+	b.compiled++
+	if b.compiled == len(b.queue) {
+		p.M.WakeAll(b.linkReady)
+	}
+	return kernel.Done()
+}
+
+// execWaitObjs blocks the linker until every unit is compiled; Obj is the
+// build.
+func execWaitObjs(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
+	b := sc.Obj.(*Build)
+	if b.compiled < len(b.queue) {
+		return kernel.BlockOn(b.linkReady)
+	}
+	return kernel.Done()
 }
 
 // Done reports whether the build completed.

@@ -103,56 +103,57 @@ func (s *Storm) armStorm() {
 	})
 }
 
-// newWaiter builds one herd member: park on the shared queue, and on each
+// waiter is one herd member: park on the shared queue, and on each
 // wake-up record how long the dispatch took, run a small burst, and park
 // again — Storms times, then exit.
+type waiter struct {
+	s      *Storm
+	seen   int  // the storm generation this waiter last ran after
+	parked bool // counted in s.parked for the current generation
+	wakes  int
+	phase  int
+	burst  kernel.Action // the post-wake Compute, boxed once
+}
+
 func (s *Storm) newWaiter() kernel.Program {
-	seen := 0
-	parked := false
-	wakes := 0
-	phase := 0
-	// The wait syscall and the post-wake burst are built once per waiter
-	// and re-armed every storm, so a waiter's steady state allocates
-	// nothing. The kernel copies the *Syscall out on consumption, so
-	// re-returning the same scratch value is safe.
-	wait := &kernel.Syscall{
-		Name: "storm.wait",
-		Cost: 4_000,
-		Exec: func(_ *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
-			if seen == s.gen {
-				if !parked {
-					parked = true
-					s.parked++
-					if s.parked == s.cfg.Waiters {
-						s.armStorm()
-					}
-				}
-				return kernel.BlockOn(s.wq)
-			}
-			// Woken by storm s.gen and finally running again:
-			// the interval since the wake_up_all is the
-			// wakeup-to-run latency.
-			seen = s.gen
-			parked = false
-			s.lat.Observe(uint64(now - s.stormAt))
-			return kernel.Done()
-		},
-	}
-	var burst kernel.Action = kernel.Compute{Cycles: s.cfg.WorkPerWake}
-	return kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
-		switch phase {
-		case 0: // park until the next storm
-			if wakes >= s.cfg.Storms {
-				return kernel.Exit{}
-			}
-			phase = 1
-			return wait
-		default: // post-wake burst
-			wakes++
-			phase = 0
-			return burst
+	return &waiter{s: s, burst: kernel.Compute{Cycles: s.cfg.WorkPerWake}}
+}
+
+func (w *waiter) Step(p *kernel.Proc) kernel.Action {
+	switch w.phase {
+	case 0: // park until the next storm
+		if w.wakes >= w.s.cfg.Storms {
+			return kernel.Exit{}
 		}
-	})
+		w.phase = 1
+		return p.Call(kernel.Syscall{Cost: 4_000, Exec: execStormWait, Obj: w})
+	default: // post-wake burst
+		w.wakes++
+		w.phase = 0
+		return w.burst
+	}
+}
+
+// execStormWait is the wait syscall's effect; Obj is the waiter.
+func execStormWait(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
+	w := sc.Obj.(*waiter)
+	s := w.s
+	if w.seen == s.gen {
+		if !w.parked {
+			w.parked = true
+			s.parked++
+			if s.parked == s.cfg.Waiters {
+				s.armStorm()
+			}
+		}
+		return kernel.BlockOn(s.wq)
+	}
+	// Woken by storm s.gen and finally running again: the interval since
+	// the wake_up_all is the wakeup-to-run latency.
+	w.seen = s.gen
+	w.parked = false
+	s.lat.Observe(uint64(now - s.stormAt))
+	return kernel.Done()
 }
 
 // newHog burns CPU until the storms are done, keeping the run queue deep

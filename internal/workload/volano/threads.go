@@ -39,11 +39,11 @@ func (s *spinRecv) step(p *kernel.Proc) (kernel.Action, bool) {
 		case 0: // non-blocking poll
 			if s.tries >= s.spins {
 				s.phase = 2
-				return s.q.Recv(s.cost, &s.msg), false
+				return s.q.Recv(p, s.cost, &s.msg), false
 			}
 			s.tries++
 			s.phase = 1
-			return s.q.TryRecv(s.poll, &s.msg, &s.got), false
+			return s.q.TryRecv(p, s.poll, &s.msg, &s.got), false
 		case 1: // poll result: deliver, or yield and retry
 			if s.got {
 				s.phase = 3
@@ -97,13 +97,13 @@ func (s *sender) Step(p *kernel.Proc) kernel.Action {
 	case 1: // write to the socket
 		s.phase = 2
 		s.sent++
-		return s.cn.sock.ClientToServer.Send(s.sendCost, ipc.Msg{
+		return s.cn.sock.ClientToServer.Send(p, s.sendCost, ipc.Msg{
 			From: s.cn.user,
 			Seq:  s.sent,
 		})
 	default: // wait for own echo
 		s.phase = 0
-		return s.cn.echo.Recv(s.echoCost, &s.gate)
+		return s.cn.echo.Recv(p, s.echoCost, &s.gate)
 	}
 }
 
@@ -153,7 +153,7 @@ func (r *receiver) Step(p *kernel.Proc) kernel.Action {
 		case 1: // signal the sender's gate
 			r.phase = 0
 			r.rx.reset()
-			return r.cn.echo.Send(r.cfg.Costs.EchoSignalOp, ipc.Msg{})
+			return r.cn.echo.Send(p, r.cfg.Costs.EchoSignalOp, ipc.Msg{})
 		}
 	}
 }
@@ -205,12 +205,12 @@ func (r *reader) Step(p *kernel.Proc) kernel.Action {
 		case 1: // acquire the room lock, JVM-style: spin, then suspend
 			if r.lockTries >= r.cfg.RecvSpins {
 				r.phase = 5
-				return r.rm.lock.LockBlocking()
+				return r.rm.lock.LockBlocking(p)
 			}
 			r.lockTries++
 			r.phase = 2
 			r.got = false
-			return r.rm.lock.TryLock(&r.got)
+			return r.rm.lock.TryLock(p, &r.got)
 		case 2:
 			if !r.got {
 				r.phase = 1
@@ -228,12 +228,12 @@ func (r *reader) Step(p *kernel.Proc) kernel.Action {
 			}
 			dst := r.rm.conns[r.routeTo]
 			r.routeTo++
-			return dst.writerQ.Send(c.RoutePerUser+c.QueueOp, r.rx.msg)
+			return dst.writerQ.Send(p, c.RoutePerUser+c.QueueOp, r.rx.msg)
 		case 4: // release the lock, account the message
 			r.handled++
 			r.phase = 0
 			r.rx.reset()
-			return r.rm.lock.Unlock()
+			return r.rm.lock.Unlock(p)
 		}
 	}
 }
@@ -278,7 +278,7 @@ func (w *writer) Step(p *kernel.Proc) kernel.Action {
 			w.phase = 0
 			msg := w.rx.msg
 			w.rx.reset()
-			return w.cn.sock.ServerToClient.Send(w.cfg.Costs.WriterWrite, msg)
+			return w.cn.sock.ServerToClient.Send(p, w.cfg.Costs.WriterWrite, msg)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // actionKind classifies an action for state-machine tests.
 func actionKind(a kernel.Action) string {
 	switch a.(type) {
-	case kernel.Syscall, *kernel.Syscall:
+	case *kernel.Syscall:
 		return "syscall"
 	case kernel.Yield:
 		return "yield"
@@ -25,37 +25,40 @@ func actionKind(a kernel.Action) string {
 	}
 }
 
-// asSyscall unwraps a syscall action, returned by value or as the prebound
-// pointer the IPC fast paths use.
+// testProc spawns an idle proc on m for stepping a state machine by hand:
+// the machine never runs, so only the proc's syscall slot is used.
+func testProc(m *kernel.Machine) *kernel.Proc {
+	return m.Spawn("t", nil, kernel.ProgramFunc(func(*kernel.Proc) kernel.Action { return nil }))
+}
+
+// asSyscall unwraps a syscall action.
 func asSyscall(t *testing.T, a kernel.Action) *kernel.Syscall {
 	t.Helper()
-	switch sc := a.(type) {
-	case kernel.Syscall:
-		return &sc
-	case *kernel.Syscall:
-		return sc
+	sc, ok := a.(*kernel.Syscall)
+	if !ok {
+		t.Fatalf("expected syscall, got %T", a)
 	}
-	t.Fatalf("expected syscall, got %T", a)
-	return nil
+	return sc
 }
 
 // execSyscall runs a syscall action's effect directly; valid only for
 // effects that do not touch the machine (polls of unbounded queues).
-func execSyscall(t *testing.T, a kernel.Action) kernel.Outcome {
+func execSyscall(t *testing.T, p *kernel.Proc, a kernel.Action) kernel.Outcome {
 	t.Helper()
 	sc := asSyscall(t, a)
-	return sc.Exec(sc, nil, 0)
+	return sc.Exec(sc, p, 0)
 }
 
 func TestSpinRecvPollsYieldsThenBlocks(t *testing.T) {
 	q := ipc.NewQueue("q", 0)
+	p := testProc(newMachine(1, false, true, 1))
 	sr := spinRecv{q: q, spins: 2, cost: 100, poll: 50}
 	sr.reset()
 
 	// Poll 1 (miss) -> yield -> poll 2 (miss) -> yield -> blocking recv.
 	wantNames := []string{"tryrecv", "yield", "tryrecv", "yield", "recv"}
 	for i, want := range wantNames {
-		act, done := sr.step(nil)
+		act, done := sr.step(p)
 		if done {
 			t.Fatalf("step %d: done early", i)
 		}
@@ -65,16 +68,19 @@ func TestSpinRecvPollsYieldsThenBlocks(t *testing.T) {
 				t.Fatalf("step %d: got %s, want yield", i, actionKind(act))
 			}
 		case "tryrecv":
-			out := execSyscall(t, act)
-			if out.Wait != nil {
-				t.Fatalf("step %d: poll must not block", i)
+			if sc := asSyscall(t, act); sc.Obj != q || sc.Flag != &sr.got {
+				t.Fatalf("step %d: got %+v, want a poll of q", i, sc)
+			}
+			out := execSyscall(t, p, act)
+			if out.Wait != nil || sr.got {
+				t.Fatalf("step %d: poll of an empty queue must neither block nor hit", i)
 			}
 		case "recv":
-			sc := asSyscall(t, act)
-			if sc.Name != "q.recv" {
-				t.Fatalf("step %d: got %v, want blocking recv", i, act)
+			// A blocking receive reports no hit flag.
+			if sc := asSyscall(t, act); sc.Obj != q || sc.Flag != nil {
+				t.Fatalf("step %d: got %+v, want blocking recv on q", i, sc)
 			}
-			out := execSyscall(t, act)
+			out := execSyscall(t, p, act)
 			if out.Wait == nil {
 				t.Fatalf("step %d: blocking recv on empty queue must block", i)
 			}
@@ -83,55 +89,43 @@ func TestSpinRecvPollsYieldsThenBlocks(t *testing.T) {
 }
 
 func TestSpinRecvImmediateHit(t *testing.T) {
+	m := newMachine(1, false, true, 1)
+	p := testProc(m)
 	q := ipc.NewQueue("q", 0)
-	// Preload a message via a send effect (unbounded: no wake needed,
-	// but the effect calls WakeOne, so use Inject-free manual path).
+	q.Inject(m, ipc.Msg{From: 9, Seq: 1})
 	sr := spinRecv{q: q, spins: 2, cost: 100, poll: 50}
 	sr.reset()
-
-	act, done := sr.step(nil)
-	if done {
-		t.Fatal("done before polling")
-	}
-	// Make the poll hit: put a message in the buffer first.
-	prime := q.TryRecv(1, &ipc.Msg{}, new(bool)) // prove queue empty first
-	_ = prime
-	// Deposit directly through a send syscall with nil proc is unsafe
-	// (it wakes readers); emulate arrival by constructing a fresh queue
-	// scenario instead: run the poll against a queue primed before the
-	// spinRecv was created.
-	q2 := ipc.NewQueue("q2", 0)
-	m := newMachine(1, false, true, 1)
-	q2.Inject(m, ipc.Msg{From: 9, Seq: 1})
-	sr2 := spinRecv{q: q2, spins: 2, cost: 100, poll: 50}
-	sr2.reset()
-	act, done = sr2.step(nil)
+	act, done := sr.step(p)
 	if done {
 		t.Fatal("done before poll executes")
 	}
-	out := execSyscall(t, act)
+	out := execSyscall(t, p, act)
 	if out.Wait != nil {
 		t.Fatal("poll blocked")
 	}
-	act, done = sr2.step(nil)
+	if !sr.got {
+		t.Fatal("poll of a primed queue reported no message")
+	}
+	act, done = sr.step(p)
 	if !done {
 		t.Fatalf("expected done after successful poll, got %v", act)
 	}
-	if sr2.msg.From != 9 || sr2.msg.Seq != 1 {
-		t.Fatalf("wrong message: %+v", sr2.msg)
+	if sr.msg.From != 9 || sr.msg.Seq != 1 {
+		t.Fatalf("wrong message: %+v", sr.msg)
 	}
 }
 
 func TestSpinRecvResetReusable(t *testing.T) {
 	q := ipc.NewQueue("q", 0)
 	m := newMachine(1, false, true, 1)
+	p := testProc(m)
 	sr := spinRecv{q: q, spins: 1, cost: 100, poll: 50}
 	for round := 1; round <= 3; round++ {
 		q.Inject(m, ipc.Msg{Seq: round})
 		sr.reset()
-		act, _ := sr.step(nil)
-		execSyscall(t, act)
-		_, done := sr.step(nil)
+		act, _ := sr.step(p)
+		execSyscall(t, p, act)
+		_, done := sr.step(p)
 		if !done || sr.msg.Seq != round {
 			t.Fatalf("round %d: msg %+v done=%v", round, sr.msg, done)
 		}
@@ -227,10 +221,11 @@ func TestSenderClosedLoop(t *testing.T) {
 // boxed Sleep per window: 200-340 k mallocs per VolanoMark cell).
 func TestIdleSpinnerStepsAllocFree(t *testing.T) {
 	b := &Benchmark{m: newMachine(1, false, false, 42)}
+	p := testProc(b.m)
 	sp := newIdleSpinner(b)
 	kinds := map[string]int{}
 	if avg := testing.AllocsPerRun(1000, func() {
-		switch a := sp.Step(nil).(type) {
+		switch a := sp.Step(p).(type) {
 		case *kernel.Sleep:
 			if a.Cycles < 800_000 || a.Cycles >= 2_400_000 {
 				t.Fatalf("nap of %d cycles", a.Cycles)
@@ -247,14 +242,14 @@ func TestIdleSpinnerStepsAllocFree(t *testing.T) {
 		t.Fatalf("step mix %v", kinds)
 	}
 	b.finished = true
-	if _, ok := sp.Step(nil).(kernel.Exit); !ok {
+	if _, ok := sp.Step(p).(kernel.Exit); !ok {
 		t.Fatal("a finished benchmark's spinner must exit")
 	}
 }
 
 // TestSenderStepsAllocFree: a sender's think step hands out the Compute
-// boxed once in newSender, its send and echo-wait re-arm the queues'
-// scratch syscalls, so a whole think/send/wait round never touches the
+// boxed once in newSender, its send and echo-wait arm the proc's own
+// syscall slot, so a whole think/send/wait round never touches the
 // allocator (the think step was one boxed Compute per message: 37% of a
 // paper-regime cell's allocations).
 func TestSenderStepsAllocFree(t *testing.T) {
@@ -262,12 +257,13 @@ func TestSenderStepsAllocFree(t *testing.T) {
 	cfg = cfg.withDefaults()
 	cn := &conn{user: 3, sock: ipc.NewSockPair("u3", 0), echo: ipc.NewQueue("u3.echo", 0)}
 	s := newSender(cfg, cn)
+	p := testProc(newMachine(1, false, true, 1))
 	kinds := map[string]int{}
 	// One run is a whole round: AllocsPerRun's average is an integer
 	// division, so a single allocation per three steps would read as zero.
 	if avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 3; i++ {
-			a := s.Step(nil)
+			a := s.Step(p)
 			if c, ok := a.(kernel.Compute); ok && c.Cycles != cfg.Costs.SenderThink {
 				t.Fatalf("think step of %d cycles, want %d", c.Cycles, cfg.Costs.SenderThink)
 			}

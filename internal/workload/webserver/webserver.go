@@ -164,7 +164,7 @@ func (s *Server) newWorker() kernel.Program {
 					return kernel.Exit{}
 				}
 				phase = 1
-				return s.accept.Recv(8_000, &req)
+				return s.accept.Recv(p, 8_000, &req)
 			case 1: // parse
 				phase = 2
 				return s.parseAct

@@ -26,7 +26,8 @@ type Action = kernel.Action
 // Compute burns CPU cycles.
 type Compute = kernel.Compute
 
-// Syscall crosses into the kernel and may block.
+// Syscall crosses into the kernel and may block; a Program issues one
+// with Proc.Call.
 type Syscall = kernel.Syscall
 
 // Yield is sys_sched_yield.
