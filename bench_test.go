@@ -64,8 +64,9 @@ func microPolicy(name string, env *sched.Env) sched.Scheduler {
 }
 
 // BenchmarkMicro_Schedule measures one schedule() decision in isolation on
-// a prepopulated run queue — the pure O(n) scan versus the table lookup
-// versus the O(1) bitmap pick, in real nanoseconds and simulated cycles.
+// a prepopulated run queue — the simulated O(n) scan versus the table
+// lookup versus the O(1) bitmap pick, in real nanoseconds and simulated
+// cycles.
 //
 // Two queues. "tasksN" is the uniform one: nil MM, never-run, nobody
 // running, an idle prev on a UP machine — every goodness() input the same
@@ -74,8 +75,11 @@ func microPolicy(name string, env *sched.Env) sched.Scheduler {
 // address spaces, tasks last run on any of four CPUs, an eighth of the
 // counters spent, every CPU's current task HasCPU, a non-idle prev with an
 // MM, the calling CPU rotating and one task's affinity and MM re-drawn per
-// call. ns/visit is host time per examined task, the number to hold against
-// a benchmark cell's.
+// call. ns/visit is host time per examined task as the simulation counts
+// them (Result.Examined): reg still charges its full walk but scores only
+// the tasks that can win, so its ns/visit falls with queue length and is
+// not the cost of one goodness() any more. sim-cycles/op is the simulated
+// cost, which no host-side change may move.
 func BenchmarkMicro_Schedule(b *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
 		for _, policy := range []string{"reg", "elsc", "o1"} {
@@ -164,8 +168,8 @@ func BenchmarkMicro_Schedule(b *testing.B) {
 	}
 }
 
-// reportSchedule adds simulated cycles per call and host ns per examined
-// task to a schedule() microbenchmark's result.
+// reportSchedule adds simulated cycles per call and host ns per simulated
+// examined task to a schedule() microbenchmark's result.
 func reportSchedule(b *testing.B, cycles, examined uint64) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 	if examined > 0 {

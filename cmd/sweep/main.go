@@ -24,6 +24,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -208,8 +209,12 @@ func run() int {
 				fmt.Printf("FAIL %v\n", err)
 				continue
 			}
-			fmt.Printf("ok   %s (migrated=%d forked=%d offlined=%d onlined=%d %.2fs virtual)\n",
-				s, rep.Migrated, rep.Forked, rep.Offlined, rep.Onlined, rep.Result.Seconds)
+			// The digest hashes the run's full result and stats registry,
+			// so two builds' outputs diff clean only if they simulated
+			// every scenario identically.
+			sum := sha256.Sum256([]byte(rep.Digest))
+			fmt.Printf("ok   %s (migrated=%d forked=%d offlined=%d onlined=%d %.2fs virtual) digest=%x\n",
+				s, rep.Migrated, rep.Forked, rep.Offlined, rep.Onlined, rep.Result.Seconds, sum[:8])
 		}
 		if failed > 0 {
 			fmt.Fprintf(os.Stderr, "%d of %d scenarios violated an invariant\n", failed, *fuzzN)

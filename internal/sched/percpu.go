@@ -13,7 +13,7 @@ import (
 
 const (
 	// levelWords sizes a LevelArray's bitmap: three words, enough for
-	// o1's 140 levels.
+	// o1's 140 levels and reg's 161.
 	levelWords = 3
 
 	// BalanceEvery is the pull-balancing period in schedule() calls per

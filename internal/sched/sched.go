@@ -48,7 +48,13 @@
 // form cost the host a mispredicted jump or two per visit — more than the
 // arithmetic. It is therefore written branch-free; the branching form is
 // the oracle it is tested against exhaustively (goodnessOracle in
-// sched_test.go). Do not "simplify" it back.
+// sched_test.go). Do not "simplify" it back. The stock scheduler is the
+// other case: it still charges its full O(n) walk, every Examined and
+// every Cycle, but on the host it scores only the tasks whose static
+// goodness can reach the best one found (package vanilla's doc), and the
+// walk it no longer does is the oracle FuzzRegIndex holds it to. The
+// count of goodness evaluations was the host cost there, not how the run
+// queue is linked.
 //
 // # The per-CPU-queue substrate
 //
@@ -63,7 +69,8 @@
 //     per level, count) with Push, Remove, Next, Pick — the first task a
 //     CPU may run, charging BitmapOp per level and Touch per task — and
 //     Drain; o1 runs two per queue at 140 levels (100 real-time, then 40
-//     SCHED_OTHER), cfs one at the 100 real-time levels alone;
+//     SCHED_OTHER), cfs one at the 100 real-time levels alone (reg, the
+//     one VisibleAll user, one at 161: its static-goodness index);
 //   - CanSchedule, the kernel's can_schedule filter;
 //   - Balancer: the idle steal (Steal), tiered by cache domain, the
 //     periodic pull (Tick, every BalanceEvery schedules), and the per-CPU
@@ -150,9 +157,17 @@ func Goodness(ep *task.Epoch, t *task.Task, cpu int, prevMM *task.MM) int {
 		return RTBase + t.RTPriority
 	}
 	c := t.Counter(ep)
+	return (c + t.Priority + Bonus(t, cpu, prevMM)) & -b2i(c != 0)
+}
+
+// Bonus is the dynamic part of goodness() for a SCHED_OTHER task with
+// quantum left: MMBonus if t shares prev's address space, AffinityBonus if
+// t last ran on cpu. It never exceeds MMBonus + AffinityBonus, the bound
+// the stock scheduler's static-goodness index stops its walk on.
+func Bonus(t *task.Task, cpu int, prevMM *task.MM) int {
 	mm := b2i(t.MM == prevMM) & b2i(prevMM != nil)
 	aff := b2i(t.EverRan) & b2i(t.Processor == cpu)
-	return (c + t.Priority + mm*MMBonus + aff*AffinityBonus) & -b2i(c != 0)
+	return mm*MMBonus + aff*AffinityBonus
 }
 
 // b2i is 1 for true and 0 for false; the compiler lowers it to a flag move,

@@ -101,8 +101,8 @@ func TestMoveLastLosesTie(t *testing.T) {
 	if res := s.Schedule(0, a); res.Next != b {
 		t.Fatalf("picked %v after a's quantum expired, want its equal %v", res.Next, b)
 	}
-	if got := task.FromNode(s.rq.First()); got != b {
-		t.Fatalf("front of the queue is %v, want %v: the expired task moves behind its equals", got, b)
+	if a.QStamp < b.QStamp {
+		t.Fatalf("%v is ahead of %v in the queue: the expired task moves behind its equals", a, b)
 	}
 	s.NoteRunning(a, false)
 	a.HasCPU = false

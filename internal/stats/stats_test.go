@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -188,10 +189,9 @@ func TestApproxPercentileWithinFactorTwo(t *testing.T) {
 		}
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		for _, q := range []float64{0.5, 0.9, 0.99} {
-			idx := int(q * float64(len(sorted)))
-			if idx >= len(sorted) {
-				idx = len(sorted) - 1
-			}
+			// Nearest rank, as ApproxPercentile counts it: the
+			// ceil(q·n)-th smallest value.
+			idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 			exact := sorted[idx]
 			got := d.ApproxPercentile(q)
 			// Bucket-limited accuracy: within a factor of two, with
