@@ -140,7 +140,7 @@ func run() int {
 		return 2
 	}
 
-	// The default matrix set excludes retired baselines (experiments.Caps);
+	// The default matrix set excludes retired baselines (experiments.DefaultPolicies);
 	// naming one in -policies still runs it.
 	matrixPolicies := splitList(*policies, experiments.DefaultPolicies(), experiments.Policies)
 	matrixLoads := splitList(*loads, workload.Names(), workload.Names())

@@ -54,9 +54,9 @@
 //   - "wakestorm": synchronized mass wake-ups of a parked herd,
 //     measuring wakeup-to-run tail latency (p50/p99/max) per storm.
 //
-// Machine.RunWorkload(name, params) runs any of them by name; the
-// per-workload methods (RunVolanoMark, RunDatabase, RunWakeStorm, ...)
-// take each benchmark's full Config instead. cmd/sweep's matrix
+// Machine.RunWorkload(name, params) runs any of them by name;
+// RunVolanoMark and RunWebServer take the chat and web benchmarks' full
+// Config instead. cmd/sweep's matrix
 // experiment races every policy against every workload on a chosen set
 // of machine specs and records each cell in BENCH_sweep.json.
 //
@@ -78,8 +78,8 @@
 // lone queued task, the periodic balancer demands a doubled imbalance
 // threshold across domains and then pulls a batch to amortize the
 // interconnect refill, and a starvation guard force-swaps the arrays
-// when the expired array has waited too long. O1Config.TopologyBlind is
-// the ablation baseline; the experiments package
+// when the expired array has waited too long. o1.Config's TopologyBlind
+// (internal/sched/o1) is the ablation baseline; the experiments package
 // regenerates the numa table and the domain-awareness ablation.
 //
 // # Interactivity
@@ -94,7 +94,7 @@
 // better level waits, and round-robins same-level interactive tasks every
 // two ticks (TIMESLICE_GRANULARITY). The kernel wake path adds
 // SD_WAKE_IDLE placement: a syscall-context wake prefers an idle CPU in
-// the task's own cache domain, then the waker's. O1Config's
+// the task's own cache domain, then the waker's. o1.Config's
 // InteractivityOff and WakeIdleOff switch each half off for ablation;
 // Stats counts WakeIdlePlacements and TimesliceRotations,
 // and the cross-policy latency invariant suite in

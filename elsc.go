@@ -1,18 +1,14 @@
 package elsc
 
 import (
+	"elsc/internal/experiments"
 	"elsc/internal/kernel"
 	"elsc/internal/sched"
-	"elsc/internal/sched/cfs"
-	"elsc/internal/sched/elsc"
-	"elsc/internal/sched/heapsched"
-	"elsc/internal/sched/mq"
-	"elsc/internal/sched/o1"
-	"elsc/internal/sched/vanilla"
 	"elsc/internal/task"
 )
 
-// SchedulerKind selects the scheduling policy for a Machine.
+// SchedulerKind selects the scheduling policy for a Machine. Its values
+// are the policy names of the experiments registry.
 type SchedulerKind string
 
 // The available policies.
@@ -43,15 +39,6 @@ const (
 	CFS SchedulerKind = "cfs"
 )
 
-// ELSCConfig re-exports the ELSC knobs (table size, search limit, UP
-// shortcut) for ablation studies.
-type ELSCConfig = elsc.Config
-
-// O1Config re-exports the O(1) scheduler's ablation arms: TopologyBlind
-// (balancing that ignores cache domains), InteractivityOff (no sleep_avg
-// bonus machinery) and WakeIdleOff (no SD_WAKE_IDLE wake placement).
-type O1Config = o1.Config
-
 // Topology re-exports the cache-domain layout type.
 type Topology = sched.Topology
 
@@ -71,10 +58,6 @@ type MachineConfig struct {
 	CacheDomains int
 	// Scheduler picks the policy (default ELSC).
 	Scheduler SchedulerKind
-	// ELSC optionally tunes the ELSC policy; ignored for other kinds.
-	ELSC *ELSCConfig
-	// O1 optionally tunes the O(1) policy; ignored for other kinds.
-	O1 *O1Config
 	// Seed drives all randomness (default 1).
 	Seed int64
 	// MaxSeconds bounds virtual run time (default 3000 virtual seconds).
@@ -88,8 +71,8 @@ type MachineConfig struct {
 
 // Machine is a simulated multiprocessor ready to run tasks or workloads.
 // Workloads run either through the registry (RunWorkload with any name
-// from Workloads()) or through the per-workload methods (RunVolanoMark,
-// RunDatabase, ...) when the benchmark's full Config is needed.
+// from Workloads()) or, with the benchmark's full Config, through
+// RunVolanoMark and RunWebServer.
 type Machine struct {
 	m *kernel.Machine
 }
@@ -108,7 +91,6 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if cfg.MaxSeconds == 0 {
 		cfg.MaxSeconds = 3000
 	}
-	factory := factoryFor(cfg.Scheduler, cfg.ELSC, cfg.O1)
 	var topo *sched.Topology
 	if cfg.CacheDomains > 1 {
 		topo = sched.UniformTopology(cfg.CPUs, cfg.CacheDomains)
@@ -118,45 +100,12 @@ func NewMachine(cfg MachineConfig) *Machine {
 		SMP:          cfg.SMP,
 		Topology:     topo,
 		Seed:         cfg.Seed,
-		NewScheduler: factory,
+		NewScheduler: experiments.Factory(string(cfg.Scheduler)),
 		MaxCycles:    cfg.MaxSeconds * kernel.DefaultHz,
 		Watchdog:     cfg.Watchdog,
 	})
 	return &Machine{m: m}
 }
-
-func factoryFor(kind SchedulerKind, ecfg *ELSCConfig, ocfg *O1Config) kernel.SchedulerFactory {
-	switch kind {
-	case Vanilla:
-		return func(env *sched.Env) sched.Scheduler { return vanilla.New(env) }
-	case ELSC:
-		return func(env *sched.Env) sched.Scheduler {
-			if ecfg != nil {
-				return elsc.NewWithConfig(env, *ecfg)
-			}
-			return elsc.New(env)
-		}
-	case Heap:
-		return func(env *sched.Env) sched.Scheduler { return heapsched.New(env) }
-	case MultiQueue:
-		return func(env *sched.Env) sched.Scheduler { return mq.New(env) }
-	case O1:
-		return func(env *sched.Env) sched.Scheduler {
-			if ocfg != nil {
-				return o1.NewWithConfig(env, *ocfg)
-			}
-			return o1.New(env)
-		}
-	case CFS:
-		return func(env *sched.Env) sched.Scheduler { return cfs.New(env) }
-	default:
-		panic("elsc: unknown scheduler kind " + string(kind))
-	}
-}
-
-// Kernel exposes the underlying simulator for advanced use (custom
-// workloads, IPC construction, engine events).
-func (m *Machine) Kernel() *kernel.Machine { return m.m }
 
 // Spawn creates a task executing prog in address space mm (nil for a
 // kernel thread) and makes it runnable.
@@ -193,10 +142,6 @@ func (m *Machine) Seconds() float64 { return m.m.Seconds() }
 // instrumentation).
 func (m *Machine) Stats() *Stats { return m.m.Stats() }
 
-// ProcStat renders the statistics as a /proc-style text block, as the
-// paper exposed its counters through the proc filesystem.
-func (m *Machine) ProcStat() string { return m.m.Stats().Registry().Render() }
-
 // SchedulerName reports the active policy's label ("reg", "elsc", ...).
 func (m *Machine) SchedulerName() string { return m.m.Scheduler().Name() }
 
@@ -207,16 +152,9 @@ func (m *Machine) SchedulerName() string { return m.m.Scheduler().Name() }
 // task is lost, duplicated, or rewound; blocked and running tasks are
 // unaffected beyond bookkeeping normalization. Returns the number of
 // tasks handed over. Call it between Run calls or from an engine event —
-// never from inside a syscall effect. Optional per-policy configs follow
-// the same rules as MachineConfig (nil means defaults).
+// never from inside a syscall effect.
 func (m *Machine) SwitchPolicy(kind SchedulerKind) int {
-	return m.SwitchPolicyConfigured(kind, nil, nil)
-}
-
-// SwitchPolicyConfigured is SwitchPolicy with explicit ELSC/O1 tuning for
-// the successor policy (each may be nil; ignored for other kinds).
-func (m *Machine) SwitchPolicyConfigured(kind SchedulerKind, ecfg *ELSCConfig, ocfg *O1Config) int {
-	return m.m.SwitchPolicy(factoryFor(kind, ecfg, ocfg))
+	return m.m.SwitchPolicy(experiments.Factory(string(kind)))
 }
 
 // Hotplug errors, for callers that script transitions.
@@ -242,12 +180,6 @@ func (m *Machine) OfflineCPU(id int) error { return m.m.OfflineCPU(id) }
 // widened by its removal are re-pinned to their original masks.
 func (m *Machine) OnlineCPU(id int) error { return m.m.OnlineCPU(id) }
 
-// CPUIsOnline reports whether processor id is currently hot-plugged in.
-func (m *Machine) CPUIsOnline(id int) bool { return m.m.CPUIsOnline(id) }
-
-// OnlineCount returns how many processors are currently online.
-func (m *Machine) OnlineCount() int { return m.m.OnlineCount() }
-
 // Task wraps a spawned task.
 type Task struct {
 	p *kernel.Proc
@@ -256,37 +188,11 @@ type Task struct {
 // Exited reports whether the task has terminated.
 func (t *Task) Exited() bool { return t.p.Exited() }
 
-// Name returns the task's name.
-func (t *Task) Name() string { return t.p.Task.Name }
-
 // UserCycles returns CPU cycles of task-level work executed.
 func (t *Task) UserCycles() uint64 { return t.p.Task.UserCycles }
 
-// SystemCycles returns CPU cycles of kernel work charged to the task.
-func (t *Task) SystemCycles() uint64 { return t.p.Task.SystemCycles }
-
-// Migrations returns how many times the task was dispatched on a CPU other
-// than its previous one.
-func (t *Task) Migrations() uint64 { return t.p.Task.Migrations }
-
 // SetPriority adjusts the task's static priority (1..40, default 20).
 func (m *Machine) SetPriority(t *Task, prio int) { m.m.SetPriority(t.p, prio) }
-
-// SetAffinity pins the task to the CPUs in mask (bit i allows CPU i; zero
-// allows all) — the kernel's cpus_allowed.
-func (m *Machine) SetAffinity(t *Task, mask uint64) { m.m.SetAffinity(t.p, mask) }
-
-// SetPolicy is sched_setscheduler: move the task between SCHED_OTHER
-// (policy Other) and the real-time classes at run time.
-func (m *Machine) SetPolicy(t *Task, policy RTPolicy, rtprio int) {
-	m.m.SetPolicy(t.p, task.Policy(policy), rtprio)
-}
-
-// Other demotes a task back to the timesharing class via SetPolicy.
-const Other = RTPolicy(task.Other)
-
-// PS renders a ps/top-style table of every task in the system.
-func (m *Machine) PS() string { return m.m.PS() }
 
 // RTPolicy selects the real-time class for SpawnRT.
 type RTPolicy task.Policy

@@ -17,7 +17,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if m.SchedulerName() != "elsc" {
 		t.Fatalf("scheduler = %q", m.SchedulerName())
 	}
-	if !strings.Contains(m.ProcStat(), "sched_calls") {
+	if !strings.Contains(m.Stats().Registry().Render(), "sched_calls") {
 		t.Fatal("procstat missing counters")
 	}
 	if m.Stats().SchedCalls == 0 {
@@ -106,8 +106,8 @@ func TestRealTimeSpawn(t *testing.T) {
 
 func TestKernelBuildWorkload(t *testing.T) {
 	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 2, SMP: true, Seed: 2})
-	res := m.RunKernelBuild(elsc.KernelBuildConfig{Units: 12, MeanCompile: 2_000_000, MeanIO: 50_000})
-	if res.Seconds <= 0 || res.Formatted == "" {
+	res := m.RunWorkload("kbuild", elsc.WorkloadParams{Quick: true})
+	if !res.Complete || res.Ops != 32 || res.Seconds <= 0 {
 		t.Fatalf("bad build result: %+v", res)
 	}
 }
@@ -117,19 +117,6 @@ func TestWebServerWorkload(t *testing.T) {
 	res := m.RunWebServer(elsc.WebServerConfig{Workers: 6, Requests: 100})
 	if res.Served == 0 {
 		t.Fatal("no requests served")
-	}
-}
-
-func TestELSCConfigKnobs(t *testing.T) {
-	m := elsc.NewMachine(elsc.MachineConfig{
-		CPUs:      1,
-		Scheduler: elsc.ELSC,
-		ELSC:      &elsc.ELSCConfig{SearchLimit: 2, TableSize: 40},
-		Seed:      4,
-	})
-	res := m.RunVolanoMark(elsc.VolanoConfig{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 2})
-	if res.Deliveries == 0 {
-		t.Fatal("configured ELSC ran nothing")
 	}
 }
 
@@ -167,43 +154,6 @@ func TestDeterminismAcrossMachines(t *testing.T) {
 	}
 }
 
-func TestFacadeAffinityAndPolicy(t *testing.T) {
-	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 2, SMP: true, Seed: 6})
-	n := 0
-	tk := m.Spawn("pinned", nil, elsc.ProgramFunc(func(p *elsc.Proc) elsc.Action {
-		if n >= 10 {
-			return elsc.Exit{}
-		}
-		n++
-		return elsc.Compute{Cycles: 50_000}
-	}))
-	m.SetAffinity(tk, 1<<1)
-	m.SetPolicy(tk, elsc.RR, 30)
-	m.RunUntilAllExit()
-	if !tk.Exited() {
-		t.Fatal("task did not finish")
-	}
-	if tk.Migrations() != 0 {
-		t.Fatal("pinned task migrated")
-	}
-}
-
-func TestFacadePS(t *testing.T) {
-	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 1, Seed: 6})
-	done := false
-	m.Spawn("visible-task", nil, elsc.ProgramFunc(func(p *elsc.Proc) elsc.Action {
-		if done {
-			return elsc.Exit{}
-		}
-		done = true
-		return elsc.Compute{Cycles: 1000}
-	}))
-	m.RunUntilAllExit()
-	if !strings.Contains(m.PS(), "visible-task") {
-		t.Fatal("PS missing the spawned task")
-	}
-}
-
 func TestFacadeHotplugAndWatchdog(t *testing.T) {
 	var violations []elsc.WatchdogViolation
 	m := elsc.NewMachine(elsc.MachineConfig{
@@ -215,10 +165,6 @@ func TestFacadeHotplugAndWatchdog(t *testing.T) {
 	if err := m.OfflineCPU(2); err != nil {
 		t.Fatal(err)
 	}
-	if m.CPUIsOnline(2) || m.OnlineCount() != 3 {
-		t.Fatalf("online state wrong after offline: cpu2=%v count=%d",
-			m.CPUIsOnline(2), m.OnlineCount())
-	}
 	if err := m.OfflineCPU(2); err != elsc.ErrCPUOffline {
 		t.Fatalf("double offline: err = %v, want ErrCPUOffline", err)
 	}
@@ -229,16 +175,16 @@ func TestFacadeHotplugAndWatchdog(t *testing.T) {
 	if err := m.OnlineCPU(2); err != nil {
 		t.Fatal(err)
 	}
-	if m.OnlineCount() != 4 {
-		t.Fatalf("online count = %d after online, want 4", m.OnlineCount())
+	if err := m.OnlineCPU(2); err != elsc.ErrCPUOnline {
+		t.Fatalf("double online: err = %v, want ErrCPUOnline", err)
 	}
 	if len(violations) != 0 {
 		t.Fatalf("watchdog fired on a healthy run: %s", violations[0])
 	}
-	if !strings.Contains(m.ProcStat(), "watchdog_starvations 0") {
-		t.Fatal("armed watchdog's counters missing from procstat")
-	}
-	if !strings.Contains(m.ProcStat(), "cpu_offlines 1") {
-		t.Fatal("hotplug transition missing from procstat")
+	reg := m.Stats().Registry().Render()
+	for _, line := range []string{"watchdog_starvations 0", "cpu_offlines 1", "cpu_onlines 1"} {
+		if !strings.Contains(reg, line) {
+			t.Fatalf("stats registry missing %q:\n%s", line, reg)
+		}
 	}
 }

@@ -50,46 +50,8 @@ import (
 
 	"elsc/internal/kernel"
 	"elsc/internal/sched"
-	"elsc/internal/sched/cfs"
-	"elsc/internal/sched/elsc"
-	"elsc/internal/sched/heapsched"
-	"elsc/internal/sched/mq"
-	"elsc/internal/sched/o1"
-	"elsc/internal/sched/vanilla"
 	"elsc/internal/sim"
 )
-
-// Policy names, as the paper's figures label them.
-const (
-	Reg  = "reg"
-	ELSC = "elsc"
-	Heap = "heap"
-	MQ   = "mq"
-	O1   = "o1"
-	CFS  = "cfs"
-)
-
-// Policies lists every registered scheduling policy: the paper's two, the
-// §8 future-work designs, the O(1) endpoint of that lineage, and the
-// weighted-vruntime fair scheduler that succeeded it. The conformance,
-// determinism, and cross-scheduler smoke suites all iterate this list, so
-// a new policy registered here (with a matching SchedulerKind in the
-// public API) is automatically held to the same contract. Note the fuzz
-// generator draws `Policies[rng.Intn(len(Policies))]`, so growing this
-// list re-rolls every seed's composition — any regression that depends on
-// a specific historical composition must pin the Scenario as a literal
-// (see the seed-586 pre-fix replay).
-var Policies = []string{Reg, ELSC, Heap, MQ, O1, CFS}
-
-// factories holds each registered policy's constructor.
-var factories = map[string]kernel.SchedulerFactory{
-	Reg:  func(env *sched.Env) sched.Scheduler { return vanilla.New(env) },
-	ELSC: func(env *sched.Env) sched.Scheduler { return elsc.New(env) },
-	Heap: func(env *sched.Env) sched.Scheduler { return heapsched.New(env) },
-	MQ:   func(env *sched.Env) sched.Scheduler { return mq.New(env) },
-	O1:   func(env *sched.Env) sched.Scheduler { return o1.New(env) },
-	CFS:  func(env *sched.Env) sched.Scheduler { return cfs.New(env) },
-}
 
 // CheckName returns nil when name is one of registered, and otherwise the
 // diagnostic every command-line tool prints before exiting 2. Factory and
@@ -101,14 +63,6 @@ func CheckName(name string, registered []string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown name %q (registered: %s)", name, strings.Join(registered, " "))
-}
-
-// Factory returns the scheduler factory for a policy name.
-func Factory(name string) kernel.SchedulerFactory {
-	if f, ok := factories[name]; ok {
-		return f
-	}
-	panic("experiments: unknown scheduler " + name)
 }
 
 // MachineSpec is one hardware configuration from the paper: UP is a

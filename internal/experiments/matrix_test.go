@@ -101,7 +101,7 @@ func TestWorkloadDetailIncludesExtras(t *testing.T) {
 // TestWakeStormTableAllPolicies is the acceptance check: the wake-storm
 // experiment reports p50/p99 wakeup-to-run latency for every default
 // (non-baseline) policy on the NUMA spec — retired baselines stay out of
-// the default sweep per the capability table, but remain runnable by
+// the default sweep per the policy table, but remain runnable by
 // name. The scale is tiny; the sweep runs it big.
 func TestWakeStormTableAllPolicies(t *testing.T) {
 	def := DefaultPolicies()
@@ -129,7 +129,7 @@ func TestWakeStormTableAllPolicies(t *testing.T) {
 func TestDefaultPoliciesExcludeBaselines(t *testing.T) {
 	def := DefaultPolicies()
 	for _, p := range def {
-		if Caps[p].Baseline {
+		if policyNamed(p).baseline {
 			t.Fatalf("baseline policy %q in DefaultPolicies", p)
 		}
 		if Factory(p) == nil {
@@ -148,7 +148,7 @@ func TestDefaultPoliciesExcludeBaselines(t *testing.T) {
 	if !found {
 		t.Fatal("mq must stay registered (conformance + determinism coverage)")
 	}
-	if !Caps[MQ].Baseline {
+	if !policyNamed(MQ).baseline {
 		t.Fatal("mq should carry the Baseline flag (no interactivity story)")
 	}
 }

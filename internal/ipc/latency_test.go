@@ -71,7 +71,7 @@ func TestDeliverLatencyCountsAgainstCapacity(t *testing.T) {
 		return q.Recv(p, 100, &cur)
 	}))
 	m.Engine().After(500_000, "check", func(sim.Time) {
-		blockedAtThird = p.Blocked() && sent == 3
+		blockedAtThird = !p.Task.Runnable() && sent == 3
 	})
 	m.Run(func() bool { return p.Exited() && c.Exited() })
 	if !blockedAtThird {
@@ -142,9 +142,6 @@ func TestSerialGateDelaysContendedOps(t *testing.T) {
 	m.Run(func() bool { return m.Alive() == 0 })
 	if serial.Contended() == 0 {
 		t.Fatal("no contention on the serialized resource")
-	}
-	if serial.SpinCycles() == 0 {
-		t.Fatal("no spin cycles recorded")
 	}
 }
 

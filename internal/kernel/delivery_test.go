@@ -28,8 +28,8 @@ func TestCheckDeliveryCatchesDrift(t *testing.T) {
 		}))
 		// Run until the sleeper blocks and both CPUs' idle ticks parked.
 		m.Run(func() bool { return m.Now() > sim.Time(3*DefaultTickCycles) })
-		if !sleeper.Blocked() || m.idle != m.allCPUs {
-			t.Fatalf("setup: sleeper blocked=%v idle=%#x", sleeper.Blocked(), m.idle)
+		if sleeper.waitingOn == nil || m.idle != m.allCPUs {
+			t.Fatalf("setup: sleeper blocked=%v idle=%#x", sleeper.waitingOn != nil, m.idle)
 		}
 		if err := m.CheckDelivery(); err != nil {
 			t.Fatalf("healthy machine: %v", err)

@@ -191,11 +191,5 @@ func (m *Machine) restoreAffinity() {
 	}
 }
 
-// CPUIsOnline reports whether processor id is online.
-func (m *Machine) CPUIsOnline(id int) bool { return m.cpus[id].online() }
-
-// OnlineCount returns the number of online processors.
-func (m *Machine) OnlineCount() int { return m.env.OnlineCount() }
-
 // NumCPU returns the machine's processor count, online or not.
 func (m *Machine) NumCPU() int { return len(m.cpus) }

@@ -20,14 +20,14 @@ func TestHotplugRefusals(t *testing.T) {
 	if err := m.OfflineCPU(0); err != ErrLastCPU {
 		t.Fatalf("offlining the last CPU: err = %v, want ErrLastCPU", err)
 	}
-	if m.OnlineCount() != 1 || m.CPUIsOnline(1) {
-		t.Fatalf("online count = %d, cpu1 online = %v", m.OnlineCount(), m.CPUIsOnline(1))
+	if m.env.OnlineCount() != 1 || m.cpus[1].online() {
+		t.Fatalf("online count = %d, cpu1 online = %v", m.env.OnlineCount(), m.cpus[1].online())
 	}
 	if err := m.OnlineCPU(1); err != nil {
 		t.Fatalf("bringing cpu1 back: %v", err)
 	}
-	if m.OnlineCount() != 2 {
-		t.Fatalf("online count = %d after online, want 2", m.OnlineCount())
+	if m.env.OnlineCount() != 2 {
+		t.Fatalf("online count = %d after online, want 2", m.env.OnlineCount())
 	}
 	if s := m.Stats(); s.CPUOfflines != 1 || s.CPUOnlines != 1 {
 		t.Fatalf("transition counters = %d/%d, want 1/1", s.CPUOfflines, s.CPUOnlines)

@@ -14,7 +14,6 @@ type spinlock struct {
 
 	acquisitions uint64
 	contended    uint64
-	spinCycles   uint64
 }
 
 // acquire returns the instant the lock is obtained and the cycles spent
@@ -23,7 +22,6 @@ func (l *spinlock) acquire(now sim.Time) (start sim.Time, spin uint64) {
 	l.acquisitions++
 	if l.freeAt > now {
 		spin = uint64(l.freeAt - now)
-		l.spinCycles += spin
 		l.contended++
 		return l.freeAt, spin
 	}

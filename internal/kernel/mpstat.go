@@ -12,14 +12,6 @@ type CPUStat struct {
 	TicklessCycles uint64 // idle time with the timer chain parked (NO_HZ)
 }
 
-// Utilization returns the busy fraction over the elapsed time.
-func (c CPUStat) Utilization(elapsed uint64) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(c.WorkCycles) / float64(elapsed)
-}
-
 // CPUStats returns the per-processor breakdown. Idle time for a currently
 // idle CPU is accounted up to the present instant.
 func (m *Machine) CPUStats() []CPUStat {

@@ -41,7 +41,7 @@ func TestMPStatGolden(t *testing.T) {
 			if got != tc.want[i] {
 				t.Errorf("%s cpu%d:\n got %+v\nwant %+v", tc.name, i, got, tc.want[i])
 			}
-			util, want := fmt.Sprintf("%.1f%%", 100*got.Utilization(uint64(m.Now()))), "0.0%"
+			util, want := fmt.Sprintf("%.1f%%", 100*float64(got.WorkCycles)/float64(m.Now())), "0.0%"
 			if i == 0 {
 				want = "100.0%"
 			}

@@ -120,6 +120,3 @@ func (c *ExitCursor) AllExited(procs []*Proc) bool {
 	}
 	return c.live == len(procs)
 }
-
-// Blocked reports whether the proc is asleep on a wait queue or timer.
-func (p *Proc) Blocked() bool { return p.waitingOn != nil || p.sleepEv != nil }

@@ -33,9 +33,3 @@ func (r *SerialResource) Reserve(now sim.Time, hold uint64) (wait uint64) {
 
 // Contended returns how many reservations had to wait.
 func (r *SerialResource) Contended() uint64 { return r.lock.contended }
-
-// Reservations returns the total reservation count.
-func (r *SerialResource) Reservations() uint64 { return r.lock.acquisitions }
-
-// SpinCycles returns the total cycles callers spent waiting.
-func (r *SerialResource) SpinCycles() uint64 { return r.lock.spinCycles }

@@ -26,11 +26,8 @@ func TestSerialResourceQueuesReservations(t *testing.T) {
 	if wait := r.Reserve(130, 50); wait != 70 {
 		t.Fatalf("third reservation waited %d, want 70", wait)
 	}
-	if r.Reservations() != 3 || r.Contended() != 2 {
-		t.Fatalf("reservations=%d contended=%d", r.Reservations(), r.Contended())
-	}
-	if r.SpinCycles() != 100 {
-		t.Fatalf("spin cycles = %d, want 100", r.SpinCycles())
+	if r.Contended() != 2 {
+		t.Fatalf("contended=%d, want 2", r.Contended())
 	}
 }
 

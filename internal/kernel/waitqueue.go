@@ -40,12 +40,3 @@ func (wq *WaitQueue) dequeueFirst() *Proc {
 	p.waitingOn = nil
 	return p
 }
-
-// remove unlinks a specific waiter (e.g. a timed-out sleeper).
-func (wq *WaitQueue) remove(p *Proc) {
-	if p.waitingOn != wq {
-		return
-	}
-	wq.waiters.Remove(&p.WaitNode)
-	p.waitingOn = nil
-}

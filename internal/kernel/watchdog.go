@@ -119,9 +119,6 @@ func (m *Machine) EnableWatchdog(cfg WatchdogConfig) {
 	m.eng.ScheduleAfter(wd.ev, watchdogPeriod)
 }
 
-// WatchdogEnabled reports whether the watchdog is armed.
-func (m *Machine) WatchdogEnabled() bool { return m.watchdog != nil }
-
 // sweep is one watchdog pass: re-arm, then check the delivery invariant,
 // every online CPU's timer chain and every live task's liveness.
 // Allocation-free while healthy: it walks existing slices and passes

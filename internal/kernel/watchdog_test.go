@@ -32,8 +32,8 @@ func TestWatchdogCleanRunIsQuiet(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("clean run flagged %d violations, first: %s", len(got), got[0])
 	}
-	if !m.WatchdogEnabled() {
-		t.Fatal("WatchdogEnabled false on an armed machine")
+	if m.watchdog == nil {
+		t.Fatal("no watchdog on an armed machine")
 	}
 	out := m.Stats().Registry().Render()
 	for _, line := range []string{"watchdog_starvations 0", "watchdog_lost_wakeups 0", "watchdog_cpu_stalls 0"} {
@@ -49,7 +49,7 @@ func TestWatchdogUnarmedRendersNothing(t *testing.T) {
 	m := newMachine(t, 1, elscFactory)
 	p := m.Spawn("w", nil, computeLoop(3, 100_000))
 	m.Run(func() bool { return p.Exited() })
-	if m.WatchdogEnabled() {
+	if m.watchdog != nil {
 		t.Fatal("watchdog armed without a config")
 	}
 	if strings.Contains(m.Stats().Registry().Render(), "watchdog_") {

@@ -87,7 +87,7 @@ func TestHotplugCycleConformance(t *testing.T) {
 						if ev.Next == nil {
 							return
 						}
-						if !m.CPUIsOnline(ev.CPU) {
+						if !m.Env().CPUOnline(ev.CPU) {
 							t.Errorf("dispatch of %v on offline cpu%d at t=%d",
 								ev.Next, ev.CPU, ev.Now)
 						}

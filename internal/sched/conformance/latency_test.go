@@ -15,8 +15,8 @@ import (
 // latency under load, the axis PR 3's matrix exposed as the widest gap
 // between policies. Both invariants run the registry workloads at a
 // fixed seed on every spec in latencySpecs for every registered policy,
-// so a new policy inherits them (at the forgiving default budget) the
-// moment it joins experiments.Policies.
+// so a new policy inherits them the moment it joins the experiments
+// policy table, which also states its budget.
 
 // latencySpecs are the machines the invariants run on: the flat 8P spec
 // and both NUMA hierarchies.
@@ -34,8 +34,8 @@ const hogQuantumUS = task.DefaultPriority * 10_000
 
 // The per-policy budgets for invariant (a) — the worst observed
 // wakeup-to-run latency of a blocked-then-woken probe, as a fraction of a
-// default hog's full quantum — live in the experiments capability table
-// (experiments.Caps): the invariant every policy must meet is two full
+// default hog's full quantum — live in the experiments policy table
+// (experiments.LatencyBudget): the invariant every policy must meet is two full
 // quanta, and policies whose designs promise better are held to it. The
 // stock scanner and the heap preempt via goodness within a few scheduler
 // hops; o1's interactivity machinery (sleep_avg bonus + TASK_PREEMPTS_CURR
@@ -49,7 +49,7 @@ func latencyBudget(policy string) float64 {
 // TestLatencyInvariantProbeBeatsHogQuanta is invariant (a): on every
 // spec, a blocked-then-woken probe at the same static priority as the
 // hogs runs before any hog completes two full quanta — scaled down per
-// the capability table for policies that promise better.
+// the policy table for policies that promise better.
 func TestLatencyInvariantProbeBeatsHogQuanta(t *testing.T) {
 	for _, label := range latencySpecs {
 		for _, policy := range experiments.Policies {

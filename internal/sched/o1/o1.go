@@ -126,15 +126,6 @@ type Config struct {
 	WakeIdleOff bool
 }
 
-// levelOf maps a task to its static priority level; lower level = higher
-// priority, so the bitmap find-first-set returns the best level directly.
-func levelOf(t *task.Task) int {
-	if t.RealTime() {
-		return task.MaxRTPriority - t.RTPriority
-	}
-	return rtLevels + task.MaxPriority - t.Priority
-}
-
 // runqueue is one CPU's pair of priority arrays (sched.LevelArray,
 // mirroring struct prio_array; lists is their SCHED_OTHER levels, the
 // real-time ones being the arrays' own); activeIdx selects the active one so
@@ -226,12 +217,13 @@ func (s *Sched) interactive(t *task.Task) bool {
 	return s.bonusOf(t) >= interactiveDelta
 }
 
-// levelFor is the effective priority level a task files at: its static
-// level shifted by the sleep_avg bonus, clamped to the SCHED_OTHER range.
-// Real-time levels never move.
+// levelFor is the level a task files at; lower level = higher priority, so
+// the bitmap find-first-set returns the best level directly. A real-time
+// task's is fixed by rt_priority; a SCHED_OTHER task's is its static level
+// shifted by the sleep_avg bonus, clamped to the SCHED_OTHER range.
 func (s *Sched) levelFor(t *task.Task) int {
 	if t.RealTime() {
-		return levelOf(t)
+		return task.MaxRTPriority - t.RTPriority
 	}
 	prio := t.Priority + s.bonusOf(t)
 	if prio < task.MinPriority {

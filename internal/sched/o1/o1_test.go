@@ -52,6 +52,8 @@ func TestLevelOrdering(t *testing.T) {
 	rtLo := task.NewRT(2, "rt0", task.FIFO, 0, env.Epoch)
 	best := mkTask(env, 3, task.MaxPriority, 80)
 	worst := mkTask(env, 4, task.MinPriority, 2)
+	// With the bonus off every task files at its static level.
+	levelOf := NewWithConfig(env, Config{InteractivityOff: true}).levelFor
 	if !(levelOf(rtHi) < levelOf(rtLo) && levelOf(rtLo) < levelOf(best) && levelOf(best) < levelOf(worst)) {
 		t.Fatalf("level order broken: rt99=%d rt0=%d prio40=%d prio1=%d",
 			levelOf(rtHi), levelOf(rtLo), levelOf(best), levelOf(worst))

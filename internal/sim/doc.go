@@ -84,8 +84,8 @@
 // TestNextLapDeadlineKeepsOutOfTheCursorSlot pins it.
 //
 // FuzzEngineModel drives the engine and a sorted-slice model through one
-// stream of After, Schedule, Cancel, cancel-and-re-Schedule, Step, capped
-// RunFor, MaxDur and Reset operations with deadlines in every level and
+// stream of After, Schedule, Cancel, cancel-and-re-Schedule, Step, runs
+// capped by MaxDur, and Reset operations with deadlines in every level and
 // past the horizon, comparing Now, Pending and the fire log after each.
 //
 // # Ownership and allocation discipline

@@ -31,19 +31,15 @@ type Event struct {
 	Fn   func(now Time)
 	Name string // for traces and debugging
 
-	seq       uint64
-	queued    bool
-	cancelled bool
-	pooled    bool  // engine-owned (At/After): recycled after firing or cancel
-	level     uint8 // wheel level the event is linked in; levelOver in the overflow
+	seq    uint64
+	queued bool
+	pooled bool  // engine-owned (At/After): recycled after firing or cancel
+	level  uint8 // wheel level the event is linked in; levelOver in the overflow
 	// Slot list links; both nil whenever the event is not queued, so a
 	// recycled or idle event pins nothing of the simulation it served.
 	wheelNext *Event
 	wheelPrev *Event
 }
-
-// Cancelled reports whether the event's last arming ended in Cancel.
-func (e *Event) Cancelled() bool { return e.cancelled }
 
 // Pending reports whether the event is queued to fire.
 func (e *Event) Pending() bool { return e.queued }
@@ -156,7 +152,6 @@ func (e *Engine) arm(ev *Event, at Time) {
 	ev.seq = e.nexts
 	e.nexts++
 	ev.queued = true
-	ev.cancelled = false
 	e.pending++
 	w := e.wheel
 	if w != nil && w.count != 0 && at-w.cur < wheelSpan0 {
@@ -210,7 +205,6 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	e.wheel.remove(ev)
 	ev.queued = false
-	ev.cancelled = true
 	e.pending--
 	e.recycle(ev)
 }
@@ -304,26 +298,6 @@ func (e *Engine) Run(stop func() bool) {
 		if !e.Step() {
 			return
 		}
-	}
-}
-
-// RunFor dispatches events until the clock would pass now+d. Events at
-// exactly now+d still run. On return the clock stands at the deadline —
-// clamped to the MaxDur horizon when that cuts the window short — even if
-// no event reached it.
-func (e *Engine) RunFor(d Cycles) {
-	deadline := e.now + Time(d)
-	limit := deadline
-	if e.MaxDur != 0 && e.MaxDur < limit {
-		limit = e.MaxDur
-	}
-	for e.dispatch(limit) {
-	}
-	if e.MaxDur != 0 && deadline > e.MaxDur {
-		deadline = e.MaxDur
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }
 

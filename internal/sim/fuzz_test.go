@@ -21,8 +21,9 @@ import (
 //	2  Cancel a pending one-shot
 //	3  Step
 //	4  Cancel a pending caller-owned event and Schedule it again at once
-//	5  RunFor to a cap short of the next event, then arm before that event
-//	6  Reset mid-stream (a%8 == 0), else RunFor(delta)
+//	5  run under a temporary MaxDur short of the next event, then arm
+//	   before that event
+//	6  Reset mid-stream (a%8 == 0), else run under a MaxDur delta ahead
 //	7  set MaxDur to now+delta (a even) or clear it (a odd)
 func FuzzEngineModel(f *testing.F) {
 	for _, seed := range wheelSeeds {
@@ -33,8 +34,8 @@ func FuzzEngineModel(f *testing.F) {
 	f.Add([]byte{0, 9, 0, 0, 9, 0, 3, 0, 0, 0, 4, 0, 2, 0, 0, 3, 0, 0, 3, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 3, 0, 0, 0, 2, 0})
 	f.Add([]byte{0, 199, 0, 2, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 2, 1, 0, 0, 6, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0})
-	// Cancel and re-arm across levels and the overflow, a capped RunFor
-	// with an arm behind the next event, a MaxDur stop followed by an arm
+	// Cancel and re-arm across levels and the overflow, a capped run with
+	// an arm behind the next event, a MaxDur stop followed by an arm
 	// behind the cursor, a child chain, and a mid-stream Reset.
 	f.Add([]byte{1, 0, 5, 4, 0, 25, 4, 0, 35, 4, 0, 43, 4, 0, 2, 3, 0, 0})
 	f.Add([]byte{0, 100, 20, 5, 3, 9, 5, 7, 0, 3, 0, 0, 3, 0, 0})
@@ -133,21 +134,21 @@ func engineModel(t *testing.T, ops []byte) {
 		}
 		return maxTime
 	}
-	runFor := func(d Cycles) {
-		deadline := now + Time(d)
-		limit := deadline
+	// runTo runs both sides to limit (or the standing MaxDur, if nearer)
+	// with the engine's only cap, MaxDur, restoring it afterwards. A zero
+	// limit would read as no cap, so it runs nothing.
+	runTo := func(limit Time) {
 		if maxDur != 0 && maxDur < limit {
 			limit = maxDur
 		}
+		if limit == 0 {
+			return
+		}
 		for step(limit) {
 		}
-		if maxDur != 0 && deadline > maxDur {
-			deadline = maxDur
-		}
-		if now < deadline {
-			now = deadline
-		}
-		e.RunFor(d)
+		e.MaxDur = limit
+		e.Run(nil)
+		e.MaxDur = maxDur
 	}
 	var fire func(m *mev) func(Time)
 	fire = func(m *mev) func(Time) {
@@ -238,9 +239,8 @@ func engineModel(t *testing.T, ops []byte) {
 			}
 			drop(ownedCur[k])
 			e.Cancel(ownedEv[k])
-			if !ownedEv[k].Cancelled() || ownedEv[k].Pending() {
-				t.Fatalf("op %d: cancelled owned[%d] reports Cancelled=%v Pending=%v",
-					i/3, k, ownedEv[k].Cancelled(), ownedEv[k].Pending())
+			if ownedEv[k].Pending() {
+				t.Fatalf("op %d: cancelled owned[%d] still reports Pending", i/3, k)
 			}
 			d := delta(a, b)
 			ownedCur[k] = arm(now+Time(d), k, 0)
@@ -253,11 +253,11 @@ func engineModel(t *testing.T, ops []byte) {
 					gap = g
 				}
 			}
-			runFor(Cycles(gap) * Cycles(a%8) / 8)
+			runTo(now + gap*Time(a%8)/8)
 			oneShot(Cycles(b), 0)
 		case 6:
 			if a%8 != 0 {
-				runFor(delta(a, b))
+				runTo(now + Time(delta(a, b)))
 				break
 			}
 			e.Reset()

@@ -328,9 +328,8 @@ func (w *wheel) nextWindow(b, limit Time) (Time, bool) {
 
 // earliestRing returns the earliest ring resident at or before limit,
 // leaving it in hit. It advances the cursor — cascading windows open
-// along the way — but never past limit's slot: RunFor leaves the clock on
-// its deadline, so no arm after it can fall behind the cursor, and only a
-// Step refused at the MaxDur horizon leaves the cursor ahead of the clock.
+// along the way — but never past limit's slot: only a Step refused at the
+// MaxDur horizon leaves the cursor ahead of the clock.
 func (w *wheel) earliestRing(limit Time) *Event {
 	if w.hit != nil {
 		if w.hit.At <= limit {
@@ -404,7 +403,6 @@ func (w *wheel) reset(e *Engine) {
 			next := ev.wheelNext
 			ev.wheelNext, ev.wheelPrev = nil, nil
 			ev.queued = false
-			ev.cancelled = false
 			e.recycle(ev)
 			ev = next
 		}

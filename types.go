@@ -39,21 +39,6 @@ type Sleep = kernel.Sleep
 // Exit terminates the task.
 type Exit = kernel.Exit
 
-// Outcome is a Syscall effect's result.
-type Outcome = kernel.Outcome
-
-// WaitQueue blocks and wakes tasks.
-type WaitQueue = kernel.WaitQueue
-
-// NewWaitQueue returns an empty wait queue.
-func NewWaitQueue(name string) *WaitQueue { return kernel.NewWaitQueue(name) }
-
-// Done completes a syscall.
-func Done() Outcome { return kernel.Done() }
-
-// BlockOn suspends the calling task on wq.
-func BlockOn(wq *WaitQueue) Outcome { return kernel.BlockOn(wq) }
-
 // AddressSpace is a shared mm; tasks in the same space get the goodness
 // memory-map bonus and cheaper context switches.
 type AddressSpace = task.MM
@@ -66,12 +51,6 @@ type Queue = ipc.Queue
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
 func NewQueue(name string, capacity int) *Queue { return ipc.NewQueue(name, capacity) }
-
-// SockPair is a bidirectional loopback connection.
-type SockPair = ipc.SockPair
-
-// NewSockPair builds a loopback connection.
-func NewSockPair(name string, capacity int) *SockPair { return ipc.NewSockPair(name, capacity) }
 
 // YieldMutex is the JVM-style spin-then-suspend user lock whose yields
 // stress the scheduler.

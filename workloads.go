@@ -2,9 +2,6 @@ package elsc
 
 import (
 	"elsc/internal/workload"
-	"elsc/internal/workload/db"
-	"elsc/internal/workload/kbuild"
-	"elsc/internal/workload/latency"
 	"elsc/internal/workload/volano"
 	"elsc/internal/workload/webserver"
 )
@@ -12,8 +9,8 @@ import (
 // The workload layer has two entry points, mirroring the scheduler layer:
 // the registry runs any workload by name with uniform sizing knobs
 // (RunWorkload — what the sweep matrix and the determinism suite use),
-// and the per-workload methods below take each benchmark's full Config
-// for bespoke shapes.
+// and RunVolanoMark and RunWebServer take the chat and web benchmarks'
+// full Config for bespoke shapes.
 
 // WorkloadParams sizes a registry-run workload: Work is the per-actor
 // operation count, Quick selects the reduced shape, ScalableStack the
@@ -27,9 +24,6 @@ type WorkloadResult = workload.Result
 // Workloads returns the registered workload names, in registry order:
 // volano, kbuild, webserver, latency, db, wakestorm.
 func Workloads() []string { return workload.Names() }
-
-// DescribeWorkloads renders a one-line-per-workload listing.
-func DescribeWorkloads() string { return workload.Describe() }
 
 // RunWorkload builds and runs any registered workload by name on the
 // machine, returning the common result. Unknown names panic; use
@@ -53,18 +47,6 @@ func (m *Machine) RunVolanoMark(cfg VolanoConfig) VolanoResult {
 	return volano.Build(m.m, cfg).Run()
 }
 
-// KernelBuildConfig sizes the Table 2 light-load control experiment: a
-// make -j4 kernel compile.
-type KernelBuildConfig = kbuild.Config
-
-// KernelBuildResult is a compile-time measurement.
-type KernelBuildResult = kbuild.Result
-
-// RunKernelBuild builds and runs the compile workload on the machine.
-func (m *Machine) RunKernelBuild(cfg KernelBuildConfig) KernelBuildResult {
-	return kbuild.New(m.m, cfg).Run()
-}
-
 // WebServerConfig sizes the §8 future-work Apache-style workload.
 type WebServerConfig = webserver.Config
 
@@ -74,43 +56,4 @@ type WebServerResult = webserver.Result
 // RunWebServer builds and runs the web workload on the machine.
 func (m *Machine) RunWebServer(cfg WebServerConfig) WebServerResult {
 	return webserver.New(m.m, cfg).Run()
-}
-
-// LatencyConfig sizes the steady-state wake-to-dispatch latency probes.
-type LatencyConfig = latency.Config
-
-// LatencyResult reports wake-to-dispatch latency statistics.
-type LatencyResult = latency.Result
-
-// RunLatencyProbe builds and runs the latency-probe workload.
-func (m *Machine) RunLatencyProbe(cfg LatencyConfig) LatencyResult {
-	return latency.New(m.m, cfg).Run()
-}
-
-// DatabaseConfig sizes the syscall-heavy OLTP workload: client
-// connections running short transactions over shared lock stripes, a
-// serialized buffer pool, and a write-ahead log with background
-// checkpoint writers.
-type DatabaseConfig = db.Config
-
-// DatabaseResult reports transaction throughput, commit-latency
-// percentiles, and lock/WAL contention.
-type DatabaseResult = db.Result
-
-// RunDatabase builds and runs the OLTP workload on the machine.
-func (m *Machine) RunDatabase(cfg DatabaseConfig) DatabaseResult {
-	return db.New(m.m, cfg).Run()
-}
-
-// WakeStormConfig sizes the bursty mass-wakeup workload: a herd of
-// waiters parked on one wait queue, released together, measuring
-// wakeup-to-run tail latency.
-type WakeStormConfig = latency.StormConfig
-
-// WakeStormResult reports per-storm wakeup-to-run latency percentiles.
-type WakeStormResult = latency.StormResult
-
-// RunWakeStorm builds and runs the wake-storm workload on the machine.
-func (m *Machine) RunWakeStorm(cfg WakeStormConfig) WakeStormResult {
-	return latency.NewStorm(m.m, cfg).Run()
 }

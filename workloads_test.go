@@ -51,41 +51,47 @@ func TestRunWorkloadUnknownPanics(t *testing.T) {
 	m.RunWorkload("memcached", elsc.WorkloadParams{Quick: true})
 }
 
-// TestRunDatabasePublic exercises the bespoke-config entry: a tiny OLTP
-// run must commit every transaction and report contention counters.
+// TestRunDatabasePublic runs the OLTP workload through the public
+// registry entry: a small run must commit every transaction and report
+// its commit latency.
 func TestRunDatabasePublic(t *testing.T) {
 	m := elsc.NewMachine(elsc.MachineConfig{
 		CPUs: 4, SMP: true, Scheduler: elsc.MultiQueue, Seed: 9, MaxSeconds: 600,
 	})
-	res := m.RunDatabase(elsc.DatabaseConfig{Clients: 6, TxnsPerClient: 15, LockStripes: 2})
-	if want := uint64(6 * 15); res.Txns != want {
-		t.Fatalf("committed %d, want %d", res.Txns, want)
+	res := m.RunWorkload("db", elsc.WorkloadParams{Work: 15, Quick: true})
+	if want := uint64(8 * 15); res.Ops != want { // the quick pool is 8 clients
+		t.Fatalf("committed %d, want %d", res.Ops, want)
 	}
-	if res.P99TxnUS <= 0 {
+	if p99, _ := res.Extra("p99_txn_us"); p99 <= 0 {
 		t.Fatal("p99 commit latency should be positive")
 	}
 }
 
-// TestRunWakeStormPublic exercises the storm entry: every waiter must
-// observe every storm, and the percentiles must be ordered.
+// TestRunWakeStormPublic runs the storm workload through the public
+// registry entry: every waiter must observe every storm, and the
+// percentiles must be ordered.
 func TestRunWakeStormPublic(t *testing.T) {
 	m := elsc.NewMachine(elsc.MachineConfig{
 		CPUs: 4, SMP: true, Scheduler: elsc.Vanilla, Seed: 9, MaxSeconds: 600,
 	})
-	res := m.RunWakeStorm(elsc.WakeStormConfig{Waiters: 8, Storms: 10})
-	if want := uint64(8 * 10); res.Samples != want {
-		t.Fatalf("samples = %d, want %d", res.Samples, want)
+	res := m.RunWorkload("wakestorm", elsc.WorkloadParams{Work: 10, Quick: true})
+	if want := uint64(16 * 10); res.Ops != want { // the quick herd is 16 waiters
+		t.Fatalf("wakes = %d, want %d", res.Ops, want)
 	}
-	if res.P50US > res.P99US || res.P99US > res.MaxUS {
-		t.Fatalf("percentiles out of order: %.1f/%.1f/%.1f", res.P50US, res.P99US, res.MaxUS)
+	p50, _ := res.Extra("p50_us")
+	p99, _ := res.Extra("p99_us")
+	max, _ := res.Extra("max_us")
+	if p50 > p99 || p99 > max {
+		t.Fatalf("percentiles out of order: %.1f/%.1f/%.1f", p50, p99, max)
 	}
 }
 
-// TestRunLatencyProbePublic covers the newly exported steady-state probe.
+// TestRunLatencyProbePublic runs the steady-state probes through the
+// public registry entry: four probes, each counting every wake.
 func TestRunLatencyProbePublic(t *testing.T) {
-	m := elsc.NewMachine(elsc.MachineConfig{Seed: 9, MaxSeconds: 600})
-	res := m.RunLatencyProbe(elsc.LatencyConfig{Probes: 2, Hogs: 8, WakesPerProbe: 20})
-	if res.Samples != 40 {
-		t.Fatalf("samples = %d, want 40", res.Samples)
+	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 4, SMP: true, Seed: 9, MaxSeconds: 600})
+	res := m.RunWorkload("latency", elsc.WorkloadParams{Work: 10})
+	if !res.Complete || res.Ops != 40 {
+		t.Fatalf("complete=%v samples=%d, want true and 40", res.Complete, res.Ops)
 	}
 }
