@@ -57,34 +57,34 @@ func bootCost(spec MachineSpec, policy string) (bytes, objects uint64) {
 
 // TestBootAllocBudget holds one kernel.NewMachine to a heap budget per
 // policy on the two matrix_quick specs. Ceilings are about 10% over what
-// boot costs with o1's and cfs's real-time levels built on demand
-// (measured, go1.24: o1 42.2 / 160.5 KB, cfs 10.7 / 34.6 KB on 8P /
-// 32P-NUMA; with the levels built at boot they were 124.1 / 472.7 and
-// 50.3 / 194.1 KB). A policy that goes back to building per-CPU storage no
-// cell uses, or a boot path that starts allocating per CPU, fails here
-// before it shows up as matrix_quick setup_s. reg's two rows are 3,128
-// bytes over that rule: its run queue carries the static-goodness index
-// (61 list heads and the level array, one allocation with the scheduler)
-// that lets Schedule score only the tasks that can win; measured 8.43 →
-// 11.56 KB on 8P and 26.86 → 29.99 KB on 32P-NUMA, objects 66 → 65 and
-// 212 → 211.
+// boot costs with index-linked run lists: an 8-byte klist.Node, a 12-byte
+// zero-value klist.Head and a 192-byte Task, where they were 40, 48 and
+// 256 bytes (measured, go1.24, KB on 8P / 32P-NUMA, before → after: o1
+// 41.8 → 18.3 / 159.9 → 68.0, reg 11.8 → 9.2 / 30.2 → 26.1, elsc
+// 10.5 → 9.2 / 28.9 → 26.0, mq 9.1 → 8.5 / 29.6 → 26.5 in 75 → 67 / 245 →
+// 213 objects, its heads now held by value, heap 8.6 → 8.4 / 27.7 → 26.0,
+// cfs 10.4 → 10.2 / 34.1 → 33.1). Earlier, building o1's and cfs's
+// real-time levels on demand had taken them from 124.1 / 472.7 and 50.3 /
+// 194.1 KB. A policy that goes back to building per-CPU storage no cell
+// uses, or a boot path that starts allocating per CPU, fails here before
+// it shows up as matrix_quick setup_s.
 func TestBootAllocBudget(t *testing.T) {
 	budgets := []struct {
 		spec, policy   string
 		bytes, objects uint64
 	}{
-		{"8P", Reg, 9_600 + 3_128, 73},
-		{"8P", ELSC, 11_900, 75},
-		{"8P", Heap, 9_800, 73},
-		{"8P", MQ, 10_400, 83},
-		{"8P", O1, 46_500, 78},
-		{"8P", CFS, 11_800, 78},
-		{"32P-NUMA", Reg, 29_900 + 3_128, 233},
-		{"32P-NUMA", ELSC, 32_200, 235},
-		{"32P-NUMA", Heap, 30_900, 233},
-		{"32P-NUMA", MQ, 33_200, 270},
-		{"32P-NUMA", O1, 176_600, 239},
-		{"32P-NUMA", CFS, 38_200, 239},
+		{"8P", Reg, 10_100, 72},
+		{"8P", ELSC, 10_100, 75},
+		{"8P", Heap, 9_300, 73},
+		{"8P", MQ, 9_400, 74},
+		{"8P", O1, 20_200, 78},
+		{"8P", CFS, 11_200, 78},
+		{"32P-NUMA", Reg, 28_700, 233},
+		{"32P-NUMA", ELSC, 28_700, 235},
+		{"32P-NUMA", Heap, 28_600, 233},
+		{"32P-NUMA", MQ, 29_200, 235},
+		{"32P-NUMA", O1, 74_900, 239},
+		{"32P-NUMA", CFS, 36_500, 239},
 	}
 	if len(budgets) != 2*len(Policies) {
 		t.Fatalf("%d budgets for %d policies on two specs", len(budgets), len(Policies))
@@ -102,12 +102,13 @@ func TestBootAllocBudget(t *testing.T) {
 // DefaultScale — 10 rooms x 20 users, ~800 ipc queues — to a heap budget:
 // the bytes still live after boot+build and a forced collection, on a
 // fresh engine, as benchmark/run.sh reports live_heap_mb. The ceiling is
-// about 10% over the measured 1.18 MB (go1.24; 1.48 MB while every queue
-// carried three scratch syscalls). A per-queue or per-connection field
-// that grows the chat build shows up here before it shows up as
-// volano_paper live_heap_mb.
+// about 10% over the measured 1.03 MB (go1.24; 1.15 MB with pointer-linked
+// run lists, a 256-byte Task and wait queues allocated beside each ipc
+// queue; 1.48 MB while every queue carried three scratch syscalls). A
+// per-queue or per-connection field that grows the chat build shows up
+// here before it shows up as volano_paper live_heap_mb.
 func TestVolanoBuildHeapBudget(t *testing.T) {
-	const budget = 1_300_000
+	const budget = 1_130_000
 	live := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats

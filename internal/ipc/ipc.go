@@ -45,8 +45,8 @@ type Queue struct {
 
 	buf       []Msg
 	pending   []Msg
-	readers   *kernel.WaitQueue
-	writers   *kernel.WaitQueue
+	readers   kernel.WaitQueue
+	writers   kernel.WaitQueue
 	delivered uint64
 	sent      uint64
 
@@ -73,8 +73,8 @@ func NewQueue(name string, capacity int) *Queue {
 	q := &Queue{
 		Name:        name,
 		Cap:         capacity,
-		readers:     kernel.NewWaitQueue(cut(".readers")),
-		writers:     kernel.NewWaitQueue(cut(".writers")),
+		readers:     kernel.WaitQueue{Name: cut(".readers")},
+		writers:     kernel.WaitQueue{Name: cut(".writers")},
 		deliverName: cut(".deliver"),
 	}
 	q.deliverFn = q.deliverOne
@@ -101,7 +101,7 @@ func (q *Queue) full() bool { return q.Cap > 0 && len(q.buf)+len(q.pending) >= q
 func (q *Queue) deposit(p *kernel.Proc, m Msg) {
 	if q.DeliverLatency == 0 {
 		q.buf = append(q.buf, m)
-		p.M.WakeOne(q.readers)
+		p.M.WakeOne(&q.readers)
 		return
 	}
 	q.mach = p.M
@@ -116,7 +116,7 @@ func (q *Queue) deliverOne(sim.Time) {
 	copy(q.pending, q.pending[1:])
 	q.pending = q.pending[:len(q.pending)-1]
 	q.buf = append(q.buf, m)
-	q.mach.WakeOne(q.readers)
+	q.mach.WakeOne(&q.readers)
 }
 
 // serialGate reserves the queue's serialized resource once per syscall
@@ -154,7 +154,7 @@ func execSend(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 		return out
 	}
 	if q.full() {
-		return kernel.BlockOn(q.writers)
+		return kernel.BlockOn(&q.writers)
 	}
 	q.sent++
 	q.deposit(p, Msg{From: int(sc.Args[0]), Seq: int(sc.Args[1]), Payload: sc.Args[2]})
@@ -174,14 +174,14 @@ func execRecv(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 		return o
 	}
 	if len(q.buf) == 0 {
-		return kernel.BlockOn(q.readers)
+		return kernel.BlockOn(&q.readers)
 	}
 	*sc.Ptr.(*Msg) = q.buf[0]
 	copy(q.buf, q.buf[1:])
 	q.buf = q.buf[:len(q.buf)-1]
 	q.delivered++
 	if q.Cap > 0 {
-		p.M.WakeOne(q.writers)
+		p.M.WakeOne(&q.writers)
 	}
 	return kernel.Done()
 }
@@ -212,7 +212,7 @@ func execTryRecv(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcom
 	q.delivered++
 	*sc.Flag = true
 	if q.Cap > 0 {
-		p.M.WakeOne(q.writers)
+		p.M.WakeOne(&q.writers)
 	}
 	return kernel.Done()
 }
@@ -224,13 +224,13 @@ func execTryRecv(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcom
 func (q *Queue) Inject(m *kernel.Machine, msg Msg) {
 	q.sent++
 	q.buf = append(q.buf, msg)
-	m.WakeOne(q.readers)
+	m.WakeOne(&q.readers)
 }
 
 // WakeAllReaders releases every reader blocked on the queue, for shutdown
 // paths where no more messages will arrive.
 func (q *Queue) WakeAllReaders(m *kernel.Machine) {
-	m.WakeAll(q.readers)
+	m.WakeAll(&q.readers)
 }
 
 // SockPair is a bidirectional loopback connection: two bounded queues, one
@@ -260,7 +260,7 @@ func NewSockPair(name string, capacity int) *SockPair {
 type YieldMutex struct {
 	Name    string
 	owner   *kernel.Proc
-	waiters *kernel.WaitQueue
+	waiters kernel.WaitQueue
 	spins   uint64
 	acqs    uint64
 	blocked uint64
@@ -276,7 +276,7 @@ func NewYieldMutex(name string, tryCost uint64) *YieldMutex {
 	return &YieldMutex{
 		Name:    name,
 		tryFee:  tryCost,
-		waiters: kernel.NewWaitQueue(name + ".waiters"),
+		waiters: kernel.WaitQueue{Name: name + ".waiters"},
 	}
 }
 
@@ -323,7 +323,7 @@ func execLock(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 		return kernel.Done()
 	}
 	mu.blocked++
-	return kernel.BlockOn(mu.waiters)
+	return kernel.BlockOn(&mu.waiters)
 }
 
 // BlockedAcquires returns how many acquisitions had to suspend.
@@ -342,6 +342,6 @@ func execUnlock(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome
 		panic("ipc: unlock of a mutex not held by caller")
 	}
 	mu.owner = nil
-	p.M.WakeOne(mu.waiters)
+	p.M.WakeOne(&mu.waiters)
 	return kernel.Done()
 }

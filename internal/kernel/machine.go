@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/sim"
 	"elsc/internal/task"
@@ -135,10 +136,14 @@ type Machine struct {
 	dyn   sched.DynamicPriority // non-nil when the policy ranks tasks itself
 	cpus  []*CPU
 
-	procs   []*Proc
-	alive   int
-	nextPID int
-	mmSeq   int
+	// procs holds every spawned proc at its pid-1; waitNodes is the
+	// klist table of their wait-queue links, one slot per pid
+	// (waitSlot).
+	procs     []*Proc
+	waitNodes klist.Table
+	alive     int
+	nextPID   int
+	mmSeq     int
 
 	// rqLocks is the run-queue lock timing model: a single global lock
 	// for sched.VisibleAll policies (as in 2.3.99), one per CPU for
@@ -345,9 +350,8 @@ func (m *Machine) SpawnRT(name string, policy task.Policy, rtprio int, prog Prog
 func (m *Machine) spawn(t *task.Task, prog Program) *Proc {
 	p := &Proc{Task: t, M: m, prog: prog, memDomain: -1}
 	p.sleepWakeFn = p.sleepWake
-	p.WaitNode.Owner = p
 	m.procs = append(m.procs, p)
-	t.Owner = p
+	m.waitNodes.Add(&p.waitNode) // waitSlot(p): spawn order is pid order
 	m.alive++
 	if !t.RealTime() {
 		// Fork-time quantum inheritance: the child gets a share of the
@@ -447,7 +451,7 @@ func (m *Machine) Run(stop func() bool) {
 // WakeOne releases the longest waiter on wq (wake_up). Returns the proc
 // woken, or nil.
 func (m *Machine) WakeOne(wq *WaitQueue) *Proc {
-	p := wq.dequeueFirst()
+	p := wq.dequeueFirst(m)
 	if p == nil {
 		return nil
 	}
@@ -459,7 +463,7 @@ func (m *Machine) WakeOne(wq *WaitQueue) *Proc {
 func (m *Machine) WakeAll(wq *WaitQueue) int {
 	n := 0
 	for {
-		p := wq.dequeueFirst()
+		p := wq.dequeueFirst(m)
 		if p == nil {
 			return n
 		}
@@ -753,11 +757,10 @@ func (m *Machine) SwitchPolicy(factory SchedulerFactory) int {
 	return len(exported) + len(running)
 }
 
-// procOf maps a task back to its proc through the owner pointer spawn set.
+// procOf maps a task back to its proc: the proc table holds it at its pid.
 func (m *Machine) procOf(t *task.Task) *Proc {
-	p, _ := t.Owner.(*Proc)
-	if p == nil || p.M != m {
-		panic("kernel: task with no proc on this machine")
+	if i := t.ID - 1; i >= 0 && i < len(m.procs) && m.procs[i].Task == t {
+		return m.procs[i]
 	}
-	return p
+	panic("kernel: task with no proc on this machine")
 }

@@ -30,8 +30,8 @@ type Proc struct {
 	// handler (a static function, not a per-sleep closure).
 	sleepDur uint64
 
-	// WaitNode links the proc into a WaitQueue.
-	WaitNode  klist.Node
+	// waitNode links the proc into a WaitQueue, by pid.
+	waitNode  klist.Node
 	waitingOn *WaitQueue
 	sleepEv   *sim.Event
 	// sleepWakeFn is the timer-expiry callback, bound once at spawn.

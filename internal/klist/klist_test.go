@@ -6,29 +6,50 @@ import (
 	"testing/quick"
 )
 
-type item struct {
-	id   int
-	node Node
+// fixture is a table of n nodes with ids 1..n at slots Base..Base+n-1,
+// the way a caller numbers the structures it lists. The tests name nodes
+// by id.
+type fixture struct {
+	tb    Table
+	nodes []Node // id k is nodes[k-1]
 }
 
-func newItem(id int) *item {
-	it := &item{id: id}
-	it.node.Owner = it
-	return it
+func newFixture(n int) *fixture {
+	f := &fixture{nodes: make([]Node, n)}
+	for k := range f.nodes {
+		if s := f.tb.Add(&f.nodes[k]); s != f.slot(k+1) {
+			panic("klist test: Add handed out an unexpected slot")
+		}
+	}
+	return f
 }
 
-func ids(h *Head) []int {
+func (f *fixture) slot(id int) uint32 { return uint32(id-1) + Base }
+func (f *fixture) node(id int) *Node  { return &f.nodes[id-1] }
+
+func (f *fixture) pushFront(h *Head, id int) { f.tb.PushFront(h, f.node(id), f.slot(id)) }
+func (f *fixture) pushBack(h *Head, id int)  { f.tb.PushBack(h, f.node(id), f.slot(id)) }
+func (f *fixture) remove(h *Head, id int)    { f.tb.Remove(h, f.node(id), f.slot(id)) }
+func (f *fixture) moveBack(h *Head, id int)  { f.tb.MoveBack(h, f.node(id), f.slot(id)) }
+func (f *fixture) unlinkKeepNext(h *Head, id int) {
+	f.tb.UnlinkKeepNext(h, f.node(id), f.slot(id))
+}
+
+// ids walks h front to back.
+func (f *fixture) ids(h *Head) []int {
 	var out []int
-	h.ForEach(func(n *Node) bool {
-		out = append(out, n.Owner.(*item).id)
-		return true
-	})
+	if h.Empty() {
+		return nil
+	}
+	for s := h.First(); s != End; s = f.tb[s].Next() {
+		out = append(out, int(s-Base)+1)
+	}
 	return out
 }
 
-func wantIDs(t *testing.T, h *Head, want ...int) {
+func (f *fixture) want(t *testing.T, h *Head, want ...int) {
 	t.Helper()
-	got := ids(h)
+	got := f.ids(h)
 	if len(got) != len(want) {
 		t.Fatalf("list = %v, want %v", got, want)
 	}
@@ -42,67 +63,74 @@ func wantIDs(t *testing.T, h *Head, want ...int) {
 	}
 }
 
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s should panic", what)
+		}
+	}()
+	fn()
+}
+
 func TestEmptyList(t *testing.T) {
-	h := NewHead()
+	var h Head
 	if !h.Empty() {
-		t.Fatal("new list not empty")
+		t.Fatal("zero Head not empty")
 	}
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", h.Len())
 	}
-	if h.First() != nil {
-		t.Fatal("First on empty list should be nil")
+	if h.First() >= Base {
+		t.Fatal("First on an empty list should name no node")
 	}
 }
 
 func TestPushFrontOrdersLikeRunqueue(t *testing.T) {
 	// add_to_runqueue puts new tasks at the beginning, so the most
 	// recently woken task is First.
-	h := NewHead()
-	for i := 1; i <= 3; i++ {
-		h.PushFront(&newItem(i).node)
+	f := newFixture(3)
+	var h Head
+	for id := 1; id <= 3; id++ {
+		f.pushFront(&h, id)
 	}
-	wantIDs(t, h, 3, 2, 1)
+	f.want(t, &h, 3, 2, 1)
 }
 
 func TestPushBack(t *testing.T) {
-	h := NewHead()
-	for i := 1; i <= 3; i++ {
-		h.PushBack(&newItem(i).node)
+	f := newFixture(3)
+	var h Head
+	for id := 1; id <= 3; id++ {
+		f.pushBack(&h, id)
 	}
-	wantIDs(t, h, 1, 2, 3)
+	f.want(t, &h, 1, 2, 3)
 }
 
 func TestRemoveMiddle(t *testing.T) {
-	h := NewHead()
-	items := make([]*item, 5)
-	for i := range items {
-		items[i] = newItem(i)
-		h.PushBack(&items[i].node)
+	f := newFixture(5)
+	var h Head
+	for id := 1; id <= 5; id++ {
+		f.pushBack(&h, id)
 	}
-	h.Remove(&items[2].node)
-	wantIDs(t, h, 0, 1, 3, 4)
-	if items[2].node.OnList() {
+	f.remove(&h, 3)
+	f.want(t, &h, 1, 2, 4, 5)
+	if f.nodes[2].OnList() {
 		t.Fatal("removed node still claims to be on a list")
 	}
 }
 
 func TestRemoveAllBothEnds(t *testing.T) {
-	h := NewHead()
-	items := make([]*item, 6)
-	for i := range items {
-		items[i] = newItem(i)
-		h.PushBack(&items[i].node)
+	f := newFixture(6)
+	var h Head
+	for id := 1; id <= 6; id++ {
+		f.pushBack(&h, id)
 	}
-	for lo, hi := 0, len(items)-1; lo < hi; lo, hi = lo+1, hi-1 {
-		h.Remove(&items[lo].node)
-		h.Remove(&items[hi].node)
+	for lo, hi := 1, 6; lo < hi; lo, hi = lo+1, hi-1 {
+		f.remove(&h, lo)
+		f.remove(&h, hi)
 	}
-	if !h.Empty() {
-		t.Fatal("list not empty after removing every node")
-	}
-	if h.Len() != 0 {
-		t.Fatalf("Len = %d after draining", h.Len())
+	if !h.Empty() || h.Len() != 0 || h.First() >= Base {
+		t.Fatalf("list %+v not empty after removing every node", h)
 	}
 }
 
@@ -110,266 +138,186 @@ func TestRemoveAllBothEnds(t *testing.T) {
 // (the task that just ran) to the back, as MoveBack does a node from the
 // middle; moving the back node is a no-op.
 func TestMoveFrontBack(t *testing.T) {
-	h := NewHead()
-	items := make([]*item, 4)
-	for i := range items {
-		items[i] = newItem(i)
-		h.PushBack(&items[i].node)
+	f := newFixture(4)
+	var h Head
+	for id := 1; id <= 4; id++ {
+		f.pushBack(&h, id)
 	}
-	h.MoveBack(&items[0].node)
-	wantIDs(t, h, 1, 2, 3, 0)
-	h.MoveBack(&items[2].node)
-	wantIDs(t, h, 1, 3, 0, 2)
-	h.MoveBack(&items[2].node)
-	wantIDs(t, h, 1, 3, 0, 2)
+	f.moveBack(&h, 1)
+	f.want(t, &h, 2, 3, 4, 1)
+	f.moveBack(&h, 3)
+	f.want(t, &h, 2, 4, 1, 3)
+	f.moveBack(&h, 3)
+	f.want(t, &h, 2, 4, 1, 3)
 }
 
 func TestNextNavigation(t *testing.T) {
-	h := NewHead()
-	a, b, c := newItem(1), newItem(2), newItem(3)
-	h.PushBack(&a.node)
-	h.PushBack(&b.node)
-	if a.node.Next() != &b.node {
-		t.Fatal("a.Next should be b")
+	f := newFixture(3)
+	var h Head
+	f.pushBack(&h, 1)
+	f.pushBack(&h, 2)
+	if f.node(1).Next() != f.slot(2) {
+		t.Fatal("1.Next should be 2's slot")
 	}
-	if b.node.Next() != nil {
-		t.Fatal("b.Next should be nil (last)")
+	if f.node(2).Next() != End {
+		t.Fatal("2.Next should be End (last)")
 	}
-	if c.node.Next() != nil {
-		t.Fatal("c.Next should be nil (off list)")
+	if f.node(3).Next() != 0 {
+		t.Fatal("3.Next should be 0 (off list)")
 	}
 }
 
 func TestDoubleInsertPanics(t *testing.T) {
-	h := NewHead()
-	a := newItem(1)
-	h.PushBack(&a.node)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("inserting an on-list node should panic")
-		}
-	}()
-	h.PushFront(&a.node)
+	f := newFixture(1)
+	var h, other Head
+	f.pushBack(&h, 1)
+	mustPanic(t, "inserting an on-list node", func() { f.pushFront(&h, 1) })
+	mustPanic(t, "inserting an on-list node on another list", func() { f.pushBack(&other, 1) })
 }
 
 func TestRemoveOffListPanics(t *testing.T) {
-	h := NewHead()
-	a := newItem(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("removing an off-list node should panic")
-		}
-	}()
-	h.Remove(&a.node)
+	f := newFixture(1)
+	var h Head
+	mustPanic(t, "removing an off-list node", func() { f.remove(&h, 1) })
 }
 
+// TestCrossListRemovePanics: with no back-pointer, a remove from the wrong
+// list is caught wherever the node's links show it — at either end of its
+// own list, the other list's first or last is not it.
 func TestCrossListRemovePanics(t *testing.T) {
-	h1, h2 := NewHead(), NewHead()
-	a := newItem(1)
-	h1.PushBack(&a.node)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("removing from the wrong list should panic")
-		}
-	}()
-	h2.Remove(&a.node)
+	f := newFixture(4)
+	var h1, h2 Head
+	f.pushBack(&h1, 1)
+	mustPanic(t, "removing a lone node from the wrong list", func() { f.remove(&h2, 1) })
+	f.pushBack(&h1, 2)
+	f.pushBack(&h2, 3)
+	f.pushBack(&h2, 4)
+	mustPanic(t, "removing a first node from the wrong list", func() { f.remove(&h2, 1) })
+	mustPanic(t, "removing a last node from the wrong list", func() { f.remove(&h2, 2) })
+	f.want(t, &h1, 1, 2)
+	f.want(t, &h2, 3, 4)
 }
 
 func TestUnlinkKeepNextELSCConvention(t *testing.T) {
 	// The ELSC scheduler pulls the running task out of its table list but
-	// leaves next non-nil so the rest of the kernel still sees it as "on
-	// the run queue" (paper §5.1 footnote 3).
-	h := NewHead()
-	a, b, c := newItem(1), newItem(2), newItem(3)
-	h.PushBack(&a.node)
-	h.PushBack(&b.node)
-	h.PushBack(&c.node)
-
-	got := b.node.UnlinkKeepNext()
-	if got != h {
-		t.Fatal("UnlinkKeepNext should return the owning head")
+	// leaves next set so the rest of the kernel still sees it as "on the
+	// run queue" (paper §5.1 footnote 3).
+	f := newFixture(3)
+	var h Head
+	for id := 1; id <= 3; id++ {
+		f.pushBack(&h, id)
 	}
-	wantIDs(t, h, 1, 3)
-	if !b.node.OnList() {
-		t.Fatal("logically-queued node must still report OnList (next != nil)")
+	b := &f.nodes[1]
+	f.unlinkKeepNext(&h, 2)
+	f.want(t, &h, 1, 3)
+	if !b.OnList() {
+		t.Fatal("logically-queued node must still report OnList (next != 0)")
 	}
-	if b.node.InListProper() {
+	if b.InListProper() {
 		t.Fatal("logically-queued node must not be physically in a list")
 	}
-	b.node.ResetDangling()
-	if b.node.OnList() {
+	mustPanic(t, "removing a logically-queued node", func() { f.remove(&h, 2) })
+	b.ResetDangling()
+	if b.OnList() {
 		t.Fatal("after ResetDangling node must be fully off list")
 	}
-	h.PushFront(&b.node)
-	wantIDs(t, h, 2, 1, 3)
+	f.pushFront(&h, 2)
+	f.want(t, &h, 2, 1, 3)
 }
 
 // TestMarkQueuedIsTheDanglingState: a node marked queued reads as on a
 // list while in none, refuses to be inserted or marked again until
 // ResetDangling clears it, and is then an ordinary off-list node.
 func TestMarkQueuedIsTheDanglingState(t *testing.T) {
-	h := NewHead()
-	a, b := newItem(1), newItem(2)
-	h.PushBack(&a.node)
+	f := newFixture(2)
+	var h Head
+	f.pushBack(&h, 1)
 
-	b.node.MarkQueued()
-	if !b.node.OnList() || b.node.InListProper() {
-		t.Fatalf("marked node: OnList=%v InListProper=%v, want true/false", b.node.OnList(), b.node.InListProper())
+	b := &f.nodes[1]
+	b.MarkQueued()
+	if !b.OnList() || b.InListProper() {
+		t.Fatalf("marked node: OnList=%v InListProper=%v, want true/false", b.OnList(), b.InListProper())
 	}
-	wantIDs(t, h, 1)
-	mustPanic := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s on a marked node should panic", what)
-			}
-		}()
-		fn()
-	}
-	mustPanic("PushFront", func() { h.PushFront(&b.node) })
-	mustPanic("PushBack", func() { h.PushBack(&b.node) })
-	mustPanic("MarkQueued", func() { b.node.MarkQueued() })
-	mustPanic("Remove", func() { h.Remove(&b.node) })
-	wantIDs(t, h, 1)
+	f.want(t, &h, 1)
+	mustPanic(t, "PushFront of a marked node", func() { f.pushFront(&h, 2) })
+	mustPanic(t, "PushBack of a marked node", func() { f.pushBack(&h, 2) })
+	mustPanic(t, "MarkQueued of a marked node", func() { b.MarkQueued() })
+	mustPanic(t, "Remove of a marked node", func() { f.remove(&h, 2) })
+	f.want(t, &h, 1)
 
-	b.node.ResetDangling()
-	if b.node.OnList() {
+	b.ResetDangling()
+	if b.OnList() {
 		t.Fatal("after ResetDangling a marked node must be fully off list")
 	}
-	h.PushFront(&b.node)
-	wantIDs(t, h, 2, 1)
-	mustPanic("MarkQueued of a linked node", func() { a.node.MarkQueued() })
+	f.pushFront(&h, 2)
+	f.want(t, &h, 2, 1)
+	mustPanic(t, "MarkQueued of a linked node", func() { f.nodes[0].MarkQueued() })
 }
 
 func TestResetDanglingOnListPanics(t *testing.T) {
-	h := NewHead()
-	a := newItem(1)
-	h.PushBack(&a.node)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ResetDangling on an in-list node should panic")
-		}
-	}()
-	a.node.ResetDangling()
+	f := newFixture(1)
+	var h Head
+	f.pushBack(&h, 1)
+	mustPanic(t, "ResetDangling on an in-list node", func() { f.nodes[0].ResetDangling() })
 }
 
-func TestForEachEarlyStop(t *testing.T) {
-	h := NewHead()
-	for i := 0; i < 5; i++ {
-		h.PushBack(&newItem(i).node)
-	}
-	count := 0
-	h.ForEach(func(n *Node) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("visited %d nodes, want 3", count)
-	}
-}
-
-func TestInitResets(t *testing.T) {
-	h := NewHead()
-	h.PushBack(&newItem(1).node)
-	h.Init()
-	if !h.Empty() || h.Len() != 0 {
-		t.Fatal("Init should empty the list")
-	}
-}
-
-// checkRing validates the structural invariants of the ring.
-func checkRing(t *testing.T, h *Head) {
-	t.Helper()
-	n := 0
-	h.ForEach(func(node *Node) bool {
-		if node.head != h {
-			t.Fatal("node.head mismatch")
-		}
-		if node.next.prev != node || node.prev.next != node {
-			t.Fatal("broken ring links")
-		}
-		n++
-		return true
-	})
-	if n != h.Len() {
-		t.Fatalf("walked %d nodes, Len says %d", n, h.Len())
-	}
-}
-
-// TestQuickAgainstSliceModel drives the list with random operations and
-// compares against a plain slice reference model.
+// TestQuickAgainstSliceModel drives one list with random operations and
+// compares against a plain slice reference model; FuzzKlist is the
+// several-list, every-operation version.
 func TestQuickAgainstSliceModel(t *testing.T) {
-	f := func(seed int64, opsRaw []byte) bool {
+	check := func(seed int64, opsRaw []byte) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHead()
-		var model []*item
-		pool := make([]*item, 64)
-		for i := range pool {
-			pool[i] = newItem(i)
-		}
-		onList := make(map[int]bool)
+		f := newFixture(64)
+		var h Head
+		var model []uint32
+		onList := make(map[uint32]bool)
 
 		for _, op := range opsRaw {
 			switch op % 5 {
-			case 0: // push front
-				it := pool[rng.Intn(len(pool))]
-				if onList[it.id] {
+			case 0, 1: // push front, push back
+				id := 1 + rng.Intn(64)
+				s := f.slot(id)
+				if onList[s] {
 					continue
 				}
-				h.PushFront(&it.node)
-				model = append([]*item{it}, model...)
-				onList[it.id] = true
-			case 1: // push back
-				it := pool[rng.Intn(len(pool))]
-				if onList[it.id] {
-					continue
+				if op%5 == 0 {
+					f.pushFront(&h, id)
+					model = append([]uint32{s}, model...)
+				} else {
+					f.pushBack(&h, id)
+					model = append(model, s)
 				}
-				h.PushBack(&it.node)
-				model = append(model, it)
-				onList[it.id] = true
+				onList[s] = true
 			case 2: // remove random element
 				if len(model) == 0 {
 					continue
 				}
 				i := rng.Intn(len(model))
-				it := model[i]
-				h.Remove(&it.node)
+				s := model[i]
+				f.remove(&h, int(s-Base)+1)
 				model = append(model[:i], model[i+1:]...)
-				onList[it.id] = false
+				onList[s] = false
 			case 3: // move back
 				if len(model) == 0 {
 					continue
 				}
 				i := rng.Intn(len(model))
-				it := model[i]
-				h.MoveBack(&it.node)
-				model = append(model[:i], model[i+1:]...)
-				model = append(model, it)
+				s := model[i]
+				f.moveBack(&h, int(s-Base)+1)
+				model = append(append(model[:i], model[i+1:]...), s)
 			case 4: // check first
-				if len(model) == 0 {
-					if h.First() != nil {
-						return false
-					}
-					continue
-				}
-				if h.First().Owner.(*item) != model[0] {
+				if len(model) == 0 && !h.Empty() || len(model) > 0 && h.First() != model[0] {
 					return false
 				}
 			}
-			checkRing(t, h)
-			got := ids(h)
-			if len(got) != len(model) {
+			if err := checkList(f.tb, &h, model); err != nil {
+				t.Log(err)
 				return false
-			}
-			for i := range got {
-				if got[i] != model[i].id {
-					return false
-				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

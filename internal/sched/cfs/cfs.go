@@ -179,8 +179,8 @@ func (h *fheap) removeAt(i int) fentry {
 func rtLevelOf(t *task.Task) int { return task.MaxRTPriority - t.RTPriority }
 
 // runqueue is one CPU's fair heap plus real-time array — one FIFO list per
-// rt_priority level under a find-first-set bitmap, the o1 idiom, its zero
-// value ready and without lists until a real-time task arrives. minVR is the
+// rt_priority level under a find-first-set bitmap, the o1 idiom, without
+// lists until a real-time task arrives. minVR is the
 // monotone virtual clock the sleeper clamp and migration renorm anchor
 // to; maxVR is the high-watermark a yielding task is sent behind;
 // weight sums the queued fair entries' weights for slice computation.
@@ -219,6 +219,9 @@ type Sched struct {
 func New(env *sched.Env) *Sched {
 	s := &Sched{env: env, rqs: make([]runqueue, env.NCPU)}
 	s.bal = sched.NewBalancer(env, env.Topo, s.stealCandidate, s.pulled)
+	for i := range s.rqs {
+		s.rqs[i].rt.Init(&env.Tasks, nil)
+	}
 	return s
 }
 
@@ -594,7 +597,7 @@ func (s *Sched) PreemptsCurr(t, curr *task.Task) bool {
 func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	rq := &s.rqs[cpu]
 	if lvl := rq.rt.Next(0); lvl >= 0 {
-		head := task.FromNode(rq.rt.Level(lvl).First())
+		head := rq.rt.First(lvl)
 		if sched.CanSchedule(head, cpu) && (!t.RealTime() || lvl < rtLevelOf(t)) {
 			return true, false
 		}

@@ -353,8 +353,15 @@ func TestRealTimeLevelsAllocateOncePerArray(t *testing.T) {
 			worlds := make([]world, runs+1)
 			for i := range worlds {
 				env := sched.NewEnv(1, false, func() int { return 4 })
-				worlds[i] = world{env, experiments.Factory(name)(env),
+				w := world{env, experiments.Factory(name)(env),
 					task.NewRT(1, "rt", task.FIFO, 50, env.Epoch), mkTask(env, 2, 20, 0)}
+				// A task's first filing numbers it in the Env's table, which
+				// grows like any slice; number both here (Link), so what is
+				// measured is the real-time levels alone.
+				for _, tk := range []*task.Task{w.rt, w.spent} {
+					env.Tasks.Link(tk)
+				}
+				worlds[i] = w
 			}
 			idle := mkIdle(0)
 			i := 0

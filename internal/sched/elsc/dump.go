@@ -3,9 +3,6 @@ package elsc
 import (
 	"fmt"
 	"strings"
-
-	"elsc/internal/klist"
-	"elsc/internal/task"
 )
 
 // Dump renders the table in the style of the paper's Figure 1b: one line
@@ -25,8 +22,7 @@ func (s *Sched) Dump() string {
 		}
 		fmt.Fprintf(&b, "  [%2d %-5s] ", idx, kind)
 		first := true
-		s.lists[idx].ForEach(func(n *klist.Node) bool {
-			t := task.FromNode(n)
+		for t := s.env.Tasks.First(&s.lists[idx]); t != nil; t = s.env.Tasks.Next(t) {
 			if !first {
 				b.WriteString(" -> ")
 			}
@@ -38,8 +34,7 @@ func (s *Sched) Dump() string {
 			} else {
 				fmt.Fprintf(&b, "%s sg=%d", t.Name, t.StaticGoodness(s.env.Epoch))
 			}
-			return true
-		})
+		}
 		b.WriteByte('\n')
 	}
 	return b.String()

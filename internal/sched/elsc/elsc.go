@@ -103,9 +103,6 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 		top:     -1,
 		nextTop: -1,
 	}
-	for i := range s.lists {
-		s.lists[i].Init()
-	}
 	return s
 }
 
@@ -171,33 +168,25 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 		return
 	}
 	c := t.Counter(s.env.Epoch)
+	n, i := s.env.Tasks.Link(t)
 	if t.RealTime() || c > 0 {
 		idx := s.indexFor(t, c)
-		s.insertFront(t, idx)
+		s.env.Tasks.Nodes().PushFront(&s.lists[idx], n, i)
+		t.QIndex, t.QZero = idx, false
+		s.nz[idx]++
 		if idx > s.top {
 			s.top = idx
 		}
 	} else {
 		idx := s.indexFor(t, t.PredictedCounter(s.env.Epoch))
-		s.lists[idx].PushBack(&t.RunList)
-		t.QIndex = idx
-		t.QZero = true
-		t.QStamp = s.env.Epoch.N()
+		s.env.Tasks.Nodes().PushBack(&s.lists[idx], n, i)
+		t.QIndex, t.QZero = idx, true
 		s.z[idx]++
-		s.total++
 		if idx > s.nextTop {
 			s.nextTop = idx
 		}
 	}
-}
-
-// insertFront links t at the front of list idx in the selectable section.
-func (s *Sched) insertFront(t *task.Task, idx int) {
-	s.lists[idx].PushFront(&t.RunList)
-	t.QIndex = idx
-	t.QZero = false
 	t.QStamp = s.env.Epoch.N()
-	s.nz[idx]++
 	s.total++
 }
 
@@ -222,7 +211,8 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 // want a full removal must also ResetDangling.
 func (s *Sched) unlink(t *task.Task) {
 	idx := t.QIndex
-	t.RunList.UnlinkKeepNext()
+	n, i := s.env.Tasks.Link(t)
+	s.env.Tasks.Nodes().UnlinkKeepNext(&s.lists[idx], n, i)
 	s.total--
 	if s.inZeroSection(t) {
 		s.z[idx]--
@@ -256,8 +246,7 @@ func (s *Sched) Runnable() int { return s.total }
 // DelFromRunqueue repairs nz/z/top/nextTop as it goes.
 func (s *Sched) Drain(_ int, out []*task.Task) []*task.Task {
 	for i := range s.lists {
-		for n := s.lists[i].First(); n != nil; n = s.lists[i].First() {
-			t := task.FromNode(n)
+		for t := s.env.Tasks.First(&s.lists[i]); t != nil; t = s.env.Tasks.First(&s.lists[i]) {
 			s.DelFromRunqueue(t)
 			out = append(out, t)
 		}
@@ -271,8 +260,7 @@ func (s *Sched) checkInvariants() {
 	total := 0
 	for i := range s.lists {
 		nz, z := 0, 0
-		s.lists[i].ForEach(func(n *klist.Node) bool {
-			t := task.FromNode(n)
+		for t := s.env.Tasks.First(&s.lists[i]); t != nil; t = s.env.Tasks.Next(t) {
 			if t.QIndex != i {
 				panic(fmt.Sprintf("elsc: task %v QIndex=%d but on list %d", t, t.QIndex, i))
 			}
@@ -284,8 +272,7 @@ func (s *Sched) checkInvariants() {
 				}
 				nz++
 			}
-			return true
-		})
+		}
 		if nz != s.nz[i] || z != s.z[i] {
 			panic(fmt.Sprintf("elsc: list %d counts nz=%d z=%d, recorded nz=%d z=%d", i, nz, z, s.nz[i], s.z[i]))
 		}

@@ -534,8 +534,8 @@ func TestSchedulerCostIndependentOfQueueDepth(t *testing.T) {
 // listOrder returns table list idx front to back.
 func listOrder(s *Sched, idx int) []*task.Task {
 	var out []*task.Task
-	for n := s.lists[idx].First(); n != nil; n = n.Next() {
-		out = append(out, task.FromNode(n))
+	for t := s.env.Tasks.First(&s.lists[idx]); t != nil; t = s.env.Tasks.Next(t) {
+		out = append(out, t)
 	}
 	return out
 }

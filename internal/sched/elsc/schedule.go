@@ -1,7 +1,6 @@
 package elsc
 
 import (
-	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/task"
 )
@@ -40,7 +39,8 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			// is the back of the selectable section.
 			if prev.Policy == task.RR && prev.Counter(env.Epoch) == 0 {
 				prev.SetCounter(env.Epoch, prev.Priority)
-				s.lists[prev.QIndex].MoveBack(&prev.RunList)
+				n, i := env.Tasks.Link(prev)
+				env.Tasks.Nodes().MoveBack(&s.lists[prev.QIndex], n, i)
 				res.Cycles += env.Cost.MoveRunqueue
 			}
 		} else if prev.OnRunqueue() {
@@ -127,27 +127,26 @@ func (s *Sched) searchOther(idx, cpu int, prev *task.Task, yieldedPrev bool, lim
 	count := 0
 	upShortcut := !env.SMP && !s.cfg.DisableUPShortcut
 
-	s.lists[idx].ForEach(func(n *klist.Node) bool {
-		t := task.FromNode(n)
+	for t := env.Tasks.First(&s.lists[idx]); t != nil && count < limit; t = env.Tasks.Next(t) {
 		count++
 		res.Examined++
 		if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
 			// Still executing on another CPU, or pinned elsewhere;
 			// not schedulable here.
 			res.Cycles += env.Cost.Touch(env.NCPU)
-			return count < limit
+			continue
 		}
 		if s.inZeroSection(t) {
 			// "The rest of the list is either empty or unusable."
 			res.Cycles += env.Cost.Touch(env.NCPU)
-			return false
+			break
 		}
 		if t == prev && yieldedPrev {
 			// "We will run it only if we cannot find another task
 			// on the list."
 			res.Cycles += env.Cost.Touch(env.NCPU)
 			yieldFallback = t
-			return count < limit
+			continue
 		}
 		res.Cycles += env.Cost.Evaluate(env.NCPU)
 		w := sched.Goodness(env.Epoch, t, cpu, prev.MM)
@@ -155,13 +154,12 @@ func (s *Sched) searchOther(idx, cpu int, prev *task.Task, yieldedPrev bool, lim
 			// Uniprocessor shortcut: no later task in this list can
 			// collect a larger bonus, so run this one right away.
 			best, bestG = t, w
-			return false
+			break
 		}
 		if w > bestG {
 			best, bestG = t, w
 		}
-		return count < limit
-	})
+	}
 
 	if best == nil {
 		best = yieldFallback
@@ -176,18 +174,16 @@ func (s *Sched) searchRT(idx, cpu, limit int, res *sched.Result) *task.Task {
 	env := s.env
 	var best *task.Task
 	count := 0
-	s.lists[idx].ForEach(func(n *klist.Node) bool {
-		t := task.FromNode(n)
+	for t := env.Tasks.First(&s.lists[idx]); t != nil && count < limit; t = env.Tasks.Next(t) {
 		count++
 		res.Examined++
 		res.Cycles += env.Cost.Touch(env.NCPU)
 		if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
-			return count < limit
+			continue
 		}
 		if best == nil || t.RTPriority > best.RTPriority {
 			best = t
 		}
-		return count < limit
-	})
+	}
 	return best
 }

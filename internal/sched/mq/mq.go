@@ -20,19 +20,17 @@ import (
 // Sched is the per-CPU multi-queue scheduler. Create with New.
 type Sched struct {
 	env    *sched.Env
-	queues []*klist.Head
+	queues []klist.Head
 	counts sched.QueueLens // per-queue lengths; placement is the shared Home rule
 }
 
 // New returns a multi-queue scheduler bound to env.
 func New(env *sched.Env) *Sched {
-	s := &Sched{env: env}
-	s.queues = make([]*klist.Head, env.NCPU)
-	s.counts = make(sched.QueueLens, env.NCPU)
-	for i := range s.queues {
-		s.queues[i] = klist.NewHead()
+	return &Sched{
+		env:    env,
+		queues: make([]klist.Head, env.NCPU),
+		counts: make(sched.QueueLens, env.NCPU),
 	}
-	return s
 }
 
 // Name implements sched.Scheduler.
@@ -52,7 +50,8 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 	}
 	t.SyncCounter(s.env.Epoch)
 	home := s.counts.Home(s.env, t)
-	s.queues[home].PushFront(&t.RunList)
+	n, i := s.env.Tasks.Link(t)
+	s.env.Tasks.Nodes().PushFront(&s.queues[home], n, i)
 	s.counts[home]++
 	t.QIndex = home
 }
@@ -62,7 +61,8 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	if !t.OnRunqueue() {
 		return
 	}
-	s.queues[t.QIndex].Remove(&t.RunList)
+	n, i := s.env.Tasks.Link(t)
+	s.env.Tasks.Nodes().Remove(&s.queues[t.QIndex], n, i)
 	s.counts[t.QIndex]--
 }
 
@@ -72,8 +72,7 @@ func (s *Sched) Runnable() int { return s.counts.Total() }
 // Drain implements sched.Scheduler: empty CPU q's private queue, front to
 // back.
 func (s *Sched) Drain(q int, out []*task.Task) []*task.Task {
-	for n := s.queues[q].First(); n != nil; n = s.queues[q].First() {
-		t := task.FromNode(n)
+	for t := s.env.Tasks.First(&s.queues[q]); t != nil; t = s.env.Tasks.First(&s.queues[q]) {
 		s.DelFromRunqueue(t)
 		out = append(out, t)
 	}
@@ -100,7 +99,8 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 				// Round-robin rotation: behind its rt_priority equals,
 				// which the scan's strict > then prefers. Its goodness
 				// still beats every lower level.
-				s.queues[prev.QIndex].MoveBack(&prev.RunList)
+				n, i := env.Tasks.Link(prev)
+				env.Tasks.Nodes().MoveBack(&s.queues[prev.QIndex], n, i)
 			}
 			res.Cycles += env.Cost.AddRunqueue
 		}
@@ -170,28 +170,22 @@ func (s *Sched) scanQueue(q, cpu int, prev *task.Task, yielded bool, res *sched.
 	var best *task.Task
 	bestG := 0
 	sawZero := false
-	s.queues[q].ForEach(func(n *klist.Node) bool {
-		t := task.FromNode(n)
+	for t := env.Tasks.First(&s.queues[q]); t != nil; t = env.Tasks.Next(t) {
 		res.Examined++
-		if !sched.CanSchedule(t, cpu) {
+		if !sched.CanSchedule(t, cpu) || t == prev && yielded {
 			res.Cycles += env.Cost.Touch(env.NCPU)
-			return true
-		}
-		if t == prev && yielded {
-			res.Cycles += env.Cost.Touch(env.NCPU)
-			return true
+			continue
 		}
 		res.Cycles += env.Cost.Evaluate(env.NCPU)
 		g := sched.Goodness(env.Epoch, t, cpu, prev.MM)
 		if g == 0 {
 			sawZero = true
-			return true
+			continue
 		}
 		if g > bestG {
 			bestG = g
 			best = t
 		}
-		return true
-	})
+	}
 	return best, bestG, sawZero
 }

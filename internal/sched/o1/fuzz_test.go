@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/task"
 )
@@ -163,8 +162,8 @@ func (r *fuzzRig) checkInvariants() error {
 			for lvl := arr.Next(0); lvl >= 0; lvl = arr.Next(lvl + 1) {
 				n := 0
 				var walkErr error
-				arr.Level(lvl).ForEach(func(node *klist.Node) bool {
-					tk := task.FromNode(node)
+				for tk := arr.First(lvl); tk != nil && n <= fuzzTasks; tk = r.s.env.Tasks.Next(tk) {
+					// The walk is bounded: a longer list is a cycle.
 					queued[tk]++
 					sa, sl := unstamp(tk.QStamp)
 					if tk.QIndex != q || sa != ai || sl != lvl {
@@ -175,8 +174,7 @@ func (r *fuzzRig) checkInvariants() error {
 						walkErr = fmt.Errorf("task %v (real-time %v) on q%d/a%d level %d", tk, tk.RealTime(), q, ai, lvl)
 					}
 					n++
-					return n <= fuzzTasks // bound the walk: a longer list is a cycle
-				})
+				}
 				if walkErr != nil {
 					return walkErr
 				}

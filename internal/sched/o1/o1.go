@@ -182,8 +182,8 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 	s.bal = sched.NewBalancer(env, topo, s.stealCandidate, s.pulled)
 	for i := range s.rqs {
 		rq := &s.rqs[i]
-		rq.arrays[0].Init(rq.lists[0][:])
-		rq.arrays[1].Init(rq.lists[1][:])
+		rq.arrays[0].Init(&env.Tasks, rq.lists[0][:])
+		rq.arrays[1].Init(&env.Tasks, rq.lists[1][:])
 	}
 	return s
 }
@@ -479,7 +479,7 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	rq := &s.rqs[cpu]
 	lvl := s.levelFor(t)
 	if best := rq.active().Next(0); best >= 0 && best < lvl {
-		if sched.CanSchedule(task.FromNode(rq.active().Level(best).First()), cpu) {
+		if sched.CanSchedule(rq.active().First(best), cpu) {
 			return true, false // a better level waits: re-pick, t keeps its spot
 		}
 	}
@@ -490,7 +490,7 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	if c <= 0 || c%granularityTicks != 0 {
 		return false, false
 	}
-	if rq.active().Level(lvl).Empty() {
+	if rq.active().First(lvl) == nil {
 		return false, false
 	}
 	rq.rotate = t

@@ -69,7 +69,7 @@ func TestBitmapFindFirstSet(t *testing.T) {
 	env := newEnv(1, 2)
 	var rq runqueue
 	a := &rq.arrays[0]
-	a.Init(rq.lists[0][:])
+	a.Init(&env.Tasks, rq.lists[0][:])
 	if a.Next(0) != -1 {
 		t.Fatal("empty array must report no level")
 	}

@@ -51,45 +51,45 @@ const RTLevels = task.MaxRTPriority + 1
 
 // LevelArray is a priority array in the shape of 2.5's struct prio_array:
 // one FIFO list per level, a find-first-set bitmap over the levels and a
-// task count. Level 0 is the best. The lists are two segments (trap (c) in
-// the package doc): the SCHED_OTHER levels, RTLevels and up, are storage in
-// the policy's queue set, handed to Init — none for cfs, whose zero-value
-// array is ready; the real-time levels below are the array's own and exist
-// from the first push to one of them, which no registry cell makes.
+// task count. Level 0 is the best. The lists link slots of the Env's task
+// table, and are two segments (trap (c) in the package doc): the
+// SCHED_OTHER levels, RTLevels and up, are storage in the policy's queue
+// set, handed to Init — none for cfs; the real-time levels below are the
+// array's own and exist from the first push to one of them, which no
+// registry cell makes.
 type LevelArray struct {
 	bitmap [levelWords]uint64
+	tasks  *task.Table
 	rt     []klist.Head // levels 0..RTLevels-1; nil until first pushed to
 	other  []klist.Head // levels RTLevels and up
 	count  int
 }
 
-// Init makes a an empty array of RTLevels real-time levels and one
-// SCHED_OTHER level per element of other.
-func (a *LevelArray) Init(other []klist.Head) {
+// Init makes a an empty array over tasks of RTLevels real-time levels and
+// one SCHED_OTHER level per element of other, which must be empty lists.
+func (a *LevelArray) Init(tasks *task.Table, other []klist.Head) {
 	if RTLevels+len(other) > levelWords*64 {
 		panic("sched: LevelArray over more lists than its bitmap has bits")
 	}
-	initLists(other)
-	*a = LevelArray{other: other}
-}
-
-func initLists(lists []klist.Head) {
-	for i := range lists {
-		lists[i].Init()
-	}
+	*a = LevelArray{tasks: tasks, other: other}
 }
 
 // Len returns the number of queued tasks.
 func (a *LevelArray) Len() int { return a.count }
 
-// Level returns level lvl's list, front (next to run) first. A real-time
-// lvl must be one a task is or was filed at: read the bitmap or a stamp.
-func (a *LevelArray) Level(lvl int) *klist.Head {
+// level returns level lvl's list. A real-time lvl must be one a task is or
+// was filed at: read the bitmap or a stamp.
+func (a *LevelArray) level(lvl int) *klist.Head {
 	if lvl >= RTLevels {
 		return &a.other[lvl-RTLevels]
 	}
 	return &a.rt[lvl]
 }
+
+// First returns the task at the front of level lvl (next to run there), or
+// nil; the rest of the level follows it through the task table's Next. A
+// real-time lvl must be one a task is or was filed at, as for level.
+func (a *LevelArray) First(lvl int) *task.Task { return a.tasks.First(a.level(lvl)) }
 
 // Next returns the best populated level >= from, or -1; Next(0) is the
 // array's best level.
@@ -112,13 +112,12 @@ func (a *LevelArray) Next(from int) int {
 func (a *LevelArray) Push(t *task.Task, lvl int, front bool) {
 	if lvl < RTLevels && a.rt == nil {
 		a.rt = make([]klist.Head, RTLevels)
-		initLists(a.rt)
 	}
-	l := a.Level(lvl)
+	n, i := a.tasks.Link(t)
 	if front {
-		l.PushFront(&t.RunList)
+		a.tasks.Nodes().PushFront(a.level(lvl), n, i)
 	} else {
-		l.PushBack(&t.RunList)
+		a.tasks.Nodes().PushBack(a.level(lvl), n, i)
 	}
 	a.bitmap[lvl/64] |= 1 << uint(lvl%64)
 	a.count++
@@ -126,8 +125,9 @@ func (a *LevelArray) Push(t *task.Task, lvl int, front bool) {
 
 // Remove unlinks t from level lvl, where it must be filed.
 func (a *LevelArray) Remove(t *task.Task, lvl int) {
-	l := a.Level(lvl)
-	l.Remove(&t.RunList)
+	l := a.level(lvl)
+	n, i := a.tasks.Link(t)
+	a.tasks.Nodes().Remove(l, n, i)
 	if l.Empty() {
 		a.bitmap[lvl/64] &^= 1 << uint(lvl%64)
 	}
@@ -143,8 +143,7 @@ func (a *LevelArray) Pick(env *Env, cpu int, res *Result) *task.Task {
 	touch := env.Cost.Touch(env.NCPU)
 	for lvl := a.Next(0); lvl >= 0; lvl = a.Next(lvl + 1) {
 		res.Cycles += env.Cost.BitmapOp
-		for n := a.Level(lvl).First(); n != nil; n = n.Next() {
-			t := task.FromNode(n)
+		for t := a.First(lvl); t != nil; t = a.tasks.Next(t) {
 			res.Examined++
 			res.Cycles += touch
 			if CanSchedule(t, cpu) {
@@ -160,7 +159,7 @@ func (a *LevelArray) Pick(env *Env, cpu int, res *Result) *task.Task {
 // queue-length count.
 func (a *LevelArray) Drain(out []*task.Task) []*task.Task {
 	for lvl := a.Next(0); lvl >= 0; lvl = a.Next(lvl) {
-		t := task.FromNode(a.Level(lvl).First())
+		t := a.First(lvl)
 		a.Remove(t, lvl)
 		out = append(out, t)
 	}

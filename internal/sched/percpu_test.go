@@ -19,7 +19,7 @@ func TestLevelArrayAtBothSizes(t *testing.T) {
 		t.Run(fmt.Sprint(levels), func(t *testing.T) {
 			env := NewEnv(2, true, nil)
 			var a LevelArray
-			a.Init(make([]klist.Head, levels-RTLevels))
+			a.Init(&env.Tasks, make([]klist.Head, levels-RTLevels))
 			top := levels - 1
 			if a.Next(0) != -1 || a.Next(top) != -1 || a.Next(levels) != -1 {
 				t.Fatal("empty array must report no level")
@@ -87,10 +87,9 @@ type twinArrays struct {
 func newTwinArrays(t *testing.T, otherLevels int) *twinArrays {
 	w := &twinArrays{t: t, env: NewEnv(2, true, nil), levels: RTLevels + otherLevels,
 		lt: map[int]*task.Task{}, et: map[int]*task.Task{}}
-	w.lazy.Init(make([]klist.Head, otherLevels))
-	w.eager.Init(make([]klist.Head, otherLevels))
+	w.lazy.Init(&w.env.Tasks, make([]klist.Head, otherLevels))
+	w.eager.Init(&w.env.Tasks, make([]klist.Head, otherLevels))
 	w.eager.rt = make([]klist.Head, RTLevels)
-	initLists(w.eager.rt)
 	return w
 }
 
@@ -223,8 +222,11 @@ func TestLevelArrayRealTimeAllocatesOnce(t *testing.T) {
 	arrays := make([]LevelArray, runs+1)
 	tasks := make([]*task.Task, len(arrays))
 	for i := range arrays {
-		arrays[i].Init(make([]klist.Head, task.MaxPriority))
+		arrays[i].Init(&env.Tasks, make([]klist.Head, task.MaxPriority))
 		tasks[i] = queued(env, i+1)
+		// A first filing numbers the task in the Env's table; do that
+		// here (Link), so the measured push allocates for the array alone.
+		env.Tasks.Link(tasks[i])
 	}
 	i := 0
 	if allocs := testing.AllocsPerRun(runs, func() {

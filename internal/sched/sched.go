@@ -86,9 +86,10 @@
 // Schedule: o1 dequeues it where it waits, cfs re-homes it first. mq keeps
 // its own goodness-scan steal and uses QueueLens and CanSchedule only.
 //
-// Three shapes in there are host-cost decisions, each measured on the
+// Four shapes in there are host-cost decisions, each measured on the
 // repo benchmark — (a) and (b) when the substrate was extracted, (c) when
-// the real-time levels went on demand (parent → variant):
+// the real-time levels went on demand, (d) when the run lists became
+// index-linked (parent → variant):
 //
 //   - (a) The hooks return their scan's Examined and Cycles by value, in a
 //     Result. A hook that takes the caller's *Result through a func value
@@ -123,6 +124,23 @@
 //     CPUs, idle tasks and procs raised alloc_mb 77 → 91.5 and left
 //     setup_s where it was. Giving every array o1's 140 levels (caller
 //     storage, cfs included) had cost alloc_mb +5.4% on matrix_quick.
+//   - (d) Every run list links slots of the Env's task table (Env.Tasks):
+//     an 8-byte klist.Node and a 12-byte zero-value klist.Head where they
+//     were 40 and 48 bytes, so o1's 80 SCHED_OTHER heads per CPU cost 960
+//     bytes, not 3,840, and a 32-CPU o1 boot 68 KB, not 160 (with Task
+//     256 → 192 bytes). What kept the sentinel-free head of (c)'s first
+//     neighbour from costing its 3-5 ns per Del+Add again is that no list
+//     operation is a call: klist's End is a scratch slot in every table,
+//     so a splice writes both neighbours' links without asking whether
+//     they are list ends, klist.Table.Remove and PushFront fit the
+//     inliner's budget, and a policy files a task with task.Table.Link
+//     (also inlined; a task's first slot is numbered out of line) plus the
+//     klist operation, not through a wrapper that would not inline. The
+//     Task's first cache line holds what filing reads. What the indices
+//     still cost is a walk's step: a successor's slot, then the table's
+//     entry for it, one dependent load more than a pointer chase. That
+//     shows only where a walk is long and misses cache (reg's micro
+//     Schedule at 1024 queued tasks), not on a benchmark workload.
 package sched
 
 import (
@@ -337,6 +355,11 @@ type Env struct {
 	// policy's own doing — a balancer pull. Never nil: NewEnv installs a
 	// no-op, the kernel its delivery bookkeeping.
 	Requeued func(t *task.Task)
+
+	// Tasks numbers every task a policy built on this Env files on a list;
+	// the policies' run lists are lists of its slots. Like the online
+	// mask, it survives hot policy switches.
+	Tasks task.Table
 
 	// online is the bitmask of online CPUs (bit i == CPU i is online),
 	// maintained by the kernel across hotplug events. NCPU is capped at

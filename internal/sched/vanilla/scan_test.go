@@ -14,14 +14,14 @@ import (
 // the policy read before Sched indexed its queue.
 type scanSched struct {
 	env *sched.Env
-	rq  *klist.Head
+	rq  klist.Head
 	// running counts tasks on the queue currently marked HasCPU, so
 	// Runnable can exclude them without a scan.
 	running int
 }
 
 func newScan(env *sched.Env) *scanSched {
-	return &scanSched{env: env, rq: klist.NewHead()}
+	return &scanSched{env: env}
 }
 
 // AddToRunqueue adds t at the front of the run queue, as add_to_runqueue
@@ -34,7 +34,8 @@ func (s *scanSched) AddToRunqueue(t *task.Task) {
 		return
 	}
 	t.SyncCounter(s.env.Epoch)
-	s.rq.PushFront(&t.RunList)
+	n, i := s.env.Tasks.Link(t)
+	s.env.Tasks.Nodes().PushFront(&s.rq, n, i)
 	if t.HasCPU {
 		s.running++
 	}
@@ -45,7 +46,8 @@ func (s *scanSched) DelFromRunqueue(t *task.Task) {
 	if !t.OnRunqueue() {
 		return
 	}
-	s.rq.Remove(&t.RunList)
+	n, i := s.env.Tasks.Link(t)
+	s.env.Tasks.Nodes().Remove(&s.rq, n, i)
 	if t.HasCPU {
 		s.running--
 	}
@@ -56,8 +58,7 @@ func (s *scanSched) Runnable() int { return s.rq.Len() - s.running }
 
 // Drain empties the one queue, front to back.
 func (s *scanSched) Drain(_ int, out []*task.Task) []*task.Task {
-	for n := s.rq.First(); n != nil; n = s.rq.First() {
-		t := task.FromNode(n)
+	for t := s.env.Tasks.First(&s.rq); t != nil; t = s.env.Tasks.First(&s.rq) {
 		s.DelFromRunqueue(t)
 		out = append(out, t)
 	}
@@ -89,7 +90,8 @@ func (s *scanSched) Schedule(cpu int, prev *task.Task) sched.Result {
 		if prev.Policy == task.RR && prev.Counter(env.Epoch) == 0 {
 			prev.SetCounter(env.Epoch, prev.Priority)
 			if prev.OnRunqueue() {
-				s.rq.MoveBack(&prev.RunList)
+				n, i := s.env.Tasks.Link(prev)
+				s.env.Tasks.Nodes().MoveBack(&s.rq, n, i)
 			}
 			res.Cycles += env.Cost.MoveRunqueue
 		}
@@ -106,14 +108,13 @@ func (s *scanSched) Schedule(cpu int, prev *task.Task) sched.Result {
 		best := (*task.Task)(nil)
 		c := -1000 // the kernel's initial weight
 
-		s.rq.ForEach(func(n *klist.Node) bool {
-			t := task.FromNode(n)
+		for t := env.Tasks.First(&s.rq); t != nil; t = env.Tasks.Next(t) {
 			res.Examined++
 			// can_schedule: skip tasks executing on another CPU or
 			// excluded by their affinity mask.
 			if (t.HasCPU && t != prev) || !t.AllowedOn(cpu) {
 				res.Cycles += env.Cost.Touch(env.NCPU)
-				return true
+				continue
 			}
 			var w int
 			if t == prev && prev.Yielded && !yieldConsulted {
@@ -132,8 +133,7 @@ func (s *scanSched) Schedule(cpu int, prev *task.Task) sched.Result {
 				c = w
 				best = t
 			}
-			return true
-		})
+		}
 
 		if c == 0 {
 			// Every candidate's quantum is spent (or the lone

@@ -108,10 +108,7 @@ type Sched struct {
 // New returns a stock scheduler bound to env.
 func New(env *sched.Env) *Sched {
 	s := &Sched{env: env, front: 1 << 63, back: 1 << 63}
-	s.idx.Init(s.levels[:])
-	for i := range s.side {
-		s.side[i].Init()
-	}
+	s.idx.Init(&env.Tasks, s.levels[:])
 	return s
 }
 
@@ -159,7 +156,8 @@ func (s *Sched) file(t *task.Task) {
 // push links unlinked task t on side list l.
 func (s *Sched) push(t *task.Task, l int) {
 	t.QIndex = -1 - l
-	s.side[l].PushFront(&t.RunList)
+	n, i := s.env.Tasks.Link(t)
+	s.env.Tasks.Nodes().PushFront(&s.side[l], n, i)
 }
 
 // level returns t's index level — rt_priority 99 first, then static
@@ -181,7 +179,8 @@ func level(ep *task.Epoch, t *task.Task) int {
 // unlink takes queued task t out of whichever list holds it.
 func (s *Sched) unlink(t *task.Task) {
 	if q := t.QIndex; q < 0 {
-		s.side[-1-q].Remove(&t.RunList)
+		n, i := s.env.Tasks.Link(t)
+		s.env.Tasks.Nodes().Remove(&s.side[-1-q], n, i)
 	} else {
 		s.idx.Remove(t, q)
 	}
@@ -210,9 +209,10 @@ func (s *Sched) Drain(_ int, out []*task.Task) []*task.Task {
 	start := len(out)
 	for i := range s.side {
 		l := &s.side[i]
-		for n := l.First(); n != nil; n = l.First() {
-			l.Remove(n)
-			out = append(out, task.FromNode(n))
+		for t := s.env.Tasks.First(l); t != nil; t = s.env.Tasks.First(l) {
+			n, slot := s.env.Tasks.Link(t)
+			s.env.Tasks.Nodes().Remove(l, n, slot)
+			out = append(out, t)
 		}
 	}
 	out = s.idx.Drain(out)
@@ -263,9 +263,10 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 		}
 	}
 	stopped := &s.side[stoppedList]
-	for n := stopped.First(); n != nil; n = stopped.First() {
-		stopped.Remove(n)
-		s.file(task.FromNode(n))
+	for t := env.Tasks.First(stopped); t != nil; t = env.Tasks.First(stopped) {
+		n, i := env.Tasks.Link(t)
+		env.Tasks.Nodes().Remove(stopped, n, i)
+		s.file(t)
 	}
 
 	yieldConsulted := false
@@ -304,7 +305,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 // walk skips unscored — running elsewhere, excluded by their mask, or the
 // yielding prev. Only the tasks that can reach c are scored.
 func (s *Sched) pick(cpu int, prev *task.Task, yieldConsulted *bool) (best *task.Task, c, skipped int) {
-	ep := s.env.Epoch
+	ep, tasks := s.env.Epoch, &s.env.Tasks
 	c = -1000
 	var stamp uint64
 	skipped = s.side[runningList].Len()
@@ -327,8 +328,7 @@ func (s *Sched) pick(cpu int, prev *task.Task, yieldConsulted *bool) (best *task
 			best, c, stamp = prev, sched.Goodness(ep, prev, cpu, prev.MM), prev.QStamp
 		}
 	}
-	for n := s.side[pinnedList].First(); n != nil; n = n.Next() {
-		t := task.FromNode(n)
+	for t := tasks.First(&s.side[pinnedList]); t != nil; t = tasks.Next(t) {
 		if t == prev {
 			continue
 		}
@@ -346,8 +346,7 @@ func (s *Sched) pick(cpu int, prev *task.Task, yieldConsulted *bool) (best *task
 		// its ceiling, the spent level's 0, and anywhere else the task is
 		// SCHED_OTHER with quantum left.
 		other := lvl >= sched.RTLevels && ceiling[lvl] > 0
-		for n := s.idx.Level(lvl).First(); n != nil; n = n.Next() {
-			t := task.FromNode(n)
+		for t := s.idx.First(lvl); t != nil; t = tasks.Next(t) {
 			if t == prev {
 				continue
 			}
@@ -367,8 +366,8 @@ func (s *Sched) pick(cpu int, prev *task.Task, yieldConsulted *bool) (best *task
 // the waiting tasks the list walk's rescan syncs.
 func (s *Sched) rekey() {
 	for lvl := s.idx.Next(sched.RTLevels); lvl >= 0; lvl = s.idx.Next(lvl + 1) {
-		for n := s.idx.Level(lvl).First(); n != nil; n = n.Next() {
-			s.recharged = append(s.recharged, task.FromNode(n))
+		for t := s.idx.First(lvl); t != nil; t = s.env.Tasks.Next(t) {
+			s.recharged = append(s.recharged, t)
 		}
 	}
 	for _, t := range s.recharged {

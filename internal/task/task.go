@@ -14,6 +14,14 @@
 // plus rt_priority for real-time tasks. As in the paper, "task" means any
 // thread in the system; Linux's one-to-one model makes no distinction
 // between a user thread and a kernel thread.
+//
+// run_list is index-linked (package klist): RunList holds its neighbours'
+// slots in a Table, which numbers a task the first time a policy files it,
+// and next != 0 is still "on the run queue". Going from a slot back to its
+// task, which took a type assertion on an owner pointer, is a load from
+// the table (Table.First, Table.Next). A task carries no pointer to
+// whoever created it: the kernel finds a task's proc in its proc table, by
+// pid.
 package task
 
 import (
@@ -23,7 +31,7 @@ import (
 )
 
 // State is the task run state. Only Running tasks may sit on the run queue.
-type State int
+type State uint8
 
 // The six task states of 2.3.99 (TASK_RUNNING etc.). Only the ones the
 // scheduler inspects get distinct behavior here; the rest exist for
@@ -59,7 +67,7 @@ func (s State) String() string {
 
 // Policy is the scheduling class: SCHED_OTHER for normal timesharing
 // tasks, SCHED_FIFO and SCHED_RR for real-time tasks.
-type Policy int
+type Policy uint8
 
 const (
 	// Other is SCHED_OTHER, the default timesharing policy.
@@ -110,62 +118,36 @@ type MM struct {
 	Name string
 }
 
-// Task is the simulated task structure.
+// Task is the simulated task structure. Its fields are ordered for the
+// host's cache, not as Table 1 lists them: the first 64 bytes are what
+// filing, dequeueing and a queue scan's can_schedule test read, and a
+// Task is 192 bytes, a size class whose objects start on a cache line.
 type Task struct {
-	ID   int
-	Name string
+	// RunList is the run_list list_head linking the task into a run
+	// queue (the single list for the stock scheduler, one of the 30
+	// table lists for ELSC): its neighbours' slots in the Table of the
+	// policy's Env, and slot is the task's own there, 0 until it is
+	// first filed.
+	RunList klist.Node
+	slot    uint32
 
 	State  State
 	Policy Policy
-	// Yielded is the SCHED_YIELD bit carried in the policy field: set by
-	// sys_sched_yield, consumed by the scheduler.
-	Yielded bool
-
-	// Priority is the static SCHED_OTHER priority (1..40, default 20).
-	Priority int
-	// RTPriority is the real-time priority (0..99) for FIFO/RR tasks.
-	RTPriority int
-
-	// counter is the remaining quantum in 10ms ticks, lazily synced to
-	// the global recalculation epoch (see Epoch).
-	counter      int
-	counterEpoch uint64
-
-	// sleepAvg is the Linux 2.5-style interactivity estimator: cycles of
-	// credit accumulated while the task is blocked (CreditSleep, called by
-	// the kernel's wake path) and drained 1:1 while it executes (DrainRun,
-	// called by the kernel's work accounting). The kernel clamps the
-	// credit at the cost model's MaxSleepAvg; policies map the ratio
-	// sleepAvg/MaxSleepAvg onto a dynamic-priority bonus. A task that
-	// sleeps most of the time rides at the ceiling, a CPU hog at zero.
-	sleepAvg uint64
-
-	// MM is the address space; nil for kernel threads.
-	MM *MM
-
-	// RunList is the run_list list_head linking the task into a run
-	// queue (the single list for the stock scheduler, one of the 30
-	// table lists for ELSC).
-	RunList klist.Node
-
 	// HasCPU is 1 while the task executes on a processor (paper §3.1).
 	HasCPU bool
-	// EverRan records whether the task has ever been dispatched, so the
-	// affinity bonus is not granted against the zero-value Processor.
-	EverRan bool
-	// Processor is the CPU the task is executing on, or last executed on
-	// (the scheduler's affinity bonus compares against it).
-	Processor int
-	// CPUsAllowed is the processor affinity mask (2.3.99's cpus_allowed,
-	// consulted by can_schedule). Zero means "all CPUs"; bit i allows
-	// CPU i.
-	CPUsAllowed uint64
-
 	// IsIdle marks the per-CPU idle task. Idle tasks are never placed on
 	// a run queue and never win a goodness comparison; an empty run
 	// queue "will schedule the idle task rather than trigger the
 	// recalculation" (paper footnote 1).
 	IsIdle bool
+
+	// Priority is the static SCHED_OTHER priority (1..40, default 20).
+	Priority int
+
+	// counter is the remaining quantum in 10ms ticks, lazily synced to
+	// the global recalculation epoch (see Epoch).
+	counter      int
+	counterEpoch uint64
 
 	// Scheduler-private bookkeeping, the analogue of the policy-specific
 	// fields Linux keeps inside task_struct. None of the three says whether
@@ -178,9 +160,38 @@ type Task struct {
 	// as QStamp always is (ELSC's tag epoch, heap's heap id, o1's array and
 	// level, cfs's level or heap position). QZero is ELSC's zero-section
 	// tag and nothing else.
-	QZero  bool
 	QIndex int
 	QStamp uint64
+
+	// CPUsAllowed is the processor affinity mask (2.3.99's cpus_allowed,
+	// consulted by can_schedule). Zero means "all CPUs"; bit i allows
+	// CPU i.
+	CPUsAllowed uint64
+
+	// Yielded is the SCHED_YIELD bit carried in the policy field: set by
+	// sys_sched_yield, consumed by the scheduler.
+	Yielded bool
+	// EverRan records whether the task has ever been dispatched, so the
+	// affinity bonus is not granted against the zero-value Processor.
+	EverRan bool
+	// QZero is ELSC's zero-section tag (with QIndex and QStamp above).
+	QZero bool
+	// Processor is the CPU the task is executing on, or last executed on
+	// (the scheduler's affinity bonus compares against it).
+	Processor int
+	// MM is the address space; nil for kernel threads.
+	MM *MM
+	// RTPriority is the real-time priority (0..99) for FIFO/RR tasks.
+	RTPriority int
+
+	// sleepAvg is the Linux 2.5-style interactivity estimator: cycles of
+	// credit accumulated while the task is blocked (CreditSleep, called by
+	// the kernel's wake path) and drained 1:1 while it executes (DrainRun,
+	// called by the kernel's work accounting). The kernel clamps the
+	// credit at the cost model's MaxSleepAvg; policies map the ratio
+	// sleepAvg/MaxSleepAvg onto a dynamic-priority bonus. A task that
+	// sleeps most of the time rides at the ceiling, a CPU hog at zero.
+	sleepAvg uint64
 
 	// VRuntime is the weighted virtual runtime maintained by the fair
 	// (cfs) policy: executed cycles scaled by 1024/weight, so heavier
@@ -189,12 +200,8 @@ type Task struct {
 	// task picks up while blocked or parked under another policy.
 	VRuntime uint64
 
-	// Owner is an opaque back-pointer for whoever created the task: the
-	// kernel points it at the task's proc, so mapping a scheduled task
-	// back to its program is a field load. Schedulers never read it.
-	// (HasCPU/EverRan and IsIdle/QZero sit in pairs to pay for these two
-	// words: Task stays in the allocator's 256-byte class.)
-	Owner any
+	ID   int
+	Name string
 
 	// Accounting, maintained by the kernel.
 	UserCycles   uint64 // cycles spent in task (user) work
@@ -216,7 +223,6 @@ func New(id int, name string, mm *MM, ep *Epoch) *Task {
 		Priority: DefaultPriority,
 		MM:       mm,
 	}
-	t.RunList.Owner = t
 	if ep != nil {
 		t.counterEpoch = ep.N()
 	}
@@ -403,5 +409,56 @@ func (e *Epoch) N() uint64 { return e.n }
 // Bump advances the epoch by one: one global recalculation.
 func (e *Epoch) Bump() { e.n++ }
 
-// FromNode recovers the *Task that embeds the given run-list node.
-func FromNode(n *klist.Node) *Task { return n.Owner.(*Task) }
+// Table numbers the tasks run lists link. A task takes the next slot the
+// first time it is filed on a list and keeps it; a list is a klist.Head
+// over the table's slots, and going from a slot back to its task is a load
+// from tasks, not a type assertion on an owner pointer. Each sched.Env
+// holds one, shared by every policy built on it, and a task is filed under
+// one table only. The zero value is an empty table.
+//
+// A list operation on t is a klist one on Link(t) over Nodes():
+//
+//	n, i := tasks.Link(t)
+//	tasks.Nodes().PushFront(h, n, i)
+//
+// Both calls and the klist operation inline, so filing a task costs no
+// call, as with the pointer-linked list this replaced.
+type Table struct {
+	nodes klist.Table // slot -> &task.RunList
+	tasks []*Task     // slot -> task; nil at 0 and klist.End
+}
+
+// Link returns t's run-list node and its slot, numbering t the first time.
+func (tb *Table) Link(t *Task) (*klist.Node, uint32) {
+	if t.slot == 0 {
+		tb.number(t)
+	}
+	return &t.RunList, t.slot
+}
+
+// number gives t the next slot. It runs once per task, so it stays out of
+// line and leaves Link small enough to inline.
+//
+//go:noinline
+func (tb *Table) number(t *Task) {
+	if len(tb.tasks) == 0 {
+		tb.tasks = append(tb.tasks, nil, nil) // slots 0 and klist.End
+	}
+	t.slot = tb.nodes.Add(&t.RunList)
+	tb.tasks = append(tb.tasks, t)
+}
+
+// Nodes returns the klist table over tb's slots.
+func (tb *Table) Nodes() klist.Table { return tb.nodes }
+
+// First returns the task at the front of h, or nil if h is empty.
+func (tb *Table) First(h *klist.Head) *Task {
+	if h.Empty() {
+		return nil
+	}
+	return tb.tasks[h.First()]
+}
+
+// Next returns the task after t on its list, or nil if t is the last or
+// is off list: the table holds nil at klist.End and at 0.
+func (tb *Table) Next(t *Task) *Task { return tb.tasks[t.RunList.Next()] }

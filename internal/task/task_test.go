@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"elsc/internal/klist"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -236,10 +238,30 @@ func TestTaskString(t *testing.T) {
 	}
 }
 
-func TestFromNode(t *testing.T) {
-	tk := New(1, "t", nil, nil)
-	if FromNode(&tk.RunList) != tk {
-		t.Fatal("FromNode should recover the embedding task")
+// TestTableLinksTasks: a task takes a slot the first time it is linked and
+// keeps it across removal, First and Next load tasks back from the table,
+// and a removed task is off the run queue with no successor.
+func TestTableLinksTasks(t *testing.T) {
+	var tb Table
+	var h klist.Head
+	if tb.First(&h) != nil {
+		t.Fatal("First of an empty list in an empty table should be nil")
+	}
+	a, b := New(1, "a", nil, nil), New(2, "b", nil, nil)
+	for _, tk := range []*Task{a, b} {
+		n, i := tb.Link(tk)
+		tb.Nodes().PushBack(&h, n, i)
+	}
+	if tb.First(&h) != a || tb.Next(a) != b || tb.Next(b) != nil {
+		t.Fatal("First/Next should walk a then b")
+	}
+	n, slot := tb.Link(a)
+	tb.Nodes().Remove(&h, n, slot)
+	if tb.Next(a) != nil || a.OnRunqueue() {
+		t.Fatal("a removed task is off the run queue and has no successor")
+	}
+	if n2, again := tb.Link(a); n2 != &a.RunList || again != slot || len(tb.tasks) != int(klist.Base)+2 {
+		t.Fatalf("re-linked task moved from slot %d to %d (table of %d)", slot, again, len(tb.tasks))
 	}
 }
 
@@ -251,12 +273,23 @@ func TestMaxCounter(t *testing.T) {
 	}
 }
 
-// TestTaskStaysInIts256ByteSizeClass: a machine holds one Task per thread
-// (800+ in a VolanoMark cell), and the allocator's next class up is 288
-// bytes, so a field added without room costs every task 32 bytes of host
-// memory. Grouping bools is how room is made.
-func TestTaskStaysInIts256ByteSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Task{}); sz > 256 {
-		t.Fatalf("sizeof(Task) = %d, want <= 256", sz)
+// TestRunListSizes: the run list is index-linked, so a link is two uint32
+// slots (it was 40 bytes) and a list head two slots and a length (it was
+// 48) — o1 holds 80 heads per CPU, reg 64 per machine. A machine holds one
+// Task per thread (800+ in a VolanoMark cell); Task was 256 bytes with a
+// 40-byte pointer link and an owner interface, and is at most 192 now, the
+// size class whose objects start on a cache line (Task's field order puts
+// the enqueue path's fields in its first one). A field added without room
+// costs every task 16 bytes of host memory and that alignment; grouping
+// small fields is how room is made.
+func TestRunListSizes(t *testing.T) {
+	if sz := unsafe.Sizeof(klist.Node{}); sz != 8 {
+		t.Errorf("sizeof(klist.Node) = %d, want 8", sz)
+	}
+	if sz := unsafe.Sizeof(klist.Head{}); sz > 12 {
+		t.Errorf("sizeof(klist.Head) = %d, want <= 12", sz)
+	}
+	if sz := unsafe.Sizeof(Task{}); sz > 192 {
+		t.Errorf("sizeof(Task) = %d, want <= 192", sz)
 	}
 }
