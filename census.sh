@@ -15,7 +15,8 @@
 # cmd/websim (those are not run), or be a panic-only guard: the list is
 # where to look, not what to delete.
 #
-# -blocks audits the core, internal/{sim,kernel,klist,task,sched,sched/*}:
+# -blocks audits the core and the traffic that drives it,
+# internal/{sim,kernel,klist,task,sched,sched/*,ipc,workload,workload/*}:
 # it prints every zero-count block as "file:line: function: source line",
 # marks each one census.allow does not name, and exits 1 if there is one.
 # census.allow says why each unreached block stays, one tab-separated line
@@ -25,7 +26,7 @@
 #
 #   bash census.sh                # work in a fresh temp dir
 #   bash census.sh /some/dir      # keep binaries and coverage data there
-#   bash census.sh -blocks [dir]  # audit the core against census.allow
+#   bash census.sh -blocks [dir]  # audit core and workloads against census.allow
 set -euo pipefail
 cd "$(dirname "$0")"
 blocks=false
@@ -108,7 +109,7 @@ NR > 1 {
 	split($1, loc, ":")
 	f = loc[1]
 	sub(/^elsc\//, "", f)
-	if (f !~ /^internal\/(sim|kernel|klist|task|sched)\/[^\/]+\.go$/ && f !~ /^internal\/sched\/[^\/]+\/[^\/]+\.go$/)
+	if (f !~ /^internal\/(sim|kernel|klist|task|sched|ipc|workload)\/[^\/]+\.go$/ && f !~ /^internal\/(sched|workload)\/[^\/]+\/[^\/]+\.go$/)
 		next
 	key = f ":" loc[2]
 	count[key] += $NF
@@ -144,6 +145,6 @@ END {
 	for (e in entry)
 		if (!(e in used))
 			print "census.allow entry matches no zero-count block: " e > "/dev/stderr"
-	printf "%d zero-count blocks (%d statements) in the core, %d not in %s\n", zero, nstmt, bad, allow > "/dev/stderr"
+	printf "%d zero-count blocks (%d statements) in the audited packages, %d not in %s\n", zero, nstmt, bad, allow > "/dev/stderr"
 	exit (bad > 0)
 }' "$out/blocks.txt"

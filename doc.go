@@ -95,7 +95,7 @@
 // two ticks (TIMESLICE_GRANULARITY). The kernel wake path adds
 // SD_WAKE_IDLE placement: a syscall-context wake prefers an idle CPU in
 // the task's own cache domain, then the waker's. o1.Config's
-// InteractivityOff and WakeIdleOff switch each half off for ablation;
+// InteractivityOff switches both off together for ablation;
 // Stats counts WakeIdlePlacements and TimesliceRotations,
 // and the cross-policy latency invariant suite in
 // internal/sched/conformance holds every policy to a bounded

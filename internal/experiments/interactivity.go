@@ -19,7 +19,7 @@ import (
 // disabled (the pre-interactivity scheduler, kept as the baseline).
 var interactivityArms = []o1Arm{
 	{"interactive", o1.Config{}},
-	{"interactivity-off", o1.Config{InteractivityOff: true, WakeIdleOff: true}},
+	{"interactivity-off", o1.Config{InteractivityOff: true}},
 }
 
 // AblateInteractivity isolates the interactivity machinery on one spec:

@@ -19,7 +19,7 @@ import (
 // displaced task waits for its pages to rehome.
 
 // scalableVolano is the workload cell for the NUMA tables: VolanoMark
-// with volano.ScalableStackCosts. With the 2.3-era big-lock network stack
+// with volano.Config.ScalableStack. With the 2.3-era big-lock network stack
 // the whole 32-processor machine is stack-bound (one socket op at a time
 // machine-wide) and every policy measures the same; the scaled specs
 // model the fine-grained socket locking the kernel actually had by the
@@ -30,7 +30,7 @@ func scalableVolano(rooms int) Cell {
 			return workload.VolanoWith(volano.Config{
 				Rooms:           rooms,
 				MessagesPerUser: p.Work,
-				Costs:           volano.ScalableStackCosts(),
+				ScalableStack:   true,
 			})(m, p)
 		})
 }

@@ -11,14 +11,14 @@ import (
 
 // TestWakeIdlePlacementsCounted: a syscall-heavy workload on a machine
 // with idle capacity produces SD_WAKE_IDLE placements under o1, none
-// under the WakeIdleOff ablation, and the counter reaches the stats
+// under the InteractivityOff ablation, and the counter reaches the stats
 // registry either way.
 func TestWakeIdlePlacementsCounted(t *testing.T) {
 	run := func(off bool) *kernel.Stats {
 		m := kernel.NewMachine(kernel.Config{CPUs: 4, SMP: true, Topology: sched.UniformTopology(4, 2),
 			Seed: 42, MaxCycles: 3000 * kernel.DefaultHz,
 			NewScheduler: func(env *sched.Env) sched.Scheduler {
-				return o1.NewWithConfig(env, o1.Config{WakeIdleOff: off})
+				return o1.NewWithConfig(env, o1.Config{InteractivityOff: off})
 			}})
 		volano.Build(m, volano.Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 4}).Run()
 		return m.Stats()
@@ -28,7 +28,7 @@ func TestWakeIdlePlacementsCounted(t *testing.T) {
 		t.Fatal("no SD_WAKE_IDLE placements on an underloaded machine")
 	}
 	if off := run(true); off.WakeIdlePlacements != 0 {
-		t.Fatalf("WakeIdleOff ablation still placed %d wakes", off.WakeIdlePlacements)
+		t.Fatalf("InteractivityOff ablation still placed %d wakes", off.WakeIdlePlacements)
 	}
 	if on.Registry().Counter("wake_idle_placements").Value() != on.WakeIdlePlacements {
 		t.Fatal("wake_idle_placements missing from the stats registry")

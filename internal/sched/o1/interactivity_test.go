@@ -200,7 +200,7 @@ func TestPlaceWakeFilesOnGivenCPU(t *testing.T) {
 
 func TestPlaceWakeDeclines(t *testing.T) {
 	env := newNumaEnv(4, 2, 4)
-	for _, cfg := range []Config{{WakeIdleOff: true}, {TopologyBlind: true}} {
+	for _, cfg := range []Config{{InteractivityOff: true}, {TopologyBlind: true}} {
 		s := NewWithConfig(env, cfg)
 		tk := homedTask(env, 1, 0)
 		if s.PlaceWake(tk, 3) {

@@ -66,8 +66,8 @@
 // SD_WAKE_IDLE placement: the kernel offers the policy an idle CPU in the
 // waker's cache domain at wake time (PlaceWake), which files the woken
 // task there directly rather than queueing it behind its home CPU's
-// backlog. The InteractivityOff and WakeIdleOff knobs disable each half
-// independently, so the experiments can measure exactly what they buy.
+// backlog. The InteractivityOff knob disables both together, so the
+// experiments can measure exactly what they buy.
 package o1
 
 import (
@@ -116,14 +116,12 @@ type Config struct {
 	TopologyBlind bool
 	// InteractivityOff disables the sleep_avg machinery — no dynamic-
 	// priority bonus, no active-array requeue on expiry, no timeslice
-	// granularity chunking. The ablation baseline for the latency
-	// experiments: with it set, a quantum-expired probe parks behind a
-	// full hog quantum in the expired array.
+	// granularity chunking — and declines the kernel's SD_WAKE_IDLE
+	// placement hints, so woken tasks always file on their home CPU's
+	// queue, the pre-sched_domains wake path. The ablation baseline for
+	// the latency experiments: with it set, a quantum-expired probe parks
+	// behind a full hog quantum in the expired array.
 	InteractivityOff bool
-	// WakeIdleOff makes the policy decline the kernel's SD_WAKE_IDLE
-	// placement hints: woken tasks always file on their home CPU's queue,
-	// the pre-sched_domains wake path. Ablation knob.
-	WakeIdleOff bool
 }
 
 // runqueue is one CPU's pair of priority arrays (sched.LevelArray,
@@ -309,12 +307,12 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 // PlaceWake accepts the kernel's SD_WAKE_IDLE hint: file the woken task
 // directly on the given idle CPU's queue, inside the waker's cache
 // domain, instead of behind its home CPU's backlog. Declined when the
-// WakeIdleOff ablation knob is set, when the scheduler runs
+// InteractivityOff ablation knob is set, when the scheduler runs
 // TopologyBlind (the hint is derived from the cache-domain layout this
 // variant is defined not to see — pre-sched_domains kernels had no
 // SD_WAKE_IDLE either), or when the hint is unusable.
 func (s *Sched) PlaceWake(t *task.Task, cpu int) bool {
-	if s.cfg.WakeIdleOff || s.cfg.TopologyBlind || t.IsIdle || cpu < 0 || cpu >= len(s.rqs) || !t.AllowedOn(cpu) || !s.env.CPUOnline(cpu) {
+	if s.cfg.InteractivityOff || s.cfg.TopologyBlind || t.IsIdle || cpu < 0 || cpu >= len(s.rqs) || !t.AllowedOn(cpu) || !s.env.CPUOnline(cpu) {
 		return false
 	}
 	if t.OnRunqueue() {

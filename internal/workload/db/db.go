@@ -33,59 +33,41 @@ type Config struct {
 	// TxnsPerClient is how many transactions each client commits
 	// (default 100).
 	TxnsPerClient int
-	// LockStripes is the number of shared row-lock stripes; smaller
-	// values mean hotter locks (default 8).
-	LockStripes int
-	// PagesPerTxn is the buffer-pool reads per transaction (default 4).
-	PagesPerTxn int
-	// LockSpins is how many try-then-yield rounds a client performs on
-	// a contended stripe before suspending (default 2) — the adaptive
-	// spin of a user-space mutex.
-	LockSpins int
-	// MissRate is the probability a page read misses the buffer pool
-	// and sleeps for DiskLatency (default 0.06).
-	MissRate float64
-	// DiskLatency is the simulated read I/O wait in cycles (default
-	// 2ms at 400 MHz).
-	DiskLatency uint64
-	// Checkpointers is the number of background checkpoint writers
-	// (default 1); negative disables them.
-	Checkpointers int
-	// CheckpointInterval is the mean sleep between checkpoint rounds in
-	// cycles (default 100 ms at 400 MHz).
-	CheckpointInterval uint64
-	// Costs tunes the per-operation cycle prices.
-	Costs Costs
 }
 
-// Costs are the simulated cycle prices of the transaction path,
-// calibrated like the other workloads for a 400 MHz machine.
-type Costs struct {
-	Parse         uint64 // parse + plan burst before the lock
-	Apply         uint64 // row-update burst under the lock
-	PageRead      uint64 // one buffer-pool read syscall
-	BufSerialHold uint64 // serialized buffer-pool latch hold per read
-	WALWrite      uint64 // commit-record append syscall
-	WALSerialHold uint64 // serialized WAL append hold
-	LockTry       uint64 // one lock attempt
-	CheckpointCPU uint64 // dirty-page scan burst per checkpoint round
-	CheckpointWAL uint64 // checkpoint's serialized WAL hold
-}
+// The server's shape and the simulated cycle prices of the transaction
+// path, calibrated like the other workloads for a 400 MHz machine.
+const (
+	// lockStripes is the number of shared row-lock stripes.
+	lockStripes = 8
+	// pagesPerTxn is the buffer-pool reads per transaction.
+	pagesPerTxn = 4
+	// lockSpins is how many try-then-yield rounds a client performs on
+	// a contended stripe before suspending: the adaptive spin of a
+	// user-space mutex.
+	lockSpins = 2
+	// missRate is the probability a page read misses the buffer pool
+	// and sleeps for a read I/O wait.
+	missRate = 0.06
+	// diskLatency scales the read I/O wait (2 ms), drawn from
+	// [diskLatency/2, 2*diskLatency).
+	diskLatency = 800_000
+	// checkpointers is the number of background checkpoint writers.
+	checkpointers = 1
+	// checkpointInterval is the mean sleep between checkpoint rounds
+	// (100 ms).
+	checkpointInterval = 40_000_000
 
-// DefaultCosts returns the calibrated cost set.
-func DefaultCosts() Costs {
-	return Costs{
-		Parse:         5000,
-		Apply:         9000,
-		PageRead:      6000,
-		BufSerialHold: 1500,
-		WALWrite:      5000,
-		WALSerialHold: 2500,
-		LockTry:       150,
-		CheckpointCPU: 400_000,
-		CheckpointWAL: 60_000,
-	}
-}
+	parseCost     = 5000    // parse + plan burst before the lock
+	applyCost     = 9000    // row-update burst under the lock
+	pageRead      = 6000    // one buffer-pool read syscall
+	bufSerialHold = 1500    // serialized buffer-pool latch hold per read
+	walWrite      = 5000    // commit-record append syscall
+	walSerialHold = 2500    // serialized WAL append hold
+	lockTry       = 150     // one lock attempt
+	checkpointCPU = 400_000 // dirty-page scan burst per checkpoint round
+	checkpointWAL = 60_000  // checkpoint's serialized WAL hold
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -94,30 +76,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.TxnsPerClient == 0 {
 		out.TxnsPerClient = 100
-	}
-	if out.LockStripes == 0 {
-		out.LockStripes = 8
-	}
-	if out.PagesPerTxn == 0 {
-		out.PagesPerTxn = 4
-	}
-	if out.LockSpins == 0 {
-		out.LockSpins = 2
-	}
-	if out.MissRate == 0 {
-		out.MissRate = 0.06
-	}
-	if out.DiskLatency == 0 {
-		out.DiskLatency = 800_000 // 2 ms
-	}
-	if out.Checkpointers == 0 {
-		out.Checkpointers = 1
-	}
-	if out.CheckpointInterval == 0 {
-		out.CheckpointInterval = 40_000_000 // 100 ms
-	}
-	if out.Costs == (Costs{}) {
-		out.Costs = DefaultCosts()
 	}
 	return out
 }
@@ -148,14 +106,14 @@ func New(m *kernel.Machine, cfg Config) *DB {
 	d := &DB{cfg: cfg, m: m}
 	d.bufpool = m.NewSerialResource("bufpool")
 	d.wal = m.NewSerialResource("wal")
-	for i := 0; i < cfg.LockStripes; i++ {
-		d.stripes = append(d.stripes, ipc.NewYieldMutex(fmt.Sprintf("row%d", i), cfg.Costs.LockTry))
+	for i := 0; i < lockStripes; i++ {
+		d.stripes = append(d.stripes, ipc.NewYieldMutex(fmt.Sprintf("row%d", i), lockTry))
 	}
 	mm := m.NewMM("postgres")
 	for i := 0; i < cfg.Clients; i++ {
 		d.clients = append(d.clients, m.Spawn(fmt.Sprintf("db/client%d", i), mm, d.newClient()))
 	}
-	for i := 0; i < cfg.Checkpointers; i++ {
+	for i := 0; i < checkpointers; i++ {
 		p := m.Spawn(fmt.Sprintf("db/ckpt%d", i), mm, d.newCheckpointer())
 		d.checkpointers = append(d.checkpointers, p)
 	}
@@ -183,6 +141,14 @@ func serialCall(p *kernel.Proc, cost uint64, res *kernel.SerialResource, hold ui
 	return p.Call(kernel.Syscall{Cost: cost, Exec: serialExec, Obj: res, Args: [3]int64{int64(hold)}})
 }
 
+// The fixed bursts, boxed once and shared by every client and
+// checkpointer.
+var (
+	parse kernel.Action = kernel.Compute{Cycles: parseCost}
+	apply kernel.Action = kernel.Compute{Cycles: applyCost}
+	scan  kernel.Action = kernel.Compute{Cycles: checkpointCPU}
+)
+
 // newClient builds one connection worker: a state machine over the
 // transaction phases. The per-client RNG fork keeps the run deterministic
 // under any scheduler.
@@ -196,7 +162,6 @@ func (d *DB) newClient() kernel.Program {
 		phUnlock
 		phDone
 	)
-	cfg := d.cfg
 	rng := d.m.RNG().Fork()
 	txns := 0
 	phase := phParse
@@ -206,13 +171,11 @@ func (d *DB) newClient() kernel.Program {
 	var stripe *ipc.YieldMutex
 	var txnStart sim.Time
 	disk := &kernel.Sleep{}
-	var parse kernel.Action = kernel.Compute{Cycles: cfg.Costs.Parse}
-	var apply kernel.Action = kernel.Compute{Cycles: cfg.Costs.Apply}
 	return kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
 		for {
 			switch phase {
 			case phParse:
-				if txns >= cfg.TxnsPerClient {
+				if txns >= d.cfg.TxnsPerClient {
 					return kernel.Exit{}
 				}
 				txnStart = d.m.Now()
@@ -233,7 +196,7 @@ func (d *DB) newClient() kernel.Program {
 					justTried = false
 					return kernel.Yield{}
 				}
-				if spins < cfg.LockSpins {
+				if spins < lockSpins {
 					spins++
 					justTried = true
 					return stripe.TryLock(p, &gotLock)
@@ -243,24 +206,24 @@ func (d *DB) newClient() kernel.Program {
 				phase = phRead
 				return stripe.LockBlocking(p)
 			case phRead:
-				if page >= cfg.PagesPerTxn {
+				if page >= pagesPerTxn {
 					phase = phApply
 					continue
 				}
 				page++
-				if rng.Float64() < cfg.MissRate {
+				if rng.Float64() < missRate {
 					// Buffer-pool miss: the latch was released before
 					// the I/O was issued, so only the sleep remains.
-					disk.Cycles = rng.Range(cfg.DiskLatency/2, cfg.DiskLatency*2)
+					disk.Cycles = rng.Range(diskLatency/2, diskLatency*2)
 					return disk
 				}
-				return serialCall(p, cfg.Costs.PageRead, d.bufpool, cfg.Costs.BufSerialHold)
+				return serialCall(p, pageRead, d.bufpool, bufSerialHold)
 			case phApply:
 				phase = phCommit
 				return apply
 			case phCommit:
 				phase = phUnlock
-				return serialCall(p, cfg.Costs.WALWrite, d.wal, cfg.Costs.WALSerialHold)
+				return serialCall(p, walWrite, d.wal, walSerialHold)
 			case phUnlock:
 				phase = phDone
 				return stripe.Unlock(p)
@@ -278,11 +241,9 @@ func (d *DB) newClient() kernel.Program {
 // newCheckpointer builds a background checkpoint writer: sleep, scan dirty
 // pages, flush through the WAL, repeat until the benchmark finishes.
 func (d *DB) newCheckpointer() kernel.Program {
-	cfg := d.cfg
 	rng := d.m.RNG().Fork()
 	phase := 0
 	sleep := &kernel.Sleep{}
-	var scan kernel.Action = kernel.Compute{Cycles: cfg.Costs.CheckpointCPU}
 	return kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
 		if d.finished {
 			return kernel.Exit{}
@@ -290,14 +251,14 @@ func (d *DB) newCheckpointer() kernel.Program {
 		switch phase {
 		case 0: // sleep between rounds
 			phase = 1
-			sleep.Cycles = rng.Range(cfg.CheckpointInterval/2, cfg.CheckpointInterval*3/2)
+			sleep.Cycles = rng.Range(checkpointInterval/2, checkpointInterval*3/2)
 			return sleep
 		case 1: // scan for dirty pages
 			phase = 2
 			return scan
 		default: // flush through the WAL
 			phase = 0
-			return serialCall(p, cfg.Costs.WALWrite, d.wal, cfg.Costs.CheckpointWAL)
+			return serialCall(p, walWrite, d.wal, checkpointWAL)
 		}
 	})
 }

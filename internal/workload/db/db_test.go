@@ -26,7 +26,7 @@ func newMachine(cpus int, policy string, seed int64) *kernel.Machine {
 }
 
 func small() Config {
-	return Config{Clients: 6, TxnsPerClient: 20, LockStripes: 2}
+	return Config{Clients: 6, TxnsPerClient: 20}
 }
 
 func TestAllTransactionsCommit(t *testing.T) {
@@ -61,32 +61,34 @@ func TestSyscallHeavy(t *testing.T) {
 	}
 }
 
-// TestLockStripesContend: with many clients hammering two stripes, the
-// spin-then-block path must actually fire — both spins and suspensions.
+// TestLockStripesContend: with sixteen clients hammering the eight
+// stripes, the spin-then-block path must actually fire — both spins and
+// suspensions.
 func TestLockStripesContend(t *testing.T) {
-	res := New(newMachine(4, "o1", 7), Config{Clients: 16, TxnsPerClient: 25, LockStripes: 2}).Run()
+	res := New(newMachine(4, "o1", 7), Config{Clients: 16, TxnsPerClient: 25}).Run()
 	if res.LockSpins == 0 {
-		t.Fatal("no lock spins despite 16 clients on 2 stripes")
+		t.Fatal("no lock spins despite 16 clients on 8 stripes")
 	}
 	if res.LockBlocked == 0 {
 		t.Fatal("no blocking acquisitions despite heavy stripe contention")
 	}
 }
 
-// TestCheckpointerDoesNotBlockCompletion: the background writers run
-// forever by design; Done must ignore them, and they must be told to exit
-// after Run.
+// TestCheckpointerDoesNotBlockCompletion: the background writer runs
+// forever by design; Done must ignore it, and it must be told to exit
+// after Run. At 100 transactions a client the run outlasts the writer's
+// first sleep, so it scans and flushes at least once.
 func TestCheckpointerDoesNotBlockCompletion(t *testing.T) {
-	cfg := small()
-	cfg.Checkpointers = 2
-	cfg.CheckpointInterval = 2_000_000 // frequent rounds: make them do work
-	d := New(newMachine(2, "elsc", 7), cfg)
+	d := New(newMachine(2, "elsc", 7), Config{Clients: 6})
 	res := d.Run()
 	if !d.Done() {
 		t.Fatal("checkpointers blocked completion")
 	}
-	if res.Txns != uint64(6*20) {
-		t.Fatalf("committed %d txns, want %d", res.Txns, 6*20)
+	if res.Txns != uint64(6*100) {
+		t.Fatalf("committed %d txns, want %d", res.Txns, 6*100)
+	}
+	if len(d.checkpointers) != 1 || d.checkpointers[0].Task.UserCycles < checkpointCPU {
+		t.Fatal("the checkpoint writer never ran a round")
 	}
 	if !d.finished {
 		t.Fatal("finished flag not set; checkpointers would spin forever")
@@ -106,7 +108,7 @@ func TestTxnLatencyPercentiles(t *testing.T) {
 // TestWALSerializes: the write-ahead log is a machine-global serial
 // resource; with enough concurrent committers some reservation must wait.
 func TestWALSerializes(t *testing.T) {
-	res := New(newMachine(8, "o1", 7), Config{Clients: 24, TxnsPerClient: 20, LockStripes: 16}).Run()
+	res := New(newMachine(8, "o1", 7), Config{Clients: 24, TxnsPerClient: 20}).Run()
 	if res.WALWaits == 0 {
 		t.Fatal("no WAL contention despite 24 clients committing on 8 CPUs")
 	}
@@ -119,19 +121,5 @@ func TestDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("db workload not deterministic:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestNegativeCheckpointersDisables: the documented escape hatch — a
-// negative count spawns no background writers at all.
-func TestNegativeCheckpointersDisables(t *testing.T) {
-	cfg := small()
-	cfg.Checkpointers = -1
-	d := New(newMachine(2, "elsc", 7), cfg)
-	if len(d.checkpointers) != 0 {
-		t.Fatalf("spawned %d checkpointers, want none", len(d.checkpointers))
-	}
-	if res := d.Run(); res.Txns != uint64(6*20) {
-		t.Fatalf("committed %d txns without checkpointers, want %d", res.Txns, 6*20)
 	}
 }

@@ -36,10 +36,11 @@ type Config struct {
 	// The paper primed the page cache with a throwaway build, so the
 	// default is small.
 	MeanIO uint64
-	// SerialFraction is the share of total compile work executed
-	// serially at the end (link + compress), approximately 0.10.
-	SerialFraction float64
 }
+
+// serialFraction is the share of total compile work executed serially at
+// the end (link + compress): the paper's Amdahl serial share.
+const serialFraction = 0.10
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -54,9 +55,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MeanIO == 0 {
 		out.MeanIO = 2_000_000 // 5 ms: cache-warm reads
-	}
-	if out.SerialFraction == 0 {
-		out.SerialFraction = 0.10
 	}
 	return out
 }
@@ -102,7 +100,7 @@ func New(m *kernel.Machine, cfg Config) *Build {
 		b.workers = append(b.workers, m.Spawn(name, mm, b.newWorker()))
 	}
 
-	serial := uint64(float64(totalCompile) * cfg.SerialFraction)
+	serial := uint64(float64(totalCompile) * serialFraction)
 	b.linker = m.Spawn("ld+bzImage", mm, b.newLinker(serial))
 	return b
 }

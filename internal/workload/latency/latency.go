@@ -16,19 +16,14 @@ import (
 	"elsc/internal/stats"
 )
 
-// Config sizes the probe workload.
+// Config sizes the probe workload. Zero fields take the defaults.
 type Config struct {
-	// Probes is the number of interactive latency-probe tasks.
-	Probes int
 	// Hogs is the number of CPU-bound background tasks keeping the run
-	// queue populated.
+	// queue populated (default 32).
 	Hogs int
-	// WakesPerProbe is how many sleep/wake cycles each probe performs.
+	// WakesPerProbe is how many sleep/wake cycles each probe performs
+	// (default 200).
 	WakesPerProbe int
-	// SleepMean is the mean probe sleep between wakes, in cycles.
-	SleepMean uint64
-	// ProbeWork is the small burst a probe runs after each wake.
-	ProbeWork uint64
 	// ProbePriority is the probes' static priority (default 40, the
 	// maximum): a woken probe must out-goodness any background hog so
 	// that the measurement isolates the wake path — IPI, schedule()
@@ -36,22 +31,24 @@ type Config struct {
 	ProbePriority int
 }
 
+const (
+	// probes is the number of interactive latency-probe tasks.
+	probes = 4
+	// sleepMean is the mean probe sleep between wakes (5 ms).
+	sleepMean = 2_000_000
+)
+
+// probeBurst is the small burst every probe runs after each wake, boxed
+// once.
+var probeBurst kernel.Action = kernel.Compute{Cycles: 20_000}
+
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Probes == 0 {
-		out.Probes = 4
-	}
 	if out.Hogs == 0 {
 		out.Hogs = 32
 	}
 	if out.WakesPerProbe == 0 {
 		out.WakesPerProbe = 200
-	}
-	if out.SleepMean == 0 {
-		out.SleepMean = 2_000_000 // 5 ms
-	}
-	if out.ProbeWork == 0 {
-		out.ProbeWork = 20_000
 	}
 	if out.ProbePriority == 0 {
 		out.ProbePriority = 40
@@ -61,12 +58,10 @@ func (c *Config) withDefaults() Config {
 
 // Probe is a constructed latency workload.
 type Probe struct {
-	cfg    Config
-	m      *kernel.Machine
-	lat    stats.Dist
-	probes []*kernel.Proc
-	hogs   []*kernel.Proc
-	done   int
+	cfg  Config
+	m    *kernel.Machine
+	lat  stats.Dist
+	done int
 }
 
 // New constructs the probes and background hogs on m.
@@ -76,12 +71,11 @@ func New(m *kernel.Machine, cfg Config) *Probe {
 
 	mm := m.NewMM("bg")
 	for i := 0; i < cfg.Hogs; i++ {
-		p.hogs = append(p.hogs, m.Spawn(fmt.Sprintf("hog%d", i), mm, hogProgram(p)))
+		m.Spawn(fmt.Sprintf("hog%d", i), mm, hogProgram(p))
 	}
-	for i := 0; i < cfg.Probes; i++ {
+	for i := 0; i < probes; i++ {
 		pr := m.Spawn(fmt.Sprintf("probe%d", i), nil, p.probeProgram())
 		m.SetPriority(pr, cfg.ProbePriority)
-		p.probes = append(p.probes, pr)
 	}
 	return p
 }
@@ -109,7 +103,6 @@ func (p *Probe) probeProgram() kernel.Program {
 	phase := 0
 	var due sim.Time
 	sleep := &kernel.Sleep{}
-	var burst kernel.Action = kernel.Compute{Cycles: p.cfg.ProbeWork}
 	return kernel.ProgramFunc(func(proc *kernel.Proc) kernel.Action {
 		switch phase {
 		case 0: // go to sleep
@@ -118,26 +111,22 @@ func (p *Probe) probeProgram() kernel.Program {
 				return kernel.Exit{}
 			}
 			wakes++
-			d := rng.Range(p.cfg.SleepMean/2, p.cfg.SleepMean*3/2)
+			d := rng.Range(sleepMean/2, sleepMean*3/2)
 			due = p.m.Now() + sim.Time(d) + sim.Time(p.m.Env().Cost.SyscallBase)
 			phase = 1
 			sleep.Cycles = d
 			return sleep
 		default: // just dispatched after the wake
-			now := p.m.Now()
-			if now > due {
-				p.lat.Observe(uint64(now - due))
-			} else {
-				p.lat.Observe(0)
-			}
+			// How late the dispatch was, clamped at zero.
+			p.lat.Observe(uint64(max(p.m.Now(), due) - due))
 			phase = 0
-			return burst
+			return probeBurst
 		}
 	})
 }
 
 // Done reports whether every probe finished its wake cycles.
-func (p *Probe) Done() bool { return p.done >= p.cfg.Probes }
+func (p *Probe) Done() bool { return p.done >= probes }
 
 // Result is one latency measurement.
 type Result struct {
@@ -154,7 +143,7 @@ func (p *Probe) Run() Result {
 	p.m.Run(func() bool { return p.Done() })
 	toUS := 1e6 / float64(p.m.Hz())
 	return Result{
-		Probes:  p.cfg.Probes,
+		Probes:  probes,
 		Hogs:    p.cfg.Hogs,
 		Samples: p.lat.Count(),
 		MeanUS:  p.lat.Mean() * toUS,

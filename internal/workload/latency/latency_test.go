@@ -24,7 +24,7 @@ func newMachine(cpus int, useELSC bool) *kernel.Machine {
 }
 
 func small() Config {
-	return Config{Probes: 2, Hogs: 8, WakesPerProbe: 30}
+	return Config{Hogs: 8, WakesPerProbe: 30}
 }
 
 func TestProbesComplete(t *testing.T) {
@@ -35,8 +35,8 @@ func TestProbesComplete(t *testing.T) {
 		if !p.Done() {
 			t.Fatal("probes did not finish")
 		}
-		if res.Samples != uint64(2*30) {
-			t.Fatalf("samples = %d, want 60", res.Samples)
+		if res.Samples != uint64(probes*30) {
+			t.Fatalf("samples = %d, want %d", res.Samples, probes*30)
 		}
 	}
 }
@@ -56,7 +56,7 @@ func TestMoreHogsMoreRegLatency(t *testing.T) {
 	// The stock scheduler's wake latency grows with the run queue.
 	run := func(hogs int) float64 {
 		m := newMachine(1, false)
-		return New(m, Config{Probes: 2, Hogs: hogs, WakesPerProbe: 40}).Run().MeanUS
+		return New(m, Config{Hogs: hogs, WakesPerProbe: 40}).Run().MeanUS
 	}
 	light, heavy := run(4), run(64)
 	if heavy <= light {
@@ -67,7 +67,7 @@ func TestMoreHogsMoreRegLatency(t *testing.T) {
 func TestELSCLatencyBeatsRegUnderLoad(t *testing.T) {
 	run := func(useELSC bool) float64 {
 		m := newMachine(1, useELSC)
-		return New(m, Config{Probes: 2, Hogs: 64, WakesPerProbe: 40}).Run().MeanUS
+		return New(m, Config{Hogs: 64, WakesPerProbe: 40}).Run().MeanUS
 	}
 	reg, el := run(false), run(true)
 	if el >= reg {

@@ -29,17 +29,15 @@ type StormConfig struct {
 	Waiters int
 	// Storms is how many mass wake-ups to measure (default 100).
 	Storms int
-	// IntervalCycles is the quiet gap between full re-park and the next
-	// storm (default 2 ms at 400 MHz).
-	IntervalCycles uint64
-	// WorkPerWake is the burst each waiter runs after waking, before it
-	// parks again (default 20k cycles).
-	WorkPerWake uint64
-	// Hogs is the number of CPU-bound background tasks keeping the run
-	// queue populated between storms (default 0: the herd itself is the
-	// load).
-	Hogs int
 }
+
+// stormInterval is the quiet gap between full re-park and the next storm
+// (2 ms at 400 MHz).
+const stormInterval = 800_000
+
+// wakeBurst is the burst each waiter runs after waking, before it parks
+// again, boxed once.
+var wakeBurst kernel.Action = kernel.Compute{Cycles: 20_000}
 
 func (c *StormConfig) withDefaults() StormConfig {
 	out := *c
@@ -48,12 +46,6 @@ func (c *StormConfig) withDefaults() StormConfig {
 	}
 	if out.Storms == 0 {
 		out.Storms = 100
-	}
-	if out.IntervalCycles == 0 {
-		out.IntervalCycles = 800_000 // 2 ms
-	}
-	if out.WorkPerWake == 0 {
-		out.WorkPerWake = 20_000
 	}
 	return out
 }
@@ -65,37 +57,29 @@ type Storm struct {
 	wq      *kernel.WaitQueue
 	waiters []*kernel.Proc
 	exited  kernel.ExitCursor // over waiters, for Done
-	hogs    []*kernel.Proc
 
 	gen     int      // storm sequence number; 0 = before the first storm
 	stormAt sim.Time // when the current storm fired
-	fired   int      // storms released so far
 	parked  int      // waiters currently blocked on wq
 	lat     stats.Dist
 }
 
-// NewStorm constructs the waiters (and optional hogs) on m.
+// NewStorm constructs the waiters on m.
 func NewStorm(m *kernel.Machine, cfg StormConfig) *Storm {
 	cfg = cfg.withDefaults()
 	s := &Storm{cfg: cfg, m: m, wq: kernel.NewWaitQueue("storm")}
 	mm := m.NewMM("herd")
 	for i := 0; i < cfg.Waiters; i++ {
-		s.waiters = append(s.waiters, m.Spawn(fmt.Sprintf("waiter%d", i), mm, s.newWaiter()))
-	}
-	for i := 0; i < cfg.Hogs; i++ {
-		s.hogs = append(s.hogs, m.Spawn(fmt.Sprintf("hog%d", i), mm, s.newHog()))
+		s.waiters = append(s.waiters, m.Spawn(fmt.Sprintf("waiter%d", i), mm, &waiter{s: s}))
 	}
 	return s
 }
 
 // armStorm schedules the next mass wake-up. Called when the last waiter
-// parks; guarded so the configured storm count is never exceeded.
+// parks, which happens once before each storm: after the last one every
+// waiter exits instead of parking, so no storm past Storms is armed.
 func (s *Storm) armStorm() {
-	if s.fired >= s.cfg.Storms {
-		return
-	}
-	s.m.Engine().After(s.cfg.IntervalCycles, "storm", func(now sim.Time) {
-		s.fired++
+	s.m.Engine().After(stormInterval, "storm", func(now sim.Time) {
 		s.gen++
 		s.stormAt = now
 		s.parked = 0
@@ -112,11 +96,6 @@ type waiter struct {
 	parked bool // counted in s.parked for the current generation
 	wakes  int
 	phase  int
-	burst  kernel.Action // the post-wake Compute, boxed once
-}
-
-func (s *Storm) newWaiter() kernel.Program {
-	return &waiter{s: s, burst: kernel.Compute{Cycles: s.cfg.WorkPerWake}}
 }
 
 func (w *waiter) Step(p *kernel.Proc) kernel.Action {
@@ -130,7 +109,7 @@ func (w *waiter) Step(p *kernel.Proc) kernel.Action {
 	default: // post-wake burst
 		w.wakes++
 		w.phase = 0
-		return w.burst
+		return wakeBurst
 	}
 }
 
@@ -154,17 +133,6 @@ func execStormWait(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outc
 	w.parked = false
 	s.lat.Observe(uint64(now - s.stormAt))
 	return kernel.Done()
-}
-
-// newHog burns CPU until the storms are done, keeping the run queue deep
-// so woken waiters must compete for dispatch.
-func (s *Storm) newHog() kernel.Program {
-	return kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
-		if s.Done() {
-			return kernel.Exit{}
-		}
-		return hogBurst
-	})
 }
 
 // Done reports whether every waiter has finished its storms.

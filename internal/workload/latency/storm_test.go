@@ -74,17 +74,6 @@ func TestStormTailGrowsWithHerd(t *testing.T) {
 	}
 }
 
-func TestStormHogsDeepenQueue(t *testing.T) {
-	run := func(hogs int) float64 {
-		return NewStorm(stormMachine(1, false, 13),
-			StormConfig{Waiters: 8, Storms: 15, Hogs: hogs}).Run().MeanUS
-	}
-	quiet, loaded := run(0), run(32)
-	if loaded <= quiet {
-		t.Fatalf("mean latency should grow under hog load: %.1fus vs %.1fus", quiet, loaded)
-	}
-}
-
 func TestStormDeterministic(t *testing.T) {
 	run := func() StormResult {
 		return NewStorm(stormMachine(4, true, 13), smallStorm()).Run()

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"sort"
 
 	"elsc/internal/kernel"
@@ -85,16 +84,13 @@ func throughput(ops uint64, secs float64) float64 {
 }
 
 // buildVolano maps Params onto the chat benchmark: Work is messages per
-// user, Quick shrinks the rooms, ScalableStack swaps in the post-2.3
-// socket costs.
+// user, Quick shrinks the rooms, ScalableStack selects the post-2.3
+// socket stack.
 func buildVolano(m *kernel.Machine, p Params) Instance {
-	cfg := volano.Config{MessagesPerUser: p.Work}
+	cfg := volano.Config{MessagesPerUser: p.Work, ScalableStack: p.ScalableStack}
 	if p.Quick {
 		cfg.Rooms = 2
 		cfg.UsersPerRoom = 4
-	}
-	if p.ScalableStack {
-		cfg.Costs = volano.ScalableStackCosts()
 	}
 	return VolanoWith(cfg)(m, p)
 }
@@ -304,13 +300,4 @@ func buildWakeStorm(m *kernel.Machine, p Params) Instance {
 			}),
 		}
 	}}
-}
-
-// Describe renders a one-line-per-workload listing for CLI help.
-func Describe() string {
-	out := ""
-	for _, w := range Registry {
-		out += fmt.Sprintf("  %-10s %s\n", w.Name, w.Description)
-	}
-	return out
 }

@@ -12,12 +12,11 @@ import (
 // the stock scheduler through the recalculation loop — Figure 2's
 // mechanism.
 
-// spinRecv is a reusable receive-with-spin sub-machine.
+// spinRecv is a reusable receive-with-spin sub-machine: recvSpins polls,
+// each followed by a yield, then a blocking receive.
 type spinRecv struct {
-	q     *ipc.Queue
-	spins int
-	cost  uint64 // blocking receive cost
-	poll  uint64 // poll attempt cost
+	q    *ipc.Queue
+	cost uint64 // blocking receive cost
 
 	phase int // 0 try, 1 check/yield, 2 blocking, 3 done
 	tries int
@@ -37,13 +36,13 @@ func (s *spinRecv) step(p *kernel.Proc) (kernel.Action, bool) {
 	for {
 		switch s.phase {
 		case 0: // non-blocking poll
-			if s.tries >= s.spins {
+			if s.tries >= recvSpins {
 				s.phase = 2
 				return s.q.Recv(p, s.cost, &s.msg), false
 			}
 			s.tries++
 			s.phase = 1
-			return s.q.TryRecv(p, s.poll, &s.msg, &s.got), false
+			return s.q.TryRecv(p, spinPollCost, &s.msg, &s.got), false
 		case 1: // poll result: deliver, or yield and retry
 			if s.got {
 				s.phase = 3
@@ -65,26 +64,14 @@ func (s *spinRecv) step(p *kernel.Proc) (kernel.Action, bool) {
 // clients are closed-loop.
 type sender struct {
 	cn       *conn
-	messages int           // Config.MessagesPerUser
-	think    kernel.Action // the fixed compose step, boxed once
-	sendCost uint64
-	echoCost uint64
+	messages int // Config.MessagesPerUser
 	sent     int
 	phase    int
 	gate     ipc.Msg
 }
 
-// newSender copies out of cfg the four values a sender uses: it then holds
-// no Config of its own, which more than pays for the boxed think step.
-func newSender(cfg Config, cn *conn) kernel.Program {
-	return &sender{
-		cn:       cn,
-		messages: cfg.MessagesPerUser,
-		think:    kernel.Compute{Cycles: cfg.Costs.SenderThink},
-		sendCost: cfg.Costs.SenderSend,
-		echoCost: cfg.Costs.EchoSignalOp,
-	}
-}
+// think is every sender's fixed compose step, boxed once.
+var think kernel.Action = kernel.Compute{Cycles: senderThink}
 
 func (s *sender) Step(p *kernel.Proc) kernel.Action {
 	switch s.phase {
@@ -93,17 +80,17 @@ func (s *sender) Step(p *kernel.Proc) kernel.Action {
 			return kernel.Exit{}
 		}
 		s.phase = 1
-		return s.think
+		return think
 	case 1: // write to the socket
 		s.phase = 2
 		s.sent++
-		return s.cn.sock.ClientToServer.Send(p, s.sendCost, ipc.Msg{
+		return s.cn.sock.ClientToServer.Send(p, senderSend, ipc.Msg{
 			From: s.cn.user,
 			Seq:  s.sent,
 		})
 	default: // wait for own echo
 		s.phase = 0
-		return s.cn.echo.Recv(p, s.echoCost, &s.gate)
+		return s.cn.echo.Recv(p, echoSignalOp, &s.gate)
 	}
 }
 
@@ -111,7 +98,6 @@ func (s *sender) Step(p *kernel.Proc) kernel.Action {
 // delivery for this connection and releases the sender's gate when it sees
 // the connection's own message come back.
 type receiver struct {
-	cfg   Config
 	cn    *conn
 	total int
 	done  int
@@ -119,16 +105,8 @@ type receiver struct {
 	phase int
 }
 
-func newReceiver(cfg Config, cn *conn, total int) kernel.Program {
-	r := &receiver{cfg: cfg, cn: cn, total: total}
-	r.rx = spinRecv{
-		q:     cn.sock.ServerToClient,
-		spins: cfg.RecvSpins,
-		cost:  cfg.Costs.ReceiverRecv,
-		poll:  cfg.Costs.SpinPollCost,
-	}
-	r.rx.reset()
-	return r
+func newReceiver(cn *conn, total int) kernel.Program {
+	return &receiver{cn: cn, total: total, rx: spinRecv{q: cn.sock.ServerToClient, cost: receiverRecv}}
 }
 
 func (r *receiver) Step(p *kernel.Proc) kernel.Action {
@@ -153,7 +131,7 @@ func (r *receiver) Step(p *kernel.Proc) kernel.Action {
 		case 1: // signal the sender's gate
 			r.phase = 0
 			r.rx.reset()
-			return r.cn.echo.Send(p, r.cfg.Costs.EchoSignalOp, ipc.Msg{})
+			return r.cn.echo.Send(p, echoSignalOp, ipc.Msg{})
 		}
 	}
 }
@@ -163,7 +141,6 @@ func (r *receiver) Step(p *kernel.Proc) kernel.Action {
 // user-level yield-lock while routing, as VolanoChat synchronizes its
 // room member list.
 type reader struct {
-	cfg     Config
 	rm      *room
 	cn      *conn
 	msgs    int
@@ -176,20 +153,11 @@ type reader struct {
 	lockTries int
 }
 
-func newReader(cfg Config, rm *room, cn *conn, msgs int) kernel.Program {
-	r := &reader{cfg: cfg, rm: rm, cn: cn, msgs: msgs}
-	r.rx = spinRecv{
-		q:     cn.sock.ClientToServer,
-		spins: cfg.RecvSpins,
-		cost:  cfg.Costs.ReaderParse,
-		poll:  cfg.Costs.SpinPollCost,
-	}
-	r.rx.reset()
-	return r
+func newReader(rm *room, cn *conn, msgs int) kernel.Program {
+	return &reader{rm: rm, cn: cn, msgs: msgs, rx: spinRecv{q: cn.sock.ClientToServer, cost: readerParse}}
 }
 
 func (r *reader) Step(p *kernel.Proc) kernel.Action {
-	c := r.cfg.Costs
 	for {
 		switch r.phase {
 		case 0: // read next inbound message
@@ -203,7 +171,7 @@ func (r *reader) Step(p *kernel.Proc) kernel.Action {
 			r.phase = 1
 			r.lockTries = 0
 		case 1: // acquire the room lock, JVM-style: spin, then suspend
-			if r.lockTries >= r.cfg.RecvSpins {
+			if r.lockTries >= recvSpins {
 				r.phase = 5
 				return r.rm.lock.LockBlocking(p)
 			}
@@ -228,7 +196,7 @@ func (r *reader) Step(p *kernel.Proc) kernel.Action {
 			}
 			dst := r.rm.conns[r.routeTo]
 			r.routeTo++
-			return dst.writerQ.Send(p, c.RoutePerUser+c.QueueOp, r.rx.msg)
+			return dst.writerQ.Send(p, routePerUser+queueOp, r.rx.msg)
 		case 4: // release the lock, account the message
 			r.handled++
 			r.phase = 0
@@ -241,7 +209,6 @@ func (r *reader) Step(p *kernel.Proc) kernel.Action {
 // writer is the server-side thread that drains its connection's broadcast
 // queue onto the socket back to the client.
 type writer struct {
-	cfg   Config
 	cn    *conn
 	total int
 	done  int
@@ -249,16 +216,8 @@ type writer struct {
 	phase int
 }
 
-func newWriter(cfg Config, cn *conn, total int) kernel.Program {
-	w := &writer{cfg: cfg, cn: cn, total: total}
-	w.rx = spinRecv{
-		q:     cn.writerQ,
-		spins: cfg.RecvSpins,
-		cost:  cfg.Costs.QueueOp,
-		poll:  cfg.Costs.SpinPollCost,
-	}
-	w.rx.reset()
-	return w
+func newWriter(cn *conn, total int) kernel.Program {
+	return &writer{cn: cn, total: total, rx: spinRecv{q: cn.writerQ, cost: queueOp}}
 }
 
 func (w *writer) Step(p *kernel.Proc) kernel.Action {
@@ -278,7 +237,7 @@ func (w *writer) Step(p *kernel.Proc) kernel.Action {
 			w.phase = 0
 			msg := w.rx.msg
 			w.rx.reset()
-			return w.cn.sock.ServerToClient.Send(p, w.cfg.Costs.WriterWrite, msg)
+			return w.cn.sock.ServerToClient.Send(p, writerWrite, msg)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package volano
 
 import (
 	"testing"
+	"unsafe"
 
 	"elsc/internal/ipc"
 	"elsc/internal/kernel"
@@ -52,10 +53,9 @@ func execSyscall(t *testing.T, p *kernel.Proc, a kernel.Action) kernel.Outcome {
 func TestSpinRecvPollsYieldsThenBlocks(t *testing.T) {
 	q := ipc.NewQueue("q", 0)
 	p := testProc(newMachine(1, false, true, 1))
-	sr := spinRecv{q: q, spins: 2, cost: 100, poll: 50}
-	sr.reset()
+	sr := spinRecv{q: q, cost: 100}
 
-	// Poll 1 (miss) -> yield -> poll 2 (miss) -> yield -> blocking recv.
+	// recvSpins = 2: poll 1 (miss) -> yield -> poll 2 (miss) -> yield -> blocking recv.
 	wantNames := []string{"tryrecv", "yield", "tryrecv", "yield", "recv"}
 	for i, want := range wantNames {
 		act, done := sr.step(p)
@@ -93,8 +93,7 @@ func TestSpinRecvImmediateHit(t *testing.T) {
 	p := testProc(m)
 	q := ipc.NewQueue("q", 0)
 	q.Inject(m, ipc.Msg{From: 9, Seq: 1})
-	sr := spinRecv{q: q, spins: 2, cost: 100, poll: 50}
-	sr.reset()
+	sr := spinRecv{q: q, cost: 100}
 	act, done := sr.step(p)
 	if done {
 		t.Fatal("done before poll executes")
@@ -119,7 +118,7 @@ func TestSpinRecvResetReusable(t *testing.T) {
 	q := ipc.NewQueue("q", 0)
 	m := newMachine(1, false, true, 1)
 	p := testProc(m)
-	sr := spinRecv{q: q, spins: 1, cost: 100, poll: 50}
+	sr := spinRecv{q: q, cost: 100}
 	for round := 1; round <= 3; round++ {
 		q.Inject(m, ipc.Msg{Seq: round})
 		sr.reset()
@@ -247,16 +246,14 @@ func TestIdleSpinnerStepsAllocFree(t *testing.T) {
 	}
 }
 
-// TestSenderStepsAllocFree: a sender's think step hands out the Compute
-// boxed once in newSender, its send and echo-wait arm the proc's own
+// TestSenderStepsAllocFree: a sender's think step hands out the one
+// package-level boxed Compute, its send and echo-wait arm the proc's own
 // syscall slot, so a whole think/send/wait round never touches the
 // allocator (the think step was one boxed Compute per message: 37% of a
 // paper-regime cell's allocations).
 func TestSenderStepsAllocFree(t *testing.T) {
-	cfg := Config{MessagesPerUser: 1 << 30}
-	cfg = cfg.withDefaults()
 	cn := &conn{user: 3, sock: ipc.NewSockPair("u3", 0), echo: ipc.NewQueue("u3.echo", 0)}
-	s := newSender(cfg, cn)
+	s := &sender{cn: cn, messages: 1 << 30}
 	p := testProc(newMachine(1, false, true, 1))
 	kinds := map[string]int{}
 	// One run is a whole round: AllocsPerRun's average is an integer
@@ -264,8 +261,8 @@ func TestSenderStepsAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 3; i++ {
 			a := s.Step(p)
-			if c, ok := a.(kernel.Compute); ok && c.Cycles != cfg.Costs.SenderThink {
-				t.Fatalf("think step of %d cycles, want %d", c.Cycles, cfg.Costs.SenderThink)
+			if c, ok := a.(kernel.Compute); ok && c.Cycles != senderThink {
+				t.Fatalf("think step of %d cycles, want %d", c.Cycles, senderThink)
 			}
 			kinds[actionKind(a)]++
 		}
@@ -274,5 +271,21 @@ func TestSenderStepsAllocFree(t *testing.T) {
 	}
 	if kinds["compute"] != 101 || kinds["syscall"] != 202 {
 		t.Fatalf("step mix %v, want one think step and two syscalls per round", kinds)
+	}
+}
+
+// TestThreadProgramSizes: the receiver, reader and writer programs read
+// the package's constants instead of each holding a Config copy, so a
+// connection's three spin-receiving threads fit the 96- and 128-byte size
+// classes (280, 312 and 280 bytes when each carried its Config).
+func TestThreadProgramSizes(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"receiver": unsafe.Sizeof(receiver{}),
+		"reader":   unsafe.Sizeof(reader{}),
+		"writer":   unsafe.Sizeof(writer{}),
+	} {
+		if size > 128 {
+			t.Errorf("%s is %d bytes, want at most 128", name, size)
+		}
 	}
 }

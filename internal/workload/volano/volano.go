@@ -39,94 +39,72 @@ type Config struct {
 	UsersPerRoom int
 	// MessagesPerUser is how many messages each user sends (paper: 100).
 	MessagesPerUser int
-	// SockCap is the per-direction socket buffer capacity in messages.
-	SockCap int
-	// WriterQCap bounds each connection's in-process broadcast queue.
-	// Small values model the real server's flow control: a room's
+	// ScalableStack shrinks the network stack's serialized section to a
+	// per-socket lock hold, modeling the fine-grained locking the kernel
+	// grew by 2.6. The 2.3-era stack caps machine-wide throughput at one
+	// socket operation per 11k cycles no matter the CPU count, which
+	// makes every 16/32-processor run stack-bound and
+	// scheduler-indifferent; the scaled machines need the stack that era
+	// actually shipped with.
+	ScalableStack bool
+}
+
+// The calibrated shape and cycle prices of the message path, for a 400
+// MHz machine, so that a delivery costs tens of microseconds of CPU like a
+// real 1999 Java chat message through the TCP loopback stack.
+const (
+	// sockCap is the per-direction socket buffer capacity in messages.
+	sockCap = 16
+	// writerQCap bounds each connection's in-process broadcast queue.
+	// The small value models the real server's flow control: a room's
 	// reader stalls when a member's writer backs up, which keeps the
 	// number of simultaneously runnable threads proportional to rooms
 	// rather than rooms × users².
-	WriterQCap int
-	// RecvSpins is how many poll-then-yield rounds a receive performs
-	// before blocking (the JVM's adaptive spin).
-	RecvSpins int
-	// IdleSpinnersPerJVM is the number of housekeeping threads (garbage
+	writerQCap = 3
+	// recvSpins is how many poll-then-yield rounds a receive (and a room
+	// lock attempt) performs before blocking: the JVM's adaptive spin.
+	recvSpins = 2
+	// idleSpinnersPerJVM is the number of housekeeping threads (garbage
 	// collector, finalizer) each JVM runs. They wake periodically, poll
 	// for work with a few sched_yield rounds, and go back to sleep, as
 	// IBM JDK 1.1.7's runtime did. Whenever one of them yields as the
 	// only runnable task, the stock scheduler runs the recalculation
 	// loop — the dominant source of the paper's Figure 2 counts.
-	IdleSpinnersPerJVM int
-	// RampCycles staggers thread start-up over a uniform window,
+	idleSpinnersPerJVM = 2
+	// rampCycles staggers thread start-up over a uniform window (25 ms),
 	// modeling VolanoMark's sequential connection establishment. Without
 	// it every task starts with an identical quantum and wake-up
 	// preemption never fires (all goodness comparisons tie), which is
 	// not a regime the real benchmark ever sees.
-	RampCycles uint64
-	// Costs tunes the per-operation cycle costs.
-	Costs Costs
-}
+	rampCycles = 10_000_000
 
-// Costs are the simulated cycle prices of the message path, calibrated for
-// a 400 MHz machine so that a delivery costs tens of microseconds of CPU,
-// like a real 1999 Java chat message through the TCP loopback stack.
-type Costs struct {
-	SenderThink  uint64 // client-side message composition
-	SenderSend   uint64 // client socket write (TCP send path + JVM)
-	ReaderParse  uint64 // server read + protocol parse
-	RoutePerUser uint64 // enqueue to one member's writer queue
-	WriterWrite  uint64 // server socket write per delivery
-	ReceiverRecv uint64 // client socket read + handling per delivery
-	LockTry      uint64 // one user-level lock attempt
-	QueueOp      uint64 // in-process queue syscall cost
-	EchoSignalOp uint64 // sender-pacing gate operations
-	SpinPollCost uint64 // one non-blocking poll
-	// NetSerialHold is the serialized (big-kernel-lock era) portion of
+	senderThink  = 4000  // client-side message composition
+	senderSend   = 16000 // client socket write (TCP send path + JVM)
+	readerParse  = 12000 // server read + protocol parse
+	routePerUser = 1500  // enqueue to one member's writer queue
+	writerWrite  = 16000 // server socket write per delivery
+	receiverRecv = 12000 // client socket read + handling per delivery
+	lockTry      = 150   // one user-level lock attempt
+	queueOp      = 1200  // in-process queue syscall cost
+	echoSignalOp = 600   // sender-pacing gate operations
+	spinPollCost = 400   // one non-blocking poll
+	// netLatency delays loopback delivery: data written to a socket
+	// becomes readable after the net bottom-half runs, not instantly.
+	netLatency = 20000
+
+	// netSerialHold is the serialized (big-kernel-lock era) portion of
 	// each loopback socket operation: no matter how many CPUs the
 	// machine has, socket work passes through the 2.3.x network stack
 	// essentially one operation at a time. This is why the paper's 4P
 	// throughput barely exceeds UP throughput.
-	NetSerialHold uint64
-	// QueueSerialHold is the smaller serialized portion of in-process
+	netSerialHold = 11000
+	// queueSerialHold is the smaller serialized portion of in-process
 	// queue and gate operations (futex-style kernel entry).
-	QueueSerialHold uint64
-	// NetLatency delays loopback delivery: data written to a socket
-	// becomes readable after the net bottom-half runs, not instantly.
-	NetLatency uint64
-}
-
-// DefaultCosts returns the calibrated cost set.
-func DefaultCosts() Costs {
-	return Costs{
-		SenderThink:     4000,
-		SenderSend:      16000,
-		ReaderParse:     12000,
-		RoutePerUser:    1500,
-		WriterWrite:     16000,
-		ReceiverRecv:    12000,
-		LockTry:         150,
-		QueueOp:         1200,
-		EchoSignalOp:    600,
-		SpinPollCost:    400,
-		NetSerialHold:   11000,
-		QueueSerialHold: 2000,
-		NetLatency:      20000,
-	}
-}
-
-// ScalableStackCosts returns DefaultCosts with the network stack's
-// serialized section shrunk to a per-socket lock hold, modeling the
-// fine-grained locking the kernel grew by 2.6. The 2.3-era NetSerialHold
-// caps machine-wide throughput at one socket operation per 11k cycles no
-// matter the CPU count, which makes every 16/32-processor run
-// stack-bound and scheduler-indifferent; the scaled machines need the
-// stack that era actually shipped with.
-func ScalableStackCosts() Costs {
-	c := DefaultCosts()
-	c.NetSerialHold = 1200
-	c.QueueSerialHold = 300
-	return c
-}
+	queueSerialHold = 2000
+	// The ScalableStack holds: a per-socket lock instead of the big one.
+	scalableNetSerialHold   = 1200
+	scalableQueueSerialHold = 300
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -138,24 +116,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MessagesPerUser == 0 {
 		out.MessagesPerUser = 100
-	}
-	if out.SockCap == 0 {
-		out.SockCap = 16
-	}
-	if out.WriterQCap == 0 {
-		out.WriterQCap = 3
-	}
-	if out.RecvSpins == 0 {
-		out.RecvSpins = 2
-	}
-	if out.IdleSpinnersPerJVM == 0 {
-		out.IdleSpinnersPerJVM = 2
-	}
-	if out.RampCycles == 0 {
-		out.RampCycles = 10_000_000 // 25 ms at 400 MHz
-	}
-	if out.Costs == (Costs{}) {
-		out.Costs = DefaultCosts()
 	}
 	return out
 }
@@ -204,6 +164,10 @@ func Build(m *kernel.Machine, cfg Config) *Benchmark {
 	serverMM := m.NewMM("server-jvm")
 	netStack := m.NewSerialResource("netstack")
 
+	netHold, queueHold := uint64(netSerialHold), uint64(queueSerialHold)
+	if cfg.ScalableStack {
+		netHold, queueHold = scalableNetSerialHold, scalableQueueSerialHold
+	}
 	u := cfg.UsersPerRoom
 	msgs := cfg.MessagesPerUser
 	b.expectedDeliveries = uint64(cfg.Rooms) * uint64(u) * uint64(u) * uint64(msgs)
@@ -211,24 +175,24 @@ func Build(m *kernel.Machine, cfg Config) *Benchmark {
 	for r := 0; r < cfg.Rooms; r++ {
 		rm := &room{
 			id:   r,
-			lock: ipc.NewYieldMutex(fmt.Sprintf("room%d.lock", r), cfg.Costs.LockTry),
+			lock: ipc.NewYieldMutex(fmt.Sprintf("room%d.lock", r), lockTry),
 		}
 		for i := 0; i < u; i++ {
 			uid := r*u + i
 			cn := &conn{
 				user:    uid,
-				sock:    ipc.NewSockPair(fmt.Sprintf("u%d", uid), cfg.SockCap),
-				writerQ: ipc.NewQueue(fmt.Sprintf("u%d.wq", uid), cfg.WriterQCap),
+				sock:    ipc.NewSockPair(fmt.Sprintf("u%d", uid), sockCap),
+				writerQ: ipc.NewQueue(fmt.Sprintf("u%d.wq", uid), writerQCap),
 				echo:    ipc.NewQueue(fmt.Sprintf("u%d.echo", uid), 0),
 			}
 			for _, q := range []*ipc.Queue{cn.sock.ClientToServer, cn.sock.ServerToClient} {
 				q.Serial = netStack
-				q.SerialHold = cfg.Costs.NetSerialHold
-				q.DeliverLatency = cfg.Costs.NetLatency
+				q.SerialHold = netHold
+				q.DeliverLatency = netLatency
 			}
 			for _, q := range []*ipc.Queue{cn.writerQ, cn.echo} {
 				q.Serial = netStack
-				q.SerialHold = cfg.Costs.QueueSerialHold
+				q.SerialHold = queueHold
 			}
 			rm.conns = append(rm.conns, cn)
 		}
@@ -236,14 +200,14 @@ func Build(m *kernel.Machine, cfg Config) *Benchmark {
 
 		for i, cn := range rm.conns {
 			name := fmt.Sprintf("r%d.u%d", r, i)
-			b.spawn(name+".sender", clientMM, newSender(cfg, cn))
-			b.spawn(name+".recv", clientMM, newReceiver(cfg, cn, u*msgs))
-			b.spawn(name+".reader", serverMM, newReader(cfg, rm, cn, msgs))
-			b.spawn(name+".writer", serverMM, newWriter(cfg, cn, u*msgs))
+			b.spawn(name+".sender", clientMM, &sender{cn: cn, messages: msgs})
+			b.spawn(name+".recv", clientMM, newReceiver(cn, u*msgs))
+			b.spawn(name+".reader", serverMM, newReader(rm, cn, msgs))
+			b.spawn(name+".writer", serverMM, newWriter(cn, u*msgs))
 		}
 	}
 	// The JVM runtime threads: GC and finalizer pollers in each JVM.
-	for i := 0; i < cfg.IdleSpinnersPerJVM; i++ {
+	for i := 0; i < idleSpinnersPerJVM; i++ {
 		for _, jvm := range []*task.MM{clientMM, serverMM} {
 			p := m.Spawn(fmt.Sprintf("%s.gc%d", jvm.Name, i), jvm, newIdleSpinner(b))
 			b.housekeeping = append(b.housekeeping, p)
@@ -300,9 +264,7 @@ var (
 )
 
 func (b *Benchmark) spawn(name string, mm *task.MM, prog kernel.Program) {
-	if b.cfg.RampCycles > 1 {
-		prog = &staggered{delay: b.m.RNG().Uint64n(b.cfg.RampCycles), inner: prog}
-	}
+	prog = &staggered{delay: b.m.RNG().Uint64n(rampCycles), inner: prog}
 	b.threads = append(b.threads, b.m.Spawn(name, mm, prog))
 }
 

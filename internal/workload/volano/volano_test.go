@@ -3,6 +3,7 @@ package volano
 import (
 	"testing"
 
+	"elsc/internal/ipc"
 	"elsc/internal/kernel"
 	"elsc/internal/sched"
 	"elsc/internal/sched/elsc"
@@ -168,5 +169,36 @@ func TestResultFields(t *testing.T) {
 	}
 	if res.Seconds <= 0 {
 		t.Fatal("elapsed seconds must be positive")
+	}
+}
+
+// TestScalableStackHolds: ScalableStack swaps the network stack's
+// serialized holds, socket and in-process queues alike, and leaves the
+// loopback delivery latency alone.
+func TestScalableStackHolds(t *testing.T) {
+	for _, tc := range []struct {
+		scalable        bool
+		sockHold, qHold uint64
+	}{
+		{false, 11000, 2000},
+		{true, 1200, 300},
+	} {
+		cfg := tiny()
+		cfg.ScalableStack = tc.scalable
+		b := Build(newMachine(1, false, true, 1), cfg)
+		for _, cn := range b.rooms[0].conns {
+			for _, q := range []*ipc.Queue{cn.sock.ClientToServer, cn.sock.ServerToClient} {
+				if q.SerialHold != tc.sockHold || q.DeliverLatency != 20000 {
+					t.Fatalf("ScalableStack=%v: socket queue holds %d for %d latency, want %d for 20000",
+						tc.scalable, q.SerialHold, q.DeliverLatency, tc.sockHold)
+				}
+			}
+			for _, q := range []*ipc.Queue{cn.writerQ, cn.echo} {
+				if q.SerialHold != tc.qHold {
+					t.Fatalf("ScalableStack=%v: in-process queue holds %d, want %d",
+						tc.scalable, q.SerialHold, tc.qHold)
+				}
+			}
+		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 	"elsc/internal/stats"
 )
 
-// Config sizes the web workload.
+// Config sizes the web workload. Zero fields take the defaults.
 type Config struct {
 	// Workers is the Apache process pool size (default 64).
 	Workers int
@@ -32,20 +32,28 @@ type Config struct {
 	// ArrivalPeriod is the mean cycles between request arrivals
 	// (default 40000 = 10k req/s offered at 400 MHz).
 	ArrivalPeriod uint64
-	// ParseCost is the request-parsing CPU burst.
-	ParseCost uint64
-	// RespondCost is the response-write CPU burst.
-	RespondCost uint64
-	// CacheHitRate is the fraction of requests served from page cache.
-	CacheHitRate float64
-	// DiskLatency is the sleep for a cache miss.
-	DiskLatency uint64
-	// AcceptQueueCap bounds the listen backlog (default 128).
-	AcceptQueueCap int
-	// NetSerialHold is the serialized network-stack portion per
-	// response, as in the VolanoMark model.
-	NetSerialHold uint64
 }
+
+const (
+	// cacheHitRate is the fraction of requests served from page cache.
+	cacheHitRate = 0.9
+	// diskLatency scales the sleep for a cache miss (7.5 ms seek+read),
+	// drawn from [diskLatency/2, 2*diskLatency).
+	diskLatency = 3_000_000
+	// acceptQueueCap bounds the listen backlog.
+	acceptQueueCap = 128
+	// netSerialHold is the serialized network-stack portion per
+	// response, as in the VolanoMark model.
+	netSerialHold = 9_000
+)
+
+// The fixed per-request bursts, boxed once and shared by every worker
+// (the kernel copies the cycle count out on consumption), so the
+// steady-state request loop allocates nothing.
+var (
+	parseAct   kernel.Action = kernel.Compute{Cycles: 15_000}
+	respondAct kernel.Action = kernel.Compute{Cycles: 25_000}
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -57,24 +65,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.ArrivalPeriod == 0 {
 		out.ArrivalPeriod = 40_000
-	}
-	if out.ParseCost == 0 {
-		out.ParseCost = 15_000
-	}
-	if out.RespondCost == 0 {
-		out.RespondCost = 25_000
-	}
-	if out.CacheHitRate == 0 {
-		out.CacheHitRate = 0.9
-	}
-	if out.DiskLatency == 0 {
-		out.DiskLatency = 3_000_000 // 7.5 ms seek+read
-	}
-	if out.AcceptQueueCap == 0 {
-		out.AcceptQueueCap = 128
-	}
-	if out.NetSerialHold == 0 {
-		out.NetSerialHold = 9_000
 	}
 	return out
 }
@@ -92,24 +82,15 @@ type Server struct {
 	latency   stats.Dist
 	rng       *sim.RNG
 	arrivalEv *sim.Event
-
-	// parseAct and respondAct are the fixed per-request bursts, boxed
-	// once and shared by every worker (the kernel copies the cycle count
-	// out on consumption), so the steady-state request loop allocates
-	// nothing.
-	parseAct   kernel.Action
-	respondAct kernel.Action
 }
 
 // New constructs the server and starts the arrival process.
 func New(m *kernel.Machine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, m: m, rng: m.RNG().Fork()}
-	s.parseAct = kernel.Compute{Cycles: cfg.ParseCost}
-	s.respondAct = kernel.Compute{Cycles: cfg.RespondCost}
-	s.accept = ipc.NewQueue("accept", cfg.AcceptQueueCap)
+	s.accept = ipc.NewQueue("accept", acceptQueueCap)
 	s.accept.Serial = m.NewSerialResource("netstack")
-	s.accept.SerialHold = cfg.NetSerialHold
+	s.accept.SerialHold = netSerialHold
 	s.arrivalEv = m.Engine().NewPeriodicEvent("request-arrival", s.onArrival)
 
 	mm := m.NewMM("httpd")
@@ -136,7 +117,7 @@ func (s *Server) onArrival(now sim.Time) {
 	s.arrived++
 	// Stamp the arrival time for latency measurement. If the
 	// backlog is full the request is dropped, as listen(2) would.
-	if s.accept.Len() < s.cfg.AcceptQueueCap {
+	if s.accept.Len() < acceptQueueCap {
 		s.injectRequest(now)
 	} else {
 		s.dropped++
@@ -167,17 +148,17 @@ func (s *Server) newWorker() kernel.Program {
 				return s.accept.Recv(p, 8_000, &req)
 			case 1: // parse
 				phase = 2
-				return s.parseAct
+				return parseAct
 			case 2: // file access
 				phase = 3
-				if s.rng.Float64() < s.cfg.CacheHitRate {
+				if s.rng.Float64() < cacheHitRate {
 					continue
 				}
-				disk.Cycles = s.rng.Range(s.cfg.DiskLatency/2, s.cfg.DiskLatency*2)
+				disk.Cycles = s.rng.Range(diskLatency/2, diskLatency*2)
 				return disk
 			case 3: // respond
 				phase = 4
-				return s.respondAct
+				return respondAct
 			case 4: // account completion
 				phase = 0
 				s.served++

@@ -17,9 +17,11 @@ import (
 // Params carries the cross-workload sizing knobs the registry understands.
 // Each workload maps them onto its own Config; knobs a workload has no use
 // for are ignored (kbuild's build size, for instance, does not scale with
-// Work). Callers that need a workload's full Config should use the
-// workload package directly — the registry is the uniform entry, not the
-// only one.
+// Work). Callers that size a workload some other way (volano's rooms,
+// kbuild's tree, webserver's offered load, latency's hogs) pass its
+// Config to VolanoWith, KBuildWith, WebserverWith or LatencyWith, or use
+// the workload package directly — the registry is the uniform entry, not
+// the only one.
 type Params struct {
 	// Work is the primary per-actor operation count: messages per user
 	// (volano), transactions per client (db), wakes per probe (latency),

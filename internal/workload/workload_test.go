@@ -129,21 +129,3 @@ func TestScalableStackParam(t *testing.T) {
 			serial, scalable)
 	}
 }
-
-func TestDescribeListsEveryWorkload(t *testing.T) {
-	out := Describe()
-	for _, w := range Registry {
-		if !containsLine(out, w.Name) {
-			t.Fatalf("Describe() missing %q:\n%s", w.Name, out)
-		}
-	}
-}
-
-func containsLine(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

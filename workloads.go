@@ -10,7 +10,7 @@ import (
 // the registry runs any workload by name with uniform sizing knobs
 // (RunWorkload — what the sweep matrix and the determinism suite use),
 // and RunVolanoMark and RunWebServer take the chat and web benchmarks'
-// full Config for bespoke shapes.
+// Config for bespoke shapes.
 
 // WorkloadParams sizes a registry-run workload: Work is the per-actor
 // operation count, Quick selects the reduced shape, ScalableStack the
@@ -35,7 +35,8 @@ func (m *Machine) RunWorkload(name string, p WorkloadParams) WorkloadResult {
 // VolanoConfig sizes a VolanoMark run (paper §4/§6): Rooms chat rooms of
 // UsersPerRoom users, each sending MessagesPerUser messages that the
 // server broadcasts to the whole room over loopback connections carrying
-// four threads each.
+// four threads each. ScalableStack swaps the 2.3-era big-lock network
+// stack for per-socket lock holds; every cycle price is fixed calibration.
 type VolanoConfig = volano.Config
 
 // VolanoResult is a VolanoMark measurement; Throughput is the paper's
@@ -47,7 +48,10 @@ func (m *Machine) RunVolanoMark(cfg VolanoConfig) VolanoResult {
 	return volano.Build(m.m, cfg).Run()
 }
 
-// WebServerConfig sizes the §8 future-work Apache-style workload.
+// WebServerConfig sizes the §8 future-work Apache-style workload: Workers
+// processes serving Requests requests that arrive every ArrivalPeriod
+// cycles on average; the cache hit rate and cycle prices are fixed
+// calibration.
 type WebServerConfig = webserver.Config
 
 // WebServerResult reports webserver throughput and latency.
