@@ -123,23 +123,22 @@
 //
 // # The event engine
 //
-// Everything above runs on internal/sim, a discrete-event engine built
-// so the simulator's own hot path honors the paper's thesis about hot
-// paths: O(1) where it can be, allocation-free in steady state. The
-// pending set is one hierarchical timer wheel (three levels of 2048
-// slots, doubly linked slot lists, occupancy bitmaps) with one arm path
-// and one fire path; the rare deadline the rings cannot express waits on
-// an overflow list. Fired events are recycled through a freelist, and the
-// kernel layer arms its recurring events (timer ticks, reschedule IPIs,
-// context-switch and segment completions) as caller-owned objects
+// Everything above runs on internal/sim, a discrete-event engine built so
+// the simulator's own hot path honors the paper's thesis about hot paths:
+// O(1) where it can be, allocation-free in steady state. The pending set is
+// one hierarchical timer wheel (2048 level-0 slots, 128 at each of two
+// coarser levels, doubly linked slot lists, one occupancy bitmap) with one
+// arm path and one fire path; the rare deadline the rings cannot express
+// waits on an overflow list. Fired events are recycled through a freelist,
+// and the kernel layer arms its recurring events (timer ticks, reschedule
+// IPIs, context-switch and segment completions) as caller-owned objects
 // re-armed in place with prebound callbacks, so a steady-state
 // schedule→dispatch cycle performs zero allocations (asserted by
 // testing.AllocsPerRun in the engine suite). A program issues a syscall
-// with Proc.Call, which writes it into the proc's own slot — the one
-// copy the kernel runs — so no workload keeps a scratch Syscall of its
-// own. Cancellation is an O(1)
-// unlink: the event leaves its slot at once and may be armed again.
-// Determinism is untouched — events fire in exact (time,
+// with Proc.Call, which writes it into the proc's own slot — the one copy
+// the kernel runs — so no workload keeps a scratch Syscall of its own.
+// Cancellation is an O(1) unlink: the event leaves its slot at once and may
+// be armed again. Determinism is untouched — events fire in exact (time,
 // scheduling-order) sequence, so a seed still reproduces every run
 // byte-for-byte; only the wall-clock per event changed.
 //

@@ -113,7 +113,7 @@ func (m *Machine) EnableWatchdog(cfg WatchdogConfig) {
 		return
 	}
 	wd := &watchdog{m: m, cfg: cfg}
-	wd.ev = m.eng.NewPeriodicEvent("watchdog", wd.sweep)
+	wd.ev = m.eng.NewEvent("watchdog", wd.sweep)
 	m.watchdog = wd
 	m.stats.WatchdogEnabled = true
 	m.eng.ScheduleAfter(wd.ev, watchdogPeriod)

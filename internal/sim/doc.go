@@ -11,23 +11,25 @@
 // Every pending event lives in one structure, reached by one arm path
 // (Engine.arm) and one fire path (Engine.dispatch).
 //
-// Geometry (wheel.go): three levels of 2048 slots. A level-0 slot spans
-// 512 cycles; each coarser level multiplies the slot span by 2048, so
-// level 0 covers a ~1M-cycle window (~2.6ms at the default clock), level 1
-// ~2.1G cycles (~5.4s), and level 2 ~4.4T cycles — the wheel's horizon,
-// measured from its cursor. A slot is a doubly linked list through the
-// events themselves; level-0 lists stay sorted by (At, seq). An arm whose
-// deadline lies in the level-0 ring, at or past its slot's tail, indexes
-// the slot and appends: 95.5% of arms in the benchmark's 32-CPU hog cells,
-// 97.5% in its 4-CPU chat cells, 68% in its 32-CPU chat cells, where
-// another 31% land mid-slot and walk back from the tail. A further
-// deadline (4% of the hog cells' arms, under 1% of the chat cells')
-// parks in a coarser level and cascades down one level at a time as the
-// cursor crosses its window. The next event is the head of the first
-// occupied level-0 slot at or after the cursor, found by walking occupancy
-// bitmaps (64 slots per word) and then remembered: firing the confirmed
-// earliest promotes its slot successor, or the next occupied slot of the
-// same bitmap word, so a burst never rescans.
+// Geometry (wheel.go): three levels over one ring of 2304 slots and one
+// occupancy bitmap, indexed through per-level base, shift and mask tables.
+// Level 0 has 2048 slots of 512 cycles, a ~1M-cycle window (~2.6ms at the
+// default clock). Levels 1 and 2 have 128 slots each, and each of their
+// slots spans the whole ring below it: level 1 covers ~134M cycles
+// (~0.34s), level 2 ~17.2G cycles (~43s) — the wheel's horizon, measured
+// from its cursor. A slot is a doubly linked list through the events
+// themselves; level-0 lists stay sorted by (At, seq). An arm whose deadline
+// lies in the level-0 ring, at or past its slot's tail, indexes the slot
+// and appends: 95.5% of arms in the benchmark's 32-CPU hog cells, 97.5% in
+// its 4-CPU chat cells, 68% in its 32-CPU chat cells, where another 31%
+// land mid-slot and walk back from the tail. A further deadline (4% of the
+// hog cells' arms, under 1% of the chat cells') parks in a coarser level
+// and cascades down one level at a time as the cursor crosses its window.
+// The next event is the head of the first occupied level-0 slot at or after
+// the cursor, found by walking the occupancy bitmap (64 slots per word) and
+// then remembered: firing the confirmed earliest promotes its slot
+// successor, or the next occupied slot of the same bitmap word, so a burst
+// never rescans.
 //
 // Cancel is an O(1) unlink whatever the slot holds. The event records its
 // level when linked, so Cancel finds its slot from (level, At), splices it
@@ -62,19 +64,37 @@
 // committed cell or pinned seed arms past the horizon or behind the
 // cursor. Do not add a second structure without a cell that needs one.
 //
-// The rest was measured on the prototype of this design (benchmark
-// workload hogs_segments, run_s). A heap-only engine: 2.65 → 5.5 s.
-// Rings of 512 or 1024 slots per level: +0.7% and +1.8% (0/5 and 1/5
+// The coarse levels are sized to their traffic. Counting every arm of one
+// bash benchmark/run.sh -reps 1 per workload, the share whose deadline
+// lies a level-0 ring (2^20 cycles) or more past the clock is 6.5% in
+// hogs_segments (its kernel ticks), 0.58% in volano_numa, 0.67% in
+// volano_paper and 9.8% in matrix_quick, and no deadline lies 2^27 cycles
+// out: the farthest is 76,219,093, in matrix_quick. With 2048 slots at
+// every level those workloads never used level 2 and used at most 73
+// level-1 slots, yet the rings made the wheel a 106,496-byte allocation,
+// live in every recycled engine, zeroed at every fresh machine's first
+// arm, and 54% of hogs_segments' live heap. At 128 slots per coarse level
+// it is 37,224 bytes in a 40,960-byte allocation (TestWheelHeapBudget).
+// The horizon still covers the registry: its farthest deadline is
+// 76,219,093 cycles at QuickScale and 14,144,852,219 at DefaultScale,
+// under 2^34 = 17,179,869,184, and DefaultScale arms 100,139 of its
+// 503,647,873 deadlines past 2^27, into level 2. With a panic planted in
+// the overflow arm at this horizon, go test ./... outside this package,
+// both registry sweeps, the benchmark module's test and 31,821
+// FuzzScenario executions still never reach it.
+//
+// The rest was measured on the prototype of this design (benchmark workload
+// hogs_segments, run_s). A heap-only engine: 2.65 → 5.5 s. Rings of 512 or
+// 1024 slots at every level, level 0 included: +0.7% and +1.8% (0/5 and 1/5
 // wins) — the cost of a dispatch is instructions and mispredicts, not
-// footprint, so the geometry stayed. Doubly linked slots: a store more
-// per arm and fire than singly linked ones, +2.6% and inside the noise —
-// the price of the flat Cancel: beside 256 or 4096 events in one slot it
-// costs the same ~23 ns, where lazy cancel left corpses that every later
-// insert into the slot walked past (BenchmarkCancel read 920 ns). And on
-// the final code, firing through the shared unlink routine instead of
-// dispatch's own head pop: BenchmarkAfterStep 21.0 → 22.7 ns,
-// BenchmarkWheelMixed 13.3 → 16.2 ns — which is why dispatch and arm
-// each spell out their common case.
+// footprint, so level 0 kept 2048. Doubly linked slots: a store more per
+// arm and fire than singly linked ones, +2.6% and inside the noise — the
+// price of the flat Cancel: beside 256 or 4096 events in one slot it costs
+// the same ~23 ns, where lazy cancel left corpses that every later insert
+// into the slot walked past (BenchmarkCancel read 920 ns). And on the final
+// code, firing through the shared unlink routine instead of dispatch's own
+// head pop: BenchmarkAfterStep 21.0 → 22.7 ns, BenchmarkWheelMixed 13.3 →
+// 16.2 ns — which is why dispatch and arm each spell out their common case.
 //
 // The cursor stands on a level-0 slot boundary. Levels are chosen by
 // distance from it, and a deadline just under one ring span ahead of a
@@ -90,15 +110,14 @@
 //
 // # Ownership and allocation discipline
 //
-// Events returned by At and After belong to the engine: when one has
-// fired or been cancelled it is recycled through a freelist, so a
-// steady-state schedule→dispatch cycle allocates nothing, and the caller
-// must drop its pointer at that moment. Any other Event — from NewEvent or
-// NewPeriodicEvent (the same constructor now), or a caller's own Event
-// value with Name and Fn set — belongs to the caller, is never recycled,
-// and is armed with Schedule whenever it is not pending: the shape for
-// recurring and repeatedly interrupted timers that must not touch the
-// allocator. An event that is not queued holds no links, so neither the
+// Events returned by At and After belong to the engine: when one has fired
+// or been cancelled it is recycled through a freelist, so a steady-state
+// schedule→dispatch cycle allocates nothing, and the caller must drop its
+// pointer at that moment. Any other Event — from NewEvent, or a caller's
+// own Event value with Name and Fn set — belongs to the caller, is never
+// recycled, and is armed with Schedule whenever it is not pending: the
+// shape for recurring and repeatedly interrupted timers that must not touch
+// the allocator. An event that is not queued holds no links, so neither the
 // freelist nor an idle caller-owned event keeps a finished simulation
 // reachable, and Reset touches only what is still pending.
 package sim

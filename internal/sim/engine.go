@@ -19,11 +19,11 @@ type Cycles = uint64
 // After are owned by the engine: once the callback has fired, or the event
 // has been cancelled, the object is recycled for a later At/After and the
 // old pointer must not be used again (drop or nil any reference at that
-// point). Every other Event — one built with NewEvent or NewPeriodicEvent,
-// or a caller's own Event value with Name and Fn set, which lets several
-// live in one allocation — is owned by the caller, is never recycled, and
-// may be armed with Schedule whenever it is not pending: after it fired
-// (a recurring timer re-arms itself from inside Fn) or after Cancel (a
+// point). Every other Event — one built with NewEvent, or a caller's own
+// Event value with Name and Fn set, which lets several live in one
+// allocation — is owned by the caller, is never recycled, and may be
+// armed with Schedule whenever it is not pending: after it fired (a
+// recurring timer re-arms itself from inside Fn) or after Cancel (a
 // preempted deadline is armed again at its new time). That is the shape
 // for timers that must not touch the allocator.
 type Event struct {
@@ -112,11 +112,10 @@ func (e *Engine) NewEvent(name string, fn func(now Time)) *Event {
 	return &Event{Name: name, Fn: fn}
 }
 
-// NewPeriodicEvent is NewEvent. It used to mark an event as worth the
-// wheel at any distance; every deadline inside the wheel's horizon now
-// rides the wheel, so the two constructors build the same thing.
+// NewPeriodicEvent is NewEvent under its old name, kept for the benchmark
+// module, which still calls it.
 func (e *Engine) NewPeriodicEvent(name string, fn func(now Time)) *Event {
-	return e.NewEvent(name, fn)
+	return e.NewEvent(name, fn) // benchmark seam: ROADMAP 1
 }
 
 // Schedule arms a caller-owned event at absolute time at. The event must
@@ -155,11 +154,11 @@ func (e *Engine) arm(ev *Event, at Time) {
 	e.pending++
 	w := e.wheel
 	if w != nil && w.count != 0 && at-w.cur < wheelSpan0 {
-		idx := int(at>>wheelShift) & wheelMask
-		s := &w.slots[0][idx]
+		idx := int(at>>wheelShift) & wheelMask // level 0 is the ring's prefix
+		s := &w.slots[idx]
 		if t := s.tail; t == nil {
 			s.head = ev
-			w.bits[0][idx>>6] |= 1 << (idx & 63)
+			w.bits[idx>>6] |= 1 << (idx & 63)
 		} else if t.At <= at {
 			t.wheelNext = ev
 			ev.wheelPrev = t
@@ -244,7 +243,7 @@ func (e *Engine) dispatch(limit Time) bool {
 		// are (At, seq)-sorted and every other resident lives at or past
 		// this slot's window.
 		idx := int(ev.At>>wheelShift) & wheelMask
-		s := &w.slots[0][idx]
+		s := &w.slots[idx]
 		next := ev.wheelNext
 		s.head = next
 		if next != nil {
@@ -252,7 +251,7 @@ func (e *Engine) dispatch(limit Time) bool {
 			ev.wheelNext = nil
 		} else {
 			s.tail = nil
-			w.bits[0][idx>>6] &^= 1 << (idx & 63)
+			w.bits[idx>>6] &^= 1 << (idx & 63)
 			// The slot drained: probe the rest of its bitmap word. Ring
 			// indices above this one hold only current-window deadlines
 			// (a next-lap arm lands strictly below the cursor's index),
@@ -260,8 +259,8 @@ func (e *Engine) dispatch(limit Time) bool {
 			// wrapped slot, so the next occupied slot's head, if the
 			// word has one, is the next earliest and a burst spanning
 			// nearby slots never rescans.
-			if word := w.bits[0][idx>>6] >> (idx & 63); word != 0 {
-				next = w.slots[0][idx+bits.TrailingZeros64(word)].head
+			if word := w.bits[idx>>6] >> (idx & 63); word != 0 {
+				next = w.slots[idx+bits.TrailingZeros64(word)].head
 			}
 		}
 		w.hit = next

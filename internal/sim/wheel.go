@@ -5,24 +5,28 @@ import "math/bits"
 // Hierarchical timer wheel: the engine's one pending-set structure. Arm,
 // cancel and fire are O(1); firing order is exactly (At, seq).
 //
-// Geometry: wheelLevels levels of wheelSlots slots each. A level-0 slot
+// Geometry: wheelLevels levels over one ring of slots. A level-0 slot
 // covers wheelGran0 cycles — coarse enough that the cursor crosses a
 // typical inter-event gap in a couple of bitmap words, fine enough that a
 // slot rarely holds more than a handful of deadlines — and keeps its
 // residents sorted by (At, seq) so the head is always the slot's next
-// firing. Each coarser level multiplies the slot span by wheelSlots; an
-// event whose deadline is further out than a level can express parks in a
-// coarser level and cascades down one level at a time as the cursor
-// crosses its window start. Power-of-two sizing makes every slot index a
-// shift+mask and aligns window boundaries with bitmap words, so cursor
-// scans never wrap mid-window.
+// firing. Level 0 has wheelSlots slots; each coarser level has
+// coarseSlots, sized to its traffic (doc.go has the census), and its slot
+// spans the whole finer level. An event whose deadline is further out
+// than a level can express parks in a coarser level and cascades down one
+// level at a time as the cursor crosses its window start. Power-of-two
+// sizing makes every slot index a shift+mask and aligns each level's lap
+// with the end of its bitmap words, so cursor scans never wrap mid-window.
 const (
 	wheelShift  = 9 // log2 cycles per level-0 slot
 	wheelBits   = 11
-	wheelSlots  = 1 << wheelBits // 2048 slots per level
+	wheelSlots  = 1 << wheelBits // level-0 slots
 	wheelMask   = wheelSlots - 1
+	coarseBits  = 7
+	coarseSlots = 1 << coarseBits // slots of each coarser level
 	wheelLevels = 3
-	wheelWords  = wheelSlots / 64
+	ringSlots   = wheelSlots + (wheelLevels-1)*coarseSlots
+	ringWords   = ringSlots / 64
 
 	// wheelGran0 is the level-0 slot granularity (512 cycles, ~1.3µs at
 	// the default clock); wheelSpan0 is the level-0 ring span and the
@@ -30,15 +34,37 @@ const (
 	wheelGran0 = 1 << wheelShift
 	wheelSpan0 = 1 << (wheelShift + wheelBits)
 	// wheelGran2 is the level-2 slot granularity — equivalently the span
-	// of the level-1 ring (~2.1G cycles, ~5.4s at the default clock).
-	wheelGran2 = 1 << (wheelShift + 2*wheelBits)
-	// wheelHorizon is the span of the level-2 ring (~4.4T cycles): the
-	// furthest deadline, measured from the cursor, the wheel can express.
-	wheelHorizon = 1 << (wheelShift + 3*wheelBits)
+	// of the level-1 ring (~134M cycles, ~0.34s at the default clock).
+	wheelGran2 = wheelSpan0 << coarseBits
+	// wheelHorizon is the span of the level-2 ring (~17G cycles, ~43s):
+	// the furthest deadline, measured from the cursor, the wheel can
+	// express.
+	wheelHorizon = wheelGran2 << coarseBits
 
 	// levelOver is Event.level for a resident of the overflow list.
 	levelOver = wheelLevels
 )
+
+// Per-level geometry. Level l owns ring slots [levelBase[l],
+// levelBase[l+1]) and bitmap words [levelBase[l]>>6, levelBase[l+1]>>6);
+// its slot spans 1<<levelShift[l] cycles and its ring 1<<levelShift[l+1],
+// so levelShift[wheelLevels] is log2 of the horizon. Every base is a
+// multiple of 64, so a ring index names its bitmap word and bit directly.
+var (
+	levelBase  = [wheelLevels + 1]int{0, wheelSlots, wheelSlots + coarseSlots, ringSlots}
+	levelShift = [wheelLevels + 1]uint{
+		wheelShift,
+		wheelShift + wheelBits,
+		wheelShift + wheelBits + coarseBits,
+		wheelShift + wheelBits + 2*coarseBits,
+	}
+	levelMask = [wheelLevels]int{wheelMask, coarseSlots - 1, coarseSlots - 1}
+)
+
+// slotIndex is the ring index of the level-l slot whose window holds at.
+func slotIndex(l int, at Time) int {
+	return levelBase[l] + int(at>>levelShift[l])&levelMask[l]
+}
 
 // slot heads one intrusive doubly-linked list of events (chained through
 // Event.wheelNext/wheelPrev), so any resident unlinks in O(1). Level-0
@@ -68,9 +94,9 @@ func (a *Event) before(b *Event) bool {
 // wheel is the three-level ring plus its overflow. cur is the cursor,
 // always on a level-0 slot boundary: every ring resident satisfies
 // At >= cur, and cur only advances as far as a caller-supplied limit
-// justifies. Occupancy bitmaps (one bit per slot, exact: a set bit is a
-// non-empty slot) let scans skip 64 empty slots per word, and per-level
-// resident counts let them skip levels entirely.
+// justifies. The occupancy bitmap (one bit per ring slot, exact: a set
+// bit is a non-empty slot) lets scans skip 64 empty slots per word, and
+// per-level resident counts let them skip levels entirely.
 type wheel struct {
 	cur   Time
 	count int // ring residents (the overflow is not counted)
@@ -89,8 +115,8 @@ type wheel struct {
 	over    slot
 	overMin *Event
 
-	bits  [wheelLevels][wheelWords]uint64
-	slots [wheelLevels][wheelSlots]slot
+	bits  [ringWords]uint64
+	slots [ringSlots]slot
 }
 
 // insert links a queued, unlinked event wherever its deadline belongs
@@ -109,15 +135,15 @@ func (w *wheel) insert(ev *Event) {
 		return
 	}
 	l := 0
-	for delta>>(wheelShift+wheelBits*(l+1)) != 0 {
+	for delta>>levelShift[l+1] != 0 {
 		l++
 	}
-	idx := int(at>>(wheelShift+wheelBits*l)) & wheelMask
-	s := &w.slots[l][idx]
+	idx := slotIndex(l, at)
+	s := &w.slots[idx]
 	ev.level = uint8(l)
 	w.count++
 	w.occ[l]++
-	w.bits[l][idx>>6] |= 1 << (idx & 63)
+	w.bits[idx>>6] |= 1 << (idx & 63)
 	if l > 0 {
 		s.pushBack(ev)
 		return
@@ -162,8 +188,8 @@ func (w *wheel) remove(ev *Event) {
 	s := &w.over
 	idx := 0
 	if l < wheelLevels {
-		idx = int(ev.At>>(wheelShift+wheelBits*l)) & wheelMask
-		s = &w.slots[l][idx]
+		idx = slotIndex(l, ev.At)
+		s = &w.slots[idx]
 	}
 	if prev != nil {
 		prev.wheelNext = next
@@ -189,7 +215,7 @@ func (w *wheel) remove(ev *Event) {
 	w.count--
 	w.occ[l]--
 	if s.head == nil {
-		w.bits[l][idx>>6] &^= 1 << (idx & 63)
+		w.bits[idx>>6] &^= 1 << (idx & 63)
 	}
 	if ev == w.hit {
 		// Its slot successor is the next earliest (see dispatch); with
@@ -215,41 +241,47 @@ func (w *wheel) drain(s *slot, l int) {
 	}
 }
 
-// cascade drains one upper-level slot whose window start the cursor has
-// reached, re-inserting each resident at a finer level.
+// cascade drains one upper-level slot (ring index idx) whose window start
+// the cursor has reached, re-inserting each resident at a finer level.
 func (w *wheel) cascade(l, idx int) {
-	w.bits[l][idx>>6] &^= 1 << (idx & 63)
-	w.drain(&w.slots[l][idx], l)
+	w.bits[idx>>6] &^= 1 << (idx & 63)
+	w.drain(&w.slots[idx], l)
+}
+
+// occupied reports whether ring slot idx holds a resident.
+func (w *wheel) occupied(idx int) bool {
+	return w.bits[idx>>6]&(1<<(idx&63)) != 0
 }
 
 // open stands at window boundary t (a multiple of wheelSpan0) and
-// cascades the level-1 — and, at coarser alignments, level-2 — slots
-// whose windows open there.
+// cascades, coarsest first, the slot of every upper level whose window
+// opens there: level 1's at every boundary, level 2's where t is also a
+// multiple of wheelGran2.
 func (w *wheel) open(t Time) {
 	w.cur = t
-	if t&(wheelGran2-1) == 0 {
-		idx := int(t>>(wheelShift+2*wheelBits)) & wheelMask
-		if w.bits[2][idx>>6]&(1<<(idx&63)) != 0 {
-			w.cascade(2, idx)
+	for l := wheelLevels - 1; l > 0; l-- {
+		if t&(1<<levelShift[l]-1) != 0 {
+			continue
 		}
-	}
-	idx := int(t>>(wheelShift+wheelBits)) & wheelMask
-	if w.bits[1][idx>>6]&(1<<(idx&63)) != 0 {
-		w.cascade(1, idx)
+		if idx := slotIndex(l, t); w.occupied(idx) {
+			w.cascade(l, idx)
+		}
 	}
 }
 
-// scan finds the first occupied slot of level l at ring index >= from,
-// never wrapping — window boundaries are aligned with the bitmap end, so
-// a wrapped slot always belongs to a window past the next boundary and
-// is the next lap's business.
+// scan finds the first occupied slot of level l at ring index >= from
+// (one of level l's own), never wrapping — a level's lap boundaries are
+// aligned with the end of its bitmap words, so a wrapped slot always
+// belongs to a window past the next lap boundary and is the next lap's
+// business.
 func (w *wheel) scan(l, from int) (int, bool) {
-	if word := w.bits[l][from>>6] >> (from & 63); word != 0 {
+	if word := w.bits[from>>6] >> (from & 63); word != 0 {
 		return from + bits.TrailingZeros64(word), true
 	}
-	for i := from>>6 + 1; i < wheelWords; i++ {
-		if word := w.bits[l][i]; word != 0 {
-			return i<<6 + bits.TrailingZeros64(word), true
+	next := from>>6 + 1
+	for i, word := range w.bits[next : levelBase[l+1]>>6] {
+		if word != 0 {
+			return (next+i)<<6 + bits.TrailingZeros64(word), true
 		}
 	}
 	return 0, false
@@ -279,7 +311,7 @@ func (w *wheel) scanL0(b, limit Time) *Event {
 	}
 	w.cur = to
 	if ok {
-		if head := w.slots[0][k].head; head.At <= limit {
+		if head := w.slots[k].head; head.At <= limit {
 			return head
 		}
 		// The slot straddles the cap: its earliest deadline is past it.
@@ -288,42 +320,40 @@ func (w *wheel) scanL0(b, limit Time) *Event {
 }
 
 // nextWindow finds the start of the next window at or after b (a level-0
-// span boundary) whose opening can surface events: the first occupied
-// level-1 slot of the current lap, or an occupied level-2 slot at a lap
-// boundary. Reports false when that start would lie past limit. Called
-// only with level 0 empty and count > 0, so it terminates: every
-// resident event is within one lap-wrap of its level's current lap.
+// span boundary) whose opening can surface events, or reports false when
+// that start would lie past limit. Only the finest occupied upper level l
+// needs scanning: a coarser level's windows open only at l's lap
+// boundaries, which the loop stops on and checks first. Called only with
+// level 0 empty and count > 0, so it terminates: every resident event is
+// within one lap-wrap of its level's current lap.
 func (w *wheel) nextWindow(b, limit Time) (Time, bool) {
-	for {
-		if b > limit {
-			return 0, false
-		}
-		if b&(wheelGran2-1) == 0 {
-			idx2 := int(b>>(wheelShift+2*wheelBits)) & wheelMask
-			if w.bits[2][idx2>>6]&(1<<(idx2&63)) != 0 {
-				// A level-2 window opens exactly here; it must cascade
+	l := 1
+	for w.occ[l] == 0 {
+		l++
+	}
+	// Start on l's first window at or after b: one that began earlier
+	// opened while the cursor stood at or before it.
+	gran := Time(1) << levelShift[l]
+	lap := Time(1) << levelShift[l+1]
+	b = (b + gran - 1) &^ (gran - 1)
+	for b <= limit {
+		for c := wheelLevels - 1; c > l; c-- {
+			if b&(1<<levelShift[c]-1) == 0 && w.occupied(slotIndex(c, b)) {
+				// A coarser window opens exactly here; it must cascade
 				// before any finer window inside it is considered.
 				return b, true
 			}
-			if w.occ[1] == 0 {
-				if k, ok := w.scan(2, idx2); ok {
-					t := b + Time(k-idx2)<<(wheelShift+2*wheelBits)
-					return t, t <= limit
-				}
-				// Rest of the level-2 lap is empty: wrap to the next.
-				b = (b &^ Time(wheelHorizon-1)) + wheelHorizon
-				continue
-			}
 		}
-		idx := int(b>>(wheelShift+wheelBits)) & wheelMask
-		if j, ok := w.scan(1, idx); ok {
-			t := b + Time(j-idx)<<(wheelShift+wheelBits)
+		from := slotIndex(l, b)
+		if k, ok := w.scan(l, from); ok {
+			t := b + Time(k-from)<<levelShift[l]
 			return t, t <= limit
 		}
-		// Level 1 empty for the rest of this lap: cross into the next
-		// lap, where the level-2 slot check above takes over.
-		b = (b &^ Time(wheelGran2-1)) + wheelGran2
+		// Level l is empty for the rest of this lap: cross into the next,
+		// where the coarser-slot check above comes first.
+		b = (b &^ (lap - 1)) + lap
 	}
+	return 0, false
 }
 
 // earliestRing returns the earliest ring resident at or before limit,
@@ -395,7 +425,7 @@ func (w *wheel) earliest(now, limit Time) *Event {
 }
 
 // reset drops every resident — recycling engine-owned ones — and rewinds
-// the cursor, walking only occupied slots via the bitmaps so the cost
+// the cursor, walking only occupied slots via the bitmap so the cost
 // scales with residency, not ring size.
 func (w *wheel) reset(e *Engine) {
 	drop := func(s *slot) {
@@ -408,20 +438,17 @@ func (w *wheel) reset(e *Engine) {
 		}
 		*s = slot{}
 	}
-	for l := 0; l < wheelLevels; l++ {
-		if w.occ[l] == 0 {
-			continue
-		}
-		for wi := range w.bits[l] {
-			word := w.bits[l][wi]
-			w.bits[l][wi] = 0
+	if w.count != 0 {
+		for wi := range w.bits {
+			word := w.bits[wi]
+			w.bits[wi] = 0
 			for word != 0 {
 				bit := bits.TrailingZeros64(word)
 				word &^= 1 << bit
-				drop(&w.slots[l][wi<<6+bit])
+				drop(&w.slots[wi<<6+bit])
 			}
 		}
-		w.occ[l] = 0
+		w.occ = [wheelLevels]int{}
 	}
 	drop(&w.over)
 	w.overMin = nil

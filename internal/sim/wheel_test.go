@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -14,7 +16,7 @@ func TestWheelAllocs(t *testing.T) {
 	e := new(Engine)
 	var tick *Event
 	period := Cycles(4_000_000) // a kernel tick: lands in wheel level 1
-	tick = e.NewPeriodicEvent("tick", func(now Time) {
+	tick = e.NewEvent("tick", func(now Time) {
 		e.ScheduleAfter(tick, period)
 	})
 	e.ScheduleAfter(tick, period)
@@ -57,7 +59,7 @@ func TestWheelHeapSplitCounts(t *testing.T) {
 func BenchmarkWheelTick(b *testing.B) {
 	e := new(Engine)
 	var tick *Event
-	tick = e.NewPeriodicEvent("tick", func(now Time) {
+	tick = e.NewEvent("tick", func(now Time) {
 		e.ScheduleAfter(tick, 4_000_000)
 	})
 	e.ScheduleAfter(tick, 4_000_000)
@@ -74,7 +76,7 @@ func BenchmarkWheelTick(b *testing.B) {
 func BenchmarkCascade(b *testing.B) {
 	e := new(Engine)
 	var ev *Event
-	ev = e.NewPeriodicEvent("cascade", func(now Time) {
+	ev = e.NewEvent("cascade", func(now Time) {
 		e.ScheduleAfter(ev, Cycles(wheelSpan0)+wheelGran0*3)
 	})
 	e.ScheduleAfter(ev, Cycles(wheelSpan0)+wheelGran0*3)
@@ -91,7 +93,7 @@ func BenchmarkCascade(b *testing.B) {
 func BenchmarkWheelMixed(b *testing.B) {
 	e := new(Engine)
 	var tick *Event
-	tick = e.NewPeriodicEvent("tick", func(now Time) {
+	tick = e.NewEvent("tick", func(now Time) {
 		e.ScheduleAfter(tick, 4_000_000)
 	})
 	e.ScheduleAfter(tick, 4_000_000)
@@ -111,7 +113,7 @@ func slotOf(t *testing.T, e *Engine, ev *Event) *slot {
 	w := e.wheel
 	s := &w.over
 	if l := int(ev.level); l < wheelLevels {
-		s = &w.slots[l][int(ev.At>>(wheelShift+wheelBits*l))&wheelMask]
+		s = &w.slots[slotIndex(l, ev.At)]
 	}
 	var prev *Event
 	found := false
@@ -136,16 +138,24 @@ func slotOf(t *testing.T, e *Engine, ev *Event) *slot {
 // (At, seq) like any fresh arm. Under lazy cancel Schedule panicked here
 // ("still queued") until the corpse surfaced.
 func TestCancelThenRearmOwned(t *testing.T) {
-	for _, tc := range []struct {
+	type levelCase struct {
 		name  string
 		d     Cycles
 		level uint8
-	}{
-		{"level0", 100_000, 0},
-		{"level1", wheelSpan0 + 100_000, 1},
-		{"level2", wheelGran2 + 100_000, 2},
-		{"overflow", wheelHorizon + 100_000, levelOver},
-	} {
+	}
+	// Each level mid-ring, then a deadline just under and at its ring
+	// span — the last under-span one the horizon's edge — and one just
+	// past the horizon.
+	var cases []levelCase
+	for l := 0; l < wheelLevels; l++ {
+		span := Cycles(1) << levelShift[l+1]
+		cases = append(cases,
+			levelCase{fmt.Sprintf("level%d", l), Cycles(1)<<levelShift[l] + 100_000, uint8(l)},
+			levelCase{fmt.Sprintf("level%d-span-1", l), span - 1, uint8(l)},
+			levelCase{fmt.Sprintf("level%d-span", l), span, uint8(l + 1)})
+	}
+	cases = append(cases, levelCase{"overflow", wheelHorizon + 1, levelOver})
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var e Engine
 			var got []string
@@ -246,21 +256,71 @@ func TestCancelMiddleOfDenseSlot(t *testing.T) {
 
 // TestNextLapDeadlineKeepsOutOfTheCursorSlot: the cursor stands on a slot
 // boundary, so a deadline just under one ring span ahead of a mid-slot
-// clock belongs to level 1. Measured from the clock itself it indexed the
-// cursor's own level-0 slot and fired a lap early, ahead of everything
-// armed after it.
+// clock belongs to the next level up. Measured from the clock itself it
+// indexed the cursor's own level-0 slot and fired a lap early, ahead of
+// everything armed after it. Checked just under and at every level's
+// span; the last level's span is the horizon, past which the deadline
+// waits in the overflow.
 func TestNextLapDeadlineKeepsOutOfTheCursorSlot(t *testing.T) {
-	var e Engine
-	var got []Time
-	fn := func(now Time) { got = append(got, now) }
-	e.At(wheelGran0-1, "warm", fn)
-	e.Step() // empty wheel, clock on the last cycle of slot 0
-	e.After(wheelSpan0-1, "far", fn)
-	e.After(1000, "near", fn)
-	e.Run(nil)
-	if got[1] != wheelGran0-1+1000 || got[2] != wheelGran0-1+wheelSpan0-1 {
-		t.Fatalf("fired at %v: the far deadline overtook the near one", got)
+	for l := 0; l < wheelLevels; l++ {
+		span := Cycles(1) << levelShift[l+1]
+		for _, d := range []Cycles{span - 1, span} {
+			var e Engine
+			var got []Time
+			fn := func(now Time) { got = append(got, now) }
+			e.At(wheelGran0-1, "warm", fn)
+			e.Step() // empty wheel, clock on the last cycle of slot 0
+			e.After(d, "far", fn)
+			e.After(1000, "near", fn)
+			e.Run(nil)
+			if len(got) != 3 || got[1] != wheelGran0-1+1000 || got[2] != Time(wheelGran0-1+d) {
+				t.Fatalf("level %d, far deadline %d ahead: fired at %v, want the near one first and the far one on time", l, d, got)
+			}
+		}
 	}
+}
+
+// TestWheelGeometry: the named spans agree with the per-level tables, and
+// every level's ring starts on a bitmap word and holds as many slots as
+// its mask and shifts say.
+func TestWheelGeometry(t *testing.T) {
+	if wheelSpan0 != 1<<levelShift[1] || wheelGran2 != 1<<levelShift[2] || wheelHorizon != 1<<levelShift[wheelLevels] {
+		t.Fatalf("wheelSpan0/wheelGran2/wheelHorizon disagree with levelShift %v", levelShift)
+	}
+	for l := 0; l < wheelLevels; l++ {
+		n := levelBase[l+1] - levelBase[l]
+		if levelBase[l]%64 != 0 || n != levelMask[l]+1 || 1<<(levelShift[l+1]-levelShift[l]) != n {
+			t.Fatalf("level %d: base %d, %d slots, mask %d, shifts %d..%d", l, levelBase[l], n, levelMask[l], levelShift[l], levelShift[l+1])
+		}
+	}
+}
+
+// wheelHeapBudget is what a fresh engine's first arm may allocate: five
+// pages, the size class the ring lands in. The wheel with three
+// 2048-slot levels was 106,496 bytes.
+const wheelHeapBudget = 40_960
+
+// TestWheelHeapBudget: a fresh engine's first arm allocates the wheel and
+// nothing else, within wheelHeapBudget. Every fresh machine pays it, and
+// every recycled engine and sweep worker keeps it live.
+func TestWheelHeapBudget(t *testing.T) {
+	var best uint64
+	for i := 0; i < 5; i++ {
+		e := new(Engine)
+		ev := e.NewEvent("first", func(Time) {})
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		e.Schedule(ev, 100)
+		runtime.ReadMemStats(&ms1)
+		if n := ms1.TotalAlloc - ms0.TotalAlloc; i == 0 || n < best {
+			best = n
+		}
+		runtime.KeepAlive(e)
+	}
+	if best == 0 || best > wheelHeapBudget {
+		t.Fatalf("a fresh engine's first arm allocated %d bytes, budget %d", best, wheelHeapBudget)
+	}
+	t.Logf("a fresh engine's first arm allocates %d bytes", best)
 }
 
 // TestArmBehindCursor: a dispatch that stops at the MaxDur horizon leaves

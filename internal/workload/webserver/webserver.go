@@ -91,7 +91,7 @@ func New(m *kernel.Machine, cfg Config) *Server {
 	s.accept = ipc.NewQueue("accept", acceptQueueCap)
 	s.accept.Serial = m.NewSerialResource("netstack")
 	s.accept.SerialHold = netSerialHold
-	s.arrivalEv = m.Engine().NewPeriodicEvent("request-arrival", s.onArrival)
+	s.arrivalEv = m.Engine().NewEvent("request-arrival", s.onArrival)
 
 	mm := m.NewMM("httpd")
 	for w := 0; w < cfg.Workers; w++ {
