@@ -56,10 +56,14 @@ func bootCost(spec MachineSpec, policy string) (bytes, objects uint64) {
 }
 
 // TestBootAllocBudget holds one kernel.NewMachine to a heap budget per
-// policy on the two matrix_quick specs. Ceilings are about 10% over what
-// boot costs with index-linked run lists: an 8-byte klist.Node, a 12-byte
+// policy on the two matrix_quick specs. Ceilings are about 10% over the
+// measured boots (go1.24): reg takes 7,720 B in 57 objects on 8P and
+// 24,040 B in 201 on 32P-NUMA, since a Machine without per-schedule
+// histograms (768 bytes, was 1,792) and one shared flat topology per CPU
+// count took 1.4 / 2.0 KB and 8 / 10 objects off every policy. Before
+// that, index-linked run lists — an 8-byte klist.Node, a 12-byte
 // zero-value klist.Head and a 192-byte Task, where they were 40, 48 and
-// 256 bytes (measured, go1.24, KB on 8P / 32P-NUMA, before → after: o1
+// 256 bytes — had cut boot (KB on 8P / 32P-NUMA, before → after: o1
 // 41.8 → 18.3 / 159.9 → 68.0, reg 11.8 → 9.2 / 30.2 → 26.1, elsc
 // 10.5 → 9.2 / 28.9 → 26.0, mq 9.1 → 8.5 / 29.6 → 26.5 in 75 → 67 / 245 →
 // 213 objects, its heads now held by value, heap 8.6 → 8.4 / 27.7 → 26.0,
@@ -73,18 +77,18 @@ func TestBootAllocBudget(t *testing.T) {
 		spec, policy   string
 		bytes, objects uint64
 	}{
-		{"8P", Reg, 10_100, 72},
-		{"8P", ELSC, 10_100, 75},
-		{"8P", Heap, 9_300, 73},
-		{"8P", MQ, 9_400, 74},
-		{"8P", O1, 20_200, 78},
-		{"8P", CFS, 11_200, 78},
-		{"32P-NUMA", Reg, 28_700, 233},
-		{"32P-NUMA", ELSC, 28_700, 235},
-		{"32P-NUMA", Heap, 28_600, 233},
-		{"32P-NUMA", MQ, 29_200, 235},
-		{"32P-NUMA", O1, 74_900, 239},
-		{"32P-NUMA", CFS, 36_500, 239},
+		{"8P", Reg, 8_500, 63},
+		{"8P", ELSC, 8_500, 66},
+		{"8P", Heap, 7_700, 64},
+		{"8P", MQ, 7_800, 65},
+		{"8P", O1, 18_600, 69},
+		{"8P", CFS, 9_600, 69},
+		{"32P-NUMA", Reg, 26_500, 221},
+		{"32P-NUMA", ELSC, 26_500, 224},
+		{"32P-NUMA", Heap, 26_400, 222},
+		{"32P-NUMA", MQ, 26_900, 223},
+		{"32P-NUMA", O1, 72_700, 228},
+		{"32P-NUMA", CFS, 34_300, 228},
 	}
 	if len(budgets) != 2*len(Policies) {
 		t.Fatalf("%d budgets for %d policies on two specs", len(budgets), len(Policies))

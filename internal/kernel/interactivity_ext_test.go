@@ -30,7 +30,7 @@ func TestWakeIdlePlacementsCounted(t *testing.T) {
 	if off := run(true); off.WakeIdlePlacements != 0 {
 		t.Fatalf("InteractivityOff ablation still placed %d wakes", off.WakeIdlePlacements)
 	}
-	if on.Registry().Counter("wake_idle_placements").Value() != on.WakeIdlePlacements {
+	if l, ok := on.Registry().Lookup("wake_idle_placements"); !ok || l.Value != on.WakeIdlePlacements {
 		t.Fatal("wake_idle_placements missing from the stats registry")
 	}
 }

@@ -8,28 +8,29 @@ import (
 )
 
 // Stats aggregates everything the paper measures, machine-wide. The
-// per-schedule distributions feed Figure 5, Recalcs feeds Figure 2,
-// SchedCalls and Migrations feed Figure 6, and the cycle totals feed the
-// kernel-profile claim of §4 (37-55% of kernel time in the scheduler).
+// per-schedule summaries (count, sum, min, max) feed Figure 5, Recalcs
+// feeds Figure 2, SchedCalls and Migrations feed Figure 6, and the cycle
+// totals feed the kernel-profile claim of §4 (37-55% of kernel time in
+// the scheduler).
 type Stats struct {
 	// Scheduler behavior.
-	SchedCalls            uint64     // entries into schedule()
-	SchedCycles           uint64     // cycles inside schedule() proper
-	SpinCycles            uint64     // cycles spinning on the run-queue lock before schedule()
-	Examined              uint64     // tasks examined across all schedule() calls
-	Recalcs               uint64     // counter-recalculation loop entries
-	Migrations            uint64     // tasks dispatched on a CPU other than their last
-	CrossDomainMigrations uint64     // migrations that also crossed a cache domain
-	PerSchedule           stats.Dist // cycles per schedule() call (incl. lock spin)
-	ExaminedDist          stats.Dist // tasks examined per schedule() call
-	IdleSwitches          uint64     // schedule() picked the idle task
-	Preemptions           uint64     // wake-up preempted a running task
-	WakeCalls             uint64     // try_to_wake_up invocations
-	YieldCalls            uint64     // sys_sched_yield invocations
-	QuantumExpiry         uint64     // tick found the quantum exhausted
-	WakeIdlePlacements    uint64     // wakes filed onto an idle CPU in the waker's cache domain
-	TimesliceRotations    uint64     // granularity preemptions: same-level round-robin inside a quantum
-	TickPreemptions       uint64     // tick preemptions: a better-level task was waiting on the queue
+	SchedCalls            uint64        // entries into schedule()
+	SchedCycles           uint64        // cycles inside schedule() proper
+	SpinCycles            uint64        // cycles spinning on the run-queue lock before schedule()
+	Examined              uint64        // tasks examined across all schedule() calls
+	Recalcs               uint64        // counter-recalculation loop entries
+	Migrations            uint64        // tasks dispatched on a CPU other than their last
+	CrossDomainMigrations uint64        // migrations that also crossed a cache domain
+	PerSchedule           stats.Summary // cycles per schedule() call (incl. lock spin)
+	ExaminedDist          stats.Summary // tasks examined per schedule() call
+	IdleSwitches          uint64        // schedule() picked the idle task
+	Preemptions           uint64        // wake-up preempted a running task
+	WakeCalls             uint64        // try_to_wake_up invocations
+	YieldCalls            uint64        // sys_sched_yield invocations
+	QuantumExpiry         uint64        // tick found the quantum exhausted
+	WakeIdlePlacements    uint64        // wakes filed onto an idle CPU in the waker's cache domain
+	TimesliceRotations    uint64        // granularity preemptions: same-level round-robin inside a quantum
+	TickPreemptions       uint64        // tick preemptions: a better-level task was waiting on the queue
 
 	// Context switching.
 	CtxSwitches  uint64 // dispatches of a task other than prev
@@ -114,63 +115,75 @@ func (s *Stats) SchedulerShareOfKernel() float64 {
 	return float64(s.SchedCycles+s.SpinCycles) / float64(k)
 }
 
-// Registry exports the stats as a /proc-style registry, mirroring how the
-// paper exposed its instrumentation through procfs.
+// registryLines is the schema's length: the lines with every group on.
+const registryLines = 40
+
+// Registry exports the stats /proc-style, as the paper exposed its
+// instrumentation through procfs. It inlines, so a caller that only
+// renders the snapshot keeps it, lines included, on its stack.
 func (s *Stats) Registry() *stats.Registry {
-	r := stats.NewRegistry()
-	set := func(name string, v uint64) { r.Counter(name).Add(v) }
-	set("sched_calls", s.SchedCalls)
-	set("sched_cycles", s.SchedCycles)
-	set("sched_lock_spin_cycles", s.SpinCycles)
-	set("sched_tasks_examined", s.Examined)
-	set("sched_recalc_entries", s.Recalcs)
-	set("sched_migrations", s.Migrations)
-	set("sched_cross_domain_migrations", s.CrossDomainMigrations)
-	set("sched_idle_switches", s.IdleSwitches)
-	set("sched_preemptions", s.Preemptions)
-	set("wake_calls", s.WakeCalls)
-	set("yield_calls", s.YieldCalls)
-	set("quantum_expiries", s.QuantumExpiry)
-	set("wake_idle_placements", s.WakeIdlePlacements)
-	set("timeslice_rotations", s.TimesliceRotations)
-	set("tick_preemptions", s.TickPreemptions)
-	set("ctx_switches", s.CtxSwitches)
-	set("mm_switches", s.MMSwitches)
-	set("cache_refill_cycles", s.CacheCycles)
-	set("remote_access_cycles", s.RemoteCycles)
-	set("task_cycles", s.TaskCycles)
-	set("syscall_cycles", s.SyscallCycles)
-	set("idle_cycles", s.IdleCycles)
-	set("tick_cycles", s.TickCycles)
-	set("rq_lock_acquisitions", s.LockAcquisitions)
-	set("rq_lock_contended", s.LockContended)
-	set("policy_switches", s.PolicySwitches)
-	// Hotplug and watchdog counters appear only on runs that used them,
-	// so every pre-hotplug render stays byte-identical.
-	if s.CPUOfflines != 0 || s.CPUOnlines != 0 {
-		set("cpu_offlines", s.CPUOfflines)
-		set("cpu_onlines", s.CPUOnlines)
-		set("cpu_offline_cycles", s.OfflineCycles)
+	return &stats.Registry{Lines: s.appendLines(make([]stats.Line, 0, registryLines))}
+}
+
+// appendLines appends the registry's schema, every line in name order.
+// Hotplug, watchdog and tickless lines appear only on runs that used
+// them, so a run without them renders byte-identically to before they
+// existed: hotplug once a CPU went offline or came online, watchdog once
+// it was armed, tickless once a chain parked (never under TicklessOff).
+func (s *Stats) appendLines(l []stats.Line) []stats.Line {
+	hotplug := s.CPUOfflines != 0 || s.CPUOnlines != 0
+	tickless := s.TicksSkipped != 0 || s.IdleTickRescues != 0
+	line := stats.CounterLine
+	for _, e := range [...]struct {
+		on   bool
+		line stats.Line
+	}{
+		{true, line("cache_refill_cycles", s.CacheCycles)},
+		{hotplug, line("cpu_offline_cycles", s.OfflineCycles)},
+		{hotplug, line("cpu_offlines", s.CPUOfflines)},
+		{hotplug, line("cpu_onlines", s.CPUOnlines)},
+		{true, line("ctx_switches", s.CtxSwitches)},
+		{true, stats.SummaryLine("cycles_per_schedule", s.PerSchedule)},
+		{true, line("events_fired", s.EventsFired)},
+		{true, line("events_heap", s.EventsHeap)},
+		{true, line("events_wheel", s.EventsWheel)},
+		{true, stats.SummaryLine("examined_per_schedule", s.ExaminedDist)},
+		{true, line("idle_cycles", s.IdleCycles)},
+		{tickless, line("idle_tick_rescues", s.IdleTickRescues)},
+		{true, line("mm_switches", s.MMSwitches)},
+		{true, line("policy_switches", s.PolicySwitches)},
+		{true, line("quantum_expiries", s.QuantumExpiry)},
+		{true, line("remote_access_cycles", s.RemoteCycles)},
+		{true, line("rq_lock_acquisitions", s.LockAcquisitions)},
+		{true, line("rq_lock_contended", s.LockContended)},
+		{true, line("sched_calls", s.SchedCalls)},
+		{true, line("sched_cross_domain_migrations", s.CrossDomainMigrations)},
+		{true, line("sched_cycles", s.SchedCycles)},
+		{true, line("sched_idle_switches", s.IdleSwitches)},
+		{true, line("sched_lock_spin_cycles", s.SpinCycles)},
+		{true, line("sched_migrations", s.Migrations)},
+		{true, line("sched_preemptions", s.Preemptions)},
+		{true, line("sched_recalc_entries", s.Recalcs)},
+		{true, line("sched_tasks_examined", s.Examined)},
+		{true, line("syscall_cycles", s.SyscallCycles)},
+		{true, line("task_cycles", s.TaskCycles)},
+		{true, line("tick_cycles", s.TickCycles)},
+		{true, line("tick_preemptions", s.TickPreemptions)},
+		{tickless, line("ticks_skipped", s.TicksSkipped)},
+		{true, line("timeslice_rotations", s.TimesliceRotations)},
+		{true, line("wake_calls", s.WakeCalls)},
+		{true, line("wake_idle_placements", s.WakeIdlePlacements)},
+		{s.WatchdogEnabled, line("watchdog_cpu_stalls", s.WatchdogCPUStalls)},
+		{s.WatchdogEnabled, line("watchdog_delivery_faults", s.WatchdogDeliveryFaults)},
+		{s.WatchdogEnabled, line("watchdog_lost_wakeups", s.WatchdogLostWakeups)},
+		{s.WatchdogEnabled, line("watchdog_starvations", s.WatchdogStarvations)},
+		{true, line("yield_calls", s.YieldCalls)},
+	} {
+		if e.on {
+			l = append(l, e.line)
+		}
 	}
-	if s.WatchdogEnabled {
-		set("watchdog_starvations", s.WatchdogStarvations)
-		set("watchdog_lost_wakeups", s.WatchdogLostWakeups)
-		set("watchdog_cpu_stalls", s.WatchdogCPUStalls)
-		set("watchdog_delivery_faults", s.WatchdogDeliveryFaults)
-	}
-	// Tickless counters follow the same conditional rule: a run where no
-	// chain ever parked (TicklessOff, or a machine never idle at a tick)
-	// renders byte-identically to before tickless existed.
-	if s.TicksSkipped != 0 || s.IdleTickRescues != 0 {
-		set("ticks_skipped", s.TicksSkipped)
-		set("idle_tick_rescues", s.IdleTickRescues)
-	}
-	set("events_fired", s.EventsFired)
-	set("events_wheel", s.EventsWheel)
-	set("events_heap", s.EventsHeap)
-	*r.Dist("cycles_per_schedule") = s.PerSchedule
-	*r.Dist("examined_per_schedule") = s.ExaminedDist
-	return r
+	return l
 }
 
 // Summary renders a short human-readable digest.

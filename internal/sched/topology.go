@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Topology describes the machine's cache-domain layout: CPUs grouped into
 // domains that share a last-level cache (a socket, a NUMA node, or a
@@ -22,10 +25,20 @@ type Topology struct {
 // FlatTopology returns the degenerate layout: every CPU in one shared
 // domain. It reproduces the pre-topology behavior — no dispatch is ever
 // cross-domain — and is the default for machines that do not declare a
-// layout.
+// layout. Every NewEnv asks for one, so each CPU count's layout is built
+// once and shared by every caller, machines booting in parallel
+// included. ncpu is at most 64, the kernel's cap.
 func FlatTopology(ncpu int) *Topology {
-	return UniformTopology(ncpu, 1)
+	p := &flat[ncpu]
+	if t := p.Load(); t != nil {
+		return t
+	}
+	p.CompareAndSwap(nil, UniformTopology(ncpu, 1))
+	return p.Load()
 }
+
+// flat holds FlatTopology's shared layouts, indexed by CPU count.
+var flat [65]atomic.Pointer[Topology]
 
 // UniformTopology splits ncpu processors into ndomains contiguous blocks,
 // as even as possible (the first ncpu%ndomains domains hold one extra

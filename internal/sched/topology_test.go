@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestFlatTopologyOneDomain(t *testing.T) {
 	topo := FlatTopology(8)
@@ -16,6 +19,32 @@ func TestFlatTopologyOneDomain(t *testing.T) {
 	}
 	if len(topo.DomainCPUs(0)) != 8 {
 		t.Fatalf("domain 0 holds %d CPUs, want all 8", len(topo.DomainCPUs(0)))
+	}
+}
+
+// TestFlatTopologyShared: every caller gets the one layout per CPU count,
+// also when machines boot in parallel (run under -race in CI).
+func TestFlatTopologyShared(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([]*Topology, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = FlatTopology(24)
+		}(i)
+	}
+	wg.Wait()
+	for _, topo := range got {
+		if topo != got[0] || topo != FlatTopology(24) {
+			t.Fatal("two flat 24-CPU layouts: FlatTopology must share one per CPU count")
+		}
+	}
+	if FlatTopology(8) == FlatTopology(16) || FlatTopology(16).NumCPU() != 16 {
+		t.Fatal("FlatTopology shared a layout across CPU counts")
+	}
+	if FlatTopology(64).NumCPU() != 64 {
+		t.Fatal("no shared layout for the kernel's largest machine")
 	}
 }
 

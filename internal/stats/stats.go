@@ -1,72 +1,67 @@
-// Package stats provides the counters and summaries used to reproduce the
-// paper's tables and figures, plus a /proc-style text rendering.
+// Package stats provides the summaries used to reproduce the paper's
+// tables and figures, plus a /proc-style text rendering.
 //
 // The paper instruments both schedulers and exposes the numbers through the
 // proc file system ("we also collected statistics about what the scheduler
 // was doing and exposed them through the proc file system", §6). This
-// package is the analogue: cheap counters updated on the hot path and a
-// Registry that renders them as text.
+// package is the analogue: O(1) summaries updated on the hot path, and a
+// Registry, a name-sorted snapshot of lines that renders as text.
 package stats
 
 import (
-	"fmt"
 	"math/bits"
-	"sort"
-	"strings"
+	"strconv"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n uint64
+// Summary accumulates integer samples with O(1) updates: count, sum, min
+// and max, which is all a mean-and-extremes report reads. The kernel
+// observes two per schedule().
+type Summary struct {
+	count uint64
+	sum   uint64
+	min   uint64
+	max   uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
+// Observe records one sample.
+func (s *Summary) Observe(v uint64) {
+	if s.count == 0 || v < s.min {
+		s.min = v
+	}
+	if v > s.max {
+		s.max = v
+	}
+	s.count++
+	s.sum += v
+}
 
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.n += d }
+// Count returns the number of samples.
+func (s *Summary) Count() uint64 { return s.count }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
+// Min returns the smallest sample, or 0 if empty.
+func (s *Summary) Min() uint64 { return s.min }
 
-// Dist accumulates a distribution of integer samples with O(1) updates:
-// count, sum, min, max, and power-of-two buckets for percentile estimates.
+// Max returns the largest sample, or 0 if empty.
+func (s *Summary) Max() uint64 { return s.max }
+
+// Mean returns the average sample, or 0 if empty.
+func (s *Summary) Mean() float64 {
+	if s.count == 0 {
+		return 0
+	}
+	return float64(s.sum) / float64(s.count)
+}
+
+// Dist is a Summary plus power-of-two buckets for percentile estimates.
 type Dist struct {
-	count   uint64
-	sum     uint64
-	min     uint64
-	max     uint64
-	buckets [64]uint64 // bucket i counts samples with bit length i
+	Summary
+	buckets [64]uint64 // bucket i counts samples of bit length i (bits.Len64)
 }
 
 // Observe records one sample.
 func (d *Dist) Observe(v uint64) {
-	if d.count == 0 || v < d.min {
-		d.min = v
-	}
-	if v > d.max {
-		d.max = v
-	}
-	d.count++
-	d.sum += v
-	d.buckets[bitLen(v)]++
-}
-
-// Count returns the number of samples.
-func (d *Dist) Count() uint64 { return d.count }
-
-// Min returns the smallest sample, or 0 if empty.
-func (d *Dist) Min() uint64 { return d.min }
-
-// Max returns the largest sample, or 0 if empty.
-func (d *Dist) Max() uint64 { return d.max }
-
-// Mean returns the average sample, or 0 if empty.
-func (d *Dist) Mean() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	return float64(d.sum) / float64(d.count)
+	d.Summary.Observe(v)
+	d.buckets[bits.Len64(v)]++
 }
 
 // ApproxPercentile estimates the q-quantile (0 < q <= 1) from the
@@ -111,64 +106,56 @@ func (d *Dist) ApproxPercentile(q float64) uint64 {
 	return d.max
 }
 
-// bitLen is the bucket index: one power-of-two bucket per bit length.
-// bits.Len64 compiles to a single count-leading-zeros instruction, and
-// Dist.Add sits on the per-schedule hot path.
-func bitLen(v uint64) int { return bits.Len64(v) }
+// Line is one registry line: a counter's Value, or, when IsSummary is
+// set, a Summary of samples.
+type Line struct {
+	Name      string
+	Value     uint64
+	Summary   Summary
+	IsSummary bool
+}
 
-// Registry is a named collection of metrics rendered /proc-style:
-// one "name value" line per metric, sorted by name.
+// Registry is a /proc-style snapshot: lines in the order their producer
+// appended them, which is sorted by name. It holds copies, so a registry
+// already built does not change with the stats it was taken from.
 type Registry struct {
-	counters map[string]*Counter
-	dists    map[string]*Dist
-	order    []string
+	Lines []Line
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		dists:    make(map[string]*Dist),
+// CounterLine returns a counter line.
+func CounterLine(name string, v uint64) Line { return Line{Name: name, Value: v} }
+
+// SummaryLine returns a summary line.
+func SummaryLine(name string, s Summary) Line { return Line{Name: name, Summary: s, IsSummary: true} }
+
+// Lookup returns the line named name.
+func (r *Registry) Lookup(name string) (Line, bool) {
+	for _, l := range r.Lines {
+		if l.Name == name {
+			return l, true
+		}
 	}
+	return Line{}, false
 }
 
-// Counter returns the counter registered under name, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	r.order = append(r.order, name)
-	return c
-}
-
-// Dist returns the distribution registered under name, creating it if
-// needed.
-func (r *Registry) Dist(name string) *Dist {
-	if d, ok := r.dists[name]; ok {
-		return d
-	}
-	d := &Dist{}
-	r.dists[name] = d
-	r.order = append(r.order, name)
-	return d
-}
-
-// Render formats every metric as "name value" lines, sorted by name,
-// in the style of a /proc/<foo>/stats file.
+// Render formats the lines in order, in the style of a /proc/<foo>/stats
+// file: "name value" for a counter, "name count=N mean=M.m min=A max=B"
+// for a summary. Lines are formatted in a stack buffer (a longer text
+// grows it onto the heap) and copied once into the result.
 func (r *Registry) Render() string {
-	names := append([]string(nil), r.order...)
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		if c, ok := r.counters[name]; ok {
-			fmt.Fprintf(&b, "%s %d\n", name, c.Value())
+	b := make([]byte, 0, 2048)
+	for i := range r.Lines {
+		l := &r.Lines[i]
+		b = append(b, l.Name...)
+		if s := &l.Summary; l.IsSummary {
+			b = strconv.AppendUint(append(b, " count="...), s.count, 10)
+			b = strconv.AppendFloat(append(b, " mean="...), s.Mean(), 'f', 1, 64)
+			b = strconv.AppendUint(append(b, " min="...), s.min, 10)
+			b = strconv.AppendUint(append(b, " max="...), s.max, 10)
+		} else {
+			b = strconv.AppendUint(append(b, ' '), l.Value, 10)
 		}
-		if d, ok := r.dists[name]; ok {
-			fmt.Fprintf(&b, "%s count=%d mean=%.1f min=%d max=%d\n",
-				name, d.Count(), d.Mean(), d.Min(), d.Max())
-		}
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }

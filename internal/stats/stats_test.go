@@ -9,18 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatal("zero value should be 0")
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-}
-
 func TestDistBasics(t *testing.T) {
 	var d Dist
 	for _, v := range []uint64{4, 2, 6} {
@@ -74,36 +62,30 @@ func TestDistMeanMatchesNaive(t *testing.T) {
 }
 
 func TestRegistryRender(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("sched_calls").Add(10)
-	r.Counter("recalcs").Add(2)
-	r.Dist("cycles_per_sched").Observe(100)
-	out := r.Render()
-	if !strings.Contains(out, "sched_calls 10") {
-		t.Fatalf("render missing counter: %q", out)
+	var d Dist
+	d.Observe(100)
+	d.Observe(201)
+	r := Registry{Lines: []Line{
+		SummaryLine("cycles_per_sched", d.Summary),
+		SummaryLine("empty", Summary{}),
+		CounterLine("recalcs", 2),
+		CounterLine("sched_calls", 10),
+	}}
+	want := "cycles_per_sched count=2 mean=150.5 min=100 max=201\n" +
+		"empty count=0 mean=0.0 min=0 max=0\n" +
+		"recalcs 2\n" +
+		"sched_calls 10\n"
+	if got := r.Render(); got != want {
+		t.Fatalf("Render = %q, want %q", got, want)
 	}
-	if !strings.Contains(out, "recalcs 2") {
-		t.Fatalf("render missing counter: %q", out)
+	if l, ok := r.Lookup("recalcs"); !ok || l.IsSummary || l.Value != 2 {
+		t.Fatalf("Lookup(recalcs) = %+v, %v", l, ok)
 	}
-	if !strings.Contains(out, "cycles_per_sched count=1 mean=100.0") {
-		t.Fatalf("render missing dist: %q", out)
+	if l, ok := r.Lookup("cycles_per_sched"); !ok || !l.IsSummary || l.Summary.Max() != 201 {
+		t.Fatalf("Lookup(cycles_per_sched) = %+v, %v", l, ok)
 	}
-	// Sorted output: "cycles_per_sched" before "recalcs" before "sched_calls".
-	if strings.Index(out, "cycles") > strings.Index(out, "recalcs") {
-		t.Fatalf("render not sorted: %q", out)
-	}
-}
-
-func TestRegistryReturnsSameInstance(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("x")
-	b := r.Counter("x")
-	if a != b {
-		t.Fatal("same name should return same counter")
-	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Fatal("aliased counters out of sync")
+	if (&Registry{}).Render() != "" {
+		t.Fatal("an empty registry renders text")
 	}
 }
 

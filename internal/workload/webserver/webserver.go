@@ -79,7 +79,7 @@ type Server struct {
 	arrived   int
 	served    int
 	dropped   int
-	latency   stats.Dist
+	latency   stats.Summary
 	rng       *sim.RNG
 	arrivalEv *sim.Event
 }
