@@ -24,6 +24,8 @@ type Msg struct {
 // of a socket: the paper's loopback VolanoMark runs put four threads on
 // each connection precisely because Java lacked non-blocking I/O.
 type Queue struct {
+	// Name is the creator's label for the queue; the queue itself never
+	// reads it.
 	Name string
 	Cap  int
 
@@ -50,33 +52,20 @@ type Queue struct {
 	delivered uint64
 	sent      uint64
 
-	// deliverName/deliverFn are the single prebound delivery handler
-	// replacing a per-message closure; mach is the machine it wakes on,
-	// captured at first deposit. The ops themselves need no per-queue
-	// state: each arms a static effect in the caller's own syscall slot.
-	deliverName string
-	deliverFn   func(sim.Time)
-	mach        *kernel.Machine
+	// deliverFn is the single prebound delivery handler replacing a
+	// per-message closure; mach is the machine it wakes on, captured at
+	// first deposit. The ops themselves need no per-queue state: each
+	// arms a static effect in the caller's own syscall slot.
+	deliverFn func(sim.Time)
+	mach      *kernel.Machine
 }
 
-// NewQueue returns a queue with the given capacity (0 = unbounded).
+// NewQueue returns a queue with the given capacity (0 = unbounded). A
+// chat benchmark builds one queue per socket direction, so NewQueue
+// allocates only the queue and its bound delivery handler: the wait
+// queues are held by value, and no name is derived from name.
 func NewQueue(name string, capacity int) *Queue {
-	// The three diagnostic names share one backing string: only ps, trace
-	// and watchdog output read them, and a concatenation each was 28% of
-	// a chat benchmark's build allocation.
-	all := name + ".readers" + name + ".writers" + name + ".deliver"
-	cut := func(suffix string) string {
-		s := all[:len(name)+len(suffix)]
-		all = all[len(s):]
-		return s
-	}
-	q := &Queue{
-		Name:        name,
-		Cap:         capacity,
-		readers:     kernel.WaitQueue{Name: cut(".readers")},
-		writers:     kernel.WaitQueue{Name: cut(".writers")},
-		deliverName: cut(".deliver"),
-	}
+	q := &Queue{Name: name, Cap: capacity}
 	q.deliverFn = q.deliverOne
 	return q
 }
@@ -106,7 +95,7 @@ func (q *Queue) deposit(p *kernel.Proc, m Msg) {
 	}
 	q.mach = p.M
 	q.pending = append(q.pending, m)
-	p.M.Engine().After(q.DeliverLatency, q.deliverName, q.deliverFn)
+	p.M.Engine().After(q.DeliverLatency, "ipc-deliver", q.deliverFn)
 }
 
 // deliverOne is the delivery-event handler: the oldest pending message
@@ -273,11 +262,7 @@ func NewYieldMutex(name string, tryCost uint64) *YieldMutex {
 	if tryCost == 0 {
 		tryCost = 120
 	}
-	return &YieldMutex{
-		Name:    name,
-		tryFee:  tryCost,
-		waiters: kernel.WaitQueue{Name: name + ".waiters"},
-	}
+	return &YieldMutex{Name: name, tryFee: tryCost}
 }
 
 // Locked reports whether the mutex is held.

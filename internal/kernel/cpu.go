@@ -91,28 +91,21 @@ func (c *CPU) online() bool { return c.m.env.OnlineMask()&cpuBit(c.id) != 0 }
 // not be kicked, offered wakes, or counted as placement targets.
 func (c *CPU) isIdle() bool { return c.online() && c.current == nil && !c.transitioning }
 
-// kickIdle asks an idle CPU to run schedule() after the wake-up IPI
-// latency. Duplicate kicks collapse via the kicked mask — later wake-ups
-// lean on the in-flight kick — so a kick that lands on a CPU that
+// sendIPI arms the CPU's one reschedule IPI, unless one is already in
+// flight; the CPU's kicked bit is set exactly while it is pending. When it
+// lands the CPU runs schedule(), stopping its current segment first if it
+// has one: one IPI serves as both the kick of an idle CPU and a wake-up
+// preemption. Duplicate sends collapse via the kicked mask — later
+// wake-ups lean on the in-flight IPI — so an IPI that lands on a CPU that
 // grabbed work in the interim must still re-run schedule(): dropping it
 // would drop every wake that piggybacked on it, leaving a woken task
 // queued behind whatever the CPU picked until its quantum runs out.
-func (c *CPU) kickIdle() { c.sendIPI("kick-idle") }
-
-// sendResched delivers a preemption IPI: when it lands, the CPU stops its
-// current segment and calls schedule().
-func (c *CPU) sendResched() { c.sendIPI("resched-ipi") }
-
-// sendIPI arms the CPU's one reschedule IPI under the given trace name,
-// unless one is already in flight. The CPU's kicked bit is set exactly
-// while the IPI is pending.
-func (c *CPU) sendIPI(name string) {
+func (c *CPU) sendIPI() {
 	m, bit := c.m, cpuBit(c.id)
 	if m.kicked&bit != 0 {
 		return
 	}
 	m.kicked |= bit
-	c.ipiEv.Name = name
 	m.eng.ScheduleAfter(&c.ipiEv, ipiLatency)
 }
 
@@ -122,14 +115,14 @@ func (c *CPU) sendIPI(name string) {
 // already in flight flags it on landing.
 func (c *CPU) deliver() {
 	if !c.transitioning {
-		c.kickIdle()
+		c.sendIPI()
 	} else if c.m.kicked&cpuBit(c.id) == 0 {
 		c.needResched = true
 	}
 }
 
-// ipiArrive is the landing of either reschedule IPI (kick-idle or
-// preemption): both re-run schedule() here. The kicked bit collapses
+// ipiArrive is the landing of the reschedule IPI, a kick or a preemption:
+// either way it re-runs schedule() here. The kicked bit collapses
 // duplicates while one is in flight, so the single per-CPU event is never
 // double-armed. A kick that lands mid-transition only flags needResched:
 // the dispatch path re-checks it.
@@ -196,14 +189,14 @@ func (c *CPU) creditWork(p *Proc, cycles uint64) {
 	}
 	c.work += cycles
 	p.Task.DrainRun(cycles)
-	if p.syscall != nil || p.onDone != nil {
+	if p.inSyscall || p.onDone != nil {
 		p.Task.SystemCycles += cycles
 		c.m.stats.SyscallCycles += cycles
 	} else {
 		p.Task.UserCycles += cycles
 		c.m.stats.TaskCycles += cycles
 	}
-	if dom := c.dom; p.memDomain >= 0 && dom != p.memDomain {
+	if dom := int16(c.dom); p.memDomain >= 0 && dom != p.memDomain {
 		if dom != p.foreignDom {
 			p.foreignDom = dom
 			p.foreignWork = 0
@@ -352,7 +345,7 @@ func (c *CPU) startSegment(now sim.Time) {
 	}
 	p.segWork = p.remaining
 	p.segWall = p.remaining
-	if p.memDomain >= 0 && c.dom != p.memDomain {
+	if p.memDomain >= 0 && int16(c.dom) != p.memDomain {
 		p.segWall += p.remaining * c.m.env.Cost.RemoteAccessPct / 100
 	}
 	c.segStart = now
@@ -407,7 +400,7 @@ func (c *CPU) nextAction(now sim.Time) {
 		if a != &p.syscallBuf {
 			panic("kernel: a *Syscall action must be the proc's own slot, armed with Proc.Call")
 		}
-		p.syscall = a
+		p.inSyscall = true
 		p.remaining = a.Cost + m.env.Cost.SyscallBase
 		p.onDone = runSyscall
 		c.startSegment(now)
@@ -416,14 +409,14 @@ func (c *CPU) nextAction(now sim.Time) {
 		p.onDone = doYield
 		c.startSegment(now)
 	case Sleep:
-		p.sleepDur = a.Cycles
+		p.syscallBuf.Cost = a.Cycles
 		p.remaining = m.env.Cost.SyscallBase
-		p.onDone = doSleepAction
+		p.onDone = doSleep
 		c.startSegment(now)
 	case *Sleep:
-		p.sleepDur = a.Cycles
+		p.syscallBuf.Cost = a.Cycles
 		p.remaining = m.env.Cost.SyscallBase
-		p.onDone = doSleepAction
+		p.onDone = doSleep
 		c.startSegment(now)
 	case Exit:
 		p.remaining = m.env.Cost.SyscallBase
@@ -441,7 +434,7 @@ func runSyscall(c *CPU, now sim.Time) {
 	p := c.current
 	m := c.m
 	m.wakerCPU = c.id
-	out := p.syscall.Exec(p.syscall, p, now)
+	out := p.syscallBuf.Exec(&p.syscallBuf, p, now)
 	m.wakerCPU = -1
 	if out.Delay > 0 {
 		// Spinning on a serialized kernel resource: burn the cycles,
@@ -452,7 +445,7 @@ func runSyscall(c *CPU, now sim.Time) {
 		return
 	}
 	if out.Wait != nil {
-		// Block: leave p.syscall set so the condition is rechecked
+		// Block: leave inSyscall set so the condition is rechecked
 		// after wake-up, like a kernel wait loop.
 		p.Task.State = task.Interruptible
 		p.Task.VolSwitches++
@@ -461,7 +454,7 @@ func runSyscall(c *CPU, now sim.Time) {
 		c.m.reschedule(c, now)
 		return
 	}
-	p.syscall = nil
+	p.inSyscall = false
 	c.nextAction(now)
 }
 
@@ -475,21 +468,17 @@ func doYield(c *CPU, now sim.Time) {
 	c.m.reschedule(c, now)
 }
 
-// doSleepAction completes a Sleep action's syscall segment: the requested
-// duration was parked in sleepDur when the action was armed, so the
-// completion handler is this one static function rather than a closure.
-func doSleepAction(c *CPU, now sim.Time) {
-	doSleep(c, now, c.current.sleepDur)
-}
-
-// doSleep blocks the proc on a timer.
-func doSleep(c *CPU, now sim.Time, d uint64) {
+// doSleep completes a Sleep action's syscall segment by blocking the proc
+// on a timer. The requested duration was parked in the syscall slot's
+// Cost, free while a Sleep is armed, so the completion handler is this
+// one static function rather than a closure.
+func doSleep(c *CPU, now sim.Time) {
 	p := c.current
 	m := c.m
 	p.Task.State = task.Interruptible
 	p.Task.VolSwitches++
 	p.sleepFrom = now
-	p.sleepEv = m.eng.After(d, "sleep-wake", p.sleepWakeFn)
+	p.sleepEv = m.eng.After(p.syscallBuf.Cost, "sleep-wake", p.sleepWakeFn)
 	m.reschedule(c, now)
 }
 
@@ -602,7 +591,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 		if nextProc.memDomain < 0 {
 			// First-touch: the task's memory lands in the domain of its
 			// first dispatch.
-			nextProc.memDomain = c.dom
+			nextProc.memDomain = int16(c.dom)
 		}
 		// Claim the task immediately so no other CPU's decision can
 		// pick it during the switch window.
@@ -709,9 +698,9 @@ func (m *Machine) dispatch(c *CPU, p *Proc, now sim.Time) {
 		}
 		return
 	}
-	if p.remaining > 0 || p.onDone != nil || p.syscall != nil {
+	if p.remaining > 0 || p.onDone != nil || p.inSyscall {
 		// Resume the interrupted segment or retry a blocked syscall.
-		if p.remaining == 0 && p.syscall != nil && p.onDone == nil {
+		if p.remaining == 0 && p.inSyscall && p.onDone == nil {
 			p.remaining = syscallRetryCost
 			p.onDone = runSyscall
 		}

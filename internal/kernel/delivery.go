@@ -129,10 +129,10 @@ func (m *Machine) kickIdleAllowed(t *task.Task) {
 		return
 	}
 	if t.EverRan && free&cpuBit(t.Processor) != 0 {
-		m.cpus[t.Processor].kickIdle()
+		m.cpus[t.Processor].sendIPI()
 		return
 	}
-	m.lowest(free).kickIdle()
+	m.lowest(free).sendIPI()
 }
 
 // kickIdleBacklog delivers what a schedule() that dispatched or
@@ -143,7 +143,7 @@ func (m *Machine) kickIdleAllowed(t *task.Task) {
 func (m *Machine) kickIdleBacklog() {
 	for w := m.owed() & (m.idle | m.almostIdle) &^ m.kicked; w != 0; w &= w - 1 {
 		if c := m.lowest(w); m.idle&cpuBit(c.id) != 0 {
-			c.kickIdle()
+			c.sendIPI()
 		} else {
 			c.needResched = true
 		}
@@ -167,7 +167,7 @@ func (m *Machine) nudgeOnline() {
 		return
 	}
 	for w := m.idle; w != 0; w &= w - 1 {
-		m.lowest(w).kickIdle()
+		m.lowest(w).sendIPI()
 	}
 	for w := m.switching; w != 0; w &= w - 1 {
 		m.lowest(w).needResched = true

@@ -15,7 +15,7 @@ import (
 // itself — on an otherwise healthy machine, and requires the audit to
 // name it.
 func TestCheckDeliveryCatchesDrift(t *testing.T) {
-	wq := NewWaitQueue("parked")
+	wq := new(WaitQueue)
 	boot := func() (*Machine, *Proc) {
 		m := newMachine(t, 2, elscFactory)
 		blocked := false

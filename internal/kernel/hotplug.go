@@ -151,7 +151,7 @@ func (m *Machine) OnlineCPU(id int) error {
 	}
 	m.restoreAffinity()
 	if c.isIdle() && m.sched.Runnable() > 0 {
-		c.kickIdle()
+		c.sendIPI()
 	}
 	return nil
 }

@@ -424,7 +424,7 @@ func TestInterruptedSegmentResumesOnSameEvent(t *testing.T) {
 		t.Fatal("cpu0 is not mid-segment after warm-up")
 	}
 	before := p.remaining
-	c.sendResched()
+	c.sendIPI()
 	m.Run(func() bool { audit(); return !c.ipiEv.Pending() })
 	if c.runEv.Pending() || p.remaining == 0 || p.remaining >= before {
 		t.Fatalf("after the IPI: rundone pending=%v, remaining %d of %d", c.runEv.Pending(), p.remaining, before)
@@ -437,7 +437,7 @@ func TestInterruptedSegmentResumesOnSameEvent(t *testing.T) {
 	}
 
 	cycle := func() {
-		m.cpus[0].sendResched()
+		m.cpus[0].sendIPI()
 		run(2)
 		if err := m.OfflineCPU(1); err != nil {
 			t.Fatal(err)

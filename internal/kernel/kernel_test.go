@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"elsc/internal/sched"
 	"elsc/internal/sched/elsc"
@@ -169,7 +170,7 @@ func TestSleepDuration(t *testing.T) {
 func TestBlockingSyscallAndWake(t *testing.T) {
 	bothSchedulers(t, func(t *testing.T, f SchedulerFactory) {
 		m := newMachine(t, 1, f)
-		wq := NewWaitQueue("box")
+		wq := new(WaitQueue)
 		full := false // one-slot mailbox
 
 		consumed := 0
@@ -722,5 +723,33 @@ func TestExitCursorMatchesFullWalk(t *testing.T) {
 	})
 	if !cur.AllExited(procs) || m.Alive() != 0 {
 		t.Fatalf("run ended with %d alive", m.Alive())
+	}
+}
+
+// TestProcSize: a chat cell builds one Proc per simulated thread, about
+// 800 of them, so the record stays in the allocator's 256-byte class
+// (296 bytes, the 320-byte class, while it carried an unused exit code, a
+// syscall pointer that only ever named its own slot, a sleep-duration
+// word and word-sized domain indices). The fields the segment path reads
+// stay on the first two 64-byte lines of the 256-byte-aligned object.
+func TestProcSize(t *testing.T) {
+	var p Proc
+	if size := unsafe.Sizeof(p); size > 256 {
+		t.Fatalf("kernel.Proc is %d bytes, want at most 256", size)
+	}
+	for name, off := range map[string]uintptr{
+		"remaining":   unsafe.Offsetof(p.remaining),
+		"onDone":      unsafe.Offsetof(p.onDone),
+		"segWork":     unsafe.Offsetof(p.segWork),
+		"segWall":     unsafe.Offsetof(p.segWall),
+		"workStamp":   unsafe.Offsetof(p.workStamp),
+		"foreignWork": unsafe.Offsetof(p.foreignWork),
+		"memDomain":   unsafe.Offsetof(p.memDomain),
+		"foreignDom":  unsafe.Offsetof(p.foreignDom),
+		"inSyscall":   unsafe.Offsetof(p.inSyscall),
+	} {
+		if off >= 128 {
+			t.Errorf("Proc.%s at byte %d, want it on the first two cache lines", name, off)
+		}
 	}
 }

@@ -504,7 +504,7 @@ func (m *Machine) wake(p *Proc) {
 			m.stats.WakeIdlePlacements++
 			m.rqLockOfTask(t).bump(now, wakeCost)
 			m.refile(p)
-			m.cpus[target].kickIdle()
+			m.cpus[target].sendIPI()
 			return
 		}
 	}
@@ -568,11 +568,11 @@ func (m *Machine) rescheduleIdle(p *Proc) {
 	// see this task on the run queue too.
 	idle := allowed & m.idle
 	if t.EverRan && idle&cpuBit(t.Processor) != 0 {
-		m.cpus[t.Processor].kickIdle()
+		m.cpus[t.Processor].sendIPI()
 		return
 	}
 	if free := idle &^ m.kicked; free != 0 {
-		m.lowest(free).kickIdle()
+		m.lowest(free).sendIPI()
 		return
 	}
 	if idle != 0 {
@@ -615,7 +615,7 @@ func (m *Machine) rescheduleIdle(p *Proc) {
 	}
 	if victim != nil {
 		m.stats.Preemptions++
-		victim.sendResched()
+		victim.sendIPI()
 		return
 	}
 	// No idle CPU and no preemption victim. A candidate mid context-switch

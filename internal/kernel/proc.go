@@ -10,6 +10,12 @@ import (
 // kernel needs between dispatches: the remaining cycles of the current
 // action, an in-flight syscall awaiting its effect or retry, wait-queue
 // linkage, and the cache-model stamp.
+//
+// A chat benchmark builds one Proc per simulated thread, so the record is
+// packed into the allocator's 256-byte class. Objects of that class start
+// on a 256-byte boundary, and the fields are ordered so that the segment
+// path (startSegment, interrupt, creditWork, segmentDone) reads only the
+// first two 64-byte cache lines, Task through sleepEv.
 type Proc struct {
 	Task *task.Task
 	M    *Machine
@@ -21,25 +27,11 @@ type Proc struct {
 	// onDone runs when the segment completes; nil means ask the program
 	// for the next action.
 	onDone func(c *CPU, now sim.Time)
-	// syscall is the in-flight blocking syscall to (re)run; it points at
-	// syscallBuf, the proc's own slot that Call arms, so issuing a
-	// syscall does not allocate.
-	syscall    *Syscall
-	syscallBuf Syscall
-	// sleepDur carries a Sleep action's duration to its completion
-	// handler (a static function, not a per-sleep closure).
-	sleepDur uint64
-
-	// waitNode links the proc into a WaitQueue, by pid.
-	waitNode  klist.Node
-	waitingOn *WaitQueue
-	sleepEv   *sim.Event
-	// sleepWakeFn is the timer-expiry callback, bound once at spawn.
-	sleepWakeFn func(now sim.Time)
-
-	// sleepFrom is when the task last blocked (wait queue or timer); the
-	// wake path turns now-sleepFrom into sleep_avg interactivity credit.
-	sleepFrom sim.Time
+	// segWork and segWall describe the armed segment: segWork cycles of
+	// real work scheduled to take segWall cycles of wall time (equal
+	// unless executing remotely).
+	segWork uint64
+	segWall uint64
 
 	// workStamp is the owning CPU's work clock when this proc last left
 	// it, for the cache-refill model.
@@ -50,16 +42,45 @@ type Proc struct {
 	// in any other domain is stretched by Cost.RemoteAccessPct; after
 	// RehomeCycles of consecutive execution in one foreign domain the
 	// pages migrate there (memDomain rebinds), as AutoNUMA-style page
-	// migration would.
-	memDomain   int // -1 until first dispatch
-	foreignDom  int
+	// migration would. There are no more domains than CPUs, which a
+	// 64-bit mask bounds, so an int16 holds a domain index.
 	foreignWork uint64
+	memDomain   int16 // -1 until first dispatch
+	foreignDom  int16
 
-	// segWork and segWall describe the armed segment: segWork cycles of
-	// real work scheduled to take segWall cycles of wall time (equal
-	// unless executing remotely).
-	segWork uint64
-	segWall uint64
+	// inSyscall marks syscallBuf as the in-flight blocking syscall to
+	// (re)run.
+	inSyscall bool
+	// wdFlagged marks an already-reported starvation/lost-wake episode
+	// (cleared at the next dispatch) so one episode is one watchdog
+	// violation, not one per sweep.
+	wdFlagged bool
+	exited    bool
+
+	// Steps counts program actions completed, for tests and traces.
+	Steps uint64
+
+	// deliverable caches the CPUs this proc counts as deliverable to in
+	// the machine's kick-delivery counts (Machine.refile).
+	deliverable uint64
+
+	// waitNode links the proc into a WaitQueue, by pid.
+	waitNode  klist.Node
+	waitingOn *WaitQueue
+	sleepEv   *sim.Event
+
+	// syscallBuf is the proc's own syscall slot that Call arms, so
+	// issuing a syscall does not allocate. While a Sleep is armed no
+	// syscall is in flight, and its Cost carries the sleep's duration to
+	// the completion handler (a static function, not a per-sleep
+	// closure).
+	syscallBuf Syscall
+	// sleepWakeFn is the timer-expiry callback, bound once at spawn.
+	sleepWakeFn func(now sim.Time)
+
+	// sleepFrom is when the task last blocked (wait queue or timer); the
+	// wake path turns now-sleepFrom into sleep_avg interactivity credit.
+	sleepFrom sim.Time
 
 	// savedAffinity holds the task's own CPU mask while cpuset fallback
 	// has it widened: when every CPU the mask names is offline, the
@@ -71,22 +92,9 @@ type Proc struct {
 	// Watchdog stamps. runnableSince is when the task last became
 	// runnable (spawn or wake); lastDispatched is when it last won a
 	// schedule() decision. The starvation clock reads from whichever is
-	// later. wdFlagged marks an already-reported starvation/lost-wake
-	// episode (cleared at the next dispatch) so one episode is one
-	// violation, not one per sweep.
+	// later.
 	runnableSince  sim.Time
 	lastDispatched sim.Time
-	// deliverable caches the CPUs this proc counts as deliverable to in
-	// the machine's kick-delivery counts (Machine.refile).
-	deliverable uint64
-	wdFlagged   bool
-
-	exited bool
-	// ExitCode is user-settable before Exit for workload bookkeeping.
-	ExitCode int
-
-	// Steps counts program actions completed, for tests and traces.
-	Steps uint64
 }
 
 // sleepWake fires when the proc's sleep timer expires.

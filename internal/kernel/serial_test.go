@@ -95,7 +95,7 @@ func TestTraceHookSeesDecisions(t *testing.T) {
 
 func TestWakeExitedProcIsNoop(t *testing.T) {
 	m := newMachine(t, 1, elscFactory)
-	wq := NewWaitQueue("wq")
+	wq := new(WaitQueue)
 	p := m.Spawn("w", nil, computeLoop(1, 100))
 	m.Run(func() bool { return p.Exited() })
 	calls := m.Stats().WakeCalls
@@ -108,7 +108,7 @@ func TestWakeExitedProcIsNoop(t *testing.T) {
 
 func TestEarlyWakeCancelsSleepTimer(t *testing.T) {
 	m := newMachine(t, 1, elscFactory)
-	wq := NewWaitQueue("wq")
+	wq := new(WaitQueue)
 	released := false
 	phase := 0
 	var wokeAt sim.Time
@@ -165,7 +165,7 @@ func TestWakeDuringTransitionToIdleNotLost(t *testing.T) {
 	// needResched, and the task sat runnable forever.
 	bothSchedulers(t, func(t *testing.T, f SchedulerFactory) {
 		m := newMachine(t, 1, f)
-		q := NewWaitQueue("box")
+		q := new(WaitQueue)
 		ready := false
 		var waiter *Proc
 		waiter = m.Spawn("waiter", nil, ProgramFunc(func(p *Proc) Action {

@@ -6,14 +6,11 @@ import "elsc/internal/klist"
 // wait_queue_head_t. Tasks block on it from a Syscall's Fn via BlockOn and
 // are released with Machine.WakeOne / Machine.WakeAll (try_to_wake_up). Its
 // list links slots of the machine's proc table, one per pid, so the zero
-// value is an empty queue and a WaitQueue can be held by value.
+// value is an empty queue, ready to use, and a WaitQueue can be held by
+// value in 12 bytes.
 type WaitQueue struct {
-	Name    string
 	waiters klist.Head
 }
-
-// NewWaitQueue returns an empty wait queue.
-func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{Name: name} }
 
 // Len returns the number of blocked tasks.
 func (wq *WaitQueue) Len() int { return wq.waiters.Len() }

@@ -69,7 +69,7 @@ type Build struct {
 	queue     []job
 	nextJob   int
 	compiled  int
-	linkReady *kernel.WaitQueue
+	linkReady kernel.WaitQueue
 }
 
 type job struct {
@@ -81,7 +81,7 @@ type job struct {
 // the final serial linker task.
 func New(m *kernel.Machine, cfg Config) *Build {
 	cfg = cfg.withDefaults()
-	b := &Build{cfg: cfg, m: m, linkReady: kernel.NewWaitQueue("link")}
+	b := &Build{cfg: cfg, m: m}
 	rng := m.RNG().Fork()
 
 	mm := m.NewMM("make")
@@ -157,7 +157,7 @@ func execWriteObj(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outco
 	b := sc.Obj.(*Build)
 	b.compiled++
 	if b.compiled == len(b.queue) {
-		p.M.WakeAll(b.linkReady)
+		p.M.WakeAll(&b.linkReady)
 	}
 	return kernel.Done()
 }
@@ -167,7 +167,7 @@ func execWriteObj(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outco
 func execWaitObjs(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outcome {
 	b := sc.Obj.(*Build)
 	if b.compiled < len(b.queue) {
-		return kernel.BlockOn(b.linkReady)
+		return kernel.BlockOn(&b.linkReady)
 	}
 	return kernel.Done()
 }

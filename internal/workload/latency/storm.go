@@ -54,7 +54,7 @@ func (c *StormConfig) withDefaults() StormConfig {
 type Storm struct {
 	cfg     StormConfig
 	m       *kernel.Machine
-	wq      *kernel.WaitQueue
+	wq      kernel.WaitQueue
 	waiters []*kernel.Proc
 	exited  kernel.ExitCursor // over waiters, for Done
 
@@ -67,7 +67,7 @@ type Storm struct {
 // NewStorm constructs the waiters on m.
 func NewStorm(m *kernel.Machine, cfg StormConfig) *Storm {
 	cfg = cfg.withDefaults()
-	s := &Storm{cfg: cfg, m: m, wq: kernel.NewWaitQueue("storm")}
+	s := &Storm{cfg: cfg, m: m}
 	mm := m.NewMM("herd")
 	for i := 0; i < cfg.Waiters; i++ {
 		s.waiters = append(s.waiters, m.Spawn(fmt.Sprintf("waiter%d", i), mm, &waiter{s: s}))
@@ -83,7 +83,7 @@ func (s *Storm) armStorm() {
 		s.gen++
 		s.stormAt = now
 		s.parked = 0
-		s.m.WakeAll(s.wq)
+		s.m.WakeAll(&s.wq)
 	})
 }
 
@@ -125,7 +125,7 @@ func execStormWait(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outc
 				s.armStorm()
 			}
 		}
-		return kernel.BlockOn(s.wq)
+		return kernel.BlockOn(&s.wq)
 	}
 	// Woken by storm s.gen and finally running again: the interval since
 	// the wake_up_all is the wakeup-to-run latency.
