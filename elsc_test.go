@@ -58,7 +58,7 @@ func TestSpawnCustomProgram(t *testing.T) {
 
 func TestCustomIPCWorkload(t *testing.T) {
 	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 1, Seed: 1})
-	q := elsc.NewQueue("pipe", 4)
+	q := elsc.NewQueue(4)
 	var got elsc.Msg
 	prodDone, consDone := false, false
 	sent := 0

@@ -62,7 +62,7 @@ func ExampleMachine_RunVolanoMark() {
 // ExampleNewQueue demonstrates blocking IPC between two custom tasks.
 func ExampleNewQueue() {
 	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 1, Seed: 1})
-	q := elsc.NewQueue("pipe", 2)
+	q := elsc.NewQueue(2)
 
 	sent := 0
 	m.Spawn("producer", nil, elsc.ProgramFunc(func(p *elsc.Proc) elsc.Action {

@@ -31,11 +31,11 @@ func run(kind elsc.SchedulerKind) {
 	srv := m.NewAddressSpace("server")
 	cli := m.NewAddressSpace("clients")
 
-	dispatch := elsc.NewQueue("dispatch", 32)
-	mu := elsc.NewYieldMutex("state-lock", 0)
+	dispatch := elsc.NewQueue(32)
+	mu := elsc.NewYieldMutex(0)
 	acks := make([]*elsc.Queue, producers)
 	for i := range acks {
-		acks[i] = elsc.NewQueue(fmt.Sprintf("ack%d", i), 0)
+		acks[i] = elsc.NewQueue(0)
 	}
 
 	// Producers: send a request, wait for its ack, repeat.

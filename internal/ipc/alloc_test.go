@@ -18,10 +18,10 @@ import (
 // the per-call Send/Recv/TryRecv closures.
 func TestSteadyStateQueueOpsAllocFree(t *testing.T) {
 	m := newMachine(2, false)
-	ping := NewQueue("ping", 4)
-	pong := NewQueue("pong", 4)
+	ping := NewQueue(4)
+	pong := NewQueue(4)
 	pong.DeliverLatency = 5_000
-	mu := NewYieldMutex("mu", 0)
+	mu := NewYieldMutex(0)
 
 	step := 0
 	var echo Msg
@@ -41,7 +41,7 @@ func TestSteadyStateQueueOpsAllocFree(t *testing.T) {
 		}
 		return pong.Send(p, 400, Msg{From: 2, Seq: req.Seq})
 	}))
-	loop := NewQueue("loop", 0)
+	loop := NewQueue(0)
 	lstep := 0
 	var got bool
 	var polled Msg
@@ -88,7 +88,7 @@ func TestSteadyStateQueueOpsAllocFree(t *testing.T) {
 // its bound delivery handler are all NewQueue allocates.
 func TestNewQueueAllocBudget(t *testing.T) {
 	var sink *Queue
-	if allocs := testing.AllocsPerRun(100, func() { sink = NewQueue("room3.u7.c2s", 0) }); allocs > 2 {
+	if allocs := testing.AllocsPerRun(100, func() { sink = NewQueue(0) }); allocs > 2 {
 		t.Fatalf("NewQueue allocates %.0f objects, want at most 2", allocs)
 	}
 	_ = sink
@@ -98,14 +98,15 @@ func TestNewQueueAllocBudget(t *testing.T) {
 // queues of a VolanoMark cell stay in a small size class (three scratch
 // Syscalls once put each one in the 480-byte class), and it holds its two
 // wait queues by value: one object where a 176-byte queue and two 64-byte
-// wait queues were three objects and 304 bytes. A wait queue is its list
-// head alone, so the queue fits the 160-byte class (208 bytes while each
-// wait queue carried a name).
+// wait queues were three objects and 304 bytes. A wait queue is its 8-byte
+// list head alone and the queue carries no name, so it fits the 128-byte
+// class (152 bytes with a name and 12-byte heads, 208 while each wait queue
+// carried a name too).
 func TestQueueSize(t *testing.T) {
-	if size := unsafe.Sizeof(kernel.WaitQueue{}); size > 16 {
-		t.Fatalf("kernel.WaitQueue is %d bytes, want at most 16", size)
+	if size := unsafe.Sizeof(kernel.WaitQueue{}); size > 8 {
+		t.Fatalf("kernel.WaitQueue is %d bytes, want at most 8", size)
 	}
-	if size := unsafe.Sizeof(Queue{}); size > 160 {
-		t.Fatalf("ipc.Queue, wait queues included, is %d bytes, want at most 160", size)
+	if size := unsafe.Sizeof(Queue{}); size > 128 {
+		t.Fatalf("ipc.Queue, wait queues included, is %d bytes, want at most 128", size)
 	}
 }

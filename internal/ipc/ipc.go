@@ -24,10 +24,7 @@ type Msg struct {
 // of a socket: the paper's loopback VolanoMark runs put four threads on
 // each connection precisely because Java lacked non-blocking I/O.
 type Queue struct {
-	// Name is the creator's label for the queue; the queue itself never
-	// reads it.
-	Name string
-	Cap  int
+	Cap int
 
 	// Serial, when set, serializes every operation on this queue
 	// through a machine-global resource for SerialHold cycles — the
@@ -63,9 +60,9 @@ type Queue struct {
 // NewQueue returns a queue with the given capacity (0 = unbounded). A
 // chat benchmark builds one queue per socket direction, so NewQueue
 // allocates only the queue and its bound delivery handler: the wait
-// queues are held by value, and no name is derived from name.
-func NewQueue(name string, capacity int) *Queue {
-	q := &Queue{Name: name, Cap: capacity}
+// queues are held by value.
+func NewQueue(capacity int) *Queue {
+	q := &Queue{Cap: capacity}
 	q.deliverFn = q.deliverOne
 	return q
 }
@@ -233,10 +230,10 @@ type SockPair struct {
 
 // NewSockPair builds a loopback connection with the given per-direction
 // buffer capacity in messages.
-func NewSockPair(name string, capacity int) *SockPair {
+func NewSockPair(capacity int) *SockPair {
 	return &SockPair{
-		ClientToServer: NewQueue(name+".c2s", capacity),
-		ServerToClient: NewQueue(name+".s2c", capacity),
+		ClientToServer: NewQueue(capacity),
+		ServerToClient: NewQueue(capacity),
 	}
 }
 
@@ -247,7 +244,6 @@ func NewSockPair(name string, capacity int) *SockPair {
 // then fall back to LockBlocking); an unbounded yield loop would starve a
 // lock holder that a table scheduler has filed in a lower list.
 type YieldMutex struct {
-	Name    string
 	owner   *kernel.Proc
 	waiters kernel.WaitQueue
 	spins   uint64
@@ -258,11 +254,11 @@ type YieldMutex struct {
 
 // NewYieldMutex returns an unlocked mutex. tryCost is the simulated cost
 // of one lock attempt (a compare-and-swap plus bookkeeping).
-func NewYieldMutex(name string, tryCost uint64) *YieldMutex {
+func NewYieldMutex(tryCost uint64) *YieldMutex {
 	if tryCost == 0 {
 		tryCost = 120
 	}
-	return &YieldMutex{Name: name, tryFee: tryCost}
+	return &YieldMutex{tryFee: tryCost}
 }
 
 // Locked reports whether the mutex is held.

@@ -25,7 +25,7 @@ func newMachine(cpus int, useELSC bool) *kernel.Machine {
 
 func TestQueueFIFOOrder(t *testing.T) {
 	m := newMachine(1, true)
-	q := NewQueue("q", 0)
+	q := NewQueue(0)
 	const n = 20
 
 	var got []Msg
@@ -66,7 +66,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 
 func TestBoundedQueueBlocksSender(t *testing.T) {
 	m := newMachine(1, true)
-	q := NewQueue("q", 2)
+	q := NewQueue(2)
 	sent := 0
 	slowRecvd := 0
 	var cur Msg
@@ -102,7 +102,7 @@ func TestBoundedQueueBlocksSender(t *testing.T) {
 
 func TestQueueCapacityNeverExceeded(t *testing.T) {
 	m := newMachine(2, false)
-	q := NewQueue("q", 3)
+	q := NewQueue(3)
 	maxSeen := 0
 	sent := 0
 	producer := m.Spawn("prod", nil, kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
@@ -135,7 +135,7 @@ func TestQueueCapacityNeverExceeded(t *testing.T) {
 
 func TestManyProducersOneConsumer(t *testing.T) {
 	m := newMachine(2, true)
-	q := NewQueue("q", 8)
+	q := NewQueue(8)
 	const producers = 5
 	const per = 10
 	for pid := 0; pid < producers; pid++ {
@@ -174,7 +174,7 @@ func TestManyProducersOneConsumer(t *testing.T) {
 
 func TestSockPairDirections(t *testing.T) {
 	m := newMachine(1, true)
-	sp := NewSockPair("conn", 4)
+	sp := NewSockPair(4)
 	var fromClient, fromServer Msg
 	step := 0
 	client := m.Spawn("client", nil, kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
@@ -209,7 +209,7 @@ func TestSockPairDirections(t *testing.T) {
 
 func TestYieldMutexMutualExclusion(t *testing.T) {
 	m := newMachine(2, false)
-	mu := NewYieldMutex("lock", 0)
+	mu := NewYieldMutex(0)
 	inside := 0
 	maxInside := 0
 	const workers = 4
@@ -261,7 +261,7 @@ func TestYieldMutexContentionYields(t *testing.T) {
 	// Contended yield-locks must generate sys_sched_yield traffic — the
 	// paper's stress mechanism.
 	m := newMachine(1, false)
-	mu := NewYieldMutex("lock", 0)
+	mu := NewYieldMutex(0)
 	for w := 0; w < 3; w++ {
 		var got bool
 		n := 0
@@ -303,7 +303,7 @@ func TestYieldMutexContentionYields(t *testing.T) {
 
 func TestUnlockByNonOwnerPanics(t *testing.T) {
 	m := newMachine(1, true)
-	mu := NewYieldMutex("lock", 0)
+	mu := NewYieldMutex(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unlock by non-owner should panic")

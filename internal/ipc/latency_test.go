@@ -9,7 +9,7 @@ import (
 
 func TestDeliverLatencyDelaysVisibility(t *testing.T) {
 	m := newMachine(1, true)
-	q := NewQueue("lat", 0)
+	q := NewQueue(0)
 	q.DeliverLatency = 100_000
 
 	var sentAt, gotAt sim.Time
@@ -41,7 +41,7 @@ func TestDeliverLatencyDelaysVisibility(t *testing.T) {
 
 func TestDeliverLatencyCountsAgainstCapacity(t *testing.T) {
 	m := newMachine(1, true)
-	q := NewQueue("lat", 2)
+	q := NewQueue(2)
 	q.DeliverLatency = 1_000_000 // long flight
 
 	sent := 0
@@ -84,7 +84,7 @@ func TestDeliverLatencyCountsAgainstCapacity(t *testing.T) {
 
 func TestDeliverLatencyPreservesFIFO(t *testing.T) {
 	m := newMachine(1, true)
-	q := NewQueue("lat", 0)
+	q := NewQueue(0)
 	q.DeliverLatency = 50_000
 
 	sent := 0
@@ -118,9 +118,9 @@ func TestDeliverLatencyPreservesFIFO(t *testing.T) {
 
 func TestSerialGateDelaysContendedOps(t *testing.T) {
 	m := newMachine(2, true)
-	serial := m.NewSerialResource("bkl")
-	q1 := NewQueue("a", 0)
-	q2 := NewQueue("b", 0)
+	serial := m.NewSerialResource()
+	q1 := NewQueue(0)
+	q2 := NewQueue(0)
 	for _, q := range []*Queue{q1, q2} {
 		q.Serial = serial
 		q.SerialHold = 50_000
@@ -147,7 +147,7 @@ func TestSerialGateDelaysContendedOps(t *testing.T) {
 
 func TestInjectDeliversWithoutTask(t *testing.T) {
 	m := newMachine(1, true)
-	q := NewQueue("inj", 8)
+	q := NewQueue(8)
 	var got Msg
 	recvd := false
 	p := m.Spawn("cons", nil, kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {

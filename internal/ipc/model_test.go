@@ -20,7 +20,7 @@ func TestQueueAgainstFIFOModel(t *testing.T) {
 		cpus := 1 + int(uint(seed)%3)        // 1..3 CPUs
 
 		m := newMachine(cpus, seed%2 == 0)
-		q := NewQueue("model", capacity)
+		q := NewQueue(capacity)
 		if latencyOn {
 			q.DeliverLatency = 40_000
 		}
@@ -90,7 +90,7 @@ func TestYieldMutexNeverDoubleOwns(t *testing.T) {
 		workers := int(workersRaw%5) + 2
 		rounds := int(roundsRaw%8) + 2
 		m := newMachine(2, true)
-		mu := NewYieldMutex("m", 0)
+		mu := NewYieldMutex(0)
 		rng := sim.NewRNG(seed)
 
 		violated := false

@@ -13,13 +13,12 @@ import "elsc/internal/sim"
 // wait is how long it must keep spinning before its turn. The simulation
 // is single threaded: this is purely a timing model, like spinlock.
 type SerialResource struct {
-	Name string
 	lock spinlock
 }
 
-// NewSerialResource returns a resource with the given diagnostic name.
-func (m *Machine) NewSerialResource(name string) *SerialResource {
-	return &SerialResource{Name: name}
+// NewSerialResource returns a free resource.
+func (m *Machine) NewSerialResource() *SerialResource {
+	return &SerialResource{}
 }
 
 // Reserve books hold cycles on the resource starting at the earliest

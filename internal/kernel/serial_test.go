@@ -7,7 +7,7 @@ import (
 )
 
 func TestSerialResourceUncontended(t *testing.T) {
-	r := &SerialResource{Name: "x"}
+	r := &SerialResource{}
 	if wait := r.Reserve(100, 50); wait != 0 {
 		t.Fatalf("first reservation waited %d", wait)
 	}
@@ -17,7 +17,7 @@ func TestSerialResourceUncontended(t *testing.T) {
 }
 
 func TestSerialResourceQueuesReservations(t *testing.T) {
-	r := &SerialResource{Name: "x"}
+	r := &SerialResource{}
 	r.Reserve(100, 50) // busy until 150
 	if wait := r.Reserve(120, 50); wait != 30 {
 		t.Fatalf("second reservation waited %d, want 30", wait)
@@ -32,7 +32,7 @@ func TestSerialResourceQueuesReservations(t *testing.T) {
 }
 
 func TestSerialResourceFreePeriodsDontAccumulate(t *testing.T) {
-	r := &SerialResource{Name: "x"}
+	r := &SerialResource{}
 	r.Reserve(0, 10) // busy until 10
 	// Long idle gap; a reservation at 1000 must not wait.
 	if wait := r.Reserve(1000, 10); wait != 0 {

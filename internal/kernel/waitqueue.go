@@ -7,13 +7,10 @@ import "elsc/internal/klist"
 // are released with Machine.WakeOne / Machine.WakeAll (try_to_wake_up). Its
 // list links slots of the machine's proc table, one per pid, so the zero
 // value is an empty queue, ready to use, and a WaitQueue can be held by
-// value in 12 bytes.
+// value in 8 bytes.
 type WaitQueue struct {
 	waiters klist.Head
 }
-
-// Len returns the number of blocked tasks.
-func (wq *WaitQueue) Len() int { return wq.waiters.Len() }
 
 // enqueue appends p, FIFO order.
 func (wq *WaitQueue) enqueue(p *Proc) {

@@ -8,14 +8,14 @@ import (
 
 // checkList holds h against model, its slots front to back: the forward
 // walk through Next and the backward walk through the raw prev links both
-// give model, Len agrees, End closes both ends, every member is physically
-// linked, and an emptied head is the zero Head again.
+// give model, Empty agrees, End closes both ends, every member is
+// physically linked, and an empty head's first names no node.
 func checkList(tb Table, h *Head, model []uint32) error {
-	if h.Len() != len(model) {
-		return fmt.Errorf("Len = %d, model holds %d", h.Len(), len(model))
+	if h.Empty() != (len(model) == 0) {
+		return fmt.Errorf("Empty = %v, model holds %d", h.Empty(), len(model))
 	}
 	if len(model) == 0 {
-		if !h.Empty() || h.First() >= Base {
+		if h.First() >= Base {
 			return fmt.Errorf("empty list's head is %+v", *h)
 		}
 		return nil
@@ -46,7 +46,7 @@ func checkList(tb Table, h *Head, model []uint32) error {
 
 // FuzzKlist drives fuzzHeads lists over one table of fuzzNodes nodes with
 // every operation the package has, checked after each step against a
-// slice-of-slots model: the order of every list in both directions, Len,
+// slice-of-slots model: the order of every list in both directions, Empty,
 // and each node's OnList / InListProper. An operation the model says is
 // misuse — inserting a linked or dangling node, removing one that is off
 // or dangling, or removing a node at an end of its own list through

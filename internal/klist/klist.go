@@ -41,10 +41,13 @@ type Node struct {
 	next, prev uint32
 }
 
-// Head is a list's first and last slot and its length. Its first and last
-// mean something only while the list is non-empty.
+// Head is a list's first and last slot, 8 bytes, in the manner of the
+// kernel's hlist_head: a list head that carries no length, because a table
+// of mostly-empty lists pays for every byte of its heads. The list is empty
+// exactly when first is below Base: 0 in the zero value, End once emptied.
+// last means something only while the list is non-empty.
 type Head struct {
-	first, last, len uint32
+	first, last uint32
 }
 
 // Table maps slot numbers to the nodes they name. Slot 0 names nothing and
@@ -62,10 +65,7 @@ func (tb *Table) Add(n *Node) uint32 {
 }
 
 // Empty reports whether the list has no elements.
-func (h *Head) Empty() bool { return h.len == 0 }
-
-// Len returns the number of elements on the list in O(1).
-func (h *Head) Len() int { return int(h.len) }
+func (h *Head) Empty() bool { return h.first < Base }
 
 // First returns the slot at the front of the list. On an empty list it is
 // 0 (never filled) or End (emptied), neither of which a node has.
@@ -77,16 +77,14 @@ func (tb Table) PushFront(h *Head, n *Node, i uint32) {
 	if n.next != 0 {
 		panic("klist: inserting node that is already on a list")
 	}
-	f := uint32(End)
-	if h.len != 0 {
-		f = h.first
-	} else {
+	f := h.first
+	if f < Base {
+		f = End
 		h.last = i
 	}
 	n.next, n.prev = f, End
 	tb[f].prev = i
 	h.first = i
-	h.len++
 }
 
 // PushBack links n, the node at slot i, at the back of h (list_add_tail).
@@ -95,16 +93,14 @@ func (tb Table) PushBack(h *Head, n *Node, i uint32) {
 	if n.next != 0 {
 		panic("klist: inserting node that is already on a list")
 	}
-	l := uint32(End)
-	if h.len != 0 {
-		l = h.last
-	} else {
+	l := h.last
+	if h.first < Base {
+		l = End
 		h.first = i
 	}
 	n.next, n.prev = End, l
 	tb[l].next = i
 	h.last = i
-	h.len++
 }
 
 // Remove unlinks n, the node at slot i, from h (list_del). The node is
@@ -135,7 +131,6 @@ func (tb Table) splice(h *Head, n *Node, i uint32) {
 	if next == End {
 		h.last = prev
 	}
-	h.len--
 }
 
 // MoveBack moves n, the node at slot i, to the back of h, the list it is on

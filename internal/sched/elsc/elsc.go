@@ -282,7 +282,7 @@ func (s *Sched) checkInvariants() {
 		if s.z[i] > 0 && i > s.nextTop {
 			panic(fmt.Sprintf("elsc: list %d parked above next_top=%d", i, s.nextTop))
 		}
-		total += s.lists[i].Len()
+		total += nz + z
 	}
 	if total != s.total {
 		panic(fmt.Sprintf("elsc: total=%d, lists hold %d", s.total, total))

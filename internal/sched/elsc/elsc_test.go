@@ -85,7 +85,7 @@ func TestZeroCounterParksAtPredictedIndex(t *testing.T) {
 	if s.nextTop != 10 {
 		t.Fatalf("next_top = %d, want 10", s.nextTop)
 	}
-	if s.lists[10].Len() != 1 {
+	if s.z[10] != 1 {
 		t.Fatal("task not in predicted list")
 	}
 	s.checkInvariants()
@@ -100,7 +100,7 @@ func TestParkedTasksSitBehindSelectable(t *testing.T) {
 	s.AddToRunqueue(parked)
 	live := mkTask(env, 2, 20, 21) // (21+20)/4 = 10
 	s.AddToRunqueue(live)
-	if s.lists[10].Len() != 2 {
+	if s.nz[10]+s.z[10] != 2 {
 		t.Fatalf("expected both tasks on list 10")
 	}
 	s.checkInvariants() // would panic if parked sat in front

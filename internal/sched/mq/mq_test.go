@@ -159,12 +159,21 @@ func TestYieldAlternatesWithinQueue(t *testing.T) {
 	}
 }
 
+// listLen walks queue q.
+func listLen(s *Sched, q int) int {
+	n := 0
+	for t := s.env.Tasks.First(&s.queues[q]); t != nil; t = s.env.Tasks.Next(t) {
+		n++
+	}
+	return n
+}
+
 // checkInvariants validates the per-queue counters against the lists.
 func (s *Sched) checkInvariants(t *testing.T) {
 	t.Helper()
 	for q := range s.queues {
-		if s.queues[q].Len() != s.counts[q] {
-			t.Fatalf("queue %d: len %d, count %d", q, s.queues[q].Len(), s.counts[q])
+		if n := listLen(s, q); n != s.counts[q] {
+			t.Fatalf("queue %d: len %d, count %d", q, n, s.counts[q])
 		}
 	}
 }
@@ -210,7 +219,7 @@ func TestRandomOpsKeepCountsConsistent(t *testing.T) {
 			}
 			total := 0
 			for q := range s.queues {
-				if s.queues[q].Len() != s.counts[q] {
+				if listLen(s, q) != s.counts[q] {
 					return false
 				}
 				total += s.counts[q]

@@ -125,10 +125,13 @@
 //     setup_s where it was. Giving every array o1's 140 levels (caller
 //     storage, cfs included) had cost alloc_mb +5.4% on matrix_quick.
 //   - (d) Every run list links slots of the Env's task table (Env.Tasks):
-//     an 8-byte klist.Node and a 12-byte zero-value klist.Head where they
-//     were 40 and 48 bytes, so o1's 80 SCHED_OTHER heads per CPU cost 960
-//     bytes, not 3,840, and a 32-CPU o1 boot 68 KB, not 160 (with Task
-//     256 → 192 bytes). What kept the sentinel-free head of (c)'s first
+//     an 8-byte klist.Node and an 8-byte zero-value klist.Head where they
+//     were 40 and 48 bytes, so o1's 80 SCHED_OTHER heads per CPU cost 640
+//     bytes, not 3,840, and a 32-CPU o1 boot 52 KB, not 160 (with Task
+//     256 → 192 bytes). The head is first and last slot alone, like the
+//     kernel's hlist_head: with a length too it was 12 bytes, 960 per CPU
+//     and 68 KB per boot, and the 32-CPU run-queue array sat just past the
+//     32 KB large-object line, rounded up to five pages. What kept the sentinel-free head of (c)'s first
 //     neighbour from costing its 3-5 ns per Del+Add again is that no list
 //     operation is a call: klist's End is a scratch slot in every table,
 //     so a splice writes both neighbours' links without asking whether

@@ -15,9 +15,9 @@ import (
 type scanSched struct {
 	env *sched.Env
 	rq  klist.Head
-	// running counts tasks on the queue currently marked HasCPU, so
-	// Runnable can exclude them without a scan.
-	running int
+	// queued counts the tasks on rq, and running those of them currently
+	// marked HasCPU, so Runnable needs no scan.
+	queued, running int
 }
 
 func newScan(env *sched.Env) *scanSched {
@@ -36,6 +36,7 @@ func (s *scanSched) AddToRunqueue(t *task.Task) {
 	t.SyncCounter(s.env.Epoch)
 	n, i := s.env.Tasks.Link(t)
 	s.env.Tasks.Nodes().PushFront(&s.rq, n, i)
+	s.queued++
 	if t.HasCPU {
 		s.running++
 	}
@@ -48,13 +49,14 @@ func (s *scanSched) DelFromRunqueue(t *task.Task) {
 	}
 	n, i := s.env.Tasks.Link(t)
 	s.env.Tasks.Nodes().Remove(&s.rq, n, i)
+	s.queued--
 	if t.HasCPU {
 		s.running--
 	}
 }
 
 // Runnable returns the number of queued tasks not currently executing.
-func (s *scanSched) Runnable() int { return s.rq.Len() - s.running }
+func (s *scanSched) Runnable() int { return s.queued - s.running }
 
 // Drain empties the one queue, front to back.
 func (s *scanSched) Drain(_ int, out []*task.Task) []*task.Task {

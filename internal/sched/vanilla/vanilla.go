@@ -96,8 +96,9 @@ type Sched struct {
 	idx    sched.LevelArray
 	levels [otherLevels]klist.Head
 	// side holds the queued tasks outside the index, one list of each
-	// kind above.
-	side [sideLists]klist.Head
+	// kind above, and sideLen their lengths (a list head carries none).
+	side    [sideLists]klist.Head
+	sideLen [sideLists]int
 	// front and back are the next list-position stamps: a wake-up takes
 	// one below every queued task, an expired SCHED_RR prev one above.
 	front, back uint64
@@ -158,6 +159,14 @@ func (s *Sched) push(t *task.Task, l int) {
 	t.QIndex = -1 - l
 	n, i := s.env.Tasks.Link(t)
 	s.env.Tasks.Nodes().PushFront(&s.side[l], n, i)
+	s.sideLen[l]++
+}
+
+// pull unlinks task t from side list l.
+func (s *Sched) pull(t *task.Task, l int) {
+	n, i := s.env.Tasks.Link(t)
+	s.env.Tasks.Nodes().Remove(&s.side[l], n, i)
+	s.sideLen[l]--
 }
 
 // level returns t's index level — rt_priority 99 first, then static
@@ -179,8 +188,7 @@ func level(ep *task.Epoch, t *task.Task) int {
 // unlink takes queued task t out of whichever list holds it.
 func (s *Sched) unlink(t *task.Task) {
 	if q := t.QIndex; q < 0 {
-		n, i := s.env.Tasks.Link(t)
-		s.env.Tasks.Nodes().Remove(&s.side[-1-q], n, i)
+		s.pull(t, -1-q)
 	} else {
 		s.idx.Remove(t, q)
 	}
@@ -195,11 +203,11 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 
 // queued returns the run queue's length.
 func (s *Sched) queued() int {
-	return s.idx.Len() + s.side[pinnedList].Len() + s.side[runningList].Len() + s.side[stoppedList].Len()
+	return s.idx.Len() + s.sideLen[pinnedList] + s.sideLen[runningList] + s.sideLen[stoppedList]
 }
 
 // Runnable returns the number of queued tasks not currently executing.
-func (s *Sched) Runnable() int { return s.queued() - s.side[runningList].Len() }
+func (s *Sched) Runnable() int { return s.queued() - s.sideLen[runningList] }
 
 // Drain implements sched.Scheduler: the one queue, front to back. The
 // kernel detaches HasCPU tasks before it drains for a successor (the stock
@@ -207,11 +215,9 @@ func (s *Sched) Runnable() int { return s.queued() - s.side[runningList].Len() }
 // is selectable.
 func (s *Sched) Drain(_ int, out []*task.Task) []*task.Task {
 	start := len(out)
-	for i := range s.side {
-		l := &s.side[i]
-		for t := s.env.Tasks.First(l); t != nil; t = s.env.Tasks.First(l) {
-			n, slot := s.env.Tasks.Link(t)
-			s.env.Tasks.Nodes().Remove(l, n, slot)
+	for l := range s.side {
+		for t := s.env.Tasks.First(&s.side[l]); t != nil; t = s.env.Tasks.First(&s.side[l]) {
+			s.pull(t, l)
 			out = append(out, t)
 		}
 	}
@@ -264,8 +270,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 	}
 	stopped := &s.side[stoppedList]
 	for t := env.Tasks.First(stopped); t != nil; t = env.Tasks.First(stopped) {
-		n, i := env.Tasks.Link(t)
-		env.Tasks.Nodes().Remove(stopped, n, i)
+		s.pull(t, stoppedList)
 		s.file(t)
 	}
 
@@ -308,7 +313,7 @@ func (s *Sched) pick(cpu int, prev *task.Task, yieldConsulted *bool) (best *task
 	ep, tasks := s.env.Epoch, &s.env.Tasks
 	c = -1000
 	var stamp uint64
-	skipped = s.side[runningList].Len()
+	skipped = s.sideLen[runningList]
 	if prev.OnRunqueue() {
 		if prev.HasCPU {
 			skipped-- // prev is not running elsewhere

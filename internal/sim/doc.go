@@ -18,9 +18,10 @@
 // slots spans the whole ring below it: level 1 covers ~134M cycles
 // (~0.34s), level 2 ~17.2G cycles (~43s) — the wheel's horizon, measured
 // from its cursor. A slot is a doubly linked list through the events
-// themselves; level-0 lists stay sorted by (At, seq). An arm whose deadline
-// lies in the level-0 ring, at or past its slot's tail, indexes the slot
-// and appends: 95.5% of arms in the benchmark's 32-CPU hog cells, 97.5% in
+// themselves, headed by one pointer as the kernel's hlist_head is: the
+// head's back link names the tail, so an append still reaches it in O(1).
+// Level-0 lists stay sorted by (At, seq). An arm whose deadline lies in the
+// level-0 ring, at or past its slot's tail, indexes the slot and appends: 95.5% of arms in the benchmark's 32-CPU hog cells, 97.5% in
 // its 4-CPU chat cells, 68% in its 32-CPU chat cells, where another 31%
 // land mid-slot and walk back from the tail. A further deadline (4% of the
 // hog cells' arms, under 1% of the chat cells') parks in a coarser level
@@ -33,8 +34,8 @@
 //
 // Cancel is an O(1) unlink whatever the slot holds. The event records its
 // level when linked, so Cancel finds its slot from (level, At), splices it
-// out and repairs the tail, the bitmap, the counts and the remembered
-// earliest. Nothing dead stays queued: Pending is one counter, a cancelled
+// out and repairs the head's link to the tail, the bitmap, the counts and
+// the remembered earliest. Nothing dead stays queued: Pending is one counter, a cancelled
 // caller-owned event can be armed again on the spot (the kernel re-arms one
 // segment-completion event per CPU this way, interrupt after interrupt),
 // and a cancelled engine-owned event goes straight back to the freelist.
@@ -74,7 +75,10 @@
 // level-1 slots, yet the rings made the wheel a 106,496-byte allocation,
 // live in every recycled engine, zeroed at every fresh machine's first
 // arm, and 54% of hogs_segments' live heap. At 128 slots per coarse level
-// it is 37,224 bytes in a 40,960-byte allocation (TestWheelHeapBudget).
+// it was 37,224 bytes, just past the 32 KB large-object line and so a
+// 40,960-byte allocation, a third of hogs_segments' live heap. With
+// one-pointer slots it is 18,784 bytes in the 19,072-byte size class
+// (TestWheelHeapBudget).
 // The horizon still covers the registry: its farthest deadline is
 // 76,219,093 cycles at QuickScale and 14,144,852,219 at DefaultScale,
 // under 2^34 = 17,179,869,184, and DefaultScale arms 100,139 of its

@@ -35,8 +35,9 @@ type Event struct {
 	queued bool
 	pooled bool  // engine-owned (At/After): recycled after firing or cancel
 	level  uint8 // wheel level the event is linked in; levelOver in the overflow
-	// Slot list links; both nil whenever the event is not queued, so a
-	// recycled or idle event pins nothing of the simulation it served.
+	// Slot list links (a slot head's wheelPrev is its slot's tail); both
+	// nil whenever the event is not queued, so a recycled or idle event
+	// pins nothing of the simulation it served.
 	wheelNext *Event
 	wheelPrev *Event
 }
@@ -156,17 +157,18 @@ func (e *Engine) arm(ev *Event, at Time) {
 	if w != nil && w.count != 0 && at-w.cur < wheelSpan0 {
 		idx := int(at>>wheelShift) & wheelMask // level 0 is the ring's prefix
 		s := &w.slots[idx]
-		if t := s.tail; t == nil {
+		if h := s.head; h == nil {
 			s.head = ev
+			ev.wheelPrev = ev
 			w.bits[idx>>6] |= 1 << (idx & 63)
-		} else if t.At <= at {
+		} else if t := h.wheelPrev; t.At <= at {
 			t.wheelNext = ev
 			ev.wheelPrev = t
+			h.wheelPrev = ev
 		} else {
 			w.insert(ev)
 			return
 		}
-		s.tail = ev
 		ev.level = 0
 		w.count++
 		w.occ[0]++
@@ -247,10 +249,9 @@ func (e *Engine) dispatch(limit Time) bool {
 		next := ev.wheelNext
 		s.head = next
 		if next != nil {
-			next.wheelPrev = nil
+			next.wheelPrev = ev.wheelPrev // the tail
 			ev.wheelNext = nil
 		} else {
-			s.tail = nil
 			w.bits[idx>>6] &^= 1 << (idx & 63)
 			// The slot drained: probe the rest of its bitmap word. Ring
 			// indices above this one hold only current-window deadlines
@@ -263,6 +264,7 @@ func (e *Engine) dispatch(limit Time) bool {
 				next = w.slots[idx+bits.TrailingZeros64(word)].head
 			}
 		}
+		ev.wheelPrev = nil
 		w.hit = next
 		w.count--
 		w.occ[0]--

@@ -10,6 +10,8 @@ import (
 // operation stream and compares Now, Pending and the fire log after every
 // op. The model knows nothing of levels, cursors or the overflow, so any
 // divergence is an ordering, accounting or recycling bug in the wheel.
+// After every op checkLinks also holds the wheel's own links to their
+// rules.
 //
 // Each op consumes three bytes: an opcode (mod 8) and two arguments. The
 // delta encoding (a+1)<<(b%44) reaches every wheel level, the horizon and
@@ -62,6 +64,50 @@ func FuzzWheelHeapDiff(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(engineModel)
+}
+
+// checkLinks walks every ring slot and the overflow (slot -1 in its
+// errors): a slot's bit is set
+// exactly while it has a head, a head's wheelPrev is its list's tail and
+// every other resident's its predecessor, and the residents, all queued,
+// number Pending. Every event off the queue — the freelist and the
+// caller-owned ones in idle that are not pending — holds no link.
+func checkLinks(e *Engine, idle []*Event) error {
+	n := 0
+	if w := e.wheel; w != nil {
+		for i := -1; i < ringSlots; i++ {
+			s := &w.over // slot -1
+			if i >= 0 {
+				s = &w.slots[i]
+				if w.occupied(i) != (s.head != nil) {
+					return fmt.Errorf("slot %d: bit %v with head %p", i, w.occupied(i), s.head)
+				}
+			}
+			var prev *Event
+			for x := s.head; x != nil; prev, x = x, x.wheelNext {
+				if n++; n > e.pending {
+					return fmt.Errorf("slot %d: more residents than the %d pending", i, e.pending)
+				}
+				if !x.queued || x != s.head && x.wheelPrev != prev {
+					return fmt.Errorf("slot %d: %s@%d queued=%v, wheelPrev does not mirror wheelNext", i, x.Name, x.At, x.queued)
+				}
+			}
+			if prev != nil && s.head.wheelPrev != prev {
+				return fmt.Errorf("slot %d: the head's wheelPrev is not the tail", i)
+			}
+		}
+	}
+	if n != e.pending {
+		return fmt.Errorf("the lists hold %d residents, Pending %d", n, e.pending)
+	}
+	for _, evs := range [][]*Event{e.free, idle} {
+		for _, ev := range evs {
+			if !ev.queued && (ev.wheelNext != nil || ev.wheelPrev != nil) {
+				return fmt.Errorf("%s@%d is not queued but keeps its links", ev.Name, ev.At)
+			}
+		}
+	}
+	return nil
 }
 
 // mev is one logical event of the reference model.
@@ -193,6 +239,9 @@ func engineModel(t *testing.T, ops []byte) {
 			if got[j] != want[j] {
 				t.Fatalf("op %d (%s): fire %d is %s, model %s", i, what, j, got[j], want[j])
 			}
+		}
+		if err := checkLinks(&e, ownedEv[:]); err != nil {
+			t.Fatalf("op %d (%s): %v", i, what, err)
 		}
 		got, want = got[:0], want[:0]
 	}

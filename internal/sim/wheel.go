@@ -67,22 +67,30 @@ func slotIndex(l int, at Time) int {
 }
 
 // slot heads one intrusive doubly-linked list of events (chained through
-// Event.wheelNext/wheelPrev), so any resident unlinks in O(1). Level-0
-// lists are kept sorted by (At, seq); upper-level and overflow lists are
-// only ever drained whole, so their order is arrival order.
+// Event.wheelNext/wheelPrev), so any resident unlinks in O(1). It is one
+// pointer, in the manner of the kernel's hlist_head: the ring is a hash
+// table of mostly-empty lists, and a second pointer per slot would double
+// it. The tail is reached through the head instead — a head's wheelPrev is
+// its slot's tail (itself when alone), every other resident's its
+// predecessor, and the tail's wheelNext is nil — so appending stays O(1).
+// Level-0 lists are kept sorted by (At, seq); upper-level and overflow
+// lists are only ever drained whole, so their order is arrival order.
 type slot struct {
-	head, tail *Event
+	head *Event
 }
 
 // pushBack appends ev, whose links are nil.
 func (s *slot) pushBack(ev *Event) {
-	if t := s.tail; t != nil {
-		t.wheelNext = ev
-		ev.wheelPrev = t
-	} else {
+	h := s.head
+	if h == nil {
 		s.head = ev
+		ev.wheelPrev = ev
+		return
 	}
-	s.tail = ev
+	t := h.wheelPrev
+	t.wheelNext = ev
+	ev.wheelPrev = t
+	h.wheelPrev = ev
 }
 
 // before reports firing order: earlier time first, arm order within the
@@ -151,36 +159,37 @@ func (w *wheel) insert(ev *Event) {
 	if w.hit != nil && ev.before(w.hit) {
 		w.hit = ev
 	}
-	// A level-0 slot fires from the head, so it stays sorted. p is the
-	// resident ev goes behind: a fresh arm's is the tail, a new earliest
-	// has none, and cascaded or re-filed events and same-slot earlier
-	// deadlines walk back from the tail to theirs.
-	p := s.tail
-	if s.head != nil && ev.before(s.head) {
-		p = nil
-	}
-	for p != nil && ev.before(p) {
-		p = p.wheelPrev
-	}
-	if p == s.tail {
+	// A level-0 slot fires from the head, so it stays sorted. A fresh
+	// arm goes behind the tail and a new earliest in front of the head;
+	// cascaded or re-filed events and same-slot earlier deadlines walk
+	// back from the tail to the resident they go behind, at the head at
+	// the latest.
+	h := s.head
+	if h == nil || !ev.before(h.wheelPrev) {
 		s.pushBack(ev)
 		return
 	}
-	n := s.head
-	if p != nil {
-		n = p.wheelNext
-		p.wheelNext = ev
-	} else {
+	if ev.before(h) {
+		ev.wheelNext = h
+		ev.wheelPrev = h.wheelPrev
+		h.wheelPrev = ev
 		s.head = ev
+		return
 	}
+	p := h.wheelPrev.wheelPrev
+	for ev.before(p) {
+		p = p.wheelPrev
+	}
+	n := p.wheelNext
+	p.wheelNext = ev
 	ev.wheelPrev = p
 	ev.wheelNext = n
 	n.wheelPrev = ev
 }
 
 // remove unlinks a resident from its slot or from the overflow, leaving
-// its links nil and every summary — tail, bitmap, counts, hit, overMin —
-// exact.
+// its links nil and every summary — the head's tail link, bitmap, counts,
+// hit, overMin — exact.
 func (w *wheel) remove(ev *Event) {
 	next, prev := ev.wheelNext, ev.wheelPrev
 	ev.wheelNext, ev.wheelPrev = nil, nil
@@ -191,15 +200,19 @@ func (w *wheel) remove(ev *Event) {
 		idx = slotIndex(l, ev.At)
 		s = &w.slots[idx]
 	}
-	if prev != nil {
-		prev.wheelNext = next
-	} else {
+	if ev == s.head {
+		// prev is the tail, which the successor, if any, now links to.
 		s.head = next
-	}
-	if next != nil {
-		next.wheelPrev = prev
+		if next != nil {
+			next.wheelPrev = prev
+		}
 	} else {
-		s.tail = prev
+		prev.wheelNext = next
+		if next != nil {
+			next.wheelPrev = prev
+		} else {
+			s.head.wheelPrev = prev // ev was the tail
+		}
 	}
 	if l == levelOver {
 		if ev == w.overMin {

@@ -106,8 +106,17 @@ func BenchmarkWheelMixed(b *testing.B) {
 	}
 }
 
+// tailOf returns s's last resident, or nil: its head's wheelPrev.
+func tailOf(s *slot) *Event {
+	if s.head == nil {
+		return nil
+	}
+	return s.head.wheelPrev
+}
+
 // slotOf returns the slot (or the overflow list) ev is linked in, after
-// checking the whole list's links against each other and its tail.
+// checking the whole list's links against each other and the head's link
+// to the tail.
 func slotOf(t *testing.T, e *Engine, ev *Event) *slot {
 	t.Helper()
 	w := e.wheel
@@ -118,13 +127,13 @@ func slotOf(t *testing.T, e *Engine, ev *Event) *slot {
 	var prev *Event
 	found := false
 	for x := s.head; x != nil; prev, x = x, x.wheelNext {
-		if x.wheelPrev != prev {
+		if x != s.head && x.wheelPrev != prev {
 			t.Fatalf("%s@%d: wheelPrev does not mirror wheelNext", x.Name, x.At)
 		}
 		found = found || x == ev
 	}
-	if s.tail != prev {
-		t.Fatal("slot tail is not the last link")
+	if tailOf(s) != prev {
+		t.Fatal("the head's wheelPrev is not the last link")
 	}
 	if !found {
 		t.Fatalf("%s@%d is not in the slot its level and deadline select", ev.Name, ev.At)
@@ -208,8 +217,8 @@ func TestCancelThenRearmOwned(t *testing.T) {
 }
 
 // TestCancelMiddleOfDenseSlot: Cancel is an unlink, not a search — head,
-// middle and tail of a 4096-event slot each leave the list, its tail
-// pointer and the resident counts exact, and what remains fires in arm
+// middle and tail of a 4096-event slot each leave the list, its head's
+// link to the tail and the resident counts exact, and what remains fires in arm
 // order.
 func TestCancelMiddleOfDenseSlot(t *testing.T) {
 	const n = 4096
@@ -225,14 +234,14 @@ func TestCancelMiddleOfDenseSlot(t *testing.T) {
 		e.Cancel(evs[i])
 		evs[i] = nil
 	}
-	if s.head != evs[1] || s.tail != evs[n-2] {
+	if s.head != evs[1] || tailOf(s) != evs[n-2] {
 		t.Fatal("head or tail not repaired after cancelling them")
 	}
 	if e.Pending() != n-3 || e.wheel.count != n-3 || e.wheel.occ[0] != n-3 {
 		t.Fatalf("Pending=%d count=%d occ[0]=%d, want %d each", e.Pending(), e.wheel.count, e.wheel.occ[0], n-3)
 	}
 	last := e.At(100, "appended", func(Time) { got = append(got, n) })
-	if slotOf(t, &e, last).tail != last {
+	if tailOf(slotOf(t, &e, last)) != last {
 		t.Fatal("a fresh arm did not append behind the repaired tail")
 	}
 	e.Run(nil)
@@ -249,7 +258,7 @@ func TestCancelMiddleOfDenseSlot(t *testing.T) {
 		}
 		want++
 	}
-	if e.wheel.count != 0 || s.head != nil || s.tail != nil {
+	if e.wheel.count != 0 || s.head != nil {
 		t.Fatal("slot not empty after the drain")
 	}
 }
@@ -295,10 +304,11 @@ func TestWheelGeometry(t *testing.T) {
 	}
 }
 
-// wheelHeapBudget is what a fresh engine's first arm may allocate: five
-// pages, the size class the ring lands in. The wheel with three
-// 2048-slot levels was 106,496 bytes.
-const wheelHeapBudget = 40_960
+// wheelHeapBudget is what a fresh engine's first arm may allocate: the
+// 19,072-byte size class the one-pointer ring lands in. With two-pointer
+// slots it was five pages, 40,960 bytes, and with three 2048-slot levels
+// 106,496.
+const wheelHeapBudget = 19_072
 
 // TestWheelHeapBudget: a fresh engine's first arm allocates the wheel and
 // nothing else, within wheelHeapBudget. Every fresh machine pays it, and

@@ -104,10 +104,10 @@ type DB struct {
 func New(m *kernel.Machine, cfg Config) *DB {
 	cfg = cfg.withDefaults()
 	d := &DB{cfg: cfg, m: m}
-	d.bufpool = m.NewSerialResource("bufpool")
-	d.wal = m.NewSerialResource("wal")
+	d.bufpool = m.NewSerialResource()
+	d.wal = m.NewSerialResource()
 	for i := 0; i < lockStripes; i++ {
-		d.stripes = append(d.stripes, ipc.NewYieldMutex(fmt.Sprintf("row%d", i), lockTry))
+		d.stripes = append(d.stripes, ipc.NewYieldMutex(lockTry))
 	}
 	mm := m.NewMM("postgres")
 	for i := 0; i < cfg.Clients; i++ {

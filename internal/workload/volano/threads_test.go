@@ -51,7 +51,7 @@ func execSyscall(t *testing.T, p *kernel.Proc, a kernel.Action) kernel.Outcome {
 }
 
 func TestSpinRecvPollsYieldsThenBlocks(t *testing.T) {
-	q := ipc.NewQueue("q", 0)
+	q := ipc.NewQueue(0)
 	p := testProc(newMachine(1, false, true, 1))
 	sr := spinRecv{q: q, cost: 100}
 
@@ -91,7 +91,7 @@ func TestSpinRecvPollsYieldsThenBlocks(t *testing.T) {
 func TestSpinRecvImmediateHit(t *testing.T) {
 	m := newMachine(1, false, true, 1)
 	p := testProc(m)
-	q := ipc.NewQueue("q", 0)
+	q := ipc.NewQueue(0)
 	q.Inject(m, ipc.Msg{From: 9, Seq: 1})
 	sr := spinRecv{q: q, cost: 100}
 	act, done := sr.step(p)
@@ -115,7 +115,7 @@ func TestSpinRecvImmediateHit(t *testing.T) {
 }
 
 func TestSpinRecvResetReusable(t *testing.T) {
-	q := ipc.NewQueue("q", 0)
+	q := ipc.NewQueue(0)
 	m := newMachine(1, false, true, 1)
 	p := testProc(m)
 	sr := spinRecv{q: q, cost: 100}
@@ -252,7 +252,7 @@ func TestIdleSpinnerStepsAllocFree(t *testing.T) {
 // allocator (the think step was one boxed Compute per message: 37% of a
 // paper-regime cell's allocations).
 func TestSenderStepsAllocFree(t *testing.T) {
-	cn := &conn{user: 3, sock: ipc.NewSockPair("u3", 0), echo: ipc.NewQueue("u3.echo", 0)}
+	cn := &conn{user: 3, sock: ipc.NewSockPair(0), echo: ipc.NewQueue(0)}
 	s := &sender{cn: cn, messages: 1 << 30}
 	p := testProc(newMachine(1, false, true, 1))
 	kinds := map[string]int{}

@@ -162,7 +162,7 @@ func Build(m *kernel.Machine, cfg Config) *Benchmark {
 	b := &Benchmark{cfg: cfg, m: m}
 	clientMM := m.NewMM("client-jvm")
 	serverMM := m.NewMM("server-jvm")
-	netStack := m.NewSerialResource("netstack")
+	netStack := m.NewSerialResource()
 
 	netHold, queueHold := uint64(netSerialHold), uint64(queueSerialHold)
 	if cfg.ScalableStack {
@@ -175,15 +175,15 @@ func Build(m *kernel.Machine, cfg Config) *Benchmark {
 	for r := 0; r < cfg.Rooms; r++ {
 		rm := &room{
 			id:   r,
-			lock: ipc.NewYieldMutex(fmt.Sprintf("room%d.lock", r), lockTry),
+			lock: ipc.NewYieldMutex(lockTry),
 		}
 		for i := 0; i < u; i++ {
 			uid := r*u + i
 			cn := &conn{
 				user:    uid,
-				sock:    ipc.NewSockPair(fmt.Sprintf("u%d", uid), sockCap),
-				writerQ: ipc.NewQueue(fmt.Sprintf("u%d.wq", uid), writerQCap),
-				echo:    ipc.NewQueue(fmt.Sprintf("u%d.echo", uid), 0),
+				sock:    ipc.NewSockPair(sockCap),
+				writerQ: ipc.NewQueue(writerQCap),
+				echo:    ipc.NewQueue(0),
 			}
 			for _, q := range []*ipc.Queue{cn.sock.ClientToServer, cn.sock.ServerToClient} {
 				q.Serial = netStack

@@ -88,8 +88,8 @@ type Server struct {
 func New(m *kernel.Machine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, m: m, rng: m.RNG().Fork()}
-	s.accept = ipc.NewQueue("accept", acceptQueueCap)
-	s.accept.Serial = m.NewSerialResource("netstack")
+	s.accept = ipc.NewQueue(acceptQueueCap)
+	s.accept.Serial = m.NewSerialResource()
 	s.accept.SerialHold = netSerialHold
 	s.arrivalEv = m.Engine().NewEvent("request-arrival", s.onArrival)
 

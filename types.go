@@ -50,15 +50,15 @@ type Msg = ipc.Msg
 type Queue = ipc.Queue
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
-func NewQueue(name string, capacity int) *Queue { return ipc.NewQueue(name, capacity) }
+func NewQueue(capacity int) *Queue { return ipc.NewQueue(capacity) }
 
 // YieldMutex is the JVM-style spin-then-suspend user lock whose yields
 // stress the scheduler.
 type YieldMutex = ipc.YieldMutex
 
 // NewYieldMutex returns an unlocked mutex.
-func NewYieldMutex(name string, tryCost uint64) *YieldMutex {
-	return ipc.NewYieldMutex(name, tryCost)
+func NewYieldMutex(tryCost uint64) *YieldMutex {
+	return ipc.NewYieldMutex(tryCost)
 }
 
 // Stats is the machine-wide scheduler instrumentation.
