@@ -157,8 +157,8 @@ func main() {
 		fmt.Print(hotplugTable(m.CPUStats()).Render())
 	}
 	if s.WatchdogEnabled {
-		fmt.Printf("\nwatchdog: %d starvations, %d lost wakeups, %d cpu stalls, %d delivery faults\n",
-			s.WatchdogStarvations, s.WatchdogLostWakeups, s.WatchdogCPUStalls, s.WatchdogDeliveryFaults)
+		fmt.Printf("\nwatchdog: %d starvations, %d invariant faults\n",
+			s.WatchdogStarvations, s.WatchdogInvariantFaults)
 	}
 	// Tickless section, same conditional-section rule: renders only when
 	// some idle CPU actually parked its tick chain (ticks_skipped counts

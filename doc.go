@@ -112,14 +112,16 @@
 // cpuset fallback) until their CPU returns and the saved mask re-pins.
 // The last online CPU refuses to go down. An opt-in starvation/lockup
 // watchdog (MachineConfig.Watchdog) sweeps every 10 ticks — allocation
-// free, like the rest of the event path — and reports starved runnable
-// tasks (waiting 8 of the largest runnable quantum, scaled by the
-// run-queue depth), tasks lost from every queue, online CPUs whose timer
-// chain died, and drift in the kick-delivery bookkeeping
-// (Machine.CheckDelivery), each at its virtual timestamp. The scenario fuzzer
-// arms it everywhere and injects hotplug storms; the machine-level
-// conformance matrix drives scripted storms over every policy on 8P and
-// 32P-NUMA shapes.
+// free, like the rest of the event path — and reports two kinds of
+// violation, each at its virtual timestamp: starved runnable tasks
+// (waiting 8 of the largest runnable quantum, scaled by the run-queue
+// depth), and any failure of the machine's invariants (Machine.CheckAll in
+// internal/kernel: the delivery bookkeeping and rule, the census that no
+// runnable task is lost from every queue, the per-CPU events, and every
+// online CPU's timer chain), with the failed predicate named. The
+// scenario fuzzer arms it everywhere and injects hotplug storms; the
+// machine-level conformance matrix drives scripted storms over every
+// policy on 8P and 32P-NUMA shapes.
 //
 // # The event engine
 //

@@ -64,8 +64,8 @@ type MachineConfig struct {
 	MaxSeconds uint64
 	// Watchdog, when non-nil, arms the starvation/lockup watchdog: a
 	// periodic sweep that reports runnable tasks starved past a
-	// threshold, tasks lost from every run queue, and online CPUs whose
-	// timer chain died.
+	// threshold, and any failed machine invariant (a task lost from
+	// every run queue, an online CPU whose timer chain died, ...).
 	Watchdog *WatchdogConfig
 }
 

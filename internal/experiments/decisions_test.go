@@ -90,6 +90,39 @@ func TestDecisionDigest(t *testing.T) {
 	}
 }
 
+// TestCheckAllEveryEvent steps every quick-matrix cell, and the twelve
+// of mq (the retired baseline the matrix skips), one event at a time and
+// holds the machine to kernel.Machine.CheckAll after each event
+// (Machine.Run consults its stop function between any two events).
+func TestCheckAllEveryEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps the 60-cell quick matrix")
+	}
+	cells, sc := quickMatrixCells()
+	cells = append(cells, matrixCells([]string{MQ}, []MachineSpec{SpecByLabel("8P"), SpecByLabel("32P-NUMA")}, workload.Names())...)
+	for _, c := range cells {
+		c := c
+		t.Run(c.Key(), func(t *testing.T) {
+			m := kernel.NewMachine(machineConfig(nil, c.Spec, Factory(c.Policy), sc))
+			inst := workload.Build(c.Load, m, WorkloadParams(c.Spec, sc))
+			events := 0
+			m.Run(func() bool {
+				if err := m.CheckAll(); err != nil {
+					t.Fatalf("after event %d (t=%d): %v", events, m.Now(), err)
+				}
+				events++
+				return inst.Done()
+			})
+			if !inst.Done() {
+				t.Fatalf("cell incomplete after %d events", events)
+			}
+			if n := m.Stats().IdleTickRescues; n != 0 {
+				t.Fatalf("%d idle-tick rescues", n)
+			}
+		})
+	}
+}
+
 func lines(s string) []string {
 	var out []string
 	sc := bufio.NewScanner(strings.NewReader(s))

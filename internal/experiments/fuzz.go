@@ -3,13 +3,13 @@ package experiments
 // The whole-machine scenario fuzzer. A Scenario is a seeded composition
 // of one registry workload with mid-run fault injections — hot policy
 // swaps, affinity and priority churn, fork storms, CPU hotplug storms —
-// run on a real simulated machine and audited against the
-// task-conservation invariants at every injection point and at the end
-// of the run:
+// run on a real simulated machine and audited at every injection point
+// and at the end of the run:
 //
-//   - census: every live runnable task is tracked (on the run queue or
-//     holding a CPU), and the scheduler's Runnable() agrees with a walk
-//     of the task table — no task lost, none double-counted;
+//   - machine invariants: kernel.Machine.CheckAll holds before and after
+//     every injection (the census among them: no task lost, none
+//     double-counted), and no idle tick ever had to rescue a stranded
+//     task;
 //   - swap conservation: a policy swap migrates exactly the queued plus
 //     running population, every queued task is still queued afterwards,
 //     and virtual time does not move;
@@ -17,9 +17,9 @@ package experiments
 //     task and drains its private queues without losing anything, and
 //     virtual time does not move;
 //   - liveness: every machine runs with the kernel watchdog armed, so a
-//     starved task, a lost wakeup, or a dead per-CPU timer chain fails
-//     the scenario at the virtual instant the sweep catches it, not at
-//     end-of-run;
+//     starved task or a failed CheckAll (a lost wakeup, a dead per-CPU
+//     timer chain, ...) fails the scenario at the virtual instant the
+//     sweep catches it, not at end-of-run;
 //   - completion: the workload finishes before the horizon and every
 //     storm-forked task exits;
 //   - determinism: the same scenario produces byte-identical digests on
@@ -253,16 +253,26 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 		return c
 	}
 
-	for _, sw := range s.Swaps {
-		to := sw.To
-		m.Engine().After(at(sw.At), "fuzz-swap", func(now sim.Time) {
+	// inject arms one audited injection: skipped once the scenario has
+	// failed, the machine audited before it and after it.
+	inject := func(permille uint64, what string, fn func(now sim.Time)) {
+		m.Engine().After(at(permille), "fuzz-"+what, func(now sim.Time) {
 			if violation != nil {
 				return
 			}
-			if err := auditCensus(m); err != nil {
-				fail("pre-swap(%s) %v", to, err)
+			if err := audit(m); err != nil {
+				fail("pre-%s %v", what, err)
 				return
 			}
+			fn(now)
+			if err := audit(m); err != nil {
+				fail("post-%s %v", what, err)
+			}
+		})
+	}
+	for _, sw := range s.Swaps {
+		to := sw.To
+		inject(sw.At, "swap("+to+")", func(now sim.Time) {
 			queued := queuedTasks(m)
 			running := runningCount(m)
 			migrated := m.SwitchPolicy(Factory(to))
@@ -282,23 +292,15 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 					return
 				}
 			}
-			if err := auditCensus(m); err != nil {
-				fail("post-swap(%s) %v", to, err)
-			}
 		})
 	}
 	for _, ch := range s.Churns {
 		ch := ch
-		m.Engine().After(at(ch.At), "fuzz-churn", func(now sim.Time) {
-			if violation != nil {
-				return
-			}
+		inject(ch.At, "churn", func(sim.Time) {
 			procs := m.Procs()
 			p := procs[ch.Victim%len(procs)]
-			if p.Exited() {
-				return
-			}
 			switch {
+			case p.Exited():
 			case ch.Prio > 0 && !p.Task.RealTime():
 				m.SetPriority(p, ch.Prio)
 			case ch.Mask != 0:
@@ -306,17 +308,11 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 			default:
 				m.SetAffinity(p, 0)
 			}
-			if err := auditCensus(m); err != nil {
-				fail("post-churn %v", err)
-			}
 		})
 	}
 	for _, fk := range s.Forks {
 		fk := fk
-		m.Engine().After(at(fk.At), "fuzz-fork", func(now sim.Time) {
-			if violation != nil {
-				return
-			}
+		inject(fk.At, "fork", func(sim.Time) {
 			for i := 0; i < fk.N; i++ {
 				steps := 0
 				m.Spawn(fmt.Sprintf("storm%d", rep.Forked), nil,
@@ -329,26 +325,15 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 					}))
 				rep.Forked++
 			}
-			if err := auditCensus(m); err != nil {
-				fail("post-fork %v", err)
-			}
 		})
 	}
 	for _, hp := range s.Hotplugs {
 		cpu := hp.CPU % spec.CPUs
-		m.Engine().After(at(hp.At), "fuzz-offline", func(now sim.Time) {
-			if violation != nil {
-				return
-			}
-			if err := auditCensus(m); err != nil {
-				fail("pre-offline(cpu%d) %v", cpu, err)
-				return
-			}
+		inject(hp.At, fmt.Sprintf("offline(cpu%d)", cpu), func(now sim.Time) {
 			queued := queuedTasks(m)
 			if err := m.OfflineCPU(cpu); err != nil {
 				// Refused: already offline (overlapping storms) or the
-				// last online CPU. The refusal is the correct behavior;
-				// nothing changed, nothing to audit.
+				// last online CPU. The refusal is the correct behavior.
 				return
 			}
 			rep.Offlined++
@@ -362,22 +347,12 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 					return
 				}
 			}
-			if err := auditCensus(m); err != nil {
-				fail("post-offline(cpu%d) %v", cpu, err)
-			}
 		})
-		m.Engine().After(at(hp.BackAt), "fuzz-online", func(now sim.Time) {
-			if violation != nil {
-				return
-			}
-			if err := m.OnlineCPU(cpu); err != nil {
-				// Already online: its offline was refused, or an
-				// overlapping storm brought it back first.
-				return
-			}
-			rep.Onlined++
-			if err := auditCensus(m); err != nil {
-				fail("post-online(cpu%d) %v", cpu, err)
+		inject(hp.BackAt, fmt.Sprintf("online(cpu%d)", cpu), func(sim.Time) {
+			// Refused when already online: its offline was refused, or
+			// an overlapping storm brought it back first.
+			if m.OnlineCPU(cpu) == nil {
+				rep.Onlined++
 			}
 		})
 	}
@@ -386,7 +361,7 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 	if violation != nil {
 		return rep, violation
 	}
-	if err := auditCensus(m); err != nil {
+	if err := audit(m); err != nil {
 		return rep, fmt.Errorf("%s: end-of-run %v", s, err)
 	}
 	if !res.Complete {
@@ -449,52 +424,18 @@ func runningCount(m *kernel.Machine) int {
 	return n
 }
 
-// AuditCensus re-exports the fuzzer's conservation walk for other suites
-// (the hotplug conformance tests audit machines mid-cycle with it).
-func AuditCensus(m *kernel.Machine) error { return auditCensus(m) }
-
-// auditCensus walks the task table and checks task conservation: every
-// live runnable task is either queued or running (nothing vanished), and
-// the scheduler's Runnable() count agrees with the walk (nothing is
-// double-tracked).
-func auditCensus(m *kernel.Machine) error {
-	queued := 0
-	for _, p := range m.Procs() {
-		if p.Exited() {
-			continue
-		}
-		t := p.Task
-		if !t.Runnable() {
-			continue
-		}
-		tracked := t.OnRunqueue()
-		switch {
-		case t.HasCPU:
-			// Running; some policies also keep it listed. Fine either way.
-		case tracked:
-			queued++
-		default:
-			return fmt.Errorf("census: runnable task %s (id %d) neither queued nor running",
-				t.Name, t.ID)
-		}
+// audit holds the machine to every kernel invariant (Machine.CheckAll)
+// plus the tickless-idle liveness bar, which is about the run's history
+// rather than its current state: an idle tick that had to rescue a
+// queued task means some enqueue-to-idle path failed to deliver a kick —
+// the machine survived only because the rescue safety net caught it.
+// That is a lost-kick bug wherever it happens.
+func audit(m *kernel.Machine) error {
+	if err := m.CheckAll(); err != nil {
+		return err
 	}
-	if got := m.Scheduler().Runnable(); got != queued {
-		var names []string
-		for _, p := range m.Procs() {
-			t := p.Task
-			if !p.Exited() && t.Runnable() && !t.HasCPU && t.OnRunqueue() {
-				names = append(names, fmt.Sprintf("%s(id=%d,cpu=%d)", t.Name, t.ID, t.Processor))
-			}
-		}
-		return fmt.Errorf("census: scheduler reports %d runnable, task table holds %d queued: %s",
-			got, queued, strings.Join(names, " "))
-	}
-	// The tickless-idle liveness bar: an idle tick that had to rescue a
-	// queued task means some enqueue-to-idle path failed to deliver a
-	// kick — the machine survived only because the rescue safety net
-	// caught it. That is a lost-kick bug wherever it happens.
 	if n := m.Stats().IdleTickRescues; n != 0 {
-		return fmt.Errorf("census: %d idle-tick rescue(s): a queued task sat on an idle CPU with no kick in flight", n)
+		return fmt.Errorf("%d idle-tick rescue(s): a queued task sat on an idle CPU with no kick in flight", n)
 	}
 	return nil
 }

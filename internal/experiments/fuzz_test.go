@@ -103,7 +103,7 @@ func TestFuzzZeroInjectionMatchesPlainDigest(t *testing.T) {
 				t.Fatalf("zero-injection scenario diverged from the plain run:\n--- fuzz\n%s\n--- plain\n%s",
 					rep.Digest, plain)
 			}
-			for _, line := range []string{"watchdog_starvations 0", "watchdog_lost_wakeups 0", "watchdog_cpu_stalls 0"} {
+			for _, line := range []string{"watchdog_starvations 0", "watchdog_invariant_faults 0"} {
 				if !strings.Contains(rep.Digest, line) {
 					t.Fatalf("clean run's digest missing %q:\n%s", line, rep.Digest)
 				}

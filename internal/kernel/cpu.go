@@ -28,9 +28,6 @@ type CPU struct {
 	offlineFrom  sim.Time
 	offlineAccum uint64
 	offlines     uint64
-	// wdStallFlagged marks that the watchdog already reported this CPU's
-	// dead timer chain, so one stall is one violation, not one per sweep.
-	wdStallFlagged bool
 
 	// Tickless idle (NO_HZ): a fully idle CPU stops re-arming its timer
 	// chain at the next firing — parked lazily, exactly like hotplug parks
@@ -229,9 +226,9 @@ func (c *CPU) tick(now sim.Time) {
 	if c.current == nil && !c.transitioning {
 		// Fully idle at the tick. A deliverable task stranded here with
 		// nothing in flight is a lost kick — an audited error path
-		// (IdleTickRescues, asserted zero by the conformance and fuzz
-		// census audits); the reschedule below is the safety net that
-		// makes it degrade gracefully rather than hang the machine.
+		// (IdleTickRescues, asserted zero by the conformance suite and
+		// the fuzzer's audit); the reschedule below is the safety net
+		// that makes it degrade gracefully rather than hang the machine.
 		rescue := m.tickRescueNeeded(c)
 		if !rescue && !m.cfg.TicklessOff {
 			// NO_HZ: park the chain. This firing happened and is charged;
@@ -310,8 +307,8 @@ func (c *CPU) ensureTick(now sim.Time) {
 	}
 	// No grid anchor: the chain died at an offline firing, and only
 	// OnlineCPU revives it. An online CPU reaching here is someone
-	// resurrecting a processor behind OnlineCPU's back — the watchdog's
-	// cpu-stall case, which healing silently would hide.
+	// resurrecting a processor behind OnlineCPU's back — CheckAll's tick
+	// chain predicate, which healing silently would hide.
 	if c.tickNext == 0 {
 		return
 	}

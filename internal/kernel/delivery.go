@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"math/bits"
 
 	"elsc/internal/task"
@@ -172,56 +171,4 @@ func (m *Machine) nudgeOnline() {
 	for w := m.switching; w != 0; w &= w - 1 {
 		m.lowest(w).needResched = true
 	}
-}
-
-// CheckDelivery audits the delivery bookkeeping and the delivery rule
-// from scratch, at an event boundary: every state-mask bit against the
-// CPU state it summarises (the kicked mask against the IPI events in
-// flight), every proc's cached contribution and the per-CPU counts
-// against a brute-force recomputation, and the rule itself — each
-// deliverable task has an online CPU that can take it and will run
-// schedule() unaided. This scan is the reference the incremental counts
-// replaced; it allocates only to describe a failure.
-func (m *Machine) CheckDelivery() error {
-	var idle, kicked, switching, almostIdle, attentive uint64
-	for _, c := range m.cpus {
-		i, s, a := c.stateBits()
-		idle, switching, almostIdle = idle|i, switching|s, almostIdle|a
-		if c.ipiEv.Pending() {
-			kicked |= cpuBit(c.id)
-		}
-		// A CPU attends to its queue unaided when an IPI is on its way
-		// (an offline target re-routes it), or it is online and runs a
-		// task, is switching to one, is flagged needResched, or still
-		// has a tick armed (an idle tick polls tickRescueNeeded).
-		if c.ipiEv.Pending() || c.online() && (c.current != nil || c.dispatchNext != nil || c.needResched || c.tickEv.Pending()) {
-			attentive |= cpuBit(c.id)
-		}
-	}
-	if idle != m.idle || kicked != m.kicked || switching != m.switching || almostIdle != m.almostIdle {
-		return fmt.Errorf("delivery: state masks idle=%#x kicked=%#x switching=%#x almostIdle=%#x, CPU state says %#x %#x %#x %#x",
-			m.idle, m.kicked, m.switching, m.almostIdle, idle, kicked, switching, almostIdle)
-	}
-	online := m.env.OnlineMask()
-	var want [64]int
-	for _, p := range m.procs {
-		to := m.deliverableTo(p.Task)
-		if to != p.deliverable {
-			return fmt.Errorf("delivery: %s cached as deliverable to %#x, is to %#x", p.Task, p.deliverable, to)
-		}
-		for w := to; w != 0; w &= w - 1 {
-			want[bits.TrailingZeros64(w)]++
-		}
-		if to&online != 0 && to&attentive == 0 {
-			return fmt.Errorf("delivery: %s is deliverable to %#x and no CPU there will schedule unaided (idle=%#x kicked=%#x)",
-				p.Task, to, m.idle, m.kicked)
-		}
-	}
-	for _, c := range m.cpus {
-		if got := m.wide + c.narrow; got != want[c.id] || (c.narrow > 0) != (m.narrow&cpuBit(c.id) != 0) {
-			return fmt.Errorf("delivery: cpu%d counts %d deliverable tasks (narrow mask %#x), recount says %d",
-				c.id, got, m.narrow, want[c.id])
-		}
-	}
-	return nil
 }

@@ -2,67 +2,10 @@ package kernel
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"elsc/internal/sched"
-	"elsc/internal/sim"
-	"elsc/internal/task"
 )
-
-// TestCheckDeliveryCatchesDrift corrupts, one at a time, each thing
-// CheckDelivery audits — a state mask, a cached contribution, the rule
-// itself — on an otherwise healthy machine, and requires the audit to
-// name it.
-func TestCheckDeliveryCatchesDrift(t *testing.T) {
-	wq := new(WaitQueue)
-	boot := func() (*Machine, *Proc) {
-		m := newMachine(t, 2, elscFactory)
-		blocked := false
-		sleeper := m.Spawn("sleeper", nil, ProgramFunc(func(p *Proc) Action {
-			if blocked {
-				return Exit{}
-			}
-			blocked = true
-			return p.Call(Syscall{Exec: func(*Syscall, *Proc, sim.Time) Outcome { return BlockOn(wq) }})
-		}))
-		// Run until the sleeper blocks and both CPUs' idle ticks parked.
-		m.Run(func() bool { return m.Now() > sim.Time(3*DefaultTickCycles) })
-		if sleeper.waitingOn == nil || m.idle != m.allCPUs {
-			t.Fatalf("setup: sleeper blocked=%v idle=%#x", sleeper.waitingOn != nil, m.idle)
-		}
-		if err := m.CheckDelivery(); err != nil {
-			t.Fatalf("healthy machine: %v", err)
-		}
-		return m, sleeper
-	}
-	expect := func(m *Machine, want string) {
-		t.Helper()
-		if err := m.CheckDelivery(); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("CheckDelivery = %v, want an error naming %q", err, want)
-		}
-	}
-
-	m, _ := boot()
-	m.kicked |= cpuBit(1) // no IPI armed
-	expect(m, "state masks")
-
-	// A wake-up that files the task but forgets everything after it.
-	m, sleeper := boot()
-	sleeper.Task.State = task.Running
-	m.sched.AddToRunqueue(sleeper.Task)
-	expect(m, "cached as deliverable")
-
-	// The counts are right, but nobody was kicked: both CPUs idle, ticks
-	// parked, nothing in flight. This is the lost kick itself.
-	m.refile(sleeper)
-	expect(m, "no CPU there will schedule unaided")
-
-	m.rescheduleIdle(sleeper)
-	if err := m.CheckDelivery(); err != nil {
-		t.Fatalf("after the kick: %v", err)
-	}
-}
 
 // BenchmarkMicro_KickBacklog times one dispatching schedule() — a task
 // yielding to itself — on 32P-NUMA with one CPU idle, thirty busy, and

@@ -115,7 +115,6 @@ func (m *Machine) OnlineCPU(id int) error {
 	now := m.eng.Now()
 	m.env.SetCPUOnline(id, true)
 	c.publish()
-	c.wdStallFlagged = false
 	d := uint64(now - c.offlineFrom)
 	c.offlineAccum += d
 	m.stats.CPUOnlines++

@@ -379,7 +379,7 @@ func TestHotplugCycleAllocFree(t *testing.T) {
 	if m.Alive() == 0 {
 		t.Fatal("workload drained before the measurement ended; cycles ran on an idle machine")
 	}
-	if s := m.Stats(); s.WatchdogStarvations+s.WatchdogLostWakeups+s.WatchdogCPUStalls != 0 {
+	if s := m.Stats(); s.WatchdogStarvations+s.WatchdogInvariantFaults != 0 {
 		t.Fatalf("watchdog flagged a healthy hotplug cycle: %+v", *s)
 	}
 }
@@ -388,9 +388,9 @@ func TestHotplugCycleAllocFree(t *testing.T) {
 // one caller-owned event, cancelled by whatever interrupts the segment —
 // a resched IPI, the tick's quantum expiry, OfflineCPU — and armed again
 // when a dispatch resumes it. After every event of a run that takes all
-// three paths, a CPU's rundone is pending exactly while it has a current
-// proc; and once warm the segment → interrupt → dispatch → resume cycle
-// allocates nothing.
+// three paths, CheckAll holds (a CPU's rundone is pending exactly while
+// it has a current proc); and once warm the segment → interrupt →
+// dispatch → resume cycle allocates nothing.
 func TestInterruptedSegmentResumesOnSameEvent(t *testing.T) {
 	m := NewMachine(Config{
 		CPUs: 2, SMP: true, Seed: 42, NewScheduler: o1Factory,
@@ -401,11 +401,8 @@ func TestInterruptedSegmentResumesOnSameEvent(t *testing.T) {
 	}
 	audit := func() {
 		t.Helper()
-		for i, c := range m.cpus {
-			if c.runEv.Pending() != (c.current != nil) {
-				t.Fatalf("cpu%d at %d: rundone pending=%v with current=%v",
-					i, m.Now(), c.runEv.Pending(), c.current != nil)
-			}
+		if err := m.CheckAll(); err != nil {
+			t.Fatalf("at %d: %v", m.Now(), err)
 		}
 	}
 	var target sim.Time

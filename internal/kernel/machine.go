@@ -37,8 +37,9 @@
 // ipiArrive clears it), and idle, switching and almostIdle are published
 // by CPU.publish at every flip of the fields they summarise. Per-CPU
 // deliverable counts are maintained by refile, diffing each proc's cached
-// contribution wherever an input of the predicate changes. CheckDelivery
-// recomputes all of it by brute force; the watchdog runs it every period.
+// contribution wherever an input of the predicate changes. Machine.CheckAll
+// (invariants.go) recomputes all of it by brute force, with the census and
+// the CPUs' event invariants; the watchdog runs it every period.
 package kernel
 
 import (

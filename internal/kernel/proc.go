@@ -51,9 +51,9 @@ type Proc struct {
 	// inSyscall marks syscallBuf as the in-flight blocking syscall to
 	// (re)run.
 	inSyscall bool
-	// wdFlagged marks an already-reported starvation/lost-wake episode
-	// (cleared at the next dispatch) so one episode is one watchdog
-	// violation, not one per sweep.
+	// wdFlagged marks an already-reported starvation episode (cleared at
+	// the next dispatch) so one episode is one watchdog violation, not
+	// one per sweep.
 	wdFlagged bool
 	exited    bool
 

@@ -36,7 +36,7 @@ func burst(n int, c uint64) kernel.Program {
 // CPU goes offline under them and comes back (its queue drained with
 // real-time tasks on it), the policy is switched to the other one and back
 // with a second CPU offline (every queue drained, then real-time enqueues
-// on a fresh policy's untouched queues). The delivery audit runs after every event.
+// on a fresh policy's untouched queues). CheckAll runs after every event.
 // The hogs hold several times the CPU time the sleeping real-time tasks
 // leave free, so a hog finishing before the last real-time task means
 // real-time tasks sat behind SCHED_OTHER ones; and everything must finish.
@@ -53,7 +53,7 @@ func TestRealTimeThroughHotplugAndPolicySwitch(t *testing.T) {
 			events := 0
 			audit := func() {
 				t.Helper()
-				if err := m.CheckDelivery(); err != nil {
+				if err := m.CheckAll(); err != nil {
 					t.Fatalf("after event %d (t=%d): %v", events, m.Now(), err)
 				}
 			}

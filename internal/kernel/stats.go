@@ -63,7 +63,7 @@ type Stats struct {
 	// IdleTickRescues counts ticks that found a queued task stranded on
 	// an idle CPU with no kick in flight: every enqueue-to-idle path owes
 	// a real kick, so this is an audited error counter, asserted zero by
-	// the conformance and fuzz census audits.
+	// the conformance suite and the fuzzer's audit.
 	TicksSkipped    uint64
 	IdleTickRescues uint64
 
@@ -72,11 +72,9 @@ type Stats struct {
 	// so runs without it render byte-identically to before it existed.
 	WatchdogEnabled     bool
 	WatchdogStarvations uint64
-	WatchdogLostWakeups uint64
-	WatchdogCPUStalls   uint64
-	// WatchdogDeliveryFaults counts watchdog sweeps whose CheckDelivery
-	// audit failed.
-	WatchdogDeliveryFaults uint64
+	// WatchdogInvariantFaults counts watchdog sweeps whose
+	// Machine.CheckAll failed.
+	WatchdogInvariantFaults uint64
 
 	// Harness scale: engine events dispatched over the run — the unit the
 	// zero-allocation event engine is priced in. Deterministic for a seed
@@ -116,7 +114,7 @@ func (s *Stats) SchedulerShareOfKernel() float64 {
 }
 
 // registryLines is the schema's length: the lines with every group on.
-const registryLines = 40
+const registryLines = 38
 
 // Registry exports the stats /proc-style, as the paper exposed its
 // instrumentation through procfs. It inlines, so a caller that only
@@ -173,9 +171,7 @@ func (s *Stats) appendLines(l []stats.Line) []stats.Line {
 		{true, line("timeslice_rotations", s.TimesliceRotations)},
 		{true, line("wake_calls", s.WakeCalls)},
 		{true, line("wake_idle_placements", s.WakeIdlePlacements)},
-		{s.WatchdogEnabled, line("watchdog_cpu_stalls", s.WatchdogCPUStalls)},
-		{s.WatchdogEnabled, line("watchdog_delivery_faults", s.WatchdogDeliveryFaults)},
-		{s.WatchdogEnabled, line("watchdog_lost_wakeups", s.WatchdogLostWakeups)},
+		{s.WatchdogEnabled, line("watchdog_invariant_faults", s.WatchdogInvariantFaults)},
 		{s.WatchdogEnabled, line("watchdog_starvations", s.WatchdogStarvations)},
 		{true, line("yield_calls", s.YieldCalls)},
 	} {

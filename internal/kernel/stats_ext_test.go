@@ -56,9 +56,7 @@ func oracleRender(s *kernel.Stats) (string, []string) {
 	}
 	if s.WatchdogEnabled {
 		set("watchdog_starvations", s.WatchdogStarvations)
-		set("watchdog_lost_wakeups", s.WatchdogLostWakeups)
-		set("watchdog_cpu_stalls", s.WatchdogCPUStalls)
-		set("watchdog_delivery_faults", s.WatchdogDeliveryFaults)
+		set("watchdog_invariant_faults", s.WatchdogInvariantFaults)
 	}
 	if s.TicksSkipped != 0 || s.IdleTickRescues != 0 {
 		set("ticks_skipped", s.TicksSkipped)

@@ -13,20 +13,10 @@ const (
 	// WatchdogStarvation: a runnable, queued task has waited longer than
 	// the load-scaled threshold without being scheduled.
 	WatchdogStarvation WatchdogKind = iota
-	// WatchdogLostWakeup: a task is runnable but neither queued nor on a
-	// CPU — nothing will ever schedule it.
-	WatchdogLostWakeup
-	// WatchdogCPUStall: an online CPU's timer chain is dead — no tick is
-	// pending and the chain is not parked by tickless idle with a live
-	// grid anchor, so quantum expiry never fires there again. (An
-	// idle-parked chain is healthy: ensureTick re-arms it from tickNext at
-	// the next dispatch. A parked chain with no anchor died at an offline
-	// firing and only OnlineCPU can revive it.)
-	WatchdogCPUStall
-	// WatchdogDelivery: Machine.CheckDelivery failed — the kick-delivery
-	// bookkeeping drifted from the state it summarises, or a deliverable
-	// task has no CPU that will schedule it unaided.
-	WatchdogDelivery
+	// WatchdogInvariant: Machine.CheckAll failed; Err names the
+	// predicate (a task lost from every queue, a dead tick chain, drift
+	// in the delivery bookkeeping, ...).
+	WatchdogInvariant
 )
 
 // String names the violation kind for traces and test failures.
@@ -34,12 +24,8 @@ func (k WatchdogKind) String() string {
 	switch k {
 	case WatchdogStarvation:
 		return "starvation"
-	case WatchdogLostWakeup:
-		return "lost-wakeup"
-	case WatchdogCPUStall:
-		return "cpu-stall"
-	case WatchdogDelivery:
-		return "delivery"
+	case WatchdogInvariant:
+		return "invariant"
 	}
 	return fmt.Sprintf("watchdog-kind-%d", int(k))
 }
@@ -49,32 +35,26 @@ func (k WatchdogKind) String() string {
 type WatchdogViolation struct {
 	Kind WatchdogKind
 	Now  sim.Time
-	// P is the starved or lost task (nil for CPU stalls).
+	// P is the starved task (starvation only).
 	P *Proc
-	// CPU is the stalled processor (-1 for task violations).
-	CPU int
 	// Waited is how long the task has been runnable-but-unscheduled, in
-	// cycles (task violations only).
+	// cycles (starvation only).
 	Waited uint64
-	// Err is what CheckDelivery reported (delivery violations only).
+	// Err is what CheckAll reported (invariant violations only).
 	Err error
 }
 
 // String renders a violation as a one-line trace record.
 func (v WatchdogViolation) String() string {
-	switch v.Kind {
-	case WatchdogCPUStall:
-		return fmt.Sprintf("watchdog: cpu-stall cpu=%d t=%d", v.CPU, v.Now)
-	case WatchdogDelivery:
-		return fmt.Sprintf("watchdog: %v t=%d", v.Err, v.Now)
-	default:
-		name, id := "?", 0
-		if v.P != nil {
-			name, id = v.P.Task.Name, v.P.Task.ID
-		}
-		return fmt.Sprintf("watchdog: %s task=%s pid=%d waited=%d t=%d",
-			v.Kind, name, id, v.Waited, v.Now)
+	if v.Kind == WatchdogInvariant {
+		return fmt.Sprintf("watchdog: invariant %v t=%d", v.Err, v.Now)
 	}
+	name, id := "?", 0
+	if v.P != nil {
+		name, id = v.P.Task.Name, v.P.Task.ID
+	}
+	return fmt.Sprintf("watchdog: %s task=%s pid=%d waited=%d t=%d",
+		v.Kind, name, id, v.Waited, v.Now)
 }
 
 const (
@@ -97,9 +77,9 @@ type WatchdogConfig struct {
 }
 
 // watchdog is the periodic detector: one preallocated engine event,
-// re-armed each sweep, that audits the machine's liveness invariants
-// online instead of at end-of-run. Sweeps run at event boundaries, where
-// machine state is consistent by construction.
+// re-armed each sweep, that audits the machine's invariants and its
+// tasks' waits online instead of at end-of-run. Sweeps run at event
+// boundaries, where machine state is consistent by construction.
 type watchdog struct {
 	m   *Machine
 	cfg WatchdogConfig
@@ -119,41 +99,23 @@ func (m *Machine) EnableWatchdog(cfg WatchdogConfig) {
 	m.eng.ScheduleAfter(wd.ev, watchdogPeriod)
 }
 
-// sweep is one watchdog pass: re-arm, then check the delivery invariant,
-// every online CPU's timer chain and every live task's liveness.
-// Allocation-free while healthy: it walks existing slices and passes
-// violations by value.
+// sweep is one watchdog pass: re-arm, check every invariant of the
+// machine (CheckAll; one violation per failing sweep), then every queued
+// task's wait against the starvation threshold. Allocation-free while
+// healthy: it walks existing slices and passes violations by value.
 func (wd *watchdog) sweep(now sim.Time) {
 	m := wd.m
 	m.eng.ScheduleAfter(wd.ev, watchdogPeriod)
 
-	if err := m.CheckDelivery(); err != nil {
-		m.stats.WatchdogDeliveryFaults++
+	if err := m.CheckAll(); err != nil {
+		m.stats.WatchdogInvariantFaults++
 		if wd.cfg.OnViolation != nil {
-			wd.cfg.OnViolation(WatchdogViolation{Kind: WatchdogDelivery, Now: now, CPU: -1, Err: err})
-		}
-	}
-
-	for _, c := range m.cpus {
-		// A healthy online CPU either has a tick pending or is parked by
-		// tickless idle with a grid anchor (tickNext > 0) for ensureTick to
-		// resume from. A chain that died at an offline firing (tickNext ==
-		// 0) on a CPU marked online means someone resurrected the CPU
-		// behind OnlineCPU's back — quantum expiry never fires there again.
-		dead := !c.tickEv.Pending() && c.tickNext == 0
-		if c.online() && dead && !c.wdStallFlagged {
-			c.wdStallFlagged = true
-			m.stats.WatchdogCPUStalls++
-			if wd.cfg.OnViolation != nil {
-				wd.cfg.OnViolation(WatchdogViolation{Kind: WatchdogCPUStall, Now: now, CPU: c.id})
-			}
+			wd.cfg.OnViolation(WatchdogViolation{Kind: WatchdogInvariant, Now: now, Err: err})
 		}
 	}
 
 	// While a real-time task is runnable or running, SCHED_OTHER tasks
-	// starving is policy, not a bug: skip their starvation checks (their
-	// lost-wakeup check still applies — a lost task is lost under any
-	// policy).
+	// starving is policy, not a bug: skip their starvation checks.
 	// yardTicks is the largest quantum (in ticks) among live runnable
 	// SCHED_OTHER tasks: one turn of the rotation waits behind everyone
 	// else's timeslice, so a nice'd-down task's fair-share wait is
@@ -178,22 +140,8 @@ func (wd *watchdog) sweep(now sim.Time) {
 	online := m.env.OnlineCount()
 	runnable := m.sched.Runnable()
 	for _, p := range m.procs {
-		if p.exited || p.wdFlagged {
-			continue
-		}
 		t := p.Task
-		if !t.Runnable() || t.HasCPU {
-			continue
-		}
-		if !t.OnRunqueue() {
-			p.wdFlagged = true
-			m.stats.WatchdogLostWakeups++
-			if wd.cfg.OnViolation != nil {
-				wd.cfg.OnViolation(WatchdogViolation{
-					Kind: WatchdogLostWakeup, Now: now, P: p, CPU: -1,
-					Waited: wd.waited(p, now),
-				})
-			}
+		if p.exited || p.wdFlagged || !t.Runnable() || t.HasCPU || !t.OnRunqueue() {
 			continue
 		}
 		if rtActive && !t.RealTime() {
@@ -205,7 +153,7 @@ func (wd *watchdog) sweep(now sim.Time) {
 			m.stats.WatchdogStarvations++
 			if wd.cfg.OnViolation != nil {
 				wd.cfg.OnViolation(WatchdogViolation{
-					Kind: WatchdogStarvation, Now: now, P: p, CPU: -1, Waited: waited,
+					Kind: WatchdogStarvation, Now: now, P: p, Waited: waited,
 				})
 			}
 		}

@@ -7,8 +7,8 @@ package conformance
 // (not a harness emulation) performs the preempt/drain/re-route
 // sequence, and the invariants are observable end to end:
 //
-//   - the task multiset is conserved at every transition
-//     (experiments.AuditCensus at the injection points);
+//   - the machine's invariants, the census among them, hold at every
+//     transition (kernel.Machine.CheckAll at the injection points);
 //   - no task is ever dispatched onto an offline CPU (a Trace hook sees
 //     every schedule() decision);
 //   - each cycled CPU dispatches work again after it returns;
@@ -105,8 +105,8 @@ func TestHotplugCycleConformance(t *testing.T) {
 				}
 
 				audit := func(when string) {
-					if err := experiments.AuditCensus(m); err != nil {
-						t.Errorf("census after %s: %v", when, err)
+					if err := m.CheckAll(); err != nil {
+						t.Errorf("after %s: %v", when, err)
 					}
 				}
 				// Running and blocked tasks meet every transition, and their

@@ -78,14 +78,10 @@ const (
 	// WatchdogStarvation: a runnable task queued past the load-scaled
 	// wait threshold without being dispatched.
 	WatchdogStarvation = kernel.WatchdogStarvation
-	// WatchdogLostWakeup: a runnable task that is neither queued nor on a
-	// CPU — it fell out of the scheduler entirely.
-	WatchdogLostWakeup = kernel.WatchdogLostWakeup
-	// WatchdogCPUStall: an online CPU whose timer chain stopped firing.
-	WatchdogCPUStall = kernel.WatchdogCPUStall
-	// WatchdogDelivery: the kick-delivery audit failed — a deliverable
-	// task with no CPU about to schedule it, or stale delivery bookkeeping.
-	WatchdogDelivery = kernel.WatchdogDelivery
+	// WatchdogInvariant: one of the machine's invariants failed (a task
+	// lost from every queue, an online CPU whose timer chain died, a
+	// deliverable task no CPU will schedule, ...); Err names which.
+	WatchdogInvariant = kernel.WatchdogInvariant
 )
 
 // Table renders aligned text tables for experiment output.
