@@ -28,7 +28,6 @@ import (
 	"elsc/internal/experiments"
 	"elsc/internal/kernel"
 	"elsc/internal/sched"
-	"elsc/internal/sched/elsc"
 	"elsc/internal/sim"
 	"elsc/internal/stats"
 )
@@ -52,7 +51,6 @@ func main() {
 	}
 
 	printed := 0
-	var m *kernel.Machine
 	cfg := kernel.Config{
 		CPUs:         *cpus,
 		SMP:          *cpus > 1,
@@ -87,7 +85,7 @@ func main() {
 			},
 		}
 	}
-	m = kernel.NewMachine(cfg)
+	m := kernel.NewMachine(cfg)
 	if *hotplug >= 0 {
 		if *hotplug >= *cpus {
 			fmt.Printf("-hotplug %d: no such CPU on a %d-processor machine\n", *hotplug, *cpus)
@@ -137,16 +135,17 @@ func main() {
 		fmt.Printf("migrations: %d (%d cross-domain)\n", s.Migrations, s.CrossDomainMigrations)
 	}
 	// The steal and bonus sections render only for policies that track
-	// the counters: a policy that is no sched.StealReporter (reg, elsc,
-	// heap, mq) gets no steals section rather than an empty table, and
-	// likewise for the interactivity estimator's bonus distribution.
-	if ps, ok := m.Scheduler().(sched.StealReporter); ok && *cpus > 1 {
+	// the counters: a policy with no Ops.Steals (reg, elsc, heap, mq) gets
+	// no steals section rather than an empty table, and likewise for the
+	// interactivity estimator's bonus distribution (Ops.Bonus).
+	ops := m.Ops()
+	if ops.Steals != nil && *cpus > 1 {
 		fmt.Println()
-		fmt.Print(stealTable(m.Scheduler().Name(), ps.PerCPUSteals(), m.Env().Topo).Render())
+		fmt.Print(stealTable(m.Scheduler().Name(), ops.Steals(), m.Env().Topo).Render())
 	}
-	if bs, ok := m.Scheduler().(experiments.BonusStatser); ok {
+	if ops.Bonus != nil {
 		fmt.Println()
-		fmt.Print(bonusTable(bs).Render())
+		fmt.Print(bonusTable(ops.Bonus()).Render())
 	}
 	// Hotplug and watchdog sections follow the same conditional-section
 	// rule as steals and bonus: a run with no CPU transitions gets no
@@ -171,9 +170,9 @@ func main() {
 		fmt.Print(ticklessTable(m.CPUStats()).Render())
 	}
 	if *showTable {
-		if es, ok := m.Scheduler().(*elsc.Sched); ok {
+		if ops.Dump != nil {
 			fmt.Println()
-			fmt.Print(es.Dump())
+			fmt.Print(ops.Dump())
 		} else {
 			fmt.Println("(-table requires -sched elsc)")
 		}
@@ -187,9 +186,6 @@ func main() {
 func stealTable(name string, perCPU []sched.CPUSteals, topo *sched.Topology) *stats.Table {
 	t := stats.NewTable(name+" balancer steals (by stealing CPU)",
 		"CPU", "domain", "in-domain", "cross-domain")
-	if topo == nil {
-		topo = sched.FlatTopology(len(perCPU))
-	}
 	var totalIn, totalCross uint64
 	for d := 0; d < topo.NumDomains(); d++ {
 		var domIn, domCross uint64
@@ -243,14 +239,12 @@ func ticklessTable(perCPU []kernel.CPUStat) *stats.Table {
 // how many enqueues landed at each dynamic-priority bonus (-5 = a pure
 // hog, +5 = a task that sleeps most of the time), plus the active-array
 // requeues the interactive classification granted.
-func bonusTable(bs experiments.BonusStatser) *stats.Table {
-	levels := bs.BonusLevels()
+func bonusTable(levels []uint64, requeues uint64) *stats.Table {
 	t := stats.NewTable("o1 interactivity: enqueues by sleep_avg bonus",
 		"bonus", "enqueues")
-	span := len(levels)
 	for i, n := range levels {
-		t.AddRow(fmt.Sprintf("%+d", i-span/2), n)
+		t.AddRow(fmt.Sprintf("%+d", i-len(levels)/2), n)
 	}
-	t.AddRow("requeues", bs.InteractiveRequeues())
+	t.AddRow("requeues", requeues)
 	return t
 }

@@ -106,11 +106,10 @@ type WorkloadRun struct {
 	Result workload.Result
 	Stats  kernel.Stats
 
-	// IntraSteals and CrossSteals are the balancer's own same-domain and
-	// cross-domain move counts, for policies that track them (HasSteals).
-	IntraSteals uint64
-	CrossSteals uint64
-	HasSteals   bool
+	// Steals is the balancer's own count of the tasks each CPU moved
+	// onto itself from its own cache domain and across one (Ops.Steals),
+	// nil under a policy without one.
+	Steals []sched.CPUSteals
 
 	// BonusLevels and InteractiveRequeues are the interactivity
 	// estimator's own counters — enqueues by dynamic-priority bonus
@@ -118,14 +117,6 @@ type WorkloadRun struct {
 	// zero under a policy that has no estimator.
 	BonusLevels         []uint64
 	InteractiveRequeues uint64
-}
-
-// BonusStatser is implemented by policies whose interactivity estimator
-// exposes its observable counters (o1): RunCell harvests them into
-// WorkloadRun, schedtrace renders them.
-type BonusStatser interface {
-	BonusLevels() []uint64
-	InteractiveRequeues() uint64
 }
 
 // RunCell executes one cell: boot the machine on eng (a recycled event
@@ -143,13 +134,12 @@ func RunCell(eng *sim.Engine, c Cell, sc Scale) WorkloadRun {
 	}
 	m := kernel.NewMachine(machineConfig(eng, c.Spec, factory, sc))
 	run := WorkloadRun{CellID: c.CellID, Result: build(m, WorkloadParams(c.Spec, sc)).Run(), Stats: *m.Stats()}
-	if ds, ok := m.Scheduler().(sched.StealReporter); ok {
-		run.IntraSteals, run.CrossSteals = ds.DomainSteals()
-		run.HasSteals = true
+	ops := m.Ops()
+	if ops.Steals != nil {
+		run.Steals = ops.Steals()
 	}
-	if bs, ok := m.Scheduler().(BonusStatser); ok {
-		run.BonusLevels = bs.BonusLevels()
-		run.InteractiveRequeues = bs.InteractiveRequeues()
+	if ops.Bonus != nil {
+		run.BonusLevels, run.InteractiveRequeues = ops.Bonus()
 	}
 	return run
 }

@@ -51,8 +51,12 @@ func Numa(spec MachineSpec, rooms int) Experiment {
 		for _, c := range cells {
 			r := FindRun(runs, c)
 			var intra, cross any = "-", "-"
-			if r.HasSteals {
-				intra, cross = r.IntraSteals, r.CrossSteals
+			if r.Steals != nil {
+				var in, out uint64
+				for _, st := range r.Steals {
+					in, out = in+st.Intra, out+st.Cross
+				}
+				intra, cross = in, out
 			}
 			t.AddRow(c.Policy,
 				int(r.Result.Throughput),

@@ -280,8 +280,8 @@ func (c *CPU) tick(now sim.Time) {
 	// round-robin against same-level peers, so one interactive task
 	// cannot sit on a CPU for its whole (recharged) quantum while
 	// equally interactive tasks wait.
-	if m.dyn != nil {
-		if preempt, rotation := m.dyn.TickPreempt(c.id, t); preempt {
+	if m.ops.Dynamic != nil {
+		if preempt, rotation := m.ops.Dynamic.TickPreempt(c.id, t); preempt {
 			if rotation {
 				m.stats.TimesliceRotations++
 			} else {
@@ -430,7 +430,7 @@ func (c *CPU) nextAction(now sim.Time) {
 func runSyscall(c *CPU, now sim.Time) {
 	p := c.current
 	m := c.m
-	m.wakerCPU = c.id
+	m.wakerCPU = int32(c.id)
 	out := p.syscallBuf.Exec(&p.syscallBuf, p, now)
 	m.wakerCPU = -1
 	if out.Delay > 0 {
@@ -534,9 +534,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 
 	// The previous task is no longer executing (unless re-chosen).
 	if prev != nil {
-		if m.noter != nil && prevTask.OnRunqueue() {
-			m.noter.NoteRunning(prevTask, false)
-		}
+		m.noteRunning(prevTask, false)
 		prevTask.HasCPU = false
 		prev.workStamp = c.work
 		m.refile(prev)
@@ -597,9 +595,7 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 		next.EverRan = true
 		nextProc.lastDispatched = now
 		nextProc.wdFlagged = false
-		if m.noter != nil && next.OnRunqueue() {
-			m.noter.NoteRunning(next, true)
-		}
+		m.noteRunning(next, true)
 		m.refile(nextProc)
 	}
 
@@ -666,9 +662,7 @@ func (m *Machine) offlineDispatch(c *CPU, p *Proc) {
 // pick it.
 func (m *Machine) release(c *CPU, p *Proc) bool {
 	t := p.Task
-	if m.noter != nil && t.OnRunqueue() {
-		m.noter.NoteRunning(t, false)
-	}
+	m.noteRunning(t, false)
 	t.HasCPU = false
 	p.workStamp = c.work
 	if !t.Runnable() {

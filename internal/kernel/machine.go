@@ -133,8 +133,7 @@ type Machine struct {
 	rng   *sim.RNG
 	env   *sched.Env
 	sched sched.Scheduler
-	noter runningNoter          // non-nil when the policy tracks HasCPU flips
-	dyn   sched.DynamicPriority // non-nil when the policy ranks tasks itself
+	ops   sched.Ops // the installed policy's capabilities
 	cpus  []*CPU
 
 	// procs holds every spawned proc at its pid-1; waitNodes is the
@@ -152,6 +151,14 @@ type Machine struct {
 	rqLocks   []spinlock
 	ownerOnly bool
 
+	// wakerCPU is the processor executing the current syscall effect, or
+	// -1 outside one (timer and engine-event wake-ups have no waker).
+	// try_to_wake_up reads it for SD_WAKE_IDLE placement: a wake issued
+	// from CPU c prefers an idle CPU in c's cache domain. An int32 beside
+	// ownerOnly shares its word, which keeps a Machine and its allocation
+	// header inside the 768-byte size class.
+	wakerCPU int32
+
 	// Kick-delivery state (see the package doc): CPU-state masks, bit i
 	// for CPU i, and the deliverable counts — wide counts tasks every CPU
 	// can take, CPU.narrow the rest, and the narrow mask names the CPUs
@@ -165,23 +172,11 @@ type Machine struct {
 	lockContBase uint64
 	stats        Stats
 
-	// wakerCPU is the processor executing the current syscall effect, or
-	// -1 outside one (timer and engine-event wake-ups have no waker).
-	// try_to_wake_up reads it for SD_WAKE_IDLE placement: a wake issued
-	// from CPU c prefers an idle CPU in c's cache domain.
-	wakerCPU int
-
 	// drainBuf is the reusable buffer Drain fills at each offline, so
 	// steady-state hotplug never allocates.
 	drainBuf []*task.Task
 	// watchdog is the optional starvation/lockup detector.
 	watchdog *watchdog
-}
-
-// runningNoter is implemented by policies (the stock scheduler) that keep
-// running tasks on the run queue and need to know when HasCPU flips.
-type runningNoter interface {
-	NoteRunning(t *task.Task, running bool)
 }
 
 // idleNames names the per-CPU idle tasks. Built once: a matrix cell boots
@@ -253,18 +248,24 @@ func NewMachine(cfg Config) *Machine {
 }
 
 // installPolicy builds the policy and everything shaped by it: its
-// optional kernel hooks, its declared visibility, and the lock set.
+// capability table, its declared visibility, and the lock set.
 func (m *Machine) installPolicy(factory SchedulerFactory) {
-	m.cfg.NewScheduler = factory
 	m.sched = factory(m.env)
-	m.noter, _ = m.sched.(runningNoter)
-	m.dyn, _ = m.sched.(sched.DynamicPriority)
+	m.ops = sched.OpsOf(m.sched)
 	m.ownerOnly = m.sched.Visibility() == sched.VisibleOwner
 	nlocks := 1
 	if m.ownerOnly {
 		nlocks = m.cfg.CPUs
 	}
 	m.rqLocks = make([]spinlock, nlocks)
+}
+
+// noteRunning tells a policy that keeps running tasks listed
+// (Ops.NoteRunning) that queued task t gained or lost its CPU.
+func (m *Machine) noteRunning(t *task.Task, running bool) {
+	if m.ops.NoteRunning != nil && t.OnRunqueue() {
+		m.ops.NoteRunning(t, running)
+	}
 }
 
 // Engine exposes the event engine (workloads schedule helper events).
@@ -278,6 +279,9 @@ func (m *Machine) Env() *sched.Env { return m.env }
 
 // Scheduler returns the active policy.
 func (m *Machine) Scheduler() sched.Scheduler { return m.sched }
+
+// Ops returns the active policy's capability table.
+func (m *Machine) Ops() sched.Ops { return m.ops }
 
 // Stats returns the accumulated machine statistics.
 func (m *Machine) Stats() *Stats {
@@ -477,7 +481,7 @@ func (m *Machine) WakeAll(wq *WaitQueue) int {
 // sleep_avg, mark runnable, insert into the run queue (a short critical
 // section on the run-queue lock), then look for a CPU to preempt. When
 // the wake was issued from a CPU whose cache domain holds an idle
-// processor, a sched.DynamicPriority policy is offered that CPU first
+// processor, a policy with Ops.Dynamic is offered that CPU first
 // (SD_WAKE_IDLE): the woken task starts immediately, near the waker's
 // warm data, instead of queueing behind its home CPU's backlog.
 func (m *Machine) wake(p *Proc) {
@@ -500,8 +504,8 @@ func (m *Machine) wake(p *Proc) {
 	t.State = task.Running
 	p.runnableSince = now
 	wakeCost := m.env.Cost.AddRunqueue + m.env.Cost.WakeupCost/4 + m.env.Cost.LockOp + m.env.Cost.SleepAvgOp
-	if m.dyn != nil {
-		if target := m.wakeIdleTarget(t); target >= 0 && m.dyn.PlaceWake(t, target) {
+	if m.ops.Dynamic != nil {
+		if target := m.wakeIdleTarget(t); target >= 0 && m.ops.Dynamic.PlaceWake(t, target) {
 			m.stats.WakeIdlePlacements++
 			m.rqLockOfTask(t).bump(now, wakeCost)
 			m.refile(p)
@@ -535,7 +539,7 @@ func (m *Machine) wakeIdleTarget(t *task.Task) int {
 			return cpu
 		}
 	}
-	return m.idleIn(topo.DomainOf(m.wakerCPU), t)
+	return m.idleIn(topo.DomainOf(int(m.wakerCPU)), t)
 }
 
 // idleIn returns the first idle CPU in domain dom that t may run on, -1
@@ -601,8 +605,8 @@ func (m *Machine) rescheduleIdle(p *Proc) {
 		if cur.RealTime() && !t.RealTime() {
 			continue
 		}
-		if m.dyn != nil {
-			if victim == nil && m.dyn.PreemptsCurr(t, cur) {
+		if m.ops.Dynamic != nil {
+			if victim == nil && m.ops.Dynamic.PreemptsCurr(t, cur) {
 				victim = c
 			}
 			continue
@@ -681,8 +685,8 @@ func (m *Machine) SetPolicy(p *Proc, policy task.Policy, rtprio int) {
 //  1. Running tasks: most policies dequeue a dispatched task, but the
 //     stock scheduler keeps it listed and counts it via NoteRunning, and
 //     ELSC leaves it marked queued. The old policy is told to forget
-//     running tasks before the drain, and a runningNoter successor is
-//     handed them back after the import.
+//     running tasks before the drain, and a successor with
+//     Ops.NoteRunning is handed them back after the import.
 //  2. The lock regime can change (global lock <-> per-CPU locks), so the
 //     retired lock set's totals are folded into base accumulators and a
 //     fresh set is built to the successor's shape.
@@ -721,7 +725,7 @@ func (m *Machine) SwitchPolicy(factory SchedulerFactory) int {
 	}
 
 	// Retire the old lock set, keeping its totals, and rebuild everything
-	// policy-shaped: the scheduler, its optional kernel hooks, the locks.
+	// policy-shaped: the scheduler, its capability table, the locks.
 	for i := range m.rqLocks {
 		m.lockAcqBase += m.rqLocks[i].acquisitions
 		m.lockContBase += m.rqLocks[i].contended
@@ -734,7 +738,7 @@ func (m *Machine) SwitchPolicy(factory SchedulerFactory) int {
 	for _, t := range exported {
 		m.sched.AddToRunqueue(t)
 	}
-	if m.noter != nil {
+	if m.ops.NoteRunning != nil {
 		for _, t := range running {
 			m.sched.AddToRunqueue(t)
 		}

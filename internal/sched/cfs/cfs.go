@@ -232,10 +232,13 @@ func (s *Sched) Name() string { return "cfs" }
 // QIndex's private queue, under that queue's own lock.
 func (s *Sched) Visibility() sched.Visibility { return sched.VisibleOwner }
 
-// DomainSteals and PerCPUSteals implement sched.StealReporter with the
-// balancer's counters.
-func (s *Sched) DomainSteals() (intra, cross uint64) { return s.bal.DomainSteals() }
-func (s *Sched) PerCPUSteals() []sched.CPUSteals     { return s.bal.PerCPUSteals() }
+// PerCPUSteals is the policy's sched.Ops.Steals: a copy of the balancer's
+// counters by stealing CPU.
+func (s *Sched) PerCPUSteals() []sched.CPUSteals { return s.bal.PerCPUSteals() }
+
+// DomainSteals is the counters' machine-wide sum, which only the benchmark
+// module's cell records still read.
+func (s *Sched) DomainSteals() (intra, cross uint64) { return s.bal.DomainSteals() } // benchmark seam: ROADMAP 1
 
 // placeClamp applies the new-task/wake placement rule: a task whose
 // virtual clock lags the queue (a long sleeper, a fresh fork, a survivor

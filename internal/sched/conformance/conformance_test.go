@@ -96,8 +96,8 @@ func (h *harness) release(env *sched.Env, cpu int) *task.Task {
 		return nil
 	}
 	h.current[cpu] = nil
-	if noter, ok := h.s.(runningNoter); ok && tk.OnRunqueue() {
-		noter.NoteRunning(tk, false)
+	if h.ops.NoteRunning != nil && tk.OnRunqueue() {
+		h.ops.NoteRunning(tk, false)
 	}
 	tk.HasCPU = false
 	h.s.DelFromRunqueue(tk)
@@ -137,23 +137,18 @@ func (h *harness) pickAll(dead int, tasks []*task.Task, picked map[*task.Task]bo
 	return -1
 }
 
-// runningNoter mirrors the kernel's interface for policies that keep
-// running tasks on the run queue.
-type runningNoter interface {
-	NoteRunning(t *task.Task, running bool)
-}
-
 // harness drives one scheduler exactly as kernel.reschedule does,
 // tracking which task each CPU is running.
 type harness struct {
 	s       sched.Scheduler
+	ops     sched.Ops // s's capability table, as the kernel resolves it
 	idles   []*task.Task
 	current []*task.Task
 	last    sched.Result // what the latest schedule() reported
 }
 
 func newHarness(s sched.Scheduler, ncpu int) *harness {
-	h := &harness{s: s, idles: make([]*task.Task, ncpu), current: make([]*task.Task, ncpu)}
+	h := &harness{s: s, ops: sched.OpsOf(s), idles: make([]*task.Task, ncpu), current: make([]*task.Task, ncpu)}
 	for i := range h.idles {
 		h.idles[i] = mkIdle(i)
 	}
@@ -171,10 +166,10 @@ func (h *harness) schedule(cpu int) *task.Task {
 	h.current[cpu] = nil
 	res := h.s.Schedule(cpu, prevTask)
 	h.last = res
-	noter, _ := h.s.(runningNoter)
+	noter := h.ops.NoteRunning
 	if prev != nil {
 		if noter != nil && prev.OnRunqueue() {
-			noter.NoteRunning(prev, false)
+			noter(prev, false)
 		}
 		prev.HasCPU = false
 	}
@@ -183,7 +178,7 @@ func (h *harness) schedule(cpu int) *task.Task {
 		next.Processor = cpu
 		next.EverRan = true
 		if noter != nil && next.OnRunqueue() {
-			noter.NoteRunning(next, true)
+			noter(next, true)
 		}
 		h.current[cpu] = next
 	}

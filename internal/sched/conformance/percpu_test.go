@@ -76,9 +76,11 @@ func TestBalancerPathsAllocFree(t *testing.T) {
 	for _, name := range experiments.Policies {
 		env := sched.NewEnv(ncpu, true, func() int { return 16 })
 		env.Topo = sched.UniformTopology(ncpu, 4)
+		var pulled uint64 // moves the periodic pull reported to the kernel
+		env.Requeued = func(*task.Task) { pulled++ }
 		s := experiments.Factory(name)(env)
-		sr, ok := s.(sched.StealReporter)
-		if !ok {
+		steals := sched.OpsOf(s).Steals
+		if steals == nil {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
@@ -90,37 +92,39 @@ func TestBalancerPathsAllocFree(t *testing.T) {
 			}
 			// Each cycle runs whatever the thief finds and sends it back
 			// to the queue of the CPU it last ran on (never the thief's:
-			// Processor is not updated), so the imbalance persists. A task
-			// the thief ran without a move being counted on that call was
-			// already on its queue: an earlier pull's batch.
-			var intra, cross, fromBatch uint64
+			// Processor is not updated), so the imbalance persists.
 			cycle := func() {
-				next := s.Schedule(thief, idle).Next
-				if next == nil {
-					return
-				}
-				s.AddToRunqueue(next)
-				if i, c := sr.DomainSteals(); i == intra && c == cross {
-					fromBatch++
-				} else {
-					intra, cross = i, c
+				if next := s.Schedule(thief, idle).Next; next != nil {
+					s.AddToRunqueue(next)
 				}
 			}
-			phase := func(what string) {
+			// moves sums the balancer's counters. Steals returns a copy, so
+			// it is read only around the measured calls.
+			moves := func() (intra, cross uint64) {
+				for _, st := range steals() {
+					intra, cross = intra+st.Intra, cross+st.Cross
+				}
+				return intra, cross
+			}
+			// phase warms the path, measures it, and returns the moves the
+			// measured calls counted and how many of them the pull made.
+			phase := func(what string) (intra, cross, pulls uint64) {
 				for i := 0; i < 2*sched.BalanceEvery; i++ {
 					cycle() // warm: heap backing arrays grow here
 				}
-				intra, cross = sr.DomainSteals()
-				fromBatch = 0
+				intra, cross = moves()
+				pulls = pulled
 				if allocs := testing.AllocsPerRun(4*sched.BalanceEvery, cycle); allocs != 0 {
 					t.Fatalf("%s: schedule() allocates %.2f objects/op, want 0", what, allocs)
 				}
+				i, c := moves()
+				return i - intra, c - cross, pulled - pulls
 			}
 
 			home(1, neighbour)
-			if phase("in-domain steal"); intra == 0 || cross != 0 || fromBatch != 0 {
-				t.Fatalf("in-domain phase: %d intra / %d cross moves, %d tasks from pulled batches; want in-domain steals only",
-					intra, cross, fromBatch)
+			if intra, cross, pulls := phase("in-domain steal"); intra == 0 || cross != 0 || pulls != 0 {
+				t.Fatalf("in-domain phase: %d intra / %d cross moves, %d by the pull; want in-domain steals only",
+					intra, cross, pulls)
 			}
 			if next := s.Schedule(neighbour, mkIdle(neighbour)).Next; next == nil {
 				t.Fatal("the neighbour's task is gone")
@@ -130,10 +134,9 @@ func TestBalancerPathsAllocFree(t *testing.T) {
 			}
 			// Six tasks a domain away: idle steals one at a time, and
 			// every BalanceEvery-th call pulls a batch first.
-			in0 := intra
-			if phase("cross-domain steal and batch pull"); intra != in0 || cross == 0 || fromBatch == 0 {
-				t.Fatalf("cross-domain phase: %d intra / %d cross moves, %d tasks from pulled batches; want cross-domain steals and pulls",
-					intra-in0, cross, fromBatch)
+			if intra, cross, pulls := phase("cross-domain steal and batch pull"); intra != 0 || pulls == 0 || cross <= pulls {
+				t.Fatalf("cross-domain phase: %d intra / %d cross moves, %d by the pull; want cross-domain steals and pulls",
+					intra, cross, pulls)
 			}
 		})
 	}

@@ -40,9 +40,9 @@ var swapSpecs = []swapSpec{
 
 // kernelSwap performs the policy-layer half of Machine.SwitchPolicy: it
 // detaches the running tasks from old, drains it, imports into a fresh
-// successor, and hands running tasks back to a NoteRunning successor —
-// with the tags of every task the successor has not filed yet poisoned on
-// the way. It returns the exported set in drain order.
+// successor, and hands running tasks back to a successor with
+// Ops.NoteRunning — with the tags of every task the successor has not
+// filed yet poisoned on the way. It returns the exported set in drain order.
 func kernelSwap(t *testing.T, h *harness, env *sched.Env, succ sched.Scheduler, blocked []*task.Task) []*task.Task {
 	t.Helper()
 	old := h.s
@@ -74,7 +74,8 @@ func kernelSwap(t *testing.T, h *harness, env *sched.Env, succ sched.Scheduler, 
 	for _, tk := range exported {
 		succ.AddToRunqueue(tk)
 	}
-	if _, ok := succ.(runningNoter); ok {
+	ops := sched.OpsOf(succ)
+	if ops.NoteRunning != nil {
 		for _, tk := range running {
 			succ.AddToRunqueue(tk)
 		}
@@ -87,7 +88,7 @@ func kernelSwap(t *testing.T, h *harness, env *sched.Env, succ sched.Scheduler, 
 			t.Fatalf("%s dropped imported task %v", succ.Name(), tk)
 		}
 	}
-	h.s = succ
+	h.s, h.ops = succ, ops
 	return exported
 }
 

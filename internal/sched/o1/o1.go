@@ -186,10 +186,13 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 	return s
 }
 
-// DomainSteals and PerCPUSteals implement sched.StealReporter with the
-// balancer's counters.
-func (s *Sched) DomainSteals() (intra, cross uint64) { return s.bal.DomainSteals() }
-func (s *Sched) PerCPUSteals() []sched.CPUSteals     { return s.bal.PerCPUSteals() }
+// PerCPUSteals is the policy's sched.Ops.Steals: a copy of the balancer's
+// counters by stealing CPU.
+func (s *Sched) PerCPUSteals() []sched.CPUSteals { return s.bal.PerCPUSteals() }
+
+// DomainSteals is the counters' machine-wide sum, which only the benchmark
+// module's cell records still read.
+func (s *Sched) DomainSteals() (intra, cross uint64) { return s.bal.DomainSteals() } // benchmark seam: ROADMAP 1
 
 // bonusOf maps a task's sleep_avg onto the dynamic-priority bonus: zero
 // credit is -maxBonus (a hog files below its static priority), a full

@@ -257,9 +257,10 @@ func NewBalancer(env *Env, topo *Topology,
 }
 
 // DomainSteals reports tasks the balancer moved within and across cache
-// domains, machine-wide. A domain-blind balancer sees one flat domain, so
-// its moves all count as intra-domain; the machine-level
-// CrossDomainMigrations stat records what they really cost.
+// domains, machine-wide (the PerCPUSteals sum; only o1's and cfs's benchmark
+// seams read it). A domain-blind balancer sees one flat domain, so its
+// moves all count as intra-domain; the machine-level CrossDomainMigrations
+// stat records what they really cost.
 func (b *Balancer) DomainSteals() (intra, cross uint64) {
 	for _, s := range b.steals {
 		intra += s.Intra
@@ -269,7 +270,8 @@ func (b *Balancer) DomainSteals() (intra, cross uint64) {
 }
 
 // PerCPUSteals returns a copy of the per-CPU steal counters, indexed by
-// the stealing CPU — the breakdown schedtrace renders per domain.
+// the stealing CPU: o1's and cfs's Ops.Steals, which schedtrace renders
+// per domain and RunCell sums.
 func (b *Balancer) PerCPUSteals() []CPUSteals {
 	return append([]CPUSteals(nil), b.steals...)
 }

@@ -19,7 +19,8 @@
 // expired behind its rt_priority equals (reg, elsc and mq by one MoveBack on
 // the list, o1 and cfs by a tail push, heap by a fresh arrival number).
 //
-// The whole contract is the seven methods of Scheduler and one field test.
+// The whole contract is the seven methods of Scheduler, one field test and
+// one optional table, Ops.
 // "Is it queued?" is never asked of the policy: a task is on the run queue
 // exactly when run_list.next != NULL (task.OnRunqueue, the paper's
 // footnote 3), under every policy. One that files a task in a list gets
@@ -31,10 +32,18 @@
 // writes at enqueue before it reads them, so a task crosses a hot policy
 // swap or a hotplug re-file carrying whatever its last policy left there
 // and nobody looks — with the one declared exception that under
-// VisibleOwner QIndex names the owning CPU. What a policy wants beyond the seven is one optional
-// interface, DynamicPriority, the kernel asserts once at install; the two
-// remaining side interfaces are stats readers (StealReporter here,
-// experiments.BonusStatser) and reg's NoteRunning.
+// VisibleOwner QIndex names the owning CPU.
+//
+// Everything a policy offers beyond the seven is Ops, a table of optional
+// capabilities in the shape of sched_ext's callback table, nil where the
+// policy has none. OpsOf resolves it from the method set of the value the
+// factory returned, and is the one place that type-asserts a policy: the
+// kernel resolves it at every install (boot and SwitchPolicy), and the
+// harness and the tools read the installed table (kernel.Machine.Ops). It
+// is not a method that returns the policy's own table because a decorator
+// that embeds a policy and overrides one method (a timing wrapper's
+// PlaceWake) must be what the kernel calls; a table the bare policy built
+// would bind its own method and pass the override by without a sound.
 //
 // Two costs, kept apart. The simulated cost of a decision is what CostModel
 // charges to virtual CPU time — cycles per task examined, per recalculation,
@@ -74,7 +83,7 @@
 //   - CanSchedule, the kernel's can_schedule filter;
 //   - Balancer: the idle steal (Steal), tiered by cache domain, the
 //     periodic pull (Tick, every BalanceEvery schedules), and the per-CPU
-//     intra/cross counters behind StealReporter.
+//     intra/cross counters behind Ops.Steals.
 //
 // The policy supplies its queues and exactly two hooks to NewBalancer:
 // candidate, "the task on victim's queue this CPU should take first, left
@@ -225,15 +234,6 @@ type CPUSteals struct {
 	Cross uint64
 }
 
-// StealReporter is the stats side interface of policies balanced by the
-// shared Balancer (o1, cfs), which satisfies it once for both: the
-// machine-wide totals are the numa experiment's per-policy columns, the
-// per-CPU breakdown is what schedtrace renders as a per-domain table.
-type StealReporter interface {
-	DomainSteals() (intra, cross uint64)
-	PerCPUSteals() []CPUSteals
-}
-
 // Visibility is the delivery half of the kernel↔policy contract: which
 // CPUs' Schedule can see a queued task. The kernel owes every queued,
 // charged, unclaimed task a schedule() on some CPU that can see it, and
@@ -307,9 +307,9 @@ type Scheduler interface {
 	Drain(q int, out []*task.Task) []*task.Task
 }
 
-// DynamicPriority is the one optional capability: policies (o1, cfs) whose
-// dynamic priority is not goodness() take the three decisions the kernel
-// otherwise makes with it. The kernel asserts it once per installed policy.
+// DynamicPriority is Ops.Dynamic: policies (o1, cfs) whose dynamic
+// priority is not goodness() take the three decisions the kernel otherwise
+// makes with it.
 type DynamicPriority interface {
 	// PlaceWake accepts an SD_WAKE_IDLE placement hint: file the woken
 	// task on the given idle CPU's queue instead of its home queue. False
@@ -332,6 +332,49 @@ type DynamicPriority interface {
 	// reaches wake-up preemption: a sleep-heavy task at the same static
 	// priority as a hog preempts it on wake.
 	PreemptsCurr(t, curr *task.Task) bool
+}
+
+// Ops is a policy's capability table: everything it offers beyond the
+// seven methods of Scheduler, one field per capability, nil where it has
+// none. OpsOf resolves it; sched.TestSchedulerContract pins the fields.
+type Ops struct {
+	// Dynamic ranks tasks by the policy's own dynamic priority (o1, cfs).
+	Dynamic DynamicPriority
+	// NoteRunning is told when a listed task gains or loses its CPU (reg).
+	// Non-nil also declares that the policy keeps running tasks on its run
+	// queue, so a policy switch hands them back to it.
+	NoteRunning func(t *task.Task, running bool)
+	// Steals returns a copy of the balancer's counters, indexed by the
+	// stealing CPU (o1, cfs).
+	Steals func() []CPUSteals
+	// Bonus returns the interactivity estimator's enqueues by dynamic
+	// bonus, lowest first, and the active-array requeues it granted (o1).
+	Bonus func() (levels []uint64, requeues uint64)
+	// Dump renders the run-queue structure (elsc: the Figure 1b table).
+	Dump func() string
+}
+
+// OpsOf resolves s's capability table from the method set of s itself,
+// the value the factory returned, so a decorator's override is what the
+// table calls (the package doc says why).
+func OpsOf(s Scheduler) (o Ops) {
+	o.Dynamic, _ = s.(DynamicPriority)
+	if n, ok := s.(interface{ NoteRunning(*task.Task, bool) }); ok {
+		o.NoteRunning = n.NoteRunning
+	}
+	if r, ok := s.(interface{ PerCPUSteals() []CPUSteals }); ok {
+		o.Steals = r.PerCPUSteals
+	}
+	if b, ok := s.(interface {
+		BonusLevels() []uint64
+		InteractiveRequeues() uint64
+	}); ok {
+		o.Bonus = func() ([]uint64, uint64) { return b.BonusLevels(), b.InteractiveRequeues() }
+	}
+	if d, ok := s.(interface{ Dump() string }); ok {
+		o.Dump = d.Dump
+	}
+	return o
 }
 
 // Env is what every scheduler needs from the kernel: the recalculation
@@ -378,7 +421,7 @@ func NewEnv(ncpu int, smp bool, ntasks func() int) *Env {
 	if ntasks == nil {
 		ntasks = func() int { return 0 }
 	}
-	env := &Env{
+	return &Env{
 		Epoch:    &task.Epoch{},
 		NTasks:   ntasks,
 		NCPU:     ncpu,
@@ -386,28 +429,19 @@ func NewEnv(ncpu int, smp bool, ntasks func() int) *Env {
 		Topo:     FlatTopology(ncpu),
 		Cost:     DefaultCostModel(),
 		Requeued: func(*task.Task) {},
+		online:   ^uint64(0) >> uint(64-min(ncpu, 64)),
 	}
-	for i := 0; i < ncpu && i < 64; i++ {
-		env.online |= 1 << uint(i)
-	}
-	return env
 }
 
 // CPUOnline reports whether cpu is online. CPUs beyond the 64-bit mask
-// (never created by the kernel) read as offline.
-func (e *Env) CPUOnline(cpu int) bool {
-	if cpu < 0 || cpu >= 64 {
-		return false
-	}
-	return e.online&(1<<uint(cpu)) != 0
-}
+// (never created by the kernel) read as offline: shifting a uint64 by 64 or
+// more, or by a negative int made unsigned, gives 0.
+func (e *Env) CPUOnline(cpu int) bool { return e.online&(1<<uint(cpu)) != 0 }
 
-// SetCPUOnline flips cpu's bit in the online mask. Called only by the
-// kernel's hotplug path.
+// SetCPUOnline flips cpu's bit in the online mask, and by the same shift
+// rule does nothing to a CPU beyond it. Called only by the kernel's
+// hotplug path.
 func (e *Env) SetCPUOnline(cpu int, on bool) {
-	if cpu < 0 || cpu >= 64 {
-		return
-	}
 	if on {
 		e.online |= 1 << uint(cpu)
 	} else {

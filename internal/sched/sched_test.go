@@ -16,27 +16,35 @@ func mkTask(id int, prio, counter int, ep *task.Epoch) *task.Task {
 }
 
 // TestSchedulerContract pins the kernel↔policy contract by name: the seven
-// methods of Scheduler and the three of the one optional capability.
-// Growing either is a deliberate edit here, with a reason in the package
-// doc — "is it queued?" in particular is task.OnRunqueue, not a method, and
-// a task's place among its equals is decided where it is filed, not by a
-// move_first / move_last verb.
+// methods of Scheduler, the fields of the capability table Ops, and the
+// three methods of its Dynamic capability. Growing any of them is a
+// deliberate edit here, with a reason in the package doc — "is it queued?"
+// in particular is task.OnRunqueue, not a method, and a task's place among
+// its equals is decided where it is filed, not by a move_first / move_last
+// verb.
 func TestSchedulerContract(t *testing.T) {
 	for _, c := range []struct {
-		iface any
-		want  []string // sorted: reflect lists an interface's methods by name
+		typ  any
+		want []string // an interface's methods sorted by name, a struct's fields in order
 	}{
 		{(*Scheduler)(nil), []string{"AddToRunqueue", "DelFromRunqueue", "Drain", "Name", "Runnable",
 			"Schedule", "Visibility"}},
+		{(*Ops)(nil), []string{"Dynamic", "NoteRunning", "Steals", "Bonus", "Dump"}},
 		{(*DynamicPriority)(nil), []string{"PlaceWake", "PreemptsCurr", "TickPreempt"}},
 	} {
-		typ := reflect.TypeOf(c.iface).Elem()
+		typ := reflect.TypeOf(c.typ).Elem()
 		var got []string
-		for i := 0; i < typ.NumMethod(); i++ {
-			got = append(got, typ.Method(i).Name)
+		if typ.Kind() == reflect.Struct {
+			for i := 0; i < typ.NumField(); i++ {
+				got = append(got, typ.Field(i).Name)
+			}
+		} else {
+			for i := 0; i < typ.NumMethod(); i++ {
+				got = append(got, typ.Method(i).Name)
+			}
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s has methods %v, want exactly %v", typ.Name(), got, c.want)
+			t.Errorf("%s has %v, want exactly %v", typ.Name(), got, c.want)
 		}
 	}
 }
@@ -274,5 +282,30 @@ func TestGoodnessMatchesOracleExhaustively(t *testing.T) {
 	}
 	if want := 4 * 3 * 3 * 40 * 81 * 3 * 2 * 2 * 2; checked != want {
 		t.Fatalf("checked %d combinations, want %d", checked, want)
+	}
+}
+
+// TestEnvOnlineMaskBounds holds the online mask to its 64 CPUs: NewEnv
+// sets one bit per CPU, and a CPU outside [0, 64) reads offline
+// and cannot be brought online.
+func TestEnvOnlineMaskBounds(t *testing.T) {
+	for _, c := range []struct {
+		ncpu int
+		mask uint64
+	}{{1, 1}, {4, 0xf}, {63, 1<<63 - 1}, {64, ^uint64(0)}} {
+		if got := NewEnv(c.ncpu, true, nil).OnlineMask(); got != c.mask {
+			t.Errorf("NewEnv(%d) online mask %#x, want %#x", c.ncpu, got, c.mask)
+		}
+	}
+	env := NewEnv(64, true, nil)
+	for _, cpu := range []int{-1, 64, 100} {
+		env.SetCPUOnline(cpu, true)
+		if env.CPUOnline(cpu) || env.OnlineCount() != 64 {
+			t.Errorf("CPU %d: online %v, %d online, want offline and 64", cpu, env.CPUOnline(cpu), env.OnlineCount())
+		}
+	}
+	env.SetCPUOnline(63, false)
+	if env.CPUOnline(63) || !env.CPUOnline(0) || env.OnlineCount() != 63 {
+		t.Errorf("after offlining CPU 63: mask %#x", env.OnlineMask())
 	}
 }
