@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # census.sh: what in this repo does no program reach?
 #
-# Builds cmd/sweep, cmd/schedtrace, cmd/volano and the four examples/
+# Builds cmd/sweep, cmd/schedtrace, cmd/volano and the two examples/
 # programs instrumented over every package (-covermode=count) and runs,
 # under one GOCOVERDIR: the quick catalog with -json (from inside the
 # output directory, so the committed BENCH_sweep.json is left alone), a
@@ -11,8 +11,8 @@
 #
 # By default it prints every function left at 0% (file:line and name,
 # sorted) on stdout and each package's statement coverage on stderr. A
-# function listed may still be reached by a test, by cmd/kcompile or
-# cmd/websim (those are not run), or be a panic-only guard: the list is
+# function listed may still be reached by a test (the root package's
+# Example functions among them), or be a panic-only guard: the list is
 # where to look, not what to delete.
 #
 # -blocks audits the core and the traffic that drives it,
@@ -41,7 +41,7 @@ build() { go build -cover -covermode=count -coverpkg=./... -o "$out/bin/$1" "$2"
 for cmd in sweep schedtrace volano; do
 	build "$cmd" "./cmd/$cmd"
 done
-examples=(chatserver priorities quickstart webserver)
+examples=(chatserver priorities)
 for ex in "${examples[@]}"; do
 	build "example-$ex" "./examples/$ex"
 done

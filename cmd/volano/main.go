@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"elsc/internal/experiments"
+	"elsc/internal/workload"
 	"elsc/internal/workload/volano"
 )
 
@@ -46,10 +47,10 @@ func main() {
 	fmt.Printf("VolanoMark: %d rooms x %d users x %d messages = %d threads, %d expected deliveries\n",
 		*rooms, *users, *messages, b.Threads(), b.ExpectedDeliveries())
 
-	res := b.Run()
-	if res.Deliveries != b.ExpectedDeliveries() {
+	res := workload.VolanoOf(m, b).Run()
+	if res.Ops != b.ExpectedDeliveries() {
 		fmt.Fprintf(os.Stderr, "warning: run hit the horizon with %d/%d deliveries\n",
-			res.Deliveries, b.ExpectedDeliveries())
+			res.Ops, b.ExpectedDeliveries())
 	}
 	s := m.Stats()
 	fmt.Printf("scheduler:           %s\n", m.Scheduler().Name())

@@ -37,11 +37,12 @@
 //
 // # The workload registry
 //
-// Workloads are unified behind one interface, mirroring the policy
+// Workloads are unified behind one registry, mirroring the policy
 // registry: each registered workload builds on any machine from uniform
-// sizing knobs (WorkloadParams) and reports a common WorkloadResult —
-// throughput in a workload-declared unit, a completion flag, and ordered
-// per-workload extras. Six are registered:
+// sizing knobs (WorkloadParams), and every run is measured the same way
+// into a common WorkloadResult — throughput in a workload-declared unit,
+// a completion flag, and name-ordered per-workload extras. Six are
+// registered:
 //
 //   - "volano": the VolanoMark chat benchmark (the paper's stress test).
 //   - "kbuild": the make -j4 kernel compile (its light-load control).
@@ -56,7 +57,8 @@
 //
 // Machine.RunWorkload(name, params) runs any of them by name;
 // RunVolanoMark and RunWebServer take the chat and web benchmarks' full
-// Config instead. cmd/sweep's matrix
+// Config instead, and report the same WorkloadResult (the chat run's
+// Ops are its deliveries). cmd/sweep's matrix
 // experiment races every policy against every workload on a chosen set
 // of machine specs and records each cell in BENCH_sweep.json.
 //

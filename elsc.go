@@ -72,7 +72,7 @@ type MachineConfig struct {
 // Machine is a simulated multiprocessor ready to run tasks or workloads.
 // Workloads run either through the registry (RunWorkload with any name
 // from Workloads()) or, with the benchmark's full Config, through
-// RunVolanoMark and RunWebServer.
+// RunVolanoMark and RunWebServer; all three report a WorkloadResult.
 type Machine struct {
 	m *kernel.Machine
 }

@@ -11,7 +11,7 @@ import (
 func TestQuickstartFlow(t *testing.T) {
 	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 2, SMP: true, Scheduler: elsc.ELSC, Seed: 7})
 	res := m.RunVolanoMark(elsc.VolanoConfig{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 3})
-	if res.Deliveries == 0 || res.Throughput <= 0 {
+	if res.Ops == 0 || res.Throughput <= 0 {
 		t.Fatalf("benchmark produced nothing: %+v", res)
 	}
 	if m.SchedulerName() != "elsc" {
@@ -31,8 +31,8 @@ func TestAllSchedulerKinds(t *testing.T) {
 		m := elsc.NewMachine(elsc.MachineConfig{CPUs: 2, SMP: true, Scheduler: kind, Seed: 3})
 		res := m.RunVolanoMark(elsc.VolanoConfig{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 2})
 		want := uint64(1 * 4 * 4 * 2)
-		if res.Deliveries != want {
-			t.Fatalf("%s: deliveries %d, want %d", kind, res.Deliveries, want)
+		if res.Ops != want {
+			t.Fatalf("%s: deliveries %d, want %d", kind, res.Ops, want)
 		}
 	}
 }
@@ -115,7 +115,7 @@ func TestKernelBuildWorkload(t *testing.T) {
 func TestWebServerWorkload(t *testing.T) {
 	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 2, SMP: true, Scheduler: elsc.Vanilla, Seed: 2})
 	res := m.RunWebServer(elsc.WebServerConfig{Workers: 6, Requests: 100})
-	if res.Served == 0 {
+	if res.Ops == 0 {
 		t.Fatal("no requests served")
 	}
 }
@@ -169,7 +169,7 @@ func TestFacadeHotplugAndWatchdog(t *testing.T) {
 		t.Fatalf("double offline: err = %v, want ErrCPUOffline", err)
 	}
 	res := m.RunVolanoMark(elsc.VolanoConfig{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 3})
-	if res.Deliveries == 0 {
+	if res.Ops == 0 {
 		t.Fatal("three survivors delivered nothing")
 	}
 	if err := m.OnlineCPU(2); err != nil {

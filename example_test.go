@@ -19,8 +19,9 @@ func ExampleNewMachine() {
 		UsersPerRoom:    4,
 		MessagesPerUser: 3,
 	})
-	fmt.Printf("threads: %d\n", res.Threads)
-	fmt.Printf("deliveries: %d\n", res.Deliveries)
+	threads, _ := res.Extra("threads")
+	fmt.Printf("threads: %.0f\n", threads)
+	fmt.Printf("deliveries: %d\n", res.Ops)
 	// Output:
 	// threads: 16
 	// deliveries: 48
@@ -52,7 +53,7 @@ func ExampleMachine_RunVolanoMark() {
 	for _, kind := range []elsc.SchedulerKind{elsc.Vanilla, elsc.ELSC} {
 		m := elsc.NewMachine(elsc.MachineConfig{CPUs: 1, Scheduler: kind, Seed: 9})
 		res := m.RunVolanoMark(cfg)
-		fmt.Printf("%s delivered %d\n", kind, res.Deliveries)
+		fmt.Printf("%s delivered %d\n", kind, res.Ops)
 	}
 	// Output:
 	// reg delivered 80
@@ -88,4 +89,82 @@ func ExampleNewQueue() {
 	fmt.Printf("sum of received seqs: %d\n", sum)
 	// Output:
 	// sum of received seqs: 6
+}
+
+// Example_quickstart builds a 4-processor machine running the ELSC
+// scheduler, runs a 10-room VolanoMark, and prints the paper's headline
+// statistics.
+func Example_quickstart() {
+	m := elsc.NewMachine(elsc.MachineConfig{
+		CPUs:      4,
+		SMP:       true,
+		Scheduler: elsc.ELSC,
+		Seed:      42,
+	})
+
+	res := m.RunVolanoMark(elsc.VolanoConfig{
+		Rooms:           10,
+		UsersPerRoom:    20,
+		MessagesPerUser: 30,
+	})
+
+	threads, _ := res.Extra("threads")
+	fmt.Printf("VolanoMark on %s: %.0f threads, %d deliveries in %.2f virtual seconds\n",
+		m.SchedulerName(), threads, res.Ops, res.Seconds)
+	fmt.Printf("throughput: %.0f messages/second\n\n", res.Throughput)
+
+	s := m.Stats()
+	fmt.Printf("schedule() was called %d times\n", s.SchedCalls)
+	fmt.Printf("mean cost: %.0f cycles and %.1f tasks examined per call\n",
+		s.CyclesPerSchedule(), s.ExaminedPerSchedule())
+	fmt.Printf("counter recalculations: %d\n", s.Recalcs)
+	fmt.Printf("cross-CPU migrations: %d\n", s.Migrations)
+	// Output:
+	// VolanoMark on elsc: 800 threads, 120000 deliveries in 15.47 virtual seconds
+	// throughput: 7759 messages/second
+	//
+	// schedule() was called 907167 times
+	// mean cost: 1841 cycles and 2.5 tasks examined per call
+	// counter recalculations: 1
+	// cross-CPU migrations: 222520
+}
+
+// Example_webserver asks the paper's future-work question (§8): run an
+// Apache-style workload under the stock and ELSC schedulers and compare
+// throughput and latency.
+func Example_webserver() {
+	fmt.Println("Apache-style workload, 2 CPUs, 64 workers, open-loop arrivals")
+	fmt.Println()
+	fmt.Printf("%-8s %10s %14s %14s\n", "sched", "req/s", "mean lat (ms)", "max lat (ms)")
+	for _, kind := range []elsc.SchedulerKind{elsc.Vanilla, elsc.ELSC} {
+		m := elsc.NewMachine(elsc.MachineConfig{
+			CPUs:      2,
+			SMP:       true,
+			Scheduler: kind,
+			Seed:      42,
+		})
+		res := m.RunWebServer(elsc.WebServerConfig{
+			Workers:  64,
+			Requests: 8000,
+		})
+		meanLat, _ := res.Extra("mean_lat_ms")
+		maxLat, _ := res.Extra("max_lat_ms")
+		fmt.Printf("%-8s %10.0f %14.2f %14.2f\n", kind, res.Throughput, meanLat, maxLat)
+	}
+	fmt.Println()
+	fmt.Println("The paper asked whether ELSC would raise throughput or cut latency")
+	fmt.Println("here. With one task per request and no yield storms, the scheduler")
+	fmt.Println("is a small cost either way — the gains are far smaller than")
+	fmt.Println("VolanoMark's, mostly visible in tail latency under load spikes.")
+	// Output:
+	// Apache-style workload, 2 CPUs, 64 workers, open-loop arrivals
+	//
+	// sched         req/s  mean lat (ms)   max lat (ms)
+	// reg            9946           1.93         529.25
+	// elsc           9909           1.01          15.92
+	//
+	// The paper asked whether ELSC would raise throughput or cut latency
+	// here. With one task per request and no yield storms, the scheduler
+	// is a small cost either way — the gains are far smaller than
+	// VolanoMark's, mostly visible in tail latency under load spikes.
 }

@@ -230,10 +230,10 @@ func DistinctCells(exps []Experiment) []Cell {
 func Catalog(policies []string, specs []MachineSpec, loads []string) []Experiment {
 	numa := SpecByLabel("32P-NUMA")
 	exps := []Experiment{
-		Table2(Load(workload.KBuild)),
+		Table2(),
 		Fig2(10), Fig3(PaperRooms), Fig4(5, 20), Fig5(10), Fig6(10), Profile(PaperRooms),
 		AltSchedulers(SpecByLabel("4P"), 10),
-		Webserver(SpecByLabel("2P"), Load(workload.WebServer)),
+		Webserver(SpecByLabel("2P")),
 		// The lock-wait headline, scaled past the paper's hardware: the
 		// global-lock policies collapse as CPUs double, the per-CPU-lock
 		// ones do not.

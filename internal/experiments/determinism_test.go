@@ -28,7 +28,7 @@ func traceRun(policy string, seed int64) (string, kernel.Stats, string) {
 				ev.Now, ev.CPU, ev.Prev.String(), next, ev.Examined, ev.Cycles, ev.Spin, ev.Recalcs)
 		},
 	})
-	volano.Build(m, volano.Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 2}).Run()
+	m.Run(volano.Build(m, volano.Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 2}).Done)
 	return buf.String(), *m.Stats(), m.Stats().Registry().Render()
 }
 

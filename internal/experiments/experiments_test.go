@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"elsc/internal/workload"
-	"elsc/internal/workload/kbuild"
-	"elsc/internal/workload/webserver"
 )
 
 // tinyScale keeps the full-matrix tests fast.
@@ -105,7 +103,10 @@ func TestFigureTablesRender(t *testing.T) {
 }
 
 func TestTable2Renders(t *testing.T) {
-	tab := Table2(Load(workload.KBuild)).Run(tinyScale())
+	tab := Table2().Run(tinyScale())
+	if tab.NumRows() != 4 {
+		t.Fatalf("Table 2 rows = %d, want 4", tab.NumRows())
+	}
 	out := tab.Render()
 	for _, want := range []string{"Current - UP", "ELSC - UP", "Current - 2P", "ELSC - 2P"} {
 		if !strings.Contains(out, want) {
@@ -114,13 +115,24 @@ func TestTable2Renders(t *testing.T) {
 	}
 }
 
-// TestTable2WithRenders: Table 2 over an explicit compile config, as
-// cmd/kcompile declares it.
+// TestTable2WithRenders: Table 2's compile is the registry's kbuild at
+// the size Params gives it — the quick tree's 32 units in every cell.
 func TestTable2WithRenders(t *testing.T) {
-	cfg := kbuild.Config{Units: 16, MeanCompile: 3_000_000, MeanIO: 50_000}
-	tab := Table2(Custom(workload.KBuild, "16 units", workload.KBuildWith(cfg))).Run(tinyScale())
-	if tab.NumRows() != 4 {
-		t.Fatalf("Table 2 (explicit config) rows = %d, want 4", tab.NumRows())
+	e := Table2()
+	runs := RunCells(e.Cells, tinyScale())
+	if len(runs) != 4 {
+		t.Fatalf("Table 2 cells = %d, want 4", len(runs))
+	}
+	for _, r := range runs {
+		if r.Load != workload.KBuild || r.Variant != "" {
+			t.Fatalf("%s: want the registry's %s", r.Key(), workload.KBuild)
+		}
+		if r.Result.Ops != 32 {
+			t.Fatalf("%s compiled %d units, want the quick tree's 32", r.Key(), r.Result.Ops)
+		}
+	}
+	if tab := e.Table(runs); tab.NumRows() != 4 {
+		t.Fatalf("Table 2 (Params-sized) rows = %d, want 4", tab.NumRows())
 	}
 }
 
@@ -148,19 +160,29 @@ func TestLockContentionTable(t *testing.T) {
 }
 
 func TestWebserverTable(t *testing.T) {
-	tab := Webserver(SpecByLabel("2P"), Load(workload.WebServer)).Run(tinyScale())
+	tab := Webserver(SpecByLabel("2P")).Run(tinyScale())
 	if tab.NumRows() != 2 {
 		t.Fatalf("webserver table rows = %d, want 2", tab.NumRows())
 	}
 }
 
-// TestWebserverWithTable: the web experiment over an explicit offered
-// load, as cmd/websim declares it.
+// TestWebserverWithTable: the web experiment's offered load is the
+// registry's webserver at the size Params gives it — the quick 2000
+// requests, each served or dropped.
 func TestWebserverWithTable(t *testing.T) {
-	cfg := webserver.Config{Workers: 8, Requests: 200}
-	tab := Webserver(SpecByLabel("2P"), Custom(workload.WebServer, "200 requests", workload.WebserverWith(cfg))).Run(tinyScale())
-	if tab.NumRows() != 2 {
-		t.Fatalf("webserver table rows = %d, want 2", tab.NumRows())
+	e := Webserver(SpecByLabel("2P"))
+	runs := RunCells(e.Cells, tinyScale())
+	for _, r := range runs {
+		if r.Load != workload.WebServer || r.Variant != "" {
+			t.Fatalf("%s: want the registry's %s", r.Key(), workload.WebServer)
+		}
+		dropped, _ := r.Result.Extra("dropped")
+		if got := r.Result.Ops + uint64(dropped); got != 2000 {
+			t.Fatalf("%s: served+dropped = %d, want the quick 2000 requests", r.Key(), got)
+		}
+	}
+	if tab := e.Table(runs); tab.NumRows() != 2 {
+		t.Fatalf("webserver table (Params-sized) rows = %d, want 2", tab.NumRows())
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 var paperPolicies = []string{Reg, ELSC}
 
 // Table2 reproduces the paper's Table 2: average time to complete a full
-// kernel compile under both schedulers, on UP and 2P machines. build is
-// the compile to run: sweep passes the registry's kbuild, sized from the
-// Scale; cmd/kcompile passes its own tree size and -j.
-func Table2(build Cell) Experiment {
+// kernel compile under both schedulers, on UP and 2P machines: the
+// registry's kbuild, sized from the Scale.
+func Table2() Experiment {
+	build := Load(workload.KBuild)
 	var cells []Cell
 	for _, spec := range []MachineSpec{SpecByLabel("UP"), SpecByLabel("2P")} {
 		cells = append(cells, cellsOn(build, spec, paperPolicies)...)
@@ -248,11 +248,10 @@ func WakeLatency(spec MachineSpec, hogCounts []int) Experiment {
 }
 
 // Webserver runs the §8 Apache question: throughput and latency under
-// both schedulers at a given machine spec. serve is the offered load:
-// sweep passes the registry's webserver, sized from the Scale; cmd/websim
-// passes its own worker, request and arrival flags.
-func Webserver(spec MachineSpec, serve Cell) Experiment {
-	cells := cellsOn(serve, spec, paperPolicies)
+// both schedulers at a given machine spec, over the registry's webserver
+// sized from the Scale.
+func Webserver(spec MachineSpec) Experiment {
+	cells := cellsOn(Load(workload.WebServer), spec, paperPolicies)
 	return Experiment{Name: "web", Cells: cells, Table: func(runs []WorkloadRun) *stats.Table {
 		t := stats.NewTable(
 			fmt.Sprintf("§8 future work: Apache-style webserver on %s", spec.Label),

@@ -20,7 +20,7 @@ func TestWakeIdlePlacementsCounted(t *testing.T) {
 			NewScheduler: func(env *sched.Env) sched.Scheduler {
 				return o1.NewWithConfig(env, o1.Config{InteractivityOff: off})
 			}})
-		volano.Build(m, volano.Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 4}).Run()
+		m.Run(volano.Build(m, volano.Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 4}).Done)
 		return m.Stats()
 	}
 	on := run(false)

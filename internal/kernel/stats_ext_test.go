@@ -215,7 +215,7 @@ func renderedStats(tb testing.TB) *kernel.Stats {
 	m := kernel.NewMachine(kernel.Config{CPUs: 8, SMP: true, Topology: sched.UniformTopology(8, 2),
 		Seed: 42, MaxCycles: 3000 * kernel.DefaultHz, Watchdog: &kernel.WatchdogConfig{},
 		NewScheduler: func(env *sched.Env) sched.Scheduler { return o1.New(env) }})
-	volano.Build(m, volano.Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 8}).Run()
+	m.Run(volano.Build(m, volano.Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 8}).Done)
 	// A sleeper long enough for idle tick chains to park and revive.
 	steps := []kernel.Action{kernel.Sleep{Cycles: 20 * kernel.DefaultTickCycles}, kernel.Compute{Cycles: 1000}, kernel.Exit{}}
 	m.Spawn("sleeper", nil, kernel.ProgramFunc(func(*kernel.Proc) kernel.Action {

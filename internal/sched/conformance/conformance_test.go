@@ -632,12 +632,12 @@ func TestNUMAMachineSpecAllPolicies(t *testing.T) {
 				t.Parallel()
 				sc := experiments.Scale{Messages: messages, Seed: 5, HorizonSeconds: 600, TicklessOff: ticklessOff()}
 				m := experiments.NewMachineOn(nil, spec, name, sc)
-				res := volano.Build(m, volano.Config{
+				res := workload.VolanoWith(volano.Config{
 					Rooms: rooms, UsersPerRoom: users, MessagesPerUser: messages,
-				}).Run()
-				if res.Deliveries != want {
+				})(m, workload.Params{}).Run()
+				if res.Ops != want {
 					t.Fatalf("deliveries = %d, want %d (a room starved on the NUMA spec)",
-						res.Deliveries, want)
+						res.Ops, want)
 				}
 				if res.Throughput <= 0 {
 					t.Fatalf("throughput = %v, want > 0", res.Throughput)

@@ -130,9 +130,9 @@ func TestRunsFullWorkload(t *testing.T) {
 		MaxCycles:    600 * kernel.DefaultHz,
 	})
 	b := volano.Build(m, volano.Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 3})
-	res := b.Run()
-	if res.Deliveries != b.ExpectedDeliveries() {
-		t.Fatalf("deliveries %d != %d under heap scheduler", res.Deliveries, b.ExpectedDeliveries())
+	m.Run(b.Done)
+	if b.Deliveries() != b.ExpectedDeliveries() {
+		t.Fatalf("deliveries %d != %d under heap scheduler", b.Deliveries(), b.ExpectedDeliveries())
 	}
 }
 

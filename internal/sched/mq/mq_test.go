@@ -131,9 +131,9 @@ func TestRunsFullWorkload(t *testing.T) {
 		MaxCycles:    600 * kernel.DefaultHz,
 	})
 	b := volano.Build(m, volano.Config{Rooms: 2, UsersPerRoom: 4, MessagesPerUser: 4})
-	res := b.Run()
-	if res.Deliveries != b.ExpectedDeliveries() {
-		t.Fatalf("deliveries %d != %d under mq scheduler", res.Deliveries, b.ExpectedDeliveries())
+	m.Run(b.Done)
+	if b.Deliveries() != b.ExpectedDeliveries() {
+		t.Fatalf("deliveries %d != %d under mq scheduler", b.Deliveries(), b.ExpectedDeliveries())
 	}
 	if m.Stats().SchedCalls == 0 {
 		t.Fatal("no scheduling recorded")

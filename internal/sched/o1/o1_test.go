@@ -464,10 +464,11 @@ func TestFullMachineVolano(t *testing.T) {
 		NewScheduler: func(env *sched.Env) sched.Scheduler { return New(env) },
 		MaxCycles:    600 * kernel.DefaultHz,
 	})
-	res := volano.Build(m, volano.Config{Rooms: 2, UsersPerRoom: 4, MessagesPerUser: 3}).Run()
+	b := volano.Build(m, volano.Config{Rooms: 2, UsersPerRoom: 4, MessagesPerUser: 3})
+	m.Run(b.Done)
 	want := uint64(2 * 4 * 4 * 3)
-	if res.Deliveries != want {
-		t.Fatalf("deliveries = %d, want %d", res.Deliveries, want)
+	if b.Deliveries() != want {
+		t.Fatalf("deliveries = %d, want %d", b.Deliveries(), want)
 	}
 	st := m.Stats()
 	if st.Recalcs != 0 {

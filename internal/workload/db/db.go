@@ -89,14 +89,11 @@ type DB struct {
 	wal     *kernel.SerialResource
 	clients []*kernel.Proc
 	exited  kernel.ExitCursor // over clients, for Done
-	// checkpointers run until finished is set; they are excluded from
-	// the completion check, like volano's housekeeping threads.
+	// checkpointers run until Done; they are excluded from the
+	// completion check, like volano's housekeeping threads.
 	checkpointers []*kernel.Proc
-	finished      bool
 
-	committed uint64
-	txnLat    stats.Dist
-	walSpins  uint64
+	txnLat stats.Dist
 }
 
 // New constructs the server on m: the lock stripes, the serialized buffer
@@ -230,7 +227,6 @@ func (d *DB) newClient() kernel.Program {
 			default: // phDone: account the commit, next transaction
 				gotLock = false
 				txns++
-				d.committed++
 				d.txnLat.Observe(uint64(d.m.Now() - txnStart))
 				phase = phParse
 			}
@@ -245,7 +241,7 @@ func (d *DB) newCheckpointer() kernel.Program {
 	phase := 0
 	sleep := &kernel.Sleep{}
 	return kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
-		if d.finished {
+		if d.Done() {
 			return kernel.Exit{}
 		}
 		switch phase {
@@ -284,42 +280,9 @@ func (d *DB) LockBlocked() uint64 {
 	return n
 }
 
-// Result is one database run's outcome.
-type Result struct {
-	Clients     int
-	Txns        uint64  // transactions committed
-	Seconds     float64 // virtual duration
-	Cycles      uint64
-	Throughput  float64 // transactions per second
-	MeanTxnUS   float64 // mean commit latency, microseconds
-	P99TxnUS    float64 // 99th-percentile commit latency
-	LockSpins   uint64  // failed spin attempts on the row stripes
-	LockBlocked uint64  // lock acquisitions that suspended
-	WALWaits    uint64  // WAL reservations that found the log busy
-}
+// WALWaits counts WAL reservations that found the log busy.
+func (d *DB) WALWaits() uint64 { return d.wal.Contended() }
 
-// Run executes the workload to completion (or the machine's horizon) and
-// reports transaction throughput and commit-latency percentiles.
-func (d *DB) Run() Result {
-	start := d.m.Now()
-	d.m.Run(func() bool { return d.Done() })
-	d.finished = true
-	elapsed := uint64(d.m.Now() - start)
-	secs := float64(elapsed) / float64(d.m.Hz())
-	toUS := 1e6 / float64(d.m.Hz())
-	res := Result{
-		Clients:     d.cfg.Clients,
-		Txns:        d.committed,
-		Seconds:     secs,
-		Cycles:      elapsed,
-		MeanTxnUS:   d.txnLat.Mean() * toUS,
-		P99TxnUS:    float64(d.txnLat.ApproxPercentile(0.99)) * toUS,
-		LockSpins:   d.LockSpins(),
-		LockBlocked: d.LockBlocked(),
-		WALWaits:    d.wal.Contended(),
-	}
-	if secs > 0 {
-		res.Throughput = float64(res.Txns) / secs
-	}
-	return res
-}
+// TxnLatency is the commit-latency distribution in cycles, one sample per
+// committed transaction: its Count is the commit count.
+func (d *DB) TxnLatency() *stats.Dist { return &d.txnLat }

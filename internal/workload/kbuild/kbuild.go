@@ -20,7 +20,6 @@ import (
 
 	"elsc/internal/kernel"
 	"elsc/internal/sim"
-	"elsc/internal/stats"
 )
 
 // Config sizes the simulated kernel build.
@@ -28,8 +27,6 @@ type Config struct {
 	// Units is the number of compilation units (default 320, scaled so
 	// a default run takes minutes of virtual time like the paper's).
 	Units int
-	// Jobs is make's -j parallelism (paper: 4).
-	Jobs int
 	// MeanCompile is the average CPU burst per unit in cycles.
 	MeanCompile uint64
 	// MeanIO is the average simulated disk wait per unit in cycles.
@@ -42,13 +39,14 @@ type Config struct {
 // the end (link + compress): the paper's Amdahl serial share.
 const serialFraction = 0.10
 
+// Jobs is make's -j parallelism, the paper's -j4: the size of the worker
+// pool.
+const Jobs = 4
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Units == 0 {
 		out.Units = 320
-	}
-	if out.Jobs == 0 {
-		out.Jobs = 4
 	}
 	if out.MeanCompile == 0 {
 		out.MeanCompile = 360_000_000 // ~0.9 s at 400 MHz per unit
@@ -62,7 +60,6 @@ func (c *Config) withDefaults() Config {
 // Build is a constructed kernel-compile workload.
 type Build struct {
 	cfg     Config
-	m       *kernel.Machine
 	workers []*kernel.Proc
 	linker  *kernel.Proc
 
@@ -81,7 +78,7 @@ type job struct {
 // the final serial linker task.
 func New(m *kernel.Machine, cfg Config) *Build {
 	cfg = cfg.withDefaults()
-	b := &Build{cfg: cfg, m: m}
+	b := &Build{cfg: cfg}
 	rng := m.RNG().Fork()
 
 	mm := m.NewMM("make")
@@ -95,7 +92,7 @@ func New(m *kernel.Machine, cfg Config) *Build {
 		totalCompile += c
 	}
 
-	for w := 0; w < cfg.Jobs; w++ {
+	for w := 0; w < Jobs; w++ {
 		name := fmt.Sprintf("cc/%d", w)
 		b.workers = append(b.workers, m.Spawn(name, mm, b.newWorker()))
 	}
@@ -175,26 +172,5 @@ func execWaitObjs(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outco
 // Done reports whether the build completed.
 func (b *Build) Done() bool { return b.linker.Exited() }
 
-// Result is one build measurement.
-type Result struct {
-	Units   int
-	Jobs    int
-	Cycles  uint64
-	Seconds float64
-	// Formatted is the m:ss.cc rendering used by the paper's Table 2.
-	Formatted string
-}
-
-// Run executes the build to completion and reports the elapsed time.
-func (b *Build) Run() Result {
-	start := b.m.Now()
-	b.m.Run(func() bool { return b.Done() })
-	elapsed := uint64(b.m.Now() - start)
-	return Result{
-		Units:     b.cfg.Units,
-		Jobs:      b.cfg.Jobs,
-		Cycles:    elapsed,
-		Seconds:   float64(elapsed) / float64(b.m.Hz()),
-		Formatted: stats.FormatDuration(elapsed, b.m.Hz()),
-	}
-}
+// Config returns the build's configuration, defaults filled in.
+func (b *Build) Config() Config { return b.cfg }

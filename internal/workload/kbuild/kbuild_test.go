@@ -7,6 +7,7 @@ import (
 	"elsc/internal/sched"
 	"elsc/internal/sched/elsc"
 	"elsc/internal/sched/vanilla"
+	"elsc/internal/stats"
 )
 
 func newMachine(cpus int, smp bool, useELSC bool) *kernel.Machine {
@@ -23,6 +24,13 @@ func newMachine(cpus int, smp bool, useELSC bool) *kernel.Machine {
 	})
 }
 
+// runSeconds drives m until done holds or the horizon passes, and
+// returns the elapsed virtual seconds (test machines start at time zero).
+func runSeconds(m *kernel.Machine, done func() bool) float64 {
+	m.Run(done)
+	return float64(m.Now()) / float64(m.Hz())
+}
+
 // small is a fast test configuration.
 func small() Config {
 	return Config{Units: 24, MeanCompile: 4_000_000, MeanIO: 100_000}
@@ -32,15 +40,15 @@ func TestBuildCompletes(t *testing.T) {
 	for _, useELSC := range []bool{false, true} {
 		m := newMachine(1, false, useELSC)
 		b := New(m, small())
-		res := b.Run()
+		secs := runSeconds(m, b.Done)
 		if !b.Done() {
 			t.Fatal("build did not finish")
 		}
-		if res.Seconds <= 0 {
+		if secs <= 0 {
 			t.Fatal("no elapsed time")
 		}
-		if res.Units != 24 || res.Jobs != 4 {
-			t.Fatalf("result echo wrong: %+v", res)
+		if c := b.Config(); c.Units != 24 || len(b.workers) != 4 {
+			t.Fatalf("config echo wrong: %+v with %d workers", c, len(b.workers))
 		}
 	}
 }
@@ -48,7 +56,7 @@ func TestBuildCompletes(t *testing.T) {
 func TestAllUnitsCompiled(t *testing.T) {
 	m := newMachine(2, true, true)
 	b := New(m, small())
-	b.Run()
+	m.Run(b.Done)
 	if b.compiled != len(b.queue) {
 		t.Fatalf("compiled %d of %d units", b.compiled, len(b.queue))
 	}
@@ -62,7 +70,7 @@ func TestTwoProcessorSpeedup(t *testing.T) {
 	// (6:41 -> 3:40 is a 1.82x speedup with the serial tail).
 	run := func(cpus int, smp bool) float64 {
 		m := newMachine(cpus, smp, true)
-		return New(m, small()).Run().Seconds
+		return runSeconds(m, New(m, small()).Done)
 	}
 	up := run(1, false)
 	dual := run(2, true)
@@ -77,7 +85,7 @@ func TestSchedulersAgreeOnLightLoad(t *testing.T) {
 	// noise of each other.
 	run := func(useELSC bool) float64 {
 		m := newMachine(1, false, useELSC)
-		return New(m, small()).Run().Seconds
+		return runSeconds(m, New(m, small()).Done)
 	}
 	reg := run(false)
 	elscT := run(true)
@@ -110,26 +118,27 @@ func TestParallelismBounded(t *testing.T) {
 		},
 	})
 	b := New(m, small())
-	b.Run()
+	m.Run(b.Done)
 	mean := float64(runnable) / float64(decisions)
-	if peak > b.cfg.Jobs+1 || mean > float64(b.cfg.Jobs)+0.5 {
+	if peak > Jobs+1 || mean > float64(Jobs)+0.5 {
 		t.Fatalf("runnable tasks: mean %.2f, peak %d; -j%d allows %d compilers plus the linker",
-			mean, peak, b.cfg.Jobs, b.cfg.Jobs)
+			mean, peak, Jobs, Jobs)
 	}
 }
 
 func TestFormattedDuration(t *testing.T) {
 	m := newMachine(1, false, true)
-	res := New(m, small()).Run()
-	if res.Formatted == "" || res.Formatted == "0:00.00" {
-		t.Fatalf("formatted duration %q", res.Formatted)
+	m.Run(New(m, small()).Done)
+	if f := stats.FormatDuration(uint64(m.Now()), m.Hz()); f == "" || f == "0:00.00" {
+		t.Fatalf("formatted duration %q", f)
 	}
 }
 
 func TestDeterministic(t *testing.T) {
 	run := func() uint64 {
 		m := newMachine(2, true, true)
-		return New(m, small()).Run().Cycles
+		m.Run(New(m, small()).Done)
+		return uint64(m.Now())
 	}
 	if run() != run() {
 		t.Fatal("kernel build simulation not deterministic")

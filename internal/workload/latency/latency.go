@@ -128,26 +128,9 @@ func (p *Probe) probeProgram() kernel.Program {
 // Done reports whether every probe finished its wake cycles.
 func (p *Probe) Done() bool { return p.done >= probes }
 
-// Result is one latency measurement.
-type Result struct {
-	Probes  int
-	Hogs    int
-	Samples uint64
-	MeanUS  float64 // mean wake-to-dispatch latency, microseconds
-	P99US   float64 // approximate 99th percentile, microseconds
-	MaxUS   float64 // worst observed latency, microseconds
-}
+// Config returns the workload's configuration, defaults filled in.
+func (p *Probe) Config() Config { return p.cfg }
 
-// Run executes until every probe completes.
-func (p *Probe) Run() Result {
-	p.m.Run(func() bool { return p.Done() })
-	toUS := 1e6 / float64(p.m.Hz())
-	return Result{
-		Probes:  probes,
-		Hogs:    p.cfg.Hogs,
-		Samples: p.lat.Count(),
-		MeanUS:  p.lat.Mean() * toUS,
-		P99US:   float64(p.lat.ApproxPercentile(0.99)) * toUS,
-		MaxUS:   float64(p.lat.Max()) * toUS,
-	}
-}
+// Latency is the wake-to-dispatch distribution in cycles, one sample per
+// probe wake.
+func (p *Probe) Latency() *stats.Dist { return &p.lat }

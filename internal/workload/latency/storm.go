@@ -138,44 +138,9 @@ func execStormWait(sc *kernel.Syscall, p *kernel.Proc, now sim.Time) kernel.Outc
 // Done reports whether every waiter has finished its storms.
 func (s *Storm) Done() bool { return s.exited.AllExited(s.waiters) }
 
-// StormResult is one wake-storm measurement.
-type StormResult struct {
-	Waiters int
-	Storms  int
-	Samples uint64  // latency observations (Waiters x Storms when complete)
-	Wakes   uint64  // total wake-ups delivered
-	Seconds float64 // virtual duration
-	Cycles  uint64
-	// WakesPerSec is total wake-ups per virtual second — the storm
-	// drain rate.
-	WakesPerSec float64
-	MeanUS      float64 // mean wakeup-to-run latency, microseconds
-	P50US       float64 // median
-	P99US       float64 // approximate 99th percentile
-	MaxUS       float64 // worst observed
-}
+// Config returns the workload's configuration, defaults filled in.
+func (s *Storm) Config() StormConfig { return s.cfg }
 
-// Run executes until every waiter completes (or the horizon passes).
-func (s *Storm) Run() StormResult {
-	start := s.m.Now()
-	s.m.Run(func() bool { return s.Done() })
-	elapsed := uint64(s.m.Now() - start)
-	secs := float64(elapsed) / float64(s.m.Hz())
-	toUS := 1e6 / float64(s.m.Hz())
-	res := StormResult{
-		Waiters: s.cfg.Waiters,
-		Storms:  s.cfg.Storms,
-		Samples: s.lat.Count(),
-		Wakes:   s.lat.Count(),
-		Seconds: secs,
-		Cycles:  elapsed,
-		MeanUS:  s.lat.Mean() * toUS,
-		P50US:   float64(s.lat.ApproxPercentile(0.50)) * toUS,
-		P99US:   float64(s.lat.ApproxPercentile(0.99)) * toUS,
-		MaxUS:   float64(s.lat.Max()) * toUS,
-	}
-	if secs > 0 {
-		res.WakesPerSec = float64(res.Wakes) / secs
-	}
-	return res
-}
+// Latency is the wakeup-to-run distribution in cycles, one sample per
+// waiter per storm.
+func (s *Storm) Latency() *stats.Dist { return &s.lat }

@@ -6,6 +6,8 @@ import (
 	"elsc/internal/kernel"
 	"elsc/internal/sched"
 	"elsc/internal/sched/o1"
+	"elsc/internal/sim"
+	"elsc/internal/stats"
 )
 
 func stormMachine(cpus int, useO1 bool, seed int64) *kernel.Machine {
@@ -34,28 +36,31 @@ func smallStorm() StormConfig {
 func TestStormEverySampleObserved(t *testing.T) {
 	for _, cpus := range []int{1, 2, 4} {
 		for _, useO1 := range []bool{false, true} {
-			st := NewStorm(stormMachine(cpus, useO1, 13), smallStorm())
-			res := st.Run()
+			m := stormMachine(cpus, useO1, 13)
+			st := NewStorm(m, smallStorm())
+			m.Run(st.Done)
 			if !st.Done() {
 				t.Fatalf("cpus=%d o1=%v: storm workload did not complete", cpus, useO1)
 			}
-			if want := uint64(8 * 10); res.Samples != want {
-				t.Fatalf("cpus=%d o1=%v: samples = %d, want %d", cpus, useO1, res.Samples, want)
+			if want, n := uint64(8*10), st.Latency().Count(); n != want {
+				t.Fatalf("cpus=%d o1=%v: samples = %d, want %d", cpus, useO1, n, want)
 			}
 		}
 	}
 }
 
 func TestStormLatencyShape(t *testing.T) {
-	res := NewStorm(stormMachine(2, false, 13), StormConfig{Waiters: 16, Storms: 20}).Run()
-	if res.MeanUS <= 0 {
-		t.Fatalf("mean wakeup-to-run latency %.2fus; the wake path costs cycles", res.MeanUS)
+	m := stormMachine(2, false, 13)
+	st := NewStorm(m, StormConfig{Waiters: 16, Storms: 20})
+	secs := runSeconds(m, st.Done)
+	lat := st.Latency()
+	if lat.Mean() <= 0 {
+		t.Fatalf("mean wakeup-to-run latency %.0f cycles; the wake path costs cycles", lat.Mean())
 	}
-	if res.P50US > res.P99US || res.P99US > res.MaxUS {
-		t.Fatalf("percentiles out of order: p50=%.1f p99=%.1f max=%.1f",
-			res.P50US, res.P99US, res.MaxUS)
+	if p50, p99 := lat.ApproxPercentile(0.50), lat.ApproxPercentile(0.99); p50 > p99 || p99 > lat.Max() {
+		t.Fatalf("percentiles out of order: p50=%d p99=%d max=%d cycles", p50, p99, lat.Max())
 	}
-	if res.WakesPerSec <= 0 {
+	if !(float64(lat.Count())/secs > 0) {
 		t.Fatal("wake throughput should be positive")
 	}
 }
@@ -64,19 +69,29 @@ func TestStormLatencyShape(t *testing.T) {
 // through more dispatches, so p99 must grow with the cohort size on a
 // fixed machine.
 func TestStormTailGrowsWithHerd(t *testing.T) {
-	run := func(waiters int) float64 {
-		return NewStorm(stormMachine(2, false, 13),
-			StormConfig{Waiters: waiters, Storms: 15}).Run().P99US
+	run := func(waiters int) uint64 {
+		m := stormMachine(2, false, 13)
+		st := NewStorm(m, StormConfig{Waiters: waiters, Storms: 15})
+		m.Run(st.Done)
+		return st.Latency().ApproxPercentile(0.99)
 	}
 	small, big := run(4), run(64)
 	if big <= small {
-		t.Fatalf("p99 should grow with herd size: %.1fus at 4 waiters vs %.1fus at 64", small, big)
+		t.Fatalf("p99 should grow with herd size: %d cycles at 4 waiters vs %d at 64", small, big)
 	}
 }
 
 func TestStormDeterministic(t *testing.T) {
-	run := func() StormResult {
-		return NewStorm(stormMachine(4, true, 13), smallStorm()).Run()
+	// The whole latency histogram and the run's end instant.
+	type outcome struct {
+		lat stats.Dist
+		end sim.Time
+	}
+	run := func() outcome {
+		m := stormMachine(4, true, 13)
+		st := NewStorm(m, smallStorm())
+		m.Run(st.Done)
+		return outcome{*st.Latency(), m.Now()}
 	}
 	a, b := run(), run()
 	if a != b {

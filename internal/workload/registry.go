@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sort"
-
 	"elsc/internal/kernel"
 	"elsc/internal/task"
 	"elsc/internal/workload/db"
@@ -61,18 +59,42 @@ func Build(name string, m *kernel.Machine, p Params) Instance {
 	return ByName(name).Build(m, p)
 }
 
-// metricsOf sorts a name->value set into deterministic Extras order.
-func metricsOf(kv map[string]float64) []Metric {
-	names := make([]string, 0, len(kv))
-	for n := range kv {
-		names = append(names, n)
+// Instance is a workload built on a machine, ready to run. It holds what
+// the one measurement needs from the workload: its completion test, and a
+// report of the run's operation count and extras, read once the run stops.
+type Instance struct {
+	m    *kernel.Machine
+	name string // the registry name, Result.Workload
+	unit string // Result.Unit
+	done func() bool
+	// report returns the run's Ops and its extras in name order; secs
+	// is the run's measured duration.
+	report func(secs float64) (uint64, []Metric)
+}
+
+// Done reports whether the workload has completed, usable as a
+// machine.Run stop condition by harnesses that drive the machine
+// themselves.
+func (i Instance) Done() bool { return i.done() }
+
+// Run drives the machine until the workload completes or the horizon
+// passes, and measures the run: every workload's Result comes from here.
+func (i Instance) Run() Result {
+	start := i.m.Now()
+	i.m.Run(i.done)
+	elapsed := uint64(i.m.Now() - start)
+	secs := float64(elapsed) / float64(i.m.Hz())
+	ops, extras := i.report(secs)
+	return Result{
+		Workload:   i.name,
+		Seconds:    secs,
+		Cycles:     elapsed,
+		Ops:        ops,
+		Throughput: throughput(ops, secs),
+		Unit:       i.unit,
+		Complete:   i.done(),
+		Extras:     extras,
 	}
-	sort.Strings(names)
-	out := make([]Metric, len(names))
-	for i, n := range names {
-		out[i] = Metric{Name: n, Value: kv[n]}
-	}
-	return out
 }
 
 // throughput guards the division for runs cut off at time zero.
@@ -100,60 +122,35 @@ func buildVolano(m *kernel.Machine, p Params) Instance {
 // rooms themselves get the same Instance and Result the registry name
 // does.
 func VolanoWith(cfg volano.Config) Builder {
-	return func(m *kernel.Machine, _ Params) Instance {
-		b := volano.Build(m, cfg)
-		return instance{done: b.Done, run: func() Result {
-			r := b.Run()
-			return Result{
-				Workload:   Volano,
-				Seconds:    r.Seconds,
-				Cycles:     r.Cycles,
-				Ops:        r.Deliveries,
-				Throughput: r.Throughput,
-				Unit:       "msgs/s",
-				Complete:   b.Done(),
-				Extras: metricsOf(map[string]float64{
-					"threads":    float64(r.Threads),
-					"lock_spins": float64(r.LockSpins),
-				}),
-			}
-		}}
-	}
+	return func(m *kernel.Machine, _ Params) Instance { return VolanoOf(m, volano.Build(m, cfg)) }
+}
+
+// VolanoOf measures b, a chat benchmark already built on m, for a caller
+// that reads the benchmark's shape before the run (cmd/volano).
+func VolanoOf(m *kernel.Machine, b *volano.Benchmark) Instance {
+	return Instance{m, Volano, "msgs/s", b.Done, func(float64) (uint64, []Metric) {
+		return b.Deliveries(), []Metric{
+			{"lock_spins", float64(b.LockSpins())},
+			{"threads", float64(b.Threads())},
+		}
+	}}
 }
 
 // buildKBuild maps Params onto the compile: the build's size is the
 // experiment (Table 2's fixed tree), so Work is ignored and Quick selects
-// a proportionally shrunken tree.
+// a proportionally shrunken tree. Ops is the tree's unit count.
 func buildKBuild(m *kernel.Machine, p Params) Instance {
 	var cfg kbuild.Config
 	if p.Quick {
 		cfg = kbuild.Config{Units: 32, MeanCompile: 20_000_000, MeanIO: 200_000}
 	}
-	return KBuildWith(cfg)(m, p)
-}
-
-// KBuildWith is the compile's explicit-config entry (cmd/kcompile's tree
-// size and -j flags).
-func KBuildWith(cfg kbuild.Config) Builder {
-	return func(m *kernel.Machine, _ Params) Instance {
-		b := kbuild.New(m, cfg)
-		return instance{done: b.Done, run: func() Result {
-			r := b.Run()
-			return Result{
-				Workload:   KBuild,
-				Seconds:    r.Seconds,
-				Cycles:     r.Cycles,
-				Ops:        uint64(r.Units),
-				Throughput: throughput(uint64(r.Units), r.Seconds),
-				Unit:       "units/s",
-				Complete:   b.Done(),
-				Extras: metricsOf(map[string]float64{
-					"jobs":          float64(r.Jobs),
-					"build_seconds": r.Seconds,
-				}),
-			}
-		}}
-	}
+	b := kbuild.New(m, cfg)
+	return Instance{m, KBuild, "units/s", b.Done, func(secs float64) (uint64, []Metric) {
+		return uint64(b.Config().Units), []Metric{
+			{"build_seconds", secs},
+			{"jobs", float64(kbuild.Jobs)},
+		}
+	}}
 }
 
 // buildWebserver maps Params onto the open-loop web workload: Quick
@@ -167,26 +164,17 @@ func buildWebserver(m *kernel.Machine, p Params) Instance {
 	return WebserverWith(cfg)(m, p)
 }
 
-// WebserverWith is the web workload's explicit-config entry (cmd/websim's
-// offered-load flags).
+// WebserverWith is the web workload's explicit-config entry (the
+// facade's RunWebServer). Ops is the requests served.
 func WebserverWith(cfg webserver.Config) Builder {
 	return func(m *kernel.Machine, _ Params) Instance {
 		s := webserver.New(m, cfg)
-		return instance{done: s.Done, run: func() Result {
-			r := s.Run()
-			return Result{
-				Workload:   WebServer,
-				Seconds:    r.Seconds,
-				Cycles:     uint64(r.Seconds * float64(m.Hz())),
-				Ops:        uint64(r.Served),
-				Throughput: r.Throughput,
-				Unit:       "req/s",
-				Complete:   s.Done(),
-				Extras: metricsOf(map[string]float64{
-					"dropped":     float64(r.Dropped),
-					"mean_lat_ms": r.MeanLatMS,
-					"max_lat_ms":  r.MaxLatMS,
-				}),
+		return Instance{m, WebServer, "req/s", s.Done, func(float64) (uint64, []Metric) {
+			lat, toMS := s.Latency(), 1000.0/float64(m.Hz())
+			return lat.Count(), []Metric{
+				{"dropped", float64(s.Dropped())},
+				{"max_lat_ms", float64(lat.Max()) * toMS},
+				{"mean_lat_ms", lat.Mean() * toMS},
 			}
 		}}
 	}
@@ -209,36 +197,24 @@ func buildLatency(m *kernel.Machine, p Params) Instance {
 
 // LatencyWith is the probe workload's explicit-config entry (the
 // wake-latency extension's hog sweep, at the package's max-priority
-// probes).
+// probes). Ops is the wake samples.
 func LatencyWith(cfg latency.Config) Builder {
 	return func(m *kernel.Machine, _ Params) Instance {
 		pr := latency.New(m, cfg)
-		return instance{done: pr.Done, run: func() Result {
-			start := m.Now()
-			r := pr.Run()
-			elapsed := uint64(m.Now() - start)
-			secs := float64(elapsed) / float64(m.Hz())
-			return Result{
-				Workload:   Latency,
-				Seconds:    secs,
-				Cycles:     elapsed,
-				Ops:        r.Samples,
-				Throughput: throughput(r.Samples, secs),
-				Unit:       "wakes/s",
-				Complete:   pr.Done(),
-				Extras: metricsOf(map[string]float64{
-					"hogs":    float64(r.Hogs),
-					"mean_us": r.MeanUS,
-					"p99_us":  r.P99US,
-					"max_us":  r.MaxUS,
-				}),
+		return Instance{m, Latency, "wakes/s", pr.Done, func(float64) (uint64, []Metric) {
+			lat, toUS := pr.Latency(), 1e6/float64(m.Hz())
+			return lat.Count(), []Metric{
+				{"hogs", float64(pr.Config().Hogs)},
+				{"max_us", float64(lat.Max()) * toUS},
+				{"mean_us", lat.Mean() * toUS},
+				{"p99_us", float64(lat.ApproxPercentile(0.99)) * toUS},
 			}
 		}}
 	}
 }
 
 // buildDB maps Params onto the OLTP workload: Work is transactions per
-// client, Quick shrinks the connection pool.
+// client, Quick shrinks the connection pool. Ops is the commits.
 func buildDB(m *kernel.Machine, p Params) Instance {
 	cfg := db.Config{TxnsPerClient: p.Work}
 	if p.Quick {
@@ -248,29 +224,20 @@ func buildDB(m *kernel.Machine, p Params) Instance {
 		}
 	}
 	d := db.New(m, cfg)
-	return instance{done: d.Done, run: func() Result {
-		r := d.Run()
-		return Result{
-			Workload:   DB,
-			Seconds:    r.Seconds,
-			Cycles:     r.Cycles,
-			Ops:        r.Txns,
-			Throughput: r.Throughput,
-			Unit:       "txns/s",
-			Complete:   d.Done(),
-			Extras: metricsOf(map[string]float64{
-				"mean_txn_us":  r.MeanTxnUS,
-				"p99_txn_us":   r.P99TxnUS,
-				"lock_spins":   float64(r.LockSpins),
-				"lock_blocked": float64(r.LockBlocked),
-				"wal_waits":    float64(r.WALWaits),
-			}),
+	return Instance{m, DB, "txns/s", d.Done, func(float64) (uint64, []Metric) {
+		lat, toUS := d.TxnLatency(), 1e6/float64(m.Hz())
+		return lat.Count(), []Metric{
+			{"lock_blocked", float64(d.LockBlocked())},
+			{"lock_spins", float64(d.LockSpins())},
+			{"mean_txn_us", lat.Mean() * toUS},
+			{"p99_txn_us", float64(lat.ApproxPercentile(0.99)) * toUS},
+			{"wal_waits", float64(d.WALWaits())},
 		}
 	}}
 }
 
 // buildWakeStorm maps Params onto the mass-wakeup benchmark: Work is the
-// storm count, Quick shrinks the herd.
+// storm count, Quick shrinks the herd. Ops is the wake-ups delivered.
 func buildWakeStorm(m *kernel.Machine, p Params) Instance {
 	cfg := latency.StormConfig{Storms: p.Work}
 	if p.Quick {
@@ -280,24 +247,15 @@ func buildWakeStorm(m *kernel.Machine, p Params) Instance {
 		}
 	}
 	st := latency.NewStorm(m, cfg)
-	return instance{done: st.Done, run: func() Result {
-		r := st.Run()
-		return Result{
-			Workload:   WakeStorm,
-			Seconds:    r.Seconds,
-			Cycles:     r.Cycles,
-			Ops:        r.Wakes,
-			Throughput: r.WakesPerSec,
-			Unit:       "wakes/s",
-			Complete:   st.Done(),
-			Extras: metricsOf(map[string]float64{
-				"waiters": float64(r.Waiters),
-				"storms":  float64(r.Storms),
-				"mean_us": r.MeanUS,
-				"p50_us":  r.P50US,
-				"p99_us":  r.P99US,
-				"max_us":  r.MaxUS,
-			}),
+	return Instance{m, WakeStorm, "wakes/s", st.Done, func(float64) (uint64, []Metric) {
+		c, lat, toUS := st.Config(), st.Latency(), 1e6/float64(m.Hz())
+		return lat.Count(), []Metric{
+			{"max_us", float64(lat.Max()) * toUS},
+			{"mean_us", lat.Mean() * toUS},
+			{"p50_us", float64(lat.ApproxPercentile(0.50)) * toUS},
+			{"p99_us", float64(lat.ApproxPercentile(0.99)) * toUS},
+			{"storms", float64(c.Storms)},
+			{"waiters", float64(c.Waiters)},
 		}
 	}}
 }

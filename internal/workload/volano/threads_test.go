@@ -134,7 +134,7 @@ func TestSpinRecvResetReusable(t *testing.T) {
 func TestRoomLockReleasedAfterRun(t *testing.T) {
 	m := newMachine(2, true, true, 3)
 	b := Build(m, tiny())
-	b.Run()
+	m.Run(b.Done)
 	for _, rm := range b.rooms {
 		if rm.lock.Locked() {
 			t.Fatalf("room %d lock left held", rm.id)
@@ -145,7 +145,7 @@ func TestRoomLockReleasedAfterRun(t *testing.T) {
 func TestAllQueuesDrainedAfterRun(t *testing.T) {
 	m := newMachine(1, false, false, 3)
 	b := Build(m, tiny())
-	b.Run()
+	m.Run(b.Done)
 	for _, rm := range b.rooms {
 		for _, cn := range rm.conns {
 			if cn.sock.ClientToServer.Len() != 0 || cn.sock.ServerToClient.Len() != 0 {
@@ -162,7 +162,7 @@ func TestPerConnectionDeliveryCounts(t *testing.T) {
 	m := newMachine(2, true, true, 5)
 	cfg := Config{Rooms: 2, UsersPerRoom: 3, MessagesPerUser: 4}
 	b := Build(m, cfg)
-	b.Run()
+	m.Run(b.Done)
 	// Every connection receives users*messages deliveries: all broadcasts
 	// in its room.
 	want := uint64(cfg.UsersPerRoom * cfg.MessagesPerUser)
@@ -178,8 +178,8 @@ func TestPerConnectionDeliveryCounts(t *testing.T) {
 func TestHousekeepingSpinnersExitAfterRun(t *testing.T) {
 	m := newMachine(1, false, true, 3)
 	b := Build(m, tiny())
-	b.Run()
-	// Let the spinners observe the finished flag and exit.
+	m.Run(b.Done)
+	// Let the spinners observe that the chat is done and exit.
 	m.Run(func() bool { return m.Alive() == 0 })
 	for _, p := range b.housekeeping {
 		if !p.Exited() {
@@ -221,6 +221,7 @@ func TestSenderClosedLoop(t *testing.T) {
 func TestIdleSpinnerStepsAllocFree(t *testing.T) {
 	b := &Benchmark{m: newMachine(1, false, false, 42)}
 	p := testProc(b.m)
+	b.threads = []*kernel.Proc{p} // one live chat thread: not Done
 	sp := newIdleSpinner(b)
 	kinds := map[string]int{}
 	if avg := testing.AllocsPerRun(1000, func() {
@@ -240,7 +241,7 @@ func TestIdleSpinnerStepsAllocFree(t *testing.T) {
 	if kinds["sleep"] != 77 || kinds["compute"] != 462 || kinds["yield"] != 462 {
 		t.Fatalf("step mix %v", kinds)
 	}
-	b.finished = true
+	b.threads = nil // every chat thread gone: Done
 	if _, ok := sp.Step(p).(kernel.Exit); !ok {
 		t.Fatal("a finished benchmark's spinner must exit")
 	}

@@ -122,15 +122,13 @@ func (c *Config) withDefaults() Config {
 
 // Benchmark is a constructed VolanoMark instance bound to a machine.
 type Benchmark struct {
-	cfg     Config
 	m       *kernel.Machine
 	rooms   []*room
 	threads []*kernel.Proc
 	exited  kernel.ExitCursor // over threads, for Done
 	// housekeeping holds the JVM idle-spinner threads; they run until
-	// finished is set and are excluded from completion checks.
+	// Done and are excluded from completion checks.
 	housekeeping []*kernel.Proc
-	finished     bool
 
 	expectedDeliveries uint64
 }
@@ -159,7 +157,7 @@ type conn struct {
 // server JVM), as in the paper's loopback runs.
 func Build(m *kernel.Machine, cfg Config) *Benchmark {
 	cfg = cfg.withDefaults()
-	b := &Benchmark{cfg: cfg, m: m}
+	b := &Benchmark{m: m}
 	clientMM := m.NewMM("client-jvm")
 	serverMM := m.NewMM("server-jvm")
 	netStack := m.NewSerialResource()
@@ -232,7 +230,7 @@ func newIdleSpinner(b *Benchmark) kernel.Program {
 	// duration out at once), so no step boxes a fresh value.
 	nap := new(kernel.Sleep)
 	return kernel.ProgramFunc(func(p *kernel.Proc) kernel.Action {
-		if b.finished {
+		if b.Done() {
 			return spinnerExit
 		}
 		switch phase {
@@ -312,44 +310,4 @@ func (b *Benchmark) LockSpins() uint64 {
 		n += rm.lock.Spins()
 	}
 	return n
-}
-
-// Result is one VolanoMark run's outcome.
-type Result struct {
-	Rooms      int
-	Users      int
-	Messages   int
-	Threads    int
-	Deliveries uint64
-	Cycles     uint64
-	Seconds    float64
-	// Throughput is deliveries per second of virtual time — the paper's
-	// "messages per second (over all connections)".
-	Throughput float64
-	LockSpins  uint64
-}
-
-// Run executes the benchmark to completion (or the machine's horizon) and
-// reports throughput. The housekeeping spinners are told to exit once the
-// chat traffic is done.
-func (b *Benchmark) Run() Result {
-	start := b.m.Now()
-	b.m.Run(func() bool { return b.Done() })
-	b.finished = true
-	elapsed := uint64(b.m.Now() - start)
-	secs := float64(elapsed) / float64(b.m.Hz())
-	res := Result{
-		Rooms:      b.cfg.Rooms,
-		Users:      b.cfg.UsersPerRoom,
-		Messages:   b.cfg.MessagesPerUser,
-		Threads:    b.Threads(),
-		Deliveries: b.Deliveries(),
-		Cycles:     elapsed,
-		Seconds:    secs,
-		LockSpins:  b.LockSpins(),
-	}
-	if secs > 0 {
-		res.Throughput = float64(res.Deliveries) / secs
-	}
-	return res
 }

@@ -24,6 +24,13 @@ func newMachine(cpus int, smp bool, useELSC bool, seed int64) *kernel.Machine {
 	})
 }
 
+// runSeconds drives m until done holds or the horizon passes, and
+// returns the elapsed virtual seconds (test machines start at time zero).
+func runSeconds(m *kernel.Machine, done func() bool) float64 {
+	m.Run(done)
+	return float64(m.Now()) / float64(m.Hz())
+}
+
 // tiny is a fast test configuration.
 func tiny() Config {
 	return Config{Rooms: 1, UsersPerRoom: 4, MessagesPerUser: 3}
@@ -55,15 +62,15 @@ func TestRunCompletesAndConserves(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			m := newMachine(1, false, useELSC, 42)
 			b := Build(m, tiny())
-			res := b.Run()
+			secs := runSeconds(m, b.Done)
 			if !b.Done() {
 				t.Fatal("benchmark did not complete")
 			}
-			if res.Deliveries != b.ExpectedDeliveries() {
+			if b.Deliveries() != b.ExpectedDeliveries() {
 				t.Fatalf("deliveries = %d, want %d (message conservation)",
-					res.Deliveries, b.ExpectedDeliveries())
+					b.Deliveries(), b.ExpectedDeliveries())
 			}
-			if res.Throughput <= 0 {
+			if !(float64(b.Deliveries())/secs > 0) {
 				t.Fatal("throughput must be positive")
 			}
 		})
@@ -75,10 +82,10 @@ func TestRunCompletesOnSMP(t *testing.T) {
 		for _, useELSC := range []bool{false, true} {
 			m := newMachine(cpus, true, useELSC, 42)
 			b := Build(m, tiny())
-			res := b.Run()
-			if res.Deliveries != b.ExpectedDeliveries() {
+			m.Run(b.Done)
+			if b.Deliveries() != b.ExpectedDeliveries() {
 				t.Fatalf("cpus=%d elsc=%v: deliveries %d != %d",
-					cpus, useELSC, res.Deliveries, b.ExpectedDeliveries())
+					cpus, useELSC, b.Deliveries(), b.ExpectedDeliveries())
 			}
 		}
 	}
@@ -87,9 +94,8 @@ func TestRunCompletesOnSMP(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (uint64, uint64) {
 		m := newMachine(2, true, true, 11)
-		b := Build(m, tiny())
-		res := b.Run()
-		return res.Cycles, m.Stats().SchedCalls
+		m.Run(Build(m, tiny()).Done)
+		return uint64(m.Now()), m.Stats().SchedCalls
 	}
 	c1, s1 := run()
 	c2, s2 := run()
@@ -104,7 +110,7 @@ func TestLockContentionHappens(t *testing.T) {
 	// preempted), so the yield traffic comes from spin-receives instead.
 	m := newMachine(2, true, false, 42)
 	b := Build(m, Config{Rooms: 1, UsersPerRoom: 8, MessagesPerUser: 5})
-	b.Run()
+	m.Run(b.Done)
 	if b.LockSpins() == 0 {
 		t.Fatal("room lock never contended; the yield-storm mechanism is dead")
 	}
@@ -117,15 +123,17 @@ func TestSchedulerComparisonShape(t *testing.T) {
 	cfg := Config{Rooms: 2, UsersPerRoom: 8, MessagesPerUser: 8}
 
 	mv := newMachine(1, false, false, 42)
-	rv := Build(mv, cfg).Run()
+	bv := Build(mv, cfg)
+	mv.Run(bv.Done)
 	sv := mv.Stats()
 
 	me := newMachine(1, false, true, 42)
-	re := Build(me, cfg).Run()
+	be := Build(me, cfg)
+	me.Run(be.Done)
 	se := me.Stats()
 
-	if rv.Deliveries != re.Deliveries {
-		t.Fatalf("deliveries differ: %d vs %d", rv.Deliveries, re.Deliveries)
+	if bv.Deliveries() != be.Deliveries() {
+		t.Fatalf("deliveries differ: %d vs %d", bv.Deliveries(), be.Deliveries())
 	}
 	// Figure 2: ELSC recalculates far less.
 	if se.Recalcs*10 > sv.Recalcs && sv.Recalcs > 100 {
@@ -157,17 +165,20 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	}
 }
 
+// TestResultFields: what a run is measured by — the benchmark is built
+// to its config (rooms, users a room, messages a user), and a run takes
+// virtual time.
 func TestResultFields(t *testing.T) {
 	m := newMachine(1, false, true, 5)
 	b := Build(m, tiny())
-	res := b.Run()
-	if res.Rooms != 1 || res.Users != 4 || res.Messages != 3 {
-		t.Fatalf("result config echo wrong: %+v", res)
+	if len(b.rooms) != 1 || len(b.rooms[0].conns) != 4 || b.ExpectedDeliveries() != 1*4*4*3 {
+		t.Fatalf("built %d rooms of %d users for %d deliveries, want 1 of 4 for 48",
+			len(b.rooms), len(b.rooms[0].conns), b.ExpectedDeliveries())
 	}
-	if res.Threads != 16 {
-		t.Fatalf("threads = %d, want 16", res.Threads)
+	if b.Threads() != 16 {
+		t.Fatalf("threads = %d, want 16", b.Threads())
 	}
-	if res.Seconds <= 0 {
+	if runSeconds(m, b.Done) <= 0 {
 		t.Fatal("elapsed seconds must be positive")
 	}
 }

@@ -179,35 +179,9 @@ func (s *Server) Done() bool {
 	return s.arrived >= s.cfg.Requests && s.served+s.dropped >= s.arrived
 }
 
-// Result summarizes one run.
-type Result struct {
-	Workers    int
-	Requests   int
-	Served     int
-	Dropped    int
-	Seconds    float64
-	Throughput float64 // requests per second
-	MeanLatMS  float64 // mean request latency, milliseconds
-	MaxLatMS   float64 // worst-case latency, milliseconds
-}
+// Dropped returns the requests refused because the backlog was full.
+func (s *Server) Dropped() int { return s.dropped }
 
-// Run executes until all requests are served (or the horizon passes).
-func (s *Server) Run() Result {
-	start := s.m.Now()
-	s.m.Run(func() bool { return s.Done() })
-	elapsed := float64(s.m.Now()-start) / float64(s.m.Hz())
-	res := Result{
-		Workers:  s.cfg.Workers,
-		Requests: s.cfg.Requests,
-		Served:   s.served,
-		Dropped:  s.dropped,
-		Seconds:  elapsed,
-	}
-	if elapsed > 0 {
-		res.Throughput = float64(s.served) / elapsed
-	}
-	toMS := 1000.0 / float64(s.m.Hz())
-	res.MeanLatMS = s.latency.Mean() * toMS
-	res.MaxLatMS = float64(s.latency.Max()) * toMS
-	return res
-}
+// Latency summarizes arrival-to-completion time, in cycles, over the
+// requests served: its Count is the served count.
+func (s *Server) Latency() *stats.Summary { return &s.latency }

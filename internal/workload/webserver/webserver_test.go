@@ -23,6 +23,13 @@ func newMachine(cpus int, useELSC bool) *kernel.Machine {
 	})
 }
 
+// runSeconds drives m until done holds or the horizon passes, and
+// returns the elapsed virtual seconds (test machines start at time zero).
+func runSeconds(m *kernel.Machine, done func() bool) float64 {
+	m.Run(done)
+	return float64(m.Now()) / float64(m.Hz())
+}
+
 func small() Config {
 	return Config{Workers: 8, Requests: 300, ArrivalPeriod: 60_000}
 }
@@ -31,11 +38,11 @@ func TestServesAllRequests(t *testing.T) {
 	for _, useELSC := range []bool{false, true} {
 		m := newMachine(1, useELSC)
 		s := New(m, small())
-		res := s.Run()
-		if res.Served != res.Requests {
-			t.Fatalf("served %d of %d", res.Served, res.Requests)
+		secs := runSeconds(m, s.Done)
+		if s.served != s.cfg.Requests {
+			t.Fatalf("served %d of %d", s.served, s.cfg.Requests)
 		}
-		if res.Throughput <= 0 {
+		if !(float64(s.served)/secs > 0) {
 			t.Fatal("no throughput")
 		}
 	}
@@ -44,11 +51,12 @@ func TestServesAllRequests(t *testing.T) {
 func TestLatencyMeasured(t *testing.T) {
 	m := newMachine(2, true)
 	s := New(m, small())
-	res := s.Run()
-	if res.MeanLatMS <= 0 {
+	m.Run(s.Done)
+	lat := s.Latency()
+	if lat.Mean() <= 0 {
 		t.Fatal("no latency recorded")
 	}
-	if res.MaxLatMS < res.MeanLatMS {
+	if float64(lat.Max()) < lat.Mean() {
 		t.Fatal("max latency below mean")
 	}
 }
@@ -56,10 +64,11 @@ func TestLatencyMeasured(t *testing.T) {
 func TestThroughputBoundedByOfferedLoad(t *testing.T) {
 	m := newMachine(4, true)
 	s := New(m, small())
-	res := s.Run()
+	secs := runSeconds(m, s.Done)
+	throughput := float64(s.served) / secs
 	offered := float64(kernel.DefaultHz) / float64(small().ArrivalPeriod)
-	if res.Throughput > offered*1.25 {
-		t.Fatalf("throughput %.0f exceeds offered load %.0f", res.Throughput, offered)
+	if throughput > offered*1.25 {
+		t.Fatalf("throughput %.0f exceeds offered load %.0f", throughput, offered)
 	}
 }
 
@@ -68,11 +77,11 @@ func TestOverloadDropsOrQueues(t *testing.T) {
 	// bounds the queue; the run serves exactly Requests).
 	m := newMachine(1, true)
 	s := New(m, Config{Workers: 4, Requests: 200, ArrivalPeriod: 5_000})
-	res := s.Run()
-	if res.Served+res.Dropped != 200 {
-		t.Fatalf("served %d + dropped %d, want 200 total", res.Served, res.Dropped)
+	m.Run(s.Done)
+	if s.served+s.Dropped() != 200 {
+		t.Fatalf("served %d + dropped %d, want 200 total", s.served, s.Dropped())
 	}
-	if res.Served == 0 {
+	if s.served == 0 {
 		t.Fatal("nothing served under overload")
 	}
 }
@@ -80,7 +89,7 @@ func TestOverloadDropsOrQueues(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	run := func() float64 {
 		m := newMachine(2, true)
-		return New(m, small()).Run().Seconds
+		return runSeconds(m, New(m, small()).Done)
 	}
 	if run() != run() {
 		t.Fatal("webserver sim not deterministic")
@@ -93,7 +102,8 @@ func TestMoreWorkersHelpUnderDiskLoad(t *testing.T) {
 	run := func(workers int) float64 {
 		m := newMachine(1, true)
 		s := New(m, Config{Workers: workers, Requests: 150, ArrivalPeriod: 20_000})
-		return s.Run().Throughput
+		secs := runSeconds(m, s.Done)
+		return float64(s.served) / secs
 	}
 	few, many := run(2), run(32)
 	if many <= few {

@@ -1,13 +1,18 @@
-// Package workload unifies the benchmark workloads behind one interface,
+// Package workload unifies the benchmark workloads behind one registry,
 // the same way internal/sched unifies the scheduling policies: every
 // workload family (VolanoMark chat, kernel compile, Apache-style web
 // serving, wake-latency probes, the OLTP database, the wake-storm burst
-// benchmark) registers a named Builder, builds an Instance on any
-// kernel.Machine, and reports a common Result — a throughput metric in a
-// workload-declared unit, a completion flag, and ordered per-workload
-// extras. The experiments harness and cmd/sweep drive policy × workload ×
-// machine matrices through this registry, so adding a scenario is one
-// adapter in registry.go rather than a cross-cutting change.
+// benchmark) registers a named Builder that builds an Instance on any
+// kernel.Machine. Instance.Run in registry.go is the one place a run is
+// measured: it drives the machine to the workload's completion and
+// reports a common Result — a throughput metric in a workload-declared
+// unit, a completion flag, and name-ordered per-workload extras. A
+// workload package only builds its tasks and exposes accessors (Done,
+// its operation count, its latency distribution); its registry entry maps
+// Params onto the package's Config and names the ops, unit and extras.
+// The experiments harness and cmd/sweep drive policy × workload × machine
+// matrices through this registry, so adding a scenario is one entry in
+// registry.go rather than a cross-cutting change.
 package workload
 
 import (
@@ -18,10 +23,9 @@ import (
 // Each workload maps them onto its own Config; knobs a workload has no use
 // for are ignored (kbuild's build size, for instance, does not scale with
 // Work). Callers that size a workload some other way (volano's rooms,
-// kbuild's tree, webserver's offered load, latency's hogs) pass its
-// Config to VolanoWith, KBuildWith, WebserverWith or LatencyWith, or use
-// the workload package directly — the registry is the uniform entry, not
-// the only one.
+// webserver's offered load, latency's hogs) pass its Config to
+// VolanoWith, WebserverWith or LatencyWith and get the same Instance and
+// Result — the registry name is the uniform entry, not the only one.
 type Params struct {
 	// Work is the primary per-actor operation count: messages per user
 	// (volano), transactions per client (db), wakes per probe (latency),
@@ -45,7 +49,7 @@ type Metric struct {
 	Value float64 `json:"value"`
 }
 
-// Result is the cross-workload measurement every Instance reports.
+// Result is the cross-workload measurement Instance.Run reports.
 type Result struct {
 	// Workload is the registered name that produced this result.
 	Workload string `json:"workload"`
@@ -78,17 +82,6 @@ func (r Result) Extra(name string) (float64, bool) {
 	return 0, false
 }
 
-// Instance is a workload built on a machine, ready to run.
-type Instance interface {
-	// Done reports whether the workload has completed, usable as a
-	// machine.Run stop condition by harnesses that drive the machine
-	// themselves.
-	Done() bool
-	// Run drives the machine until the workload completes or the
-	// horizon passes, and returns the common measurement.
-	Run() Result
-}
-
 // Builder constructs a workload instance on m, sized by p.
 type Builder func(m *kernel.Machine, p Params) Instance
 
@@ -101,13 +94,3 @@ type Workload struct {
 	// Build constructs an instance on a machine.
 	Build Builder
 }
-
-// instance adapts a (done, run) pair to Instance; the registry wraps each
-// workload package's native benchmark type with one of these.
-type instance struct {
-	done func() bool
-	run  func() Result
-}
-
-func (i instance) Done() bool  { return i.done() }
-func (i instance) Run() Result { return i.run() }

@@ -86,12 +86,21 @@ func TestEveryWorkloadRunsAndCompletes(t *testing.T) {
 			if res.Seconds <= 0 || res.Cycles == 0 {
 				t.Fatalf("%s: seconds %v cycles %d", w.Name, res.Seconds, res.Cycles)
 			}
+			// One measurement for all: the run's exact elapsed cycles
+			// (the machine started at zero), their seconds, and Ops
+			// over those seconds.
+			if res.Cycles != uint64(m.Now()) || res.Seconds != float64(res.Cycles)/float64(m.Hz()) {
+				t.Fatalf("%s: %d cycles, %v s for a run that ended at %d", w.Name, res.Cycles, res.Seconds, m.Now())
+			}
+			if res.Throughput != float64(res.Ops)/res.Seconds {
+				t.Fatalf("%s: throughput %v, want ops/seconds %v", w.Name, res.Throughput, float64(res.Ops)/res.Seconds)
+			}
 		})
 	}
 }
 
 // TestExtrasOrderedAndQueryable: every workload's extras come back in
-// name order (the adapters list them that way by hand; tables and
+// name order (the registry entries list them that way by hand; tables and
 // determinism digests depend on the order being fixed) and are reachable
 // by name.
 func TestExtrasOrderedAndQueryable(t *testing.T) {

@@ -43,9 +43,9 @@ func TestCrossSchedulerSmoke(t *testing.T) {
 				if res.Throughput <= 0 {
 					t.Fatalf("throughput = %v, want > 0", res.Throughput)
 				}
-				if res.Deliveries != want {
+				if res.Ops != want {
 					t.Fatalf("deliveries = %d, want %d (a room starved before the horizon)",
-						res.Deliveries, want)
+						res.Ops, want)
 				}
 				if name := m.SchedulerName(); name != string(kind) {
 					t.Fatalf("scheduler name = %q, want %q", name, kind)
@@ -81,9 +81,9 @@ func TestCrossSchedulerSmokeNUMA(t *testing.T) {
 			res := m.RunVolanoMark(elsc.VolanoConfig{
 				Rooms: rooms, UsersPerRoom: users, MessagesPerUser: messages,
 			})
-			if res.Deliveries != want {
+			if res.Ops != want {
 				t.Fatalf("deliveries = %d, want %d (a room starved on the NUMA machine)",
-					res.Deliveries, want)
+					res.Ops, want)
 			}
 		})
 	}

@@ -10,7 +10,8 @@ import (
 // the registry runs any workload by name with uniform sizing knobs
 // (RunWorkload — what the sweep matrix and the determinism suite use),
 // and RunVolanoMark and RunWebServer take the chat and web benchmarks'
-// Config for bespoke shapes.
+// Config for bespoke shapes. All three return the registry's one
+// measurement, WorkloadResult.
 
 // WorkloadParams sizes a registry-run workload: Work is the per-actor
 // operation count, Quick selects the reduced shape, ScalableStack the
@@ -39,13 +40,11 @@ func (m *Machine) RunWorkload(name string, p WorkloadParams) WorkloadResult {
 // stack for per-socket lock holds; every cycle price is fixed calibration.
 type VolanoConfig = volano.Config
 
-// VolanoResult is a VolanoMark measurement; Throughput is the paper's
-// messages-per-second metric.
-type VolanoResult = volano.Result
-
-// RunVolanoMark builds and runs the chat benchmark on the machine.
-func (m *Machine) RunVolanoMark(cfg VolanoConfig) VolanoResult {
-	return volano.Build(m.m, cfg).Run()
+// RunVolanoMark builds and runs the chat benchmark on the machine. The
+// result's Throughput is the paper's messages-per-second metric, its Ops
+// the deliveries, and its extras threads and lock_spins.
+func (m *Machine) RunVolanoMark(cfg VolanoConfig) WorkloadResult {
+	return workload.VolanoWith(cfg)(m.m, WorkloadParams{}).Run()
 }
 
 // WebServerConfig sizes the §8 future-work Apache-style workload: Workers
@@ -54,10 +53,9 @@ func (m *Machine) RunVolanoMark(cfg VolanoConfig) VolanoResult {
 // calibration.
 type WebServerConfig = webserver.Config
 
-// WebServerResult reports webserver throughput and latency.
-type WebServerResult = webserver.Result
-
-// RunWebServer builds and runs the web workload on the machine.
-func (m *Machine) RunWebServer(cfg WebServerConfig) WebServerResult {
-	return webserver.New(m.m, cfg).Run()
+// RunWebServer builds and runs the web workload on the machine. The
+// result's Throughput is requests served per second, its Ops the requests
+// served, and its extras dropped, mean_lat_ms and max_lat_ms.
+func (m *Machine) RunWebServer(cfg WebServerConfig) WorkloadResult {
+	return workload.WebserverWith(cfg)(m.m, WorkloadParams{}).Run()
 }
