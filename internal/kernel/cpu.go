@@ -175,15 +175,40 @@ func (c *CPU) interrupt(now sim.Time) {
 	c.creditWork(p, work)
 }
 
-// creditWork accounts executed cycles to the proc and machine. Segments
-// with a completion handler or an in-flight syscall are kernel crossings
-// (syscall, yield, sleep, exit); plain compute segments are user work.
-// It also drives the page-migration clock: enough consecutive execution
-// in one foreign domain rebinds the proc's memory there.
+// creditWork accounts executed cycles to the proc and machine, and drives
+// the page-migration clock: enough consecutive execution in one foreign
+// domain rebinds the proc's memory there.
 func (c *CPU) creditWork(p *Proc, cycles uint64) {
 	if cycles == 0 {
 		return
 	}
+	var run uint64 // work at home breaks any run abroad
+	if !c.home(p) {
+		dom := int16(c.dom)
+		run = cycles
+		if dom == p.foreignDom {
+			run += p.foreignWork
+		}
+		p.foreignDom = dom
+		if run >= c.m.env.Cost.RehomeCycles {
+			p.memDomain = dom
+			run = 0
+		}
+	}
+	c.credit(p, cycles, run)
+}
+
+// home reports whether the proc's memory lives in this CPU's domain, or
+// has not been placed yet: work here is neither stretched nor counted
+// toward a page migration.
+func (c *CPU) home(p *Proc) bool { return p.memDomain < 0 || int16(c.dom) == p.memDomain }
+
+// credit accounts cycles executed here to the CPU's work clock and the
+// task's run time, and leaves the page-migration clock at foreignRun: the
+// consecutive work in p.foreignDom, 0 for work at home. Segments with a
+// completion handler or an in-flight syscall are kernel crossings
+// (syscall, yield, sleep, exit); plain compute segments are user work.
+func (c *CPU) credit(p *Proc, cycles, foreignRun uint64) {
 	c.work += cycles
 	p.Task.DrainRun(cycles)
 	if p.inSyscall || p.onDone != nil {
@@ -193,19 +218,7 @@ func (c *CPU) creditWork(p *Proc, cycles uint64) {
 		p.Task.UserCycles += cycles
 		c.m.stats.TaskCycles += cycles
 	}
-	if dom := int16(c.dom); p.memDomain >= 0 && dom != p.memDomain {
-		if dom != p.foreignDom {
-			p.foreignDom = dom
-			p.foreignWork = 0
-		}
-		p.foreignWork += cycles
-		if p.foreignWork >= c.m.env.Cost.RehomeCycles {
-			p.memDomain = dom
-			p.foreignWork = 0
-		}
-	} else {
-		p.foreignWork = 0
-	}
+	p.foreignWork = foreignRun
 }
 
 // tick is the 10 ms timer interrupt: account overhead, age the running
@@ -340,18 +353,47 @@ func (c *CPU) startSegment(now sim.Time) {
 	if p.remaining == 0 {
 		p.remaining = 1 // keep virtual time strictly advancing
 	}
-	p.segWork = p.remaining
-	p.segWall = p.remaining
-	if p.memDomain >= 0 && int16(c.dom) != p.memDomain {
-		p.segWall += p.remaining * c.m.env.Cost.RemoteAccessPct / 100
+	wall := p.remaining
+	if !c.home(p) {
+		wall += p.remaining * c.m.env.Cost.RemoteAccessPct / 100
 	}
-	c.segStart = now
-	c.m.eng.ScheduleAfter(&c.runEv, p.segWall)
+	c.arm(p, now, wall)
 }
 
-// segmentDone fires when the current segment's cycles have elapsed.
+// arm schedules the end of a segment of p.remaining cycles of work that
+// takes wall cycles of wall time: the same at home, more when stretched.
+// It stays within the inlining budget so that segmentDone's common case
+// re-arms without a call of its own.
+func (c *CPU) arm(p *Proc, now sim.Time, wall uint64) {
+	p.segWork = p.remaining
+	p.segWall = wall
+	c.segStart = now
+	c.m.eng.Schedule(&c.runEv, now+sim.Time(wall))
+}
+
+// segmentDone fires when the current segment's cycles have elapsed. Most
+// segments are a program's user-mode Compute run at home, followed by
+// another, and that case runs here in one frame: credit, Step, re-arm.
+// memDomain moves only in creditWork, between segments, so a segment that
+// ends at home was armed unstretched, owes no remote cycles, and the next
+// one is armed unstretched too; credit itself tells system from user
+// time. Everything else — a completion handler to run, a preemption due,
+// work abroad, any other next action — takes the general path.
 func (c *CPU) segmentDone(now sim.Time) {
 	p := c.current
+	if p.onDone == nil && !c.needResched && c.home(p) {
+		c.credit(p, p.remaining, 0)
+		p.remaining = 0
+		act := p.prog.Step(p)
+		p.Steps++
+		if a, ok := act.(Compute); ok && a.Cycles != 0 {
+			p.remaining = a.Cycles
+			c.arm(p, now, a.Cycles)
+			return
+		}
+		c.doAction(act, now)
+		return
+	}
 	if p.segWall > p.segWork {
 		c.m.stats.RemoteCycles += p.segWall - p.segWork
 	}
@@ -366,9 +408,9 @@ func (c *CPU) segmentDone(now sim.Time) {
 	c.nextAction(now)
 }
 
-// nextAction asks the program what to do and arms the next segment. A
-// pending needResched (wake-up preemption that landed mid-decision) is
-// honored first: syscall boundaries are preemption points.
+// nextAction asks the program what to do and starts it. A pending
+// needResched (wake-up preemption that landed mid-decision) is honored
+// first: syscall boundaries are preemption points.
 func (c *CPU) nextAction(now sim.Time) {
 	m := c.m
 	p := c.current
@@ -383,14 +425,18 @@ func (c *CPU) nextAction(now sim.Time) {
 	}
 	act := p.prog.Step(p)
 	p.Steps++
-	if act == nil {
-		act = Exit{}
-	}
+	c.doAction(act, now)
+}
+
+// doAction arms the segment that carries out the current proc's next
+// action; a nil action ends the task like Exit. Every caller reaches it
+// between segments, with no completion handler armed.
+func (c *CPU) doAction(act Action, now sim.Time) {
+	m := c.m
+	p := c.current
 	switch a := act.(type) {
 	case Compute:
 		p.remaining = a.Cycles
-		p.onDone = nil
-		c.startSegment(now)
 	case *Syscall:
 		// Proc.Call armed it in the proc's own slot: nothing to copy,
 		// and operand mutations across retries (Reserved) stay private.
@@ -400,28 +446,24 @@ func (c *CPU) nextAction(now sim.Time) {
 		p.inSyscall = true
 		p.remaining = a.Cost + m.env.Cost.SyscallBase
 		p.onDone = runSyscall
-		c.startSegment(now)
 	case Yield:
 		p.remaining = m.env.Cost.SyscallBase
 		p.onDone = doYield
-		c.startSegment(now)
 	case Sleep:
 		p.syscallBuf.Cost = a.Cycles
 		p.remaining = m.env.Cost.SyscallBase
 		p.onDone = doSleep
-		c.startSegment(now)
 	case *Sleep:
 		p.syscallBuf.Cost = a.Cycles
 		p.remaining = m.env.Cost.SyscallBase
 		p.onDone = doSleep
-		c.startSegment(now)
-	case Exit:
+	case Exit, nil:
 		p.remaining = m.env.Cost.SyscallBase
 		p.onDone = doExit
-		c.startSegment(now)
 	default:
 		panic("kernel: unknown action type")
 	}
+	c.startSegment(now)
 }
 
 // runSyscall executes the in-flight syscall's effect at segment end. The

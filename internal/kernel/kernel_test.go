@@ -610,21 +610,33 @@ func TestRemoteExecutionStretch(t *testing.T) {
 // TestRehomeBoundsRemotePenalty runs far past the rehome horizon in the
 // foreign domain: once the pages migrate, the stretch must stop, so the
 // remote total stays pinned near 2 x RehomeCycles no matter how much
-// longer the task runs there.
+// longer the task runs there. The pages follow work, not wall time: with
+// no access penalty nothing stretches, and they migrate all the same.
 func TestRehomeBoundsRemotePenalty(t *testing.T) {
-	m := numaMachine(t, vanillaFactory)
-	const chunk = 1_000_000
-	done := 0
-	p := m.Spawn("settler", nil, roamProgram(65, chunk, &done))
-	m.SetAffinity(p, 1<<0)
-	m.Run(func() bool { return done >= 5 })
-	m.SetAffinity(p, 1<<1)
-	m.Run(func() bool { return p.Exited() })
-	remote := m.Stats().RemoteCycles
-	// 60M of exiled work, but only the first ~20M (RehomeCycles) pays:
-	// ~40M extra wall cycles, then the task is local again.
-	if remote < 35_000_000 || remote > 46_000_000 {
-		t.Fatalf("remote cycles = %d, want ~40M bounded by the rehome horizon", remote)
+	for _, tc := range []struct {
+		pct    uint64
+		lo, hi uint64
+	}{
+		// 60M of exiled work, but only the first ~20M (RehomeCycles)
+		// pays: ~40M extra wall cycles, then the task is local again.
+		{pct: 200, lo: 35_000_000, hi: 46_000_000},
+		{pct: 0, lo: 0, hi: 0},
+	} {
+		m := numaMachine(t, vanillaFactory)
+		m.env.Cost.RemoteAccessPct = tc.pct
+		const chunk = 1_000_000
+		done := 0
+		p := m.Spawn("settler", nil, roamProgram(65, chunk, &done))
+		m.SetAffinity(p, 1<<0)
+		m.Run(func() bool { return done >= 5 })
+		m.SetAffinity(p, 1<<1)
+		m.Run(func() bool { return p.Exited() })
+		if remote := m.Stats().RemoteCycles; remote < tc.lo || remote > tc.hi {
+			t.Fatalf("RemoteAccessPct %d: remote cycles = %d, want %d..%d", tc.pct, remote, tc.lo, tc.hi)
+		}
+		if p.memDomain != 1 {
+			t.Fatalf("RemoteAccessPct %d: memory still in domain %d after 60M cycles of work in domain 1", tc.pct, p.memDomain)
+		}
 	}
 }
 
@@ -726,6 +738,41 @@ func TestExitCursorMatchesFullWalk(t *testing.T) {
 	}
 }
 
+// TestComputeSegmentLoopAllocFree: a hog's user-mode Compute ending at
+// home, credited, stepped and re-armed — segmentDone's common case, most
+// of a saturated cell's events — touches the allocator zero times once the
+// machine is warm, the ticks and quantum expiries between segments
+// included.
+func TestComputeSegmentLoopAllocFree(t *testing.T) {
+	m := newMachine(t, 2, elscFactory)
+	hogs := make([]*Proc, 4)
+	for i := range hogs {
+		hogs[i] = m.Spawn("hog", nil, preboundHog(1<<30, 50_000))
+	}
+	steps := func() (n uint64) {
+		for _, p := range hogs {
+			n += p.Steps
+		}
+		return n
+	}
+	var target uint64
+	stop := func() bool { return steps() >= target }
+	target = 1000
+	m.Run(stop)
+
+	const segments = 2000
+	allocs := testing.AllocsPerRun(10, func() {
+		target = steps() + segments
+		m.Run(stop)
+	})
+	if allocs != 0 {
+		t.Fatalf("%d compute segments allocate %.1f objects, want 0", segments, allocs)
+	}
+	if got := steps(); got < 1000+11*segments {
+		t.Fatalf("hogs completed %d segments, want at least %d", got, 1000+11*segments)
+	}
+}
+
 // TestProcSize: a chat cell builds one Proc per simulated thread, about
 // 800 of them, so the record stays in the allocator's 256-byte class
 // (296 bytes, the 320-byte class, while it carried an unused exit code, a
@@ -747,6 +794,8 @@ func TestProcSize(t *testing.T) {
 		"memDomain":   unsafe.Offsetof(p.memDomain),
 		"foreignDom":  unsafe.Offsetof(p.foreignDom),
 		"inSyscall":   unsafe.Offsetof(p.inSyscall),
+		"prog":        unsafe.Offsetof(p.prog),
+		"Steps":       unsafe.Offsetof(p.Steps),
 	} {
 		if off >= 128 {
 			t.Errorf("Proc.%s at byte %d, want it on the first two cache lines", name, off)

@@ -14,8 +14,10 @@ import (
 // A chat benchmark builds one Proc per simulated thread, so the record is
 // packed into the allocator's 256-byte class. Objects of that class start
 // on a 256-byte boundary, and the fields are ordered so that the segment
-// path (startSegment, interrupt, creditWork, segmentDone) reads only the
-// first two 64-byte cache lines, Task through sleepEv.
+// path (segmentDone with its credit and arm helpers, creditWork,
+// startSegment, interrupt, nextAction) reads and writes only the first
+// two 64-byte cache lines, Task through sleepEv; TestProcSize holds the
+// fields it touches there.
 type Proc struct {
 	Task *task.Task
 	M    *Machine

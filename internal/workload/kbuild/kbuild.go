@@ -59,9 +59,8 @@ func (c *Config) withDefaults() Config {
 
 // Build is a constructed kernel-compile workload.
 type Build struct {
-	cfg     Config
-	workers []*kernel.Proc
-	linker  *kernel.Proc
+	cfg    Config
+	linker *kernel.Proc
 
 	queue     []job
 	nextJob   int
@@ -94,7 +93,7 @@ func New(m *kernel.Machine, cfg Config) *Build {
 
 	for w := 0; w < Jobs; w++ {
 		name := fmt.Sprintf("cc/%d", w)
-		b.workers = append(b.workers, m.Spawn(name, mm, b.newWorker()))
+		m.Spawn(name, mm, b.newWorker())
 	}
 
 	serial := uint64(float64(totalCompile) * serialFraction)

@@ -1,6 +1,7 @@
 package kbuild
 
 import (
+	"strings"
 	"testing"
 
 	"elsc/internal/kernel"
@@ -47,8 +48,14 @@ func TestBuildCompletes(t *testing.T) {
 		if secs <= 0 {
 			t.Fatal("no elapsed time")
 		}
-		if c := b.Config(); c.Units != 24 || len(b.workers) != 4 {
-			t.Fatalf("config echo wrong: %+v with %d workers", c, len(b.workers))
+		workers := 0
+		for _, p := range m.Procs() {
+			if strings.HasPrefix(p.Task.Name, "cc/") {
+				workers++
+			}
+		}
+		if c := b.Config(); c.Units != 24 || workers != 4 {
+			t.Fatalf("config echo wrong: %+v with %d workers", c, workers)
 		}
 	}
 }

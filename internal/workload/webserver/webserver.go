@@ -71,10 +71,9 @@ func (c *Config) withDefaults() Config {
 
 // Server is a constructed web-server workload.
 type Server struct {
-	cfg     Config
-	m       *kernel.Machine
-	accept  *ipc.Queue
-	workers []*kernel.Proc
+	cfg    Config
+	m      *kernel.Machine
+	accept *ipc.Queue
 
 	arrived   int
 	served    int
@@ -95,7 +94,7 @@ func New(m *kernel.Machine, cfg Config) *Server {
 
 	mm := m.NewMM("httpd")
 	for w := 0; w < cfg.Workers; w++ {
-		s.workers = append(s.workers, m.Spawn(fmt.Sprintf("httpd/%d", w), mm, s.newWorker()))
+		m.Spawn(fmt.Sprintf("httpd/%d", w), mm, s.newWorker())
 	}
 	s.scheduleArrival()
 	return s
