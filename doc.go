@@ -132,15 +132,16 @@
 // O(1) where it can be, allocation-free in steady state. The pending set is
 // one hierarchical timer wheel (2048 level-0 slots, 128 at each of two
 // coarser levels, doubly linked slot lists, one occupancy bitmap) with one
-// arm path and one fire path; the rare deadline the rings cannot express
-// waits on an overflow list. Fired events are recycled through a freelist,
-// and the kernel layer arms its recurring events (timer ticks, reschedule
-// IPIs, context-switch and segment completions) as caller-owned objects
-// re-armed in place with prebound callbacks, so a steady-state
-// schedule→dispatch cycle performs zero allocations (asserted by
-// testing.AllocsPerRun in the engine suite). A program issues a syscall
-// with Proc.Call, which writes it into the proc's own slot — the one copy
-// the kernel runs — so no workload keeps a scratch Syscall of its own.
+// arm path and one fire path; a deadline past the wheel's ~43s horizon
+// waits in the top level and is re-filed there once a lap. Fired events
+// are recycled through a freelist, and the kernel layer arms its recurring
+// events (timer ticks, reschedule IPIs, context-switch and segment
+// completions) as caller-owned objects re-armed in place with prebound
+// callbacks, so a steady-state schedule→dispatch cycle performs zero
+// allocations (asserted by testing.AllocsPerRun in the engine suite).
+// A program issues a syscall with Proc.Call, which writes it into the
+// proc's own slot — the one copy the kernel runs — so no workload keeps a
+// scratch Syscall of its own.
 // Cancellation is an O(1) unlink: the event leaves its slot at once and may
 // be armed again. Determinism is untouched — events fire in exact (time,
 // scheduling-order) sequence, so a seed still reproduces every run

@@ -61,6 +61,8 @@ type MachineConfig struct {
 	// Seed drives all randomness (default 1).
 	Seed int64
 	// MaxSeconds bounds virtual run time (default 3000 virtual seconds).
+	// A run stopped there with work still pending ends with the clock
+	// on it, so Seconds then reads MaxSeconds.
 	MaxSeconds uint64
 	// Watchdog, when non-nil, arms the starvation/lockup watchdog: a
 	// periodic sweep that reports runnable tasks starved past a
@@ -125,7 +127,8 @@ func (m *Machine) NewAddressSpace(name string) *AddressSpace {
 }
 
 // Run drives the simulation until stop returns true, no work remains, or
-// the MaxSeconds horizon passes. A nil stop runs until idle/horizon.
+// the MaxSeconds horizon passes. A nil stop runs until idle/horizon. A
+// horizon stop leaves the clock on the horizon: Seconds reads MaxSeconds.
 func (m *Machine) Run(stop func() bool) {
 	m.m.Run(stop)
 }

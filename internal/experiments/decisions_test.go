@@ -46,8 +46,7 @@ func quickMatrixCells() ([]Cell, Scale) {
 // TestDecisionDigest pins every schedule() decision of the quick matrix —
 // when, on which CPU, from which task to which — to the committed golden
 // file. A change that must not move the simulation leaves it alone; one
-// that means to regenerates it with -update and says why. It also holds
-// every cell to the wheel's horizon: no event fires from the overflow.
+// that means to regenerates it with -update and says why.
 func TestDecisionDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 60-cell quick matrix")
@@ -60,9 +59,6 @@ func TestDecisionDigest(t *testing.T) {
 		cfg.Trace = func(ev kernel.TraceEvent) { h, n = decisionDigest(h, ev), n+1 }
 		m := kernel.NewMachine(cfg)
 		workload.ByName(c.Load).Build(m, WorkloadParams(c.Spec, sc)).Run()
-		if st := m.Stats(); st.EventsHeap != 0 {
-			t.Errorf("%s: %d of %d events fired from the wheel's overflow list, want 0", c.Key(), st.EventsHeap, st.EventsFired)
-		}
 		fmt.Fprintf(&got, "%s %016x %d\n", c.Key(), h, n)
 	}
 	if *update {

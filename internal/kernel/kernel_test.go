@@ -492,8 +492,8 @@ func TestMaxCyclesHorizonStopsRunaway(t *testing.T) {
 		return Compute{Cycles: 1000}
 	}))
 	m.Run(nil) // must terminate despite the immortal task
-	if m.Now() > sim.Time(DefaultTickCycles*3) {
-		t.Fatalf("ran past horizon: %d", m.Now())
+	if m.Now() != sim.Time(DefaultTickCycles*3) {
+		t.Fatalf("stopped at %d, want the horizon %d", m.Now(), DefaultTickCycles*3)
 	}
 }
 

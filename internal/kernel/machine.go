@@ -90,7 +90,8 @@ type Config struct {
 	Seed int64
 	// NewScheduler builds the policy; nil panics.
 	NewScheduler SchedulerFactory
-	// MaxCycles stops the simulation at this virtual time (0 = none).
+	// MaxCycles stops the simulation at this virtual time (0 = none); a
+	// run stopped there with events pending ends with Now at MaxCycles.
 	MaxCycles uint64
 	// Trace, when non-nil, is invoked at every schedule() decision.
 	Trace func(ev TraceEvent)
@@ -292,8 +293,7 @@ func (m *Machine) Stats() *Stats {
 		m.stats.LockContended += m.rqLocks[i].contended
 	}
 	m.stats.EventsFired = m.eng.Fired()
-	m.stats.EventsWheel = m.eng.FiredWheel()
-	m.stats.EventsHeap = m.eng.FiredHeap()
+	m.stats.EventsWheel = m.stats.EventsFired
 	return &m.stats
 }
 
@@ -430,8 +430,9 @@ func (m *Machine) requeue(p *Proc, change func()) bool {
 }
 
 // Run drives the simulation until stop returns true, no events remain, or
-// the configured MaxCycles horizon passes. It kicks every CPU's first
-// schedule() at time zero and flushes idle accounting on return.
+// the configured MaxCycles horizon passes, where Now then reads MaxCycles.
+// It kicks every CPU's first schedule() at time zero and flushes idle
+// accounting, up to Now, on return.
 func (m *Machine) Run(stop func() bool) {
 	for w := m.idle; w != 0; w &= w - 1 {
 		m.reschedule(m.lowest(w), m.eng.Now())

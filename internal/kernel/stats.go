@@ -79,14 +79,14 @@ type Stats struct {
 	// Harness scale: engine events dispatched over the run — the unit the
 	// zero-allocation event engine is priced in. Deterministic for a seed
 	// (it is pure virtual-time behavior); benchmark/ divides host
-	// wall-clock by it to get ns/event. EventsWheel/EventsHeap split
-	// the total by where each event fired from — a timer-wheel slot, or
-	// straight from the wheel's overflow list (sim.Engine.FiredHeap; the
-	// name predates the list) — so a deadline class the rings cannot
-	// express is visible per cell. Zero in every committed cell.
+	// wall-clock by it to get ns/event. Every event fires from the
+	// engine's one timer wheel, so EventsWheel equals EventsFired and
+	// EventsHeap, named for a min-heap the engine no longer has, is 0.
+	// The benchmark module sums both and checks they add up to
+	// EventsFired, and the registry renders both.
 	EventsFired uint64
-	EventsWheel uint64
-	EventsHeap  uint64
+	EventsWheel uint64 // benchmark seam: ROADMAP 1
+	EventsHeap  uint64 // benchmark seam: ROADMAP 1
 }
 
 // CyclesPerSchedule returns the Figure 5 metric: mean cycles per

@@ -40,30 +40,27 @@
 // segment-completion event per CPU this way, interrupt after interrupt),
 // and a cancelled engine-owned event goes straight back to the freelist.
 //
-// The overflow. Two kinds of deadline cannot be linked into the rings when
-// they are armed: one at or past the horizon, and one behind the cursor —
-// the cursor never passes a dispatch limit, but a Step that stops at the
-// MaxDur horizon leaves it where the scan stopped, possibly ahead of the
-// clock. Both go to a plain unsorted list with a cached minimum. The
-// dispatch scan re-files the list onto the rings as soon as its minimum is
-// in range of the cursor; what remains is either behind the cursor, so
-// before every ring resident, or a horizon ahead, so after, and its
-// minimum caps how far the scan may move the cursor. An event fires
-// straight from the list only when it is behind the cursor or the rings
-// are empty. FiredHeap (the name is historical) counts those.
+// Far deadlines and the horizon stop. A deadline a horizon or more past
+// the cursor parks in the level-2 slot for its own time. Each lap the
+// cursor opens that slot, and the cascade re-files the event through the
+// same insert as every other: into the same slot for one more lap while it
+// is still a horizon away, a finer level once it is not. So a deadline k
+// laps out costs k cascades, and it fires from level 0 at its own
+// (At, seq) like any other. The cursor never leads the clock: dispatch
+// never moves it past its limit, and a Step refused at the MaxDur horizon
+// moves the clock to the horizon. Every arm therefore lands at or past the
+// cursor, and insert panics on one behind it.
 //
 // # Why it is this and nothing more
 //
-// The engine used to keep a 4-ary min-heap beside the wheel for the far
-// tail, with a per-event hint routing between them and lazily cancelled
-// events pruned as they surfaced. The heap never held an event: over the
-// 324 registry cells (AllSpecs × Policies × workload.Names()) 0 of
-// 496,682,720 events at DefaultScale and 0 of 1,965,051 at QuickScale
-// fired from it, and with a panic planted in the overflow arm that
-// replaced it, go test ./..., both registry sweeps, the benchmark
-// module's test and 33,809 FuzzScenario executions never reached it. No
-// committed cell or pinned seed arms past the horizon or behind the
-// cursor. Do not add a second structure without a cell that needs one.
+// The far tail used to have a structure of its own beside the wheel — a
+// 4-ary min-heap, then an unsorted overflow list with a cached minimum —
+// and neither ever held an event: 0 of 496,682,720 at DefaultScale and 0
+// of 1,965,051 at QuickScale over the 324 registry cells (AllSpecs ×
+// Policies × workload.Names()), and a panic planted in the overflow arm
+// was never reached by go test ./..., both registry sweeps, the benchmark
+// module's test or 33,809 FuzzScenario executions. So the top level holds
+// the far tail, and a second structure waits for a cell that needs one.
 //
 // The coarse levels are sized to their traffic. Counting every arm of one
 // bash benchmark/run.sh -reps 1 per workload, the share whose deadline
@@ -82,10 +79,7 @@
 // The horizon still covers the registry: its farthest deadline is
 // 76,219,093 cycles at QuickScale and 14,144,852,219 at DefaultScale,
 // under 2^34 = 17,179,869,184, and DefaultScale arms 100,139 of its
-// 503,647,873 deadlines past 2^27, into level 2. With a panic planted in
-// the overflow arm at this horizon, go test ./... outside this package,
-// both registry sweeps, the benchmark module's test and 31,821
-// FuzzScenario executions still never reach it.
+// 503,647,873 deadlines past 2^27, into level 2; none needs a second lap.
 //
 // The rest was measured on the prototype of this design (benchmark workload
 // hogs_segments, run_s). A heap-only engine: 2.65 → 5.5 s. Rings of 512 or
@@ -110,7 +104,8 @@
 // FuzzEngineModel drives the engine and a sorted-slice model through one
 // stream of After, Schedule, Cancel, cancel-and-re-Schedule, Step, runs
 // capped by MaxDur, and Reset operations with deadlines in every level and
-// past the horizon, comparing Now, Pending and the fire log after each.
+// up to 2^17 laps past the horizon, comparing Now, Pending and the fire log
+// after each; its model stops a capped run with the same horizon rule.
 //
 // # Ownership and allocation discipline
 //

@@ -1,7 +1,7 @@
 // Engine core: the event, its ownership rules, the freelist, and the one
 // arm path and one fire path over the timer wheel. Package documentation —
-// the wheel's geometry, what the overflow list holds, and the measured
-// reasons for both — lives in doc.go.
+// the wheel's geometry, how it holds deadlines past its horizon, and the
+// measured reasons for both — lives in doc.go.
 package sim
 
 import "math/bits"
@@ -34,7 +34,7 @@ type Event struct {
 	seq    uint64
 	queued bool
 	pooled bool  // engine-owned (At/After): recycled after firing or cancel
-	level  uint8 // wheel level the event is linked in; levelOver in the overflow
+	level  uint8 // wheel level the event is linked in
 	// Slot list links (a slot head's wheelPrev is its slot's tail); both
 	// nil whenever the event is not queued, so a recycled or idle event
 	// pins nothing of the simulation it served.
@@ -48,14 +48,16 @@ func (e *Event) Pending() bool { return e.queued }
 // Engine owns the virtual clock and the pending event set.
 // The zero value is ready to use.
 type Engine struct {
-	now        Time
-	wheel      *wheel // allocated on the first arm
-	free       []*Event
-	nexts      uint64
-	firedWheel uint64
-	firedOver  uint64
-	pending    int
-	MaxDur     Time // optional hard stop measured from time zero; 0 = none
+	now     Time
+	wheel   *wheel // allocated on the first arm
+	free    []*Event
+	nexts   uint64
+	fired   uint64
+	pending int
+	// MaxDur is an optional hard stop measured from time zero; 0 = none.
+	// A Step that finds every pending event past it refuses and moves the
+	// clock to MaxDur.
+	MaxDur Time
 }
 
 // maxTime is the open-horizon dispatch limit.
@@ -65,16 +67,7 @@ const maxTime = Time(^uint64(0))
 func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the total number of events dispatched so far.
-func (e *Engine) Fired() uint64 { return e.firedWheel + e.firedOver }
-
-// FiredWheel returns how many dispatched events fired from a wheel slot.
-func (e *Engine) FiredWheel() uint64 { return e.firedWheel }
-
-// FiredHeap returns how many dispatched events fired straight from the
-// overflow list — deadlines the wheel could not express when they came
-// due (see doc.go). The name predates the list: the counter used to
-// report a min-heap, and digests and the benchmark read it by this name.
-func (e *Engine) FiredHeap() uint64 { return e.firedOver }
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events currently queued to fire.
 func (e *Engine) Pending() int { return e.pending }
@@ -146,8 +139,8 @@ func (e *Engine) ScheduleAfter(ev *Event, d Cycles) {
 // something and the deadline lies in the level-0 ring, so the slot is an
 // index away and a fresh arm (it carries the highest seq yet issued)
 // belongs at its tail unless the slot already holds a later deadline.
-// Everything else — first arm, empty wheel, coarser levels, a mid-slot
-// insert, the overflow — is wheel.insert.
+// Everything else — first arm, empty wheel, coarser levels, a deadline
+// past the horizon, a mid-slot insert — is wheel.insert.
 func (e *Engine) arm(ev *Event, at Time) {
 	ev.seq = e.nexts
 	e.nexts++
@@ -186,9 +179,9 @@ func (e *Engine) arm(ev *Event, at Time) {
 	}
 	if w.count == 0 {
 		// Empty wheel: stand the cursor on the clock's slot so level
-		// selection sees true deltas (it may trail the clock after a
-		// stretch fired from the overflow, or lead it after a capped
-		// advance).
+		// selection sees true deltas. The cursor never leads the clock;
+		// it trails it within a slot after a fire, and further after a
+		// horizon stop or a Reset.
 		w.cur = e.now &^ (wheelGran0 - 1)
 	}
 	w.insert(ev)
@@ -220,56 +213,55 @@ func (e *Engine) recycle(ev *Event) {
 }
 
 // dispatch fires the next event at or before limit, reporting whether
-// one fired. With the overflow empty — every committed cell, see doc.go —
-// the wheel's confirmed earliest is the answer when there is one, and the
-// scan behind it runs only when there is not.
+// one fired. The wheel's confirmed earliest is the answer when there is
+// one, and the scan behind it runs only when there is not; either way the
+// event heads its level-0 slot.
 func (e *Engine) dispatch(limit Time) bool {
 	w := e.wheel
 	if w == nil {
 		return false
 	}
 	ev := w.hit
-	if ev == nil || w.overMin != nil {
-		if ev = w.earliest(e.now, limit); ev == nil {
-			return false
+	if ev == nil {
+		ev = w.earliest(limit)
+	}
+	if ev == nil || ev.At > limit {
+		// Nothing is due by limit. With events pending this is a stop at
+		// the horizon, and the clock moves to it (never back): the scan
+		// left the cursor at or before limit, so the cursor never leads
+		// the clock and every later arm lands at or past it.
+		if w.count > 0 && e.now < limit {
+			e.now = limit
 		}
-	} else if ev.At > limit {
 		return false
 	}
-	if ev != w.hit {
-		w.remove(ev)
-		e.firedOver++
+	// ev's slot successor, if any, is the wheel's next earliest: level-0
+	// lists are (At, seq)-sorted and every other resident lives at or
+	// past this slot's window.
+	idx := int(ev.At>>wheelShift) & wheelMask
+	s := &w.slots[idx]
+	next := ev.wheelNext
+	s.head = next
+	if next != nil {
+		next.wheelPrev = ev.wheelPrev // the tail
+		ev.wheelNext = nil
 	} else {
-		// ev heads the level-0 slot its deadline indexes. Its slot
-		// successor, if any, is the wheel's next earliest: level-0 lists
-		// are (At, seq)-sorted and every other resident lives at or past
-		// this slot's window.
-		idx := int(ev.At>>wheelShift) & wheelMask
-		s := &w.slots[idx]
-		next := ev.wheelNext
-		s.head = next
-		if next != nil {
-			next.wheelPrev = ev.wheelPrev // the tail
-			ev.wheelNext = nil
-		} else {
-			w.bits[idx>>6] &^= 1 << (idx & 63)
-			// The slot drained: probe the rest of its bitmap word. Ring
-			// indices above this one hold only current-window deadlines
-			// (a next-lap arm lands strictly below the cursor's index),
-			// which fire before every level-1/2 resident and every
-			// wrapped slot, so the next occupied slot's head, if the
-			// word has one, is the next earliest and a burst spanning
-			// nearby slots never rescans.
-			if word := w.bits[idx>>6] >> (idx & 63); word != 0 {
-				next = w.slots[idx+bits.TrailingZeros64(word)].head
-			}
+		w.bits[idx>>6] &^= 1 << (idx & 63)
+		// The slot drained: probe the rest of its bitmap word. Ring
+		// indices above this one hold only current-window deadlines (a
+		// next-lap arm lands strictly below the cursor's index), which
+		// fire before every level-1/2 resident and every wrapped slot,
+		// so the next occupied slot's head, if the word has one, is the
+		// next earliest and a burst spanning nearby slots never rescans.
+		if word := w.bits[idx>>6] >> (idx & 63); word != 0 {
+			next = w.slots[idx+bits.TrailingZeros64(word)].head
 		}
-		ev.wheelPrev = nil
-		w.hit = next
-		w.count--
-		w.occ[0]--
-		e.firedWheel++
 	}
+	ev.wheelPrev = nil
+	w.hit = next
+	w.count--
+	w.occ[0]--
+	e.fired++
 	ev.queued = false
 	e.pending--
 	e.now = ev.At
@@ -279,8 +271,9 @@ func (e *Engine) dispatch(limit Time) bool {
 }
 
 // Step dispatches the next pending event, advancing the clock to its time.
-// It returns false when no events remain or the MaxDur horizon has been
-// reached.
+// It returns false when no events remain, or when the next one lies past
+// the MaxDur horizon: that stop moves the clock to MaxDur, unless the
+// clock is already past it.
 func (e *Engine) Step() bool {
 	limit := maxTime
 	if e.MaxDur != 0 {
@@ -290,7 +283,8 @@ func (e *Engine) Step() bool {
 }
 
 // Run dispatches events until none remain, stop returns true, or the
-// MaxDur horizon is reached. A nil stop runs to completion.
+// MaxDur horizon is reached, where the clock then reads MaxDur. A nil stop
+// runs to completion.
 func (e *Engine) Run(stop func() bool) {
 	for {
 		if stop != nil && stop() {
@@ -313,8 +307,7 @@ func (e *Engine) Reset() {
 	}
 	e.now = 0
 	e.nexts = 0
-	e.firedWheel = 0
-	e.firedOver = 0
+	e.fired = 0
 	e.pending = 0
 	e.MaxDur = 0
 }

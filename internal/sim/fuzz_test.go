@@ -8,14 +8,14 @@ import (
 // FuzzEngineModel drives the engine and a reference model — a slice of
 // logical events popped by linear (At, seq) minimum — through one
 // operation stream and compares Now, Pending and the fire log after every
-// op. The model knows nothing of levels, cursors or the overflow, so any
+// op. The model knows nothing of levels, cursors or laps, so any
 // divergence is an ordering, accounting or recycling bug in the wheel.
 // After every op checkLinks also holds the wheel's own links to their
 // rules.
 //
 // Each op consumes three bytes: an opcode (mod 8) and two arguments. The
 // delta encoding (a+1)<<(b%44) reaches every wheel level, the horizon and
-// the overflow beyond it.
+// deadlines up to 2^17 laps past it.
 //
 //	0  After(delta); with b's top bit set the callback arms a child
 //	   one-shot when it fires (an arm from inside a firing event)
@@ -36,9 +36,9 @@ func FuzzEngineModel(f *testing.F) {
 	f.Add([]byte{0, 9, 0, 0, 9, 0, 3, 0, 0, 0, 4, 0, 2, 0, 0, 3, 0, 0, 3, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 3, 0, 0, 0, 2, 0})
 	f.Add([]byte{0, 199, 0, 2, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 2, 1, 0, 0, 6, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0})
-	// Cancel and re-arm across levels and the overflow, a capped run with
-	// an arm behind the next event, a MaxDur stop followed by an arm
-	// behind the cursor, a child chain, and a mid-stream Reset.
+	// Cancel and re-arm across levels and past the horizon, a capped run
+	// with an arm behind the next event, a MaxDur stop followed by an arm
+	// at the horizon, a child chain, and a mid-stream Reset.
 	f.Add([]byte{1, 0, 5, 4, 0, 25, 4, 0, 35, 4, 0, 43, 4, 0, 2, 3, 0, 0})
 	f.Add([]byte{0, 100, 20, 5, 3, 9, 5, 7, 0, 3, 0, 0, 3, 0, 0})
 	f.Add([]byte{0, 3, 30, 7, 0, 10, 3, 0, 0, 0, 1, 4, 7, 1, 0, 3, 0, 0, 3, 0, 0})
@@ -66,22 +66,18 @@ func FuzzWheelHeapDiff(f *testing.F) {
 	f.Fuzz(engineModel)
 }
 
-// checkLinks walks every ring slot and the overflow (slot -1 in its
-// errors): a slot's bit is set
-// exactly while it has a head, a head's wheelPrev is its list's tail and
-// every other resident's its predecessor, and the residents, all queued,
-// number Pending. Every event off the queue — the freelist and the
-// caller-owned ones in idle that are not pending — holds no link.
+// checkLinks walks every ring slot: a slot's bit is set exactly while it
+// has a head, a head's wheelPrev is its list's tail and every other
+// resident's its predecessor, and the residents, all queued, number
+// Pending. Every event off the queue — the freelist and the caller-owned
+// ones in idle that are not pending — holds no link.
 func checkLinks(e *Engine, idle []*Event) error {
 	n := 0
 	if w := e.wheel; w != nil {
-		for i := -1; i < ringSlots; i++ {
-			s := &w.over // slot -1
-			if i >= 0 {
-				s = &w.slots[i]
-				if w.occupied(i) != (s.head != nil) {
-					return fmt.Errorf("slot %d: bit %v with head %p", i, w.occupied(i), s.head)
-				}
+		for i := 0; i < ringSlots; i++ {
+			s := &w.slots[i]
+			if w.occupied(i) != (s.head != nil) {
+				return fmt.Errorf("slot %d: bit %v with head %p", i, w.occupied(i), s.head)
 			}
 			var prev *Event
 			for x := s.head; x != nil; prev, x = x, x.wheelNext {
@@ -152,7 +148,9 @@ func engineModel(t *testing.T, ops []byte) {
 		}
 		t.Fatalf("model lost event #%d", m.id)
 	}
-	// step fires the model's earliest event at or before limit.
+	// step fires the model's earliest event at or before limit; with one
+	// pending past limit it stops there and moves the clock to limit, which
+	// is never behind the model's clock.
 	step := func(limit Time) bool {
 		var min *mev
 		for _, p := range pending {
@@ -160,7 +158,11 @@ func engineModel(t *testing.T, ops []byte) {
 				min = p
 			}
 		}
-		if min == nil || min.at > limit {
+		if min == nil {
+			return false
+		}
+		if min.at > limit {
+			now = limit
 			return false
 		}
 		drop(min)

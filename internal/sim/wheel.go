@@ -17,6 +17,8 @@ import "math/bits"
 // level at a time as the cursor crosses its window start. Power-of-two
 // sizing makes every slot index a shift+mask and aligns each level's lap
 // with the end of its bitmap words, so cursor scans never wrap mid-window.
+// A deadline past the horizon parks in the top level's slot for its own
+// time, which re-files it there each lap until it comes within range.
 const (
 	wheelShift  = 9 // log2 cycles per level-0 slot
 	wheelBits   = 11
@@ -37,12 +39,9 @@ const (
 	// of the level-1 ring (~134M cycles, ~0.34s at the default clock).
 	wheelGran2 = wheelSpan0 << coarseBits
 	// wheelHorizon is the span of the level-2 ring (~17G cycles, ~43s):
-	// the furthest deadline, measured from the cursor, the wheel can
-	// express.
+	// the furthest deadline, measured from the cursor, one lap of the
+	// wheel expresses.
 	wheelHorizon = wheelGran2 << coarseBits
-
-	// levelOver is Event.level for a resident of the overflow list.
-	levelOver = wheelLevels
 )
 
 // Per-level geometry. Level l owns ring slots [levelBase[l],
@@ -73,8 +72,8 @@ func slotIndex(l int, at Time) int {
 // it. The tail is reached through the head instead — a head's wheelPrev is
 // its slot's tail (itself when alone), every other resident's its
 // predecessor, and the tail's wheelNext is nil — so appending stays O(1).
-// Level-0 lists are kept sorted by (At, seq); upper-level and overflow
-// lists are only ever drained whole, so their order is arrival order.
+// Level-0 lists are kept sorted by (At, seq); upper-level lists are only
+// ever drained whole, so their order is arrival order.
 type slot struct {
 	head *Event
 }
@@ -99,15 +98,15 @@ func (a *Event) before(b *Event) bool {
 	return a.At < b.At || (a.At == b.At && a.seq < b.seq)
 }
 
-// wheel is the three-level ring plus its overflow. cur is the cursor,
-// always on a level-0 slot boundary: every ring resident satisfies
+// wheel is the three-level ring. cur is the cursor, always on a level-0
+// slot boundary and never ahead of the clock: every resident satisfies
 // At >= cur, and cur only advances as far as a caller-supplied limit
 // justifies. The occupancy bitmap (one bit per ring slot, exact: a set
 // bit is a non-empty slot) lets scans skip 64 empty slots per word, and
 // per-level resident counts let them skip levels entirely.
 type wheel struct {
 	cur   Time
-	count int // ring residents (the overflow is not counted)
+	count int // residents
 	occ   [wheelLevels]int
 
 	// hit is the confirmed earliest ring resident — the head of a level-0
@@ -116,34 +115,24 @@ type wheel struct {
 	// promotes its slot successor, an earlier arm replaces it.
 	hit *Event
 
-	// over holds what the rings cannot express at arm time: a deadline at
-	// or past cur+wheelHorizon, or one behind the cursor (the clock can
-	// trail it after a limit-capped advance). Unsorted; overMin is its
-	// earliest by (At, seq), nil exactly when the list is empty.
-	over    slot
-	overMin *Event
-
 	bits  [ringWords]uint64
 	slots [ringSlots]slot
 }
 
-// insert links a queued, unlinked event wherever its deadline belongs
-// relative to the cursor: the finest ring level that can express it, or
-// the overflow. It serves fresh arms, cascades and overflow re-filing
+// insert links a queued, unlinked event into the finest level that can
+// express its deadline relative to the cursor. A deadline a horizon or more
+// out takes the top level's slot for its own time: each lap the cursor
+// opens that slot and the cascade files it here again, one level finer
+// once it has come within the horizon. It serves fresh arms and cascades
 // alike, so it assumes nothing about ev's seq.
 func (w *wheel) insert(ev *Event) {
 	at := ev.At
-	delta := at - w.cur // wraps past the horizon when at is behind the cursor
-	if delta >= wheelHorizon {
-		ev.level = levelOver
-		w.over.pushBack(ev)
-		if w.overMin == nil || ev.before(w.overMin) {
-			w.overMin = ev
-		}
-		return
+	if at < w.cur {
+		panic("sim: deadline behind the wheel's cursor")
 	}
+	delta := at - w.cur
 	l := 0
-	for delta>>levelShift[l+1] != 0 {
+	for l < wheelLevels-1 && delta>>levelShift[l+1] != 0 {
 		l++
 	}
 	idx := slotIndex(l, at)
@@ -187,19 +176,14 @@ func (w *wheel) insert(ev *Event) {
 	n.wheelPrev = ev
 }
 
-// remove unlinks a resident from its slot or from the overflow, leaving
-// its links nil and every summary — the head's tail link, bitmap, counts,
-// hit, overMin — exact.
+// remove unlinks a resident from its slot, leaving its links nil and every
+// summary — the head's tail link, bitmap, counts, hit — exact.
 func (w *wheel) remove(ev *Event) {
 	next, prev := ev.wheelNext, ev.wheelPrev
 	ev.wheelNext, ev.wheelPrev = nil, nil
 	l := int(ev.level)
-	s := &w.over
-	idx := 0
-	if l < wheelLevels {
-		idx = slotIndex(l, ev.At)
-		s = &w.slots[idx]
-	}
+	idx := slotIndex(l, ev.At)
+	s := &w.slots[idx]
 	if ev == s.head {
 		// prev is the tail, which the successor, if any, now links to.
 		s.head = next
@@ -214,17 +198,6 @@ func (w *wheel) remove(ev *Event) {
 			s.head.wheelPrev = prev // ev was the tail
 		}
 	}
-	if l == levelOver {
-		if ev == w.overMin {
-			w.overMin = s.head
-			for o := s.head; o != nil; o = o.wheelNext {
-				if o.before(w.overMin) {
-					w.overMin = o
-				}
-			}
-		}
-		return
-	}
 	w.count--
 	w.occ[l]--
 	if s.head == nil {
@@ -237,28 +210,22 @@ func (w *wheel) remove(ev *Event) {
 	}
 }
 
-// drain empties a level-l slot (or, with l == levelOver, the overflow)
-// and re-inserts each resident relative to the cursor as it stands now.
-func (w *wheel) drain(s *slot, l int) {
+// cascade empties one level-l slot (ring index idx) whose window start the
+// cursor has reached and re-inserts each resident relative to the cursor
+// as it stands now: a finer level, or this slot again for one more lap.
+func (w *wheel) cascade(l, idx int) {
+	w.bits[idx>>6] &^= 1 << (idx & 63)
+	s := &w.slots[idx]
 	ev := s.head
 	*s = slot{}
 	for ev != nil {
 		next := ev.wheelNext
 		ev.wheelNext, ev.wheelPrev = nil, nil
-		if l < wheelLevels {
-			w.count--
-			w.occ[l]--
-		}
+		w.count--
+		w.occ[l]--
 		w.insert(ev)
 		ev = next
 	}
-}
-
-// cascade drains one upper-level slot (ring index idx) whose window start
-// the cursor has reached, re-inserting each resident at a finer level.
-func (w *wheel) cascade(l, idx int) {
-	w.bits[idx>>6] &^= 1 << (idx & 63)
-	w.drain(&w.slots[idx], l)
 }
 
 // occupied reports whether ring slot idx holds a resident.
@@ -337,8 +304,9 @@ func (w *wheel) scanL0(b, limit Time) *Event {
 // that start would lie past limit. Only the finest occupied upper level l
 // needs scanning: a coarser level's windows open only at l's lap
 // boundaries, which the loop stops on and checks first. Called only with
-// level 0 empty and count > 0, so it terminates: every resident event is
-// within one lap-wrap of its level's current lap.
+// level 0 empty and count > 0, so it terminates: every occupied slot's
+// window opens within one lap of b — for a deadline laps out, that
+// opening re-files it.
 func (w *wheel) nextWindow(b, limit Time) (Time, bool) {
 	l := 1
 	for w.occ[l] == 0 {
@@ -369,17 +337,12 @@ func (w *wheel) nextWindow(b, limit Time) (Time, bool) {
 	return 0, false
 }
 
-// earliestRing returns the earliest ring resident at or before limit,
-// leaving it in hit. It advances the cursor — cascading windows open
-// along the way — but never past limit's slot: only a Step refused at the
-// MaxDur horizon leaves the cursor ahead of the clock.
-func (w *wheel) earliestRing(limit Time) *Event {
-	if w.hit != nil {
-		if w.hit.At <= limit {
-			return w.hit
-		}
-		return nil
-	}
+// earliest is the scan behind dispatch's remembered answer, run when hit
+// is nil: it returns the earliest resident at or before limit, leaving it
+// in hit, or nil. It advances the cursor — cascading windows open along
+// the way — but never past limit's slot, and a Step refused at limit
+// moves the clock there, so the cursor never leads the clock.
+func (w *wheel) earliest(limit Time) *Event {
 	for w.count > 0 {
 		b := (w.cur &^ Time(wheelSpan0-1)) + wheelSpan0
 		if w.occ[0] > 0 {
@@ -402,55 +365,10 @@ func (w *wheel) earliestRing(limit Time) *Event {
 	return nil
 }
 
-// earliest is the scan behind dispatch's remembered answer: the next event
-// to fire at or before limit, from the rings or the overflow, or nil. An
-// overflow whose earliest deadline has come into the rings' range is
-// re-filed first; what stays behind is either behind the cursor, hence
-// before every ring resident, or at least a horizon ahead of it, hence
-// after — and its earliest caps the cursor's advance, so the clock never
-// jumps to an overflow deadline with the cursor already past it.
-func (w *wheel) earliest(now, limit Time) *Event {
-	m := w.overMin
-	if m == nil {
-		return w.earliestRing(limit)
-	}
-	if w.count == 0 {
-		w.cur = now &^ (wheelGran0 - 1)
-	}
-	if m.At-w.cur < wheelHorizon {
-		w.overMin = nil
-		w.drain(&w.over, levelOver)
-		if m = w.overMin; m == nil {
-			return w.earliestRing(limit)
-		}
-	}
-	ringLimit := limit
-	if m.At < ringLimit {
-		ringLimit = m.At
-	}
-	if ev := w.earliestRing(ringLimit); ev != nil && ev.before(m) {
-		return ev
-	}
-	if m.At <= limit {
-		return m
-	}
-	return nil
-}
-
 // reset drops every resident — recycling engine-owned ones — and rewinds
 // the cursor, walking only occupied slots via the bitmap so the cost
 // scales with residency, not ring size.
 func (w *wheel) reset(e *Engine) {
-	drop := func(s *slot) {
-		for ev := s.head; ev != nil; {
-			next := ev.wheelNext
-			ev.wheelNext, ev.wheelPrev = nil, nil
-			ev.queued = false
-			e.recycle(ev)
-			ev = next
-		}
-		*s = slot{}
-	}
 	if w.count != 0 {
 		for wi := range w.bits {
 			word := w.bits[wi]
@@ -458,14 +376,20 @@ func (w *wheel) reset(e *Engine) {
 			for word != 0 {
 				bit := bits.TrailingZeros64(word)
 				word &^= 1 << bit
-				drop(&w.slots[wi<<6+bit])
+				s := &w.slots[wi<<6+bit]
+				for ev := s.head; ev != nil; {
+					next := ev.wheelNext
+					ev.wheelNext, ev.wheelPrev = nil, nil
+					ev.queued = false
+					e.recycle(ev)
+					ev = next
+				}
+				*s = slot{}
 			}
 		}
 		w.occ = [wheelLevels]int{}
+		w.count = 0
 	}
-	drop(&w.over)
-	w.overMin = nil
-	w.count = 0
 	w.cur = 0
 	w.hit = nil
 }

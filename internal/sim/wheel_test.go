@@ -33,22 +33,43 @@ func TestWheelAllocs(t *testing.T) {
 	}
 }
 
-// TestWheelHeapSplitCounts checks FiredWheel/FiredHeap partition Fired:
-// every deadline inside the horizon dispatches from the wheel — a far
-// one-shot as much as a near one — and only one past the horizon, with
-// nothing left on the wheel to carry the cursor towards it, fires from
-// the overflow, which FiredHeap counts.
-func TestWheelHeapSplitCounts(t *testing.T) {
-	e := new(Engine)
-	e.After(100, "near", func(Time) {})
-	e.After(wheelGran2+100, "far", func(Time) {})
-	e.After(wheelGran2+wheelGran0+wheelHorizon, "beyond", func(Time) {})
-	e.Run(nil)
-	if e.FiredWheel() != 2 || e.FiredHeap() != 1 {
-		t.Fatalf("FiredWheel=%d FiredHeap=%d, want 2 and 1", e.FiredWheel(), e.FiredHeap())
+// TestPastHorizonFiresOnTime: deadlines laps past the horizon wait in the
+// top level, are re-filed there each lap, and fire at their own instants
+// in (At, seq) order among nearer ones — an equal-instant pair by arm
+// order, a near one first, one a cycle past a lap boundary after its
+// neighbour.
+func TestPastHorizonFiresOnTime(t *testing.T) {
+	var e Engine
+	type arm struct {
+		name string
+		at   Time
 	}
-	if e.Fired() != e.FiredWheel()+e.FiredHeap() {
-		t.Fatalf("Fired=%d does not equal wheel+overflow=%d", e.Fired(), e.FiredWheel()+e.FiredHeap())
+	const far = 5 * wheelHorizon
+	arms := []arm{
+		{"far-b", far + 3*wheelGran2 + 7},
+		{"near", 100},
+		{"far-a", far + 3*wheelGran2},
+		{"far-b2", far + 3*wheelGran2 + 7},
+		{"lap", far},
+		{"inside", wheelHorizon - 1},
+		{"lap+1", far + 1},
+	}
+	var got []string
+	for _, a := range arms {
+		a := a
+		e.At(a.at, a.name, func(now Time) {
+			if now != a.at {
+				t.Errorf("%s fired at %d, want %d", a.name, now, a.at)
+			}
+			got = append(got, a.name)
+		})
+	}
+	e.Run(nil)
+	if want := "near,inside,lap,lap+1,far-a,far-b,far-b2"; strings.Join(got, ",") != want {
+		t.Fatalf("fire order %v, want %s", got, want)
+	}
+	if e.Fired() != uint64(len(arms)) || e.Pending() != 0 {
+		t.Fatalf("Fired=%d Pending=%d, want %d and 0", e.Fired(), e.Pending(), len(arms))
 	}
 }
 
@@ -114,16 +135,11 @@ func tailOf(s *slot) *Event {
 	return s.head.wheelPrev
 }
 
-// slotOf returns the slot (or the overflow list) ev is linked in, after
-// checking the whole list's links against each other and the head's link
-// to the tail.
+// slotOf returns the slot ev is linked in, after checking the whole list's
+// links against each other and the head's link to the tail.
 func slotOf(t *testing.T, e *Engine, ev *Event) *slot {
 	t.Helper()
-	w := e.wheel
-	s := &w.over
-	if l := int(ev.level); l < wheelLevels {
-		s = &w.slots[slotIndex(l, ev.At)]
-	}
+	s := &e.wheel.slots[slotIndex(int(ev.level), ev.At)]
 	var prev *Event
 	found := false
 	for x := s.head; x != nil; prev, x = x, x.wheelNext {
@@ -143,7 +159,7 @@ func slotOf(t *testing.T, e *Engine, ev *Event) *slot {
 
 // TestCancelThenRearmOwned: a cancelled caller-owned event is unlinked on
 // the spot, so it can be armed again at once — at every wheel level and
-// in the overflow — and takes its place among same-slot neighbours by
+// past the horizon — and takes its place among same-slot neighbours by
 // (At, seq) like any fresh arm. Under lazy cancel Schedule panicked here
 // ("still queued") until the corpse surfaced.
 func TestCancelThenRearmOwned(t *testing.T) {
@@ -154,16 +170,17 @@ func TestCancelThenRearmOwned(t *testing.T) {
 	}
 	// Each level mid-ring, then a deadline just under and at its ring
 	// span — the last under-span one the horizon's edge — and one just
-	// past the horizon.
+	// past the horizon. The top level holds both of the last two.
+	const top = wheelLevels - 1
 	var cases []levelCase
 	for l := 0; l < wheelLevels; l++ {
 		span := Cycles(1) << levelShift[l+1]
 		cases = append(cases,
 			levelCase{fmt.Sprintf("level%d", l), Cycles(1)<<levelShift[l] + 100_000, uint8(l)},
 			levelCase{fmt.Sprintf("level%d-span-1", l), span - 1, uint8(l)},
-			levelCase{fmt.Sprintf("level%d-span", l), span, uint8(l + 1)})
+			levelCase{fmt.Sprintf("level%d-span", l), span, uint8(min(l+1, top))})
 	}
-	cases = append(cases, levelCase{"overflow", wheelHorizon + 1, levelOver})
+	cases = append(cases, levelCase{"overflow", wheelHorizon + 1, top})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var e Engine
@@ -269,7 +286,7 @@ func TestCancelMiddleOfDenseSlot(t *testing.T) {
 // indexed the cursor's own level-0 slot and fired a lap early, ahead of
 // everything armed after it. Checked just under and at every level's
 // span; the last level's span is the horizon, past which the deadline
-// waits in the overflow.
+// waits a lap in the top level.
 func TestNextLapDeadlineKeepsOutOfTheCursorSlot(t *testing.T) {
 	for l := 0; l < wheelLevels; l++ {
 		span := Cycles(1) << levelShift[l+1]
@@ -333,32 +350,38 @@ func TestWheelHeapBudget(t *testing.T) {
 	t.Logf("a fresh engine's first arm allocates %d bytes", best)
 }
 
-// TestArmBehindCursor: a dispatch that stops at the MaxDur horizon leaves
-// the cursor where the scan stopped, ahead of the clock; an arm between
-// the two cannot ride the rings and fires, in order, from the overflow.
-func TestArmBehindCursor(t *testing.T) {
+// TestHorizonStopMovesClock: a Step refused at the MaxDur horizon with an
+// event pending past it moves the clock to the horizon, and the cursor,
+// which the refused scan stopped at or before the horizon, is not ahead of
+// it: an arm at the new Now fires, in order, before the event past it.
+// The clock moves only forward, and only with an event pending.
+func TestHorizonStopMovesClock(t *testing.T) {
 	var e Engine
 	var got []string
 	log := func(name string) func(Time) { return func(Time) { got = append(got, name) } }
-	e.MaxDur = 10 * wheelGran0
+	e.At(3*wheelGran0, "early", log("early"))
 	e.At(100*wheelGran0, "late", log("late"))
-	if e.Step() {
-		t.Fatal("Step fired an event past MaxDur")
+	e.MaxDur = 10*wheelGran0 + 7
+	e.Run(nil)
+	if e.Now() != e.MaxDur {
+		t.Fatalf("Now = %d after the horizon stop, want the horizon %d", e.Now(), e.MaxDur)
 	}
-	if e.wheel.cur <= e.Now() {
-		t.Fatalf("cursor %d did not advance past the clock %d; the test needs a new way to strand it", e.wheel.cur, e.Now())
+	if e.wheel.cur > e.Now() {
+		t.Fatalf("cursor %d leads the clock %d", e.wheel.cur, e.Now())
+	}
+	e.MaxDur = 5 * wheelGran0 // behind the clock
+	if e.Step() || e.Now() != 10*wheelGran0+7 {
+		t.Fatalf("a horizon behind the clock moved it to %d", e.Now())
 	}
 	e.MaxDur = 0
-	behind := e.At(wheelGran0, "behind", log("behind"))
-	if behind.level != levelOver {
-		t.Fatalf("arm behind the cursor took level %d", behind.level)
-	}
-	e.At(50*wheelGran0, "ahead", log("ahead"))
+	e.After(0, "now", log("now"))
+	e.After(wheelGran0, "next", log("next"))
 	e.Run(nil)
-	if want := "behind,ahead,late"; strings.Join(got, ",") != want {
+	if want := "early,now,next,late"; strings.Join(got, ",") != want {
 		t.Fatalf("fire order %v, want %s", got, want)
 	}
-	if e.FiredHeap() != 1 || e.FiredWheel() != 2 {
-		t.Fatalf("FiredHeap=%d FiredWheel=%d, want 1 and 2", e.FiredHeap(), e.FiredWheel())
+	e.MaxDur = 1000 * wheelGran0
+	if e.Step() || e.Now() != 100*wheelGran0 {
+		t.Fatalf("a Step with nothing pending moved the clock to %d", e.Now())
 	}
 }
