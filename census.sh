@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # census.sh: what in this repo does no program reach?
 #
-# Builds cmd/sweep, cmd/schedtrace, cmd/volano and the two examples/
-# programs instrumented over every package (-covermode=count) and runs,
-# under one GOCOVERDIR: the quick catalog with -json (from inside the
-# output directory, so the committed BENCH_sweep.json is left alone), a
-# fuzz batch with hotplug storms, schedtrace (o1 through a hotplug cycle,
-# elsc with its table dump), one volano and each example. Offline; about
-# 4 minutes on two cores.
+# Builds cmd/sweep, cmd/schedtrace and the two examples/ programs
+# instrumented over every package (-covermode=count) and runs, under one
+# GOCOVERDIR: the quick catalog with -json (from inside the output
+# directory, so the committed BENCH_sweep.json is left alone), a fuzz
+# batch with hotplug storms, schedtrace (o1 through a hotplug cycle, elsc
+# with its table dump) and each example. Offline; about 4 minutes on two
+# cores.
 #
 # By default it prints every function left at 0% (file:line and name,
 # sorted) on stdout and each package's statement coverage on stderr. A
@@ -38,7 +38,7 @@ out=${1:-$(mktemp -d)}
 mkdir -p "$out/bin" "$out/cov"
 out=$(cd "$out" && pwd)
 build() { go build -cover -covermode=count -coverpkg=./... -o "$out/bin/$1" "$2"; }
-for cmd in sweep schedtrace volano; do
+for cmd in sweep schedtrace; do
 	build "$cmd" "./cmd/$cmd"
 done
 examples=(chatserver priorities)
@@ -47,10 +47,9 @@ for ex in "${examples[@]}"; do
 done
 export GOCOVERDIR=$out/cov
 (cd "$out" && bin/sweep -quick -exp all -json >/dev/null)
-"$out/bin/sweep" -exp fuzz -fuzzn 60 -fuzzhotplug >/dev/null
+"$out/bin/sweep" -exp fuzz -fuzzn 60 >/dev/null
 "$out/bin/schedtrace" -sched o1 -cpus 8 -domains 2 -tasks 12 -hotplug 3 -n 0 -watchdog >/dev/null
 "$out/bin/schedtrace" -sched elsc -cpus 2 -table >/dev/null
-"$out/bin/volano" -sched cfs -cpus 4 -smp -rooms 2 -messages 5 -stats -ps >/dev/null
 for ex in "${examples[@]}"; do
 	"$out/bin/example-$ex" >/dev/null
 done

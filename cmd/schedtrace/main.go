@@ -149,11 +149,11 @@ func main() {
 	}
 	// Hotplug and watchdog sections follow the same conditional-section
 	// rule as steals and bonus: a run with no CPU transitions gets no
-	// hotplug table, and an unarmed run gets no watchdog line — existing
+	// hotplug line, and an unarmed run gets no watchdog line — existing
 	// invocations render byte-identically.
 	if s.CPUOfflines > 0 || s.CPUOnlines > 0 {
-		fmt.Println()
-		fmt.Print(hotplugTable(m.CPUStats()).Render())
+		fmt.Printf("\nhotplug: %d offlines, %d onlines, %d offline cycles\n",
+			s.CPUOfflines, s.CPUOnlines, s.OfflineCycles)
 	}
 	if s.WatchdogEnabled {
 		fmt.Printf("\nwatchdog: %d starvations, %d invariant faults\n",
@@ -166,8 +166,6 @@ func main() {
 	if s.TicksSkipped > 0 || s.IdleTickRescues > 0 {
 		fmt.Printf("\ntickless: %d idle ticks skipped, %d rescues\n",
 			s.TicksSkipped, s.IdleTickRescues)
-		fmt.Println()
-		fmt.Print(ticklessTable(m.CPUStats()).Render())
 	}
 	if *showTable {
 		if ops.Dump != nil {
@@ -202,36 +200,6 @@ func stealTable(name string, perCPU []sched.CPUSteals, topo *sched.Topology) *st
 		totalCross += domCross
 	}
 	t.AddRow("total", "-", totalIn, totalCross)
-	return t
-}
-
-// hotplugTable renders the per-CPU hotplug history: final state, how
-// many times each processor was unplugged, and its total offline time.
-func hotplugTable(perCPU []kernel.CPUStat) *stats.Table {
-	t := stats.NewTable("cpu hotplug transitions",
-		"CPU", "state", "offlines", "offline-cycles")
-	for _, c := range perCPU {
-		state := "online"
-		if !c.Online {
-			state = "offline"
-		}
-		t.AddRow(c.CPU, state, c.Offlines, c.OfflineCycles)
-	}
-	return t
-}
-
-// ticklessTable renders the per-CPU NO_HZ residency: how much of each
-// processor's idle time passed with the tick chain parked.
-func ticklessTable(perCPU []kernel.CPUStat) *stats.Table {
-	t := stats.NewTable("tickless idle residency",
-		"CPU", "idle-cycles", "tickless-cycles", "tickless-%")
-	for _, c := range perCPU {
-		pct := 0.0
-		if c.IdleCycles > 0 {
-			pct = 100 * float64(c.TicklessCycles) / float64(c.IdleCycles)
-		}
-		t.AddRow(c.CPU, c.IdleCycles, c.TicklessCycles, fmt.Sprintf("%.1f%%", pct))
-	}
 	return t
 }
 

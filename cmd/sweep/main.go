@@ -70,7 +70,6 @@ func run() int {
 	var (
 		exp        = flag.String("exp", "all", "experiment to run ("+strings.Join(names, " ")+")")
 		fuzzN      = flag.Int("fuzzn", 16, "scenarios for -exp fuzz (seeds seed..seed+n-1)")
-		fuzzHot    = flag.Bool("fuzzhotplug", true, "keep hotplug storms in -exp fuzz scenarios (false strips them, for A/B isolation)")
 		wdTrace    = flag.Bool("wdtrace", false, "print each watchdog violation as it fires during -exp fuzz")
 		quick      = flag.Bool("quick", false, "reduced message counts for a fast pass")
 		messages   = flag.Int("messages", 0, "override messages per user")
@@ -193,9 +192,6 @@ func run() int {
 				// fuzz budget at one policy; swap targets still draw
 				// from the whole registry.
 				s.Policy = matrixPolicies[i%len(matrixPolicies)]
-			}
-			if !*fuzzHot {
-				s.Hotplugs = nil
 			}
 			var opts experiments.ScenarioOpts
 			if *wdTrace {

@@ -160,7 +160,7 @@
 //	m := elsc.NewMachine(elsc.MachineConfig{CPUs: 4, SMP: true, Scheduler: elsc.ELSC})
 //	res := m.RunVolanoMark(elsc.VolanoConfig{Rooms: 10})
 //	fmt.Printf("%.0f messages/second\n", res.Throughput)
-//	fmt.Println(m.Stats().Summary())
+//	fmt.Print(m.Stats().Registry().Render())
 //
 // Determinism: a machine's Seed fixes every random draw; the same
 // configuration reproduces a run cycle-for-cycle.

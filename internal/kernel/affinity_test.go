@@ -87,70 +87,3 @@ func TestSetPolicyRejectsBadPriority(t *testing.T) {
 	}()
 	m.SetPolicy(p, task.FIFO, 500)
 }
-
-func TestPSRendersTaskTable(t *testing.T) {
-	m := newMachine(t, 2, vanillaFactory)
-	a := m.Spawn("alpha", m.NewMM("app"), computeLoop(3, 50_000))
-	m.SpawnRT("beta-rt", task.FIFO, 7, computeLoop(2, 20_000))
-	m.Run(func() bool { return m.Alive() == 0 })
-	out := m.PS()
-	for _, want := range []string{"PID", "alpha", "beta-rt", "exited", "rt7", "app"} {
-		if !contains(out, want) {
-			t.Fatalf("ps output missing %q:\n%s", want, out)
-		}
-	}
-	if a.Task.UserCycles == 0 {
-		t.Fatal("alpha finished without any CPU time on record")
-	}
-}
-
-func TestPSClipsLongNames(t *testing.T) {
-	m := newMachine(t, 1, elscFactory)
-	p := m.Spawn("a-very-long-task-name-that-exceeds-the-column", nil, computeLoop(1, 100))
-	m.Run(func() bool { return p.Exited() })
-	if !contains(m.PS(), "~") {
-		t.Fatal("long name not clipped")
-	}
-}
-
-func TestMPStatPerCPUBreakdown(t *testing.T) {
-	m := newMachine(t, 2, elscFactory)
-	p := m.Spawn("solo", nil, computeLoop(1, 3*DefaultTickCycles))
-	m.Run(func() bool { return p.Exited() })
-	stats := m.CPUStats()
-	if len(stats) != 2 {
-		t.Fatalf("CPUStats len = %d", len(stats))
-	}
-	var work, idle uint64
-	for _, s := range stats {
-		work += s.WorkCycles
-		idle += s.IdleCycles
-	}
-	if work == 0 {
-		t.Fatal("no work recorded")
-	}
-	if idle == 0 {
-		t.Fatal("a 2-CPU machine with one task must accumulate idle time")
-	}
-	for i, s := range stats {
-		if s.CPU != i || !s.Online || s.WorkCycles+s.IdleCycles == 0 {
-			t.Fatalf("cpu%d row: %+v", i, s)
-		}
-	}
-	if u := float64(stats[0].WorkCycles+stats[1].WorkCycles) / float64(m.Now()); u <= 0 || u > 1.01 {
-		t.Fatalf("one task on two CPUs: utilizations sum to %f, want (0, 1]", u)
-	}
-}
-
-func TestCPUStatUtilizationBounds(t *testing.T) {
-	m := newMachine(t, 1, vanillaFactory)
-	p := m.Spawn("w", nil, computeLoop(5, DefaultTickCycles))
-	m.Run(func() bool { return p.Exited() })
-	elapsed := uint64(m.Now())
-	for _, s := range m.CPUStats() {
-		u := float64(s.WorkCycles) / float64(elapsed)
-		if u < 0 || u > 1.01 {
-			t.Fatalf("utilization %f out of bounds", u)
-		}
-	}
-}

@@ -23,11 +23,8 @@ type CPU struct {
 	// While the CPU is hot-unplugged (its bit is clear in the Env online
 	// mask) it runs nothing, its timer chain parks itself, and IPIs
 	// landing here are re-routed. offlineFrom stamps the current offline
-	// stretch; offlineAccum and offlines total completed stretches for
-	// CPUStats.
-	offlineFrom  sim.Time
-	offlineAccum uint64
-	offlines     uint64
+	// stretch, which OnlineCPU adds to the machine's OfflineCycles.
+	offlineFrom sim.Time
 
 	// Tickless idle (NO_HZ): a fully idle CPU stops re-arming its timer
 	// chain at the next firing — parked lazily, exactly like hotplug parks
@@ -38,12 +35,8 @@ type CPU struct {
 	// nothing cancels tickEv. tickNext is the next instant the conceptual
 	// always-on chain would fire at, with 0 meaning the chain also died
 	// offline (OnlineCPU re-anchors it at online+period, matching what a
-	// non-tickless online would arm); ticklessFrom stamps the current
-	// parked stretch and ticklessAccum totals completed stretches for
-	// CPUStats' tickless residency column.
-	tickNext      sim.Time
-	ticklessFrom  sim.Time
-	ticklessAccum uint64
+	// non-tickless online would arm).
+	tickNext sim.Time
 
 	segStart sim.Time
 	idleFrom sim.Time
@@ -69,10 +62,6 @@ type CPU struct {
 	// work is the CPU's task-work clock: total cycles of user work
 	// executed here, the pollution clock for the cache model.
 	work uint64
-	// idleAccum totals completed idle stretches; dispatches counts
-	// context switches completed here (both feed CPUStats).
-	idleAccum  uint64
-	dispatches uint64
 
 	// narrow counts the deliverable tasks that only some CPUs, this one
 	// among them, can take (see Machine.count).
@@ -249,7 +238,6 @@ func (c *CPU) tick(now sim.Time) {
 			// would have found the CPU idle with nothing to do.
 			m.stats.TickCycles += m.env.Cost.TickCost
 			c.tickNext = now + sim.Time(DefaultTickCycles)
-			c.ticklessFrom = now
 			return
 		}
 		m.eng.ScheduleAfter(&c.tickEv, DefaultTickCycles)
@@ -327,7 +315,6 @@ func (c *CPU) ensureTick(now sim.Time) {
 	}
 	c.skipTicksThrough(now)
 	c.m.eng.Schedule(&c.tickEv, c.tickNext)
-	c.ticklessAccum += uint64(now - c.ticklessFrom)
 }
 
 // skipTicksThrough brings a parked chain's grid anchor forward to the
@@ -549,7 +536,6 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 	if prev == nil {
 		// Leaving idle: account the idle stretch.
 		m.stats.IdleCycles += uint64(now - c.idleFrom)
-		c.idleAccum += uint64(now - c.idleFrom)
 	}
 
 	lock := m.rqLockFor(c.id)
@@ -721,7 +707,6 @@ func (m *Machine) dispatch(c *CPU, p *Proc, now sim.Time) {
 	c.transitioning = false
 	c.current = p
 	c.publish()
-	c.dispatches++
 	if p == nil {
 		c.idleFrom = now
 		if c.needResched {

@@ -46,21 +46,11 @@ func (m *Machine) OfflineCPU(id int) error {
 	now := m.eng.Now()
 	if c.isIdle() {
 		// Close the idle stretch before the clock stops counting it.
-		d := uint64(now - c.idleFrom)
-		m.stats.IdleCycles += d
-		c.idleAccum += d
-	}
-	if !c.tickEv.Pending() {
-		// Likewise the tickless residency stretch of an idle-parked
-		// chain: offline time is accounted separately. tickNext keeps its
-		// grid anchor so OnlineCPU can tell an idle-parked chain from one
-		// that died offline.
-		c.ticklessAccum += uint64(now - c.ticklessFrom)
+		m.stats.IdleCycles += uint64(now - c.idleFrom)
 	}
 	m.env.SetCPUOnline(id, false)
 	c.publish()
 	c.offlineFrom = now
-	c.offlines++
 	m.stats.CPUOfflines++
 
 	// Cpuset fallback first: a task whose mask names only dead CPUs must
@@ -115,10 +105,8 @@ func (m *Machine) OnlineCPU(id int) error {
 	now := m.eng.Now()
 	m.env.SetCPUOnline(id, true)
 	c.publish()
-	d := uint64(now - c.offlineFrom)
-	c.offlineAccum += d
 	m.stats.CPUOnlines++
-	m.stats.OfflineCycles += d
+	m.stats.OfflineCycles += uint64(now - c.offlineFrom)
 	c.idleFrom = now
 	if !c.tickEv.Pending() {
 		// The parked timer chain. (If the CPU returned within one period
@@ -145,7 +133,6 @@ func (m *Machine) OnlineCPU(id int) error {
 			if c.tickNext == 0 || now >= c.tickNext {
 				c.tickNext = now + sim.Time(DefaultTickCycles)
 			}
-			c.ticklessFrom = now
 		}
 	}
 	m.restoreAffinity()

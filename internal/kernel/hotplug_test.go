@@ -180,10 +180,10 @@ func TestOfflineTicklessOffRearmsAtOnline(t *testing.T) {
 }
 
 // TestOfflineIdleParkedCPU: hot-unplugging a CPU whose chain is already
-// parked by tickless idle (not by an offline firing) closes the tickless
-// stretch and keeps the park healthy across the offline window — online
-// with no work stays parked on a fresh anchor, and the first real
-// dispatch re-arms the chain.
+// parked by tickless idle (not by an offline firing) counts no offline
+// instant as a skipped tick and keeps the park healthy across the offline
+// window — online with no work stays parked on a fresh anchor one period
+// out, and the first real dispatch re-arms the chain.
 func TestOfflineIdleParkedCPU(t *testing.T) {
 	m := newMachine(t, 2, elscFactory)
 	hog := m.Spawn("hog", nil, computeLoop(2000, 100_000))
@@ -193,24 +193,24 @@ func TestOfflineIdleParkedCPU(t *testing.T) {
 	if c.tickNext == 0 {
 		t.Fatal("idle park lost its grid anchor")
 	}
-	ticklessBefore := m.CPUStats()[1].TicklessCycles
+	skippedBefore := m.Stats().TicksSkipped
 	if err := m.OfflineCPU(1); err != nil {
 		t.Fatal(err)
 	}
 	target := m.Now() + sim.Time(3*DefaultTickCycles)
 	m.Run(func() bool { return m.Now() >= target })
-	if got := m.CPUStats()[1].TicklessCycles; got < ticklessBefore {
-		t.Fatalf("tickless accounting went backwards across offline: %d -> %d",
-			ticklessBefore, got)
-	}
 	if err := m.OnlineCPU(1); err != nil {
 		t.Fatal(err)
+	}
+	if got := m.Stats().TicksSkipped; got != skippedBefore {
+		t.Fatalf("ticks skipped %d -> %d across the offline window, want offline instants uncounted",
+			skippedBefore, got)
 	}
 	if c.tickEv.Pending() {
 		t.Fatal("tick chain armed at online with the only task running elsewhere")
 	}
-	if c.tickNext == 0 {
-		t.Fatal("online chain parked with no anchor, want a healthy park")
+	if want := m.Now() + sim.Time(DefaultTickCycles); c.tickNext != want {
+		t.Fatalf("online chain parked on anchor %d, want online+period = %d", c.tickNext, want)
 	}
 	// New work wakes the machine; the returning CPU must be usable.
 	side := m.Spawn("side", nil, computeLoop(10, 100_000))

@@ -415,9 +415,6 @@ func TestStatsRegistryRenders(t *testing.T) {
 			t.Fatalf("registry output missing %q:\n%s", want, out)
 		}
 	}
-	if m.Stats().Summary() == "" {
-		t.Fatal("empty summary")
-	}
 }
 
 func contains(s, sub string) bool {
@@ -770,6 +767,14 @@ func TestComputeSegmentLoopAllocFree(t *testing.T) {
 	}
 	if got := steps(); got < 1000+11*segments {
 		t.Fatalf("hogs completed %d segments, want at least %d", got, 1000+11*segments)
+	}
+}
+
+// TestCPUSize holds the per-processor record, one allocation per CPU
+// with its four events inside, to the allocator's 384-byte class.
+func TestCPUSize(t *testing.T) {
+	if size := unsafe.Sizeof(CPU{}); size > 384 {
+		t.Fatalf("kernel.CPU is %d bytes, want at most 384", size)
 	}
 }
 

@@ -243,7 +243,12 @@ func NewMachine(cfg Config) *Machine {
 		m.eng.Schedule(&c.tickEv, sim.Time(DefaultTickCycles+uint64(i)*997))
 	}
 	if cfg.Watchdog != nil {
-		m.EnableWatchdog(*cfg.Watchdog)
+		// The first sweep fires one period in.
+		wd := &watchdog{m: m, cfg: *cfg.Watchdog}
+		wd.ev = m.eng.NewEvent("watchdog", wd.sweep)
+		m.watchdog = wd
+		m.stats.WatchdogEnabled = true
+		m.eng.ScheduleAfter(wd.ev, watchdogPeriod)
 	}
 	return m
 }
@@ -440,9 +445,7 @@ func (m *Machine) Run(stop func() bool) {
 	m.eng.Run(stop)
 	for _, c := range m.cpus {
 		if c.isIdle() {
-			d := uint64(m.eng.Now() - c.idleFrom)
-			m.stats.IdleCycles += d
-			c.idleAccum += d
+			m.stats.IdleCycles += uint64(m.eng.Now() - c.idleFrom)
 			c.idleFrom = m.eng.Now()
 		}
 		// Flush skipped-tick accounting for chains still parked at the

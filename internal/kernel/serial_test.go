@@ -149,8 +149,8 @@ func TestStatsSummaryNonEmpty(t *testing.T) {
 	m := newMachine(t, 2, vanillaFactory)
 	p := m.Spawn("w", nil, computeLoop(2, 10_000))
 	m.Run(func() bool { return p.Exited() })
-	if len(m.Stats().Summary()) < 40 {
-		t.Fatal("summary too short")
+	if len(m.Stats().Registry().Render()) < 40 {
+		t.Fatal("registry rendering too short")
 	}
 	if m.Stats().KernelCycles() == 0 {
 		t.Fatal("no kernel cycles accounted")

@@ -1,11 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-	"strings"
-
-	"elsc/internal/stats"
-)
+import "elsc/internal/stats"
 
 // Stats aggregates everything the paper measures, machine-wide. The
 // per-schedule summaries (count, sum, min, max) feed Figure 5, Recalcs
@@ -180,17 +175,4 @@ func (s *Stats) appendLines(l []stats.Line) []stats.Line {
 		}
 	}
 	return l
-}
-
-// Summary renders a short human-readable digest.
-func (s *Stats) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "schedule() calls:        %d\n", s.SchedCalls)
-	fmt.Fprintf(&b, "cycles/schedule (mean):  %.0f\n", s.CyclesPerSchedule())
-	fmt.Fprintf(&b, "examined/schedule:       %.1f\n", s.ExaminedPerSchedule())
-	fmt.Fprintf(&b, "recalc loop entries:     %d\n", s.Recalcs)
-	fmt.Fprintf(&b, "migrations:              %d\n", s.Migrations)
-	fmt.Fprintf(&b, "cross-domain migrations: %d\n", s.CrossDomainMigrations)
-	fmt.Fprintf(&b, "scheduler share of kernel: %.1f%%\n", 100*s.SchedulerShareOfKernel())
-	return b.String()
 }

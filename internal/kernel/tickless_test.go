@@ -20,8 +20,10 @@ func ticklessMachine(t *testing.T, cpus int, off bool) *Machine {
 }
 
 // TestIdleTickParksChain: a tick that finds its CPU fully idle parks the
-// chain instead of re-arming, records the grid anchor one period out,
-// and starts the tickless residency clock.
+// chain instead of re-arming and records the grid anchor one period out;
+// a Run that stops with the chain still parked counts every grid instant
+// it idled through as skipped and moves the anchor past them, on the
+// same grid.
 func TestIdleTickParksChain(t *testing.T) {
 	m := ticklessMachine(t, 2, false)
 	m.Spawn("hog", nil, computeLoop(2000, 100_000))
@@ -32,22 +34,22 @@ func TestIdleTickParksChain(t *testing.T) {
 		t.Fatalf("grid anchor = %d, want park+period = %d",
 			c.tickNext, parkAt+sim.Time(DefaultTickCycles))
 	}
-	// Residency accrues while parked, visible through CPUStats.
+	if got := m.Stats().TicksSkipped; got != 0 {
+		t.Fatalf("the park itself counted %d skipped ticks, want 0", got)
+	}
 	target := m.Now() + sim.Time(5*DefaultTickCycles)
 	m.Run(func() bool { return m.Now() >= target })
 	if c.tickEv.Pending() {
 		t.Fatal("idle CPU un-parked with no work arriving")
 	}
-	if got := m.CPUStats()[1].TicklessCycles; got < uint64(5*DefaultTickCycles) {
-		t.Fatalf("tickless residency = %d, want >= 5 periods (%d)",
-			got, 5*DefaultTickCycles)
+	if c.tickNext <= m.Now() || (c.tickNext-parkAt)%sim.Time(DefaultTickCycles) != 0 {
+		t.Fatalf("grid anchor = %d at now %d, want the first instant of the park's grid after now",
+			c.tickNext, m.Now())
 	}
-	if m.Stats().TicksSkipped == 0 {
-		// The chain has been parked 5+ periods and at least one skipped
-		// instant is counted whenever work later re-arms it; at this
-		// point nothing re-armed, so the counter may legitimately still
-		// be zero — but the park itself must not have counted skips.
-		t.Log("no skips counted while parked (counted at re-arm)")
+	skipped := m.Stats().TicksSkipped
+	if want := uint64(c.tickNext-parkAt)/DefaultTickCycles - 1; skipped != want || skipped < 5 {
+		t.Fatalf("ticks skipped = %d, want %d (every grid instant parked through, at least 5)",
+			skipped, want)
 	}
 }
 

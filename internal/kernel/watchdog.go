@@ -86,19 +86,6 @@ type watchdog struct {
 	ev  *sim.Event
 }
 
-// EnableWatchdog arms the watchdog (idempotent). Call before Run; the
-// first sweep fires one period in.
-func (m *Machine) EnableWatchdog(cfg WatchdogConfig) {
-	if m.watchdog != nil {
-		return
-	}
-	wd := &watchdog{m: m, cfg: cfg}
-	wd.ev = m.eng.NewEvent("watchdog", wd.sweep)
-	m.watchdog = wd
-	m.stats.WatchdogEnabled = true
-	m.eng.ScheduleAfter(wd.ev, watchdogPeriod)
-}
-
 // sweep is one watchdog pass: re-arm, check every invariant of the
 // machine (CheckAll; one violation per failing sweep), then every queued
 // task's wait against the starvation threshold. Allocation-free while

@@ -122,18 +122,15 @@ func buildVolano(m *kernel.Machine, p Params) Instance {
 // rooms themselves get the same Instance and Result the registry name
 // does.
 func VolanoWith(cfg volano.Config) Builder {
-	return func(m *kernel.Machine, _ Params) Instance { return VolanoOf(m, volano.Build(m, cfg)) }
-}
-
-// VolanoOf measures b, a chat benchmark already built on m, for a caller
-// that reads the benchmark's shape before the run (cmd/volano).
-func VolanoOf(m *kernel.Machine, b *volano.Benchmark) Instance {
-	return Instance{m, Volano, "msgs/s", b.Done, func(float64) (uint64, []Metric) {
-		return b.Deliveries(), []Metric{
-			{"lock_spins", float64(b.LockSpins())},
-			{"threads", float64(b.Threads())},
-		}
-	}}
+	return func(m *kernel.Machine, _ Params) Instance {
+		b := volano.Build(m, cfg)
+		return Instance{m, Volano, "msgs/s", b.Done, func(float64) (uint64, []Metric) {
+			return b.Deliveries(), []Metric{
+				{"lock_spins", float64(b.LockSpins())},
+				{"threads", float64(b.Threads())},
+			}
+		}}
+	}
 }
 
 // buildKBuild maps Params onto the compile: the build's size is the
